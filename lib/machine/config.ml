@@ -46,6 +46,8 @@ let make ?(alpha = 75e-6) ?(beta = 0.4e-6) ?(flop = 0.05e-6) ?(mem_op = 0.025e-6
   { nprocs; alpha; beta; flop; mem_op; word_bytes; tree_collectives;
     strict_validity; record_trace; faults; trace; domains; safe_window }
 
+let slowdown t p = match t.faults with Some plan -> Fault.slowdown_for plan p | None -> 1.0
+
 let message_cost t bytes = t.alpha +. (t.beta *. float_of_int bytes)
 
 (* Broadcast of [bytes] from one root to all: log-tree when enabled. *)

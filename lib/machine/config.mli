@@ -43,6 +43,10 @@ val make :
   ?domains:int -> ?safe_window:float ->
   nprocs:int -> unit -> t
 
+val slowdown : t -> int -> float
+(** Processor [p]'s compute-time multiplier under the fault plan (1 on a
+    reliable machine). *)
+
 val message_cost : t -> int -> float
 (** [alpha + beta * bytes]. *)
 

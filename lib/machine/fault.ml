@@ -128,9 +128,3 @@ let deliver t ~msg_cost ~src ~dest ~tag ~seq =
         duplicated; injected = !injected }
     end
   end
-
-let pp ppf t =
-  Fmt.pf ppf
-    "faults seed=%d drop=%.2f dup=%.2f delay=%.0fus reorder=%.2f rto=%.0fus x%.1f max_retries=%d"
-    t.seed t.drop t.dup (t.delay *. 1e6) t.reorder (t.rto *. 1e6) t.backoff
-    t.max_retries

@@ -60,5 +60,3 @@ val deliver :
     ack/retransmit protocol.  Attempt [i] is retransmitted after a
     timeout of [rto * backoff^(i-1)] virtual seconds; [msg_cost] prices
     the reorder penalty. *)
-
-val pp : Format.formatter -> t -> unit

@@ -27,7 +27,6 @@ let gather_array ~nprocs (frames : Interp.frame array) (name : string) :
       Storage.alloc ~proc:0 ~nprocs:1 name obj0.Storage.elt
         (Layout.replicated obj0.Storage.layout.Layout.bounds)
     in
-    Storage.mark_initial_validity out;
     Storage.iter_elements obj0 (fun idx _ ->
         let owner =
           match layout.Layout.dist_dim with

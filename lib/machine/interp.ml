@@ -1,437 +1,241 @@
-(* Interpreter for SPMD node programs, one instance per logical processor.
-   Performs {!Eff} effects for time, messages, collectives, and output;
+(* Interpreter for SPMD node programs.  A node program is compiled once
+   per run through the shared resolved evaluator {!Eval}; each logical
+   processor runs that code over its own frames, storage and counters,
+   performing {!Eff} effects for time, messages, collectives and output;
    the {!Scheduler} coordinates the processor ensemble. *)
 
 open Fd_support
 open Fd_frontend
 
-exception Return_signal
+exception Runtime_error of string
 
-type binding =
-  | Bscalar of Value.t ref
-  | Barray of Storage.array_obj
+type binding = Eval.binding = Bscalar of Value.t ref | Barray of Storage.array_obj
 
 type frame = (string, binding) Hashtbl.t
 
-type t = {
-  proc : int;
-  config : Config.t;
-  prog : Node.program;
-  stats : Stats.t;
-  globals : frame;  (* COMMON storage, visible in every procedure *)
-  mutable frames : frame list;
-  mutable pending : float;  (* accumulated compute cost not yet ticked *)
-}
+type code = { globals : Eval.frame_layout; main : Eval.unit_code option; main_name : string }
 
-let create ~proc ~config ~stats prog =
-  { proc; config; prog; stats; globals = Hashtbl.create 8; frames = [];
-    pending = 0.0 }
+type t = { env : Eval.env; code : code }
 
-let current_frame t =
-  match t.frames with
-  | f :: _ -> f
-  | [] -> Diag.error "interpreter has no active frame"
+let create ~proc ~config ~stats code =
+  let strict = config.Config.strict_validity in
+  { env = Eval.env ~proc ~nprocs:config.Config.nprocs ~strict ~config ~stats; code }
 
-let cost_flop t =
-  t.pending <- t.pending +. t.config.Config.flop;
-  t.stats.Stats.flops <- t.stats.Stats.flops + 1
-
-let cost_mem t =
-  t.pending <- t.pending +. t.config.Config.mem_op;
-  t.stats.Stats.mem_ops <- t.stats.Stats.mem_ops + 1
-
-let flush_ticks t =
-  if t.pending > 0.0 then begin
-    Eff.tick t.pending;
-    t.pending <- 0.0
+let flush_ticks (env : Eval.env) =
+  let c = env.Eval.clock in
+  if c.Eval.pending > 0.0 then begin
+    Eff.tick c.Eval.pending;
+    c.Eval.pending <- 0.0
   end
+
+(* --- Node-only intrinsics ------------------------------------------------ *)
+
+let intrinsic sc name args : Eval.code option =
+  match (name, args) with
+  | "myproc", [] -> Some (fun env -> Value.Vint env.Eval.proc)
+  | "nprocs", [] -> Some (fun env -> Value.Vint env.Eval.nprocs)
+  | "tab$", sel :: consts ->
+    (* compile-time table select: tab$(i, c0, c1, ...) = c_i *)
+    let sel = Eval.int_expr sc sel and consts = Array.of_list (List.map (Eval.expr sc) consts) in
+    Some
+      (fun env ->
+        let i = sel env in
+        if i < 0 || i >= Array.length consts then Diag.error "tab$ index %d out of range" i
+        else consts.(i) env)
+  | "owner$", Ast.Var arr :: subs ->
+    (* run-time resolution: owner of an element under the array's current
+       layout; replicated arrays are owned locally.  Only the distributed
+       dimension's subscript is evaluated, bounds-checked as a read is. *)
+    let obj = Eval.array_obj sc arr and subs = Array.of_list (List.map (Eval.int_expr sc) subs) in
+    Some
+      (fun env ->
+        let o = obj env in
+        match o.Storage.layout.Layout.dist_dim with
+        | None -> Value.Vint env.Eval.proc
+        | Some d ->
+          if d >= Array.length subs then
+            Diag.error "array %s: rank %d referenced with %d subscripts" arr (Storage.rank o)
+              (Array.length subs);
+          let x = subs.(d) env in
+          Storage.check_subscript o d x;
+          Value.Vint (Layout.owner_of o.Storage.layout ~nprocs:env.Eval.nprocs x))
+  | _ -> None
+
+(* --- Sections ------------------------------------------------------------- *)
+
+let section sc (section : Node.section) : Eval.env -> Triplet.t list =
+  let int = Eval.int_expr sc in
+  let dims = List.map (fun (lo, hi, step) -> (int lo, int hi, int step)) section in
+  fun env ->
+    List.map
+      (fun (lo, hi, step) ->
+        let l = lo env in
+        let h = hi env in
+        let s = step env in
+        if s < 1 then Diag.error "section step must be positive";
+        Triplet.make ~lo:l ~hi:h ~step:s)
+      dims
+
+(* Every element of a section in row-major order, one mem-op each. *)
+let read_section (env : Eval.env) obj triplets : (int array * Value.t) list =
+  let dims = Array.of_list triplets in
+  let idx = Array.make (Array.length dims) 0 and out = ref [] in
+  let rec walk d =
+    if d = Array.length dims then begin
+      let idx = Array.copy idx in
+      Eval.mem env;
+      out := (idx, Storage.read ~strict:env.Eval.strict obj idx) :: !out
+    end
+    else
+      let t = dims.(d) in
+      let x = ref (Triplet.lo t) in
+      while !x <= Triplet.hi t do
+        idx.(d) <- !x;
+        walk (d + 1);
+        x := !x + Triplet.step t
+      done
+  in
+  if not (Array.exists Triplet.is_empty dims) then walk 0;
+  List.rev !out
+
+(* --- Statements ----------------------------------------------------------- *)
 
 let cond_mentions_myp cond =
   let found = ref false in
-  Ast.iter_exprs_expr
-    (function Ast.Var "my$p" -> found := true | _ -> ())
-    cond;
+  Ast.iter_exprs_expr (function Ast.Var "my$p" -> found := true | _ -> ()) cond;
   !found
 
-let implicit_zero name =
-  if String.length name > 0 && name.[0] >= 'i' && name.[0] <= 'n' then Value.Vint 0
-  else Value.Vreal 0.0
+(* A message peer outside 0..P-1 is a located run-time error. *)
+let peer sc what (loc : Loc.t) e : Eval.env -> int =
+  let e = Eval.int_expr sc e in
+  fun env ->
+    let p = e env in
+    if p < 0 || p >= env.Eval.nprocs then
+      raise
+        (Runtime_error
+           (Fmt.str "%a: p%d %s processor %d, outside 0..%d" Loc.pp loc env.Eval.proc what p
+              (env.Eval.nprocs - 1)));
+    p
 
-let lookup t name : binding =
-  let frame = current_frame t in
-  match Hashtbl.find_opt frame name with
-  | Some b -> b
-  | None -> (
-    match Hashtbl.find_opt t.globals name with
-    | Some b -> b
-    | None ->
-      (* implicitly typed scalar, created on demand (Fortran style) *)
-      let b = Bscalar (ref (implicit_zero name)) in
-      Hashtbl.replace frame name b;
-      b)
-
-let scalar_cell t name =
-  match lookup t name with
-  | Bscalar r -> r
-  | Barray _ -> Diag.error "array %s used as a scalar" name
-
-let array_obj t name =
-  match lookup t name with
-  | Barray o -> o
-  | Bscalar _ -> Diag.error "scalar %s used as an array" name
-
-(* --- Expression evaluation ------------------------------------------- *)
-
-let rec eval t (e : Ast.expr) : Value.t =
-  match e with
-  | Ast.Int_const n -> Value.Vint n
-  | Ast.Real_const f -> Value.Vreal f
-  | Ast.Logical_const b -> Value.Vbool b
-  | Ast.Var v -> (
-    match lookup t v with
-    | Bscalar r -> !r
-    | Barray _ -> Diag.error "whole array %s used as a value" v)
-  | Ast.Ref (name, subs) ->
-    let obj = array_obj t name in
-    let idx = Array.of_list (List.map (fun s -> Value.to_int (eval t s)) subs) in
-    cost_mem t;
-    Storage.read ~strict:t.config.Config.strict_validity obj idx
-  | Ast.Bin (op, a, b) -> (
-    (* logical operators short-circuit; others strict *)
-    match op with
-    | Ast.And ->
-      let va = Value.to_bool (eval t a) in
-      cost_flop t;
-      if not va then Value.Vbool false else Value.Vbool (Value.to_bool (eval t b))
-    | Ast.Or ->
-      let va = Value.to_bool (eval t a) in
-      cost_flop t;
-      if va then Value.Vbool true else Value.Vbool (Value.to_bool (eval t b))
-    | _ ->
-      let va = eval t a and vb = eval t b in
-      cost_flop t;
-      binop op va vb)
-  | Ast.Un (Ast.Neg, a) ->
-    cost_flop t;
-    Value.sub (Value.Vint 0) (eval t a)
-  | Ast.Un (Ast.Not, a) ->
-    cost_flop t;
-    Value.Vbool (not (Value.to_bool (eval t a)))
-  | Ast.Funcall (name, args) -> intrinsic t name args
-
-and binop op a b : Value.t =
-  match op with
-  | Ast.Add -> Value.add a b
-  | Ast.Sub -> Value.sub a b
-  | Ast.Mul -> Value.mul a b
-  | Ast.Div -> Value.div a b
-  | Ast.Pow -> Value.pow a b
-  | Ast.Eq -> Value.Vbool (Value.equal a b)
-  | Ast.Ne -> Value.Vbool (not (Value.equal a b))
-  | Ast.Lt -> Value.Vbool (Value.compare_num a b < 0)
-  | Ast.Le -> Value.Vbool (Value.compare_num a b <= 0)
-  | Ast.Gt -> Value.Vbool (Value.compare_num a b > 0)
-  | Ast.Ge -> Value.Vbool (Value.compare_num a b >= 0)
-  | Ast.And | Ast.Or ->
-    Diag.internal ~pass:"simulate" "boolean operator reached numeric evaluation"
-
-and intrinsic t name args : Value.t =
-  cost_flop t;
-  let vals () = List.map (eval t) args in
-  match (name, args) with
-  | "myproc", [] -> Value.Vint t.proc
-  | "nprocs", [] -> Value.Vint t.config.Config.nprocs
-  | "tab$", sel :: consts ->
-    (* compile-time table select: tab$(i, c0, c1, ...) = c_i *)
-    let i = Value.to_int (eval t sel) in
-    if i < 0 || i >= List.length consts then
-      Diag.error "tab$ index %d out of range" i
-    else eval t (List.nth consts i)
-  | "owner$", Ast.Var arr :: subs ->
-    (* run-time resolution: owner of an element under the array's current
-       layout; replicated arrays are owned locally *)
-    let obj = array_obj t arr in
-    let layout = obj.Storage.layout in
-    (match layout.Layout.dist_dim with
-    | None -> Value.Vint t.proc
-    | Some d ->
-      let idx = Value.to_int (eval t (List.nth subs d)) in
-      Value.Vint (Layout.owner_of layout ~nprocs:t.config.Config.nprocs idx))
-  | "abs", [ a ] -> (
-    match eval t a with
-    | Value.Vint i -> Value.Vint (abs i)
-    | Value.Vreal f -> Value.Vreal (Float.abs f)
-    | Value.Vbool _ -> Diag.error "abs of logical")
-  | "sqrt", [ a ] -> Value.Vreal (sqrt (Value.to_float (eval t a)))
-  | "mod", [ a; b ] -> (
-    match (eval t a, eval t b) with
-    | Value.Vint x, Value.Vint y ->
-      if y = 0 then Diag.error "mod by zero" else Value.Vint (x mod y)
-    | x, y -> Value.Vreal (Float.rem (Value.to_float x) (Value.to_float y)))
-  | "max", _ :: _ :: _ -> (
-    match vals () with
-    | v :: rest ->
-      List.fold_left (fun acc x -> if Value.compare_num x acc > 0 then x else acc) v rest
-    | [] -> Diag.internal ~pass:"simulate" "intrinsic %s with no arguments" name)
-  | "min", _ :: _ :: _ -> (
-    match vals () with
-    | v :: rest ->
-      List.fold_left (fun acc x -> if Value.compare_num x acc < 0 then x else acc) v rest
-    | [] -> Diag.internal ~pass:"simulate" "intrinsic %s with no arguments" name)
-  | "float", [ a ] -> Value.Vreal (Value.to_float (eval t a))
-  | "int", [ a ] -> Value.Vint (Value.to_int (eval t a))
-  | "sign", [ a; b ] -> (
-    let m = Value.to_float (eval t a) and s = Value.to_float (eval t b) in
-    let r = if s >= 0.0 then Float.abs m else -.Float.abs m in
-    match eval t a with Value.Vint _ -> Value.Vint (int_of_float r) | _ -> Value.Vreal r)
-  | _ ->
-    Diag.error "unknown intrinsic %s/%d in node program" name (List.length args)
-
-(* --- Sections --------------------------------------------------------- *)
-
-let eval_section t (section : Node.section) : Fd_support.Triplet.t list =
-  List.map
-    (fun (lo, hi, step) ->
-      let l = Value.to_int (eval t lo)
-      and h = Value.to_int (eval t hi)
-      and s = Value.to_int (eval t step) in
-      if s < 1 then Diag.error "section step must be positive";
-      Fd_support.Triplet.make ~lo:l ~hi:h ~step:s)
-    section
-
-let iter_section (triplets : Fd_support.Triplet.t list) (f : int array -> unit) =
-  let dims = Array.of_list triplets in
-  let r = Array.length dims in
-  let idx = Array.make r 0 in
-  let rec walk d =
-    if d = r then f (Array.copy idx)
-    else
-      List.iter
-        (fun x ->
-          idx.(d) <- x;
-          walk (d + 1))
-        (Fd_support.Triplet.to_list dims.(d))
-  in
-  if not (Array.exists Fd_support.Triplet.is_empty dims) then walk 0
-
-let read_section t obj triplets : (int array * Value.t) list =
-  let out = ref [] in
-  iter_section triplets (fun idx ->
-      cost_mem t;
-      out := (idx, Storage.read ~strict:t.config.Config.strict_validity obj idx) :: !out);
-  List.rev !out
-
-(* --- Statements ------------------------------------------------------- *)
-
-let rec exec t (s : Node.nstmt) : unit =
+let rec stmt sc (s : Node.nstmt) : Eval.env -> unit =
   match s with
-  | Node.N_assign (lhs, rhs) -> (
-    let v = eval t rhs in
-    match lhs with
-    | Ast.Var name ->
-      cost_mem t;
-      let cell = scalar_cell t name in
-      (* preserve declared integer-ness of the cell *)
-      cell :=
-        (match !cell with
-        | Value.Vint _ -> Value.Vint (Value.to_int v)
-        | Value.Vreal _ -> Value.Vreal (Value.to_float v)
-        | Value.Vbool _ -> v)
-    | Ast.Ref (name, subs) ->
-      let obj = array_obj t name in
-      let idx = Array.of_list (List.map (fun e -> Value.to_int (eval t e)) subs) in
-      cost_mem t;
-      let v =
-        match obj.Storage.elt with
-        | Ast.Real -> Value.Vreal (Value.to_float v)
-        | Ast.Integer -> Value.Vint (Value.to_int v)
-        | Ast.Logical -> v
-      in
-      Storage.write obj idx v
-    | _ -> Diag.error "bad assignment target in node program")
-  | Node.N_do { var; lo; hi; step; body } ->
-    let l = Value.to_int (eval t lo) and h = Value.to_int (eval t hi) in
-    let st = match step with None -> 1 | Some e -> Value.to_int (eval t e) in
-    if st = 0 then Diag.error "zero DO step";
-    let cell = scalar_cell t var in
-    let continue_ x = if st > 0 then x <= h else x >= h in
-    let x = ref l in
-    while continue_ !x do
-      cell := Value.Vint !x;
-      cost_flop t;
-      List.iter (exec t) body;
-      x := !x + st
-    done
+  | Node.N_assign (lhs, rhs) -> Eval.assign sc lhs rhs
+  | Node.N_do { var; lo; hi; step; body } -> Eval.do_loop sc ~var ~lo ~hi ~step (block sc body)
   | Node.N_if { cond; then_; else_; _ } ->
-    if Value.to_bool (eval t cond) then List.iter (exec t) then_
-    else begin
-      (* An owner guard is an [if] on the processor id ("my$p") with no
-         else branch; a false guard is the visible footprint of the
-         owner-computes rule, so it earns a trace event. *)
-      (match t.config.Config.trace with
-      | Some tr when else_ = [] && cond_mentions_myp cond ->
-        Fd_trace.Trace.emit tr ~kind:Fd_trace.Trace.Guard_skip
-          ~at:(t.stats.Stats.clocks.(t.proc) +. t.pending) ~proc:t.proc ()
-      | _ -> ());
-      List.iter (exec t) else_
-    end
-  | Node.N_call (name, args) -> call t name args
-  | Node.N_send { dest; parts; tag; _ } ->
-    let d = Value.to_int (eval t dest) in
-    let elems =
-      List.concat_map
-        (fun (array, section) ->
-          let obj = array_obj t array in
-          let triplets = eval_section t section in
-          List.map (fun (idx, v) -> (array, idx, v)) (read_section t obj triplets))
-        parts
-    in
-    let bytes = List.length elems * t.config.Config.word_bytes in
-    flush_ticks t;
-    (* seq 0 is a placeholder: the scheduler's network layer stamps the
-       real per-(src, dest, tag) sequence number *)
-    Eff.send { Message.src = t.proc; dest = d; tag; seq = 0; elems; bytes }
-  | Node.N_recv { src; tag; loc } ->
-    let s = Value.to_int (eval t src) in
-    flush_ticks t;
-    let msg = Eff.recv ~src:s ~tag ~loc in
-    List.iter
-      (fun (array, idx, v) ->
-        cost_mem t;
-        Storage.receive (array_obj t array) idx v)
-      msg.Message.elems
-  | Node.N_bcast { root; payload; site; loc } -> (
-    let r = Value.to_int (eval t root) in
-    flush_ticks t;
-    match payload with
-    | Node.P_section (array, section) ->
-      let obj = array_obj t array in
-      let triplets = eval_section t section in
-      let read () = read_section t obj triplets in
-      let write elems =
-        List.iter (fun (idx, v) -> Storage.receive obj idx v) elems
+    (* An owner guard is an [if] on the processor id ("my$p") with no
+       else branch; a false guard is the visible footprint of the
+       owner-computes rule, so it earns a trace event. *)
+    let guard = else_ = [] && cond_mentions_myp cond in
+    let cond = Eval.bool_expr sc cond and then_ = block sc then_ and else_ = block sc else_ in
+    fun env ->
+      if cond env then then_ env
+      else begin
+        (match env.Eval.config.Config.trace with
+        | Some tr when guard ->
+          let at = env.Eval.stats.Stats.clocks.(env.Eval.proc) +. env.Eval.clock.Eval.pending in
+          Fd_trace.Trace.emit tr ~kind:Fd_trace.Trace.Guard_skip ~at ~proc:env.Eval.proc ()
+        | _ -> ());
+        else_ env
+      end
+  | Node.N_call (name, args) -> Eval.call sc name args
+  | Node.N_send { dest; parts; tag; loc } ->
+    let dest = peer sc "sends to" loc dest in
+    let parts = List.map (fun (a, sec) -> (a, Eval.array_obj sc a, section sc sec)) parts in
+    fun env ->
+      let d = dest env in
+      let part (array, obj, sec) =
+        let obj = obj env in
+        let triplets = sec env in
+        List.map (fun (idx, v) -> (array, idx, v)) (read_section env obj triplets)
       in
-      Eff.collective ~site ~loc
-        (Eff.Coll_bcast { root = r; label = array; read; write })
-    | Node.P_scalar name ->
-      let cell = scalar_cell t name in
+      let elems = List.concat_map part parts in
+      let bytes = List.length elems * env.Eval.config.Config.word_bytes in
+      flush_ticks env;
+      (* seq 0 is a placeholder: the scheduler's network layer stamps the
+         real per-(src, dest, tag) sequence number *)
+      Eff.send { Message.src = env.Eval.proc; dest = d; tag; seq = 0; elems; bytes }
+  | Node.N_recv { src; tag; loc } ->
+    let src = peer sc "receives from" loc src in
+    fun env ->
+      let s = src env in
+      flush_ticks env;
+      let msg = Eff.recv ~src:s ~tag ~loc in
+      (* elements arrive by array name *)
+      List.iter
+        (fun (array, idx, v) ->
+          Eval.mem env;
+          Storage.receive (Eval.lookup_array sc env array) idx v)
+        msg.Message.elems
+  | Node.N_bcast { root; payload = Node.P_section (array, sec); site; loc } ->
+    let root = Eval.int_expr sc root and obj = Eval.array_obj sc array and sec = section sc sec in
+    fun env ->
+      let r = root env in
+      flush_ticks env;
+      let obj = obj env in
+      let triplets = sec env in
+      let read () = read_section env obj triplets in
+      let write elems = List.iter (fun (idx, v) -> Storage.receive obj idx v) elems in
+      Eff.collective ~site ~loc (Eff.Coll_bcast { root = r; label = array; read; write })
+  | Node.N_bcast { root; payload = Node.P_scalar name; site; loc } ->
+    let root = Eval.int_expr sc root and cell = Eval.scalar_cell sc name in
+    fun env ->
+      let r = root env in
+      flush_ticks env;
+      let cell = cell env in
       let read () = [ ([||], !cell) ] in
       let write = function
         | [ (_, v) ] -> cell := v
         | _ -> Diag.error "scalar broadcast payload mismatch"
       in
-      Eff.collective ~site ~loc
-        (Eff.Coll_bcast { root = r; label = name; read; write }))
+      Eff.collective ~site ~loc (Eff.Coll_bcast { root = r; label = name; read; write })
   | Node.N_remap { array; new_layout; move; site; loc } ->
-    let obj = array_obj t array in
-    flush_ticks t;
-    Eff.collective ~site ~loc (Eff.Coll_remap { obj; new_layout; move })
+    let obj = Eval.array_obj sc array in
+    fun env ->
+      let obj = obj env in
+      flush_ticks env;
+      Eff.collective ~site ~loc (Eff.Coll_remap { obj; new_layout; move })
   | Node.N_print args ->
-    let line =
-      String.concat " " (List.map (fun e -> Value.to_string (eval t e)) args)
-    in
-    flush_ticks t;
-    Eff.output line
-  | Node.N_return -> raise Return_signal
+    let args = List.map (Eval.expr sc) args in
+    fun env ->
+      let line = String.concat " " (List.map (fun a -> Value.to_string (a env)) args) in
+      flush_ticks env;
+      Eff.output line
+  | Node.N_return -> fun _ -> raise Eval.Return_signal
 
-and call t name args : unit =
-  let np =
-    match Node.find_proc t.prog name with
-    | Some np -> np
-    | None -> Diag.error "call to unknown node procedure %s" name
+and block sc body = Eval.block (List.map (stmt sc) body)
+
+let compile (prog : Node.program) : code =
+  let globals =
+    Eval.globals ~arrays:prog.Node.n_common_arrays ~scalars:prog.Node.n_common_scalars
   in
-  if List.length args <> List.length np.Node.np_formals then
-    Diag.error "node procedure %s arity mismatch" name;
-  let frame : frame = Hashtbl.create 16 in
-  (* Bind formals: whole arrays and scalar variables pass by reference;
-     other expressions pass by value. *)
-  List.iter2
-    (fun formal actual ->
-      let binding =
-        match actual with
-        | Ast.Var v -> lookup t v
-        | e -> Bscalar (ref (eval t e))
-      in
-      Hashtbl.replace frame formal binding)
-    np.Node.np_formals args;
-  (* Allocate non-formal, non-COMMON local arrays and declared scalars. *)
-  let is_common name =
-    Hashtbl.mem t.globals name
-  in
-  List.iter
-    (fun (ad : Node.array_decl) ->
-      if (not (List.mem ad.Node.ad_name np.Node.np_formals))
-         && not (is_common ad.Node.ad_name)
-      then begin
-        let obj =
-          Storage.alloc ~proc:t.proc ~nprocs:t.config.Config.nprocs ad.Node.ad_name
-            ad.Node.ad_elt ad.Node.ad_layout
+  let units = Hashtbl.create 8 in
+  let procs =
+    List.map
+      (fun (np : Node.nproc) ->
+        let u =
+          Eval.unit_code ~formals:np.Node.np_formals ~arrays:np.Node.np_arrays
+            ~scalars:np.Node.np_scalars ~is_common:(Eval.declared globals)
         in
-        Storage.mark_initial_validity obj;
-        Hashtbl.replace frame ad.Node.ad_name (Barray obj)
-      end)
-    np.Node.np_arrays;
+        if not (Hashtbl.mem units np.Node.np_name) then Hashtbl.replace units np.Node.np_name u;
+        (np, u))
+      prog.Node.n_procs
+  in
   List.iter
-    (fun (v, ty) ->
-      if
-        (not (List.mem v np.Node.np_formals))
-        && (not (Hashtbl.mem frame v))
-        && not (is_common v)
-      then Hashtbl.replace frame v (Bscalar (ref (Value.zero_of ty))))
-    np.Node.np_scalars;
-  t.frames <- frame :: t.frames;
-  (try List.iter (exec t) np.Node.np_body with Return_signal -> ());
-  t.frames <- List.tl t.frames
+    (fun ((np : Node.nproc), (u : Eval.unit_code)) ->
+      let sc = { Eval.unit = u; globals; units; params = (fun _ -> None); hook = intrinsic } in
+      u.Eval.u_body <- block sc np.Node.np_body)
+    procs;
+  { globals; main = Hashtbl.find_opt units prog.Node.n_main; main_name = prog.Node.n_main }
 
 (* Run this processor's copy of the main node program; returns the main
    frame so the driver can gather final array contents. *)
 let run_main t : frame =
-  let main =
-    match Node.find_proc t.prog t.prog.Node.n_main with
-    | Some np -> np
-    | None ->
-      (* codegen guarantees a main node procedure; its absence is a
-         compiler bug, not an input error *)
-      Diag.internal ~pass:"simulate" "node program has no main %s"
-        t.prog.Node.n_main
-  in
-  let frame : frame = Hashtbl.create 16 in
-  (* COMMON storage: allocated once, bound both globally (visible from
-     every procedure) and in the main frame (visible to gather) *)
-  List.iter
-    (fun (ad : Node.array_decl) ->
-      let obj =
-        Storage.alloc ~proc:t.proc ~nprocs:t.config.Config.nprocs ad.Node.ad_name
-          ad.Node.ad_elt ad.Node.ad_layout
-      in
-      Storage.mark_initial_validity obj;
-      Hashtbl.replace t.globals ad.Node.ad_name (Barray obj);
-      Hashtbl.replace frame ad.Node.ad_name (Barray obj))
-    t.prog.Node.n_common_arrays;
-  List.iter
-    (fun (v, ty) ->
-      let cell = Bscalar (ref (Value.zero_of ty)) in
-      Hashtbl.replace t.globals v cell;
-      Hashtbl.replace frame v cell)
-    t.prog.Node.n_common_scalars;
-  List.iter
-    (fun (ad : Node.array_decl) ->
-      if Hashtbl.mem t.globals ad.Node.ad_name then ()
-      else begin
-        let obj =
-          Storage.alloc ~proc:t.proc ~nprocs:t.config.Config.nprocs ad.Node.ad_name
-            ad.Node.ad_elt ad.Node.ad_layout
-        in
-        Storage.mark_initial_validity obj;
-        Hashtbl.replace frame ad.Node.ad_name (Barray obj)
-      end)
-    main.Node.np_arrays;
-  List.iter
-    (fun (v, ty) ->
-      if not (Hashtbl.mem t.globals v) then
-        Hashtbl.replace frame v (Bscalar (ref (Value.zero_of ty))))
-    main.Node.np_scalars;
-  t.frames <- [ frame ];
-  (try List.iter (exec t) main.Node.np_body with Return_signal -> ());
-  flush_ticks t;
-  frame
+  match t.code.main with
+  | None ->
+    (* codegen guarantees a main node procedure; its absence is a
+       compiler bug, not an input error *)
+    Diag.internal ~pass:"simulate" "node program has no main %s" t.code.main_name
+  | Some main ->
+    let frame = Eval.run_main t.env ~globals:t.code.globals main in
+    flush_ticks t.env;
+    frame

@@ -1,28 +1,32 @@
-(** Interpreter for SPMD node programs, one instance per logical
-    processor.  Performs {!Eff} effects for time, messages, collectives,
-    and output; the {!Scheduler} coordinates the ensemble. *)
+(** Interpreter for SPMD node programs.  A node program is compiled once
+    per run through the shared resolved evaluator {!Eval}; each logical
+    processor runs that code over its own frames, storage and counters,
+    performing {!Eff} effects for time, messages, collectives, and
+    output; the {!Scheduler} coordinates the ensemble. *)
 
-open Fd_frontend
+exception Runtime_error of string
+(** A located run-time fault of the node program, such as a message
+    peer outside [0..P-1]; the scheduler reports it as
+    [Scheduler.Runtime_error]. *)
 
-exception Return_signal
-
-type binding = Bscalar of Value.t ref | Barray of Storage.array_obj
+type binding = Eval.binding = Bscalar of Value.t ref | Barray of Storage.array_obj
 
 type frame = (string, binding) Hashtbl.t
 
+type code
+(** A compiled node program, shared by every processor of a run. *)
+
+val compile : Node.program -> code
+
 type t
 
-val create : proc:int -> config:Config.t -> stats:Stats.t -> Node.program -> t
-
-val eval : t -> Ast.expr -> Value.t
-(** Evaluate in the current frame, accumulating compute cost.
+val create : proc:int -> config:Config.t -> stats:Stats.t -> code -> t
+(** One processor's interpreter: its own frames, storage and pending
+    compute time over the shared [code]; counters go to [stats].
     Intrinsics include [myproc()], [nprocs()], the compile-time table
     select [tab$], and the run-time ownership query [owner$]. *)
 
-val binop : Ast.binop -> Value.t -> Value.t -> Value.t
-
-val exec : t -> Node.nstmt -> unit
-
 val run_main : t -> frame
 (** Execute this processor's copy of the main node program; returns the
-    main frame so the driver can gather final array contents. *)
+    main frame (COMMON included) so the driver can gather final array
+    contents. *)

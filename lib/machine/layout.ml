@@ -77,8 +77,6 @@ let owner_of t ~nprocs g =
     let lo, _ = dim_bounds t d in
     (g - lo) / b mod nprocs
 
-let is_replicated t = t.dist_dim = None || t.dist = Replicated
-
 let equal a b = a.bounds = b.bounds && a.dist_dim = b.dist_dim && a.dist = b.dist
 
 let dist_name = function

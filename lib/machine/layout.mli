@@ -36,7 +36,6 @@ val owned_one : t -> nprocs:int -> int -> Iset.t
 val owner_of : t -> nprocs:int -> int -> int
 (** Owner of a global index in the distributed dimension. *)
 
-val is_replicated : t -> bool
 val equal : t -> t -> bool
 val dist_name : dist1 -> string
 val pp : Format.formatter -> t -> unit

@@ -14,13 +14,29 @@ type t = {
   bytes : int;
 }
 
-let nelems m = List.length m.elems
+(* Per-(src, dest, tag) channel: the sender side stamps [send_seq]; the
+   receiver side delivers strictly in seq order from [pending], which
+   holds arrived-but-undelivered messages keyed by seq (a reassembly
+   buffer: retransmitted messages can arrive out of order). *)
+type chan = {
+  mutable send_seq : int;
+  mutable deliver_seq : int;
+  pending : (int, t * float) Hashtbl.t;  (* seq -> (msg, arrival) *)
+}
 
-let arrays m =
-  List.sort_uniq compare (List.map (fun (a, _, _) -> a) m.elems)
+let channel channels key =
+  match Hashtbl.find_opt channels key with
+  | Some c -> c
+  | None ->
+    let c = { send_seq = 0; deliver_seq = 0; pending = Hashtbl.create 4 } in
+    Hashtbl.replace channels key c;
+    c
 
-let pp ppf m =
-  Fmt.pf ppf "msg %d->%d tag %d seq %d %s (%d elems, %d bytes)" m.src m.dest
-    m.tag m.seq
-    (String.concat "+" (arrays m))
-    (nelems m) m.bytes
+(* Deliver the next in-order message on [ch], if it has arrived. *)
+let take_deliverable ch =
+  match Hashtbl.find_opt ch.pending ch.deliver_seq with
+  | Some (msg, arrival) ->
+    Hashtbl.remove ch.pending ch.deliver_seq;
+    ch.deliver_seq <- ch.deliver_seq + 1;
+    Some (msg, arrival)
+  | None -> None

@@ -14,8 +14,17 @@ type t = {
   bytes : int;
 }
 
-val nelems : t -> int
+type chan = {
+  mutable send_seq : int;
+  mutable deliver_seq : int;
+  pending : (int, t * float) Hashtbl.t;  (** seq -> (message, arrival time) *)
+}
+(** A per-(src, dest, tag) channel: senders stamp [send_seq]; receivers
+    deliver strictly in seq order from the reassembly buffer [pending]
+    (retransmitted messages can arrive out of order). *)
 
-val arrays : t -> string list
+val channel : ('k, chan) Hashtbl.t -> 'k -> chan
+(** The channel under a key, created empty on first use. *)
 
-val pp : Format.formatter -> t -> unit
+val take_deliverable : chan -> (t * float) option
+(** Remove and return the next in-order message, if it has arrived. *)

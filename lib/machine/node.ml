@@ -59,9 +59,6 @@ type program = {
 let find_proc prog name =
   List.find_opt (fun p -> String.equal p.np_name name) prog.n_procs
 
-let find_array np name =
-  List.find_opt (fun a -> String.equal a.ad_name name) np.np_arrays
-
 (* --- Pretty printer (paper Figure 2 style) --------------------------- *)
 
 let pp_section ppf (s : section) =

@@ -66,7 +66,6 @@ type program = {
 }
 
 val find_proc : program -> string -> nproc option
-val find_array : nproc -> string -> array_decl option
 
 val map_exprs : (Ast.expr -> Ast.expr) -> nstmt -> nstmt
 (** Rewrite every expression in a statement tree (e.g. PARAMETER

@@ -110,12 +110,6 @@ type pstate = {
   mutable halt_reason : string option;
 }
 
-type gchan = {
-  mutable send_seq : int;
-  mutable deliver_seq : int;
-  pending : (int, Message.t * float) Hashtbl.t;
-}
-
 type gsite = {
   mutable members : (int * Eff.coll_op * (unit, g_outcome) continuation) list;
   mutable posts : (int * (int * int) ref) list;
@@ -128,7 +122,7 @@ type engine = {
   nprocs : int;
   ndoms : int;
   procs : pstate array;
-  channels : (int * int * int, gchan) Hashtbl.t;
+  channels : (int * int * int, Message.chan) Hashtbl.t;
   colls : (int, gsite) Hashtbl.t;
   queues : (int * (unit -> g_outcome)) Queue.t array;  (* one per domain *)
   net_mu : Mutex.t;
@@ -156,13 +150,7 @@ let with_net e f =
 
 let clockv st = st.shadow.Stats.clocks.(st.proc)
 
-let gchan e key =
-  match Hashtbl.find_opt e.channels key with
-  | Some c -> c
-  | None ->
-    let c = { send_seq = 0; deliver_seq = 0; pending = Hashtbl.create 4 } in
-    Hashtbl.replace e.channels key c;
-    c
+let gchan e key = Message.channel e.channels key
 
 let gsite_of e site =
   match Hashtbl.find_opt e.colls site with
@@ -172,32 +160,22 @@ let gsite_of e site =
     Hashtbl.replace e.colls site s;
     s
 
-let gslowdown e p =
-  match e.config.Config.faults with
-  | Some plan -> Fault.slowdown_for plan p
-  | None -> 1.0
+let gen_charge st tick =
+  match st.pbudget with
+  | Some b when not (tick b 1) ->
+    raise (Gen_halt (Option.value ~default:"budget exhausted" (Budget.exhausted b)))
+  | _ -> ()
 
 (* Mirror of {!Scheduler.set_clock} against the shadow clock: same
    update, same watchdog condition, but budget/watchdog trips only end
    this stream — the replay phase re-raises the real error at the same
    action. *)
 let gen_set_clock e st clock =
-  (match st.pbudget with
-  | Some b when not (Budget.tick_step b 1) ->
-    raise
-      (Gen_halt (Option.value ~default:"budget exhausted" (Budget.exhausted b)))
-  | _ -> ());
+  gen_charge st Budget.tick_step;
   st.shadow.Stats.clocks.(st.proc) <- clock;
   match e.config.Config.faults with
   | Some { Fault.watchdog = Some limit; _ } when clock > limit ->
     raise (Gen_halt "watchdog")
-  | _ -> ()
-
-let gen_charge_event st =
-  match st.pbudget with
-  | Some b when not (Budget.tick_event b 1) ->
-    raise
-      (Gen_halt (Option.value ~default:"budget exhausted" (Budget.exhausted b)))
   | _ -> ()
 
 let push_action st aop =
@@ -208,14 +186,6 @@ let push_action st aop =
   st.fl_mark <- st.shadow.Stats.flops;
   st.mem_mark <- st.shadow.Stats.mem_ops;
   st.acts <- { a_flops = fl; a_mems = mm; a_emits = emits; a_op = aop } :: st.acts
-
-let take_deliverable ch =
-  match Hashtbl.find_opt ch.pending ch.deliver_seq with
-  | Some (msg, arrival) ->
-    Hashtbl.remove ch.pending ch.deliver_seq;
-    ch.deliver_seq <- ch.deliver_seq + 1;
-    Some (msg, arrival)
-  | None -> None
 
 (* Insert an arrival; wake a parked receiver (same conditions as the
    sequential [insert_arrival], minus stats — replay recomputes them).
@@ -240,7 +210,7 @@ let rec ginsert_locked e (msg : Message.t) arrival =
 and resume_recv e st src tag k : unit -> g_outcome =
   fun () ->
     let delivery =
-      with_net e (fun () -> take_deliverable (gchan e (src, st.proc, tag)))
+      with_net e (fun () -> Message.take_deliverable (gchan e (src, st.proc, tag)))
     in
     match delivery with
     | None -> G_blocked_recv { src; tag; k }  (* spurious; drain reparks *)
@@ -257,7 +227,7 @@ and resume_recv e st src tag k : unit -> g_outcome =
    fate — so generation's shadow clocks equal the replay's clocks at
    every corresponding point. *)
 let gen_transmit e st (msg : Message.t) =
-  gen_charge_event st;
+  gen_charge st Budget.tick_event;
   let seq =
     with_net e (fun () ->
         let ch =
@@ -301,7 +271,7 @@ let grun e st (f : unit -> Interp.frame) : g_outcome =
             Some
               (fun (k : (a, g_outcome) continuation) ->
                 push_action st (A_tick dt);
-                let dt = dt *. gslowdown e st.proc in
+                let dt = dt *. Config.slowdown e.config st.proc in
                 match gen_set_clock e st (clockv st +. dt) with
                 | () ->
                   if clockv st > e.window_hi then G_paused k else continue k ()
@@ -321,7 +291,7 @@ let grun e st (f : unit -> Interp.frame) : g_outcome =
                 push_action st (A_recv { src; tag; loc });
                 let delivery =
                   with_net e (fun () ->
-                      take_deliverable (gchan e (src, st.proc, tag)))
+                      Message.take_deliverable (gchan e (src, st.proc, tag)))
                 in
                 match delivery with
                 | Some (msg, arrival) -> (
@@ -628,6 +598,7 @@ let generate ?budget (config : Config.t) (prog : Node.program) : result =
       bar_cv = Condition.create ();
       arrived = 0; round = 0; stop = false; window_hi = look; failed = false }
   in
+  let code = Interp.compile prog in
   for p = 0 to nprocs - 1 do
     let st = procs.(p) in
     (* each interpreter gets a private config: its own shadow stats and,
@@ -642,7 +613,7 @@ let generate ?budget (config : Config.t) (prog : Node.program) : result =
           Config.domains = 1;
           trace = Some (Tr.create ~capacity:1 ~sink ()) }
     in
-    let interp = Interp.create ~proc:p ~config:iconfig ~stats:st.shadow prog in
+    let interp = Interp.create ~proc:p ~config:iconfig ~stats:st.shadow code in
     Queue.add (p, fun () -> grun e st (fun () -> Interp.run_main interp))
       e.queues.(st.dom)
   done;

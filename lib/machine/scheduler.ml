@@ -99,20 +99,10 @@ type outcome =
   | O_blocked_coll of { site : int; op : Eff.coll_op; loc : Loc.t;
                         k : (unit, outcome) continuation }
 
-(* Per-(src, dest, tag) channel: the sender side stamps [send_seq]; the
-   receiver side delivers strictly in seq order from [pending], which
-   holds arrived-but-undelivered messages keyed by seq (a reassembly
-   buffer: retransmitted messages can arrive out of order). *)
-type chan = {
-  mutable send_seq : int;
-  mutable deliver_seq : int;
-  pending : (int, Message.t * float) Hashtbl.t;  (* seq -> (msg, arrival) *)
-}
-
 type t = {
   config : Config.t;
   stats : Stats.t;
-  channels : (int * int * int, chan) Hashtbl.t;  (* (src, dest, tag) *)
+  channels : (int * int * int, Message.chan) Hashtbl.t;  (* (src, dest, tag) *)
   parked : (int, int * int * Loc.t * (Message.t, outcome) continuation) Hashtbl.t;
   (* blocked receivers: proc -> (src, tag, source loc, continuation) *)
   colls :
@@ -139,25 +129,14 @@ let create ?budget config =
     lost = [];
     budget }
 
-let charge_step t =
+(* Charge one step ([Budget.tick_step]) or event ([Budget.tick_event]). *)
+let charge t tick =
   match t.budget with
-  | Some b when not (Budget.tick_step b 1) ->
+  | Some b when not (tick b 1) ->
     raise (Budget_stop (Option.value ~default:"budget exhausted" (Budget.exhausted b)))
   | _ -> ()
 
-let charge_event t =
-  match t.budget with
-  | Some b when not (Budget.tick_event b 1) ->
-    raise (Budget_stop (Option.value ~default:"budget exhausted" (Budget.exhausted b)))
-  | _ -> ()
-
-let channel t key =
-  match Hashtbl.find_opt t.channels key with
-  | Some c -> c
-  | None ->
-    let c = { send_seq = 0; deliver_seq = 0; pending = Hashtbl.create 4 } in
-    Hashtbl.replace t.channels key c;
-    c
+let channel t key = Message.channel t.channels key
 
 let record t ev =
   if t.config.Config.record_trace then t.stats.Stats.trace <- ev :: t.stats.Stats.trace
@@ -170,27 +149,13 @@ module Tr = Fd_trace.Trace
 (* Advance processor [p]'s clock to [clock], enforcing the virtual-time
    watchdog: a runaway or livelocked run becomes a diagnosable timeout. *)
 let set_clock t p clock =
-  charge_step t;
+  charge t Budget.tick_step;
   t.stats.Stats.clocks.(p) <- clock;
   match t.config.Config.faults with
   | Some { Fault.watchdog = Some limit; _ } when clock > limit ->
     t.stats.Stats.watchdog_fired <- true;
     raise (Sim_error (Watchdog { proc = p; clock; limit }))
   | _ -> ()
-
-let slowdown t p =
-  match t.config.Config.faults with
-  | Some plan -> Fault.slowdown_for plan p
-  | None -> 1.0
-
-(* Deliver the next in-order message on [ch], if it has arrived. *)
-let take_deliverable ch =
-  match Hashtbl.find_opt ch.pending ch.deliver_seq with
-  | Some (msg, arrival) ->
-    Hashtbl.remove ch.pending ch.deliver_seq;
-    ch.deliver_seq <- ch.deliver_seq + 1;
-    Some (msg, arrival)
-  | None -> None
 
 let accept_recv t p ~src ~tag (msg, arrival) =
   let before = t.stats.Stats.clocks.(p) in
@@ -209,7 +174,7 @@ let accept_recv t p ~src ~tag (msg, arrival) =
 let resume_recv t p src tag loc k : unit -> outcome =
   fun () ->
     let ch = channel t (src, p, tag) in
-    match take_deliverable ch with
+    match Message.take_deliverable ch with
     | Some delivery -> continue k (accept_recv t p ~src ~tag delivery)
     | None ->
       (* woken spuriously; repark *)
@@ -254,7 +219,7 @@ let insert_arrival t (msg : Message.t) arrival =
    charged to the arrival time, so receive waits — and therefore Stats —
    honestly reflect the degraded network. *)
 let transmit t p (msg : Message.t) =
-  charge_event t;
+  charge t Budget.tick_event;
   let ch = channel t (msg.Message.src, msg.Message.dest, msg.Message.tag) in
   let seq = ch.send_seq in
   ch.send_seq <- seq + 1;
@@ -345,7 +310,7 @@ let run_proc t (p : int) (f : unit -> Interp.frame) : outcome =
           | Eff.Tick dt ->
             Some
               (fun (k : (a, outcome) continuation) ->
-                let dt = dt *. slowdown t p in
+                let dt = dt *. Config.slowdown t.config p in
                 set_clock t p (t.stats.Stats.clocks.(p) +. dt);
                 t.stats.Stats.busy.(p) <- t.stats.Stats.busy.(p) +. dt;
                 continue k ())
@@ -358,7 +323,7 @@ let run_proc t (p : int) (f : unit -> Interp.frame) : outcome =
             Some
               (fun (k : (a, outcome) continuation) ->
                 let ch = channel t (src, p, tag) in
-                match take_deliverable ch with
+                match Message.take_deliverable ch with
                 | Some delivery -> continue k (accept_recv t p ~src ~tag delivery)
                 | None -> O_blocked_recv { src; tag; loc; k })
           | Eff.Collective (site, op, loc) ->
@@ -654,11 +619,13 @@ let exec_loop t : partial =
          members := (p, op, loc, k) :: !members;
          if List.length !members = nprocs then perform_collective t site
      done
-   with Storage.Invalid_read { array; index; proc } ->
+   with
+   | Storage.Invalid_read { array; index; proc } ->
      raise
        (Sim_error
           (Invalid_read
-             { proc; array; index; clock = t.stats.Stats.clocks.(proc) })))
+             { proc; array; index; clock = t.stats.Stats.clocks.(proc) }))
+   | Interp.Runtime_error msg -> raise (Sim_error (Runtime_error msg)))
   with
   | () ->
     if !finished < nprocs then raise (Sim_error (Deadlock (wait_for_graph t)));
@@ -678,8 +645,9 @@ let exec_loop t : partial =
 let run_partial_seq ?budget (config : Config.t) (prog : Node.program) : partial =
   let budget = Option.map Budget.start budget in
   let t = create ?budget config in
+  let code = Interp.compile prog in
   for p = 0 to config.Config.nprocs - 1 do
-    let interp = Interp.create ~proc:p ~config ~stats:t.stats prog in
+    let interp = Interp.create ~proc:p ~config ~stats:t.stats code in
     Queue.add (p, fun () -> run_proc t p (fun () -> Interp.run_main interp)) t.runq
   done;
   exec_loop t

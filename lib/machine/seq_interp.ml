@@ -1,16 +1,12 @@
 (* Sequential reference interpreter for checked mini-Fortran-D programs.
    ALIGN/DISTRIBUTE are no-ops; arrays are global.  Used as ground truth
    for verifying compiled SPMD executions, and as the baseline
-   "one-processor" time estimate. *)
+   "one-processor" time estimate.
 
-open Fd_support
+   It compiles the *source* AST through the shared resolved evaluator
+   {!Eval}, so it stays independent of the Fortran D compiler. *)
+
 open Fd_frontend
-
-exception Return_signal
-
-type binding = Bscalar of Value.t ref | Barray of Storage.array_obj
-
-type frame = (string, binding) Hashtbl.t
 
 type result = {
   arrays : (string * Storage.array_obj) list;  (* main-program arrays *)
@@ -20,245 +16,87 @@ type result = {
   seq_time : float;  (* estimated sequential execution time *)
 }
 
-type t = {
-  cp : Sema.checked_program;
-  config : Config.t;
-  globals : frame;  (* COMMON storage *)
-  mutable frames : frame list;
-  mutable flops : int;
-  mutable mem_ops : int;
-  mutable outputs : string list;
-  on_branch : (Loc.t -> bool -> unit) option;
-      (* observer for every source-IF decision, keyed by statement loc *)
-}
+let replicated name (info : Symtab.array_info) =
+  { Node.ad_name = name; ad_elt = info.Symtab.elt; ad_layout = Layout.replicated info.Symtab.dims }
 
-let current_frame t = List.hd t.frames
-
-let implicit_zero name =
-  if String.length name > 0 && name.[0] >= 'i' && name.[0] <= 'n' then Value.Vint 0
-  else Value.Vreal 0.0
-
-let lookup t name =
-  let frame = current_frame t in
-  match Hashtbl.find_opt frame name with
-  | Some b -> b
-  | None -> (
-    match Hashtbl.find_opt t.globals name with
-    | Some b -> b
-    | None ->
-      let b = Bscalar (ref (implicit_zero name)) in
-      Hashtbl.replace frame name b;
-      b)
-
-let scalar_cell t name =
-  match lookup t name with
-  | Bscalar r -> r
-  | Barray _ -> Diag.error "array %s used as scalar" name
-
-let array_obj t name =
-  match lookup t name with
-  | Barray o -> o
-  | Bscalar _ -> Diag.error "scalar %s used as array" name
-
-let rec eval t (symtab : Symtab.t) (e : Ast.expr) : Value.t =
-  match e with
-  | Ast.Int_const n -> Value.Vint n
-  | Ast.Real_const f -> Value.Vreal f
-  | Ast.Logical_const b -> Value.Vbool b
-  | Ast.Var v -> (
-    match Symtab.param_value symtab v with
-    | Some n -> Value.Vint n
-    | None -> (
-      match lookup t v with
-      | Bscalar r -> !r
-      | Barray _ -> Diag.error "whole array %s used as value" v))
-  | Ast.Ref (name, subs) ->
-    let obj = array_obj t name in
-    let idx = Array.of_list (List.map (fun s -> Value.to_int (eval t symtab s)) subs) in
-    t.mem_ops <- t.mem_ops + 1;
-    Storage.read ~strict:false obj idx
-  | Ast.Bin (Ast.And, a, b) ->
-    t.flops <- t.flops + 1;
-    Value.Vbool (Value.to_bool (eval t symtab a) && Value.to_bool (eval t symtab b))
-  | Ast.Bin (Ast.Or, a, b) ->
-    t.flops <- t.flops + 1;
-    Value.Vbool (Value.to_bool (eval t symtab a) || Value.to_bool (eval t symtab b))
-  | Ast.Bin (op, a, b) ->
-    let va = eval t symtab a and vb = eval t symtab b in
-    t.flops <- t.flops + 1;
-    Interp.binop op va vb
-  | Ast.Un (Ast.Neg, a) ->
-    t.flops <- t.flops + 1;
-    Value.sub (Value.Vint 0) (eval t symtab a)
-  | Ast.Un (Ast.Not, a) ->
-    t.flops <- t.flops + 1;
-    Value.Vbool (not (Value.to_bool (eval t symtab a)))
-  | Ast.Funcall (name, args) -> intrinsic t symtab name args
-
-and intrinsic t symtab name args =
-  t.flops <- t.flops + 1;
-  let v es = List.map (eval t symtab) es in
-  match (name, args) with
-  | "abs", [ a ] -> (
-    match eval t symtab a with
-    | Value.Vint i -> Value.Vint (abs i)
-    | Value.Vreal f -> Value.Vreal (Float.abs f)
-    | Value.Vbool _ -> Diag.error "abs of logical")
-  | "sqrt", [ a ] -> Value.Vreal (sqrt (Value.to_float (eval t symtab a)))
-  | "mod", [ a; b ] -> (
-    match (eval t symtab a, eval t symtab b) with
-    | Value.Vint x, Value.Vint y ->
-      if y = 0 then Diag.error "mod by zero" else Value.Vint (x mod y)
-    | x, y -> Value.Vreal (Float.rem (Value.to_float x) (Value.to_float y)))
-  | "max", _ :: _ :: _ -> (
-    match v args with
-    | x :: rest ->
-      List.fold_left (fun acc y -> if Value.compare_num y acc > 0 then y else acc) x rest
-    | [] -> Diag.internal ~pass:"seq" "intrinsic %s with no arguments" name)
-  | "min", _ :: _ :: _ -> (
-    match v args with
-    | x :: rest ->
-      List.fold_left (fun acc y -> if Value.compare_num y acc < 0 then y else acc) x rest
-    | [] -> Diag.internal ~pass:"seq" "intrinsic %s with no arguments" name)
-  | "float", [ a ] -> Value.Vreal (Value.to_float (eval t symtab a))
-  | "int", [ a ] -> Value.Vint (Value.to_int (eval t symtab a))
-  | "sign", [ a; b ] -> (
-    let m = Value.to_float (eval t symtab a)
-    and s = Value.to_float (eval t symtab b) in
-    let r = if s >= 0.0 then Float.abs m else -.Float.abs m in
-    match eval t symtab a with Value.Vint _ -> Value.Vint (int_of_float r) | _ -> Value.Vreal r)
-  | _ -> Diag.error "unknown intrinsic %s/%d" name (List.length args)
-
-let rec exec t (cu : Sema.checked_unit) (s : Ast.stmt) : unit =
-  let symtab = cu.Sema.symtab in
-  match s.Ast.kind with
-  | Ast.Assign (lhs, rhs) -> (
-    let v = eval t symtab rhs in
-    match lhs with
-    | Ast.Var name ->
-      t.mem_ops <- t.mem_ops + 1;
-      let cell = scalar_cell t name in
-      cell :=
-        (match !cell with
-        | Value.Vint _ -> Value.Vint (Value.to_int v)
-        | Value.Vreal _ -> Value.Vreal (Value.to_float v)
-        | Value.Vbool _ -> v)
-    | Ast.Ref (name, subs) ->
-      let obj = array_obj t name in
-      let idx = Array.of_list (List.map (fun e -> Value.to_int (eval t symtab e)) subs) in
-      t.mem_ops <- t.mem_ops + 1;
-      let v =
-        match obj.Storage.elt with
-        | Ast.Real -> Value.Vreal (Value.to_float v)
-        | Ast.Integer -> Value.Vint (Value.to_int v)
-        | Ast.Logical -> v
-      in
-      Storage.write obj idx v
-    | _ -> Diag.error "bad assignment target")
-  | Ast.Do { var; lo; hi; step; body } ->
-    let l = Value.to_int (eval t symtab lo) and h = Value.to_int (eval t symtab hi) in
-    let st = match step with None -> 1 | Some e -> Value.to_int (eval t symtab e) in
-    if st = 0 then Diag.error "zero DO step";
-    let cell = scalar_cell t var in
-    let continue_ x = if st > 0 then x <= h else x >= h in
-    let x = ref l in
-    while continue_ !x do
-      cell := Value.Vint !x;
-      t.flops <- t.flops + 1;
-      List.iter (exec t cu) body;
-      x := !x + st
-    done
-  | Ast.If { cond; then_; else_ } ->
-    let taken = Value.to_bool (eval t symtab cond) in
-    (match t.on_branch with Some f -> f s.Ast.loc taken | None -> ());
-    if taken then List.iter (exec t cu) then_ else List.iter (exec t cu) else_
-  | Ast.Call (name, args) -> call t name args cu
-  | Ast.Align _ | Ast.Distribute _ -> ()  (* placement is advisory sequentially *)
-  | Ast.Return -> raise Return_signal
-  | Ast.Print args ->
-    let line =
-      String.concat " " (List.map (fun e -> Value.to_string (eval t symtab e)) args)
-    in
-    t.outputs <- line :: t.outputs
-
-and call t name args (caller : Sema.checked_unit) : unit =
-  let callee = Sema.find_unit_exn t.cp name in
-  let u = callee.Sema.unit_ in
-  let frame : frame = Hashtbl.create 16 in
-  List.iter2
-    (fun formal actual ->
-      let binding =
-        match actual with
-        | Ast.Var v -> lookup t v
-        | e -> Bscalar (ref (eval t caller.Sema.symtab e))
-      in
-      Hashtbl.replace frame formal binding)
-    u.Ast.formals args;
-  t.frames <- frame :: t.frames;
-  allocate_locals t callee;
-  (try List.iter (exec t callee) u.Ast.body with Return_signal -> ());
-  t.frames <- List.tl t.frames
-
-and allocate_locals t (cu : Sema.checked_unit) =
-  let frame = current_frame t in
-  List.iter
-    (fun (name, info) ->
-      if
-        (not (Hashtbl.mem frame name))
-        && not (Symtab.is_common cu.Sema.symtab name)
-      then begin
-        let layout = Layout.replicated info.Symtab.dims in
-        let obj = Storage.alloc ~proc:0 ~nprocs:1 name info.Symtab.elt layout in
-        Storage.mark_initial_validity obj;
-        Hashtbl.replace frame name (Barray obj)
-      end)
-    (Symtab.arrays cu.Sema.symtab);
-  Symtab.iter cu.Sema.symtab (fun name entry ->
+(* The arrays and scalars of a symbol table whose names pass [keep]. *)
+let decls ?(keep = fun _ -> true) symtab =
+  Symtab.fold symtab
+    (fun name entry (arrays, scalars) ->
       match entry with
-      | Symtab.Scalar ty ->
-        if
-          (not (Hashtbl.mem frame name))
-          && not (Symtab.is_common cu.Sema.symtab name)
-        then Hashtbl.replace frame name (Bscalar (ref (Value.zero_of ty)))
-      | _ -> ())
+      | Symtab.Array info when keep name -> (replicated name info :: arrays, scalars)
+      | Symtab.Scalar ty when keep name -> (arrays, (name, ty) :: scalars)
+      | _ -> (arrays, scalars))
+    ([], [])
+
+let compile ~outputs ~on_branch (cp : Sema.checked_program) =
+  let main = Sema.find_unit_exn cp cp.Sema.main in
+  (* COMMON storage: the blocks the main program declares *)
+  let arrays, scalars = decls ~keep:(Symtab.is_common main.Sema.symtab) main.Sema.symtab in
+  let globals = Eval.globals ~arrays ~scalars in
+  let units = Hashtbl.create 8 in
+  let compiled =
+    List.map
+      (fun (cu : Sema.checked_unit) ->
+        let symtab = cu.Sema.symtab in
+        let arrays, scalars = decls symtab in
+        let u =
+          Eval.unit_code ~formals:cu.Sema.unit_.Ast.formals ~arrays ~scalars
+            ~is_common:(Symtab.is_common symtab)
+        in
+        let name = cu.Sema.unit_.Ast.uname in
+        if not (Hashtbl.mem units name) then Hashtbl.replace units name u;
+        (cu, u))
+      cp.Sema.units
+  in
+  List.iter
+    (fun ((cu : Sema.checked_unit), (u : Eval.unit_code)) ->
+      let sc =
+        { Eval.unit = u; globals; units;
+          params = Symtab.param_value cu.Sema.symtab;
+          hook = (fun _ _ _ -> None) }
+      in
+      let rec stmt (s : Ast.stmt) : Eval.env -> unit =
+        match s.Ast.kind with
+        | Ast.Assign (lhs, rhs) -> Eval.assign sc lhs rhs
+        | Ast.Do { var; lo; hi; step; body } ->
+          Eval.do_loop sc ~var ~lo ~hi ~step (block body)
+        | Ast.If { cond; then_; else_ } ->
+          let cond = Eval.bool_expr sc cond and then_ = block then_ in
+          let else_ = block else_ and loc = s.Ast.loc in
+          fun env ->
+            let taken = cond env in
+            (match on_branch with Some f -> f loc taken | None -> ());
+            if taken then then_ env else else_ env
+        | Ast.Call (name, args) -> Eval.call sc name args
+        | Ast.Align _ | Ast.Distribute _ -> ignore  (* placement is advisory sequentially *)
+        | Ast.Return -> fun _ -> raise Eval.Return_signal
+        | Ast.Print args ->
+          let args = List.map (Eval.expr sc) args in
+          fun env ->
+            let line = String.concat " " (List.map (fun a -> Value.to_string (a env)) args) in
+            outputs := line :: !outputs
+      and block body = Eval.block (List.map stmt body) in
+      u.Eval.u_body <- block cu.Sema.unit_.Ast.body)
+    compiled;
+  (globals, Hashtbl.find units main.Sema.unit_.Ast.uname)
 
 let run ?(config = Config.ipsc860 ~nprocs:1 ()) ?on_branch
     (cp : Sema.checked_program) : result =
-  let t =
-    { cp; config; globals = Hashtbl.create 8; frames = []; flops = 0; mem_ops = 0;
-      outputs = []; on_branch }
-  in
-  let main = Sema.find_unit_exn cp cp.Sema.main in
-  let frame : frame = Hashtbl.create 16 in
-  t.frames <- [ frame ];
-  (* COMMON storage: shared objects bound globally and in the main frame *)
-  List.iter
-    (fun (name, _block) ->
-      match Symtab.find_exn main.Sema.symtab name with
-      | Symtab.Array info ->
-        let layout = Layout.replicated info.Symtab.dims in
-        let obj = Storage.alloc ~proc:0 ~nprocs:1 name info.Symtab.elt layout in
-        Storage.mark_initial_validity obj;
-        Hashtbl.replace t.globals name (Barray obj);
-        Hashtbl.replace frame name (Barray obj)
-      | Symtab.Scalar ty ->
-        let cell = Bscalar (ref (Value.zero_of ty)) in
-        Hashtbl.replace t.globals name cell;
-        Hashtbl.replace frame name cell
-      | _ -> ())
-    (Symtab.commons main.Sema.symtab);
-  allocate_locals t main;
-  (try List.iter (exec t main) main.Sema.unit_.Ast.body with Return_signal -> ());
+  let outputs = ref [] in
+  let globals, main = compile ~outputs ~on_branch cp in
+  let stats = Stats.create 1 in
+  let env = Eval.env ~proc:0 ~nprocs:1 ~strict:false ~config ~stats in
   let arrays =
     Hashtbl.fold
-      (fun name b acc -> match b with Barray o -> (name, o) :: acc | _ -> acc)
-      frame []
-    |> List.sort compare
+      (fun name b acc -> match b with Eval.Barray o -> (name, o) :: acc | _ -> acc)
+      (Eval.run_main env ~globals main) []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   { arrays;
-    outputs = List.rev t.outputs;
-    flops = t.flops;
-    mem_ops = t.mem_ops;
+    outputs = List.rev !outputs;
+    flops = stats.Stats.flops;
+    mem_ops = stats.Stats.mem_ops;
     seq_time =
-      (float_of_int t.flops *. config.Config.flop)
-      +. (float_of_int t.mem_ops *. config.Config.mem_op) }
+      (float_of_int stats.Stats.flops *. config.Config.flop)
+      +. (float_of_int stats.Stats.mem_ops *. config.Config.mem_op) }

@@ -36,6 +36,27 @@ let make_data elt size =
   | Ast.Integer -> Idata (Array.make size 0)
   | Ast.Logical -> Bdata (Array.make size false)
 
+let rank obj = Array.length obj.bounds
+
+(* Owned elements valid: each owned interval [a, b] of the distributed
+   dimension d is one run of bytes per combination of the dimensions
+   outside d. *)
+let mark_initial_validity obj =
+  match obj.layout.Layout.dist_dim with
+  | None -> Bytes.fill obj.valid 0 obj.size '\001'
+  | Some d when obj.size > 0 ->
+    let (lo, hi), run = (obj.bounds.(d), obj.strides.(d)) in
+    let span = if d = 0 then obj.size else obj.strides.(d - 1) in
+    Iset.fold_intervals
+      (fun () a b ->
+        let a = max lo a and b = min hi b in
+        if a <= b then
+          for o = 0 to (obj.size / span) - 1 do
+            Bytes.fill obj.valid ((o * span) + ((a - lo) * run)) ((b - a + 1) * run) '\001'
+          done)
+      () obj.owned
+  | Some _ -> ()
+
 let alloc ~proc ~nprocs name elt (layout : Layout.t) : array_obj =
   let bounds = Array.of_list layout.Layout.bounds in
   let rank = Array.length bounds in
@@ -45,59 +66,49 @@ let alloc ~proc ~nprocs name elt (layout : Layout.t) : array_obj =
     strides.(d) <- strides.(d + 1) * extents.(d + 1)
   done;
   let size = if rank = 0 then 1 else strides.(0) * extents.(0) in
-  let owned = (Layout.owned layout ~nprocs).(proc) in
   let obj =
-    { name; elt; bounds; strides; size;
-      data = make_data elt size;
-      valid = Bytes.make size '\000';
-      layout; owned; owner_proc = proc }
+    { name; elt; bounds; strides; size; data = make_data elt size;
+      valid = Bytes.make size '\000'; layout;
+      owned = Layout.owned_one layout ~nprocs proc; owner_proc = proc }
   in
-  (* initial validity: owned elements (including all, when replicated) *)
+  mark_initial_validity obj;
   obj
 
-let rank obj = Array.length obj.bounds
+let rank_error obj n =
+  Diag.error "array %s: rank %d referenced with %d subscripts" obj.name (rank obj) n
+
+(* Offset of subscript [x] in 0-based dimension [d], bounds-checked. *)
+let dim_offset obj d x =
+  let lo, hi = obj.bounds.(d) in
+  if x < lo || x > hi then
+    Diag.error "array %s: subscript %d out of bounds %d:%d in dimension %d" obj.name x lo hi
+      (d + 1);
+  (x - lo) * obj.strides.(d)
+
+let check_subscript obj d x = ignore (dim_offset obj d x)
 
 let flat_index obj (idx : int array) : int =
-  let r = rank obj in
-  if Array.length idx <> r then
-    Diag.error "array %s: rank %d referenced with %d subscripts" obj.name r
-      (Array.length idx);
+  if Array.length idx <> rank obj then rank_error obj (Array.length idx);
   let flat = ref 0 in
-  for d = 0 to r - 1 do
-    let lo, hi = obj.bounds.(d) in
-    let x = idx.(d) in
-    if x < lo || x > hi then
-      Diag.error "array %s: subscript %d out of bounds %d:%d in dimension %d"
-        obj.name x lo hi (d + 1);
-    flat := !flat + ((x - lo) * obj.strides.(d))
+  for d = 0 to Array.length idx - 1 do
+    flat := !flat + dim_offset obj d idx.(d)
   done;
   !flat
 
-(* Is [idx] owned by this processor under the current layout? *)
-let owns obj (idx : int array) =
-  match obj.layout.Layout.dist_dim with
-  | None -> true
-  | Some d -> Iset.mem idx.(d) obj.owned
+(* [flat_index] for rank 1..3 without an index array: the same checks in
+   the same order. *)
+let index1 obj i = if rank obj <> 1 then rank_error obj 1; dim_offset obj 0 i
 
-let mark_initial_validity obj =
-  match obj.layout.Layout.dist_dim with
-  | None -> Bytes.fill obj.valid 0 obj.size '\001'
-  | Some _ ->
-    (* walk all elements; mark owned ones *)
-    let r = rank obj in
-    let idx = Array.map fst obj.bounds in
-    let rec walk d =
-      if d = r then begin
-        if owns obj idx then Bytes.set obj.valid (flat_index obj idx) '\001'
-      end
-      else
-        let lo, hi = obj.bounds.(d) in
-        for x = lo to hi do
-          idx.(d) <- x;
-          walk (d + 1)
-        done
-    in
-    if obj.size > 0 then walk 0
+let index2 obj i j =
+  if rank obj <> 2 then rank_error obj 2;
+  let f = dim_offset obj 0 i in
+  f + dim_offset obj 1 j
+
+let index3 obj i j k =
+  if rank obj <> 3 then rank_error obj 3;
+  let f = dim_offset obj 0 i in
+  let f = f + dim_offset obj 1 j in
+  f + dim_offset obj 2 k
 
 let get_raw obj flat =
   match obj.data with
@@ -111,17 +122,22 @@ let set_raw obj flat (v : Value.t) =
   | Idata a -> a.(flat) <- Value.to_int v
   | Bdata a -> a.(flat) <- Value.to_bool v
 
-let read ~strict obj idx =
-  let flat = flat_index obj idx in
-  if Bytes.get obj.valid flat = '\000' then
-    if strict then raise (Invalid_read { array = obj.name; index = idx; proc = obj.owner_proc })
-    else ();
+(* The subscripts of an in-bounds flat index. *)
+let index_of obj flat =
+  Array.mapi (fun d (lo, hi) -> lo + (flat / obj.strides.(d) mod (hi - lo + 1))) obj.bounds
+
+let read_flat ~strict obj flat =
+  if strict && Bytes.get obj.valid flat = '\000' then
+    raise (Invalid_read { array = obj.name; index = index_of obj flat; proc = obj.owner_proc });
   get_raw obj flat
 
-let write obj idx v =
-  let flat = flat_index obj idx in
+let read ~strict obj idx = read_flat ~strict obj (flat_index obj idx)
+
+let write_flat obj flat v =
   set_raw obj flat v;
   Bytes.set obj.valid flat '\001'
+
+let write obj idx v = write_flat obj (flat_index obj idx) v
 
 (* Store a received element (validates it). *)
 let receive obj idx v = write obj idx v
@@ -131,7 +147,7 @@ let receive obj idx v = write obj idx v
    new owners before calling this). *)
 let set_layout ~nprocs obj (layout : Layout.t) =
   obj.layout <- layout;
-  obj.owned <- (Layout.owned layout ~nprocs).(obj.owner_proc);
+  obj.owned <- Layout.owned_one layout ~nprocs obj.owner_proc;
   Bytes.fill obj.valid 0 obj.size '\000';
   mark_initial_validity obj
 

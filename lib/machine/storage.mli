@@ -29,26 +29,42 @@ exception Invalid_read of { array : string; index : int array; proc : int }
 
 val alloc :
   proc:int -> nprocs:int -> string -> Ast.dtype -> Layout.t -> array_obj
-(** Zero-filled storage; call {!mark_initial_validity} afterwards. *)
+(** Zero-filled storage whose owned elements are valid. *)
 
 val rank : array_obj -> int
 
 val flat_index : array_obj -> int array -> int
 (** @raise Fd_support.Diag.Compile_error on rank or bounds violations. *)
 
-val owns : array_obj -> int array -> bool
+val index1 : array_obj -> int -> int
+val index2 : array_obj -> int -> int -> int
+val index3 : array_obj -> int -> int -> int -> int
+(** {!flat_index} for rank 1..3 without an index array: the same checks
+    in the same order, with the same errors. *)
+
+val check_subscript : array_obj -> int -> int -> unit
+(** [check_subscript obj d x] bounds-checks subscript [x] of 0-based
+    dimension [d], with {!flat_index}'s message. *)
 
 val mark_initial_validity : array_obj -> unit
-(** Owned elements valid, everything else invalid. *)
+(** Mark the owned elements valid; one [Bytes.fill] per owned interval
+    and combination of the other dimensions' indices. *)
 
 val get_raw : array_obj -> int -> Value.t
 val set_raw : array_obj -> int -> Value.t -> unit
 
+val read_flat : strict:bool -> array_obj -> int -> Value.t
+(** The element at a flat index.
+    @raise Invalid_read in strict mode on invalid elements. *)
+
 val read : strict:bool -> array_obj -> int array -> Value.t
-(** @raise Invalid_read in strict mode on invalid elements. *)
+(** [read_flat] at [flat_index]. *)
+
+val write_flat : array_obj -> int -> Value.t -> unit
+(** Stores and validates. *)
 
 val write : array_obj -> int array -> Value.t -> unit
-(** Stores and validates. *)
+(** [write_flat] at [flat_index]. *)
 
 val receive : array_obj -> int array -> Value.t -> unit
 (** Store an incoming message element (validates it). *)

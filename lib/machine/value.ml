@@ -10,6 +10,9 @@ let zero_of = function
   | Ast.Integer -> Vint 0
   | Ast.Logical -> Vbool false
 
+let vtrue, vfalse = (Vbool true, Vbool false)
+let of_bool b = if b then vtrue else vfalse
+
 let to_float = function
   | Vreal f -> f
   | Vint i -> float_of_int i
@@ -24,14 +27,10 @@ let to_bool = function
   | Vbool b -> b
   | _ -> Diag.error "numeric value used as logical"
 
-let arith op_int op_float a b =
-  match (a, b) with
-  | Vint x, Vint y -> Vint (op_int x y)
-  | _ -> Vreal (op_float (to_float a) (to_float b))
-
-let add = arith ( + ) ( +. )
-let sub = arith ( - ) ( -. )
-let mul = arith ( * ) ( *. )
+(* Integer when both operands are, real otherwise. *)
+let add a b = match (a, b) with Vint x, Vint y -> Vint (x + y) | _ -> Vreal (to_float a +. to_float b)
+let sub a b = match (a, b) with Vint x, Vint y -> Vint (x - y) | _ -> Vreal (to_float a -. to_float b)
+let mul a b = match (a, b) with Vint x, Vint y -> Vint (x * y) | _ -> Vreal (to_float a *. to_float b)
 
 let div a b =
   match (a, b) with

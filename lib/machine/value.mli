@@ -6,6 +6,9 @@ type t = Vint of int | Vreal of float | Vbool of bool
 
 val zero_of : Ast.dtype -> t
 
+val of_bool : bool -> t
+(** [Vbool b], without allocating. *)
+
 val to_float : t -> float
 val to_int : t -> int
 val to_bool : t -> bool
