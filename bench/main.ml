@@ -200,7 +200,26 @@ let e7 () =
 
 (* --- E8: Section 3/5 - compilation cost -------------------------------------- *)
 
-let e8 () =
+(* fig1 (block-distributed) compiled at high P: CPU ms and the major
+   heap's peak.  top_heap_words is a process-wide high-water mark, so
+   [main] measures these rows first, in ascending P, before any other
+   table has grown the heap. *)
+let e8_high_p_measure () =
+  let cp = Fd_frontend.Sema.check_source (Fd_workloads.Figures.fig1 ()) in
+  List.map
+    (fun nprocs ->
+      let opts = { Options.default with Options.nprocs } in
+      let t0 = Sys.time () in
+      ignore (Codegen.compile opts cp);
+      let ms = (Sys.time () -. t0) *. 1e3 in
+      let mb =
+        float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
+        /. 1048576.0
+      in
+      (nprocs, ms, mb))
+    [ 1024; 4096; 8192; 16384 ]
+
+let e8 high_p =
   header "E8: compilation cost (single pass per procedure)";
   let src = Fd_workloads.Dgefa.source ~n:32 () in
   let cp = Fd_frontend.Sema.check_source src in
@@ -218,7 +237,11 @@ let e8 () =
       done;
       let dt = (Sys.time () -. t0) /. float_of_int iters *. 1e3 in
       Fmt.pr "%-20s | %14.2f | %6d@." (Options.strategy_name strategy) dt !nprocs)
-    [ Options.Interproc; Options.Immediate; Options.Runtime_resolution ]
+    [ Options.Interproc; Options.Immediate; Options.Runtime_resolution ];
+  Fmt.pr "@.fig1 (block) at high P, interproc:@.";
+  Fmt.pr "%8s | %14s | %14s@." "P" "compile (ms)" "top heap (MB)";
+  Fmt.pr "---------+----------------+---------------@.";
+  List.iter (fun (p, ms, mb) -> Fmt.pr "%8d | %14.1f | %14.1f@." p ms mb) high_p
 
 (* --- E8c: compile time per pipeline pass -------------------------------------- *)
 
@@ -627,6 +650,7 @@ let e17 () =
     \ speedup = sequential wall / parallel wall on this host)@."
 
 let () =
+  let high_p = e8_high_p_measure () in
   Fmt.pr "Fortran D interprocedural compilation - experiment tables@.";
   Fmt.pr "(machine model: %a)@." Config.pp (Config.ipsc860 ~nprocs:4 ());
   e1 ();
@@ -636,7 +660,7 @@ let () =
   e5 ();
   e6 ();
   e7 ();
-  e8 ();
+  e8 high_p;
   e8c ();
   e9 ();
   e10 ();

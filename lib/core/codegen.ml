@@ -1436,10 +1436,8 @@ let emit_request ctx ~loc (rq : request) : Node.nstmt list =
   let nprocs = ctx.st.opts.Options.nprocs in
   match rq with
   | Rq_shift { rs_array; rs_layout; rs_dim; rs_need; rs_other } ->
-    let owned = Layout.owned rs_layout ~nprocs in
     Comm.emit_section_comm ~loc ~nprocs ~tag:(fresh ctx.st) ~array:rs_array
-      ~owned ~dim:rs_dim ~rank:(Layout.rank rs_layout) ~need:rs_need
-      ~other_dims:rs_other ()
+      ~layout:rs_layout ~dim:rs_dim ~need:rs_need ~other_dims:rs_other ()
   | Rq_bcast { rb_array; rb_layout; rb_dim; rb_index; rb_other } ->
     if ctx.st.opts.Options.use_collectives then
       [ Comm.emit_bcast_section ~loc ~nprocs ~site:(fresh ctx.st)
@@ -1521,8 +1519,7 @@ let emit_placed ctx ~loc sid : Node.nstmt list =
           in
           let nprocs = ctx.st.opts.Options.nprocs in
           Comm.emit_section_comm_multi ~loc ~nprocs ~tag:(fresh ctx.st)
-            ~owned:(Layout.owned layout ~nprocs) ~dim ~rank:(Layout.rank layout)
-            ~parts ()
+            ~layout ~dim ~parts ()
         end)
       groups
   end

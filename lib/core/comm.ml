@@ -45,62 +45,65 @@ let guarded ?(loc = Loc.none) guard stmts =
   | Some (Ast.Logical_const false), _ -> []
   | Some g, _ -> [ Node.N_if { cond = g; then_ = stmts; else_ = []; loc } ]
 
-let elements_of_other_dim = function
-  | Od_point _ -> 1
-  | Od_range _ -> -1 (* unknown statically; not needed *)
-  | Od_full (lo, hi) -> hi - lo + 1
-
-let _ = elements_of_other_dim
-
 (* Emit the guarded send/recv statements realizing point-to-point section
    transfers: for each part (array, need, other_dims), processor p must
-   come to hold need(p); owned(q) says who holds what.  Several parts
+   come to hold need(p); [layout] says who holds what.  Several parts
    aggregate into one message per processor pair (paper Fig. 11).
    Senders are emitted before receivers (sends are asynchronous), grouped
    by sender-receiver offset so the common shift patterns compile to one
-   guarded statement each. *)
+   guarded statement each.
+
+   Only the pairs that communicate are enumerated: receiver p's nonlocal
+   indices are intersected with the owned sets of their owners
+   ({!Layout.owners_of_interval}), never with all P owned sets, so a
+   shift costs O(P) rather than O(P^2).  The emission order is that of a
+   dense P x P scan: offsets ascending, fitted classes appended, fallback
+   pairs prepended in ascending sender order. *)
 let emit_section_comm_multi ?(loc = Loc.none) ~nprocs ~tag
-    ~(owned : Iset.t array) ~dim ~rank
+    ~(layout : Layout.t) ~dim
     ~(parts : (string * Iset.t array * other_dim list) list) () :
     Node.nstmt list =
-  (* per-part transfer matrices *)
+  let rank = Layout.rank layout and owned = Layout.owned layout ~nprocs in
+  (* the communicating (sender, receiver) pairs, and the senders of each
+     offset class q - p *)
+  let pairs = Hashtbl.create 64 and senders = Hashtbl.create 8 in
+  (* per-part transfer tables holding the nonempty sets only *)
   let xfers =
     List.map
       (fun (array, need, other_dims) ->
-        let xfer = Array.make_matrix nprocs nprocs Iset.empty in
+        let xfer = Hashtbl.create 64 in
         for p = 0 to nprocs - 1 do
           let nonlocal = Iset.diff need.(p) owned.(p) in
-          if not (Iset.is_empty nonlocal) then
-            for q = 0 to nprocs - 1 do
-              if q <> p then begin
+          let candidates =
+            Iset.of_intervals
+              (Iset.fold_intervals
+                 (fun acc lo hi ->
+                   Iset.intervals (Layout.owners_of_interval layout ~nprocs lo hi) @ acc)
+                 [] nonlocal)
+          in
+          Iset.fold_intervals
+            (fun () qlo qhi ->
+              for q = qlo to qhi do
                 let s = Iset.inter nonlocal owned.(q) in
-                if not (Iset.is_empty s) then xfer.(q).(p) <- s
-              end
-            done
+                if q <> p && not (Iset.is_empty s) then begin
+                  Hashtbl.replace xfer (q, p) s;
+                  if not (Hashtbl.mem pairs (q, p)) then begin
+                    Hashtbl.add pairs (q, p) ();
+                    Hashtbl.replace senders (q - p)
+                      (q :: Option.value ~default:[] (Hashtbl.find_opt senders (q - p)))
+                  end
+                end
+              done)
+            () candidates
         done;
         (array, xfer, other_dims))
       parts
   in
-  let pair_nonempty q p =
-    List.exists (fun (_, xfer, _) -> not (Iset.is_empty xfer.(q).(p))) xfers
-  in
-  let any = ref false in
-  for q = 0 to nprocs - 1 do
-    for p = 0 to nprocs - 1 do
-      if pair_nonempty q p then any := true
-    done
-  done;
-  if not !any then []
+  let find xfer q p = Option.value ~default:Iset.empty (Hashtbl.find_opt xfer (q, p)) in
+  if Hashtbl.length pairs = 0 then []
   else begin
     (* offset classes present *)
-    let deltas = ref [] in
-    for q = 0 to nprocs - 1 do
-      for p = 0 to nprocs - 1 do
-        if pair_nonempty q p && not (List.mem (q - p) !deltas) then
-          deltas := (q - p) :: !deltas
-      done
-    done;
-    let deltas = List.sort compare !deltas in
+    let deltas = List.sort compare (List.of_seq (Hashtbl.to_seq_keys senders)) in
     let sends = ref [] and recvs = ref [] in
     let emit_fallback_pair q p =
       (* one concrete message for the pair, all parts inline *)
@@ -114,7 +117,7 @@ let emit_section_comm_multi ?(loc = Loc.none) ~nprocs ~tag
                     (int_e (Triplet.lo t), int_e (Triplet.hi t),
                      int_e (Triplet.step t))
                     other_dims ))
-              (Iset.triplets xfer.(q).(p)))
+              (Iset.triplets (find xfer q p)))
           xfers
       in
       if msg_parts <> [] then begin
@@ -133,14 +136,13 @@ let emit_section_comm_multi ?(loc = Loc.none) ~nprocs ~tag
     List.iter
       (fun delta ->
         (* sender q transfers to q - delta; fit each part's section *)
+        let qs = List.sort compare (Hashtbl.find senders delta) in
+        let emit_fallback () = List.iter (fun q -> emit_fallback_pair q (q - delta)) qs in
         let fitted =
           List.map
             (fun (array, xfer, other_dims) ->
-              let send_sets =
-                Array.init nprocs (fun q ->
-                    let p = q - delta in
-                    if p >= 0 && p < nprocs then xfer.(q).(p) else Iset.empty)
-              in
+              let send_sets = Array.make nprocs Iset.empty in
+              List.iter (fun q -> send_sets.(q) <- find xfer q (q - delta)) qs;
               (array, send_sets, other_dims, Fit.fit_procset_opt send_sets))
             xfers
         in
@@ -151,11 +153,13 @@ let emit_section_comm_multi ?(loc = Loc.none) ~nprocs ~tag
         in
         if all_fit then begin
           (* the message exists on processors where any part is nonempty *)
-          let send_mask =
-            Array.init nprocs (fun q ->
-                let p = q - delta in
-                p >= 0 && p < nprocs && pair_nonempty q p)
-          in
+          let send_mask = Array.make nprocs false
+          and recv_mask = Array.make nprocs false in
+          List.iter
+            (fun q ->
+              send_mask.(q) <- true;
+              recv_mask.(q - delta) <- true)
+            qs;
           let msg_parts =
             List.filter_map
               (fun (array, sets, other_dims, f) ->
@@ -163,20 +167,11 @@ let emit_section_comm_multi ?(loc = Loc.none) ~nprocs ~tag
                 | None -> None
                 | Some { Fit.f_lo; f_hi; f_step; f_guard = _ } ->
                   (* empty processors inside the send mask rely on the
-                     fitted lo > hi junk to contribute no elements; verify
-                     that holds, else fall back *)
-                  let ok = ref true in
-                  Array.iteri
-                    (fun q m ->
-                      if m && Iset.is_empty sets.(q) then
-                        (* the fit was built with lo=1 > hi=0 junk on empty
-                           processors only when the guard was dropped; with
-                           a guard we cannot inline this part *)
-                        ok := false)
-                    send_mask;
-                  if !ok then
-                    Some (array, assemble_section ~rank ~dim (f_lo, f_hi, f_step) other_dims)
-                  else None)
+                     fitted lo > hi junk to contribute no elements; with
+                     a guard we cannot inline this part, so fall back *)
+                  if List.exists (fun q -> Iset.is_empty sets.(q)) qs then None
+                  else
+                    Some (array, assemble_section ~rank ~dim (f_lo, f_hi, f_step) other_dims))
               fitted
           in
           let complete =
@@ -195,11 +190,6 @@ let emit_section_comm_multi ?(loc = Loc.none) ~nprocs ~tag
               !sends
               @ guarded ~loc (Fit.guard_of_mask send_mask)
                   [ Node.N_send { dest; parts = msg_parts; tag; loc } ];
-            let recv_mask =
-              Array.init nprocs (fun p ->
-                  let q = p + delta in
-                  q >= 0 && q < nprocs && pair_nonempty q p)
-            in
             let src =
               if delta > 0 then Ast.Bin (Ast.Add, myp, int_e delta)
               else Ast.Bin (Ast.Sub, myp, int_e (-delta))
@@ -209,25 +199,17 @@ let emit_section_comm_multi ?(loc = Loc.none) ~nprocs ~tag
               @ guarded ~loc (Fit.guard_of_mask recv_mask)
                   [ Node.N_recv { src; tag; loc } ]
           end
-          else
-            for q = 0 to nprocs - 1 do
-              let p = q - delta in
-              if p >= 0 && p < nprocs && pair_nonempty q p then emit_fallback_pair q p
-            done
+          else emit_fallback ()
         end
-        else
-          for q = 0 to nprocs - 1 do
-            let p = q - delta in
-            if p >= 0 && p < nprocs && pair_nonempty q p then emit_fallback_pair q p
-          done)
+        else emit_fallback ())
       deltas;
     !sends @ !recvs
   end
 
 let emit_section_comm ?(loc = Loc.none) ~nprocs ~tag ~array
-    ~(owned : Iset.t array) ~dim ~rank ~(need : Iset.t array)
+    ~(layout : Layout.t) ~dim ~(need : Iset.t array)
     ~(other_dims : other_dim list) () : Node.nstmt list =
-  emit_section_comm_multi ~loc ~nprocs ~tag ~owned ~dim ~rank
+  emit_section_comm_multi ~loc ~nprocs ~tag ~layout ~dim
     ~parts:[ (array, need, other_dims) ] ()
 
 (* Owner arithmetic for an index expression under a layout. *)

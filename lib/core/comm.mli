@@ -24,13 +24,15 @@ val guarded :
   ?loc:Fd_support.Loc.t -> Ast.expr option -> Node.nstmt list -> Node.nstmt list
 
 val emit_section_comm :
-  ?loc:Loc.t -> nprocs:int -> tag:int -> array:string -> owned:Iset.t array ->
-  dim:int -> rank:int -> need:Iset.t array -> other_dims:other_dim list ->
+  ?loc:Loc.t -> nprocs:int -> tag:int -> array:string -> layout:Layout.t ->
+  dim:int -> need:Iset.t array -> other_dims:other_dim list ->
   unit -> Node.nstmt list
 (** Sends before receives (sends are asynchronous), grouped by
     sender-receiver offset so common shift patterns compile to one
     guarded statement each; exact per-processor fallback otherwise.
-    Empty when every processor's need is local. *)
+    Empty when every processor's need is local.  Only communicating
+    pairs are enumerated (owners found by {!Layout.owners_of_interval}),
+    so the cost is linear in P for shifts, not quadratic. *)
 
 val owner_expr : nprocs:int -> Layout.t -> Ast.expr -> Ast.expr
 (** Owner arithmetic for an index under a layout (block: division with
@@ -46,8 +48,8 @@ val emit_bcast_section :
 val emit_bcast_scalar : ?loc:Loc.t -> site:int -> root:Ast.expr -> string -> Node.nstmt
 
 val emit_section_comm_multi :
-  ?loc:Loc.t -> nprocs:int -> tag:int -> owned:Iset.t array -> dim:int ->
-  rank:int -> parts:(string * Iset.t array * other_dim list) list ->
+  ?loc:Loc.t -> nprocs:int -> tag:int -> layout:Layout.t -> dim:int ->
+  parts:(string * Iset.t array * other_dim list) list ->
   unit -> Node.nstmt list
 (** Like {!emit_section_comm} but several (array, need, other_dims)
     parts aggregate into one message per processor pair (paper Fig. 11

@@ -77,6 +77,33 @@ let owner_of t ~nprocs g =
     let lo, _ = dim_bounds t d in
     (g - lo) / b mod nprocs
 
+(* Processors owning at least one index of [lo, hi] in the distributed
+   dimension, by owner arithmetic rather than by intersecting all P owned
+   sets: a contiguous range for block layouts, at most two wrapped ranges
+   for (block-)cyclic ones, everyone for replicated data.  Indices outside
+   the declared bounds are owned by nobody. *)
+let owners_of_interval t ~nprocs lo hi =
+  let dlo, dhi =
+    match t.dist_dim with None -> List.nth t.bounds 0 | Some d -> dim_bounds t d
+  in
+  let lo = max lo dlo and hi = min hi dhi in
+  let all = Iset.range 0 (nprocs - 1) in
+  (* the owners of consecutive round-robin slots k0..k1 *)
+  let wrapped k0 k1 =
+    if k1 - k0 + 1 >= nprocs then all
+    else
+      let r0 = k0 mod nprocs and r1 = k1 mod nprocs in
+      if r0 <= r1 then Iset.range r0 r1
+      else Iset.union (Iset.range 0 r1) (Iset.range r0 (nprocs - 1))
+  in
+  if lo > hi then Iset.empty
+  else
+    match (t.dist_dim, t.dist) with
+    | None, _ | _, Replicated -> all
+    | Some _, Block b -> Iset.range ((lo - dlo) / b) (min (nprocs - 1) ((hi - dlo) / b))
+    | Some _, Cyclic -> wrapped (lo - dlo) (hi - dlo)
+    | Some _, Block_cyclic b -> wrapped ((lo - dlo) / b) ((hi - dlo) / b)
+
 let equal a b = a.bounds = b.bounds && a.dist_dim = b.dist_dim && a.dist = b.dist
 
 let dist_name = function

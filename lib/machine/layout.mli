@@ -36,6 +36,12 @@ val owned_one : t -> nprocs:int -> int -> Iset.t
 val owner_of : t -> nprocs:int -> int -> int
 (** Owner of a global index in the distributed dimension. *)
 
+val owners_of_interval : t -> nprocs:int -> int -> int -> Iset.t
+(** [owners_of_interval t ~nprocs lo hi] is exactly the set of processors
+    [q] whose {!owned_one} set meets [lo, hi], computed in O(1) set
+    operations by owner arithmetic (block: one range; cyclic and
+    block-cyclic: at most two wrapped ranges; replicated: everyone). *)
+
 val equal : t -> t -> bool
 val dist_name : dist1 -> string
 val pp : Format.formatter -> t -> unit

@@ -171,7 +171,7 @@ let comm_shift_block () =
   (* every processor needs its block shifted by +5, clipped to the array *)
   let need = Array.map (fun s -> Iset.inter (Iset.shift 5 s) (Iset.range 1 100)) owned in
   let stmts =
-    Comm.emit_section_comm ~nprocs:4 ~tag:7 ~array:"x" ~owned ~dim:0 ~rank:1 ~need
+    Comm.emit_section_comm ~nprocs:4 ~tag:7 ~array:"x" ~layout ~dim:0 ~need
       ~other_dims:[] ()
   in
   (* one guarded send + one guarded recv *)
@@ -187,7 +187,7 @@ let comm_local_no_messages () =
   in
   let owned = Fd_machine.Layout.owned layout ~nprocs:4 in
   let stmts =
-    Comm.emit_section_comm ~nprocs:4 ~tag:1 ~array:"x" ~owned ~dim:0 ~rank:1
+    Comm.emit_section_comm ~nprocs:4 ~tag:1 ~array:"x" ~layout ~dim:0
       ~need:owned ~other_dims:[] ()
   in
   check_int "no communication when local" 0 (List.length stmts)

@@ -12,6 +12,7 @@ let () =
       ("units3", Test_units3.suite);
       ("common", Test_common.suite);
       ("units4", Test_units4.suite);
+      ("comm", Test_comm.suite);
       ("properties", Test_properties.suite);
       ("absdom", Test_absdom.suite);
       ("faults", Test_faults.suite);

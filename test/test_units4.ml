@@ -38,11 +38,11 @@ let comm_multi_merges () =
   let owned = Layout.owned layout ~nprocs:4 in
   let need = Array.map (fun s -> Iset.inter (Iset.shift 1 s) (Iset.range 1 40)) owned in
   let single =
-    Comm.emit_section_comm ~nprocs:4 ~tag:1 ~array:"a" ~owned ~dim:0 ~rank:1 ~need
+    Comm.emit_section_comm ~nprocs:4 ~tag:1 ~array:"a" ~layout ~dim:0 ~need
       ~other_dims:[] ()
   in
   let multi =
-    Comm.emit_section_comm_multi ~nprocs:4 ~tag:1 ~owned ~dim:0 ~rank:1
+    Comm.emit_section_comm_multi ~nprocs:4 ~tag:1 ~layout ~dim:0
       ~parts:[ ("a", need, []); ("b", need, []) ] ()
   in
   (* same number of statements: the second array rides along *)
