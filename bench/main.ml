@@ -597,6 +597,53 @@ let e16 () =
     \ leg simulates compute-free and checks every counter bit-identical@.\
     \ and the makespan exact, omitted past P=64 where it is minutes)@."
 
+(* --- E18: check/cost replay under per-element messages ----------------------- *)
+
+let e18 () =
+  header "E18: fdc check and fdc cost under run-time resolution (per-element messages)";
+  Fmt.pr "%-9s | %4s | %10s | %9s | %7s | %8s@." "program" "P" "check (ms)"
+    "cost (ms)" "events" "messages";
+  Fmt.pr "----------+------+------------+-----------+---------+---------@.";
+  (* median wall-clock of three runs *)
+  let time f =
+    let runs =
+      List.init 3 (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          let r = f () in
+          ((Unix.gettimeofday () -. t0) *. 1e3, r))
+    in
+    List.nth (List.sort (fun (a, _) (b, _) -> compare a b) runs) 1
+  in
+  List.iter
+    (fun (name, src) ->
+      let cp = Driver.check_source src in
+      let profile = Fd_verify.Cost.profile_of_seq cp in
+      List.iter
+        (fun p ->
+          let opts =
+            { Options.default with
+              Options.nprocs = p; strategy = Options.Runtime_resolution }
+          in
+          let prog = (Driver.compile ~opts cp).Codegen.program in
+          let t_check, vr =
+            time (fun () -> Fd_verify.Verify.check_node ~nprocs:p prog)
+          in
+          if Fd_verify.Finding.errors vr.Fd_verify.Verify.findings <> [] then
+            failwith "E18: static errors on a correct program";
+          let config = Driver.machine_config opts in
+          let t_cost, c =
+            time (fun () -> Fd_verify.Cost.analyze ~profile ~config prog)
+          in
+          Fmt.pr "%-9s | %4d | %10.1f | %9.1f | %7d | %8d@." name p t_check
+            t_cost vr.Fd_verify.Verify.events c.Fd_verify.Cost.messages)
+        [ 4; 8; 16; 32 ])
+    [ ("fig4", Fd_workloads.Figures.fig4 ());
+      ("jacobi2d", Fd_workloads.Stencil.jacobi2d ()) ];
+  Fmt.pr
+    "(check = abstract walk + skeleton replay, cost = its own walk + timed@.\
+    \ replay; run-time resolution sends one message per element, so@.\
+    \ replay matching must stay linear in the messages in flight)@."
+
 (* --- E17: parallel deterministic simulation on OCaml 5 domains --------------- *)
 
 (* Wall-clock of the domains-parallel scheduler against the sequential
@@ -670,5 +717,6 @@ let () =
   e14 ();
   e16 ();
   e17 ();
+  e18 ();
   if micro then e8b ();
   Fmt.pr "@.all experiments verified against sequential execution.@."

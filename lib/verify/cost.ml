@@ -158,10 +158,6 @@ let fpieces_at (ps : fpiece list) p =
       else acc)
     0.0 ps
 
-(* Floor/ceiling division (y > 0). *)
-let fdiv x y = if x >= 0 then x / y else -(((-x) + y - 1) / y)
-let cdiv x y = -fdiv (-x) y
-
 (* --- symbolic message sizes -------------------------------------------- *)
 
 (* Bytes per sender over [lo, hi] as disjoint affine pieces.  Exact:
@@ -255,7 +251,7 @@ let bytes_pieces ~word ~lo ~hi (parts : Skeleton.part list) :
           | Some (`Affine (a, b)) when a <> 0 ->
             (* a*p + b = 0 at p = -b/a; the max(0, .) clamp flips in
                [floor(-b/a), floor(-b/a) + 1] *)
-            let c1 = if a > 0 then fdiv (-b) a else fdiv b (-a) in
+            let c1 = if a > 0 then Replay.fdiv (-b) a else Replay.fdiv b (-a) in
             List.iter
               (fun c -> if c > lo && c <= hi then cuts := c :: !cuts)
               [ c1; c1 + 1 ]
@@ -302,18 +298,6 @@ let bytes_pieces ~word ~lo ~hi (parts : Skeleton.part list) :
   in
   (pieces, !unknown)
 
-(* --- receive matching (mirrors Skeleton's algebra) ---------------------- *)
-
-let reflect c s =
-  Iset.of_intervals (List.map (fun (a, b) -> (c - b, c - a)) (Iset.intervals s))
-
-let image_of_interval (s : Skeleton.aff) ~lo ~hi =
-  if s.Skeleton.a = 0 then Iset.singleton s.Skeleton.b
-  else if s.Skeleton.a = 1 then Iset.range (lo + s.Skeleton.b) (hi + s.Skeleton.b)
-  else if s.Skeleton.a = -1 then
-    Iset.range (s.Skeleton.b - hi) (s.Skeleton.b - lo)
-  else Iset.of_list (List.init (hi - lo + 1) (fun i -> Skeleton.aff_at s (lo + i)))
-
 (* --- critical-path nodes ------------------------------------------------ *)
 
 type step = {
@@ -335,15 +319,9 @@ type node = {
 
 (* --- the timed replay --------------------------------------------------- *)
 
-type batch = {
-  bt_tag : int;
-  bt_dest : Skeleton.aff option;
-  mutable bt_senders : Iset.t;  (* unconsumed *)
-  bt_aff : (float * float) option;  (* arrival(s) = a*s + b when affine *)
-  bt_arr_of : int -> float;
-  bt_round : int;
-  bt_node : node option;
-}
+(* What a queued message carries: arrival(s) = arr_a*s + arr_b for
+   sender s, and the send on the critical path. *)
+type arrival = { arr_a : float; arr_b : float; arr_node : node }
 
 type group = {
   mutable g_lo : int;
@@ -368,9 +346,8 @@ type site_acc = {
 type st = {
   n : int;
   cfg : Config.t;
-  mutable batches : batch list;  (* newest first; scan via batches_fwd *)
-  mutable groups : group list;
-  mutable round : int;
+  q : arrival Replay.t;
+  mutable groups : group list;  (* ascending in pid *)
   mutable progress : bool;
   (* totals, mirroring Stats *)
   mutable messages : int;
@@ -408,138 +385,9 @@ let site st loc what =
     Hashtbl.replace st.sites (loc, what) s;
     s
 
-let batches_fwd st = List.rev st.batches
-
-let sender_visible st (b : batch) ~sender ~receiver =
-  b.bt_round < st.round || sender <= receiver
-
-type mset = Known of Iset.t | Unknown
-
-let matched_set st (b : batch) ~lo ~hi (s : Skeleton.aff) : mset =
-  let vis ms =
-    if b.bt_round < st.round then ms
-    else
-      let k = s.Skeleton.a - 1 and c = s.Skeleton.b in
-      let ok =
-        if k = 0 then if c <= 0 then Iset.range lo hi else Iset.empty
-        else if k > 0 then begin
-          let bd = fdiv (-c) k in
-          if bd < lo then Iset.empty else Iset.range lo (min hi bd)
-        end
-        else begin
-          let bd = cdiv c (-k) in
-          if bd > hi then Iset.empty else Iset.range (max lo bd) hi
-        end
-      in
-      Iset.inter ms ok
-  in
-  match b.bt_dest with
-  | None -> if Iset.is_empty b.bt_senders then Known Iset.empty else Unknown
-  | Some d ->
-    let coeff = (d.Skeleton.a * s.Skeleton.a) - 1
-    and c0 = (d.Skeleton.a * s.Skeleton.b) + d.Skeleton.b in
-    if coeff <> 0 then
-      if c0 mod coeff = 0 then begin
-        let p = -(c0 / coeff) in
-        if p >= lo && p <= hi && Iset.mem (Skeleton.aff_at s p) b.bt_senders
-        then Known (vis (Iset.singleton p))
-        else Known Iset.empty
-      end
-      else Known Iset.empty
-    else if c0 <> 0 then Known Iset.empty
-    else if s.Skeleton.a = 1 then
-      Known
-        (vis
-           (Iset.inter (Iset.range lo hi)
-              (Iset.shift (-s.Skeleton.b) b.bt_senders)))
-    else if s.Skeleton.a = -1 then
-      Known (vis (Iset.inter (Iset.range lo hi) (reflect s.Skeleton.b b.bt_senders)))
-    else Unknown
-
-let match_group st ~lo ~hi (s : Skeleton.aff) tag :
-    [ `All of batch | `Split | `None ] =
-  let full = Iset.range lo hi in
-  let rec scan = function
-    | [] -> `None
-    | b :: rest when b.bt_tag <> tag -> scan rest
-    | b :: rest -> (
-      match matched_set st b ~lo ~hi s with
-      | Unknown -> `Split
-      | Known ms ->
-        if Iset.is_empty ms then scan rest
-        else if Iset.equal ms full then `All b
-        else `Split)
-  in
-  scan (batches_fwd st)
-
-let match_one st p (src : int option) tag : (batch * int) option =
-  let fwd = batches_fwd st in
-  let from_wild () =
-    match
-      List.find_opt
-        (fun b ->
-          b.bt_tag = tag && b.bt_dest = None
-          &&
-          match Iset.min_elt b.bt_senders with
-          | Some s -> sender_visible st b ~sender:s ~receiver:p
-          | None -> false)
-        fwd
-    with
-    | Some b -> (
-      match Iset.min_elt b.bt_senders with
-      | Some sdr -> Some (b, sdr)
-      | None -> None)
-    | None -> None
-  in
-  match src with
-  | Some sp -> (
-    let direct =
-      List.find_opt
-        (fun b ->
-          b.bt_tag = tag
-          &&
-          match b.bt_dest with
-          | Some d ->
-            Iset.mem sp b.bt_senders
-            && Skeleton.aff_at d sp = p
-            && sender_visible st b ~sender:sp ~receiver:p
-          | None -> false)
-        fwd
-    in
-    match direct with Some b -> Some (b, sp) | None -> from_wild ())
-  | None -> (
-    let sender_for b =
-      match b.bt_dest with
-      | Some d ->
-        if d.Skeleton.a = 0 then
-          if d.Skeleton.b = p then Iset.min_elt b.bt_senders else None
-        else if (p - d.Skeleton.b) mod d.Skeleton.a = 0 then begin
-          let sdr = (p - d.Skeleton.b) / d.Skeleton.a in
-          if Iset.mem sdr b.bt_senders then Some sdr else None
-        end
-        else None
-      | None -> None
-    in
-    let rec scan = function
-      | [] -> None
-      | b :: rest when b.bt_tag <> tag -> scan rest
-      | b :: rest -> (
-        match sender_for b with
-        | Some sdr when sender_visible st b ~sender:sdr ~receiver:p ->
-          Some (b, sdr)
-        | _ -> scan rest)
-    in
-    match scan fwd with Some r -> Some r | None -> from_wild ())
-
-let consume (b : batch) sdrs = b.bt_senders <- Iset.diff b.bt_senders sdrs
-
 (* --- group plumbing ----------------------------------------------------- *)
 
-let sort_groups st =
-  st.groups <- List.sort (fun a b -> compare a.g_lo b.g_lo) st.groups
-
 let normalize st =
-  sort_groups st;
   let rec merge = function
     | a :: b :: rest
       when a.g_cur = b.g_cur && b.g_lo = a.g_hi + 1 && a.g_ca = b.g_ca
@@ -551,28 +399,30 @@ let normalize st =
   in
   st.groups <- merge st.groups
 
-let split_singleton st g =
+(* Splits return the pieces in pid order. *)
+let split_singleton g =
   let s =
     { g_lo = g.g_lo; g_hi = g.g_lo; g_cur = g.g_cur; g_seen = false;
       g_ca = g.g_ca; g_cb = g.g_cb; g_last = g.g_last }
   in
   g.g_lo <- g.g_lo + 1;
-  st.groups <- s :: st.groups
+  [ s; g ]
 
-let split_at st g cuts =
+let split_at g cuts =
   (* cuts: positions c with g_lo < c <= g_hi; upper pieces peel off *)
-  List.iter
-    (fun c ->
-      let upper =
-        { g_lo = c; g_hi = g.g_hi; g_cur = g.g_cur; g_seen = false;
-          g_ca = g.g_ca; g_cb = g.g_cb; g_last = g.g_last }
-      in
-      g.g_hi <- c - 1;
-      st.groups <- upper :: st.groups)
-    (List.rev (List.sort_uniq compare cuts))
+  g
+  :: List.fold_left
+       (fun uppers c ->
+         let upper =
+           { g_lo = c; g_hi = g.g_hi; g_cur = g.g_cur; g_seen = false;
+             g_ca = g.g_ca; g_cb = g.g_cb; g_last = g.g_last }
+         in
+         g.g_hi <- c - 1;
+         upper :: uppers)
+       [] (List.rev (List.sort_uniq compare cuts))
 
-let split_at_event st g (ev : Skeleton.event) =
-  split_at st g
+let split_at_event g (ev : Skeleton.event) =
+  split_at g
     (List.filter
        (fun c -> c > g.g_lo && c <= g.g_hi)
        [ ev.Skeleton.e_plo; ev.Skeleton.e_phi + 1 ])
@@ -630,12 +480,8 @@ let process_send st g ~idx ~loc (dest : Skeleton.aff option) tag parts =
               ((g.g_ca *. float_of_int h) +. g.g_cb);
           nd_pred = g.g_last }
       in
-      st.batches <-
-        { bt_tag = tag; bt_dest = dest; bt_senders = Iset.range l h;
-          bt_aff = Some (aa, ab);
-          bt_arr_of = (fun s -> (aa *. float_of_int s) +. ab);
-          bt_round = st.round; bt_node = Some nd }
-        :: st.batches;
+      Replay.push st.q ~tag ~dest ~senders:(Iset.range l h)
+        { arr_a = aa; arr_b = ab; arr_node = nd };
       g.g_last <- Some nd)
     pieces
 
@@ -648,11 +494,11 @@ let process_recv_singleton st g ~loc (src : Skeleton.aff option) tag =
       (Fmt.str
          "recv%s: source not statically evaluable; matched first-fit"
          (if loc <> Loc.none then Fmt.str " at %a" Loc.pp loc else ""));
-  match match_one st p src_c tag with
-  | Some (b, sdr) ->
-    consume b (Iset.singleton sdr);
+  match Replay.match_one st.q p src_c tag with
+  | Some (m, sdr) ->
+    Replay.consume st.q m (Iset.singleton sdr);
     let own = clock_at g p in
-    let arr = b.bt_arr_of sdr in
+    let arr = (m.Replay.payload.arr_a *. float_of_int sdr) +. m.Replay.payload.arr_b in
     if arr > own then begin
       st.c_wait <-
         { fp_lo = p; fp_hi = p; fp_a = 0.0; fp_b = arr -. own } :: st.c_wait;
@@ -661,7 +507,7 @@ let process_recv_singleton st g ~loc (src : Skeleton.aff option) tag =
       g.g_last <-
         Some
           { nd_what = "recv"; nd_loc = loc; nd_plo = p; nd_phi = p;
-            nd_time = arr; nd_pred = b.bt_node }
+            nd_time = arr; nd_pred = Some m.Replay.payload.arr_node }
     end;
     true
   | None -> false
@@ -679,52 +525,45 @@ let crossing ~lo ~hi da db =
   done;
   !b
 
-type recv_outcome = Advanced | Blocked | Resplit
+type recv_outcome = Advanced | Blocked | Resplit of group list
 
 let process_recv_group st g ~loc (s : Skeleton.aff) tag : recv_outcome =
   let lo = g.g_lo and hi = g.g_hi in
-  match match_group st ~lo ~hi s tag with
+  match Replay.match_group st.q ~lo ~hi s tag with
   | `None -> Blocked
-  | `Split ->
-    split_singleton st g;
-    Resplit
-  | `All b -> (
-    match b.bt_aff with
-    | None ->
-      split_singleton st g;
-      Resplit
-    | Some (aa, ab) ->
-      (* arrival(r) = aa*(s.a*r + s.b) + ab *)
-      let arr_a = aa *. float_of_int s.Skeleton.a
-      and arr_b = (aa *. float_of_int s.Skeleton.b) +. ab in
-      let da = arr_a -. g.g_ca and db = arr_b -. g.g_cb in
-      let d r = (da *. float_of_int r) +. db in
-      let dlo = d lo and dhi = d hi in
-      if dlo > 0.0 <> (dhi > 0.0) then begin
-        (* max(own, arrival) crosses inside the interval: split first,
-           each piece re-matches uniformly *)
-        split_at st g [ crossing ~lo ~hi da db ];
-        Resplit
-      end
-      else begin
-        consume b (image_of_interval s ~lo ~hi);
-        if dlo > 0.0 || dhi > 0.0 then begin
-          (* arrival wins (ties included where one endpoint is 0) *)
-          st.c_wait <-
-            { fp_lo = lo; fp_hi = hi; fp_a = da; fp_b = db } :: st.c_wait;
-          g.g_ca <- arr_a;
-          g.g_cb <- arr_b;
-          g.g_last <-
-            Some
-              { nd_what = "recv"; nd_loc = loc; nd_plo = lo; nd_phi = hi;
-                nd_time =
-                  Float.max
-                    ((arr_a *. float_of_int lo) +. arr_b)
-                    ((arr_a *. float_of_int hi) +. arr_b);
-                nd_pred = b.bt_node }
-        end;
-        Advanced
-      end)
+  | `Split -> Resplit (split_singleton g)
+  | `All m ->
+    let { arr_a = aa; arr_b = ab; arr_node } = m.Replay.payload in
+    (* arrival(r) = aa*(s.a*r + s.b) + ab *)
+    let arr_a = aa *. float_of_int s.Skeleton.a
+    and arr_b = (aa *. float_of_int s.Skeleton.b) +. ab in
+    let da = arr_a -. g.g_ca and db = arr_b -. g.g_cb in
+    let d r = (da *. float_of_int r) +. db in
+    let dlo = d lo and dhi = d hi in
+    if dlo > 0.0 <> (dhi > 0.0) then begin
+      (* max(own, arrival) crosses inside the interval: split first,
+         each piece re-matches uniformly *)
+      Resplit (split_at g [ crossing ~lo ~hi da db ])
+    end
+    else begin
+      Replay.consume st.q m (Replay.image_of_interval s ~lo ~hi);
+      if dlo > 0.0 || dhi > 0.0 then begin
+        (* arrival wins (ties included where one endpoint is 0) *)
+        st.c_wait <-
+          { fp_lo = lo; fp_hi = hi; fp_a = da; fp_b = db } :: st.c_wait;
+        g.g_ca <- arr_a;
+        g.g_cb <- arr_b;
+        g.g_last <-
+          Some
+            { nd_what = "recv"; nd_loc = loc; nd_plo = lo; nd_phi = hi;
+              nd_time =
+                Float.max
+                  ((arr_a *. float_of_int lo) +. arr_b)
+                  ((arr_a *. float_of_int hi) +. arr_b);
+              nd_pred = Some arr_node }
+      end;
+      Advanced
+    end
 
 (* --- collectives -------------------------------------------------------- *)
 
@@ -941,75 +780,64 @@ let apply_timed_coll st (ev : Skeleton.event) =
 
 (* --- the group pump ----------------------------------------------------- *)
 
+(* Advance [g] until it blocks or splits; returns what replaces it. *)
 let advance st (evs : Skeleton.event array) g =
   let len = Array.length evs in
-  let continue_ = ref true in
-  while !continue_ do
-    if g.g_cur >= len then begin
-      g.g_seen <- true;
-      continue_ := false
-    end
+  let pieces = ref [] in
+  let block () =
+    g.g_seen <- true;
+    pieces := [ g ]
+  in
+  let step () =
+    g.g_cur <- g.g_cur + 1;
+    st.progress <- true
+  in
+  while !pieces == [] do
+    if g.g_cur >= len then block ()
     else begin
       let ev = evs.(g.g_cur) in
       if ev.Skeleton.e_phi < g.g_lo || ev.Skeleton.e_plo > g.g_hi then
         g.g_cur <- g.g_cur + 1
-      else if ev.Skeleton.e_plo > g.g_lo || ev.Skeleton.e_phi < g.g_hi then begin
-        split_at_event st g ev;
-        continue_ := false
-      end
+      else if ev.Skeleton.e_plo > g.g_lo || ev.Skeleton.e_phi < g.g_hi then
+        pieces := split_at_event g ev
       else
         match ev.Skeleton.e_kind with
         | Skeleton.Ev_assume _ -> g.g_cur <- g.g_cur + 1
-        | Skeleton.Ev_coll _ ->
-          g.g_seen <- true;
-          continue_ := false
+        | Skeleton.Ev_coll _ -> block ()
         | Skeleton.Ev_send { dest; tag; parts } ->
-          if dest = None && g.g_lo < g.g_hi then begin
-            split_singleton st g;
-            continue_ := false
-          end
+          if dest = None && g.g_lo < g.g_hi then pieces := split_singleton g
           else begin
             process_send st g ~idx:g.g_cur ~loc:ev.Skeleton.e_loc dest tag
               parts;
-            g.g_cur <- g.g_cur + 1;
-            st.progress <- true
+            step ()
           end
         | Skeleton.Ev_recv { src; tag; arrays = _ } ->
           if g.g_lo = g.g_hi then begin
             if process_recv_singleton st g ~loc:ev.Skeleton.e_loc src tag
-            then begin
-              g.g_cur <- g.g_cur + 1;
-              st.progress <- true
-            end
-            else begin
-              g.g_seen <- true;
-              continue_ := false
-            end
+            then step ()
+            else block ()
           end
           else (
             match src with
-            | None ->
-              split_singleton st g;
-              continue_ := false
+            | None -> pieces := split_singleton g
             | Some s -> (
               match process_recv_group st g ~loc:ev.Skeleton.e_loc s tag with
-              | Advanced ->
-                g.g_cur <- g.g_cur + 1;
-                st.progress <- true
-              | Blocked ->
-                g.g_seen <- true;
-                continue_ := false
-              | Resplit -> continue_ := false))
+              | Advanced -> step ()
+              | Blocked -> block ()
+              | Resplit ps -> pieces := ps))
     end
-  done
+  done;
+  !pieces
 
-let rec pump st evs =
-  sort_groups st;
-  match List.find_opt (fun g -> not g.g_seen) st.groups with
-  | None -> ()
-  | Some g ->
-    advance st evs g;
-    pump st evs
+(* Advance the lowest unseen group until every group is seen, as
+   Skeleton's pump does. *)
+let pump st evs =
+  let rec go seen = function
+    | [] -> st.groups <- List.rev seen
+    | g :: rest when g.g_seen -> go (g :: seen) rest
+    | g :: rest -> go seen (advance st evs g @ rest)
+  in
+  go [] st.groups
 
 let replay st (events : Skeleton.event list) =
   let evs = Array.of_list events in
@@ -1017,7 +845,7 @@ let replay st (events : Skeleton.event list) =
   let continue_rounds = ref true in
   while !continue_rounds do
     st.progress <- false;
-    st.round <- st.round + 1;
+    Replay.next_round st.q;
     List.iter (fun g -> g.g_seen <- false) st.groups;
     normalize st;
     pump st evs;
@@ -1030,7 +858,6 @@ let replay st (events : Skeleton.event list) =
         | Skeleton.Ev_coll _ -> Some g.g_cur
         | _ -> None
     in
-    sort_groups st;
     let ready =
       match st.groups with
       | [] -> false
@@ -1132,10 +959,10 @@ let analyze ?profile:prof ~(config : Config.t) (prog : Node.program) : t =
   let branch_oracle = Option.map oracle prof in
   let r = Absint.walk ?branch_oracle ~nprocs prog in
   let st =
-    { n = nprocs; cfg = config; batches = []; groups =
+    { n = nprocs; cfg = config; q = Replay.create (); groups =
         [ { g_lo = 0; g_hi = nprocs - 1; g_cur = 0; g_seen = false;
             g_ca = 0.0; g_cb = 0.0; g_last = None } ];
-      round = 0; progress = false; messages = 0; message_bytes = 0;
+      progress = false; messages = 0; message_bytes = 0;
       bcasts = 0; bcast_bytes = 0; remaps = 0; remap_marks = 0;
       remap_bytes = 0; c_msgs = []; c_bytes = []; c_send = []; c_wait = [];
       c_coll = []; sites = Hashtbl.create 16; notes = [];

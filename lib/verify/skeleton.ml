@@ -33,9 +33,9 @@ open Fd_machine
 
 (* --- affine pid forms -------------------------------------------------- *)
 
-type aff = { a : int; b : int }  (* fun pid -> a*pid + b *)
+type aff = Replay.aff = { a : int; b : int }  (* fun pid -> a*pid + b *)
 
-let aff_at f p = (f.a * p) + f.b
+let aff_at = Replay.aff_at
 let aff_const c = { a = 0; b = c }
 
 let pp_aff ppf f =
@@ -120,18 +120,15 @@ let owned_at (lay : Layout.t) ~n p =
    {en_slope * p + e | e in en_base} have been received.  Slope-0
    entries are collective deliveries (same elements everywhere); the
    merge rules keep one entry per communication pattern so a loop of 63
-   broadcasts costs one entry, not 63 * P sets. *)
+   broadcasts costs one entry, not 63 * P sets.  What one receiver gets
+   by itself (a pid-at-a-time match) goes to its own set instead, so
+   per-element traffic never lengthens the parametric list. *)
 type rentry = { en_pids : Iset.t; en_slope : int; en_base : Iset.t }
 
-type imsg = {
-  im_seq : int;
-  im_tag : int;
-  im_dest : aff option;         (* None: destination unknown (wild) *)
-  mutable im_senders : Iset.t;  (* senders whose copy is not yet consumed *)
-  im_parts : part list;
-  im_loc : Loc.t;
-  im_round : int;               (* scheduler round that pushed it *)
-}
+type received = { mutable params : rentry list; at_pid : (int, Iset.t) Hashtbl.t }
+
+(* What a queued message carries. *)
+type sent = { parts : part list; sent_loc : Loc.t }
 
 (* A maximal pid interval whose processors sit at the same position in
    the global event array.  Groups always partition [0, n-1]. *)
@@ -146,38 +143,29 @@ type st = {
   n : int;
   degrade : bool;  (* region self-check: cap every severity at Info *)
   fuzzy : (int, unit) Hashtbl.t;  (* tags with unverifiable endpoints *)
-  received : (string, rentry list ref) Hashtbl.t;
-  mutable msgs : imsg list;  (* newest first; scan via msgs_fwd *)
-  mutable next_seq : int;
-  mutable groups : group list;
+  received : (string, received) Hashtbl.t;
+  q : sent Replay.t;
+  mutable groups : group list;  (* ascending in pid *)
   mutable progress : bool;
-  mutable round : int;
   mutable findings : Finding.t list;
   redundant_seen : (Loc.t, unit) Hashtbl.t;
 }
-
-(* Dense-order visibility: the replay processes pids in ascending order
-   within a round, so a message pushed THIS round is only visible to a
-   receiver once its sender's turn has passed — sender <= receiver.
-   Messages from earlier rounds are visible to everyone. *)
-let sender_visible st m ~sender ~receiver =
-  m.im_round < st.round || sender <= receiver
 
 let add st ?loc ?proc ?tag ?site sev kind msg =
   let sev = if st.degrade then Finding.Info else sev in
   st.findings <- Finding.make ?loc ?proc ?tag ?site sev kind msg :: st.findings
 
-let rentries st array =
+let received_of st array =
   match Hashtbl.find_opt st.received array with
   | Some r -> r
   | None ->
-    let r = ref [] in
+    let r = { params = []; at_pid = Hashtbl.create 8 } in
     Hashtbl.replace st.received array r;
     r
 
 let add_received st array ~pids ~slope ~base =
   if not (Iset.is_empty pids || Iset.is_empty base) then begin
-    let r = rentries st array in
+    let r = received_of st array in
     let rec ins = function
       | [] -> [ { en_pids = pids; en_slope = slope; en_base = base } ]
       | e :: rest when e.en_slope = slope && Iset.equal e.en_base base ->
@@ -186,7 +174,14 @@ let add_received st array ~pids ~slope ~base =
         { e with en_base = Iset.union e.en_base base } :: rest
       | e :: rest -> e :: ins rest
     in
-    r := ins !r
+    r.params <- ins r.params
+  end
+
+let add_received_at st array p elems =
+  if not (Iset.is_empty elems) then begin
+    let r = received_of st array in
+    let old = Option.value ~default:Iset.empty (Hashtbl.find_opt r.at_pid p) in
+    Hashtbl.replace r.at_pid p (Iset.union old elems)
   end
 
 let received_at st array p =
@@ -198,18 +193,8 @@ let received_at st array p =
         if Iset.mem p e.en_pids then
           Iset.union acc (Iset.shift (e.en_slope * p) e.en_base)
         else acc)
-      Iset.empty !r
-
-let push_msg st ~tag ~dest ~senders ~parts ~loc =
-  let m =
-    { im_seq = st.next_seq; im_tag = tag; im_dest = dest;
-      im_senders = senders; im_parts = parts; im_loc = loc;
-      im_round = st.round }
-  in
-  st.next_seq <- st.next_seq + 1;
-  st.msgs <- m :: st.msgs
-
-let msgs_fwd st = List.rev st.msgs
+      (Option.value ~default:Iset.empty (Hashtbl.find_opt r.at_pid p))
+      r.params
 
 (* --- sends ------------------------------------------------------------- *)
 
@@ -260,150 +245,10 @@ let send_checks st ~plo ~phi loc tag parts =
         done)
     parts
 
-(* --- receive matching -------------------------------------------------- *)
-
-let reflect c s =  (* { c - x | x in s } *)
-  Iset.of_intervals (List.map (fun (a, b) -> (c - b, c - a)) (Iset.intervals s))
-
-(* Floor/ceiling division (y > 0). *)
-let fdiv x y = if x >= 0 then x / y else -(((-x) + y - 1) / y)
-let cdiv x y = -fdiv (-x) y
-
-type mset = Known of Iset.t | Unknown
-
-(* The pids in [lo, hi] whose recv (source form [s]) message [m]
-   satisfies: sender s(p) is still pending in [m], m's destination form
-   maps s(p) back to p, and the sender is visible (its turn this round
-   has passed, or the message is from an earlier round). *)
-let matched_set st m ~lo ~hi (s : aff) : mset =
-  let vis ms =
-    if m.im_round < st.round then ms
-    else
-      (* same round: keep receivers p with s(p) <= p, i.e.
-         (s.a - 1)*p + s.b <= 0 *)
-      let k = s.a - 1 and c = s.b in
-      let ok =
-        if k = 0 then (if c <= 0 then Iset.range lo hi else Iset.empty)
-        else if k > 0 then
-          let b = fdiv (-c) k in
-          if b < lo then Iset.empty else Iset.range lo (min hi b)
-        else
-          let b = cdiv c (-k) in
-          if b > hi then Iset.empty else Iset.range (max lo b) hi
-      in
-      Iset.inter ms ok
-  in
-  match m.im_dest with
-  | None -> if Iset.is_empty m.im_senders then Known Iset.empty else Unknown
-  | Some d ->
-    let coeff = (d.a * s.a) - 1 and c0 = (d.a * s.b) + d.b in
-    if coeff <> 0 then
-      if c0 mod coeff = 0 then begin
-        let p = -(c0 / coeff) in
-        if p >= lo && p <= hi && Iset.mem (aff_at s p) m.im_senders then
-          Known (vis (Iset.singleton p))
-        else Known Iset.empty
-      end
-      else Known Iset.empty
-    else if c0 <> 0 then Known Iset.empty
-    else if s.a = 1 then
-      Known
-        (vis (Iset.inter (Iset.range lo hi) (Iset.shift (-s.b) m.im_senders)))
-    else if s.a = -1 then
-      Known (vis (Iset.inter (Iset.range lo hi) (reflect s.b m.im_senders)))
-    else Unknown
-
-(* One message is the provable first match for the whole interval, or we
-   must fall back to pid-at-a-time matching (dense order), or nobody in
-   the interval can match anything yet. *)
-let match_group st ~lo ~hi (s : aff) tag : [ `All of imsg | `Split | `None ] =
-  let full = Iset.range lo hi in
-  let rec scan = function
-    | [] -> `None
-    | m :: rest when m.im_tag <> tag -> scan rest
-    | m :: rest -> (
-      match matched_set st m ~lo ~hi s with
-      | Unknown -> `Split
-      | Known ms ->
-        if Iset.is_empty ms then scan rest
-        else if Iset.equal ms full then `All m
-        else `Split)
-  in
-  scan (msgs_fwd st)
-
-let image_of_interval (s : aff) ~lo ~hi =
-  if s.a = 0 then Iset.singleton s.b
-  else if s.a = 1 then Iset.range (lo + s.b) (hi + s.b)
-  else if s.a = -1 then Iset.range (s.b - hi) (s.b - lo)
-  else Iset.of_list (List.init (hi - lo + 1) (fun i -> aff_at s (lo + i)))
-
-(* Dense-order match for a single pid: direct (known-destination)
-   messages first, earliest emission wins, then the wild queue. *)
-let match_one st p (src : int option) tag : (imsg * int) option =
-  let fwd = msgs_fwd st in
-  let from_wild () =
-    match
-      List.find_opt
-        (fun m ->
-          m.im_tag = tag && m.im_dest = None
-          &&
-          match Iset.min_elt m.im_senders with
-          | Some s -> sender_visible st m ~sender:s ~receiver:p
-          | None -> false)
-        fwd
-    with
-    | Some m -> (
-      match Iset.min_elt m.im_senders with
-      | Some sdr -> Some (m, sdr)
-      | None -> None)
-    | None -> None
-  in
-  match src with
-  | Some sp -> (
-    let direct =
-      List.find_opt
-        (fun m ->
-          m.im_tag = tag
-          &&
-          match m.im_dest with
-          | Some d ->
-            Iset.mem sp m.im_senders && aff_at d sp = p
-            && sender_visible st m ~sender:sp ~receiver:p
-          | None -> false)
-        fwd
-    in
-    match direct with Some m -> Some (m, sp) | None -> from_wild ())
-  | None -> (
-    Hashtbl.replace st.fuzzy tag ();
-    let sender_for m =
-      match m.im_dest with
-      | Some d ->
-        if d.a = 0 then
-          if d.b = p then Iset.min_elt m.im_senders else None
-        else if (p - d.b) mod d.a = 0 then begin
-          let sdr = (p - d.b) / d.a in
-          if Iset.mem sdr m.im_senders then Some sdr else None
-        end
-        else None
-      | None -> None
-    in
-    let rec scan = function
-      | [] -> None
-      | m :: rest when m.im_tag <> tag -> scan rest
-      | m :: rest -> (
-        match sender_for m with
-        | Some sdr when sender_visible st m ~sender:sdr ~receiver:p ->
-          Some (m, sdr)
-        | _ -> scan rest)
-    in
-    match scan fwd with Some r -> Some r | None -> from_wild ())
-
-let consume m sdrs = m.im_senders <- Iset.diff m.im_senders sdrs
-
 (* --- receive application ----------------------------------------------- *)
 
-let apply_recv_one st p recv_loc (arrays : recv_array list) (m : imsg) sdr tag
-    ~update =
+let apply_recv_one st p recv_loc (arrays : recv_array list) (m : sent Replay.msg)
+    sdr tag ~update =
   let all_known = ref true and all_owned = ref true and has_dist = ref false in
   List.iter
     (fun part ->
@@ -413,17 +258,16 @@ let apply_recv_one st p recv_loc (arrays : recv_array list) (m : imsg) sdr tag
         match List.find_opt (fun ra -> ra.ra_name = part.p_array) arrays with
         | None ->
           all_owned := false;
-          add st ~loc:m.im_loc ~proc:p ~tag Finding.Error "recv-unknown-array"
+          add st ~loc:m.payload.sent_loc ~proc:p ~tag Finding.Error
+            "recv-unknown-array"
             (Fmt.str "message stores into %s, which is not visible at the \
                       receiving processor p%d" part.p_array p)
         | Some ra ->
           if not (Iset.subset elems (owned_at ra.ra_layout ~n:st.n p)) then
             all_owned := false;
-          if update then
-            add_received st part.p_array ~pids:(Iset.singleton p) ~slope:0
-              ~base:elems)
+          if update then add_received_at st part.p_array p elems)
       | None -> all_known := false)
-    m.im_parts;
+    m.payload.parts;
   if !all_known && !has_dist && !all_owned
      && not (Hashtbl.mem st.redundant_seen recv_loc)
   then begin
@@ -437,8 +281,8 @@ let apply_recv_one st p recv_loc (arrays : recv_array list) (m : imsg) sdr tag
    the sent section is affine with one slope (the overwhelmingly common
    case: each pid passes along a slice of its own block); the finding
    checks still walk the pids so diagnostics match the dense replay. *)
-let apply_recv_group st ~lo ~hi recv_loc (arrays : recv_array list) (m : imsg)
-    (s : aff) tag =
+let apply_recv_group st ~lo ~hi recv_loc (arrays : recv_array list)
+    (m : sent Replay.msg) (s : aff) tag =
   List.iter
     (fun part ->
       match (part.p_triplets, part.p_dist_dim) with
@@ -461,14 +305,12 @@ let apply_recv_group st ~lo ~hi recv_loc (arrays : recv_array list) (m : imsg)
           else
             for p = lo to hi do
               match dist_elems_at part (aff_at s p) with
-              | Some elems ->
-                add_received st part.p_array ~pids:(Iset.singleton p) ~slope:0
-                  ~base:elems
+              | Some elems -> add_received_at st part.p_array p elems
               | None -> ()
             done)
       | _ -> ())
-    m.im_parts;
-  if List.exists part_has_dist m.im_parts then
+    m.payload.parts;
+  if List.exists part_has_dist m.payload.parts then
     for p = lo to hi do
       apply_recv_one st p recv_loc arrays m (aff_at s p) tag ~update:false
     done
@@ -501,11 +343,7 @@ let apply_coll st (ev : event) =
 
 (* --- group engine ------------------------------------------------------- *)
 
-let sort_groups st =
-  st.groups <- List.sort (fun a b -> compare a.g_lo b.g_lo) st.groups
-
 let normalize st =
-  sort_groups st;
   let rec merge = function
     | a :: b :: rest when a.g_cur = b.g_cur && b.g_lo = a.g_hi + 1 ->
       a.g_hi <- b.g_hi;
@@ -516,113 +354,109 @@ let normalize st =
   st.groups <- merge st.groups
 
 (* Carve the lowest pid off so it acts first, as in the dense
-   pid-ascending round. *)
-let split_singleton st g =
+   pid-ascending round.  Splits return the pieces in pid order. *)
+let split_singleton g =
   let s = { g_lo = g.g_lo; g_hi = g.g_lo; g_cur = g.g_cur; g_seen = false } in
   g.g_lo <- g.g_lo + 1;
-  st.groups <- s :: st.groups
+  [ s; g ]
 
 (* The event covers only part of the group: split at its boundaries. *)
-let split_at_event st g (ev : event) =
+let split_at_event g (ev : event) =
   let cuts =
     List.sort_uniq compare
       (List.filter
          (fun c -> c > g.g_lo && c <= g.g_hi)
          [ ev.e_plo; ev.e_phi + 1 ])
   in
-  List.iter
-    (fun c ->
-      let upper =
-        { g_lo = c; g_hi = g.g_hi; g_cur = g.g_cur; g_seen = false }
-      in
-      g.g_hi <- c - 1;
-      st.groups <- upper :: st.groups)
-    (List.rev cuts)
+  g
+  :: List.fold_left
+       (fun uppers c ->
+         let upper =
+           { g_lo = c; g_hi = g.g_hi; g_cur = g.g_cur; g_seen = false }
+         in
+         g.g_hi <- c - 1;
+         upper :: uppers)
+       [] (List.rev cuts)
 
+(* Advance [g] until it blocks or splits; returns what replaces it. *)
 let advance st (evs : event array) g =
   let len = Array.length evs in
-  let continue_ = ref true in
-  while !continue_ do
-    if g.g_cur >= len then begin
-      g.g_seen <- true;
-      continue_ := false
-    end
+  let pieces = ref [] in
+  let block () =
+    g.g_seen <- true;
+    pieces := [ g ]
+  in
+  while !pieces == [] do
+    if g.g_cur >= len then block ()
     else begin
       let ev = evs.(g.g_cur) in
       if ev.e_phi < g.g_lo || ev.e_plo > g.g_hi then g.g_cur <- g.g_cur + 1
-      else if ev.e_plo > g.g_lo || ev.e_phi < g.g_hi then begin
-        split_at_event st g ev;
-        continue_ := false  (* the pump re-picks the lowest unseen piece *)
-      end
+      else if ev.e_plo > g.g_lo || ev.e_phi < g.g_hi then
+        pieces := split_at_event g ev
       else
         match ev.e_kind with
         | Ev_assume _ -> g.g_cur <- g.g_cur + 1  (* applied up front *)
-        | Ev_coll _ ->
-          g.g_seen <- true;
-          continue_ := false
+        | Ev_coll _ -> block ()
         | Ev_send { dest = None; tag; parts } ->
-          if g.g_lo < g.g_hi then begin
+          if g.g_lo < g.g_hi then
             (* wild sends queue in pid order; keep dense FIFO *)
-            split_singleton st g;
-            continue_ := false
-          end
+            pieces := split_singleton g
           else begin
             Hashtbl.replace st.fuzzy tag ();
             send_checks st ~plo:g.g_lo ~phi:g.g_hi ev.e_loc tag parts;
-            push_msg st ~tag ~dest:None ~senders:(Iset.singleton g.g_lo)
-              ~parts ~loc:ev.e_loc;
+            Replay.push st.q ~tag ~dest:None ~senders:(Iset.singleton g.g_lo)
+              { parts; sent_loc = ev.e_loc };
             g.g_cur <- g.g_cur + 1;
             st.progress <- true
           end
         | Ev_send { dest = Some d; tag; parts } ->
           send_checks st ~plo:g.g_lo ~phi:g.g_hi ev.e_loc tag parts;
-          push_msg st ~tag ~dest:(Some d)
-            ~senders:(Iset.range g.g_lo g.g_hi) ~parts ~loc:ev.e_loc;
+          Replay.push st.q ~tag ~dest:(Some d)
+            ~senders:(Iset.range g.g_lo g.g_hi) { parts; sent_loc = ev.e_loc };
           g.g_cur <- g.g_cur + 1;
           st.progress <- true
         | Ev_recv { src; tag; arrays } ->
           if g.g_lo = g.g_hi then begin
             let p = g.g_lo in
+            if src = None then Hashtbl.replace st.fuzzy tag ();
             let src_c = Option.map (fun s -> aff_at s p) src in
-            match match_one st p src_c tag with
+            match Replay.match_one st.q p src_c tag with
             | Some (m, sdr) ->
-              consume m (Iset.singleton sdr);
+              Replay.consume st.q m (Iset.singleton sdr);
               apply_recv_one st p ev.e_loc arrays m sdr tag ~update:true;
               g.g_cur <- g.g_cur + 1;
               st.progress <- true
-            | None ->
-              g.g_seen <- true;
-              continue_ := false
+            | None -> block ()
           end
           else (
             match src with
             | Some s -> (
-              match match_group st ~lo:g.g_lo ~hi:g.g_hi s tag with
+              match Replay.match_group st.q ~lo:g.g_lo ~hi:g.g_hi s tag with
               | `All m ->
-                consume m (image_of_interval s ~lo:g.g_lo ~hi:g.g_hi);
+                Replay.consume st.q m
+                  (Replay.image_of_interval s ~lo:g.g_lo ~hi:g.g_hi);
                 apply_recv_group st ~lo:g.g_lo ~hi:g.g_hi ev.e_loc arrays m
                   s tag;
                 g.g_cur <- g.g_cur + 1;
                 st.progress <- true
-              | `Split ->
-                split_singleton st g;
-                continue_ := false
-              | `None ->
-                g.g_seen <- true;
-                continue_ := false)
-            | None ->
-              split_singleton st g;
-              continue_ := false)
+              | `Split -> pieces := split_singleton g
+              | `None -> block ())
+            | None -> pieces := split_singleton g)
     end
-  done
+  done;
+  !pieces
 
-let rec pump st evs =
-  sort_groups st;
-  match List.find_opt (fun g -> not g.g_seen) st.groups with
-  | None -> ()
-  | Some g ->
-    advance st evs g;
-    pump st evs
+(* Advance the lowest unseen group until every group is seen.  The
+   groups before the one advancing are all seen, so one pass over the
+   pid-ordered list, with each split's pieces put back in its place,
+   visits them in the same order as re-sorting after every step. *)
+let pump st evs =
+  let rec go seen = function
+    | [] -> st.groups <- List.rev seen
+    | g :: rest when g.g_seen -> go (g :: seen) rest
+    | g :: rest -> go seen (advance st evs g @ rest)
+  in
+  go [] st.groups
 
 (* --- deadlock reporting (mirrors Scheduler.wait_for_graph) ------------ *)
 
@@ -778,12 +612,10 @@ let run ~nprocs ?(degrade = false) ?fuzzy_tags (events : event list) :
         | Some t -> Hashtbl.copy t
         | None -> Hashtbl.create 8);
       received = Hashtbl.create 16;
-      msgs = [];
-      next_seq = 0;
+      q = Replay.create ();
       groups =
         [ { g_lo = 0; g_hi = nprocs - 1; g_cur = 0; g_seen = false } ];
       progress = false;
-      round = 0;
       findings = [];
       redundant_seen = Hashtbl.create 8;
     }
@@ -806,7 +638,7 @@ let run ~nprocs ?(degrade = false) ?fuzzy_tags (events : event list) :
   let continue_rounds = ref true in
   while !continue_rounds do
     st.progress <- false;
-    st.round <- st.round + 1;
+    Replay.next_round st.q;
     List.iter (fun g -> g.g_seen <- false) st.groups;
     normalize st;
     pump st evs;
@@ -819,7 +651,6 @@ let run ~nprocs ?(degrade = false) ?fuzzy_tags (events : event list) :
         | Ev_coll _ -> Some g.g_cur
         | _ -> None
     in
-    sort_groups st;
     let ready =
       match st.groups with
       | [] -> false
@@ -837,7 +668,6 @@ let run ~nprocs ?(degrade = false) ?fuzzy_tags (events : event list) :
     end;
     continue_rounds := st.progress
   done;
-  sort_groups st;
   let blocked = List.filter (fun g -> g.g_cur < len) st.groups in
   let deadlocked = blocked <> [] in
   if deadlocked then report_quiescence st evs blocked;
@@ -846,18 +676,15 @@ let run ~nprocs ?(degrade = false) ?fuzzy_tags (events : event list) :
   if not deadlocked then begin
     let leftover = Hashtbl.create 8 in
     List.iter
-      (fun m ->
-        if (not (Iset.is_empty m.im_senders))
-           && not (Hashtbl.mem st.fuzzy m.im_tag)
-           && not (Hashtbl.mem leftover (m.im_tag, m.im_loc))
+      (fun (m : sent Replay.msg) ->
+        let loc = m.payload.sent_loc in
+        if not (Hashtbl.mem st.fuzzy m.tag || Hashtbl.mem leftover (m.tag, loc))
         then begin
-          Hashtbl.replace leftover (m.im_tag, m.im_loc) ();
-          let src = Option.value ~default:0 (Iset.min_elt m.im_senders) in
-          add st ~loc:m.im_loc ~proc:src ~tag:m.im_tag Finding.Warning
-            "unmatched-send"
-            (Fmt.str "message sent by p%d {tag %d} is never received" src
-               m.im_tag)
+          Hashtbl.replace leftover (m.tag, loc) ();
+          let src = Option.value ~default:0 (Iset.min_elt m.senders) in
+          add st ~loc ~proc:src ~tag:m.tag Finding.Warning "unmatched-send"
+            (Fmt.str "message sent by p%d {tag %d} is never received" src m.tag)
         end)
-      (msgs_fwd st)
+      (Replay.live st.q)
   end;
   st.findings

@@ -12,7 +12,11 @@
     (wildcard matches, partial event overlap, per-pid receive
     decisions).  For the regular patterns of real node programs —
     shifts, reflections, broadcasts from a uniform root — no split ever
-    happens and replay is O(events), independent of P.
+    happens and replay is O(events), independent of P.  Once groups
+    split into singletons (wildcard receives, per-element messages of
+    run-time resolution) a step advances one pid, so replay costs
+    O(events x P) steps, and each receive scans the live messages of
+    its tag in the shared {!Replay} queue — never the consumed ones.
 
     Matching honours the dense engine's round order (pids ascend within
     a round, each advancing until blocked): a message pushed in the
@@ -29,7 +33,7 @@ open Fd_support
 open Fd_machine
 
 (** Affine pid form: [fun pid -> a*pid + b]. *)
-type aff = { a : int; b : int }
+type aff = Replay.aff = { a : int; b : int }
 
 val aff_at : aff -> int -> int
 val aff_const : int -> aff

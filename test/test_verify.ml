@@ -314,6 +314,52 @@ let test_payload_sizes () =
         must_compare)
     sampled_nprocs
 
+(* Replay allocation grows with the skeleton, not with every message
+   ever sent.  fig4 under run-time resolution sends per-element
+   messages; from P=8 to P=16 its events grow 1.9x.  A matcher that
+   rescans the whole message history on every receive grew its
+   allocation 3.4x (Skeleton) and 3.5x (Cost, net of its own walk) over
+   the same step.  Minor words, not time, so the bound holds on any
+   host. *)
+let test_replay_alloc () =
+  let src = read_file (Filename.concat examples_dir "fig4.fd") in
+  let cp = Driver.check_source ~file:"fig4.fd" src in
+  let profile = Cost.profile_of_seq cp in
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let cell nprocs =
+    let opts =
+      { Options.default with strategy = Options.Runtime_resolution; nprocs }
+    in
+    let prog = (Driver.compile ~opts cp).Codegen.program in
+    let w = Absint.walk ~nprocs prog in
+    let skel =
+      words (fun () ->
+          Skeleton.run ~nprocs ~fuzzy_tags:w.Absint.fuzzy_tags w.Absint.events)
+    in
+    let config = Driver.machine_config opts in
+    let cost =
+      words (fun () -> Cost.analyze ~profile ~config prog)
+      -. words (fun () ->
+             Absint.walk ~branch_oracle:(Cost.oracle profile) ~nprocs prog)
+    in
+    (skel, cost)
+  in
+  let s8, c8 = cell 8 and s16, c16 = cell 16 in
+  ignore (Fd_support.Diag.take_warnings ());
+  let bounded what w8 w16 =
+    check Alcotest.bool
+      (Fmt.str "%s allocates %.0f words at P=8 and %.0f at P=16 (%.2fx, \
+                bound 2.5x)" what w8 w16 (w16 /. w8))
+      true
+      (w16 <= 2.5 *. w8)
+  in
+  bounded "Skeleton.run" s8 s16;
+  bounded "Cost.analyze without its walk" c8 c16
+
 let suite =
   [
     Alcotest.test_case "good examples: sound and strict-clean" `Slow
@@ -325,4 +371,6 @@ let suite =
     Alcotest.test_case "differential oracle at sampled P" `Slow
       test_sampled_p;
     Alcotest.test_case "payload sizes at sampled P" `Slow test_payload_sizes;
+    Alcotest.test_case "replay allocation linear in the skeleton" `Slow
+      test_replay_alloc;
   ]
