@@ -601,9 +601,10 @@ let e16 () =
 
 let e18 () =
   header "E18: fdc check and fdc cost under run-time resolution (per-element messages)";
-  Fmt.pr "%-9s | %4s | %10s | %9s | %7s | %8s@." "program" "P" "check (ms)"
-    "cost (ms)" "events" "messages";
-  Fmt.pr "----------+------+------------+-----------+---------+---------@.";
+  Fmt.pr "%-9s | %4s | %9s | %10s | %9s | %7s | %8s@." "program" "P"
+    "walk (ms)" "check (ms)" "cost (ms)" "events" "messages";
+  Fmt.pr
+    "----------+------+-----------+------------+-----------+---------+---------@.";
   (* median wall-clock of three runs *)
   let time f =
     let runs =
@@ -625,6 +626,9 @@ let e18 () =
               Options.nprocs = p; strategy = Options.Runtime_resolution }
           in
           let prog = (Driver.compile ~opts cp).Codegen.program in
+          let t_walk, _ =
+            time (fun () -> Fd_verify.Absint.walk ~nprocs:p prog)
+          in
           let t_check, vr =
             time (fun () -> Fd_verify.Verify.check_node ~nprocs:p prog)
           in
@@ -634,15 +638,18 @@ let e18 () =
           let t_cost, c =
             time (fun () -> Fd_verify.Cost.analyze ~profile ~config prog)
           in
-          Fmt.pr "%-9s | %4d | %10.1f | %9.1f | %7d | %8d@." name p t_check
-            t_cost vr.Fd_verify.Verify.events c.Fd_verify.Cost.messages)
-        [ 4; 8; 16; 32 ])
+          Fmt.pr "%-9s | %4d | %9.1f | %10.1f | %9.1f | %7d | %8d@." name p
+            t_walk t_check t_cost vr.Fd_verify.Verify.events
+            c.Fd_verify.Cost.messages)
+        [ 4; 8; 16; 32; 64; 128; 256 ])
     [ ("fig4", Fd_workloads.Figures.fig4 ());
       ("jacobi2d", Fd_workloads.Stencil.jacobi2d ()) ];
   Fmt.pr
-    "(check = abstract walk + skeleton replay, cost = its own walk + timed@.\
-    \ replay; run-time resolution sends one message per element, so@.\
-    \ replay matching must stay linear in the messages in flight)@."
+    "(walk = the abstract walk alone, check = walk + skeleton replay,@.\
+    \ cost = its own walk + timed replay; run-time resolution sends one@.\
+    \ message per element and guards each with an owner test, so replay@.\
+    \ matching must stay linear in the messages in flight and the walk's@.\
+    \ pid masks must not cost O(P))@."
 
 (* --- E17: parallel deterministic simulation on OCaml 5 domains --------------- *)
 

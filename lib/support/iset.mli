@@ -2,11 +2,12 @@
 
     All operations are exact.  Sets are index/iteration sets bounded by
     array extents and — since the compressed verifier domain — processor
-    masks bounded by P.  Contiguous (all step-1) operands take an
-    interval-sweep fast path that never materializes elements, so
-    {0..65535} costs O(#intervals); strided operands fall back to exact
-    element-level canonicalization, affordable because strided sets only
-    arise from array extents. *)
+    masks bounded by P.  Every operation sweeps the sets' maximal
+    intervals and never enumerates a contiguous run, so {0..65535} costs
+    O(#intervals).  Strided sets come from array extents (cyclic
+    layouts) and from masks alike ({0,2..7} is [\[0:2:2; 3:7\]]); their
+    canonical triplets are the greedy grouping of
+    {!Triplet.of_sorted_list}, computed straight from the intervals. *)
 
 type t = Triplet.t list
 
@@ -40,10 +41,14 @@ val intervals : t -> (int * int) list
 
 val of_intervals : (int * int) list -> t
 (** Build a set from (possibly unsorted, overlapping) inclusive
-    intervals; pairs with [lo > hi] are ignored. *)
+    intervals; pairs with [lo > hi] are ignored.  A set of at most 256
+    members is grouped into triplets; a larger one stays a list of
+    step-1 intervals. *)
 
 val fold_intervals : ('a -> int -> int -> 'a) -> 'a -> t -> 'a
-(** Fold over {!intervals} without building the intermediate list. *)
+(** Fold over {!intervals} without building the intermediate list:
+    canonical triplets are visited in order and adjacent ones coalesce
+    on the fly. *)
 
 val min_elt : t -> int option
 val max_elt : t -> int option

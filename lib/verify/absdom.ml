@@ -214,27 +214,23 @@ let mergeable s1 s2 =
   | Saff x, Saff y -> x.a = y.a && x.b = y.b
   | _ -> false
 
-(* Canonicalize a sorted contiguous cover of [0, n-1]:
-   singleton affine runs become constants, mergeable neighbors merge,
-   and a uniform known cover collapses to [Uni]. *)
+(* Canonicalize a sorted contiguous cover of [0, n-1] in one pass:
+   empty runs drop, singleton affine runs become constants, mergeable
+   neighbors merge (each run into its left neighbour, so a merged run
+   keeps its first segment), and a uniform known cover collapses to
+   [Uni]. *)
 let norm ~n segs =
-  let segs =
-    List.filter_map
-      (fun (l, u, s) ->
-        if l > u then None
-        else
-          match s with
-          | Saff { a; b } when l = u -> Some (l, u, Sconst (Pint ((a * l) + b)))
-          | s -> Some (l, u, s))
-      segs
-  in
-  let rec merge = function
-    | (l1, _, s1) :: (_, u2, s2) :: rest when mergeable s1 s2 ->
-      merge ((l1, u2, s1) :: rest)
-    | sg :: rest -> sg :: merge rest
+  let rec go = function
+    | (l, u, _) :: rest when l > u -> go rest
+    | (l, u, Saff { a; b }) :: rest when l = u ->
+      go ((l, u, Sconst (Pint ((a * l) + b))) :: rest)
+    | ((l1, _, s1) as sg) :: rest -> (
+      match go rest with
+      | (_, u2, s2) :: rest when mergeable s1 s2 -> (l1, u2, s1) :: rest
+      | rest -> sg :: rest)
     | [] -> []
   in
-  match merge segs with
+  match go segs with
   | [ (0, u, Sconst v) ] when u = n - 1 && v <> Punk -> Uni v
   | segs -> Runs segs
 
@@ -555,7 +551,11 @@ let seg2 op l u s1 s2 =
 let app2 ~n op a b =
   match (a, b) with
   | Uni x, Uni y -> Uni (pv2 op x y)
-  | _ ->
+  | Uni x, Runs rs ->
+    norm ~n (List.concat_map (fun (l, u, s) -> seg2 op l u (Sconst x) s) rs)
+  | Runs rs, Uni y ->
+    norm ~n (List.concat_map (fun (l, u, s) -> seg2 op l u s (Sconst y)) rs)
+  | Runs _, Runs _ ->
     norm ~n
       (List.concat_map
          (fun (l, u, s1, s2) -> seg2 op l u s1 s2)
@@ -652,23 +652,30 @@ type truth =
   | T_split of Iset.t * Iset.t  (* decided lane-by-lane on the active set *)
   | T_divergent  (* some active lane's truth is unknown *)
 
+(* One sweep of the runs against [act]'s intervals: any active lane of
+   unknown truth makes the branch divergent, else the active true and
+   false lanes are collected and each side is built once. *)
 let truth ~n:_ ~act v =
   match v with
   | Uni (Pbool true) -> T_true
   | Uni (Pbool false) -> T_false
   | Uni _ -> T_unknown_uniform
   | Runs segs ->
-    let classify (ts, fs, us) (l, u, s) =
-      match s with
-      | Sconst (Pbool true) -> ((l, u) :: ts, fs, us)
-      | Sconst (Pbool false) -> (ts, (l, u) :: fs, us)
-      | _ -> (ts, fs, (l, u) :: us)
+    let rec sweep ts fs segs ivs =
+      match (segs, ivs) with
+      | [], _ | _, [] ->
+        T_split (Iset.of_intervals (List.rev ts), Iset.of_intervals (List.rev fs))
+      | (l, u, s) :: rs, (a, b) :: ri -> (
+        let lo = max l a and hi = min u b in
+        let next ts fs = if u < b then sweep ts fs rs ivs else sweep ts fs segs ri in
+        if lo > hi then next ts fs
+        else
+          match s with
+          | Sconst (Pbool true) -> next ((lo, hi) :: ts) fs
+          | Sconst (Pbool false) -> next ts ((lo, hi) :: fs)
+          | _ -> T_divergent)
     in
-    let ts, fs, us = List.fold_left classify ([], [], []) segs in
-    if Iset.disjoint act (Iset.of_intervals us) then
-      T_split
-        (Iset.inter act (Iset.of_intervals ts), Iset.inter act (Iset.of_intervals fs))
-    else T_divergent
+    sweep [] [] segs (Iset.intervals act)
 
 let pp_pv ppf = function
   | Pint i -> Fmt.int ppf i

@@ -61,27 +61,32 @@ let dense_gen n =
     in
     fill [] n)
 
+(* An operand: a generic lane vector, a uniform value, or the pid
+   vector itself. *)
+let operand_gen n =
+  QCheck2.Gen.(
+    let* d = dense_gen n in
+    frequency
+      [
+        (6, return (Absdom.of_dense d));
+        (1, map (fun pv -> Absdom.Uni pv) pv_gen);
+        (1, return (Absdom.myproc ~n));
+      ])
+
 let value_gen =
   QCheck2.Gen.(
     let* n = n_gen in
-    let* d = dense_gen n in
-    (* exercise both the generic constructor and the uniform case *)
-    let* v =
-      frequency
-        [
-          (6, return (Absdom.of_dense d));
-          (1, map (fun pv -> Absdom.Uni pv) pv_gen);
-          (1, return (Absdom.myproc ~n));
-        ]
-    in
+    let* v = operand_gen n in
     return (n, v))
 
+(* Both operands draw from [operand_gen], so a [Uni] meets [Runs] on
+   either side and [myproc] meets everything. *)
 let pair_gen =
   QCheck2.Gen.(
     let* n = n_gen in
-    let* da = dense_gen n in
-    let* db = dense_gen n in
-    return (n, Absdom.of_dense da, Absdom.of_dense db))
+    let* a = operand_gen n in
+    let* b = operand_gen n in
+    return (n, a, b))
 
 let binops =
   Absdom.
@@ -231,13 +236,29 @@ let test_select =
           pv_eq dr.(p) want)
         (Array.init n Fun.id))
 
+(* Active sets are a single range or a multi-interval mask. *)
+let act_gen n =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 1,
+          let* lo = int_range 0 (n - 1) in
+          let* hi = int_range lo (n - 1) in
+          return (Iset.range lo hi) );
+        ( 2,
+          map Iset.of_intervals
+            (list_size (int_range 0 5)
+               (let* lo = int_range 0 (n - 1) in
+                let* len = frequency [ (2, return 0); (1, int_range 1 4) ] in
+                return (lo, min (n - 1) (lo + len)))) );
+      ])
+
 let test_truth =
   prop "truth classification agrees with the lanes"
     QCheck2.Gen.(
       let* n, v = value_gen in
-      let* lo = int_range 0 (n - 1) in
-      let* hi = int_range lo (n - 1) in
-      return (n, v, Iset.range lo hi))
+      let* act = act_gen n in
+      return (n, v, act))
     (fun (n, v, act) ->
       let d = Absdom.to_dense ~n v in
       let lane_true p = d.(p) = Absdom.Pbool true in
@@ -251,13 +272,11 @@ let test_truth =
       | Absdom.T_false -> List.for_all lane_false (List.init n Fun.id)
       | Absdom.T_unknown_uniform -> Absdom.is_uniform v
       | Absdom.T_split (t, f) ->
-        Iset.is_empty (Iset.inter t f)
-        && List.for_all
-             (fun p ->
-               if lane_true p then Iset.mem p t && not (Iset.mem p f)
-               else if lane_false p then Iset.mem p f && not (Iset.mem p t)
-               else false)
-             acts
+        (* each side is the canonical set of its lanes, triplet for
+           triplet *)
+        List.for_all lane_bool acts
+        && t = Iset.of_list (List.filter lane_true acts)
+        && f = Iset.of_list (List.filter lane_false acts)
       | Absdom.T_divergent ->
         (not (Absdom.is_uniform v)) && not (List.for_all lane_bool acts))
 

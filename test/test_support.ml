@@ -106,6 +106,149 @@ let to_set t = List.sort_uniq compare (Triplet.to_list t)
 
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:500 ~name gen f)
 
+(* --- Iset representation oracle ----------------------------------------
+
+   The element-level canonical form every Iset operation returned before
+   sets were grouped straight from their intervals: members collected in
+   a [Set.Make (Int)], then [Triplet.of_sorted_list].  It lives only
+   here, as the reference the interval-native operations must match
+   structurally, triplet for triplet. *)
+
+module IS = Set.Make (Int)
+
+module Ref = struct
+  let members ts =
+    List.fold_left
+      (fun acc tr -> List.fold_left (fun a x -> IS.add x a) acc (Triplet.to_list tr))
+      IS.empty ts
+
+  let canon s = Triplet.of_sorted_list (IS.elements s)
+
+  let flat ts =
+    List.for_all
+      (fun tr -> Triplet.is_empty tr || Triplet.step tr = 1 || Triplet.count tr = 1)
+      ts
+
+  (* Maximal runs of consecutive members, as step-1 triplets. *)
+  let runs s =
+    let close lo hi acc = Triplet.range lo hi :: acc in
+    match IS.elements s with
+    | [] -> []
+    | x :: xs ->
+      let lo, hi, acc =
+        List.fold_left
+          (fun (lo, hi, acc) y ->
+            if y = hi + 1 then (lo, y, acc) else (y, y, close lo hi acc))
+          (x, x, []) xs
+      in
+      List.rev (close lo hi acc)
+
+  (* [Iset.of_intervals]: grouped up to 256 members, flat above. *)
+  let of_members s =
+    let n = IS.cardinal s in
+    if n > 0 && n <= 256 then canon s else runs s
+
+  let of_intervals ivs =
+    of_members
+      (List.fold_left
+         (fun acc (a, b) ->
+           if a > b then acc else members [ Triplet.range a b ] |> IS.union acc)
+         IS.empty ivs)
+
+  let of_triplets ts =
+    match List.filter (fun tr -> not (Triplet.is_empty tr)) ts with
+    | [] -> []
+    | [ tr ] -> [ tr ]
+    | ts -> canon (members ts)
+
+  let of_list xs = canon (IS.of_list xs)
+
+  let union a b =
+    match (a, b) with
+    | [], t | t, [] -> t
+    | _ ->
+      let s = IS.union (members a) (members b) in
+      if flat a && flat b then of_members s else canon s
+
+  let inter a b =
+    match (a, b) with
+    | [], _ | _, [] -> []
+    | [ x ], [ y ] -> of_triplets [ Triplet.inter x y ]
+    | _ ->
+      if flat a && flat b then of_members (IS.inter (members a) (members b))
+      else of_triplets (List.concat_map (fun x -> List.map (Triplet.inter x) b) a)
+
+  let diff a b =
+    match (a, b) with
+    | [], _ -> []
+    | t, [] -> t
+    | _ -> (
+      let s = IS.diff (members a) (members b) in
+      if flat a && flat b then of_members s
+      else
+        match (a, b) with
+        | [ x ], [ y ] when Triplet.step y = 1 -> of_triplets (Triplet.diff x y)
+        | _ -> canon s)
+
+  let complement ~lo ~hi t =
+    if lo > hi then []
+    else of_members (IS.diff (members [ Triplet.range lo hi ]) (members t))
+
+  let intervals t =
+    List.map (fun tr -> (Triplet.lo tr, Triplet.hi tr)) (runs (members t))
+end
+
+(* Interval endpoints reach both sides of zero; lengths reach past 256. *)
+let iv_gen =
+  QCheck2.Gen.(
+    let* lo = int_range (-300) 300 in
+    let* len =
+      frequency
+        [ (3, return 0); (3, int_range 1 3); (2, int_range 4 40);
+          (1, int_range 100 320) ]
+    in
+    return (lo, lo + len))
+
+let wide_triplet_gen =
+  QCheck2.Gen.(
+    let* lo = int_range (-300) 300 in
+    let* len = frequency [ (3, int_range 0 40); (1, int_range 100 600) ] in
+    let* step = frequency [ (2, return 1); (3, int_range 2 7) ] in
+    return (Triplet.make ~lo ~hi:(lo + len) ~step))
+
+(* Owner-guard masks over pids [0, P): mostly singletons and short runs,
+   the shape of {0,2..7}, with P on both sides of 256. *)
+let mask_gen =
+  QCheck2.Gen.(
+    let* p = oneofl [ 8; 16; 64; 255; 256; 257; 300; 512 ] in
+    let* k = int_range 0 8 in
+    let* ivs =
+      list_repeat k
+        (let* lo = int_range 0 (p - 1) in
+         let* len = frequency [ (3, return 0); (1, int_range 1 (p / 2)) ] in
+         return (lo, min (p - 1) (lo + len)))
+    in
+    return (Iset.of_intervals ivs))
+
+(* Canonical sets of every origin, plus raw (unsorted, overlapping)
+   triplet lists, which the operations also accept. *)
+let operand_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map Iset.of_intervals (list_size (int_range 0 6) iv_gen));
+        (3, map Iset.of_triplets (list_size (int_range 0 4) wide_triplet_gen));
+        (3, mask_gen);
+        (1, list_size (int_range 0 3) wide_triplet_gen);
+      ])
+
+let show_set t = Iset.to_string t
+
+let same what got want =
+  got = want
+  || QCheck2.Test.fail_reportf "%s: got %s, element path %s" what
+       (show_set got) (show_set want)
+
 let qcheck_tests =
   [
     prop "inter = element-wise intersection"
@@ -156,6 +299,27 @@ let qcheck_tests =
           | a :: (b :: _ as rest) -> Triplet.hi a < Triplet.lo b && ok rest
         in
         ok (Iset.triplets s));
+    prop "Iset operations match the element-level canonical form"
+      QCheck2.Gen.(
+        let* a = operand_gen and* b = operand_gen in
+        let* ivs = list_size (int_range 0 8) iv_gen in
+        let* xs = list_size (int_range 0 40) (int_range (-300) 300) in
+        let* lo = int_range (-300) 300 and* len = int_range (-1) 400 in
+        return (a, b, ivs, xs, lo, lo + len))
+      (fun (a, b, ivs, xs, lo, hi) ->
+        let ts = Iset.triplets a @ Iset.triplets b in
+        same "of_intervals" (Iset.of_intervals ivs) (Ref.of_intervals ivs)
+        && same "union" (Iset.union a b) (Ref.union a b)
+        && same "inter" (Iset.inter a b) (Ref.inter a b)
+        && same "diff" (Iset.diff a b) (Ref.diff a b)
+        && same "complement" (Iset.complement ~lo ~hi a) (Ref.complement ~lo ~hi a)
+        && same "of_triplets" (Iset.of_triplets ts) (Ref.of_triplets ts)
+        && same "of_list" (Iset.of_list xs) (Ref.of_list xs)
+        && Iset.equal a b = IS.equal (Ref.members a) (Ref.members b)
+        && Iset.subset a b = IS.subset (Ref.members a) (Ref.members b)
+        && Iset.intervals a = Ref.intervals a
+        && List.rev (Iset.fold_intervals (fun acc l h -> (l, h) :: acc) [] a)
+           = Ref.intervals a);
     prop "Triplet.of_sorted_list round-trips"
       QCheck2.Gen.(list_size (int_range 0 30) (int_range (-50) 50))
       (fun xs ->

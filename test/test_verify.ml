@@ -314,6 +314,22 @@ let test_payload_sizes () =
         must_compare)
     sampled_nprocs
 
+let words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+let fig4_runtime () =
+  let src = read_file (Filename.concat examples_dir "fig4.fd") in
+  let cp = Driver.check_source ~file:"fig4.fd" src in
+  let compile nprocs =
+    let opts =
+      { Options.default with strategy = Options.Runtime_resolution; nprocs }
+    in
+    (opts, (Driver.compile ~opts cp).Codegen.program)
+  in
+  (cp, compile)
+
 (* Replay allocation grows with the skeleton, not with every message
    ever sent.  fig4 under run-time resolution sends per-element
    messages; from P=8 to P=16 its events grow 1.9x.  A matcher that
@@ -322,19 +338,10 @@ let test_payload_sizes () =
    the same step.  Minor words, not time, so the bound holds on any
    host. *)
 let test_replay_alloc () =
-  let src = read_file (Filename.concat examples_dir "fig4.fd") in
-  let cp = Driver.check_source ~file:"fig4.fd" src in
+  let cp, compile = fig4_runtime () in
   let profile = Cost.profile_of_seq cp in
-  let words f =
-    let w0 = Gc.minor_words () in
-    ignore (Sys.opaque_identity (f ()));
-    Gc.minor_words () -. w0
-  in
   let cell nprocs =
-    let opts =
-      { Options.default with strategy = Options.Runtime_resolution; nprocs }
-    in
-    let prog = (Driver.compile ~opts cp).Codegen.program in
+    let opts, prog = compile nprocs in
     let w = Absint.walk ~nprocs prog in
     let skel =
       words (fun () ->
@@ -360,6 +367,26 @@ let test_replay_alloc () =
   bounded "Skeleton.run" s8 s16;
   bounded "Cost.analyze without its walk" c8 c16
 
+(* The abstract walk is flat in P.  fig4 under run-time resolution
+   guards every element with an owner test, and the resulting pid masks
+   ({0,2..7} and the like) are built straight from their intervals.
+   When every pid set of at most 256 members went through an
+   element-level canonicalization, the walk allocated 18x as much at
+   P=256 as at P=16. *)
+let test_walk_flat_in_p () =
+  let _, compile = fig4_runtime () in
+  let walk nprocs =
+    let _, prog = compile nprocs in
+    words (fun () -> Absint.walk ~nprocs prog)
+  in
+  let w16 = walk 16 and w256 = walk 256 in
+  ignore (Fd_support.Diag.take_warnings ());
+  check Alcotest.bool
+    (Fmt.str "Absint.walk allocates %.0f words at P=16 and %.0f at P=256 \
+              (%.2fx, bound 1.5x)" w16 w256 (w256 /. w16))
+    true
+    (w256 <= 1.5 *. w16)
+
 let suite =
   [
     Alcotest.test_case "good examples: sound and strict-clean" `Slow
@@ -373,4 +400,5 @@ let suite =
     Alcotest.test_case "payload sizes at sampled P" `Slow test_payload_sizes;
     Alcotest.test_case "replay allocation linear in the skeleton" `Slow
       test_replay_alloc;
+    Alcotest.test_case "walk allocation flat in P" `Slow test_walk_flat_in_p;
   ]
