@@ -703,6 +703,56 @@ let e17 () =
     "(every row's statistics are byte-compared against the domains=1 run;@.\
     \ speedup = sequential wall / parallel wall on this host)@."
 
+(* --- E19: interpreter time on the run-compute kernels -------------------------- *)
+
+(* The simulator and the sequential interpreter on the kernels of the
+   perfbench run-compute workload (full sizes there, smaller with
+   [quick]): best-of-k wall clock and the minor-heap words one run
+   allocates, for each interpreter. *)
+let e19 () =
+  header "E19: simulator and sequential interpreter on the run-compute kernels";
+  Fmt.pr "%-11s | %2s | %9s | %9s | %8s | %9s@." "program" "P" "sim (ms)" "sim (Mw)"
+    "seq (ms)" "seq (Mw)";
+  Fmt.pr "------------+----+-----------+-----------+----------+----------@.";
+  let reps = if quick then 3 else 5 in
+  (* best wall clock of [reps] runs, and the words one run allocates *)
+  let measure f =
+    let best = ref infinity and words = ref 0.0 in
+    for _ = 1 to reps do
+      let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+      f ();
+      best := Float.min !best ((Unix.gettimeofday () -. t0) *. 1e3);
+      words := Gc.minor_words () -. w0
+    done;
+    (!best, !words /. 1e6)
+  in
+  let sz q full = if quick then q else full in
+  List.iter
+    (fun (name, src) ->
+      let cp = Driver.check_source src in
+      List.iter
+        (fun p ->
+          let opts = { Options.default with Options.nprocs = p } in
+          let prog = (Driver.compile ~opts cp).Codegen.program in
+          let config = Driver.machine_config opts in
+          let frames = ref [||] and seq = ref None in
+          let t_sim, w_sim = measure (fun () -> frames := snd (Scheduler.run config prog)) in
+          let t_seq, w_seq = measure (fun () -> seq := Some (Seq_interp.run ~config cp)) in
+          if Gather.compare_results ~nprocs:p (Option.get !seq) !frames <> [] then
+            failwith "E19: simulation differs from the sequential run";
+          Fmt.pr "%-11s | %2d | %9.2f | %9.2f | %8.2f | %9.2f@." name p t_sim w_sim t_seq
+            w_seq)
+        [ 4; 8 ])
+    [ ("dgefa", Fd_workloads.Dgefa.source ~n:(sz 24 48) ());
+      ("jacobi2d", Fd_workloads.Stencil.jacobi2d ~n:(sz 32 64) ~t:(sz 4 10) ());
+      ("fig15", Fd_workloads.Figures.fig15 ~n:(sz 512 2048) ~t:(sz 5 20) ());
+      ("adi_dynamic", Fd_workloads.Adi.dynamic ~n:(sz 32 64) ~t:(sz 2 4) ());
+      ("redblack", Fd_workloads.Stencil.redblack ~n:(sz 512 2048) ~t:(sz 4 8) ()) ];
+  Fmt.pr
+    "(interproc strategy; Mw = millions of minor-heap words one run@.\
+    \ allocates; every row's final arrays are compared with the@.\
+    \ sequential run)@."
+
 let () =
   let high_p = e8_high_p_measure () in
   Fmt.pr "Fortran D interprocedural compilation - experiment tables@.";
@@ -725,5 +775,6 @@ let () =
   e16 ();
   e17 ();
   e18 ();
+  e19 ();
   if micro then e8b ();
   Fmt.pr "@.all experiments verified against sequential execution.@."

@@ -73,8 +73,12 @@ let run ?sink ?(opts = Options.default) ?machine ?(verify = false) ?tracer
   in
   run_compiled ?machine ?budget ~opts ~report cp compiled
 
-let run_source ?sink ?opts ?machine ?verify ?tracer ?budget ?file src =
-  run ?sink ?opts ?machine ?verify ?tracer ?budget (check_source ?file ?sink src)
+(* [sema] raises the frontend's errors: a run never compiles past them. *)
+let run_source ?(sink = Fd_support.Diag.sink ()) ?(opts = Options.default) ?machine
+    ?(verify = false) ?tracer ?budget ?file src =
+  let ctx = Pipeline.of_source ~sink ~opts ?file src in
+  let compiled, report = compile_ctx ~verify ?tracer ctx in
+  run_compiled ?machine ?budget ~opts ~report (Pass.get_checked ctx) compiled
 
 let verified r = r.mismatches = [] && r.outputs_match
 

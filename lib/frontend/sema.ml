@@ -169,6 +169,15 @@ type env = {
 
 let err env fmt = Diag.error_to env.sink ~loc:env.loc fmt
 
+(* The element type a unit declares for its array [name]. *)
+let formal_elt (u : Ast.punit) name =
+  List.find_map
+    (function
+      | Ast.Dcl_type (ty, ds) when List.exists (fun (n, dims) -> n = name && dims <> []) ds ->
+        Some ty
+      | _ -> None)
+    u.Ast.decls
+
 let rec resolve_expr env (e : Ast.expr) : Ast.expr * ty =
   match e with
   | Ast.Int_const _ -> (e, Tint)
@@ -363,7 +372,21 @@ let rec resolve_stmt all_units env (s : Ast.stmt) : Ast.stmt =
           err env "%s is not a subroutine" name;
         if List.length args <> List.length callee.Ast.formals then
           err env "subroutine %s expects %d arguments, got %d" name
-            (List.length callee.Ast.formals) (List.length args);
+            (List.length callee.Ast.formals) (List.length args)
+        else
+          (* a whole array passes by reference: the callee reads it with
+             the formal's element type *)
+          List.iter2
+            (fun a f ->
+              match (a, formal_elt callee f) with
+              | Ast.Var v, Some fty -> (
+                match Symtab.array_info env.symtab v with
+                | Some { elt; _ } when elt <> fty ->
+                  err env "%s array %s passed to %s array formal %s of %s"
+                    (Ast_printer.dtype_name elt) v (Ast_printer.dtype_name fty) f name
+                | _ -> ())
+              | _ -> ())
+            args callee.Ast.formals;
         let args' =
           List.map
             (fun a ->

@@ -30,35 +30,37 @@ let flush_ticks (env : Eval.env) =
 
 (* --- Node-only intrinsics ------------------------------------------------ *)
 
-let intrinsic sc name args : Eval.code option =
+let intrinsic sc name args : Eval.typed option =
   match (name, args) with
-  | "myproc", [] -> Some (fun env -> Value.Vint env.Eval.proc)
-  | "nprocs", [] -> Some (fun env -> Value.Vint env.Eval.nprocs)
+  | "myproc", [] -> Some (Eval.Int (fun env -> env.Eval.proc))
+  | "nprocs", [] -> Some (Eval.Int (fun env -> env.Eval.nprocs))
   | "tab$", sel :: consts ->
     (* compile-time table select: tab$(i, c0, c1, ...) = c_i *)
     let sel = Eval.int_expr sc sel and consts = Array.of_list (List.map (Eval.expr sc) consts) in
     Some
-      (fun env ->
-        let i = sel env in
-        if i < 0 || i >= Array.length consts then Diag.error "tab$ index %d out of range" i
-        else consts.(i) env)
+      (Eval.Boxed
+         (fun env ->
+           let i = sel env in
+           if i < 0 || i >= Array.length consts then Diag.error "tab$ index %d out of range" i
+           else consts.(i) env))
   | "owner$", Ast.Var arr :: subs ->
     (* run-time resolution: owner of an element under the array's current
        layout; replicated arrays are owned locally.  Only the distributed
        dimension's subscript is evaluated, bounds-checked as a read is. *)
     let obj = Eval.array_obj sc arr and subs = Array.of_list (List.map (Eval.int_expr sc) subs) in
     Some
-      (fun env ->
-        let o = obj env in
-        match o.Storage.layout.Layout.dist_dim with
-        | None -> Value.Vint env.Eval.proc
-        | Some d ->
-          if d >= Array.length subs then
-            Diag.error "array %s: rank %d referenced with %d subscripts" arr (Storage.rank o)
-              (Array.length subs);
-          let x = subs.(d) env in
-          Storage.check_subscript o d x;
-          Value.Vint (Layout.owner_of o.Storage.layout ~nprocs:env.Eval.nprocs x))
+      (Eval.Int
+         (fun env ->
+           let o = obj env in
+           match o.Storage.layout.Layout.dist_dim with
+           | None -> env.Eval.proc
+           | Some d ->
+             if d >= Array.length subs then
+               Diag.error "array %s: rank %d referenced with %d subscripts" arr (Storage.rank o)
+                 (Array.length subs);
+             let x = subs.(d) env in
+             Storage.check_subscript o d x;
+             Layout.owner_of o.Storage.layout ~nprocs:env.Eval.nprocs x))
   | _ -> None
 
 (* --- Sections ------------------------------------------------------------- *)
@@ -184,7 +186,7 @@ let rec stmt sc (s : Node.nstmt) : Eval.env -> unit =
       let cell = cell env in
       let read () = [ ([||], !cell) ] in
       let write = function
-        | [ (_, v) ] -> cell := v
+        | [ (_, v) ] -> Eval.store cell v
         | _ -> Diag.error "scalar broadcast payload mismatch"
       in
       Eff.collective ~site ~loc (Eff.Coll_bcast { root = r; label = name; read; write })

@@ -126,15 +126,44 @@ let set_raw obj flat (v : Value.t) =
 let index_of obj flat =
   Array.mapi (fun d (lo, hi) -> lo + (flat / obj.strides.(d) mod (hi - lo + 1))) obj.bounds
 
-let read_flat ~strict obj flat =
+let check_valid ~strict obj flat =
   if strict && Bytes.get obj.valid flat = '\000' then
-    raise (Invalid_read { array = obj.name; index = index_of obj flat; proc = obj.owner_proc });
+    raise (Invalid_read { array = obj.name; index = index_of obj flat; proc = obj.owner_proc })
+
+let read_flat ~strict obj flat =
+  check_valid ~strict obj flat;
   get_raw obj flat
+
+let elt_mismatch obj =
+  Diag.internal ~pass:"simulate" "array %s read with a type it does not hold" obj.name
+
+let read_int ~strict obj flat =
+  check_valid ~strict obj flat;
+  match obj.data with Idata a -> a.(flat) | _ -> elt_mismatch obj
+
+let read_float ~strict obj flat =
+  check_valid ~strict obj flat;
+  match obj.data with Fdata a -> a.(flat) | _ -> elt_mismatch obj
 
 let read ~strict obj idx = read_flat ~strict obj (flat_index obj idx)
 
 let write_flat obj flat v =
   set_raw obj flat v;
+  Bytes.set obj.valid flat '\001'
+
+(* [write_flat] of a [Vint n] or a [Vreal x], unboxed. *)
+let write_int obj flat n =
+  (match obj.data with
+  | Idata a -> a.(flat) <- n
+  | Fdata a -> a.(flat) <- float_of_int n
+  | Bdata _ -> set_raw obj flat (Value.Vint n));
+  Bytes.set obj.valid flat '\001'
+
+let write_float obj flat x =
+  (match obj.data with
+  | Fdata a -> a.(flat) <- x
+  | Idata a -> a.(flat) <- int_of_float x
+  | Bdata _ -> set_raw obj flat (Value.Vreal x));
   Bytes.set obj.valid flat '\001'
 
 let write obj idx v = write_flat obj (flat_index obj idx) v

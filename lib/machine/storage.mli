@@ -57,11 +57,21 @@ val read_flat : strict:bool -> array_obj -> int -> Value.t
 (** The element at a flat index.
     @raise Invalid_read in strict mode on invalid elements. *)
 
+val read_int : strict:bool -> array_obj -> int -> int
+val read_float : strict:bool -> array_obj -> int -> float
+(** [read_flat] of an INTEGER or a REAL array, unboxed.
+    @raise Fd_support.Diag.Internal_error on an array of another type. *)
+
 val read : strict:bool -> array_obj -> int array -> Value.t
 (** [read_flat] at [flat_index]. *)
 
 val write_flat : array_obj -> int -> Value.t -> unit
 (** Stores and validates. *)
+
+val write_int : array_obj -> int -> int -> unit
+val write_float : array_obj -> int -> float -> unit
+(** [write_flat] of a [Vint] or a [Vreal], unboxed, with {!set_raw}'s
+    conversions and errors. *)
 
 val write : array_obj -> int array -> Value.t -> unit
 (** [write_flat] at [flat_index]. *)

@@ -15,24 +15,33 @@ open Fd_machine
 let prop ?(count = 400) ?print name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen f)
 
-(* --- Random expressions ------------------------------------------------- *)
+(* --- Random cases ---------------------------------------------------------- *)
 
-(* Free names: integer i, real x, logical l, PARAMETER np and a real
-   array a(1:4).  Subscripts may leave 1..4; integer division and mod may
-   divide by zero; both evaluators must then fail. *)
+(* Names: integer i, real x, logical l, PARAMETER np, arrays a(1:4)
+   real, ka(1:4) integer and la(1:4) logical, and the formal f, bound to
+   an INTEGER actual in one run and to a REAL actual in another.
+   Subscripts may leave 1..4; integer division and mod may divide by
+   zero; logical operands reach arithmetic and comparisons; both
+   evaluators must then fail. *)
 let i0 = 3
 let x0 = 2.5
 let np = 7
 let avals = [| 0.5; -1.25; 3.0; 4.75 |]
+let kvals = [| 5; -2; 0; 7 |]
+let lvals = [| true; false; true; false |]
 
 let gen_expr : Ast.expr QCheck2.Gen.t =
   let open QCheck2.Gen in
   let arith = oneofl [ Ast.Add; Ast.Sub; Ast.Mul; Ast.Div ] in
+  let sub =
+    oneof [ map (fun n -> Ast.Int_const n) (int_range 0 5); return (Ast.Var "i") ]
+  in
   let rec int_e d =
     let leaf =
       oneof
         [ map (fun n -> Ast.Int_const n) (int_range (-9) 9);
-          return (Ast.Var "i"); return (Ast.Var "np") ]
+          return (Ast.Var "i"); return (Ast.Var "np");
+          map (fun s -> Ast.Ref ("ka", [ s ])) sub ]
     in
     if d = 0 then leaf
     else
@@ -45,13 +54,15 @@ let gen_expr : Ast.expr QCheck2.Gen.t =
           map2 (fun a b -> Ast.Funcall ("mod", [ a; b ])) s s;
           map (fun a -> Ast.Funcall ("abs", [ a ])) s;
           map (fun a -> Ast.Funcall ("int", [ a ])) (num_e (d - 1));
+          map2 (fun f args -> Ast.Funcall (f, args)) (oneofl [ "max"; "min" ])
+            (list_size (int_range 2 3) s);
           map2 (fun a b -> Ast.Funcall ("sign", [ a; b ])) s (num_e (d - 1)) ]
   and num_e d =
     let leaf =
       oneof
         [ int_e 0;
           map (fun f -> Ast.Real_const f) (float_range (-8.0) 8.0);
-          return (Ast.Var "x");
+          return (Ast.Var "x"); return (Ast.Var "f");
           map (fun s -> Ast.Ref ("a", [ s ])) (int_e 0) ]
     in
     if d = 0 then leaf
@@ -71,18 +82,53 @@ let gen_expr : Ast.expr QCheck2.Gen.t =
             (list_size (int_range 2 4) s);
           map (fun s -> Ast.Ref ("a", [ s ])) (int_e (d - 1)) ]
   and bool_e d =
-    let leaf = oneof [ map (fun b -> Ast.Logical_const b) bool; return (Ast.Var "l") ] in
+    let leaf =
+      oneof
+        [ map (fun b -> Ast.Logical_const b) bool; return (Ast.Var "l");
+          map (fun s -> Ast.Ref ("la", [ s ])) sub ]
+    in
     if d = 0 then leaf
     else
       let s = bool_e (d - 1) and n = num_e (d - 1) in
+      let operand = frequency [ (4, n); (1, s) ] in
+      let rel = oneofl [ Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge; Ast.Eq; Ast.Ne ] in
+      (* an int against a boxed real, often one it truncates to *)
+      let int_side = oneof [ int_e (d - 1); map (fun n -> Ast.Int_const n) (int_range 1 3) ] in
+      let boxed_side = oneofl [ Ast.Var "x"; Ast.Var "f" ] in
       oneof
         [ leaf;
-          map3 (fun op a b -> Ast.Bin (op, a, b))
-            (oneofl [ Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge; Ast.Eq; Ast.Ne ]) n n;
+          map3 (fun op a b -> Ast.Bin (op, a, b)) rel operand operand;
+          map3 (fun op a b -> Ast.Bin (op, a, b)) rel int_side boxed_side;
+          map3 (fun op a b -> Ast.Bin (op, a, b)) rel boxed_side int_side;
           map3 (fun op a b -> Ast.Bin (op, a, b)) (oneofl [ Ast.And; Ast.Or ]) s s;
           map (fun a -> Ast.Un (Ast.Not, a)) s ]
   in
   int_range 0 4 >>= fun d -> oneof [ num_e d; bool_e d ]
+
+(* A case: an optional DO loop [do v = 1, k] with an empty body, then
+   either an expression or an assignment of one, which reads back its
+   target. *)
+type case = { pre : (string * int) option; lhs : Ast.expr option; rhs : Ast.expr }
+
+let gen_case : case QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* pre = opt (pair (oneofl [ "i"; "x"; "l"; "f" ]) (int_range 0 3)) in
+  let* lhs =
+    opt
+      (oneof
+         [ map (fun v -> Ast.Var v) (oneofl [ "i"; "x"; "l"; "f" ]);
+           map2 (fun a s -> Ast.Ref (a, [ Ast.Int_const s ])) (oneofl [ "a"; "ka"; "la" ])
+             (int_range 0 5) ])
+  in
+  let* rhs = gen_expr in
+  return { pre; lhs; rhs }
+
+let print_case c =
+  let e = Fmt.str "%a" Ast_printer.pp_expr in
+  Fmt.str "%s%s%s"
+    (match c.pre with Some (v, k) -> Fmt.str "do %s = 1, %d; " v k | None -> "")
+    (match c.lhs with Some l -> e l ^ " = " | None -> "")
+    (e c.rhs)
 
 (* --- The native oracle ---------------------------------------------------- *)
 
@@ -93,8 +139,9 @@ exception Fails
 let config = Config.ipsc860 ~nprocs:1 ()
 
 (* Evaluate with native OCaml arithmetic, counting flops and mem-ops and
-   adding their costs to [pending] in evaluation order. *)
-let native e =
+   adding their costs to [pending] in evaluation order.  [f] is the
+   formal's actual: the INTEGER or the REAL one. *)
+let native ~f_real c =
   let flops = ref 0 and mems = ref 0 and pending = ref 0.0 in
   let flop () = incr flops; pending := !pending +. config.Config.flop in
   let mem () = incr mems; pending := !pending +. config.Config.mem_op in
@@ -102,19 +149,34 @@ let native e =
   let i = function I n -> n | R x -> int_of_float x | B _ -> raise Fails in
   let b = function B v -> v | _ -> raise Fails in
   let cmp x y = match (x, y) with I m, I n -> compare m n | _ -> compare (f x) (f y) in
+  let vars = Hashtbl.create 4 in
+  List.iter (fun (v, x) -> Hashtbl.replace vars v x)
+    [ ("i", I i0); ("x", R x0); ("l", B true); ("f", if f_real then R x0 else I i0) ];
+  (* a store keeps a scalar's type; a LOGICAL scalar takes any value *)
+  let store v x =
+    Hashtbl.replace vars v
+      (match (Hashtbl.find vars v, x) with
+      | I _, _ -> I (i x)
+      | R _, _ -> R (f x)
+      | B _, _ -> x)
+  in
+  let element arr k =
+    if k < 1 || k > 4 then raise Fails;
+    match arr with
+    | "a" -> R avals.(k - 1)
+    | "ka" -> I kvals.(k - 1)
+    | _ -> B lvals.(k - 1)
+  in
   let rec ev = function
     | Ast.Int_const n -> I n
     | Ast.Real_const x -> R x
     | Ast.Logical_const v -> B v
-    | Ast.Var "i" -> I i0
-    | Ast.Var "x" -> R x0
-    | Ast.Var "l" -> B true
     | Ast.Var "np" -> I np
-    | Ast.Ref ("a", [ s ]) ->
+    | Ast.Var v -> Hashtbl.find vars v
+    | Ast.Ref (arr, [ s ]) ->
       let k = i (ev s) in
       mem ();
-      if k < 1 || k > 4 then raise Fails;
-      R avals.(k - 1)
+      element arr k
     | Ast.Bin (Ast.And, x, y) -> let vx = b (ev x) in flop (); B (vx && b (ev y))
     | Ast.Bin (Ast.Or, x, y) -> let vx = b (ev x) in flop (); B (vx || b (ev y))
     | Ast.Bin (op, x, y) -> (
@@ -136,6 +198,8 @@ let native e =
       | Ast.Mul, _, _ -> R (f vx *. f vy)
       | Ast.Div, _, _ -> R (f vx /. f vy)
       | Ast.Pow, _, _ -> R (Float.pow (f vx) (f vy))
+      | Ast.Eq, B p, B q -> B (p = q)
+      | Ast.Ne, B p, B q -> B (p <> q)
       | Ast.Eq, I m, I n -> B (m = n)
       | Ast.Ne, I m, I n -> B (m <> n)
       | Ast.Eq, _, _ -> B (Float.equal (f vx) (f vy))
@@ -177,43 +241,89 @@ let native e =
       | _ -> raise Fails)
     | _ -> raise Fails
   in
-  match ev e with v -> Some (v, !flops, !mems, !pending) | exception Fails -> None
+  let run () =
+    (match c.pre with
+    | Some (v, k) -> for n = 1 to k do store v (I n); flop () done
+    | None -> ());
+    let x = ev c.rhs in
+    match c.lhs with
+    | None -> (x, (!flops, !mems, !pending))
+    | Some (Ast.Var v) -> mem (); store v x; (Hashtbl.find vars v, (!flops, !mems, !pending))
+    | Some (Ast.Ref (arr, [ Ast.Int_const k ])) ->
+      mem ();
+      let stored =
+        match element arr k with I _ -> I (i x) | R _ -> R (f x) | B _ -> B (b x)
+      in
+      (stored, (!flops, !mems, !pending))
+    | Some _ -> raise Fails
+  in
+  match run () with r -> Some r | exception Fails -> None
 
 (* --- The evaluator under test --------------------------------------------- *)
 
-let evaluate e =
+(* The case runs in subroutine [s(f)], called from a main program whose
+   INTEGER or REAL local is the actual. *)
+let evaluate ~f_real c =
   let layout = Layout.replicated [ (1, 4) ] in
-  let u =
-    Eval.unit_code ~formals:[]
-      ~arrays:[ { Node.ad_name = "a"; ad_elt = Ast.Real; ad_layout = layout } ]
+  let arr name elt = { Node.ad_name = name; ad_elt = elt; ad_layout = layout } in
+  let s =
+    Eval.unit_code ~formals:[ "f" ]
+      ~arrays:[ arr "a" Ast.Real; arr "ka" Ast.Integer; arr "la" Ast.Logical ]
       ~scalars:[ ("i", Ast.Integer); ("x", Ast.Real); ("l", Ast.Logical) ]
       ~is_common:(fun _ -> false)
   in
+  let main =
+    Eval.unit_code ~formals:[] ~arrays:[] ~scalars:[ ("mi", Ast.Integer); ("mx", Ast.Real) ]
+      ~is_common:(fun _ -> false)
+  in
   let globals = Eval.globals ~arrays:[] ~scalars:[] in
-  let sc =
-    { Eval.unit = u; globals; units = Hashtbl.create 1;
+  let units = Hashtbl.create 1 in
+  Hashtbl.replace units "s" s;
+  let scope u =
+    { Eval.unit = u; globals; units;
       params = (fun n -> if n = "np" then Some np else None);
       hook = (fun _ _ _ -> None) }
   in
-  let code = Eval.expr sc e in
-  let cell = Eval.scalar_cell sc and arr = Eval.array_obj sc "a" in
+  let sc = scope s and scm = scope main in
+  let pre =
+    match c.pre with
+    | Some (v, k) ->
+      Eval.do_loop sc ~var:v ~lo:(Ast.Int_const 1) ~hi:(Ast.Int_const k) ~step:None ignore
+    | None -> ignore
+  in
+  let counters (env : Eval.env) =
+    (env.Eval.stats.Stats.flops, env.Eval.stats.Stats.mem_ops, env.Eval.clock.Eval.pending)
+  in
+  let run =
+    match c.lhs with
+    | None -> let e = Eval.expr sc c.rhs in fun env -> let v = e env in (v, counters env)
+    | Some lhs ->
+      let st = Eval.assign sc lhs c.rhs and back = Eval.expr sc lhs in
+      fun env -> st env; let n = counters env in (back env, n)
+  in
+  let cell = Eval.scalar_cell sc and obj = Eval.array_obj sc in
   let ci = cell "i" and cx = cell "x" and cl = cell "l" in
   let result = ref None in
-  u.Eval.u_body <-
+  s.Eval.u_body <-
     (fun env ->
       ci env := Value.Vint i0;
       cx env := Value.Vreal x0;
       cl env := Value.Vbool true;
-      Array.iteri (fun k v -> Storage.write (arr env) [| k + 1 |] (Value.Vreal v)) avals;
-      result :=
-        match code env with
-        | v -> Some (v, env.Eval.stats.Stats.flops, env.Eval.stats.Stats.mem_ops,
-                     env.Eval.clock.Eval.pending)
-        | exception Diag.Compile_error _ -> None);
-  let env =
-    Eval.env ~proc:0 ~nprocs:1 ~strict:false ~config ~stats:(Stats.create 1)
-  in
-  ignore (Eval.run_main env ~globals u);
+      let fill name v = Array.iteri (fun k x -> Storage.write (obj name env) [| k + 1 |] (v x)) in
+      fill "a" (fun x -> Value.Vreal x) avals;
+      fill "ka" (fun n -> Value.Vint n) kvals;
+      fill "la" Value.of_bool lvals;
+      result := match pre env; run env with r -> Some r | exception Diag.Compile_error _ -> None);
+  let actual = if f_real then "mx" else "mi" in
+  let mi = Eval.scalar_cell scm "mi" and mx = Eval.scalar_cell scm "mx" in
+  let call = Eval.call scm "s" [ Ast.Var actual ] in
+  main.Eval.u_body <-
+    (fun env ->
+      mi env := Value.Vint i0;
+      mx env := Value.Vreal x0;
+      call env);
+  let env = Eval.env ~proc:0 ~nprocs:1 ~strict:false ~config ~stats:(Stats.create 1) in
+  ignore (Eval.run_main env ~globals main);
   !result
 
 let same_value nv (v : Value.t) =
@@ -225,14 +335,17 @@ let same_value nv (v : Value.t) =
   | _ -> false
 
 let eval_matches_native =
-  prop ~count:1000 ~print:(Fmt.str "%a" Ast_printer.pp_expr)
-    "evaluator = native arithmetic (value, flops, mem-ops, pending bits)" gen_expr (fun e ->
-      match (native e, evaluate e) with
-      | None, None -> true
-      | Some (nv, fl, mm, pend), Some (v, fl', mm', pend') ->
-        same_value nv v && fl = fl' && mm = mm'
-        && Int64.equal (Int64.bits_of_float pend) (Int64.bits_of_float pend')
-      | _ -> false)
+  prop ~count:4000 ~print:print_case
+    "evaluator = native arithmetic (value, flops, mem-ops, pending bits)" gen_case (fun c ->
+      List.for_all
+        (fun f_real ->
+          match (native ~f_real c, evaluate ~f_real c) with
+          | None, None -> true
+          | Some (nv, (fl, mm, pend)), Some (v, (fl', mm', pend')) ->
+            same_value nv v && fl = fl' && mm = mm'
+            && Int64.equal (Int64.bits_of_float pend) (Int64.bits_of_float pend')
+          | _ -> false)
+        [ false; true ])
 
 (* --- Storage validity ------------------------------------------------------ *)
 
@@ -340,10 +453,49 @@ let fuzz_case_196845 () =
       (Fd_fuzz.Harness.kind_detail k)
   | Fd_fuzz.Harness.Accepted | Fd_fuzz.Harness.Rejected -> ()
 
+(* --- Every scalar write keeps the cell's type ------------------------------- *)
+
+(* An implicitly REAL DO variable holds reals: x / 2 divides as reals. *)
+let real_do_variable () =
+  let src =
+    "program p\n  real y\n  y = 0.0\n  do x = 1, 3\n    y = y + x / 2\n  enddo\n  print *, y\nend\n"
+  in
+  let r = Fd_core.Driver.run_source ~opts:{ Fd_core.Options.default with nprocs = 2 } src in
+  Alcotest.(check (list string)) "output" [ "3" ] (Stats.outputs r.Fd_core.Driver.stats);
+  Alcotest.(check bool) "verified" true (Fd_core.Driver.verified r)
+
+(* A broadcast scalar is stored as assignment stores it: processor 1's
+   formal is its INTEGER k, so the root's real 2.5 arrives as 2. *)
+let broadcast_keeps_type () =
+  let s =
+    { Node.np_name = "s"; np_formals = [ "v" ]; np_arrays = []; np_scalars = [];
+      np_body =
+        [ Node.N_bcast { root = Ast.Int_const 0; payload = Node.P_scalar "v"; site = 1;
+                         loc = Loc.none } ] }
+  in
+  let body =
+    [ Node.N_assign (Ast.Var "x", Ast.Real_const 2.5);
+      Node.N_if { cond = Ast.Bin (Ast.Eq, myp, Ast.Int_const 0);
+                  then_ = [ Node.N_call ("s", [ Ast.Var "x" ]) ];
+                  else_ = [ Node.N_call ("s", [ Ast.Var "k" ]) ]; loc = Loc.none };
+      Node.N_print [ Ast.Bin (Ast.Add, Ast.Var "k", Ast.Int_const 1) ] ]
+  in
+  let p = prog body in
+  let p = { p with Node.n_procs = p.Node.n_procs @ [ s ] } in
+  let stats, frames = Scheduler.run (Config.make ~nprocs:2 ()) p in
+  (match Hashtbl.find frames.(1) "k" with
+  | Eval.Bscalar { contents = Value.Vint 2 } -> ()
+  | Eval.Bscalar r -> Alcotest.failf "k = %s" (Value.to_string !r)
+  | Eval.Barray _ -> Alcotest.fail "k is an array");
+  Alcotest.(check (list string)) "k + 1 on each processor" [ "1"; "3" ]
+    (List.sort compare (Stats.outputs stats))
+
 let suite =
   [ eval_matches_native;
     validity_property;
     Alcotest.test_case "message peer outside 0..P-1 is a located runtime error" `Quick
       peer_out_of_range;
     Alcotest.test_case "owner$ bounds-checks its subscript" `Quick owner_bounds_checked;
-    Alcotest.test_case "fuzz case 196845 does not crash" `Quick fuzz_case_196845 ]
+    Alcotest.test_case "fuzz case 196845 does not crash" `Quick fuzz_case_196845;
+    Alcotest.test_case "a REAL DO variable holds reals" `Quick real_do_variable;
+    Alcotest.test_case "a broadcast scalar keeps the cell's type" `Quick broadcast_keeps_type ]

@@ -197,6 +197,20 @@ let fdc_exe =
 
 let run_fdc args = Sys.command (Fmt.str "%s %s >/dev/null 2>&1" fdc_exe args)
 
+(* The lines [fdc args] writes to stderr. *)
+let fdc_stderr args =
+  let err = Filename.temp_file "fdc" ".err" in
+  ignore (Sys.command (Fmt.str "%s %s >/dev/null 2>%s" fdc_exe args (Filename.quote err)));
+  let lines = String.split_on_char '\n' (read_file err) in
+  Sys.remove err;
+  lines
+
+(* A call with one actual too many: sema rejects it, so no later pass
+   sees it. *)
+let arity_source =
+  "program p\n  integer k\n  k = 4\n  call half(k, 3)\nend\n\
+   subroutine half(n)\n  integer n\n  n = n / 2\nend\n"
+
 let test_cli_exit_codes () =
   let ex name = Filename.concat examples_dir name in
   check Alcotest.int "check clean -> 0" 0 (run_fdc ("check " ^ ex "fig1.fd"));
@@ -210,6 +224,13 @@ let test_cli_exit_codes () =
     (run_fdc ("check " ^ bad "bad_sema.fd"));
   check Alcotest.int "run on bad source -> 2" 2
     (run_fdc ("run " ^ bad "bad_sema.fd"));
+  check Alcotest.(list string) "run reports check's located sema errors"
+    (fdc_stderr ("check " ^ bad "bad_sema.fd"))
+    (fdc_stderr ("run " ^ bad "bad_sema.fd"));
+  let arity = Filename.temp_file "arity" ".fd" in
+  Out_channel.with_open_bin arity (fun oc -> output_string oc arity_source);
+  check Alcotest.int "run on an arity mismatch -> 2" 2 (run_fdc ("run " ^ arity));
+  Sys.remove arity;
   check Alcotest.int "simulation failure -> 3" 3
     (run_fdc ("run --drop 1.0 " ^ ex "fig1.fd"));
   check Alcotest.int "budgeted run stays 0 (partial, not abort)" 0
