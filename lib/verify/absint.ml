@@ -48,7 +48,33 @@ type aobj = {
 
 type binding = Bscalar of Absdom.t ref | Barray of aobj
 
-type frame = (string, binding) Hashtbl.t
+(* One activation of a resolved procedure: a binding per slot. *)
+type frame = binding array
+
+(* A name as one procedure sees it: a slot of its frame, or the
+   walk-wide COMMON binding. *)
+type slot = Local of int | Common of binding
+
+(* Compiled forms: an expression evaluates on a frame; a statement runs
+   on a frame under a mask and returns the mask still live (act minus
+   the processors that executed RETURN). *)
+type expr = frame -> Absdom.t
+type code = frame -> Iset.t -> Iset.t
+
+(* A node procedure resolved once per walk (see [resolve]). *)
+type rproc = {
+  r_fresh : unit -> frame;  (* a new activation, formals unbound *)
+  r_formals : int list;  (* the slot of each formal, in order *)
+  r_body : code list;
+}
+
+(* Resolution context: the procedure's name lookup, and the arrays a
+   receive may snapshot, each name with its candidate slots in
+   precedence order (local, then COMMON). *)
+type scope = {
+  sc_slot : string -> slot;
+  sc_visible : (string * slot list) list;
+}
 
 (* One unverifiable-control-flow region instance, in walk order.  The
    buffered branch events never reach the main stream (only Ev_assume
@@ -70,8 +96,8 @@ type w = {
   oracle : (Loc.t -> bool option) option;
       (* branch profile consulted before falling back to regions *)
   budget : Budget.state option;
-  globals : frame;
-  mutable frames : frame list;
+  globals : (string, binding) Hashtbl.t;  (* COMMON, read by [resolve] *)
+  procs : (string, rproc) Hashtbl.t;  (* callees resolved so far *)
   mutable fuel : int;
   mutable uncertain : int;  (* depth of unverifiable regions *)
   mutable buf : Skeleton.event list ref;  (* current emission buffer *)
@@ -81,7 +107,7 @@ type w = {
   send_stats : (Loc.t * int, int ref * int ref) Hashtbl.t;
       (* per (site, tag): nonempty, empty *)
   comm_memo : (string, bool) Hashtbl.t;
-  finding_seen : (string, unit) Hashtbl.t;
+  finding_seen : (string * string * int * int, unit) Hashtbl.t;
   mutable regions : region list;  (* reversed; see [region] *)
 }
 
@@ -99,8 +125,8 @@ type result = {
 (* One finding per (kind, site) — the walk revisits statements (loop
    unrolling), the report should not. *)
 let addf w ?(loc = Loc.none) ?proc ?tag ?site sev kind msg =
-  let key = Fmt.str "%s|%s|%d|%d" kind loc.Loc.file loc.Loc.line
-      (match site with Some s -> s | None -> -1)
+  let key =
+    (kind, loc.Loc.file, loc.Loc.line, Option.value ~default:(-1) site)
   in
   if not (Hashtbl.mem w.finding_seen key) then begin
     Hashtbl.replace w.finding_seen key ();
@@ -126,11 +152,6 @@ let burn w =
 
 (* --- environment (mirrors Interp's frames) --------------------------- *)
 
-let current_frame w =
-  match w.frames with
-  | f :: _ -> f
-  | [] -> raise (Stuck "no active frame")
-
 let implicit_zero name =
   if String.length name > 0 && name.[0] >= 'i' && name.[0] <= 'n' then
     Absdom.Uni (Absdom.Pint 0)
@@ -141,27 +162,23 @@ let zero_of = function
   | Ast.Real -> Absdom.Uni (Absdom.Preal 0.0)
   | Ast.Logical -> Absdom.Uni (Absdom.Pbool false)
 
-let lookup w name : binding =
-  let frame = current_frame w in
-  match Hashtbl.find_opt frame name with
-  | Some b -> b
-  | None -> (
-    match Hashtbl.find_opt w.globals name with
-    | Some b -> b
-    | None ->
-      let b = Bscalar (ref (implicit_zero name)) in
-      Hashtbl.replace frame name b;
-      b)
+let get (fr : frame) = function Local i -> fr.(i) | Common b -> b
 
-let scalar_cell w name =
-  match lookup w name with
+let cell_of fr s name =
+  match get fr s with
   | Bscalar r -> r
   | Barray _ -> raise (Stuck (Fmt.str "array %s used as a scalar" name))
 
-let array_obj w name =
-  match lookup w name with
-  | Barray o -> o
-  | Bscalar _ -> raise (Stuck (Fmt.str "scalar %s used as an array" name))
+let scalar_cell sc name =
+  let s = sc.sc_slot name in
+  fun fr -> cell_of fr s name
+
+let array_obj sc name =
+  let s = sc.sc_slot name in
+  fun fr ->
+    match get fr s with
+    | Barray o -> o
+    | Bscalar _ -> raise (Stuck (Fmt.str "scalar %s used as an array" name))
 
 let alloc_aobj (ad : Node.array_decl) =
   {
@@ -187,93 +204,116 @@ let binop_of : Ast.binop -> Absdom.binop = function
   | Ast.And -> Absdom.And
   | Ast.Or -> Absdom.Or
 
-let rec eval w (e : Ast.expr) : Absdom.t =
+let const v : expr = fun _ -> v
+
+(* Compile [e] against [sc]; names resolve now, misuse raises [Stuck]
+   when the expression is evaluated. *)
+let rec eval w sc (e : Ast.expr) : expr =
   let n = w.n in
   match e with
-  | Ast.Int_const i -> Absdom.Uni (Absdom.Pint i)
-  | Ast.Real_const f -> Absdom.Uni (Absdom.Preal f)
-  | Ast.Logical_const b -> Absdom.Uni (Absdom.Pbool b)
+  | Ast.Int_const i -> const (Absdom.Uni (Absdom.Pint i))
+  | Ast.Real_const f -> const (Absdom.Uni (Absdom.Preal f))
+  | Ast.Logical_const b -> const (Absdom.Uni (Absdom.Pbool b))
   | Ast.Var v -> (
-    match lookup w v with
-    | Bscalar r -> !r
-    | Barray _ -> raise (Stuck (Fmt.str "whole array %s used as a value" v)))
+    let s = sc.sc_slot v in
+    fun fr ->
+      match get fr s with
+      | Bscalar r -> !r
+      | Barray _ -> raise (Stuck (Fmt.str "whole array %s used as a value" v)))
   | Ast.Ref (name, _) ->
     (* the uniform-data assumption: distributed values are unknown but
        processor-consistent (DESIGN.md 6c) *)
-    ignore (array_obj w name);
-    Absdom.unknown
+    let obj = array_obj sc name in
+    fun fr ->
+      ignore (obj fr);
+      Absdom.unknown
   | Ast.Bin (op, a, b) ->
-    Absdom.app2 ~n (binop_of op) (eval w a) (eval w b)
-  | Ast.Un (Ast.Neg, a) -> Absdom.app1 ~n Absdom.Neg (eval w a)
-  | Ast.Un (Ast.Not, a) -> Absdom.app1 ~n Absdom.Not (eval w a)
-  | Ast.Funcall (name, args) -> intrinsic w name args
+    let op = binop_of op and a = eval w sc a and b = eval w sc b in
+    fun fr -> Absdom.app2 ~n op (a fr) (b fr)
+  | Ast.Un (Ast.Neg, a) -> app1 w sc Absdom.Neg a
+  | Ast.Un (Ast.Not, a) -> app1 w sc Absdom.Not a
+  | Ast.Funcall (name, args) -> intrinsic w sc name args
 
-and intrinsic w name args : Absdom.t =
+and app1 w sc op a =
+  let n = w.n and a = eval w sc a in
+  fun fr -> Absdom.app1 ~n op (a fr)
+
+and intrinsic w sc name args : expr =
   let n = w.n in
   match (name, args) with
-  | "myproc", [] -> Absdom.myproc ~n
-  | "nprocs", [] -> Absdom.Uni (Absdom.Pint n)
+  | "myproc", [] -> const (Absdom.myproc ~n)
+  | "nprocs", [] -> const (Absdom.Uni (Absdom.Pint n))
   | "tab$", sel :: consts ->
-    Absdom.select ~n (eval w sel)
-      (Array.of_list (List.map (eval w) consts))
+    let sel = eval w sc sel and consts = List.map (eval w sc) consts in
+    fun fr ->
+      Absdom.select ~n (sel fr)
+        (Array.of_list (List.map (fun c -> c fr) consts))
   | "owner$", Ast.Var arr :: subs -> (
-    let obj = array_obj w arr in
-    match obj.a_layout.Layout.dist_dim with
-    | None -> Absdom.myproc ~n
-    | Some d ->
-      let idx = eval w (List.nth subs d) in
-      let owner i =
-        try Absdom.Pint (Layout.owner_of obj.a_layout ~nprocs:n i)
-        with _ -> Absdom.Punk
-      in
-      Absdom.of_segs ~n
-        (List.concat_map
-           (fun (l, u, s) ->
-             match s with
-             | Absdom.Sconst (Absdom.Pint i) ->
-               [ (l, u, Absdom.Sconst (owner i)) ]
-             | Absdom.Sconst _ -> [ (l, u, Absdom.Sconst Absdom.Punk) ]
-             | Absdom.Saff _ ->
-               List.init (u - l + 1) (fun k ->
-                   let p = l + k in
-                   let v =
-                     match Absdom.seg_at s p with
-                     | Absdom.Pint i -> owner i
-                     | _ -> Absdom.Punk
-                   in
-                   (p, p, Absdom.Sconst v)))
-           (Absdom.segs_of ~n idx)))
-  | "abs", [ a ] -> Absdom.app1 ~n Absdom.Abs (eval w a)
+    let obj = array_obj sc arr and subs = List.map (eval w sc) subs in
+    fun fr ->
+      let obj = obj fr in
+      match obj.a_layout.Layout.dist_dim with
+      | None -> Absdom.myproc ~n
+      | Some d ->
+        let idx = (List.nth subs d) fr in
+        let owner i =
+          try Absdom.Pint (Layout.owner_of obj.a_layout ~nprocs:n i)
+          with _ -> Absdom.Punk
+        in
+        Absdom.of_segs ~n
+          (List.concat_map
+             (fun (l, u, s) ->
+               match s with
+               | Absdom.Sconst (Absdom.Pint i) ->
+                 [ (l, u, Absdom.Sconst (owner i)) ]
+               | Absdom.Sconst _ -> [ (l, u, Absdom.Sconst Absdom.Punk) ]
+               | Absdom.Saff _ ->
+                 List.init (u - l + 1) (fun k ->
+                     let p = l + k in
+                     let v =
+                       match Absdom.seg_at s p with
+                       | Absdom.Pint i -> owner i
+                       | _ -> Absdom.Punk
+                     in
+                     (p, p, Absdom.Sconst v)))
+             (Absdom.segs_of ~n idx)))
+  | "abs", [ a ] -> app1 w sc Absdom.Abs a
   | "sqrt", [ a ] ->
-    Absdom.app1_pv ~n
-      (fun v ->
-        match Absdom.to_f v with
-        | Some f -> Absdom.Preal (sqrt f)
-        | None -> Absdom.Punk)
-      (eval w a)
-  | "mod", [ a; b ] -> Absdom.app2 ~n Absdom.Mod (eval w a) (eval w b)
-  | "max", _ :: _ :: _ -> (
-    match List.map (eval w) args with
-    | v :: rest -> List.fold_left (Absdom.app2 ~n Absdom.Max) v rest
-    | [] -> Diag.internal ~pass:"verify" "intrinsic %s with no arguments" name)
-  | "min", _ :: _ :: _ -> (
-    match List.map (eval w) args with
-    | v :: rest -> List.fold_left (Absdom.app2 ~n Absdom.Min) v rest
-    | [] -> Diag.internal ~pass:"verify" "intrinsic %s with no arguments" name)
-  | "float", [ a ] -> Absdom.app1 ~n Absdom.ToReal (eval w a)
-  | "int", [ a ] -> Absdom.app1 ~n Absdom.ToInt (eval w a)
+    let a = eval w sc a in
+    fun fr ->
+      Absdom.app1_pv ~n
+        (fun v ->
+          match Absdom.to_f v with
+          | Some f -> Absdom.Preal (sqrt f)
+          | None -> Absdom.Punk)
+        (a fr)
+  | "mod", [ a; b ] ->
+    let a = eval w sc a and b = eval w sc b in
+    fun fr -> Absdom.app2 ~n Absdom.Mod (a fr) (b fr)
+  | ("max" | "min"), _ :: _ :: _ -> (
+    let op = if name = "max" then Absdom.Max else Absdom.Min in
+    let args = List.map (eval w sc) args in
+    fun fr ->
+      match List.map (fun a -> a fr) args with
+      | v :: rest -> List.fold_left (Absdom.app2 ~n op) v rest
+      | [] ->
+        Diag.internal ~pass:"verify" "intrinsic %s with no arguments" name)
+  | "float", [ a ] -> app1 w sc Absdom.ToReal a
+  | "int", [ a ] -> app1 w sc Absdom.ToInt a
   | "sign", [ a; b ] ->
-    Absdom.app2_pv ~n
-      (fun m s ->
-        match (Absdom.to_f m, Absdom.to_f s) with
-        | Some m', Some s' ->
-          let r = if s' >= 0.0 then Float.abs m' else -.Float.abs m' in
-          (match m with
-          | Absdom.Pint _ -> Absdom.Pint (int_of_float r)
-          | _ -> Absdom.Preal r)
-        | _ -> Absdom.Punk)
-      (eval w a) (eval w b)
-  | _ -> Absdom.unknown
+    let a = eval w sc a and b = eval w sc b in
+    fun fr ->
+      Absdom.app2_pv ~n
+        (fun m s ->
+          match (Absdom.to_f m, Absdom.to_f s) with
+          | Some m', Some s' ->
+            let r = if s' >= 0.0 then Float.abs m' else -.Float.abs m' in
+            (match m with
+            | Absdom.Pint _ -> Absdom.Pint (int_of_float r)
+            | _ -> Absdom.Preal r)
+          | _ -> Absdom.Punk)
+        (a fr) (b fr)
+  | _ -> const Absdom.unknown
 
 (* --- syntactic helpers ------------------------------------------------ *)
 
@@ -373,35 +413,34 @@ let true_pids w ~act v =
 
 (* --- assignment ------------------------------------------------------- *)
 
-let do_assign w act lhs rhs =
-  match lhs with
-  | Ast.Var name ->
-    let v = eval w rhs in
-    let cell = scalar_cell w name in
-    let blended = Absdom.blend ~n:w.n ~act !cell v in
-    cell :=
-      (if w.uncertain > 0 then Absdom.join ~n:w.n !cell blended else blended)
-  | Ast.Ref _ -> ()  (* array stores carry no abstract information *)
-  | _ -> raise (Stuck "bad assignment target in node program")
+let do_assign w act cell v =
+  let blended = Absdom.blend ~n:w.n ~act !cell v in
+  cell :=
+    (if w.uncertain > 0 then Absdom.join ~n:w.n !cell blended else blended)
 
-let havoc_scalars w act ~divergent names =
+let havoc_scalars w fr act ~divergent slots =
   let upd =
     if divergent then Absdom.divergent_unknown ~n:w.n else Absdom.unknown
   in
   List.iter
-    (fun name ->
-      match lookup w name with
+    (fun s ->
+      match get fr s with
       | Bscalar cell ->
         cell := Absdom.join ~n:w.n !cell (Absdom.blend ~n:w.n ~act !cell upd)
       | Barray _ -> ())
-    names
+    slots
 
 (* --- communication emission ------------------------------------------ *)
 
 (* Sections are evaluated once into compressed per-processor values,
    then chunked into affine pid-intervals. *)
-let eval_section_vv w (section : Node.section) =
-  List.map (fun (lo, hi, st) -> (eval w lo, eval w hi, eval w st)) section
+let compile_section w sc (section : Node.section) =
+  List.map
+    (fun (lo, hi, st) -> (eval w sc lo, eval w sc hi, eval w sc st))
+    section
+
+let eval_section fr section =
+  List.map (fun (lo, hi, st) -> (lo fr, hi fr, st fr)) section
 
 (* Instantiate one part's section at a single processor [p]; walk-time
    findings for malformed sections mirror the dynamic Diag errors.
@@ -509,14 +548,13 @@ let oob_first cl cu (la, lb) (ha, hb) sb (blo, bhi) : (int * Triplet.t) option
 
 let aff_of (a, b) = { Skeleton.a; b }
 
-let emit_send w act ~loc dest parts tag =
+let emit_send w fr act ~loc dest parts tag =
   let n = w.n in
   let what = "send" in
-  let vdest = eval w dest in
+  let vdest = dest fr in
   let vparts =
     List.map
-      (fun (array, section) ->
-        (array_obj w array, array, eval_section_vv w section))
+      (fun (obj, array, section) -> (obj fr, array, eval_section fr section))
       parts
   in
   let nonempty, empty =
@@ -750,28 +788,25 @@ let emit_send w act ~loc dest parts tag =
 
 (* Arrays in scope at a statement, under their LOCAL names (a formal
    aliases the caller's array but messages refer to the formal). *)
-let visible_arrays w =
-  let acc = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun name b -> match b with Barray o -> Hashtbl.replace acc name o | _ -> ())
-    w.globals;
-  Hashtbl.iter
-    (fun name b -> match b with Barray o -> Hashtbl.replace acc name o | _ -> ())
-    (current_frame w);
-  Hashtbl.fold (fun name o l -> (name, o) :: l) acc []
-
-let emit_recv w act ~loc src tag =
+let emit_recv w fr act ~loc src tag visible =
   let n = w.n in
-  let vsrc = eval w src in
+  let vsrc = src fr in
   let snaps =
-    List.map
-      (fun (name, obj) ->
-        {
-          Skeleton.ra_name = name;
-          ra_dist_dim = obj.a_layout.Layout.dist_dim;
-          ra_layout = obj.a_layout;
-        })
-      (visible_arrays w)
+    List.filter_map
+      (fun (name, slots) ->
+        List.find_map
+          (fun s ->
+            match get fr s with
+            | Barray obj ->
+              Some
+                {
+                  Skeleton.ra_name = name;
+                  ra_dist_dim = obj.a_layout.Layout.dist_dim;
+                  ra_layout = obj.a_layout;
+                }
+            | Bscalar _ -> None)
+          slots)
+      visible
   in
   Iset.fold_intervals
     (fun () alo ahi ->
@@ -830,8 +865,8 @@ let emit_coll w ~loc ~site ~label ~root payload =
       e_kind = Skeleton.Ev_coll { id; site; label; root; payload };
     }
 
-let do_bcast w act ~loc root payload site =
-  let vroot = eval w root in
+let do_bcast w fr act ~loc root payload site =
+  let vroot = root fr in
   let root_id = Absdom.uniform_int vroot in
   (match root_id with
   | Some _ -> ()
@@ -846,8 +881,8 @@ let do_bcast w act ~loc root payload site =
         (Fmt.str "broadcast root at site %d could not be resolved statically"
            site));
   match payload with
-  | Node.P_scalar name ->
-    let cell = scalar_cell w name in
+  | `Scalar (name, cell) ->
+    let cell = cell fr in
     (* after the broadcast every processor holds the root's value *)
     let v =
       match root_id with
@@ -860,12 +895,12 @@ let do_bcast w act ~loc root payload site =
     cell := (if w.uncertain > 0 then Absdom.join ~n:w.n !cell v else v);
     if collective_act_ok w act ~loc ~site ~label:name then
       emit_coll w ~loc ~site ~label:name ~root:root_id (Skeleton.Cp_scalar name)
-  | Node.P_section (array, section) ->
-    let obj = array_obj w array in
+  | `Section (array, obj, section) ->
+    let obj = obj fr in
     let triplets =
       match root_id with
       | Some r ->
-        section_at w ~loc ~what:"broadcast" r obj (eval_section_vv w section)
+        section_at w ~loc ~what:"broadcast" r obj (eval_section fr section)
       | None -> None
     in
     if triplets = None && root_id <> None then
@@ -885,8 +920,7 @@ let do_bcast w act ~loc root payload site =
                | None -> Iset.empty);
            })
 
-let do_remap w act ~loc array new_layout move site =
-  let obj = array_obj w array in
+let do_remap w act ~loc array obj new_layout move site =
   let old_layout = obj.a_layout in
   (* well-formedness of the target layout *)
   let ok = ref true in
@@ -921,107 +955,68 @@ let do_remap w act ~loc array new_layout move site =
 
 (* --- statements ------------------------------------------------------- *)
 
-(* [walk_seq w act stmts] returns the mask of processors still live
+(* [walk_seq w fr act body] returns the mask of processors still live
    (act minus those that executed RETURN). *)
-let rec walk_seq w (act : Iset.t) stmts : Iset.t =
-  let live = ref act in
-  List.iter
-    (fun s -> if any_active !live then live := walk_stmt w !live s)
-    stmts;
-  !live
+let rec walk_seq w fr (act : Iset.t) (body : code list) : Iset.t =
+  match body with
+  | c :: rest when any_active act ->
+    burn w;
+    walk_seq w fr (c fr act) rest
+  | _ -> act
 
-and walk_stmt w (act : Iset.t) (s : Node.nstmt) : Iset.t =
-  burn w;
-  match s with
-  | Node.N_assign (lhs, rhs) ->
-    do_assign w act lhs rhs;
-    act
-  | Node.N_print _ -> act
-  | Node.N_return -> Iset.empty
-  | Node.N_send { dest; parts; tag; loc } ->
-    emit_send w act ~loc dest parts tag;
-    act
-  | Node.N_recv { src; tag; loc } ->
-    emit_recv w act ~loc src tag;
-    act
-  | Node.N_bcast { root; payload; site; loc } ->
-    do_bcast w act ~loc root payload site;
-    act
-  | Node.N_remap { array; new_layout; move; site; loc } ->
-    do_remap w act ~loc array new_layout move site;
-    act
-  | Node.N_call (name, args) ->
-    walk_call w act name args;
-    act
-  | Node.N_if { cond; then_; else_; loc } -> walk_if w act ~loc cond then_ else_
-  | Node.N_do { var; lo; hi; step; body } ->
-    walk_do w act var lo hi step body
-
-and walk_call w act name args =
-  let np =
-    match Node.find_proc w.prog name with
-    | Some np -> np
+(* A [Var] actual passes its binding, any other actual a fresh cell. *)
+and walk_call w fr act name callee args =
+  let rp =
+    match callee with
+    | Some rp -> rp
     | None -> raise (Stuck (Fmt.str "call to unknown node procedure %s" name))
   in
-  if List.length args <> List.length np.Node.np_formals then
+  if List.length args <> List.length rp.r_formals then
     raise (Stuck (Fmt.str "node procedure %s arity mismatch" name));
-  let frame : frame = Hashtbl.create 16 in
+  let frame = rp.r_fresh () in
   List.iter2
-    (fun formal actual ->
-      let binding =
-        match actual with
-        | Ast.Var v -> lookup w v
-        | e -> Bscalar (ref (eval w e))
-      in
-      Hashtbl.replace frame formal binding)
-    np.Node.np_formals args;
-  let is_common nm = Hashtbl.mem w.globals nm in
-  List.iter
-    (fun (ad : Node.array_decl) ->
-      if (not (List.mem ad.Node.ad_name np.Node.np_formals))
-         && not (is_common ad.Node.ad_name)
-      then Hashtbl.replace frame ad.Node.ad_name (Barray (alloc_aobj ad)))
-    np.Node.np_arrays;
-  List.iter
-    (fun (v, ty) ->
-      if (not (List.mem v np.Node.np_formals))
-         && (not (Hashtbl.mem frame v))
-         && not (is_common v)
-      then Hashtbl.replace frame v (Bscalar (ref (zero_of ty))))
-    np.Node.np_scalars;
-  w.frames <- frame :: w.frames;
-  let _live = walk_seq w act np.Node.np_body in
-  w.frames <- List.tl w.frames
+    (fun slot actual ->
+      frame.(slot) <-
+        (match actual with
+        | `Ref s -> get fr s
+        | `Value e -> Bscalar (ref (e fr))))
+    rp.r_formals args;
+  ignore (walk_seq w frame act rp.r_body)
 
-and walk_if w act ~loc cond then_ else_ : Iset.t =
-  let vc = eval w cond in
+and walk_if w fr act ~loc vc then_ else_ : Iset.t =
   match Absdom.truth ~n:w.n ~act vc with
-  | Absdom.T_true -> walk_seq w act then_
-  | Absdom.T_false -> walk_seq w act else_
+  | Absdom.T_true -> walk_seq w fr act then_
+  | Absdom.T_false -> walk_seq w fr act else_
   | Absdom.T_unknown_uniform -> (
     (* unknown but processor-uniform: both branches possible, all
        processors take the same one — collectives inside stay congruent.
        A branch oracle (sequential profile, cost analysis) can decide
        the instance; without one both branches become a region. *)
     match Option.bind w.oracle (fun f -> f loc) with
-    | Some true -> walk_seq w act then_
-    | Some false -> walk_seq w act else_
+    | Some true -> walk_seq w fr act then_
+    | Some false -> walk_seq w fr act else_
     | None ->
-      walk_branches_as_regions w act ~loc ~divergent:false then_ else_;
+      walk_branches_as_regions w fr act ~loc ~divergent:false then_ else_;
       act)
   | Absdom.T_split (act_t, act_e) ->
-    let live_t = if any_active act_t then walk_seq w act_t then_ else act_t in
-    let live_e = if any_active act_e then walk_seq w act_e else_ else act_e in
-    Iset.union live_t live_e
+    let live_t =
+      if any_active act_t then walk_seq w fr act_t then_ else act_t
+    in
+    let live_e =
+      if any_active act_e then walk_seq w fr act_e else_ else act_e
+    in
+    (* no branch RETURNed: the two sides partition [act] *)
+    if live_t == act_t && live_e == act_e then act
+    else Iset.union live_t live_e
   | Absdom.T_divergent ->
     (* processors genuinely disagree and we cannot tell which way:
        collective congruence inside is unverifiable *)
-    walk_branches_as_regions w act ~loc ~divergent:true then_ else_;
+    walk_branches_as_regions w fr act ~loc ~divergent:true then_ else_;
     act
 
-and walk_branches_as_regions w act ~loc ~divergent then_ else_ =
-  let evs_t = walk_region w act then_ in
-  let evs_e = walk_region w act else_ in
+and walk_branches_as_regions w fr act ~loc ~divergent then_ else_ =
+  let evs_t = walk_region w fr act then_ in
+  let evs_e = walk_region w fr act else_ in
   record_region w ~if_loc:loc ~divergent ~then_:evs_t ~else_:evs_e;
   finish_regions w ~divergent [ evs_t; evs_e ]
 
@@ -1041,7 +1036,7 @@ and record_region w ~if_loc ~divergent ~then_ ~else_ =
     :: w.regions
 
 (* Walk [stmts] once with weak scalar updates, capturing its events. *)
-and walk_region w act stmts : Skeleton.event list =
+and walk_region w fr act body : Skeleton.event list =
   let saved = w.buf in
   let buf = ref [] in
   w.buf <- buf;
@@ -1050,7 +1045,7 @@ and walk_region w act stmts : Skeleton.event list =
     ~finally:(fun () ->
       w.uncertain <- w.uncertain - 1;
       w.buf <- saved)
-    (fun () -> ignore (walk_seq w act stmts));
+    (fun () -> ignore (walk_seq w fr act body));
   List.rev !buf
 
 (* Post-process regions: their p2p tags become unverifiable (excluded
@@ -1178,13 +1173,15 @@ and finish_regions w ~divergent (regions : Skeleton.event list list) =
        in isolation only"
   end
 
-and walk_do w act var lo hi step body : Iset.t =
+(* [slot] is the loop variable's, [havoc] the slots a skipped body may
+   write, [mention] whether the body mentions my$p, [comm] whether it
+   communicates (forced on first entry). *)
+and walk_do w fr act ~var ~slot ~havoc ~mention ~comm (lo, hi, step) body
+    : Iset.t =
   let n = w.n in
-  let has_comm = stmts_have_comm w body in
-  let vlo = eval w lo and vhi = eval w hi in
-  let vst =
-    match step with None -> Absdom.Uni (Absdom.Pint 1) | Some e -> eval w e
-  in
+  let has_comm = Lazy.force comm in
+  let vlo = lo fr and vhi = hi fr in
+  let vst = step fr in
   let divergent_bounds =
     not
       (Absdom.is_uniform vlo && Absdom.is_uniform vhi
@@ -1195,86 +1192,255 @@ and walk_do w act var lo hi step body : Iset.t =
        cares about the communication skeleton.  Scalars the body could
        write are forgotten; they diverge if the body mentions my$p, the
        bounds differ across processors, or the mask is partial. *)
-    let divergent =
-      divergent_bounds
-      || stmts_mention_divergence body
-      || not (all_active w act)
-    in
-    havoc_scalars w act ~divergent (var :: assigned_scalars w body);
+    let divergent = divergent_bounds || mention || not (all_active w act) in
+    havoc_scalars w fr act ~divergent havoc;
     act
   end
-  else begin
-    let known =
-      Iset.inter
-        (Absdom.int_pids ~n vlo)
-        (Iset.inter (Absdom.int_pids ~n vhi) (Absdom.int_pids ~n vst))
-    in
-    if Iset.subset act known then begin
-      let zero_pids =
-        Iset.of_intervals
-          (List.filter_map
-             (fun (l, u, s) ->
-               match s with
-               | Absdom.Sconst (Absdom.Pint 0) -> Some (l, u)
-               | Absdom.Sconst _ -> None
-               | Absdom.Saff { a; b } ->
-                 if b mod a = 0 then
-                   let p = -b / a in
-                   if p >= l && p <= u then Some (p, p) else None
-                 else None)
-             (Absdom.segs_of ~n vst))
+  else
+    match (vlo, vhi, vst) with
+    | Absdom.Uni (Absdom.Pint lo), Absdom.Uni (Absdom.Pint hi),
+      Absdom.Uni (Absdom.Pint st)
+      when st <> 0 ->
+      (* uniform bounds: trip k runs on the whole live mask while
+         lo + k*st is in range — what the unrolling below computes,
+         without its per-trip comparisons and mask algebra *)
+      let cell = cell_of fr slot var in
+      let rec trip live v =
+        if any_active live && (if st > 0 then v <= hi else v >= hi) then begin
+          burn w;
+          cell := Absdom.blend ~n ~act:live !cell (Absdom.Uni (Absdom.Pint v));
+          trip (walk_seq w fr live body) (v + st)
+        end
+        else live
       in
-      if not (Iset.disjoint act zero_pids) then begin
-        addf w Finding.Error "zero-do-step"
-          (Fmt.str "DO %s has a zero step" var);
-        act
+      trip act lo
+    | _ ->
+      let known =
+        Iset.inter
+          (Absdom.int_pids ~n vlo)
+          (Iset.inter (Absdom.int_pids ~n vhi) (Absdom.int_pids ~n vst))
+      in
+      if Iset.subset act known then begin
+        let zero_pids =
+          Iset.of_intervals
+            (List.filter_map
+               (fun (l, u, s) ->
+                 match s with
+                 | Absdom.Sconst (Absdom.Pint 0) -> Some (l, u)
+                 | Absdom.Sconst _ -> None
+                 | Absdom.Saff { a; b } ->
+                   if b mod a = 0 then
+                     let p = -b / a in
+                     if p >= l && p <= u then Some (p, p) else None
+                   else None)
+               (Absdom.segs_of ~n vst))
+        in
+        if not (Iset.disjoint act zero_pids) then begin
+          addf w Finding.Error "zero-do-step"
+            (Fmt.str "DO %s has a zero step" var);
+          act
+        end
+        else begin
+          (* ordinal-lockstep unrolling: iteration k runs simultaneously on
+             every processor still in range — the SPMD execution model.
+             Membership tests are interval-set algebra, O(#segments). *)
+          let cell = cell_of fr slot var in
+          let zero = Absdom.Uni (Absdom.Pint 0) in
+          let pos = true_pids w ~act (Absdom.app2 ~n Absdom.Gt vst zero) in
+          let vk k =
+            Absdom.app2 ~n Absdom.Add vlo
+              (Absdom.app2 ~n Absdom.Mul (Absdom.Uni (Absdom.Pint k)) vst)
+          in
+          let in_range live v =
+            let le = true_pids w ~act:live (Absdom.app2 ~n Absdom.Le v vhi) in
+            let ge = true_pids w ~act:live (Absdom.app2 ~n Absdom.Ge v vhi) in
+            Iset.union (Iset.inter pos le) (Iset.inter (Iset.diff live pos) ge)
+          in
+          let live = ref act in
+          let k = ref 0 in
+          let continue_ = ref true in
+          while !continue_ do
+            let v = vk !k in
+            let act_k = in_range !live v in
+            if Iset.is_empty act_k then continue_ := false
+            else begin
+              burn w;
+              cell := Absdom.blend ~n ~act:act_k !cell v;
+              let live_k = walk_seq w fr act_k body in
+              (* processors that RETURNed during this iteration stay out *)
+              live := Iset.union (Iset.diff !live act_k) live_k;
+              incr k
+            end
+          done;
+          !live
+        end
       end
       else begin
-        (* ordinal-lockstep unrolling: iteration k runs simultaneously on
-           every processor still in range — the SPMD execution model.
-           Membership tests are interval-set algebra, O(#segments). *)
-        let cell = scalar_cell w var in
-        let zero = Absdom.Uni (Absdom.Pint 0) in
-        let pos = true_pids w ~act (Absdom.app2 ~n Absdom.Gt vst zero) in
-        let vk k =
-          Absdom.app2 ~n Absdom.Add vlo
-            (Absdom.app2 ~n Absdom.Mul (Absdom.Uni (Absdom.Pint k)) vst)
-        in
-        let in_range live v =
-          let le = true_pids w ~act:live (Absdom.app2 ~n Absdom.Le v vhi) in
-          let ge = true_pids w ~act:live (Absdom.app2 ~n Absdom.Ge v vhi) in
-          Iset.union (Iset.inter pos le) (Iset.inter (Iset.diff live pos) ge)
-        in
-        let live = ref act in
-        let k = ref 0 in
-        let continue_ = ref true in
-        while !continue_ do
-          let v = vk !k in
-          let act_k = in_range !live v in
-          if Iset.is_empty act_k then continue_ := false
-          else begin
-            burn w;
-            cell := Absdom.blend ~n ~act:act_k !cell v;
-            let live_k = walk_seq w act_k body in
-            (* processors that RETURNed during this iteration stay out *)
-            live := Iset.union (Iset.diff !live act_k) live_k;
-            incr k
-          end
-        done;
-        !live
+        (* comm under statically-unknown trip counts: walk one symbolic
+           iteration as a region *)
+        havoc_scalars w fr act ~divergent:divergent_bounds [ slot ];
+        let evs = walk_region w fr act body in
+        record_region w ~if_loc:Loc.none ~divergent:divergent_bounds ~then_:evs
+          ~else_:[];
+        finish_regions w ~divergent:divergent_bounds [ evs ];
+        act
       end
-    end
-    else begin
-      (* comm under statically-unknown trip counts: walk one symbolic
-         iteration as a region *)
-      havoc_scalars w act ~divergent:divergent_bounds [ var ];
-      let evs = walk_region w act body in
-      record_region w ~if_loc:Loc.none ~divergent:divergent_bounds ~then_:evs
-        ~else_:[];
-      finish_regions w ~divergent:divergent_bounds [ evs ];
+
+(* --- resolution ------------------------------------------------------- *)
+
+let rec stmt w sc (s : Node.nstmt) : code =
+  match s with
+  | Node.N_assign (Ast.Var name, rhs) ->
+    let rhs = eval w sc rhs and cell = scalar_cell sc name in
+    fun fr act ->
+      let v = rhs fr in
+      do_assign w act (cell fr) v;
       act
-    end
-  end
+  | Node.N_assign (Ast.Ref _, _) | Node.N_print _ ->
+    (* array stores carry no abstract information *)
+    fun _ act -> act
+  | Node.N_assign _ ->
+    fun _ _ -> raise (Stuck "bad assignment target in node program")
+  | Node.N_return -> fun _ _ -> Iset.empty
+  | Node.N_send { dest; parts; tag; loc } ->
+    let dest = eval w sc dest in
+    let parts =
+      List.map
+        (fun (array, section) ->
+          (array_obj sc array, array, compile_section w sc section))
+        parts
+    in
+    fun fr act ->
+      emit_send w fr act ~loc dest parts tag;
+      act
+  | Node.N_recv { src; tag; loc } ->
+    let src = eval w sc src in
+    fun fr act ->
+      emit_recv w fr act ~loc src tag sc.sc_visible;
+      act
+  | Node.N_bcast { root; payload; site; loc } ->
+    let root = eval w sc root in
+    let payload =
+      match payload with
+      | Node.P_scalar name -> `Scalar (name, scalar_cell sc name)
+      | Node.P_section (array, section) ->
+        `Section (array, array_obj sc array, compile_section w sc section)
+    in
+    fun fr act ->
+      do_bcast w fr act ~loc root payload site;
+      act
+  | Node.N_remap { array; new_layout; move; site; loc } ->
+    let obj = array_obj sc array in
+    fun fr act ->
+      do_remap w act ~loc array (obj fr) new_layout move site;
+      act
+  | Node.N_call (name, args) ->
+    let callee = lazy (resolve_callee w name) in
+    let args =
+      List.map
+        (function Ast.Var v -> `Ref (sc.sc_slot v) | e -> `Value (eval w sc e))
+        args
+    in
+    fun fr act ->
+      walk_call w fr act name (Lazy.force callee) args;
+      act
+  | Node.N_if { cond; then_; else_; loc } ->
+    let cond = eval w sc cond in
+    let then_ = List.map (stmt w sc) then_ in
+    let else_ = List.map (stmt w sc) else_ in
+    fun fr act -> walk_if w fr act ~loc (cond fr) then_ else_
+  | Node.N_do { var; lo; hi; step; body } ->
+    let slot = sc.sc_slot var in
+    let havoc = slot :: List.map sc.sc_slot (assigned_scalars w body) in
+    let mention = stmts_mention_divergence body in
+    let comm = lazy (stmts_have_comm w body) in
+    let bounds =
+      ( eval w sc lo,
+        eval w sc hi,
+        match step with
+        | None -> const (Absdom.Uni (Absdom.Pint 1))
+        | Some e -> eval w sc e )
+    in
+    let body = List.map (stmt w sc) body in
+    fun fr act -> walk_do w fr act ~var ~slot ~havoc ~mention ~comm bounds body
+
+and resolve_callee w name =
+  match Hashtbl.find_opt w.procs name with
+  | Some rp -> Some rp
+  | None ->
+    Option.map
+      (fun np ->
+        let rp = resolve w ~entry:false np in
+        Hashtbl.replace w.procs name rp;
+        rp)
+      (Node.find_proc w.prog name)
+
+(* Give every name [np] mentions a slot, by the precedence the frames
+   have always had: formals, then local arrays, then local scalars (in
+   a called procedure the first declaration wins and arrays beat
+   scalars; in the entry frame each declaration replaces the last),
+   then COMMON, then an implicitly typed scalar of this frame. *)
+and resolve w ~entry (np : Node.nproc) : rproc =
+  let names = Hashtbl.create 16 and inits = ref [] in
+  let bind name init =
+    let i =
+      match Hashtbl.find_opt names name with
+      | Some i -> i
+      | None ->
+        let i = Hashtbl.length names in
+        Hashtbl.replace names name i;
+        i
+    in
+    inits := (i, init) :: !inits;
+    i
+  in
+  let common name = Hashtbl.mem w.globals name in
+  let formals = if entry then [] else np.Node.np_formals in
+  let unbound = Bscalar (ref Absdom.unknown) in
+  let r_formals = List.map (fun f -> bind f (fun () -> unbound)) formals in
+  List.iter
+    (fun (ad : Node.array_decl) ->
+      if not (List.mem ad.Node.ad_name formals || common ad.Node.ad_name) then
+        ignore (bind ad.Node.ad_name (fun () -> Barray (alloc_aobj ad))))
+    np.Node.np_arrays;
+  List.iter
+    (fun (v, ty) ->
+      if not (common v || ((not entry) && Hashtbl.mem names v)) then
+        let z = zero_of ty in
+        ignore (bind v (fun () -> Bscalar (ref z))))
+    np.Node.np_scalars;
+  let sc_visible =
+    Hashtbl.fold
+      (fun name i acc ->
+        let global =
+          match Hashtbl.find_opt w.globals name with
+          | Some (Barray _ as b) -> [ Common b ]
+          | _ -> []
+        in
+        (name, Local i :: global) :: acc)
+      names
+      (Hashtbl.fold
+         (fun name b acc ->
+           match b with
+           | Barray _ when not (Hashtbl.mem names name) ->
+             (name, [ Common b ]) :: acc
+           | _ -> acc)
+         w.globals [])
+  in
+  let sc_slot name =
+    match Hashtbl.find_opt names name with
+    | Some i -> Local i
+    | None -> (
+      match Hashtbl.find_opt w.globals name with
+      | Some b -> Common b
+      | None ->
+        let z = implicit_zero name in
+        Local (bind name (fun () -> Bscalar (ref z))))
+  in
+  let r_body = List.map (stmt w { sc_slot; sc_visible }) np.Node.np_body in
+  let init = Array.make (Hashtbl.length names) (fun () -> unbound) in
+  List.iter (fun (i, f) -> init.(i) <- f) (List.rev !inits);
+  { r_fresh = (fun () -> Array.map (fun f -> f ()) init); r_formals; r_body }
 
 (* --- entry ------------------------------------------------------------ *)
 
@@ -1304,7 +1470,7 @@ let walk_main ?budget ?branch_oracle ~nprocs (prog : Node.program)
       oracle = branch_oracle;
       budget = Option.map Budget.start budget;
       globals = Hashtbl.create 8;
-      frames = [];
+      procs = Hashtbl.create 8;
       fuel = fuel_budget;
       uncertain = 0;
       buf;
@@ -1317,7 +1483,6 @@ let walk_main ?budget ?branch_oracle ~nprocs (prog : Node.program)
       regions = [];
     }
   in
-  let frame : frame = Hashtbl.create 16 in
   List.iter
     (fun (ad : Node.array_decl) ->
       Hashtbl.replace w.globals ad.Node.ad_name (Barray (alloc_aobj ad)))
@@ -1325,21 +1490,11 @@ let walk_main ?budget ?branch_oracle ~nprocs (prog : Node.program)
   List.iter
     (fun (v, ty) -> Hashtbl.replace w.globals v (Bscalar (ref (zero_of ty))))
     prog.Node.n_common_scalars;
-  List.iter
-    (fun (ad : Node.array_decl) ->
-      if not (Hashtbl.mem w.globals ad.Node.ad_name) then
-        Hashtbl.replace frame ad.Node.ad_name (Barray (alloc_aobj ad)))
-    main.Node.np_arrays;
-  List.iter
-    (fun (v, ty) ->
-      if not (Hashtbl.mem w.globals v) then
-        Hashtbl.replace frame v (Bscalar (ref (zero_of ty))))
-    main.Node.np_scalars;
-  w.frames <- [ frame ];
+  let main = resolve w ~entry:true main in
   let act = Iset.range 0 (nprocs - 1) in
   let complete =
     try
-      ignore (walk_seq w act main.Node.np_body);
+      ignore (walk_seq w (main.r_fresh ()) act main.r_body);
       true
     with
     | Truncated ->

@@ -387,6 +387,238 @@ let test_walk_flat_in_p () =
     true
     (w256 <= 1.5 *. w16)
 
+(* The walk stays within an allocation budget on fig4 under run-time
+   resolution at P=8: 21.1 M minor words when every name went through
+   a string-keyed frame lookup and every DO trip re-evaluated its
+   uniform bounds, 14.2 M with procedures resolved once per walk.  The
+   bound fails if either comes back; minor words hold on any host. *)
+let test_walk_alloc_budget () =
+  let _, compile = fig4_runtime () in
+  let _, prog = compile 8 in
+  let w8 = words (fun () -> Absint.walk ~nprocs:8 prog) in
+  ignore (Fd_support.Diag.take_warnings ());
+  check Alcotest.bool
+    (Fmt.str "Absint.walk allocates %.1f M words at P=8 (bound 18 M)"
+       (w8 /. 1e6))
+    true (w8 <= 18e6)
+
+(* --- hand-written node programs ----------------------------------------- *)
+
+(* Each program below pins the walk of one frame-resolution or DO-loop
+   rule: the statement visits, every event (pid span, tag, endpoint,
+   parts with their layouts, receive snapshots) and every finding. *)
+
+open Fd_frontend
+
+let var v = Ast.Var v
+let int i = Ast.Int_const i
+let assign v e = Node.N_assign (var v, e)
+let dim1 dist = { Layout.bounds = [ (1, 12) ]; dist_dim = Some 0; dist }
+let cyc = dim1 Layout.Cyclic
+let blk = dim1 (Layout.Block 3)
+
+let arr name layout =
+  { Node.ad_name = name; ad_elt = Ast.Real; ad_layout = layout }
+let loc = Fd_support.Loc.none
+
+let send ?(parts = []) dest tag = Node.N_send { dest; parts; tag; loc }
+let send_elt a i dest tag = send ~parts:[ (a, [ (i, i, int 1) ]) ] dest tag
+let recv src tag = Node.N_recv { src; tag; loc }
+
+let ndo ?step v lo hi body = Node.N_do { var = v; lo; hi; step; body }
+
+let nproc ?(formals = []) ?(arrays = []) ?(scalars = []) name body =
+  { Node.np_name = name; np_formals = formals; np_arrays = arrays;
+    np_scalars = scalars; np_body = body }
+
+let aff = function
+  | None -> "?"
+  | Some { Skeleton.a = 0; b } -> string_of_int b
+  | Some { Skeleton.a; b } -> Fmt.str "%d*p%+d" a b
+
+let show_event (ev : Skeleton.event) =
+  let what =
+    match ev.Skeleton.e_kind with
+    | Skeleton.Ev_send { dest; tag; parts } ->
+      Fmt.str "send %d to %s%s" tag (aff dest)
+        (String.concat ""
+           (List.map
+              (fun (p : Skeleton.part) ->
+                Fmt.str " %s(%s)[%s]" p.Skeleton.p_array
+                  (match p.Skeleton.p_triplets with
+                  | None -> "?"
+                  | Some tl ->
+                    String.concat ","
+                      (List.map
+                         (fun (l, h, _) -> aff (Some l) ^ ":" ^ aff (Some h))
+                         tl))
+                  (Layout.to_string p.Skeleton.p_layout))
+              parts))
+    | Skeleton.Ev_recv { src; tag; arrays } ->
+      Fmt.str "recv %d from %s%s" tag (aff src)
+        (String.concat ""
+           (List.sort compare
+              (List.map
+                 (fun (r : Skeleton.recv_array) ->
+                   Fmt.str " %s[%s]" r.Skeleton.ra_name
+                     (Layout.to_string r.Skeleton.ra_layout))
+                 arrays)))
+    | Skeleton.Ev_coll { site; label; _ } -> Fmt.str "coll %d %s" site label
+    | Skeleton.Ev_assume { array; _ } -> "assume " ^ array
+  in
+  Fmt.str "p%d-%d %s" ev.Skeleton.e_plo ev.Skeleton.e_phi what
+
+let walk_nodes ?(common_arrays = []) ?(common_scalars = []) procs =
+  let prog =
+    { Node.n_main = "m"; n_nprocs = 4; n_procs = procs;
+      n_common_arrays = common_arrays; n_common_scalars = common_scalars }
+  in
+  let r = Absint.walk ~nprocs:4 prog in
+  (Fmt.str "visits %d" r.Absint.visits :: List.map show_event r.Absint.events)
+  @ List.rev_map
+      (fun (f : Finding.t) ->
+        Fmt.str "%s %s: %s"
+          (Finding.severity_name f.Finding.severity)
+          f.Finding.kind f.Finding.message)
+      r.Absint.findings
+
+let expect what expected got =
+  check (Alcotest.list Alcotest.string) what expected got
+
+(* A formal shadows the COMMON array and the COMMON scalar of its name:
+   the callee sends and snapshots the caller's cyclic b, and its k is
+   the actual 3 while the COMMON k stays 1. *)
+let test_formal_shadows_common () =
+  expect "walk"
+    [ "visits 5";
+      "p0-3 send 1 to 3 a(1:2)[dim 1 cyclic]";
+      "p0-3 recv 2 from 3 a[dim 1 cyclic]";
+      "p0-3 send 3 to 1" ]
+    (walk_nodes ~common_arrays:[ arr "a" blk ]
+       ~common_scalars:[ ("k", Ast.Integer) ]
+       [ nproc "m" ~arrays:[ arr "b" cyc ]
+           [ assign "k" (int 1); Node.N_call ("s", [ var "b"; int 3 ]);
+             send (var "k") 3 ];
+         nproc "s" ~formals:[ "a"; "k" ]
+           [ send ~parts:[ ("a", [ (int 1, int 2, int 1) ]) ] (var "k") 1;
+             recv (var "k") 2 ] ])
+
+(* A scalar Var actual passes its cell: the callee's write moves the
+   caller's later send. *)
+let test_var_actual_by_reference () =
+  expect "walk"
+    [ "visits 4"; "p0-3 send 1 to 2" ]
+    (walk_nodes
+       [ nproc "m" ~scalars:[ ("d", Ast.Integer) ]
+           [ assign "d" (int 1); Node.N_call ("s", [ var "d" ]);
+             send (var "d") 1 ];
+         nproc "s" ~formals:[ "x" ] [ assign "x" (int 2) ] ])
+
+(* Any other actual passes a fresh cell: the callee sees its value and
+   its write stays invisible to the caller. *)
+let test_expr_actual_by_value () =
+  expect "walk"
+    [ "visits 5"; "p0-3 send 1 to 2"; "p0-3 send 2 to 1" ]
+    (walk_nodes
+       [ nproc "m" ~scalars:[ ("d", Ast.Integer) ]
+           [ assign "d" (int 1);
+             Node.N_call ("s", [ Ast.Bin (Ast.Add, var "d", int 0) ]);
+             send (var "d") 2 ];
+         nproc "s" ~formals:[ "x" ] [ assign "x" (int 2); send (var "x") 1 ] ])
+
+(* An undeclared name is an implicitly typed scalar of the frame that
+   mentions it: caller and callee each get their own j, and every call
+   starts the callee's at zero. *)
+let test_implicit_per_frame () =
+  expect "walk"
+    [ "visits 8"; "p0-3 send 1 to 0"; "p0-3 send 1 to 0"; "p0-3 send 2 to 1" ]
+    (walk_nodes
+       [ nproc "m"
+           [ assign "j" (int 1); Node.N_call ("s", []); Node.N_call ("s", []);
+             send (var "j") 2 ];
+         nproc "s" [ send (var "j") 1; assign "j" (int 3) ] ])
+
+(* A local scalar named like a COMMON array (here a scalar formal) does
+   not hide the array from a receive's snapshot. *)
+let test_scalar_keeps_common_array_visible () =
+  expect "walk"
+    [ "visits 2"; "p0-3 recv 1 from 2 c[dim 1 block(3)] e[dim 1 cyclic]" ]
+    (walk_nodes ~common_arrays:[ arr "c" blk ]
+       [ nproc "m" [ Node.N_call ("s", [ int 2 ]) ];
+         nproc "s" ~formals:[ "c" ] ~arrays:[ arr "e" cyc ]
+           [ recv (var "c") 1 ] ])
+
+(* Misused names stop the walk with the invalid-node-program text. *)
+let test_misused_names () =
+  let stuck msg = "error invalid-node-program: the node program is not \
+                   executable: " ^ msg
+  in
+  expect "scalar as array"
+    [ "visits 2"; stuck "scalar k used as an array" ]
+    (walk_nodes
+       [ nproc "m" ~scalars:[ ("k", Ast.Integer) ]
+           [ assign "k" (int 1); send_elt "k" (int 1) (int 0) 1 ] ]);
+  expect "array as value"
+    [ "visits 1"; stuck "whole array b used as a value" ]
+    (walk_nodes [ nproc "m" ~arrays:[ arr "b" cyc ] [ assign "x" (var "b") ] ]);
+  expect "array as scalar"
+    [ "visits 1"; stuck "array b used as a scalar" ]
+    (walk_nodes [ nproc "m" ~arrays:[ arr "b" cyc ] [ assign "b" (int 1) ] ])
+
+(* DO loops with uniform bounds and communication in the body: one
+   visit per trip on top of the statement visits; the loop variable
+   keeps its last trip's value (or its old value after zero trips). *)
+let loop_prog ?step lo hi =
+  walk_nodes
+    [ nproc "m" ~arrays:[ arr "a" blk ]
+        [ assign "i" (int 2);
+          ndo ?step "i" lo hi [ send_elt "a" (var "i") (int 0) 1 ];
+          send (var "i") 2 ] ]
+
+let test_loop_negative_step () =
+  expect "do i = 10, 1, -3"
+    [ "visits 11";
+      "p0-3 send 1 to 0 a(10:10)[dim 1 block(3)]";
+      "p0-3 send 1 to 0 a(7:7)[dim 1 block(3)]";
+      "p0-3 send 1 to 0 a(4:4)[dim 1 block(3)]";
+      "p0-3 send 1 to 0 a(1:1)[dim 1 block(3)]";
+      "p0-3 send 2 to 1" ]
+    (loop_prog ~step:(int (-3)) (int 10) (int 1))
+
+let test_loop_zero_trip () =
+  expect "do i = 5, 1" [ "visits 3"; "p0-3 send 2 to 2" ]
+    (loop_prog (int 5) (int 1))
+
+let test_loop_zero_step () =
+  expect "do i = 1, 4, 0"
+    [ "visits 3"; "p0-3 send 2 to 2";
+      "error zero-do-step: DO i has a zero step" ]
+    (loop_prog ~step:(int 0) (int 1) (int 4))
+
+(* Processor i RETURNs from trip i: each trip runs on fewer pids, and
+   the send after the loop sees the last trip p0 ran. *)
+let test_loop_return_shrinks_mask () =
+  let myp = var "my$p" in
+  expect "do i = 1, 3 with a RETURN on p_i"
+    [ "visits 17";
+      "p0-3 send 1 to 0 a(1:1)[dim 1 block(3)]";
+      "p0-0 send 1 to 0 a(2:2)[dim 1 block(3)]";
+      "p2-3 send 1 to 0 a(2:2)[dim 1 block(3)]";
+      "p0-0 send 1 to 0 a(3:3)[dim 1 block(3)]";
+      "p3-3 send 1 to 0 a(3:3)[dim 1 block(3)]";
+      "p0-0 send 2 to 3";
+      "p0-3 send 3 to 0" ]
+    (walk_nodes
+       [ nproc "m" [ Node.N_call ("s", []); send (int 0) 3 ];
+         nproc "s" ~arrays:[ arr "a" blk ]
+           [ assign "my$p" (Ast.Funcall ("myproc", []));
+             ndo "i" (int 1) (int 3)
+               [ send_elt "a" (var "i") (int 0) 1;
+                 Node.N_if
+                   { cond = Ast.Bin (Ast.Eq, myp, var "i");
+                     then_ = [ Node.N_return ]; else_ = []; loc } ];
+             send (var "i") 2 ] ])
+
 let suite =
   [
     Alcotest.test_case "good examples: sound and strict-clean" `Slow
@@ -401,4 +633,24 @@ let suite =
     Alcotest.test_case "replay allocation linear in the skeleton" `Slow
       test_replay_alloc;
     Alcotest.test_case "walk allocation flat in P" `Slow test_walk_flat_in_p;
+    Alcotest.test_case "walk allocation within budget" `Slow
+      test_walk_alloc_budget;
+    Alcotest.test_case "frame: formal shadows COMMON" `Quick
+      test_formal_shadows_common;
+    Alcotest.test_case "frame: Var actual by reference" `Quick
+      test_var_actual_by_reference;
+    Alcotest.test_case "frame: expression actual by value" `Quick
+      test_expr_actual_by_value;
+    Alcotest.test_case "frame: implicit scalar per frame" `Quick
+      test_implicit_per_frame;
+    Alcotest.test_case "frame: COMMON array visible past a scalar" `Quick
+      test_scalar_keeps_common_array_visible;
+    Alcotest.test_case "frame: misused names stop the walk" `Quick
+      test_misused_names;
+    Alcotest.test_case "uniform DO: negative step" `Quick
+      test_loop_negative_step;
+    Alcotest.test_case "uniform DO: zero trips" `Quick test_loop_zero_trip;
+    Alcotest.test_case "uniform DO: zero step" `Quick test_loop_zero_step;
+    Alcotest.test_case "uniform DO: RETURN shrinks the mask" `Quick
+      test_loop_return_shrinks_mask;
   ]
