@@ -651,58 +651,6 @@ let e18 () =
     \ matching must stay linear in the messages in flight and the walk's@.\
     \ pid masks must not cost O(P))@."
 
-(* --- E17: parallel deterministic simulation on OCaml 5 domains --------------- *)
-
-(* Wall-clock of the domains-parallel scheduler against the sequential
-   path, with bit-identity asserted on every row.  Speedup needs real
-   cores: the generation phase shards the interpreters across domains,
-   so on a single-core host (Domain.recommended_domain_count = 1) the
-   parallel path can only add synchronization overhead — the table
-   reports whatever the host gives, honestly. *)
-let e17 () =
-  let cores = Domain.recommended_domain_count () in
-  header
-    (Fmt.str "E17: domains-parallel scheduler - wall clock vs domains (host cores=%d)"
-       cores);
-  Fmt.pr "  program |    P | domains | wall (ms) | speedup | identical@.";
-  let domain_counts =
-    List.sort_uniq compare
-      (1 :: List.filter (fun d -> d <= max 2 cores) [ 2; 4; 8; cores ])
-  in
-  let bench_one name src nprocs =
-    let opts = { Options.default with Options.nprocs } in
-    let prog = (Driver.compile_source ~opts src).Codegen.program in
-    let baseline = ref "" and t_seq = ref 0.0 in
-    List.iter
-      (fun domains ->
-        let config = Config.make ~domains ~nprocs () in
-        let t0 = Unix.gettimeofday () in
-        let r = Scheduler.run_partial config prog in
-        let dt = Unix.gettimeofday () -. t0 in
-        let js =
-          Fd_support.Json.to_string (Stats.to_json r.Scheduler.p_stats)
-        in
-        if domains = 1 then begin
-          baseline := js;
-          t_seq := dt
-        end;
-        if js <> !baseline then failwith "E17: parallel run diverged";
-        Fmt.pr "%9s | %4d | %7d | %9.2f | %7.2f | %9b@." name nprocs domains
-          (dt *. 1e3) (!t_seq /. dt) (js = !baseline))
-      domain_counts
-  in
-  List.iter
-    (fun nprocs ->
-      bench_one "dgefa" (Fd_workloads.Dgefa.source ~n:(if quick then 16 else 32) ()) nprocs;
-      bench_one "jacobi2d"
-        (Fd_workloads.Stencil.jacobi2d ~n:(if quick then 16 else 32)
-           ~t:(if quick then 4 else 10) ())
-        nprocs)
-    (if quick then [ 64; 256 ] else [ 64; 256; 1024 ]);
-  Fmt.pr
-    "(every row's statistics are byte-compared against the domains=1 run;@.\
-    \ speedup = sequential wall / parallel wall on this host)@."
-
 (* --- E19: interpreter time on the run-compute kernels -------------------------- *)
 
 (* The simulator and the sequential interpreter on the kernels of the
@@ -773,7 +721,6 @@ let () =
   e13 ();
   e14 ();
   e16 ();
-  e17 ();
   e18 ();
   e19 ();
   if micro then e8b ();

@@ -53,20 +53,6 @@ let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 let nprocs_arg =
   Arg.(value & opt int 4 & info [ "p"; "nprocs" ] ~doc:"Number of logical processors")
 
-let domains_arg =
-  Arg.(value & opt int 1
-       & info [ "domains" ]
-           ~doc:"OCaml domains the simulator runs on.  Results (statistics, \
-                 traces, outputs) are bit-identical for every value; 1 takes \
-                 the sequential path")
-
-let safe_window_arg =
-  Arg.(value & opt (some float) None
-       & info [ "safe-window" ] ~docv:"SECONDS"
-           ~doc:"Lookahead window of the parallel simulator's conservative \
-                 barrier (default: the machine's message startup cost alpha). \
-                 A batching knob only; results do not depend on it")
-
 let strategy_arg =
   Arg.(value & opt strategy_conv Fd_core.Options.Interproc
        & info [ "s"; "strategy" ] ~doc:"Compilation strategy")
@@ -238,7 +224,7 @@ let trace_out_arg =
                  trace_event JSON (load in Perfetto)")
 
 let run_cmd =
-  let run file nprocs domains safe_window strategy remap no_coll trace no_agg
+  let run file nprocs strategy remap no_coll trace no_agg
       json trace_out fault_seed drop dup delay bsteps bevents bwall strict =
     wrap_code ~strict ~json (fun sink ->
         let opts = opts_of ~no_agg nprocs strategy remap no_coll in
@@ -248,8 +234,7 @@ let run_cmd =
           | None -> None
         in
         let machine =
-          Fd_machine.Config.make ~domains ?safe_window ~nprocs
-            ~record_trace:trace
+          Fd_machine.Config.make ~nprocs ~record_trace:trace
             ?faults:(faults_of ~seed:fault_seed ~drop ~dup ~delay ())
             ?trace:tr ()
         in
@@ -308,23 +293,20 @@ let run_cmd =
         if Fd_core.Driver.verified r then 0 else 1)
   in
   Cmd.v (Cmd.info "run" ~doc:"Compile, simulate and verify")
-    Term.(const run $ file_arg $ nprocs_arg $ domains_arg $ safe_window_arg
-          $ strategy_arg $ remap_arg $ collectives_arg
-          $ trace_arg $ no_agg_arg $ json_arg $ trace_out_arg $ fault_seed_arg
-          $ drop_arg $ dup_arg $ delay_arg $ budget_steps_arg $ budget_events_arg
-          $ budget_wall_arg $ strict_arg)
+    Term.(const run $ file_arg $ nprocs_arg $ strategy_arg $ remap_arg
+          $ collectives_arg $ trace_arg $ no_agg_arg $ json_arg $ trace_out_arg
+          $ fault_seed_arg $ drop_arg $ dup_arg $ delay_arg $ budget_steps_arg
+          $ budget_events_arg $ budget_wall_arg $ strict_arg)
 
 (* --- fdc trace: ensemble tracing & metrics ------------------------------ *)
 
 let trace_cmd =
-  let run file nprocs domains safe_window strategy remap no_coll cap out matrix
+  let run file nprocs strategy remap no_coll cap out matrix
       summary skeleton metrics strict =
     wrap_code ~strict (fun sink ->
         let opts = opts_of nprocs strategy remap no_coll in
         let tr = Fd_trace.Trace.create ~capacity:cap () in
-        let machine =
-          Fd_machine.Config.make ~domains ?safe_window ~nprocs ~trace:tr ()
-        in
+        let machine = Fd_machine.Config.make ~nprocs ~trace:tr () in
         let r =
           Fd_core.Driver.run_source ~sink ~opts ~machine ~tracer:tr ~file
             (read_file file)
@@ -394,8 +376,7 @@ let trace_cmd =
        ~doc:"Compile, simulate and export a structured event trace: Chrome \
              trace_event JSON, communication matrix, per-processor summary, \
              normalized skeleton, or the event timeline (default)")
-    Term.(const run $ file_arg $ nprocs_arg $ domains_arg $ safe_window_arg
-          $ strategy_arg $ remap_arg
+    Term.(const run $ file_arg $ nprocs_arg $ strategy_arg $ remap_arg
           $ collectives_arg $ cap_arg $ out_arg $ matrix_arg $ summary_arg
           $ skeleton_arg $ metrics_arg $ strict_arg)
 

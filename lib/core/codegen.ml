@@ -37,6 +37,7 @@ type state = {
   mutable partition_log : (string * string) list;
       (* (procedure, human-readable loop-partition decision), in
          compilation order *)
+  pseudo_sids : Dynamic_decomp.sids;  (* ids of this compile's remap$ statements *)
 }
 
 let fresh st =
@@ -94,7 +95,7 @@ and request =
 
 (* --- Environment helpers ----------------------------------------------- *)
 
-let is_pseudo_sid sid = sid >= 1_000_000
+let is_pseudo_sid sid = sid >= Dynamic_decomp.pseudo_sid_base
 
 let decomp_of ctx sid name : Decomp.t =
   match SM.find_opt name ctx.override with
@@ -901,7 +902,7 @@ let materialize_remaps ctx (dyn : dyn_info) (body : Ast.stmt list) : Ast.stmt li
             s
             :: List.map
                  (fun (x, d) ->
-                   Dynamic_decomp.remap_stmt
+                   Dynamic_decomp.remap_stmt ctx.st.pseudo_sids
                      { Dynamic_decomp.rm_array = x; rm_decomp = d; rm_move = true })
                  (distribute_targets ctx s)
           else [ s ]
@@ -929,7 +930,7 @@ let materialize_remaps ctx (dyn : dyn_info) (body : Ast.stmt list) : Ast.stmt li
                 (fun (f, d) ->
                   Option.map
                     (fun v ->
-                      Dynamic_decomp.remap_stmt
+                      Dynamic_decomp.remap_stmt ctx.st.pseudo_sids
                         { Dynamic_decomp.rm_array = v; rm_decomp = d; rm_move = true })
                     (actual_of f))
                 lst
@@ -958,7 +959,7 @@ let materialize_remaps ctx (dyn : dyn_info) (body : Ast.stmt list) : Ast.stmt li
     let restores () =
       List.map
         (fun x ->
-          Dynamic_decomp.remap_stmt
+          Dynamic_decomp.remap_stmt ctx.st.pseudo_sids
             { Dynamic_decomp.rm_array = x; rm_decomp = inherited_decomp ctx x;
               rm_move = true })
         formals_distributed
@@ -2067,7 +2068,8 @@ let compile_analyzed ?(sink = Diag.global) (opts : Options.t)
   ignore (Aliasing.check ~sink acg effects);
   let st =
     { opts; sink; acg; rd; effects; counter = 0; exports = Hashtbl.create 16;
-      remap_stats = []; partition_log = [] }
+      remap_stats = []; partition_log = [];
+      pseudo_sids = Dynamic_decomp.new_sids () }
   in
   let compile_one name =
     let cu = (Acg.proc acg name).Acg.cu in

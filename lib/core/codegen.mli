@@ -23,6 +23,8 @@ type state = {
   mutable remap_stats : (string * Dynamic_decomp.opt_stats) list;
   mutable partition_log : (string * string) list;
       (** (procedure, loop-partition decision), in compilation order *)
+  pseudo_sids : Dynamic_decomp.sids;
+      (** statement ids of this compile's [remap$] pseudo-statements *)
 }
 
 val export_of : state -> string -> Exports.t

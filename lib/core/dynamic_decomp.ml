@@ -23,11 +23,15 @@ open Fd_analysis
 
 module SS = Set.Make (String)
 
-let pseudo_sid = ref 1_000_000
+(* Each compile numbers its pseudo-statements pseudo_sid_base + 1,
+   + 2, ...: above every parsed statement id and distinct within the
+   compile. *)
+let pseudo_sid_base = 1_000_000
 
-let fresh_pseudo_sid () =
-  incr pseudo_sid;
-  !pseudo_sid
+type sids = { mutable last : int }
+
+let new_sids () = { last = pseudo_sid_base }
+let last_sid sids = sids.last
 
 type remap = { rm_array : string; rm_decomp : Decomp.t; rm_move : bool }
 
@@ -45,7 +49,7 @@ let kind_of_code code size =
   | 3 -> Ast.Block_cyclic size
   | _ -> Diag.error "bad remap$ kind code %d" code
 
-let remap_stmt (rm : remap) : Ast.stmt =
+let encode_remap sid (rm : remap) : Ast.stmt =
   let dim, kind, size =
     match Decomp.dist_dim rm.rm_decomp with
     | None -> (-1, 0, 0)
@@ -53,13 +57,17 @@ let remap_stmt (rm : remap) : Ast.stmt =
       let c, s = kind_code k in
       (d, c, s)
   in
-  { Ast.sid = fresh_pseudo_sid ();
+  { Ast.sid = sid;
     loc = Loc.none;
     kind =
       Ast.Call
         ( "remap$",
           [ Ast.Var rm.rm_array; Ast.Int_const dim; Ast.Int_const kind;
             Ast.Int_const size; Ast.Int_const (if rm.rm_move then 1 else 0) ] ) }
+
+let remap_stmt sids rm =
+  sids.last <- sids.last + 1;
+  encode_remap sids.last rm
 
 let as_remap (s : Ast.stmt) : remap option =
   match s.Ast.kind with
@@ -469,7 +477,7 @@ let array_kills ~(symtab : Symtab.t) ~(value_killer : string -> int -> bool)
       match as_remap s with
       | Some r when r.rm_move && next_touch_kills r.rm_array rest ->
         incr converted;
-        remap_stmt { r with rm_move = false } :: scan_block rest
+        encode_remap s.Ast.sid { r with rm_move = false } :: scan_block rest
       | Some _ -> s :: scan_block rest
       | None -> (
         match s.Ast.kind with

@@ -19,9 +19,21 @@ module DM : Map.S with type key = string and type 'a t = 'a Map.Make(String).t
 
 type remap = { rm_array : string; rm_decomp : Decomp.t; rm_move : bool }
 
-val remap_stmt : remap -> Ast.stmt
-(** Encode as a [remap$] pseudo-call with a fresh (pseudo-range)
-    statement id. *)
+val pseudo_sid_base : int
+(** Every pseudo-statement id is above it, and every parsed one below. *)
+
+type sids
+(** The pseudo-statement ids one compile has issued. *)
+
+val new_sids : unit -> sids
+(** Numbering from [pseudo_sid_base + 1]. *)
+
+val last_sid : sids -> int
+(** The last id issued; [pseudo_sid_base] before the first. *)
+
+val remap_stmt : sids -> remap -> Ast.stmt
+(** Encode as a [remap$] pseudo-call with the next pseudo-statement
+    id. *)
 
 val as_remap : Ast.stmt -> remap option
 val is_remap_of : string -> Ast.stmt -> bool

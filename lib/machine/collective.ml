@@ -1,28 +1,25 @@
-(* Remap planning shared by the sequential scheduler and the parallel
-   generation phase ({!Pdes}).
+(* Remap planning for the scheduler's collective sites.
 
    [plan_remap] performs the global data movement of a dynamic
    redistribution — planning element moves from the old layout, switching
    layouts everywhere, applying the copies — and returns the
-   {!Eff.remap_summary} the scheduler's time/stats accounting consumes.
-   Keeping one copy of this logic is what makes the parallel scheduler's
-   replayed accounting bit-identical to the sequential path. *)
+   [remap_summary] the scheduler's time/stats accounting consumes. *)
 
 open Fd_support
 
-(* The per-processor release cost of a remap: one message startup per
-   partner pair plus the per-byte cost of everything sent and received.
-   Shared verbatim between the sequential commit and generation's shadow
-   clocks, so both compute the same floats in the same order. *)
-let remap_cost ~alpha ~beta (s : Eff.remap_summary) p =
-  if not s.Eff.rs_mark_only then
-    (float_of_int s.Eff.rs_npairs.(p) *. alpha)
-    +. (beta *. float_of_int (s.Eff.rs_sent.(p) + s.Eff.rs_received.(p)))
-  else 0.0
+type remap_summary = {
+  rs_array : string;
+  rs_total_bytes : int;
+  rs_sent : int array;       (* per-processor bytes sent *)
+  rs_received : int array;   (* per-processor bytes received *)
+  rs_npairs : int array;     (* per-processor partner-pair count *)
+  rs_pairs : ((int * int) * int) list;  (* sorted ((src, dest), bytes) *)
+  rs_mark_only : bool;
+}
 
 let plan_remap ~nprocs ~word_bytes ~(objs : Storage.array_obj option array)
     ~(obj0 : Storage.array_obj) ~(new_layout : Layout.t) ~(move : bool) :
-    Eff.remap_summary =
+    remap_summary =
   let old_layout = obj0.Storage.layout in
   let old_owned = Layout.owned old_layout ~nprocs in
   let new_owned = Layout.owned new_layout ~nprocs in
@@ -97,6 +94,6 @@ let plan_remap ~nprocs ~word_bytes ~(objs : Storage.array_obj option array)
   let pairs =
     List.sort compare (Hashtbl.fold (fun k b acc -> (k, b) :: acc) partners [])
   in
-  { Eff.rs_array = obj0.Storage.name; rs_total_bytes = total_bytes;
+  { rs_array = obj0.Storage.name; rs_total_bytes = total_bytes;
     rs_sent = sent; rs_received = received; rs_npairs = npairs;
     rs_pairs = pairs; rs_mark_only = not move }

@@ -1,18 +1,22 @@
-(** Remap planning shared by the sequential scheduler and the parallel
-    generation phase ({!Pdes}): one copy of the data-movement plan and
-    the per-processor cost formula, so the parallel scheduler's replayed
-    accounting is bit-identical to the sequential path. *)
+(** Remap planning for the scheduler's collective sites: the global data
+    movement of a dynamic redistribution and the summary its time and
+    statistics accounting consumes. *)
 
-val remap_cost : alpha:float -> beta:float -> Eff.remap_summary -> int -> float
-(** Release cost of a remap for processor [p]: one message startup per
-    partner pair plus the per-byte cost of bytes sent and received;
-    [0.0] for mark-only remaps. *)
+type remap_summary = {
+  rs_array : string;
+  rs_total_bytes : int;
+  rs_sent : int array;       (** per-processor bytes sent *)
+  rs_received : int array;   (** per-processor bytes received *)
+  rs_npairs : int array;     (** per-processor partner-pair count *)
+  rs_pairs : ((int * int) * int) list;  (** sorted ((src, dest), bytes) *)
+  rs_mark_only : bool;
+}
 
 val plan_remap :
   nprocs:int -> word_bytes:int ->
   objs:Storage.array_obj option array ->
   obj0:Storage.array_obj ->
-  new_layout:Layout.t -> move:bool -> Eff.remap_summary
+  new_layout:Layout.t -> move:bool -> remap_summary
 (** Perform a redistribution's global data movement (plan element moves
     under the old layout, switch every processor's layout, apply the
     copies) and return the summary the scheduler's accounting consumes.

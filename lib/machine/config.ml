@@ -17,11 +17,6 @@ type t = {
   record_trace : bool;      (* record a communication-event timeline *)
   faults : Fault.t option;  (* adversarial-network plan; None = reliable *)
   trace : Fd_trace.Trace.t option;  (* structured event sink; None = off *)
-  domains : int;        (* OCaml domains for the parallel scheduler; 1 =
-                           the sequential path, byte-identical results *)
-  safe_window : float option;
-      (* conservative-PDES lookahead window (seconds); None = alpha.
-         A batching knob only: any value yields identical results *)
 }
 
 let ipsc860 ?(nprocs = 4) () = {
@@ -36,15 +31,13 @@ let ipsc860 ?(nprocs = 4) () = {
   record_trace = false;
   faults = None;
   trace = None;
-  domains = 1;
-  safe_window = None;
 }
 
 let make ?(alpha = 75e-6) ?(beta = 0.4e-6) ?(flop = 0.05e-6) ?(mem_op = 0.025e-6)
     ?(word_bytes = 8) ?(tree_collectives = true) ?(strict_validity = true)
-    ?(record_trace = false) ?faults ?trace ?(domains = 1) ?safe_window ~nprocs () =
+    ?(record_trace = false) ?faults ?trace ~nprocs () =
   { nprocs; alpha; beta; flop; mem_op; word_bytes; tree_collectives;
-    strict_validity; record_trace; faults; trace; domains; safe_window }
+    strict_validity; record_trace; faults; trace }
 
 let slowdown t p = match t.faults with Some plan -> Fault.slowdown_for plan p | None -> 1.0
 

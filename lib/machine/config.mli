@@ -24,14 +24,6 @@ type t = {
   trace : Fd_trace.Trace.t option;
       (** structured event sink ({!Fd_trace.Trace}); [None] disables
           tracing at zero cost (producers emit through one option match) *)
-  domains : int;
-      (** OCaml domains the scheduler shards processors across; [1]
-          (the default) takes the sequential path and any [N] produces
-          bit-identical {!Stats}, trace, and output *)
-  safe_window : float option;
-      (** conservative-PDES lookahead window in seconds; [None] uses
-          [alpha].  Purely a batching knob — results are independent of
-          its value *)
 }
 
 val ipsc860 : ?nprocs:int -> unit -> t
@@ -40,7 +32,6 @@ val make :
   ?alpha:float -> ?beta:float -> ?flop:float -> ?mem_op:float ->
   ?word_bytes:int -> ?tree_collectives:bool -> ?strict_validity:bool ->
   ?record_trace:bool -> ?faults:Fault.t -> ?trace:Fd_trace.Trace.t ->
-  ?domains:int -> ?safe_window:float ->
   nprocs:int -> unit -> t
 
 val slowdown : t -> int -> float

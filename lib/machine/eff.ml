@@ -5,19 +5,6 @@
 
 open Fd_support
 
-(* Everything the scheduler's remap accounting consumes, captured once
-   so the parallel scheduler's replay phase can re-price a remap without
-   re-planning the data movement (which already happened). *)
-type remap_summary = {
-  rs_array : string;
-  rs_total_bytes : int;
-  rs_sent : int array;       (* per-processor bytes sent *)
-  rs_received : int array;   (* per-processor bytes received *)
-  rs_npairs : int array;     (* per-processor partner-pair count *)
-  rs_pairs : ((int * int) * int) list;  (* sorted ((src, dest), bytes) *)
-  rs_mark_only : bool;
-}
-
 type coll_op =
   | Coll_bcast of {
       root : int;
@@ -29,12 +16,6 @@ type coll_op =
       obj : Storage.array_obj;  (* my copy of the array *)
       new_layout : Layout.t;
       move : bool;
-    }
-  | Coll_replay_remap of {
-      label : string;  (* array name, for diagnostics before completion *)
-      summary : (remap_summary, exn) result option ref;
-          (* filled when the generation phase performed the remap; [Error]
-             poisons the site with the exception generation hit *)
     }
 
 type _ Effect.t +=

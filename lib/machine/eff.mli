@@ -5,19 +5,6 @@
 
 open Fd_support
 
-type remap_summary = {
-  rs_array : string;
-  rs_total_bytes : int;
-  rs_sent : int array;       (** per-processor bytes sent *)
-  rs_received : int array;   (** per-processor bytes received *)
-  rs_npairs : int array;     (** per-processor partner-pair count *)
-  rs_pairs : ((int * int) * int) list;  (** sorted ((src, dest), bytes) *)
-  rs_mark_only : bool;
-}
-(** Everything the scheduler's remap accounting consumes, captured once
-    so the parallel scheduler's replay phase can re-price a remap
-    without re-planning the (already performed) data movement. *)
-
 type coll_op =
   | Coll_bcast of {
       root : int;
@@ -31,12 +18,6 @@ type coll_op =
       obj : Storage.array_obj;  (** this processor's copy of the array *)
       new_layout : Layout.t;
       move : bool;  (** physical data movement vs mark-only *)
-    }
-  | Coll_replay_remap of {
-      label : string;  (** array name, for diagnostics before completion *)
-      summary : (remap_summary, exn) result option ref;
-          (** filled when the generation phase performed the remap;
-              [Error] poisons the site with generation's exception *)
     }
 
 type _ Effect.t +=

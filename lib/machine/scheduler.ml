@@ -344,7 +344,6 @@ let word_bytes t = t.config.Config.word_bytes
 let coll_label = function
   | Eff.Coll_bcast { label; _ } -> "broadcast " ^ label
   | Eff.Coll_remap { obj; _ } -> "remap " ^ obj.Storage.name
-  | Eff.Coll_replay_remap { label; _ } -> "remap " ^ label
 
 let perform_bcast t ~site
     (parts : (int * Eff.coll_op * Loc.t * (unit, outcome) continuation) list) =
@@ -385,93 +384,71 @@ let perform_bcast t ~site
       set_clock t p release;
       match op with
       | Eff.Coll_bcast { write; _ } -> if p <> root then write elems
-      | Eff.Coll_remap _ | Eff.Coll_replay_remap _ ->
+      | Eff.Coll_remap _ ->
         raise (Sim_error (Runtime_error "mixed collective at one site")))
     parts
 
 let perform_remap t ~site
     (parts : (int * Eff.coll_op * Loc.t * (unit, outcome) continuation) list) =
   let nprocs = t.config.Config.nprocs in
-  (* Obtain the remap summary.  Real participants carry their storage
-     objects: plan and perform the global data movement here.  Replayed
-     participants (parallel scheduler) carry the summary the generation
-     phase recorded — the data movement already happened; re-raising a
-     poisoned summary reproduces generation's planning failure at the
-     same point the sequential path would raise it. *)
-  let summary =
-    match parts with
-    | (_, Eff.Coll_replay_remap _, _, _) :: _ ->
-      let cell = ref None in
-      List.iter
-        (fun (_, op, _, _) ->
-          match op with
-          | Eff.Coll_replay_remap { summary; _ } -> cell := Some summary
-          | Eff.Coll_bcast _ ->
-            raise (Sim_error (Runtime_error "mixed collective at one site"))
-          | Eff.Coll_remap _ ->
-            Diag.internal ~pass:"simulate" "real remap op in a replayed site")
-        parts;
-      (match !cell with
-      | Some { contents = Some (Ok s) } -> s
-      | Some { contents = Some (Error ex) } -> raise ex
-      | _ -> Diag.internal ~pass:"simulate" "replayed remap summary missing")
-    | _ ->
-      let objs = Array.make nprocs None in
-      let new_layout = ref None and move = ref true in
-      List.iter
-        (fun (p, op, _, _) ->
-          match op with
-          | Eff.Coll_remap { obj; new_layout = nl; move = mv } ->
-            objs.(p) <- Some obj;
-            new_layout := Some nl;
-            move := mv
-          | Eff.Coll_bcast _ | Eff.Coll_replay_remap _ ->
-            raise (Sim_error (Runtime_error "mixed collective at one site")))
-        parts;
-      let new_layout =
-        match !new_layout with
-        | Some l -> l
-        | None -> raise (Sim_error (Runtime_error "remap with no layout"))
-      in
-      let obj0 =
-        match objs.(0) with
-        | Some o -> o
-        | None -> raise (Sim_error (Runtime_error "remap missing processor 0"))
-      in
-      Collective.plan_remap ~nprocs ~word_bytes:(word_bytes t) ~objs ~obj0
-        ~new_layout ~move:!move
+  let objs = Array.make nprocs None in
+  let new_layout = ref None and move = ref true in
+  List.iter
+    (fun (p, op, _, _) ->
+      match op with
+      | Eff.Coll_remap { obj; new_layout = nl; move = mv } ->
+        objs.(p) <- Some obj;
+        new_layout := Some nl;
+        move := mv
+      | Eff.Coll_bcast _ ->
+        raise (Sim_error (Runtime_error "mixed collective at one site")))
+    parts;
+  let new_layout =
+    match !new_layout with
+    | Some l -> l
+    | None -> raise (Sim_error (Runtime_error "remap with no layout"))
   in
-  (* time accounting, identical for real and replayed participants *)
+  let obj0 =
+    match objs.(0) with
+    | Some o -> o
+    | None -> raise (Sim_error (Runtime_error "remap missing processor 0"))
+  in
+  let { Collective.rs_array = array; rs_total_bytes; rs_sent; rs_received;
+        rs_npairs; rs_pairs; rs_mark_only } =
+    Collective.plan_remap ~nprocs ~word_bytes:(word_bytes t) ~objs ~obj0
+      ~new_layout ~move:!move
+  in
   let tmax =
     List.fold_left
       (fun acc (p, _, _, _) -> Float.max acc t.stats.Stats.clocks.(p))
       0.0 parts
   in
-  if not summary.Eff.rs_mark_only then begin
+  if not rs_mark_only then begin
     t.stats.Stats.remaps <- t.stats.Stats.remaps + 1;
-    t.stats.Stats.remap_bytes <-
-      t.stats.Stats.remap_bytes + summary.Eff.rs_total_bytes
+    t.stats.Stats.remap_bytes <- t.stats.Stats.remap_bytes + rs_total_bytes
   end
   else t.stats.Stats.remap_marks <- t.stats.Stats.remap_marks + 1;
   record t
     (Stats.Ev_remap
-       { at = tmax; array = summary.Eff.rs_array;
-         moved_bytes = summary.Eff.rs_total_bytes;
-         mark_only = summary.Eff.rs_mark_only });
+       { at = tmax; array; moved_bytes = rs_total_bytes; mark_only = rs_mark_only });
   (match t.config.Config.trace with
   | Some tr ->
     List.iter
       (fun ((q, r), bytes) ->
         Tr.emit tr ~kind:Tr.Remap ~at:tmax ~proc:q ~peer:r ~tag:site ~bytes
-          ~label:summary.Eff.rs_array ())
-      summary.Eff.rs_pairs
+          ~label:array ())
+      rs_pairs
   | None -> ());
-  let label = "remap " ^ summary.Eff.rs_array in
+  let label = "remap " ^ array in
   List.iter
     (fun (p, _, _, _) ->
+      (* one message startup per partner pair plus the per-byte cost of
+         everything sent and received *)
       let cost =
-        Collective.remap_cost ~alpha:t.config.Config.alpha
-          ~beta:t.config.Config.beta summary p
+        if not rs_mark_only then
+          (float_of_int rs_npairs.(p) *. t.config.Config.alpha)
+          +. (t.config.Config.beta *. float_of_int (rs_sent.(p) + rs_received.(p)))
+        else 0.0
       in
       let entered = t.stats.Stats.clocks.(p) in
       let release = tmax +. cost in
@@ -480,8 +457,7 @@ let perform_remap t ~site
         Tr.emit tr ~kind:Tr.Coll_enter ~at:entered ~proc:p ~tag:site
           ~dur:(release -. entered) ~label ();
         Tr.emit tr ~kind:Tr.Coll_exit ~at:release ~proc:p ~tag:site
-          ~bytes:(summary.Eff.rs_sent.(p) + summary.Eff.rs_received.(p))
-          ~label ()
+          ~bytes:(rs_sent.(p) + rs_received.(p)) ~label ()
       | None -> ());
       set_clock t p release)
     parts
@@ -494,7 +470,7 @@ let perform_collective t site =
     Hashtbl.remove t.colls site;
     (match parts with
     | (_, Eff.Coll_bcast _, _, _) :: _ -> perform_bcast t ~site parts
-    | (_, (Eff.Coll_remap _ | Eff.Coll_replay_remap _), _, _) :: _ ->
+    | (_, Eff.Coll_remap _, _, _) :: _ ->
       perform_remap t ~site parts
     | [] -> ());
     List.iter
@@ -580,12 +556,16 @@ type partial = {
   p_exhausted : string option;
 }
 
-(* Drain the run queue to completion (or budget exhaustion).  Shared by
-   the sequential path and the parallel path's replay phase — running the
-   identical loop over scripted players is what makes domains > 1
-   bit-identical to domains = 1. *)
-let exec_loop t : partial =
-  let nprocs = t.config.Config.nprocs in
+(* Start every processor's interpreter, then drain the run queue to
+   completion (or budget exhaustion). *)
+let run_partial ?budget (config : Config.t) (prog : Node.program) : partial =
+  let t = create ?budget:(Option.map Budget.start budget) config in
+  let nprocs = config.Config.nprocs in
+  let code = Interp.compile prog in
+  for p = 0 to nprocs - 1 do
+    let interp = Interp.create ~proc:p ~config ~stats:t.stats code in
+    Queue.add (p, fun () -> run_proc t p (fun () -> Interp.run_main interp)) t.runq
+  done;
   let finished = ref 0 in
   match
     (try
@@ -641,81 +621,6 @@ let exec_loop t : partial =
     (* graceful degradation: stats so far, no final frames.  The parked
        continuations are dropped; each holds only simulator state. *)
     { p_stats = t.stats; p_frames = None; p_exhausted = Some reason }
-
-let run_partial_seq ?budget (config : Config.t) (prog : Node.program) : partial =
-  let budget = Option.map Budget.start budget in
-  let t = create ?budget config in
-  let code = Interp.compile prog in
-  for p = 0 to config.Config.nprocs - 1 do
-    let interp = Interp.create ~proc:p ~config ~stats:t.stats code in
-    Queue.add (p, fun () -> run_proc t p (fun () -> Interp.run_main interp)) t.runq
-  done;
-  exec_loop t
-
-(* A scripted player: re-performs one processor's recorded action stream
-   as real effects against the live scheduler.  Compute costs and
-   interpreter-level trace events attach to the action they preceded;
-   the network layer re-stamps, re-prices, and re-faults every send, so
-   the replay IS the sequential simulation of the program. *)
-let play_actions t (script : Pdes.action list) (frame : Interp.frame option)
-    (gen_reason : string option) () : Interp.frame =
-  List.iter
-    (fun (a : Pdes.action) ->
-      t.stats.Stats.flops <- t.stats.Stats.flops + a.Pdes.a_flops;
-      t.stats.Stats.mem_ops <- t.stats.Stats.mem_ops + a.Pdes.a_mems;
-      (match t.config.Config.trace with
-      | Some tr -> List.iter (Tr.emit_ev tr) a.Pdes.a_emits
-      | None -> ());
-      match a.Pdes.a_op with
-      | Pdes.A_tick dt -> Eff.tick dt
-      | Pdes.A_send msg -> Eff.send msg
-      | Pdes.A_recv { src; tag; loc } -> ignore (Eff.recv ~src ~tag ~loc)
-      | Pdes.A_coll { site; op; loc; post } ->
-        let op =
-          match op with
-          | Eff.Coll_bcast { root; label; read; write } ->
-            (* charge the root's recorded read() compute at perform
-               time, exactly where the sequential path charges it *)
-            let read () =
-              let dfl, dmm = !post in
-              t.stats.Stats.flops <- t.stats.Stats.flops + dfl;
-              t.stats.Stats.mem_ops <- t.stats.Stats.mem_ops + dmm;
-              read ()
-            in
-            Eff.Coll_bcast { root; label; read; write }
-          | other -> other
-        in
-        Eff.collective ~site ~loc op
-      | Pdes.A_output line -> Eff.output line
-      | Pdes.A_done -> ()
-      | Pdes.A_raise ex -> raise ex)
-    script;
-  match frame with
-  | Some f -> f
-  | None ->
-    (* the stream was truncated by generation's per-processor budget;
-       only reachable under a wall-clock budget (step/event budgets trip
-       the replay's shared budget first) *)
-    raise (Budget_stop (Option.value ~default:"budget exhausted" gen_reason))
-
-let run_partial_par ?budget (config : Config.t) (prog : Node.program) : partial =
-  let gen = Pdes.generate ?budget config prog in
-  let budget = Option.map Budget.start budget in
-  let t = create ?budget config in
-  for p = 0 to config.Config.nprocs - 1 do
-    Queue.add
-      ( p,
-        fun () ->
-          run_proc t p
-            (play_actions t gen.Pdes.scripts.(p) gen.Pdes.frames.(p)
-               gen.Pdes.g_exhausted) )
-      t.runq
-  done;
-  exec_loop t
-
-let run_partial ?budget (config : Config.t) (prog : Node.program) : partial =
-  if config.Config.domains > 1 then run_partial_par ?budget config prog
-  else run_partial_seq ?budget config prog
 
 let run (config : Config.t) (prog : Node.program) : Stats.t * Interp.frame array =
   match run_partial config prog with

@@ -58,9 +58,6 @@ type t = {
   cap : int;
   buf : ev array;
   mutable total : int;  (* events ever emitted; ring slot = total mod cap *)
-  sink : (ev -> unit) option;
-      (* lossless side-channel: called with a private copy of every
-         emitted event, even ones the ring later overwrites *)
 }
 
 let default_capacity = 1 lsl 16
@@ -69,9 +66,9 @@ let fresh_ev () =
   { at = 0.0; kind = Send; proc = -1; peer = -1; tag = -1; seq = -1; bytes = 0;
     dur = 0.0; label = "" }
 
-let create ?(capacity = default_capacity) ?sink () =
+let create ?(capacity = default_capacity) () =
   let cap = max 1 capacity in
-  { cap; buf = Array.init cap (fun _ -> fresh_ev ()); total = 0; sink }
+  { cap; buf = Array.init cap (fun _ -> fresh_ev ()); total = 0 }
 
 let capacity t = t.cap
 let total t = t.total
@@ -95,13 +92,7 @@ let emit t ~kind ~at ~proc ?(peer = -1) ?(tag = -1) ?(seq = -1) ?(bytes = 0)
   e.bytes <- bytes;
   e.dur <- dur;
   e.label <- label;
-  t.total <- t.total + 1;
-  match t.sink with Some f -> f (copy_ev e) | None -> ()
-
-(* Re-emit a captured event verbatim (parallel-replay path). *)
-let emit_ev t ev =
-  emit t ~kind:ev.kind ~at:ev.at ~proc:ev.proc ~peer:ev.peer ~tag:ev.tag
-    ~seq:ev.seq ~bytes:ev.bytes ~dur:ev.dur ~label:ev.label ()
+  t.total <- t.total + 1
 
 (* Chronological iteration over the retained window.  The record handed
    to [f] is the ring's own slot: read it, do not retain it. *)

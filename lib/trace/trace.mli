@@ -39,11 +39,9 @@ type t
 
 val default_capacity : int
 
-val create : ?capacity:int -> ?sink:(ev -> unit) -> unit -> t
-(** [sink] is a lossless side-channel: it receives a private copy of
-    every emitted event, including ones the ring later overwrites.  The
-    parallel scheduler uses sinks to capture interpreter-level events
-    for deterministic replay. *)
+val create : ?capacity:int -> unit -> t
+(** A ring holding the newest [capacity] events (default
+    {!default_capacity}). *)
 
 val capacity : t -> int
 
@@ -61,12 +59,6 @@ val clear : t -> unit
 val emit :
   t -> kind:kind -> at:float -> proc:int -> ?peer:int -> ?tag:int -> ?seq:int ->
   ?bytes:int -> ?dur:float -> ?label:string -> unit -> unit
-
-val emit_ev : t -> ev -> unit
-(** Re-emit a captured event verbatim (all fields copied). *)
-
-val copy_ev : ev -> ev
-(** A private copy, safe to retain across later emissions. *)
 
 val iter : t -> (ev -> unit) -> unit
 (** Chronological iteration over the retained window.  The record handed

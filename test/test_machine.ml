@@ -271,6 +271,36 @@ let sched_determinism () =
   check_int "same messages" r1.Fd_core.Driver.stats.Stats.messages
     r2.Fd_core.Driver.stats.Stats.messages
 
+(* Simulating one compiled program twice gives the same stats JSON
+   (counters, clocks, outputs, the recorded event log), the same trace
+   events in the same order, and the same normalized skeleton: no
+   simulator state leaks from one run into the next. *)
+let sequential_rerun_canary () =
+  let examples_dir =
+    if Sys.file_exists "../examples" then "../examples" else "examples"
+  in
+  let src =
+    In_channel.with_open_bin (Filename.concat examples_dir "jacobi2d.fd")
+      In_channel.input_all
+  in
+  let opts = { Fd_core.Options.default with Fd_core.Options.nprocs = 8 } in
+  let prog = (Fd_core.Driver.compile_source ~opts src).Fd_core.Codegen.program in
+  let sim () =
+    let tr = Fd_trace.Trace.create () in
+    let config = Config.make ~nprocs:8 ~record_trace:true ~trace:tr () in
+    let r = Scheduler.run_partial config prog in
+    ( Json.to_string (Stats.to_json r.Scheduler.p_stats),
+      Fd_trace.Trace.to_list tr,
+      Fd_trace.Export.skeleton tr,
+      r.Scheduler.p_frames <> None )
+  in
+  let stats_a, events_a, skel_a, done_a = sim () in
+  let stats_b, events_b, skel_b, done_b = sim () in
+  Alcotest.(check string) "stats json" stats_a stats_b;
+  check "trace events bit-identical" true (events_a = events_b);
+  Alcotest.(check (list string)) "skeleton" skel_a skel_b;
+  check "both completed" true (done_a && done_b)
+
 (* --- Cost model ------------------------------------------------------------ *)
 
 let cost_message () =
@@ -332,6 +362,7 @@ let suite =
     Alcotest.test_case "scheduler remap moves data" `Quick sched_remap_moves_data;
     Alcotest.test_case "scheduler mark-only remap" `Quick sched_mark_only_remap_moves_nothing;
     Alcotest.test_case "scheduler determinism" `Quick sched_determinism;
+    Alcotest.test_case "sequential rerun canary" `Quick sequential_rerun_canary;
     Alcotest.test_case "cost model messages" `Quick cost_message;
     Alcotest.test_case "cost model tree broadcast" `Quick cost_bcast_tree;
     Alcotest.test_case "seq interp basics" `Quick seq_basic;

@@ -23,7 +23,6 @@ let () =
       ("cost", Test_cost.suite);
       ("trace", Test_trace.suite);
       ("integration", Test_integration.suite);
-      ("pdes", Test_pdes.suite);
       ("totality", Test_totality.suite);
       ("golden-sim", Test_golden_sim.suite);
       ("golden-chk", Test_golden_verify.suite);

@@ -85,10 +85,10 @@ let metrics_registry () =
 
 (* --- Traced runs ---------------------------------------------------------- *)
 
-let run_traced ?(nprocs = 4) ?(domains = 1) ?(strategy = Options.Interproc) src =
+let run_traced ?(nprocs = 4) ?(strategy = Options.Interproc) src =
   let tr = Tr.create () in
   let opts = { Options.default with Options.nprocs; strategy } in
-  let machine = Config.make ~domains ~nprocs ~trace:tr () in
+  let machine = Config.make ~nprocs ~trace:tr () in
   let r = Driver.run_source ~opts ~machine src in
   (tr, r)
 
@@ -270,22 +270,19 @@ let trace_within_skeleton seed =
     strategies
 
 (* Fault-free simulation is deterministic: two runs of the same program
-   produce traces identical in every field — including across scheduler
-   domain counts (the parallel scheduler claims bit-identity). *)
-let domains_gen = QCheck2.Gen.(pair (int_range 0 100_000) (oneofl [ 1; 2; 4; 8 ]))
-
-let deterministic_without_faults (seed, domains) =
+   produce traces identical in every field. *)
+let deterministic_without_faults seed =
   let src = src_of_seed seed in
   let tr1, r1 = run_traced src in
-  let tr2, r2 = run_traced ~domains src in
+  let tr2, r2 = run_traced src in
   Driver.verified r1 && Driver.verified r2
   && Tr.total tr1 = Tr.total tr2
   && Tr.to_list tr1 = Tr.to_list tr2
 
-let deterministic_2d (seed, domains) =
+let deterministic_2d seed =
   let src = src_of_seed ~two_d:true seed in
   let tr1, r1 = run_traced src in
-  let tr2, r2 = run_traced ~domains src in
+  let tr2, r2 = run_traced src in
   Driver.verified r1 && Driver.verified r2 && Tr.to_list tr1 = Tr.to_list tr2
 
 (* Pipeline spans: one per pass, in pass order. *)
@@ -320,8 +317,8 @@ let suite =
       replay_matches_stats;
     prop ~count:15 "generated: trace within static skeleton" seed_gen
       trace_within_skeleton;
-    prop ~count:20 "generated: fault-free traces bit-identical across domains"
-      domains_gen deterministic_without_faults;
-    prop ~count:10 "generated 2-D: traces bit-identical across domains"
-      domains_gen deterministic_2d;
+    prop ~count:20 "generated: fault-free traces bit-identical across reruns"
+      seed_gen deterministic_without_faults;
+    prop ~count:10 "generated 2-D: traces bit-identical across reruns" seed_gen
+      deterministic_2d;
   ]

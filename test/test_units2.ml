@@ -155,8 +155,10 @@ let gather_detects_mismatch () =
 
 let no_calls _callee _args = Dynamic_decomp.SS.empty
 
+let sids = Dynamic_decomp.new_sids ()
+
 let remap name kind : Ast.stmt =
-  Dynamic_decomp.remap_stmt
+  Dynamic_decomp.remap_stmt sids
     { Dynamic_decomp.rm_array = name;
       rm_decomp = Decomp.of_kinds [ kind ];
       rm_move = true }
@@ -193,6 +195,25 @@ let dd_liveness_respects_branches () =
   let body = [ remap "x" Ast.Cyclic; branch_use ] in
   let _, removed = Dynamic_decomp.dead_remap_elim ~call_touches:no_calls body in
   check_int "kept (used in a branch)" 0 removed
+
+(* Every compile numbers its remap$ pseudo-statements from the same
+   base, so compiling one program twice in a process issues the same
+   ids: all above the parsed statement ids. *)
+let dd_pseudo_sids_per_compile () =
+  let examples_dir =
+    if Sys.file_exists "../examples" then "../examples" else "examples"
+  in
+  let src =
+    In_channel.with_open_bin (Filename.concat examples_dir "adi_dynamic.fd")
+      In_channel.input_all
+  in
+  let last_sid () =
+    let compiled = Driver.compile_source src in
+    Dynamic_decomp.last_sid compiled.Codegen.state.Codegen.pseudo_sids
+  in
+  let first = last_sid () in
+  check "remaps were inserted" true (first > Dynamic_decomp.pseudo_sid_base);
+  check_int "same ids on a second compile" first (last_sid ())
 
 (* --- Exports invariants over dgefa ------------------------------------------------- *)
 
@@ -290,6 +311,8 @@ let suite =
     Alcotest.test_case "dead remap elim (unit)" `Quick dd_dead_elim_unit;
     Alcotest.test_case "redundant remap elim (unit)" `Quick dd_redundant_unit;
     Alcotest.test_case "remap liveness across branches" `Quick dd_liveness_respects_branches;
+    Alcotest.test_case "remap pseudo sids restart per compile" `Quick
+      dd_pseudo_sids_per_compile;
     Alcotest.test_case "exports: dgefa invariants" `Quick exports_dgefa;
     Alcotest.test_case "exports: fig15 before/after" `Quick exports_fig15;
     Alcotest.test_case "cloning limit" `Quick cloning_limit;
