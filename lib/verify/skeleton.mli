@@ -18,6 +18,12 @@
     O(events x P) steps, and each receive scans the live messages of
     its tag in the shared {!Replay} queue — never the consumed ones.
 
+    That group engine ({!replay}) is written once, here, and has two
+    clients, each a lens over a per-group payload: {!run}'s
+    verification lens (received sets, payload checks, finding
+    attribution, the deadlock report) and {!Cost.analyze}'s timing lens
+    (affine clocks, piecewise counters, sites, the critical path).
+
     Matching honours the dense engine's round order (pids ascend within
     a round, each advancing until blocked): a message pushed in the
     current round is visible to a receiver only from senders at or
@@ -89,6 +95,54 @@ type event = { e_plo : int; e_phi : int; e_kind : kind; e_loc : Loc.t }
 
 (** Evaluate an affine section triplet at a concrete (sender) pid. *)
 val triplet_at : aff * aff * aff -> int -> Triplet.t
+
+(** {1 The group engine}
+
+    A client passes {!hooks} over a per-group payload ['p] and the
+    message payload ['m] of its {!Replay} queue. *)
+
+(** Processors [\[g_lo, g_hi\]], all at event [g_cur] with payload
+    [g_pay].  Groups partition [\[0, P-1\]] in pid order. *)
+type 'p group = private {
+  mutable g_lo : int;
+  mutable g_hi : int;
+  mutable g_cur : int;
+  mutable g_seen : bool;
+  mutable g_pay : 'p;
+}
+
+(** What a lens does at each event.  Hooks see the group before the
+    event and return its payload after it. *)
+type ('p, 'm) hooks = {
+  same : 'p -> 'p -> bool;
+      (** adjacent groups at the same event merge when this holds *)
+  send : 'p group -> loc:Loc.t -> dest:aff option -> tag:int -> part list -> 'p;
+      (** push the group's message(s); a wild send ([dest = None]) comes
+          one pid at a time *)
+  recv_one :
+    'p group -> loc:Loc.t -> src:aff option -> tag:int -> recv_array list ->
+    ('m Replay.msg * int) option -> 'p;
+      (** a one-pid receive, with the message and sender it matched;
+          called on every attempt, [None] when it blocks (the payload
+          is then dropped) *)
+  recv_group :
+    'p group -> loc:Loc.t -> tag:int -> recv_array list -> 'm Replay.msg -> aff ->
+    [ `Advance of 'p | `Cut of int ];
+      (** the whole group matched one message under source form [s]:
+          advance past the receive, or cut the group below a pid and
+          retry each piece *)
+  coll : 'p group list -> event -> (int * int * 'p) list;
+      (** every group sits at this collective: fire it and return the
+          groups after it as [(lo, hi, payload)] in pid order *)
+  stuck : 'p group list -> bool;
+      (** quiescence with these groups unfinished: [true] steps each
+          past its event and replays on, [false] stops *)
+}
+
+val replay :
+  ('p, 'm) hooks -> 'm Replay.t -> nprocs:int -> 'p -> event array -> 'p group list
+(** Replay the events from the single group [\[0, nprocs-1\]] with this
+    payload; returns the final groups. *)
 
 (** Replay the skeleton for [nprocs] processors and report findings.
     [degrade] marks the stream as partial (deadlock verdicts soften to
