@@ -186,7 +186,7 @@ let e7 () =
   let cp =
     Fd_frontend.Sema.check_source (Fd_workloads.Stencil.shifts ~n:256 ~widths ())
   in
-  let rows = Overlap.analyze Options.default cp in
+  let rows = Overlap.analyze ~sink:(Fd_support.Diag.sink ()) Options.default cp in
   Fmt.pr "%-10s %-6s %-5s | %-16s | %-16s@." "procedure" "array" "dim"
     "estimated" "actual";
   Fmt.pr "--------------------------+------------------+-----------------@.";
@@ -296,7 +296,7 @@ let e8b () =
           let acg = Fd_callgraph.Acg.build cp in
           ignore (Fd_callgraph.Side_effects.compute acg)));
       Test.make ~name:"reaching-decomps" (Staged.stage (fun () ->
-          ignore (Reaching_decomps.compute acg)));
+          ignore (Reaching_decomps.compute ~sink:(Fd_support.Diag.sink ()) acg)));
       Test.make ~name:"full-compile" (Staged.stage (fun () ->
           ignore (Codegen.compile Options.default cp)));
       Test.make ~name:"simulate" (Staged.stage (fun () ->

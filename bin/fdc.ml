@@ -87,15 +87,13 @@ let strict_arg =
    failure, 2 compile diagnostics, 3 simulation error, 4 contained
    internal crash.  Nothing escapes as a bare OCaml backtrace.
 
-   The fresh sink (plus discarding anything a previous invocation left
-   in the legacy global sink) fixes cross-run warning leakage between
-   consecutive [wrap_code] calls in one process, and is the shape a
-   future [fdc serve] needs. *)
+   The fresh sink keeps consecutive [wrap_code] calls in one process
+   from seeing each other's warnings, and is the shape a future
+   [fdc serve] needs. *)
 let wrap_code ?(strict = false) ?(json = false) f =
-  Diag.clear Diag.global;
   let sink = Diag.sink () in
   let outcome = Totality.protect (fun () -> f sink) in
-  let warnings = Diag.take_warnings_of sink @ Diag.take_warnings () in
+  let warnings = Diag.take_warnings_of sink in
   List.iter (fun w -> Fmt.epr "%a" pp_diag w) warnings;
   match outcome with
   | Totality.Exit code ->
@@ -461,10 +459,10 @@ let oracle_cmd =
 
 (* Back the source lint's "reaching decomposition" query with the
    interprocedural reaching-decompositions analysis. *)
-let reaching_hook cp =
+let reaching_hook ~sink cp =
   match
     let acg = Fd_callgraph.Acg.build cp in
-    Fd_core.Reaching_decomps.compute acg
+    Fd_core.Reaching_decomps.compute ~sink acg
   with
   | rd ->
     Some
@@ -509,7 +507,7 @@ let check_cmd =
         List.iter
           (Fmt.epr "fdc check: !break directive %S did not apply@.")
           unapplied;
-        let lint = Fd_verify.Lint.run ?reaching:(reaching_hook cp) cp in
+        let lint = Fd_verify.Lint.run ?reaching:(reaching_hook ~sink cp) cp in
         let vr =
           Fd_verify.Verify.check_node
             ?budget:(budget_of bsteps bevents bwall) ~nprocs prog
@@ -714,10 +712,10 @@ let exports_cmd =
 
 let overlap_cmd =
   let run file nprocs =
-    wrap (fun _sink ->
+    wrap (fun sink ->
         let cp = Fd_core.Driver.check_source ~file (read_file file) in
         let opts = { Fd_core.Options.default with Fd_core.Options.nprocs } in
-        let rows = Fd_core.Overlap.analyze opts cp in
+        let rows = Fd_core.Overlap.analyze ~sink opts cp in
         List.iter (fun r -> Fmt.pr "%a@." Fd_core.Overlap.pp_row r) rows)
   in
   Cmd.v (Cmd.info "overlap" ~doc:"Overlap regions: estimated vs actual")
@@ -725,9 +723,9 @@ let overlap_cmd =
 
 let recompile_cmd =
   let run before after =
-    wrap (fun _sink ->
+    wrap (fun sink ->
         let procs, total =
-          Fd_core.Recompile.after_edit ~before:(read_file before)
+          Fd_core.Recompile.after_edit ~sink ~before:(read_file before)
             ~after:(read_file after) ()
         in
         Fmt.pr "recompile %d of %d procedure(s)%s@." (List.length procs) total

@@ -24,7 +24,7 @@ let () =
     (String.concat " -> " (Fd_callgraph.Acg.reverse_topo_order acg));
 
   section "reaching decompositions before cloning (paper Fig. 7)";
-  let rd = Fd_core.Reaching_decomps.compute acg in
+  let rd = Fd_core.Reaching_decomps.compute ~sink:(Fd_support.Diag.sink ()) acg in
   Fmt.pr "Reaching(f1):@.%a" Fd_core.Reaching_decomps.pp_proc_reaching (rd, "f1");
 
   section "after cloning (paper Fig. 8) - whole-program compile";

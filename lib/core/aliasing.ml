@@ -146,7 +146,7 @@ let common_alias_sites (acg : Acg.t) (effects : Side_effects.t) : alias_site lis
 
 (* Check the whole program; raises on Fortran D's forbidden combination,
    warns on double-modification of aliases. *)
-let check ?(sink = Diag.global) (acg : Acg.t) (effects : Side_effects.t) : alias_site list =
+let check ~sink (acg : Acg.t) (effects : Side_effects.t) : alias_site list =
   let redist = redistributes acg in
   let sites = alias_sites acg @ common_alias_sites acg effects in
   List.iter

@@ -21,6 +21,6 @@ type alias_site = {
 val alias_sites : Acg.t -> alias_site list
 
 val check :
-  ?sink:Fd_support.Diag.sink -> Acg.t -> Side_effects.t -> alias_site list
+  sink:Fd_support.Diag.sink -> Acg.t -> Side_effects.t -> alias_site list
 (** @raise Fd_support.Diag.Compile_error on the forbidden
     aliasing + redistribution combination. *)

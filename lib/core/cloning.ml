@@ -148,7 +148,7 @@ let step sink (opts : Options.t) (cp : Sema.checked_program) (origin : string SM
 let recheck (program : Ast.program) : Sema.checked_program =
   Sema.check_source (Ast_printer.program_to_string program)
 
-let apply ?(sink = Diag.global) (opts : Options.t) (cp : Sema.checked_program) : result =
+let apply ~sink (opts : Options.t) (cp : Sema.checked_program) : result =
   if not opts.Options.enable_cloning then
     { cp; origin = SM.empty; clones_made = 0 }
   else begin

@@ -16,7 +16,7 @@ type result = {
   clones_made : int;
 }
 
-val apply : ?sink:Fd_support.Diag.sink -> Options.t -> Sema.checked_program -> result
+val apply : sink:Fd_support.Diag.sink -> Options.t -> Sema.checked_program -> result
 (** Iterates (callers before callees) to a fixed point; respects
     [clone_limit] and [enable_cloning]. *)
 

@@ -2049,17 +2049,17 @@ type compiled = {
    (Pipeline) can time, dump and verify each one; [compile] composes
    them for callers wanting the one-call entry point. *)
 
-let clone ?sink (opts : Options.t) (cp : Sema.checked_program) : Cloning.result =
+let clone ~sink (opts : Options.t) (cp : Sema.checked_program) : Cloning.result =
   match opts.Options.strategy with
   | Options.Runtime_resolution -> { Cloning.cp; origin = Cloning.SM.empty; clones_made = 0 }
-  | Options.Interproc | Options.Immediate -> Cloning.apply ?sink opts cp
+  | Options.Interproc | Options.Immediate -> Cloning.apply ~sink opts cp
 
 let build_acg (cp : Sema.checked_program) : Acg.t =
   let acg = Acg.build cp in
   if Acg.is_recursive acg then Diag.error "recursive programs are not supported";
   acg
 
-let compile_analyzed ?(sink = Diag.global) (opts : Options.t)
+let compile_analyzed ~sink (opts : Options.t)
     ~(clone_result : Cloning.result) ~(acg : Acg.t) ~(rd : Reaching_decomps.t)
     ~(effects : Side_effects.t) : compiled =
   let cp = clone_result.Cloning.cp in
@@ -2111,9 +2111,10 @@ let compile_analyzed ?(sink = Diag.global) (opts : Options.t)
     clone_result;
     state = st }
 
-let compile ?sink (opts : Options.t) (cp : Sema.checked_program) : compiled =
-  let clone_result = clone ?sink opts cp in
+let compile ?(sink = Diag.sink ()) (opts : Options.t) (cp : Sema.checked_program) :
+    compiled =
+  let clone_result = clone ~sink opts cp in
   let acg = build_acg clone_result.Cloning.cp in
-  let rd = Reaching_decomps.compute ?sink acg in
+  let rd = Reaching_decomps.compute ~sink acg in
   let effects = Side_effects.compute acg in
-  compile_analyzed ?sink opts ~clone_result ~acg ~rd ~effects
+  compile_analyzed ~sink opts ~clone_result ~acg ~rd ~effects

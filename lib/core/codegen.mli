@@ -42,7 +42,7 @@ type compiled = {
 }
 
 val clone :
-  ?sink:Fd_support.Diag.sink -> Options.t -> Sema.checked_program -> Cloning.result
+  sink:Fd_support.Diag.sink -> Options.t -> Sema.checked_program -> Cloning.result
 (** The cloning phase: {!Cloning.apply} for the optimizing strategies, a
     trivial (identity) result under [Runtime_resolution]. *)
 
@@ -51,7 +51,7 @@ val build_acg : Sema.checked_program -> Acg.t
     @raise Fd_support.Diag.Compile_error on recursion. *)
 
 val compile_analyzed :
-  ?sink:Fd_support.Diag.sink ->
+  sink:Fd_support.Diag.sink ->
   Options.t ->
   clone_result:Cloning.result ->
   acg:Acg.t ->
@@ -69,6 +69,7 @@ val compile :
 (** Whole-program compilation: cloning (for the optimizing strategies),
     analyses, aliasing check, then one pass per procedure in reverse
     topological order.  Equivalent to running the {!Pipeline} passes
-    [cloning] through [codegen] in order.
+    [cloning] through [codegen] in order.  Warnings go to [sink]
+    (default: a fresh sink the caller does not see).
     @raise Fd_support.Diag.Compile_error on recursion, forbidden
     aliasing, or uninstantiable computation partitions. *)

@@ -30,6 +30,6 @@ type row = {
   ov_actual : offsets;
 }
 
-val analyze : Options.t -> Sema.checked_program -> row list
+val analyze : sink:Fd_support.Diag.sink -> Options.t -> Sema.checked_program -> row list
 
 val pp_row : Format.formatter -> row -> unit

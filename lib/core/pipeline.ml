@@ -642,7 +642,7 @@ let pass_names = List.map (fun p -> p.p_name) passes
 
 let find_pass name = List.find_opt (fun p -> String.equal p.p_name name) passes
 
-let empty_ctx ?(sink = Diag.global) opts file source =
+let empty_ctx ?(sink = Diag.sink ()) opts file source =
   { opts; sink; file; source; parsed = None; checked = None; clone_result = None;
     acg = None; rd = None; effects = None; summaries = None; compiled = None;
     findings = None; cost = None }

@@ -28,8 +28,8 @@ val of_source :
   ?sink:Fd_support.Diag.sink -> ?opts:Options.t -> ?file:string -> string ->
   Pass.ctx
 (** A fresh context that will run every pass, starting from source
-    text.  [?sink] is the per-run diagnostic sink (default: the legacy
-    {!Fd_support.Diag.global} sink); the [sema] pass raises everything
+    text.  [?sink] is the per-run diagnostic sink (default: a fresh
+    one); the [sema] pass raises everything
     accumulated by parse + sema as one
     {!Fd_support.Diag.Compile_errors} batch. *)
 

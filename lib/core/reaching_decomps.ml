@@ -32,7 +32,7 @@ let get_reaching (f : fact) v =
    flow-insensitively (the last ALIGN for an array wins, with a warning
    when several disagree), which covers the paper's programs where ALIGN
    appears once per array. *)
-let align_map ?(sink = Diag.global) (cu : Sema.checked_unit) :
+let align_map ~sink (cu : Sema.checked_unit) :
     (string * Ast.align_sub list) SM.t =
   let m = ref SM.empty in
   Ast.iter_stmts
@@ -125,7 +125,7 @@ type local_result = {
   aligns : (string * Ast.align_sub list) SM.t;
 }
 
-let solve_local ?(sink = Diag.global) ?(seed : fact option) (cu : Sema.checked_unit) : local_result =
+let solve_local ~sink ?(seed : fact option) (cu : Sema.checked_unit) : local_result =
   let cfg = Cfg.build cu.Sema.unit_.Ast.body in
   let aligns = align_map ~sink cu in
   let init = match seed with Some f -> f | None -> initial_fact cu in
@@ -164,7 +164,7 @@ let expand_tops (reaching_p : fact) (fact : fact) : fact =
       else r)
     fact
 
-let compute ?(sink = Diag.global) (acg : Acg.t) : t =
+let compute ~sink (acg : Acg.t) : t =
   let reaching : (string, fact) Hashtbl.t = Hashtbl.create 16 in
   let local : (string, local_result) Hashtbl.t = Hashtbl.create 16 in
   (* First pass: local solutions with unexpanded tops. *)

@@ -19,7 +19,7 @@ val fact_equal : fact -> fact -> bool
 val get_reaching : fact -> string -> Decomp.reaching
 
 val align_map :
-  ?sink:Fd_support.Diag.sink ->
+  sink:Fd_support.Diag.sink ->
   Sema.checked_unit ->
   (string * Ast.align_sub list) SM.t
 (** Static alignment map: array -> (target, subscripts); the last ALIGN
@@ -32,7 +32,7 @@ type local_result
     decompositions seeded after interprocedural propagation). *)
 
 val solve_local :
-  ?sink:Fd_support.Diag.sink -> ?seed:fact -> Sema.checked_unit -> local_result
+  sink:Fd_support.Diag.sink -> ?seed:fact -> Sema.checked_unit -> local_result
 
 val aligns_of : local_result -> (string * Ast.align_sub list) SM.t
 
@@ -43,7 +43,7 @@ val fact_at_exit : local_result -> fact
 
 type t
 
-val compute : ?sink:Fd_support.Diag.sink -> Acg.t -> t
+val compute : sink:Fd_support.Diag.sink -> Acg.t -> t
 
 val reaching_of : t -> string -> fact
 (** Reaching(P): decompositions inherited by each formal array. *)

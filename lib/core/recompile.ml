@@ -27,11 +27,11 @@ type artifacts = {
 
 let digest s = Digest.to_hex (Digest.string s)
 
-let artifacts ?(opts = Options.default) (cp : Sema.checked_program) : artifacts =
+let artifacts ?sink ?(opts = Options.default) (cp : Sema.checked_program) : artifacts =
   (* One pipeline run produces every input we digest: the ACG, reaching
      decompositions and local summaries come straight from the pass
      context instead of being recomputed after the fact. *)
-  let ctx = Pipeline.of_checked ~opts cp in
+  let ctx = Pipeline.of_checked ?sink ~opts cp in
   ignore (Pipeline.run ctx);
   let compiled = Pass.get_compiled ctx in
   let acg = Pass.get_acg ctx in
@@ -101,9 +101,9 @@ let must_recompile ~(old_ : artifacts) ~(new_ : artifacts) : string list =
 
 (* Convenience: which procedures recompile after replacing one unit's
    source text? *)
-let after_edit ?(opts = Options.default) ~(before : string) ~(after : string) () :
+let after_edit ?sink ?(opts = Options.default) ~(before : string) ~(after : string) () :
     string list * int =
-  let old_ = artifacts ~opts (Sema.check_source before) in
-  let new_ = artifacts ~opts (Sema.check_source after) in
+  let old_ = artifacts ?sink ~opts (Sema.check_source before) in
+  let new_ = artifacts ?sink ~opts (Sema.check_source after) in
   let r = must_recompile ~old_ ~new_ in
   (r, List.length (procs_of new_))

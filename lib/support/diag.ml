@@ -16,8 +16,8 @@
 
    The per-run sink is explicit state threaded through Pipeline/Driver
    (preparation for a concurrent `fdc serve`: no cross-request
-   bleeding).  The historical process-global warning sink survives as a
-   deprecated shim over {!global}. *)
+   bleeding).  One process-global sink, {!global}, remains; nothing in
+   the libraries writes to it. *)
 
 type severity = Warning | Error | Internal
 
@@ -172,13 +172,6 @@ let raise_if_errors s =
     raise (Compile_errors ds)
   end
 
-(* --- Deprecated process-global shim ----------------------------------- *)
-
-(* The pre-sink API wrote warnings to one global list; it survives for
-   callers not yet threaded with an explicit sink.  New code should
-   accept a [sink] and use {!warn_to}. *)
+(* Left from the pre-sink API, which kept one global warning list.  No
+   library code writes here; the benchmark driver still clears it. *)
 let global = sink ()
-
-let warn ?(loc = Loc.none) fmt = warn_to global ~loc fmt
-
-let take_warnings () = take_warnings_of global

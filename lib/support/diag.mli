@@ -91,17 +91,8 @@ val raise_if_errors : sink -> unit
 (** If the sink holds any error, raise the whole sorted batch (errors
     and warnings) as {!Compile_errors}, clearing the sink. *)
 
-(** {2 Deprecated process-global shim}
-
-    The pre-sink API kept one global warning list. It remains for
-    callers not yet threaded with an explicit sink; new code should
-    take a [sink] and use {!warn_to}. *)
-
 val global : sink
-(** The process-global fallback sink behind {!warn}/{!take_warnings}. *)
-
-val warn : ?loc:Loc.t -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** @deprecated Record a warning in the global sink; use {!warn_to}. *)
-
-val take_warnings : unit -> t list
-(** @deprecated Drain the global sink's warnings, oldest first. *)
+(** @deprecated A process-global sink left from the pre-sink API.  No
+    library code writes to it; it stays only because the benchmark
+    driver ([perfbench/perf.ml]) clears it between operations.  Delete
+    it once that call goes. *)

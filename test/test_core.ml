@@ -17,7 +17,7 @@ let check_str = Alcotest.(check string)
 let fig7_setup () =
   let cp = Sema.check_source (Fd_workloads.Figures.fig4 ()) in
   let acg = Acg.build cp in
-  (acg, Reaching_decomps.compute acg)
+  (acg, Reaching_decomps.compute ~sink:(Diag.sink ()) acg)
 
 let rd_fig7 () =
   let _acg, rd = fig7_setup () in
@@ -42,7 +42,7 @@ let rd_align_permutation () =
       "program p\n  real y(4,4)\n  integer i\n  decomposition d(4,4)\n  align y(i,j) with d(j,i)\n  distribute d(block,:)\n  do i = 1, 4\n    y(1,i) = 0.0\n  enddo\nend\n"
   in
   let acg = Acg.build cp in
-  let rd = Reaching_decomps.compute acg in
+  let rd = Reaching_decomps.compute ~sink:(Diag.sink ()) acg in
   let u = (Acg.proc acg "p").Acg.cu.Sema.unit_ in
   (* find the assignment statement *)
   let sid = ref (-1) in
@@ -60,7 +60,7 @@ let rd_dynamic_scoping () =
   in
   let cp = Sema.check_source src in
   let acg = Acg.build cp in
-  let rd = Reaching_decomps.compute acg in
+  let rd = Reaching_decomps.compute ~sink:(Diag.sink ()) acg in
   let u = (Acg.proc acg "p").Acg.cu.Sema.unit_ in
   let sid = ref (-1) in
   Ast.iter_stmts
@@ -74,7 +74,7 @@ let rd_dynamic_scoping () =
 
 let cl_fig4 () =
   let cp = Sema.check_source (Fd_workloads.Figures.fig4 ()) in
-  let r = Cloning.apply Options.default cp in
+  let r = Cloning.apply ~sink:(Diag.sink ()) Options.default cp in
   check_int "one clone made" 1 r.Cloning.clones_made;
   check_int "three units now" 3 (List.length r.Cloning.cp.Sema.units);
   (* the clone's origin maps back to f1 *)
@@ -90,7 +90,7 @@ let cl_no_clone_when_uniform () =
   let src =
     "program p\n  real x(8), y(8)\n  distribute x(block)\n  distribute y(block)\n  call f(x)\n  call f(y)\nend\nsubroutine f(z)\n  real z(8)\n  integer i\n  do i = 1, 8\n    z(i) = 0.0\n  enddo\nend\n"
   in
-  let r = Cloning.apply Options.default (Sema.check_source src) in
+  let r = Cloning.apply ~sink:(Diag.sink ()) Options.default (Sema.check_source src) in
   check_int "no clones" 0 r.Cloning.clones_made
 
 let cl_filter_by_appear () =
@@ -100,12 +100,12 @@ let cl_filter_by_appear () =
   in
   (* b unreferenced: call signatures differ on a (block vs cyclic), so we
      still get a clone for a, but not an extra one for b *)
-  let r = Cloning.apply Options.default (Sema.check_source src) in
+  let r = Cloning.apply ~sink:(Diag.sink ()) Options.default (Sema.check_source src) in
   check_int "one clone (for a only)" 1 r.Cloning.clones_made
 
 let cl_disabled () =
   let cp = Sema.check_source (Fd_workloads.Figures.fig4 ()) in
-  let r = Cloning.apply { Options.default with Options.enable_cloning = false } cp in
+  let r = Cloning.apply ~sink:(Diag.sink ()) { Options.default with Options.enable_cloning = false } cp in
   check_int "cloning disabled" 0 r.Cloning.clones_made
 
 (* --- Closed-form fitting ---------------------------------------------------- *)
@@ -240,7 +240,7 @@ let dd_results_equal_across_levels () =
 
 let ov_estimate_vs_actual () =
   let cp = Sema.check_source (Fd_workloads.Stencil.shifts ~n:64 ~widths:[ 2; 4 ] ()) in
-  let rows = Overlap.analyze Options.default cp in
+  let rows = Overlap.analyze ~sink:(Diag.sink ()) Options.default cp in
   let top = List.find (fun r -> r.Overlap.ov_proc = "shifts" && r.Overlap.ov_array = "x") rows in
   check_int "estimate pos" 4 top.Overlap.ov_estimated.Overlap.pos;
   check_int "actual pos" 4 top.Overlap.ov_actual.Overlap.pos;
@@ -249,7 +249,7 @@ let ov_estimate_vs_actual () =
 let ov_estimate_superset () =
   (* estimated >= actual everywhere (the paper's imprecision direction) *)
   let cp = Sema.check_source (Fd_workloads.Figures.fig4 ()) in
-  let rows = Overlap.analyze Options.default cp in
+  let rows = Overlap.analyze ~sink:(Diag.sink ()) Options.default cp in
   List.iter
     (fun r ->
       check "pos" true (r.Overlap.ov_estimated.Overlap.pos >= r.Overlap.ov_actual.Overlap.pos);

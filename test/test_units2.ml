@@ -37,12 +37,12 @@ let v_logical_misuse () =
 (* --- Diag ------------------------------------------------------------------ *)
 
 let d_warnings_drain () =
-  ignore (Diag.take_warnings ());
-  Diag.warn "first %d" 1;
-  Diag.warn "second";
-  let ws = Diag.take_warnings () in
+  let sink = Diag.sink () in
+  Diag.warn_to sink "first %d" 1;
+  Diag.warn_to sink "second";
+  let ws = Diag.take_warnings_of sink in
   check_int "two warnings" 2 (List.length ws);
-  check "drained" true (Diag.take_warnings () = [])
+  check "drained" true (Diag.take_warnings_of sink = [])
 
 let d_error_has_location () =
   let loc = Loc.make ~file:"f.fd" ~line:3 ~col:7 in
@@ -258,15 +258,15 @@ let cloning_limit () =
   let src =
     "program p\n  real a(8), b(8), c(8), d(8)\n  integer i\n  distribute a(block)\n  distribute b(cyclic)\n  distribute c(block_cyclic(2))\n  distribute d(:)\n  call f(a)\n  call f(b)\n  call f(c)\n  call f(d)\nend\nsubroutine f(z)\n  real z(8)\n  integer i\n  do i = 1, 8\n    z(i) = 0.0\n  enddo\nend\n"
   in
-  ignore (Diag.take_warnings ());
+  let sink = Diag.sink () in
   let r =
-    Cloning.apply
+    Cloning.apply ~sink
       { Options.default with Options.clone_limit = 2 }
       (Sema.check_source src)
   in
   check_int "cloning abandoned" 0 r.Cloning.clones_made;
-  check "warned" true (Diag.take_warnings () <> []);
-  let r' = Cloning.apply Options.default (Sema.check_source src) in
+  check "warned" true (Diag.warnings_of sink <> []);
+  let r' = Cloning.apply ~sink:(Diag.sink ()) Options.default (Sema.check_source src) in
   check_int "full cloning makes 3" 3 r'.Cloning.clones_made
 
 (* --- Driver speedup accessor ---------------------------------------------------------- *)

@@ -75,7 +75,6 @@ let face_off ?(nprocs = 4) ~file ~strategy () : outcome =
     | exception Fd_support.Diag.Compile_error d ->
       Some (Fd_support.Diag.to_string d)
   in
-  ignore (Fd_support.Diag.take_warnings ());
   { findings; dynamic_error }
 
 let kinds sev findings =
@@ -302,8 +301,7 @@ let test_payload_sizes () =
               (Fmt.str "%s [P=%d]: static payload sizes match the wire" file
                  nprocs)
               (show sim) (show !static)
-          end;
-          ignore (Fd_support.Diag.take_warnings ()))
+          end)
         good_examples;
       List.iter
         (fun file ->
@@ -356,7 +354,6 @@ let test_replay_alloc () =
     (skel, cost)
   in
   let s8, c8 = cell 8 and s16, c16 = cell 16 in
-  ignore (Fd_support.Diag.take_warnings ());
   let bounded what w8 w16 =
     check Alcotest.bool
       (Fmt.str "%s allocates %.0f words at P=8 and %.0f at P=16 (%.2fx, \
@@ -380,7 +377,6 @@ let test_walk_flat_in_p () =
     words (fun () -> Absint.walk ~nprocs prog)
   in
   let w16 = walk 16 and w256 = walk 256 in
-  ignore (Fd_support.Diag.take_warnings ());
   check Alcotest.bool
     (Fmt.str "Absint.walk allocates %.0f words at P=16 and %.0f at P=256 \
               (%.2fx, bound 1.5x)" w16 w256 (w256 /. w16))
@@ -396,7 +392,6 @@ let test_walk_alloc_budget () =
   let _, compile = fig4_runtime () in
   let _, prog = compile 8 in
   let w8 = words (fun () -> Absint.walk ~nprocs:8 prog) in
-  ignore (Fd_support.Diag.take_warnings ());
   check Alcotest.bool
     (Fmt.str "Absint.walk allocates %.1f M words at P=8 (bound 18 M)"
        (w8 /. 1e6))
