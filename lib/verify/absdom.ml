@@ -374,8 +374,7 @@ let select ~n sel (vs : t array) : t =
 
 (* --- affine machinery -------------------------------------------------- *)
 
-(* Floor division (toward minus infinity); y > 0. *)
-let fdiv x y = if x >= 0 then x / y else -(((-x) + y - 1) / y)
+let fdiv = Replay.fdiv
 
 (* The pids where a*p + b REL 0, as a half-line; requires a <> 0. *)
 let rec rel_halfline a b rel =

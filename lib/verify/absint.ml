@@ -491,19 +491,7 @@ let owned_at w obj p =
   | Some _ -> Layout.owned_one obj.a_layout ~nprocs:w.n p
   | None -> Iset.empty
 
-(* Floor division (toward minus infinity); y > 0. *)
-let fdiv x y = if x >= 0 then x / y else -(((-x) + y - 1) / y)
-let cdiv x y = -fdiv (-x) y
-
-(* Solutions in [l, u] of k*p + c <= 0, as an interval. *)
-let halfline_le l u k c : (int * int) option =
-  if k = 0 then (if c <= 0 then Some (l, u) else None)
-  else if k > 0 then
-    let b = fdiv (-c) k in
-    if b < l then None else Some (l, min u b)
-  else
-    let b = cdiv c (-k) in
-    if b > u then None else Some (max l b, u)
+let halfline_le = Replay.halfline_le
 
 (* First pid in [cl, cu] whose instantiated triplet is non-empty and
    escapes the declared bounds, with that triplet.  The affine path

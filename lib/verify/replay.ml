@@ -22,6 +22,15 @@ let aff_at f p = (f.a * p) + f.b
 let fdiv x y = if x >= 0 then x / y else -(((-x) + y - 1) / y)
 let cdiv x y = -fdiv (-x) y
 
+let halfline_le l u k c =
+  if k = 0 then (if c <= 0 then Some (l, u) else None)
+  else if k > 0 then
+    let b = fdiv (-c) k in
+    if b < l then None else Some (l, min u b)
+  else
+    let b = cdiv c (-k) in
+    if b > u then None else Some (max l b, u)
+
 type 'a msg = {
   tag : int;
   dest : aff option;  (* None: destination unknown (wild) *)
@@ -135,17 +144,9 @@ let matched_set t (m : _ msg) ~lo ~hi (s : aff) : mset =
     else
       (* same round: keep receivers p with s(p) <= p, i.e.
          (s.a - 1)*p + s.b <= 0 *)
-      let k = s.a - 1 and c = s.b in
-      let ok =
-        if k = 0 then (if c <= 0 then Iset.range lo hi else Iset.empty)
-        else if k > 0 then
-          let b = fdiv (-c) k in
-          if b < lo then Iset.empty else Iset.range lo (min hi b)
-        else
-          let b = cdiv c (-k) in
-          if b > hi then Iset.empty else Iset.range (max lo b) hi
-      in
-      Iset.inter ms ok
+      match halfline_le lo hi (s.a - 1) s.b with
+      | Some (l, u) -> Iset.inter ms (Iset.range l u)
+      | None -> Iset.empty
   in
   match m.dest with
   | None -> if Iset.is_empty m.senders then Known Iset.empty else Unknown

@@ -18,6 +18,10 @@ val aff_at : aff -> int -> int
 val fdiv : int -> int -> int
 (** Floor division by a positive divisor. *)
 
+val halfline_le : int -> int -> int -> int -> (int * int) option
+(** [halfline_le l u k c]: the solutions in [\[l, u\]] of [k*p + c <= 0],
+    as an interval. *)
+
 (** A queued message; ['a] is the client's payload. *)
 type 'a msg = private {
   tag : int;
