@@ -17,11 +17,7 @@ type t = {
   wall : float option;  (* seconds of real time *)
 }
 
-let unlimited = { steps = None; events = None; wall = None }
-
 let make ?steps ?events ?wall () = { steps; events; wall }
-
-let is_unlimited b = b.steps = None && b.events = None && b.wall = None
 
 type state = {
   limits : t;
@@ -86,8 +82,4 @@ let tick_event st n =
     trip st (Fmt.str "event budget exhausted (%d)" cap)
   | _ -> ());
   maybe_check_wall st;
-  st.spent = None
-
-let ok st =
-  if st.spent = None then maybe_check_wall st;
   st.spent = None

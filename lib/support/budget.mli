@@ -12,9 +12,7 @@
 
 type t = { steps : int option; events : int option; wall : float option }
 
-val unlimited : t
 val make : ?steps:int -> ?events:int -> ?wall:float -> unit -> t
-val is_unlimited : t -> bool
 
 type state
 
@@ -26,9 +24,6 @@ val tick_step : state -> int -> bool
 
 val tick_event : state -> int -> bool
 (** Charge [n] communication events; [false] once exhausted. *)
-
-val ok : state -> bool
-(** Poll (also samples wall time): [true] while headroom remains. *)
 
 val exhausted : state -> string option
 (** The latched exhaustion reason, e.g. ["step budget exhausted (500000)"]. *)

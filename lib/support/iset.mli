@@ -51,7 +51,6 @@ val fold_intervals : ('a -> int -> int -> 'a) -> 'a -> t -> 'a
     on the fly. *)
 
 val min_elt : t -> int option
-val max_elt : t -> int option
 
 val hull : t -> Triplet.t
 (** Smallest contiguous triplet containing the set ({!Triplet.empty} for

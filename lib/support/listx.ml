@@ -1,10 +1,5 @@
 (* Small list utilities shared across the compiler. *)
 
-let rec last = function
-  | [] -> invalid_arg "Listx.last: empty list"
-  | [ x ] -> x
-  | _ :: rest -> last rest
-
 let init_opt n f =
   let rec loop acc i =
     if i >= n then List.rev acc
@@ -37,13 +32,6 @@ let rec assoc_update ~equal k f = function
   | kv :: rest -> kv :: assoc_update ~equal k f rest
 
 let sum = List.fold_left ( + ) 0
-
-let sum_float = List.fold_left ( +. ) 0.0
-
-let max_by ~compare = function
-  | [] -> None
-  | x :: rest ->
-    Some (List.fold_left (fun best y -> if compare y best > 0 then y else best) x rest)
 
 let take n xs =
   let rec loop acc n = function

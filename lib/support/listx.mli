@@ -1,8 +1,5 @@
 (** Small list utilities shared across the compiler. *)
 
-val last : 'a list -> 'a
-(** @raise Invalid_argument on the empty list. *)
-
 val init_opt : int -> (int -> 'a option) -> 'a list
 (** [init_opt n f] keeps the [Some] results of [f 0 .. f (n-1)], in order. *)
 
@@ -18,8 +15,5 @@ val assoc_update :
 (** Update the binding of [k] (passing its current value), appending if absent. *)
 
 val sum : int list -> int
-val sum_float : float list -> float
-
-val max_by : compare:('a -> 'a -> int) -> 'a list -> 'a option
 
 val take : int -> 'a list -> 'a list

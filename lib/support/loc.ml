@@ -7,5 +7,3 @@ let none = { file = "<none>"; line = 0; col = 0 }
 let make ~file ~line ~col = { file; line; col }
 
 let pp ppf { file; line; col } = Fmt.pf ppf "%s:%d:%d" file line col
-
-let to_string t = Fmt.str "%a" pp t

@@ -8,5 +8,3 @@ val none : t
 val make : file:string -> line:int -> col:int -> t
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

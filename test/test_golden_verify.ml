@@ -76,11 +76,13 @@ let section b name items =
       items
   end
 
+let loc_string = Fmt.str "%a" Loc.pp
+
 let finding (f : Finding.t) =
   let opt name = function Some x -> Printf.sprintf " %s=%d" name x | None -> "" in
   Printf.sprintf "%s[%s]%s%s%s%s: %s"
     (Finding.severity_name f.Finding.severity) f.Finding.kind
-    (if f.Finding.loc <> Loc.none then " " ^ Loc.to_string f.Finding.loc else "")
+    (if f.Finding.loc <> Loc.none then " " ^ loc_string f.Finding.loc else "")
     (opt "proc" f.Finding.proc) (opt "tag" f.Finding.tag) (opt "site" f.Finding.site)
     f.Finding.message
 
@@ -108,14 +110,14 @@ let render_cost b (c : Cost.t) =
   section b "critical_path"
     (List.map
        (fun (s : Cost.step) ->
-         Printf.sprintf "%s %s p%d..p%d %h" s.Cost.st_what (Loc.to_string s.Cost.st_loc)
+         Printf.sprintf "%s %s p%d..p%d %h" s.Cost.st_what (loc_string s.Cost.st_loc)
            s.Cost.st_plo s.Cost.st_phi s.Cost.st_time)
        c.Cost.critical_path);
   section b "sites"
     (List.map
        (fun (s : Cost.site_cost) ->
          Printf.sprintf "%s %s messages=%d bytes=%d bcasts=%d remaps=%d %h" s.Cost.site_what
-           (Loc.to_string s.Cost.site_loc) s.Cost.site_messages s.Cost.site_bytes
+           (loc_string s.Cost.site_loc) s.Cost.site_messages s.Cost.site_bytes
            s.Cost.site_bcasts s.Cost.site_remaps s.Cost.site_seconds)
        c.Cost.sites);
   section b "cost findings" (List.map finding c.Cost.findings)
