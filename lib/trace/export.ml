@@ -183,19 +183,6 @@ let pp_matrix ppf (m : matrix) =
     Fmt.pf ppf "@."
   done
 
-let matrix_to_json (m : matrix) : Json.t =
-  let arr2 a =
-    Json.List
-      (Array.to_list
-         (Array.map
-            (fun row ->
-              Json.List (Array.to_list (Array.map (fun v -> Json.Int v) row)))
-            a))
-  in
-  Json.Obj
-    [ ("nprocs", Json.Int m.m_nprocs); ("messages", arr2 m.m_msgs);
-      ("bytes", arr2 m.m_bytes) ]
-
 (* --- Per-processor summary ---------------------------------------------- *)
 
 type proc_summary = {
@@ -248,17 +235,6 @@ let pp_summary ppf (rows : proc_summary list) =
         (Fmt.str "p%d" s.s_proc) s.s_sends s.s_recvs s.s_bytes_out s.s_bytes_in
         (s.s_blocked *. 1e6) (s.s_busy *. 1e6) (s.s_util *. 100.0))
     rows
-
-let summary_to_json (rows : proc_summary list) : Json.t =
-  Json.List
-    (List.map
-       (fun s ->
-         Json.Obj
-           [ ("proc", Json.Int s.s_proc); ("sends", Json.Int s.s_sends);
-             ("recvs", Json.Int s.s_recvs); ("bytes_out", Json.Int s.s_bytes_out);
-             ("bytes_in", Json.Int s.s_bytes_in); ("blocked", Json.Float s.s_blocked);
-             ("busy", Json.Float s.s_busy); ("utilization", Json.Float s.s_util) ])
-       rows)
 
 (* --- Normalized skeleton (golden-trace format) --------------------------- *)
 

@@ -20,8 +20,6 @@ val matrix : nprocs:int -> Trace.t -> matrix
 
 val pp_matrix : Format.formatter -> matrix -> unit
 
-val matrix_to_json : matrix -> Fd_support.Json.t
-
 type proc_summary = {
   s_proc : int;
   s_sends : int;
@@ -38,8 +36,6 @@ val summary :
   proc_summary list
 
 val pp_summary : Format.formatter -> proc_summary list -> unit
-
-val summary_to_json : proc_summary list -> Fd_support.Json.t
 
 val skeleton : Trace.t -> string list
 (** Normalized communication skeleton: one line per send / recv /

@@ -70,11 +70,9 @@ let create ?(capacity = default_capacity) () =
   let cap = max 1 capacity in
   { cap; buf = Array.init cap (fun _ -> fresh_ev ()); total = 0 }
 
-let capacity t = t.cap
 let total t = t.total
 let length t = min t.total t.cap
 let dropped t = max 0 (t.total - t.cap)
-let clear t = t.total <- 0
 
 let copy_ev e =
   { at = e.at; kind = e.kind; proc = e.proc; peer = e.peer; tag = e.tag;

@@ -43,8 +43,6 @@ val create : ?capacity:int -> unit -> t
 (** A ring holding the newest [capacity] events (default
     {!default_capacity}). *)
 
-val capacity : t -> int
-
 val total : t -> int
 (** Events ever emitted, including overwritten ones. *)
 
@@ -53,8 +51,6 @@ val length : t -> int
 
 val dropped : t -> int
 (** Events overwritten because the ring was full. *)
-
-val clear : t -> unit
 
 val emit :
   t -> kind:kind -> at:float -> proc:int -> ?peer:int -> ?tag:int -> ?seq:int ->
@@ -70,7 +66,5 @@ val to_list : t -> ev list
 val fold : t -> 'a -> ('a -> ev -> 'a) -> 'a
 
 val count : t -> kind:kind -> int
-
-val pp_ev : Format.formatter -> ev -> unit
 
 val pp : Format.formatter -> t -> unit
