@@ -129,7 +129,3 @@ let rec map_stmts f stmts =
           kind = If { i with then_ = map_stmts f i.then_; else_ = map_stmts f i.else_ } }
       | Assign _ | Call _ | Align _ | Distribute _ | Return | Print _ -> s)
     stmts
-
-let binop_is_comparison = function
-  | Eq | Ne | Lt | Le | Gt | Ge -> true
-  | Add | Sub | Mul | Div | Pow | And | Or -> false

@@ -102,5 +102,3 @@ val iter_exprs_stmt : (expr -> unit) -> stmt -> unit
 
 val map_stmts : (stmt -> stmt) -> stmt list -> stmt list
 (** Rebuild a statement tree; [f] is applied before descending. *)
-
-val binop_is_comparison : binop -> bool

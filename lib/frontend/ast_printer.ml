@@ -149,4 +149,3 @@ let pp_program ppf (p : Ast.program) =
 
 let program_to_string p = Fmt.str "%a" pp_program p
 let expr_to_string e = Fmt.str "%a" pp_expr e
-let stmt_to_string s = Fmt.str "%a" (pp_stmt 0) s

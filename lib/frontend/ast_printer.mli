@@ -2,21 +2,11 @@
     lexer/parser/printer triple round-trips (property-tested). *)
 
 val dtype_name : Ast.dtype -> string
-val binop_name : Ast.binop -> string
-val dist_name : Ast.dist_kind -> string
 
 val pp_expr : Format.formatter -> Ast.expr -> unit
 (** Minimal parenthesization by operator precedence. *)
 
-val pp_dim : Format.formatter -> Ast.dim -> unit
-val pp_decl : Format.formatter -> Ast.decl -> unit
-
-val pp_stmt : int -> Format.formatter -> Ast.stmt -> unit
-(** [pp_stmt indent ppf s] prints with the given left margin. *)
-
 val pp_punit : Format.formatter -> Ast.punit -> unit
-val pp_program : Format.formatter -> Ast.program -> unit
 
 val program_to_string : Ast.program -> string
 val expr_to_string : Ast.expr -> string
-val stmt_to_string : Ast.stmt -> string

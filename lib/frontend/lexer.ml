@@ -280,14 +280,6 @@ let next_sp lx : Loc.t * Loc.t * Token.t =
   in
   (l, e, t)
 
-let tokenize ?file src =
-  let lx = make ?file src in
-  let rec loop acc =
-    let l, t = next lx in
-    match t with Token.EOF -> List.rev ((l, t) :: acc) | _ -> loop ((l, t) :: acc)
-  in
-  loop []
-
 let tokenize_sp ?file ?sink src =
   let lx = make ?file ?sink src in
   let rec loop acc =

@@ -13,22 +13,6 @@
     line, to damp cascades) and the lexer resynchronizes and keeps
     producing tokens — the stream is always [EOF]-terminated. *)
 
-type t
-
-val make : ?file:string -> ?sink:Fd_support.Diag.sink -> string -> t
-
-val next : t -> Fd_support.Loc.t * Token.t
-(** Next token; returns [EOF] at end of input.
-    @raise Fd_support.Diag.Compile_error on malformed input when the
-    lexer has no sink. *)
-
-val next_sp : t -> Fd_support.Loc.t * Fd_support.Loc.t * Token.t
-(** Like {!next} but also returns the token's end location
-    (exclusive column), for caret/underline diagnostics. *)
-
-val tokenize : ?file:string -> string -> (Fd_support.Loc.t * Token.t) list
-(** The whole token stream, ending with [EOF]. *)
-
 val tokenize_sp :
   ?file:string ->
   ?sink:Fd_support.Diag.sink ->

@@ -667,8 +667,3 @@ let parse ?file ?sink src =
     let p = program (make_state ~sink toks) in
     Diag.raise_if_errors sink;
     p
-
-let parse_unit ?file src =
-  match parse ?file src with
-  | [ u ] -> u
-  | us -> Diag.error "expected a single program unit, got %d" (List.length us)

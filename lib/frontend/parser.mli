@@ -19,6 +19,3 @@ val parse : ?file:string -> ?sink:Fd_support.Diag.sink -> string -> Ast.program
     decides when to fail (e.g. {!Fd_support.Diag.raise_if_errors}).
     Without a sink, any errors are raised at the end of the parse as a
     single {!Fd_support.Diag.Compile_errors} batch. *)
-
-val parse_unit : ?file:string -> string -> Ast.punit
-(** Parse exactly one program unit. *)

@@ -9,12 +9,6 @@
     as {!Fd_support.Diag.Compile_errors} — callers never receive an
     ill-typed program. *)
 
-val intrinsics : string list
-(** Names usable as intrinsic functions ([abs], [max], [min], [mod],
-    [sqrt], [float], [int], [sign]). *)
-
-val is_intrinsic : string -> bool
-
 type checked_unit = { unit_ : Ast.punit; symtab : Symtab.t }
 
 type checked_program = {
@@ -24,14 +18,6 @@ type checked_program = {
 
 val find_unit : checked_program -> string -> checked_unit option
 val find_unit_exn : checked_program -> string -> checked_unit
-
-val const_eval_int : Symtab.t -> Ast.expr -> int option
-(** Evaluate a compile-time integer constant expression (PARAMETER names
-    resolve through the symbol table). *)
-
-val check_unit : Fd_support.Diag.sink -> Ast.punit list -> Ast.punit -> checked_unit
-(** Check one unit in the context of the whole program (for CALL
-    signature checking), recording diagnostics into the sink. *)
 
 val check :
   ?file:string -> ?sink:Fd_support.Diag.sink -> Ast.program -> checked_program

@@ -48,12 +48,6 @@ let array_info t name =
 let param_value t name =
   match find t name with Some (Param v) -> Some v | _ -> None
 
-let is_formal t name = List.mem name t.formal_order
-
-let formals t = t.formal_order
-
-let iter t f = Hashtbl.iter f t.table
-
 let fold t f init = Hashtbl.fold f t.table init
 
 let arrays t =
@@ -65,8 +59,6 @@ let set_common t name block =
   if Hashtbl.mem t.common_of name then
     Diag.error "%s appears in two COMMON blocks in %s" name t.unit_name;
   Hashtbl.replace t.common_of name block
-
-let common_block t name = Hashtbl.find_opt t.common_of name
 
 let is_common t name = Hashtbl.mem t.common_of name
 

@@ -25,10 +25,7 @@ val is_array : t -> string -> bool
 val is_decomposition : t -> string -> bool
 val array_info : t -> string -> array_info option
 val param_value : t -> string -> int option
-val is_formal : t -> string -> bool
-val formals : t -> string list
 
-val iter : t -> (string -> entry -> unit) -> unit
 val fold : t -> (string -> entry -> 'a -> 'a) -> 'a -> 'a
 
 val arrays : t -> (string * array_info) list
@@ -37,7 +34,6 @@ val arrays : t -> (string * array_info) list
 val set_common : t -> string -> string -> unit
 (** Mark a declared name as a member of a COMMON block. *)
 
-val common_block : t -> string -> string option
 val is_common : t -> string -> bool
 
 val commons : t -> (string * string) list

@@ -15,10 +15,6 @@ type t =
   | NEWLINE  (** statement separator; consecutive separators collapse *)
   | EOF
 
-val keywords : string list
-
 val is_keyword : string -> bool
-
-val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -72,7 +72,7 @@ let c_roundtrip () =
   ignore (Sema.check_source printed);
   let st = (List.hd cp.Sema.units).Sema.symtab in
   check "u is common" true (Symtab.is_common st "u");
-  check "block name" true (Symtab.common_block st "nsteps" = Some "grid");
+  check "block name" true (List.assoc_opt "nsteps" (Symtab.commons st) = Some "grid");
   check "local not common" false (Symtab.is_common st "i")
 
 let c_end_to_end () =

@@ -19,7 +19,7 @@ let rejects name src =
 (* --- Lexer ------------------------------------------------------------- *)
 
 let lex_tokens src =
-  List.map snd (Lexer.tokenize src)
+  List.map (fun (_, _, t) -> t) (Lexer.tokenize_sp src)
 
 let l_numbers () =
   (match lex_tokens "42 3.5 1e3 2.5e-2 1.d0" with
