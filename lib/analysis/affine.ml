@@ -133,5 +133,3 @@ let pp ppf a =
     if a.const > 0 then Fmt.pf ppf "+%d" a.const
     else if a.const < 0 then Fmt.pf ppf "%d" a.const
   end
-
-let to_string a = Fmt.str "%a" pp a

@@ -7,13 +7,10 @@
 type t
 
 val const : int -> t
-val zero : t
 val var : ?coeff:int -> string -> t
 
 val add : t -> t -> t
-val neg : t -> t
 val sub : t -> t -> t
-val scale : int -> t -> t
 
 val is_const : t -> bool
 val constant : t -> int
@@ -41,4 +38,3 @@ val to_expr : t -> Fd_frontend.Ast.expr
 (** Reconstruct an AST expression (for code generation). *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

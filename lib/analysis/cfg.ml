@@ -24,8 +24,6 @@ let preds t i = t.preds.(i)
 let length t = Array.length t.nodes
 let node_of_sid t sid = Hashtbl.find_opt t.node_of_sid sid
 
-let stmt_opt t i = match t.nodes.(i) with Stmt s -> Some s | Entry | Exit -> None
-
 let build (body : Ast.stmt list) : t =
   let nodes = ref [ Exit; Entry ] in (* reversed; Entry=0, Exit=1 after rev *)
   let count = ref 2 in
@@ -85,24 +83,3 @@ let build (body : Ast.stmt list) : t =
       if not (List.mem a preds_a.(b)) then preds_a.(b) <- a :: preds_a.(b))
     !edges;
   { nodes; succs; preds = preds_a; node_of_sid }
-
-let pp ppf t =
-  Array.iteri
-    (fun i n ->
-      let label =
-        match n with
-        | Entry -> "entry"
-        | Exit -> "exit"
-        | Stmt s -> (
-          match s.Ast.kind with
-          | Ast.Assign _ -> Fmt.str "s%d:assign" s.Ast.sid
-          | Ast.Do d -> Fmt.str "s%d:do %s" s.Ast.sid d.var
-          | Ast.If _ -> Fmt.str "s%d:if" s.Ast.sid
-          | Ast.Call (f, _) -> Fmt.str "s%d:call %s" s.Ast.sid f
-          | Ast.Align _ -> Fmt.str "s%d:align" s.Ast.sid
-          | Ast.Distribute _ -> Fmt.str "s%d:distribute" s.Ast.sid
-          | Ast.Return -> Fmt.str "s%d:return" s.Ast.sid
-          | Ast.Print _ -> Fmt.str "s%d:print" s.Ast.sid)
-      in
-      Fmt.pf ppf "%d[%s] -> %a@." i label Fmt.(list ~sep:(any ",") int) t.succs.(i))
-    t.nodes

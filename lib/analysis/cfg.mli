@@ -26,7 +26,3 @@ val length : t -> int
 
 val node_of_sid : t -> int -> int option
 (** Node index of the statement with the given id. *)
-
-val stmt_opt : t -> int -> Ast.stmt option
-
-val pp : Format.formatter -> t -> unit

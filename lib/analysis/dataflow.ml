@@ -52,27 +52,3 @@ module Make (L : LATTICE) = struct
     done;
     { input; output }
 end
-
-(* Set-of-int lattice (union join), the workhorse for gen/kill problems
-   where facts are sets of definition or statement ids. *)
-module Int_set = Set.Make (Int)
-
-module Bitset_lattice = struct
-  type t = Int_set.t
-
-  let bottom = Int_set.empty
-  let join = Int_set.union
-  let equal = Int_set.equal
-end
-
-module Genkill = struct
-  module Solver = Make (Bitset_lattice)
-
-  type spec = { gen : int -> Cfg.node -> Int_set.t; kill : int -> Cfg.node -> Int_set.t }
-
-  let solve ~direction ~(init : Int_set.t) (spec : spec) (cfg : Cfg.t) =
-    let transfer i node fact =
-      Int_set.union (spec.gen i node) (Int_set.diff fact (spec.kill i node))
-    in
-    Solver.solve ~direction ~init ~transfer cfg
-end

@@ -29,30 +29,3 @@ module Make (L : LATTICE) : sig
     Cfg.t ->
     result
 end
-
-module Int_set : Set.S with type elt = int
-
-module Bitset_lattice : LATTICE with type t = Int_set.t
-
-(** Gen/kill problems over sets of integer ids (definitions, statements,
-    variables...). *)
-module Genkill : sig
-  module Solver : sig
-    type result = { input : Int_set.t array; output : Int_set.t array }
-
-    val solve :
-      direction:direction ->
-      init:Int_set.t ->
-      transfer:(int -> Cfg.node -> Int_set.t -> Int_set.t) ->
-      Cfg.t ->
-      result
-  end
-
-  type spec = {
-    gen : int -> Cfg.node -> Int_set.t;
-    kill : int -> Cfg.node -> Int_set.t;
-  }
-
-  val solve :
-    direction:direction -> init:Int_set.t -> spec -> Cfg.t -> Solver.result
-end

@@ -28,10 +28,6 @@ let of_boxes rank boxes =
 
 let is_empty r = r.boxes = []
 
-let rank r = r.rank
-
-let boxes r = r.boxes
-
 let check_rank a b =
   if a.rank <> b.rank then Diag.internal ~pass:"analysis" "region rank mismatch"
 
@@ -91,84 +87,3 @@ let count r = Listx.sum (List.map box_count r.boxes)
 let equal a b = is_empty (diff a b) && is_empty (diff b a)
 
 let subset a b = is_empty (diff a b)
-
-let disjoint a b = is_empty (inter a b)
-
-(* Merge boxes that are identical in all dimensions but one, where the
-   remaining triplets are adjacent or overlapping with equal step: this is
-   the paper's "merge RSDs if no precision is lost". *)
-let simplify r =
-  let try_merge (a : box) (b : box) : box option =
-    let n = Array.length a in
-    let differing = ref [] in
-    for d = 0 to n - 1 do
-      if not (Triplet.equal a.(d) b.(d)) then differing := d :: !differing
-    done;
-    match !differing with
-    | [] -> Some a
-    | [ d ] ->
-      let ta = a.(d) and tb = b.(d) in
-      if Triplet.is_empty ta then Some b
-      else if Triplet.is_empty tb then Some a
-      else if
-        Triplet.step ta = Triplet.step tb
-        && Triplet.step ta = 1
-        && Triplet.lo tb <= Triplet.hi ta + 1
-        && Triplet.lo ta <= Triplet.hi tb + 1
-      then begin
-        let merged = Array.copy a in
-        merged.(d) <-
-          Triplet.make
-            ~lo:(min (Triplet.lo ta) (Triplet.lo tb))
-            ~hi:(max (Triplet.hi ta) (Triplet.hi tb))
-            ~step:1;
-        Some merged
-      end
-      else None
-    | _ -> None
-  in
-  let rec pass boxes =
-    let rec insert b = function
-      | [] -> ([ b ], false)
-      | b' :: rest -> (
-        match try_merge b b' with
-        | Some m -> (m :: rest, true)
-        | None ->
-          let rest', changed = insert b rest in
-          (b' :: rest', changed))
-    in
-    match boxes with
-    | [] -> []
-    | b :: rest ->
-      let rest', changed = insert b rest in
-      if changed then pass rest' else b :: pass rest
-  in
-  { r with boxes = pass r.boxes }
-
-let hull r =
-  match r.boxes with
-  | [] -> None
-  | b0 :: rest ->
-    Some
-      (List.fold_left
-         (fun acc b ->
-           Array.mapi
-             (fun d t ->
-               Triplet.make
-                 ~lo:(min (Triplet.lo acc.(d)) (Triplet.lo t))
-                 ~hi:(max (Triplet.hi acc.(d)) (Triplet.hi t))
-                 ~step:1)
-             b)
-         (Array.map (fun t -> Triplet.make ~lo:(Triplet.lo t) ~hi:(Triplet.hi t) ~step:1) b0)
-         rest)
-
-let map_dims f r = { r with boxes = List.map f r.boxes }
-
-let pp_box ppf (b : box) =
-  Fmt.pf ppf "(%a)" Fmt.(array ~sep:(any ",") Triplet.pp) b
-
-let pp ppf r =
-  if is_empty r then Fmt.string ppf "{}"
-  else Fmt.pf ppf "%a" Fmt.(list ~sep:(any " u ") pp_box) r.boxes
-
-let to_string r = Fmt.str "%a" pp r

@@ -163,7 +163,3 @@ let accessed_region ~declared refs ~pred =
 let written_region ~declared ~array refs =
   accessed_region ~declared refs ~pred:(fun r ->
       r.is_write && String.equal r.array array)
-
-let read_region ~declared ~array refs =
-  accessed_region ~declared refs ~pred:(fun r ->
-      (not r.is_write) && String.equal r.array array)

@@ -25,28 +25,10 @@ val collect : Symtab.t -> Ast.stmt list -> ref_info list
 (** Every array element reference in the statement list, in textual
     order (a store's own subscripts also appear as reads). *)
 
-val affine_range :
-  (string -> (int * int) option) -> Affine.t -> (int * int) option
-(** Interval evaluation: min/max of the form when every variable's range
-    is known. *)
-
-val loop_ranges : loop_ctx list -> string -> (int * int) option
-(** Range environment from a loop context (bounds widened through outer
-    loops when triangular). *)
-
 val region_of_ref : declared:(int * int) list -> ref_info -> Region.t
 (** Concretize one reference over the declared bounds; a sound
     over-approximation (whole extents) where subscripts are non-affine or
     ranges unknown. *)
 
-val accessed_region :
-  declared:(int * int) list ->
-  ref_info list ->
-  pred:(ref_info -> bool) ->
-  Region.t
-
 val written_region :
-  declared:(int * int) list -> array:string -> ref_info list -> Region.t
-
-val read_region :
   declared:(int * int) list -> array:string -> ref_info list -> Region.t

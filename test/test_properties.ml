@@ -104,9 +104,6 @@ let region_props =
         let u = Region.union a b in
         elements u = List.sort_uniq compare (elements a @ elements b)
         && Region.count u = List.length (elements u));
-    prop ~count:200 "region simplify preserves semantics"
-      region_gen
-      (fun a -> elements (Region.simplify a) = elements a);
   ]
 
 (* --- Fit: closed forms evaluate back to the data -------------------------- *)
