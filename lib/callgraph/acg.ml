@@ -89,13 +89,8 @@ let procs t = t.procs
 let callees_of t name =
   (proc t name).calls |> List.map (fun cs -> cs.callee) |> Listx.dedup ~equal:String.equal
 
-let call_sites_from t name = (proc t name).calls
-
 let call_sites_to t name =
   List.concat_map (fun p -> List.filter (fun cs -> String.equal cs.callee name) p.calls) t.procs
-
-let callers_of t name =
-  call_sites_to t name |> List.map (fun cs -> cs.caller) |> Listx.dedup ~equal:String.equal
 
 (* Topological order (callers before callees).  Raises on recursion: the
    paper's single-pass scheme applies to programs without recursion. *)
@@ -133,22 +128,6 @@ let bindings t (cs : call_site) : (string * Ast.expr) list =
   if List.length formals <> List.length cs.actuals then
     Diag.error ~loc:cs.cs_loc "arity mismatch calling %s" cs.callee;
   List.combine formals cs.actuals
-
-(* For a whole-array actual, the caller-side array name bound to a formal
-   array; [None] for scalar/expression actuals. *)
-let actual_array_of_formal t (cs : call_site) (formal : string) : string option =
-  match List.assoc_opt formal (bindings t cs) with
-  | Some (Ast.Var v) ->
-    let caller = proc t cs.caller in
-    if Symtab.is_array caller.cu.Sema.symtab v then Some v else None
-  | _ -> None
-
-(* Reverse map: formal name bound to a given caller-side array. *)
-let formal_of_actual_array t (cs : call_site) (array : string) : string option =
-  List.find_map
-    (fun (f, a) ->
-      match a with Ast.Var v when String.equal v array -> Some f | _ -> None)
-    (bindings t cs)
 
 let pp ppf t =
   List.iter

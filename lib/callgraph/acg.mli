@@ -35,9 +35,7 @@ val proc : t -> string -> proc
 
 val procs : t -> proc list
 val callees_of : t -> string -> string list
-val call_sites_from : t -> string -> call_site list
 val call_sites_to : t -> string -> call_site list
-val callers_of : t -> string -> string list
 
 exception Recursive of string
 
@@ -52,11 +50,5 @@ val is_recursive : t -> bool
 
 val bindings : t -> call_site -> (string * Ast.expr) list
 (** Formal/actual pairs of one call site. *)
-
-val actual_array_of_formal : t -> call_site -> string -> string option
-(** Caller-side array bound (whole) to a formal; [None] for scalars and
-    expressions. *)
-
-val formal_of_actual_array : t -> call_site -> string -> string option
 
 val pp : Format.formatter -> t -> unit

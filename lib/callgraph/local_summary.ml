@@ -75,8 +75,6 @@ let interface_digest (t : t) : string =
             String.concat "," (S.elements t.local_ref);
             string_of_int t.decomp_stmts ]))
 
-let equal_source a b = String.equal a.source_digest b.source_digest
-
 let pp ppf t =
   Fmt.pf ppf "@[<v>summary %s(%s)@ arrays: %s@ calls: %s@ mod: %s@ ref: %s@ decomp stmts: %d, loop depth: %d@]"
     t.proc
