@@ -18,8 +18,9 @@ type code = { globals : Eval.frame_layout; main : Eval.unit_code option; main_na
 type t = { env : Eval.env; code : code }
 
 let create ~proc ~config ~stats code =
-  let strict = config.Config.strict_validity in
-  { env = Eval.env ~proc ~nprocs:config.Config.nprocs ~strict ~config ~stats; code }
+  (* Reading a non-owned element that was never received aborts, so
+     missing communication shows even when stale values agree. *)
+  { env = Eval.env ~proc ~nprocs:config.Config.nprocs ~strict:true ~config ~stats; code }
 
 let flush_ticks (env : Eval.env) =
   let c = env.Eval.clock in

@@ -48,9 +48,6 @@ val create : int -> t
 val elapsed : t -> float
 (** Makespan: max over processor clocks. *)
 
-val total_busy : t -> float
-val comm_ops : t -> int
-
 val outputs : t -> string list
 (** Captured PRINT lines, in order. *)
 

@@ -311,10 +311,17 @@ let cost_message () =
     (Config.message_cost c 1_000_000 > 100.0 *. c.Config.alpha)
 
 let cost_bcast_tree () =
-  let c = Config.ipsc860 ~nprocs:8 () in
-  let seq = { c with Config.tree_collectives = false } in
-  check "tree cheaper than sequential" true
-    (Config.bcast_cost c 1024 < Config.bcast_cost seq 1024)
+  (* ceil (log2 P) stages of one message each *)
+  let stages nprocs k =
+    let c = Config.ipsc860 ~nprocs () in
+    check (Printf.sprintf "P=%d takes %d stages" nprocs k) true
+      (Config.bcast_cost c 1024 = float_of_int k *. Config.message_cost c 1024)
+  in
+  stages 1 0;
+  stages 2 1;
+  stages 5 3;
+  stages 8 3;
+  stages 9 4
 
 (* --- Sequential interpreter -------------------------------------------------- *)
 
