@@ -675,25 +675,3 @@ let truth ~n:_ ~act v =
           | _ -> T_divergent)
     in
     sweep [] [] segs (Iset.intervals act)
-
-let pp_pv ppf = function
-  | Pint i -> Fmt.int ppf i
-  | Preal f -> Fmt.float ppf f
-  | Pbool b -> Fmt.bool ppf b
-  | Punk -> Fmt.string ppf "?"
-
-let pp_seg ppf = function
-  | Sconst v -> pp_pv ppf v
-  | Saff { a; b } ->
-    if a = 1 then Fmt.pf ppf "p%+d" b
-    else Fmt.pf ppf "%d*p%+d" a b
-
-let pp ppf = function
-  | Uni v -> pp_pv ppf v
-  | Runs segs ->
-    Fmt.pf ppf "[%a]"
-      Fmt.(
-        list ~sep:(any " ") (fun ppf (l, u, s) ->
-            if l = u then Fmt.pf ppf "%d:%a" l pp_seg s
-            else Fmt.pf ppf "%d-%d:%a" l u pp_seg s))
-      segs

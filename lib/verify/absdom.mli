@@ -42,9 +42,6 @@ type seg = Sconst of pv | Saff of { a : int; b : int }
 
 type t = Uni of pv | Runs of (int * int * seg) list
 
-(** Provable equality on lane values: [Punk = Punk] is [false]. *)
-val pv_equal : pv -> pv -> bool
-
 val to_f : pv -> float option
 
 (** Uniform-unknown: same (unknown) value on every processor. *)
@@ -138,4 +135,3 @@ type truth =
   | T_divergent  (** some active lane's truth is unknown *)
 
 val truth : n:int -> act:Iset.t -> t -> truth
-val pp : Format.formatter -> t -> unit

@@ -99,10 +99,6 @@ let isum_piece { ip_lo = l; ip_hi = h; ip_a = a; ip_b = b } =
   let tri = if (l + h) mod 2 = 0 then (l + h) / 2 * n else n / 2 * (l + h) in
   (a * tri) + (b * n)
 
-let fsum_piece { fp_lo = l; fp_hi = h; fp_a = a; fp_b = b } =
-  let n = float_of_int (h - l + 1) in
-  (a *. float_of_int (l + h) *. n /. 2.0) +. (b *. n)
-
 (* Delta sweep: O(k log k) in the number of contributions, flat in P. *)
 let sweep_int (contribs : ipiece list) : ipiece list =
   let deltas = Hashtbl.create 64 in
@@ -147,18 +143,6 @@ let sweep_float (contribs : fpiece list) : fpiece list =
       else { fp_lo = x; fp_hi = y - 1; fp_a = a; fp_b = b } :: go a b rest
   in
   go 0.0 0.0 cuts
-
-let ipieces_at (ps : ipiece list) p =
-  List.fold_left
-    (fun acc c -> if p >= c.ip_lo && p <= c.ip_hi then acc + (c.ip_a * p) + c.ip_b else acc)
-    0 ps
-
-let fpieces_at (ps : fpiece list) p =
-  List.fold_left
-    (fun acc c ->
-      if p >= c.fp_lo && p <= c.fp_hi then acc +. (c.fp_a *. float_of_int p) +. c.fp_b
-      else acc)
-    0.0 ps
 
 (* --- symbolic message sizes -------------------------------------------- *)
 
@@ -890,11 +874,6 @@ let analyze ?profile:prof ~(config : Config.t) (prog : Node.program) : t =
   }
 
 (* --- per-processor queries ---------------------------------------------- *)
-
-let messages_at t p = ipieces_at t.per_proc_messages p
-let bytes_at t p = ipieces_at t.per_proc_bytes p
-let wait_at t p = fpieces_at t.wait_seconds p +. fpieces_at t.coll_seconds p
-let send_time_at t p = fpieces_at t.send_seconds p
 
 (* --- serialization ------------------------------------------------------ *)
 

@@ -46,8 +46,6 @@ type fpiece = { fp_lo : int; fp_hi : int; fp_a : float; fp_b : float }
 val isum_piece : ipiece -> int
 (** Closed-form sum of the piece over its pid range. *)
 
-val fsum_piece : fpiece -> float
-
 (** {1 Results} *)
 
 type step = {
@@ -103,17 +101,6 @@ val analyze : ?profile:profile -> config:Config.t -> Node.program -> t
 (** Walk the program for [config.nprocs] processors (resolving uniform
     branches through [?profile]) and price the resulting skeleton under
     [config]'s cost model.  Total: never raises on checked programs. *)
-
-val comm_ops : t -> int
-
-(** {1 Per-processor queries} (evaluate the piecewise forms) *)
-
-val messages_at : t -> int -> int
-val bytes_at : t -> int -> int
-val wait_at : t -> int -> float
-(** Blocked seconds: receive waits plus collective waits. *)
-
-val send_time_at : t -> int -> float
 
 (** {1 Export} *)
 

@@ -48,7 +48,6 @@ let compare a b =
 let sort fs = List.sort_uniq compare fs
 
 let errors fs = List.filter (fun f -> f.severity = Error) fs
-let warnings fs = List.filter (fun f -> f.severity = Warning) fs
 
 let counts fs =
   List.fold_left

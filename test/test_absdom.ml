@@ -358,7 +358,7 @@ let test_unknown_distinction () =
   (* singleton affine runs fold to constants *)
   match Absdom.of_segs ~n:1 [ (0, 0, Absdom.Saff { a = 5; b = 2 }) ] with
   | Absdom.Uni (Absdom.Pint 2) -> ()
-  | v -> Alcotest.failf "singleton affine not folded: %a" Absdom.pp v
+  | _ -> Alcotest.fail "singleton affine not folded"
 
 let suite =
   [

@@ -108,6 +108,19 @@ let test_examples () =
 (* The per-processor piecewise forms must agree with the simulator's
    per-processor view: summing the pieces reproduces the totals, and
    evaluating them at each pid is nonnegative. *)
+let ipieces_at (ps : Cost.ipiece list) p =
+  List.fold_left
+    (fun acc (c : Cost.ipiece) ->
+      if p >= c.ip_lo && p <= c.ip_hi then acc + (c.ip_a * p) + c.ip_b else acc)
+    0 ps
+
+let fpieces_at (ps : Cost.fpiece list) p =
+  List.fold_left
+    (fun acc (c : Cost.fpiece) ->
+      if p >= c.fp_lo && p <= c.fp_hi then acc +. (c.fp_a *. float_of_int p) +. c.fp_b
+      else acc)
+    0.0 ps
+
 let test_per_proc_pieces () =
   List.iter
     (fun file ->
@@ -130,7 +143,7 @@ let test_per_proc_pieces () =
           check Alcotest.int (what ^ ": pieces sum to total bytes")
             c.Cost.message_bytes sum_bytes;
           let eval_sum =
-            List.init nprocs (fun p -> Cost.messages_at c p)
+            List.init nprocs (ipieces_at c.Cost.per_proc_messages)
             |> List.fold_left ( + ) 0
           in
           check Alcotest.int (what ^ ": pointwise evaluation sums to total")
@@ -139,8 +152,10 @@ let test_per_proc_pieces () =
             (fun p ->
               check Alcotest.bool (what ^ ": nonnegative per-proc values")
                 true
-                (Cost.messages_at c p >= 0 && Cost.bytes_at c p >= 0
-                && Cost.wait_at c p >= -1e-12))
+                (ipieces_at c.Cost.per_proc_messages p >= 0
+                && ipieces_at c.Cost.per_proc_bytes p >= 0
+                && fpieces_at c.Cost.wait_seconds p
+                   +. fpieces_at c.Cost.coll_seconds p >= -1e-12))
             (List.init nprocs Fun.id))
         [ 4; 64 ])
     [ "jacobi1d.fd"; "jacobi2d.fd"; "dgefa.fd"; "adi_static.fd" ]
