@@ -149,18 +149,14 @@ let recheck (program : Ast.program) : Sema.checked_program =
   Sema.check_source (Ast_printer.program_to_string program)
 
 let apply ~sink (opts : Options.t) (cp : Sema.checked_program) : result =
-  if not opts.Options.enable_cloning then
-    { cp; origin = SM.empty; clones_made = 0 }
-  else begin
-    let rec loop cp origin count steps =
-      if steps > 100 then Diag.error "cloning did not converge";
-      match step sink opts cp origin with
-      | None -> { cp; origin; clones_made = count }
-      | Some (program', origin', n) ->
-        loop (recheck program') origin' (count + n) (steps + 1)
-    in
-    loop cp SM.empty 0 0
-  end
+  let rec loop cp origin count steps =
+    if steps > 100 then Diag.error "cloning did not converge";
+    match step sink opts cp origin with
+    | None -> { cp; origin; clones_made = count }
+    | Some (program', origin', n) ->
+      loop (recheck program') origin' (count + n) (steps + 1)
+  in
+  loop cp SM.empty 0 0
 
 let origin_of result name =
   match SM.find_opt name result.origin with Some o -> o | None -> name

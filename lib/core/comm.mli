@@ -13,8 +13,6 @@ type other_dim =
   | Od_range of Ast.expr * Ast.expr  (** contiguous index range *)
   | Od_full of int * int             (** whole declared extent *)
 
-val other_dim_section : other_dim -> Ast.expr * Ast.expr * Ast.expr
-
 val assemble_section :
   rank:int -> dim:int -> Ast.expr * Ast.expr * Ast.expr -> other_dim list ->
   Node.section

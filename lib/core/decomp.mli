@@ -10,7 +10,6 @@ val replicated : int -> t
 (** [replicated rank] *)
 
 val of_kinds : Ast.dist_kind list -> t
-val rank : t -> int
 val is_replicated : t -> bool
 
 val dist_dim : t -> (int * Ast.dist_kind) option
@@ -19,7 +18,6 @@ val dist_dim : t -> (int * Ast.dist_kind) option
     distributions. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val layout_of :
   t -> bounds:(int * int) list -> nprocs:int -> Fd_machine.Layout.t
@@ -29,8 +27,6 @@ val through_align : array_rank:int -> Ast.align_sub list -> t -> t
     distribution (permutations supported; offsets only shift block
     boundaries and are ignored with a warning). *)
 
-val kind_name : Ast.dist_kind -> string
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 module Set : Set.S with type elt = t

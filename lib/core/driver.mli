@@ -25,13 +25,6 @@ type run_result = {
 val check_source :
   ?file:string -> ?sink:Fd_support.Diag.sink -> string -> Sema.checked_program
 
-val compile_ctx :
-  ?verify:bool -> ?tracer:Fd_trace.Trace.t -> Pass.ctx ->
-  Codegen.compiled * Pass.report
-(** Run the whole pipeline over a context.  With [verify], the first
-    invariant violation raises {!Fd_support.Diag.Compile_error}.  A
-    [tracer] receives one pass span per pipeline pass. *)
-
 val compile :
   ?sink:Fd_support.Diag.sink -> ?opts:Options.t -> Sema.checked_program ->
   Codegen.compiled

@@ -62,6 +62,9 @@ type t = {
 
 val empty : string -> t
 
-val pp_odim : Format.formatter -> odim -> unit
-val pp_pending : Format.formatter -> pending -> unit
 val pp : Format.formatter -> t -> unit
+
+val digest : t -> string
+(** Hex digest over every field of the record, for recompilation
+    analysis: equal records give equal digests, and any change a caller
+    could see changes it ({!pp} prints a summary, not all of it). *)

@@ -12,14 +12,6 @@ open Fd_frontend
 val myp : Ast.expr
 (** The [my$p] variable. *)
 
-val linear_expr : int -> int -> Ast.expr
-(** [linear_expr a b] is the simplified [a*my$p + b]. *)
-
-val tab_expr : int array -> Ast.expr
-
-val fit_linear : mask:bool array -> int array -> (int * int) option
-(** Exact linear fit [v_p = a*p + b] over the masked processors. *)
-
 val expr_of_values : ?mask:bool array -> int array -> Ast.expr
 (** Linear fit, then min/max-clipped linear, then table. *)
 
@@ -34,12 +26,6 @@ type fitted_triplet = {
   f_guard : Ast.expr option;
 }
 
-val fit_procset : Iset.t array -> fitted_triplet option
-(** Fit a per-processor family of single-triplet sets; [None] when all
-    are empty.
-    @raise Not_single_triplet when some set needs several triplets. *)
-
-exception Not_single_triplet
-
 val fit_procset_opt : Iset.t array -> fitted_triplet option
-(** Like {!fit_procset} but [None] instead of raising. *)
+(** Fit a per-processor family of single-triplet sets; [None] when all
+    are empty or some set needs several triplets. *)

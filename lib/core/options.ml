@@ -19,7 +19,6 @@ type t = {
   remap_level : remap_level;
   use_collectives : bool;  (* recognize one-owner/all-consumers broadcasts *)
   aggregate_messages : bool;  (* merge same-destination transfers into one message *)
-  enable_cloning : bool;
   clone_limit : int;       (* max clones per procedure before falling back *)
 }
 
@@ -29,7 +28,6 @@ let default = {
   remap_level = Remap_kill;
   use_collectives = true;
   aggregate_messages = true;
-  enable_cloning = true;
   clone_limit = 16;
 }
 

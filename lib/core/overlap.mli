@@ -7,20 +7,8 @@
 
 open Fd_frontend
 
-module SM : Map.S with type key = string and type 'a t = 'a Map.Make(String).t
-
 type offsets = { neg : int; pos : int }
 (** widths below / above the local block *)
-
-val no_offsets : offsets
-val merge : offsets -> offsets -> offsets
-
-val local_offsets :
-  ?reads_only:bool ->
-  ?dist_dim_of:(string -> int option) ->
-  Sema.checked_unit ->
-  offsets SM.t
-(** Per-procedure constant offsets, keyed ["array.dim"]. *)
 
 type row = {
   ov_proc : string;

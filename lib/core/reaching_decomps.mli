@@ -14,25 +14,11 @@ module SM : Map.S with type key = string and type 'a t = 'a Map.Make(String).t
 
 type fact = Decomp.reaching SM.t
 
-val fact_join : fact -> fact -> fact
-val fact_equal : fact -> fact -> bool
 val get_reaching : fact -> string -> Decomp.reaching
-
-val align_map :
-  sink:Fd_support.Diag.sink ->
-  Sema.checked_unit ->
-  (string * Ast.align_sub list) SM.t
-(** Static alignment map: array -> (target, subscripts); the last ALIGN
-    per array wins, with a warning when several disagree. *)
-
-val initial_fact : Sema.checked_unit -> fact
 
 type local_result
 (** The solved local problem for one procedure (with inherited
     decompositions seeded after interprocedural propagation). *)
-
-val solve_local :
-  sink:Fd_support.Diag.sink -> ?seed:fact -> Sema.checked_unit -> local_result
 
 val aligns_of : local_result -> (string * Ast.align_sub list) SM.t
 

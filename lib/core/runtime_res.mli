@@ -18,8 +18,6 @@ type ctx = {
   fresh_tmp : unit -> string;
 }
 
-val compile_assign : ctx -> loc:Fd_support.Loc.t -> Ast.expr -> Ast.expr -> Node.nstmt list
-
 val compile_stmt : ctx -> Ast.stmt -> Node.nstmt list
 (** Whole statement trees; IF conditions with distributed reads get
     element broadcasts first, loops run full bounds everywhere. *)

@@ -24,7 +24,6 @@ type outcome =
    0 success; 1 verification/check/fuzz failure; 2 compile diagnostics;
    3 simulation error; 4 internal compiler crash.  cmdliner keeps its
    own 124 (CLI parse error) and 125 (internal cmdliner error). *)
-let ok = 0
 let check_failed = 1
 let compile_failed = 2
 let sim_failed = 3

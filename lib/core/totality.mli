@@ -27,7 +27,6 @@ type outcome =
     3 simulation error; 4 internal compiler crash (cmdliner additionally
     reserves 124/125). *)
 
-val ok : int
 val check_failed : int
 val compile_failed : int
 val sim_failed : int

@@ -103,11 +103,6 @@ let cl_filter_by_appear () =
   let r = Cloning.apply ~sink:(Diag.sink ()) Options.default (Sema.check_source src) in
   check_int "one clone (for a only)" 1 r.Cloning.clones_made
 
-let cl_disabled () =
-  let cp = Sema.check_source (Fd_workloads.Figures.fig4 ()) in
-  let r = Cloning.apply ~sink:(Diag.sink ()) { Options.default with Options.enable_cloning = false } cp in
-  check_int "cloning disabled" 0 r.Cloning.clones_made
-
 (* --- Closed-form fitting ---------------------------------------------------- *)
 
 let fit_linear_family () =
@@ -294,6 +289,20 @@ let rc_export_change_propagates () =
   let r, _ = Recompile.after_edit ~before ~after () in
   check "dscal recompiles" true (List.mem "dscal" r)
 
+let rc_shift_width_propagates () =
+  (* narrowing op0's shift from a(i+2) to a(i+1) changes the message its
+     caller sends under delayed instantiation, though Exports.pp prints
+     the same summary either way *)
+  let src shift =
+    String.concat "\n"
+      [ "program p"; "  real a(40), b(40)"; "  integer i"; "  distribute a(block)";
+        "  distribute b(block)"; "  do i = 1, 40"; "    a(i) = i"; "  enddo";
+        "  call op0(a, b)"; "end"; "subroutine op0(a, b)"; "  real a(40), b(40)";
+        "  integer i"; "  do i = 1, 38"; "    b(i) = a(i+" ^ shift ^ ")"; "  enddo"; "end"; "" ]
+  in
+  let r, _ = Recompile.after_edit ~before:(src "2") ~after:(src "1") () in
+  check "caller and callee recompile" true (List.sort compare r = [ "op0"; "p" ])
+
 let suite =
   [
     Alcotest.test_case "reaching decomps fig7" `Quick rd_fig7;
@@ -302,7 +311,6 @@ let suite =
     Alcotest.test_case "cloning fig4" `Quick cl_fig4;
     Alcotest.test_case "no clone when uniform" `Quick cl_no_clone_when_uniform;
     Alcotest.test_case "clone filtered by Appear" `Quick cl_filter_by_appear;
-    Alcotest.test_case "cloning disabled" `Quick cl_disabled;
     Alcotest.test_case "fit linear family" `Quick fit_linear_family;
     Alcotest.test_case "fit min clip" `Quick fit_min_clip;
     Alcotest.test_case "fit empty guard" `Quick fit_empty_guard;
@@ -320,6 +328,7 @@ let suite =
     Alcotest.test_case "recompile body edit local" `Quick rc_body_edit_local;
     Alcotest.test_case "recompile distribution global" `Quick rc_distribution_edit_global;
     Alcotest.test_case "recompile export change" `Quick rc_export_change_propagates;
+    Alcotest.test_case "recompile shift width" `Quick rc_shift_width_propagates;
   ]
 
 (* --- Aliasing (Section 6.4) -------------------------------------------------- *)
