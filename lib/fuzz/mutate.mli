@@ -11,8 +11,6 @@
     All randomness comes from the caller's [Random.State.t], so one seed
     reproduces byte-identical mutants. *)
 
-val mutator_names : string list
-
 val mutate : Random.State.t -> ?n:int -> string -> string
 (** Apply [n] (default 1) randomly chosen mutations.  Inapplicable
     picks are retried a bounded number of times; the result may carry
