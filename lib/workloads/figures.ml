@@ -128,7 +128,3 @@ subroutine f3(x)
 end
 |}
     n t n n n n n n n n
-
-(* Figure 12 discussion example: immediate instantiation of the Figure 4
-   program is obtained by compiling [fig4] with [Options.Immediate]. *)
-let fig12 = fig4

@@ -14,7 +14,3 @@ val fig4 : ?n:int -> ?shift:int -> unit -> string
 val fig15 : ?n:int -> ?t:int -> unit -> string
 (** Figure 15: dynamic data decomposition with the full Figure-16
     optimization ladder (4T+2 / 2T+2 / 4 / 2+2 mark-only remaps). *)
-
-val fig12 : ?n:int -> ?shift:int -> unit -> string
-(** Alias of {!fig4}: compile it with {!Fd_core.Options.Immediate} to get
-    the paper's Figure 12 behaviour. *)
