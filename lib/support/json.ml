@@ -81,5 +81,3 @@ let rec equal a b =
     List.length xs = List.length ys
     && List.for_all2 (fun (k, v) (k', v') -> String.equal k k' && equal v v') xs ys
   | _ -> false
-
-let pp ppf t = Fmt.string ppf (to_string t)

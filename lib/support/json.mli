@@ -21,5 +21,3 @@ val equal : t -> t -> bool
 (** Structural equality (object fields compared in order).  Used by the
     fault oracle and tests to assert that two runs produced identical
     statistics. *)
-
-val pp : Format.formatter -> t -> unit

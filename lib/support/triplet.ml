@@ -29,11 +29,6 @@ let lo t = t.lo
 let hi t = t.hi
 let step t = t.step
 
-let equal a b =
-  if is_empty a then is_empty b
-  else (not (is_empty b)) && a.lo = b.lo && a.hi = b.hi
-       && (a.step = b.step || count a = 1)
-
 let shift d t = if is_empty t then empty else { t with lo = t.lo + d; hi = t.hi + d }
 
 let to_list t =
