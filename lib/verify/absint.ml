@@ -78,16 +78,12 @@ type scope = {
 
 (* One unverifiable-control-flow region instance, in walk order.  The
    buffered branch events never reach the main stream (only Ev_assume
-   does); the cost analyzer splices them back in at [rg_pos] with a
-   multiplicity decided by a sequential branch profile. *)
+   does); the cost analyzer counts the regions that communicate. *)
 type region = {
   rg_if_loc : Loc.t;
       (* source IF statement; Loc.none for symbolic loop regions *)
-  rg_pos : int;  (* main-stream events emitted before this region *)
   rg_then : Skeleton.event list;
   rg_else : Skeleton.event list;
-  rg_divergent : bool;
-  rg_nested : bool;  (* recorded inside an enclosing region *)
 }
 
 type w = {
@@ -789,7 +785,6 @@ let emit_recv w fr act ~loc src tag visible =
               Some
                 {
                   Skeleton.ra_name = name;
-                  ra_dist_dim = obj.a_layout.Layout.dist_dim;
                   ra_layout = obj.a_layout;
                 }
             | Bscalar _ -> None)
@@ -1005,21 +1000,18 @@ and walk_if w fr act ~loc vc then_ else_ : Iset.t =
 and walk_branches_as_regions w fr act ~loc ~divergent then_ else_ =
   let evs_t = walk_region w fr act then_ in
   let evs_e = walk_region w fr act else_ in
-  record_region w ~if_loc:loc ~divergent ~then_:evs_t ~else_:evs_e;
+  record_region w ~if_loc:loc ~then_:evs_t ~else_:evs_e;
   finish_regions w ~divergent [ evs_t; evs_e ]
 
 (* Every region instance is recorded, even when both branches are
    comm-free, so per-IF-site profile decisions stay aligned with the
    walk order. *)
-and record_region w ~if_loc ~divergent ~then_ ~else_ =
+and record_region w ~if_loc ~then_ ~else_ =
   w.regions <-
     {
       rg_if_loc = if_loc;
-      rg_pos = List.length !(w.buf);
       rg_then = then_;
       rg_else = else_;
-      rg_divergent = divergent;
-      rg_nested = w.uncertain > 0;
     }
     :: w.regions
 
@@ -1268,8 +1260,7 @@ and walk_do w fr act ~var ~slot ~havoc ~mention ~comm (lo, hi, step) body
            iteration as a region *)
         havoc_scalars w fr act ~divergent:divergent_bounds [ slot ];
         let evs = walk_region w fr act body in
-        record_region w ~if_loc:Loc.none ~divergent:divergent_bounds ~then_:evs
-          ~else_:[];
+        record_region w ~if_loc:Loc.none ~then_:evs ~else_:[];
         finish_regions w ~divergent:divergent_bounds [ evs ];
         act
       end

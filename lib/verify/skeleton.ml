@@ -60,7 +60,6 @@ type part = {
 
 type recv_array = {
   ra_name : string;
-  ra_dist_dim : int option;
   ra_layout : Layout.t;  (* receiver's layout at emission *)
 }
 
