@@ -116,5 +116,3 @@ let pp ppf t =
   match t.dist_dim with
   | None -> Fmt.string ppf "replicated"
   | Some d -> Fmt.pf ppf "dim %d %s" (d + 1) (dist_name t.dist)
-
-let to_string t = Fmt.str "%a" pp t

@@ -161,8 +161,6 @@ let pp_program ppf prog =
   end;
   Fmt.(list ~sep:(any "@.") pp_nproc) ppf prog.n_procs
 
-let program_to_string prog = Fmt.str "%a" pp_program prog
-
 (* Map a function over every expression in a statement tree (used by the
    code generator to fold PARAMETER constants into node programs). *)
 let rec map_exprs (f : Ast.expr -> Ast.expr) (s : nstmt) : nstmt =

@@ -47,7 +47,7 @@ let arrays_digest (arrays : (string * Storage.array_obj) list) =
   List.iter
     (fun (name, (o : Storage.array_obj)) ->
       Buffer.add_string b name;
-      Buffer.add_string b (Layout.to_string o.Storage.layout);
+      Buffer.add_string b (Fmt.str "%a" Layout.pp o.Storage.layout);
       Array.iter (fun (lo, hi) -> Printf.bprintf b "[%d:%d]" lo hi) o.Storage.bounds;
       (match o.Storage.data with
       | Storage.Fdata a -> Array.iter (Printf.bprintf b "%h,") a

@@ -280,7 +280,7 @@ let golden_fig1 () =
       ~opts:{ Options.default with Options.nprocs = 4 }
       (Fd_workloads.Figures.fig1 ~n:100 ~shift:5 ())
   in
-  let text = Node.program_to_string compiled.Codegen.program in
+  let text = Fmt.str "%a" Node.pp_program compiled.Codegen.program in
   let expects =
     [ (* reduced loop bounds with the boundary clip (paper's ub$1) *)
       "do i = 25 * my$p + 1, min(25 * my$p + 25, 95)";

@@ -158,8 +158,8 @@ let equivalence () =
       let via_driver = Driver.compile cp in
       check (name ^ " same SPMD program") true
         (String.equal
-           (Node.program_to_string direct.Codegen.program)
-           (Node.program_to_string via_driver.Codegen.program)))
+           (Fmt.str "%a" Node.pp_program direct.Codegen.program)
+           (Fmt.str "%a" Node.pp_program via_driver.Codegen.program)))
     [ ("fig1", Fd_workloads.Figures.fig1 ());
       ("fig15", Fd_workloads.Figures.fig15 ());
       ("dgefa", Fd_workloads.Dgefa.source ~n:8 ()) ]

@@ -60,7 +60,7 @@ let bcast_expansion () =
   let src = Fd_workloads.Figures.fig1 ~n:64 ~shift:2 () in
   let opts = { Options.default with Options.use_collectives = false } in
   let compiled = Driver.compile_source ~opts src in
-  let text = Node.program_to_string compiled.Codegen.program in
+  let text = Fmt.str "%a" Node.pp_program compiled.Codegen.program in
   let contains hay needle =
     let nl = String.length needle and hl = String.length hay in
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in

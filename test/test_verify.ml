@@ -447,7 +447,7 @@ let show_event (ev : Skeleton.event) =
                       (List.map
                          (fun (l, h, _) -> aff (Some l) ^ ":" ^ aff (Some h))
                          tl))
-                  (Layout.to_string p.Skeleton.p_layout))
+                  (Fmt.str "%a" Layout.pp p.Skeleton.p_layout))
               parts))
     | Skeleton.Ev_recv { src; tag; arrays } ->
       Fmt.str "recv %d from %s%s" tag (aff src)
@@ -456,7 +456,7 @@ let show_event (ev : Skeleton.event) =
               (List.map
                  (fun (r : Skeleton.recv_array) ->
                    Fmt.str " %s[%s]" r.Skeleton.ra_name
-                     (Layout.to_string r.Skeleton.ra_layout))
+                     (Fmt.str "%a" Layout.pp r.Skeleton.ra_layout))
                  arrays)))
     | Skeleton.Ev_coll { site; label; _ } -> Fmt.str "coll %d %s" site label
     | Skeleton.Ev_assume { array; _ } -> "assume " ^ array
