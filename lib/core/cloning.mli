@@ -18,6 +18,6 @@ type result = {
 
 val apply : sink:Fd_support.Diag.sink -> Options.t -> Sema.checked_program -> result
 (** Iterates (callers before callees) to a fixed point; respects
-    [clone_limit] and [enable_cloning]. *)
+    [clone_limit]. *)
 
 val origin_of : result -> string -> string
