@@ -38,7 +38,10 @@ let gather_array ~nprocs (frames : Interp.frame array) (name : string) :
         | None -> Diag.error "gather: processor %d lacks array %s" owner name);
     Some out
 
-let values_match ~tol a b =
+(* Relative tolerance on REAL elements. *)
+let tol = 1e-9
+
+let values_match a b =
   match (a, b) with
   | Value.Vreal x, Value.Vreal y ->
     let scale = Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
@@ -47,7 +50,7 @@ let values_match ~tol a b =
 
 (* Compare a simulated run's main-program arrays against the sequential
    result.  Returns the list of mismatches (empty = verified). *)
-let compare_results ?(tol = 1e-9) ~nprocs (seq : Seq_interp.result)
+let compare_results ~nprocs (seq : Seq_interp.result)
     (frames : Interp.frame array) : mismatch list =
   let mismatches = ref [] in
   List.iter
@@ -62,7 +65,7 @@ let compare_results ?(tol = 1e-9) ~nprocs (seq : Seq_interp.result)
         Storage.iter_elements seq_obj (fun idx flat ->
             let expected = Storage.get_raw seq_obj flat in
             let actual = Storage.get_raw sim_obj (Storage.flat_index sim_obj idx) in
-            if not (values_match ~tol expected actual) then
+            if not (values_match expected actual) then
               mismatches :=
                 { m_array = name; m_index = idx; m_expected = expected;
                   m_actual = actual }

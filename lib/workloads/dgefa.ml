@@ -4,7 +4,7 @@
    calls inside the elimination loops are what make interprocedural
    analysis essential.  The matrix is column-cyclic distributed. *)
 
-let source ?(n = 64) ?(dist = "cyclic") () =
+let source ?(n = 64) () =
   Fmt.str
     {|
 program lu
@@ -12,7 +12,7 @@ program lu
   real a(%d,%d)
   integer ipvt(%d)
   integer i, j, k
-  distribute a(:,%s)
+  distribute a(:,cyclic)
   do j = 1, n
     do i = 1, n
       a(i,j) = float(mod(i*7 + j*13, 10) + 1)
@@ -102,7 +102,7 @@ subroutine daxpy(a, k, j)
   enddo
 end
 |}
-    n n n n dist n n n n n n n n n n n n n n n n n n n
+    n n n n n n n n n n n n n n n n n n n n n n n
 
 (* Native OCaml reference LU with partial pivoting over the same initial
    matrix, for independent answer checking of the simulated runs. *)
