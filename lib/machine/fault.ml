@@ -15,13 +15,11 @@ type t = {
   max_retries : int;
   watchdog : float option;
   tags : int list option;
-  srcs : int list option;
-  dests : int list option;
 }
 
 let make ?(drop = 0.0) ?(dup = 0.0) ?(delay = 0.0) ?(reorder = 0.0)
     ?(slowdown = []) ?(rto = 500e-6) ?(backoff = 2.0) ?(max_retries = 8)
-    ?watchdog ?tags ?srcs ?dests ~seed () =
+    ?watchdog ?tags ~seed () =
   if drop < 0.0 || drop > 1.0 then Fd_support.Diag.error "fault plan: drop not in [0,1]";
   if dup < 0.0 || dup > 1.0 then Fd_support.Diag.error "fault plan: dup not in [0,1]";
   if reorder < 0.0 || reorder > 1.0 then
@@ -31,12 +29,9 @@ let make ?(drop = 0.0) ?(dup = 0.0) ?(delay = 0.0) ?(reorder = 0.0)
   if backoff < 1.0 then Fd_support.Diag.error "fault plan: backoff must be >= 1";
   if max_retries < 0 then Fd_support.Diag.error "fault plan: negative max_retries";
   { seed; drop; dup; delay; reorder; slowdown; rto; backoff; max_retries;
-    watchdog; tags; srcs; dests }
+    watchdog; tags }
 
-let member_opt x = function None -> true | Some xs -> List.mem x xs
-
-let selects t ~src ~dest ~tag =
-  member_opt tag t.tags && member_opt src t.srcs && member_opt dest t.dests
+let selects t ~tag = match t.tags with None -> true | Some tags -> List.mem tag tags
 
 let slowdown_for t p =
   match List.assoc_opt p t.slowdown with Some f -> f | None -> 1.0
@@ -84,7 +79,7 @@ let clean = { attempts = 1; lost = false; added_delay = 0.0; duplicated = false;
               injected = 0 }
 
 let deliver t ~msg_cost ~src ~dest ~tag ~seq =
-  if not (selects t ~src ~dest ~tag) then clean
+  if not (selects t ~tag) then clean
   else begin
     let key purpose = stream t.seed [ src; dest; tag; seq; purpose ] in
     let injected = ref 0 in

@@ -22,10 +22,10 @@ and op =
   | Op_multi of int           (* c(i) = a(i+s) + b(i); a(i) = c(i): three arrays
                                  in one statement chain *)
 
-let random_spec ?(max_ops = 4) (st : Random.State.t) : spec =
+let random_spec (st : Random.State.t) : spec =
   let n = 16 + Random.State.int st 48 in
   let dist = if Random.State.bool st then "block" else "cyclic" in
-  let nops = 1 + Random.State.int st max_ops in
+  let nops = 1 + Random.State.int st 4 in
   let ops =
     List.init nops (fun _ ->
         match Random.State.int st 5 with
@@ -104,8 +104,8 @@ let to_source ?(commons = false) (s : spec) : string =
     n
     (String.concat "" subs)
 
-let random_source ?max_ops ?commons (st : Random.State.t) : string =
-  to_source ?commons (random_spec ?max_ops st)
+let random_source ?commons (st : Random.State.t) : string =
+  to_source ?commons (random_spec st)
 
 (* --- 2-D variants -------------------------------------------------------- *)
 
