@@ -20,7 +20,6 @@ open Fd_callgraph
 module SS = Set.Make (String)
 
 type alias_site = {
-  al_caller : string;
   al_callee : string;
   al_array : string;          (* the caller-side array *)
   al_formals : string list;   (* the >= 2 formals bound to it *)
@@ -107,8 +106,7 @@ let alias_sites (acg : Acg.t) : alias_site list =
           | [] -> None
           | (array, members) :: _ ->
             Some
-              { al_caller = cs.Acg.caller;
-                al_callee = cs.Acg.callee;
+              { al_callee = cs.Acg.callee;
                 al_array = array;
                 al_formals = List.map snd members;
                 al_loc = cs.Acg.cs_loc })
@@ -134,8 +132,7 @@ let common_alias_sites (acg : Acg.t) (effects : Side_effects.t) : alias_site lis
                      && Side_effects.S.mem v
                           (Side_effects.appear effects cs.Acg.callee) ->
                 Some
-                  { al_caller = cs.Acg.caller;
-                    al_callee = cs.Acg.callee;
+                  { al_callee = cs.Acg.callee;
                     al_array = v;
                     al_formals = [ formal; v ];
                     al_loc = cs.Acg.cs_loc }
@@ -146,7 +143,7 @@ let common_alias_sites (acg : Acg.t) (effects : Side_effects.t) : alias_site lis
 
 (* Check the whole program; raises on Fortran D's forbidden combination,
    warns on double-modification of aliases. *)
-let check ~sink (acg : Acg.t) (effects : Side_effects.t) : alias_site list =
+let check ~sink (acg : Acg.t) (effects : Side_effects.t) : unit =
   let redist = redistributes acg in
   let sites = alias_sites acg @ common_alias_sites acg effects in
   List.iter
@@ -171,5 +168,4 @@ let check ~sink (acg : Acg.t) (effects : Side_effects.t) : alias_site list =
           "aliased formals %s of %s are both modified; behaviour depends on evaluation order"
           (String.concat "," modified)
           site.al_callee)
-    sites;
-  sites
+    sites

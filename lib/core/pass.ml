@@ -36,7 +36,6 @@ type report = entry list
 
 type t = {
   p_name : string;
-  p_doc : string;
   p_run : ctx -> unit;
   p_dump : ctx -> string option;
   p_verify : ctx -> string list;

@@ -58,7 +58,6 @@ type report = entry list
 
 type t = {
   p_name : string;
-  p_doc : string;
   p_run : ctx -> unit;
   p_dump : ctx -> string option;
       (** render the pass's artifact; [None] when it is not present *)

@@ -82,9 +82,9 @@ let stmt_count units =
 
 (* --- parse -------------------------------------------------------------- *)
 
+(* Lex and parse the source into program units. *)
 let parse_pass =
   { p_name = "parse";
-    p_doc = "lex and parse the source into program units";
     p_run =
       (fun c ->
         match (c.parsed, c.checked) with
@@ -127,9 +127,9 @@ let parse_pass =
 
 (* --- sema --------------------------------------------------------------- *)
 
+(* Symbol tables, type/shape checking, intrinsic resolution. *)
 let sema_pass =
   { p_name = "sema";
-    p_doc = "symbol tables, type/shape checking, intrinsic resolution";
     p_run =
       (fun c ->
         match c.checked with
@@ -196,9 +196,9 @@ let sema_pass =
 
 (* --- cloning ------------------------------------------------------------ *)
 
+(* Procedure cloning for unique reaching decompositions. *)
 let cloning_pass =
   { p_name = "cloning";
-    p_doc = "procedure cloning for unique reaching decompositions";
     p_run =
       (fun c ->
         match c.clone_result with
@@ -246,9 +246,9 @@ let cloning_pass =
 
 (* --- acg ---------------------------------------------------------------- *)
 
+(* Augmented call graph with interprocedural loop context. *)
 let acg_pass =
   { p_name = "acg";
-    p_doc = "augmented call graph with interprocedural loop context";
     p_run =
       (fun c ->
         match c.acg with
@@ -296,9 +296,9 @@ let acg_pass =
 
 (* --- reaching_decomps --------------------------------------------------- *)
 
+(* Interprocedural reaching decompositions. *)
 let reaching_pass =
   { p_name = "reaching_decomps";
-    p_doc = "interprocedural reaching decompositions";
     p_run =
       (fun c ->
         match c.rd with
@@ -360,9 +360,9 @@ let reaching_pass =
 
 (* --- side_effects ------------------------------------------------------- *)
 
+(* Interprocedural Gmod/Gref summaries. *)
 let side_effects_pass =
   { p_name = "side_effects";
-    p_doc = "interprocedural Gmod/Gref summaries";
     p_run =
       (fun c ->
         match c.effects with
@@ -417,9 +417,9 @@ let side_effects_pass =
 
 (* --- local_summaries ---------------------------------------------------- *)
 
+(* Edit-time local summaries and interface digests. *)
 let local_summaries_pass =
   { p_name = "local_summaries";
-    p_doc = "edit-time local summaries and interface digests";
     p_run =
       (fun c ->
         match c.summaries with
@@ -459,9 +459,9 @@ let local_summaries_pass =
 
 (* --- codegen ------------------------------------------------------------ *)
 
+(* Per-procedure SPMD code generation with delayed instantiation. *)
 let codegen_pass =
   { p_name = "codegen";
-    p_doc = "per-procedure SPMD code generation with delayed instantiation";
     p_run =
       (fun c ->
         match c.compiled with
@@ -561,9 +561,9 @@ let verify_findings (c : ctx) : Fd_verify.Finding.t list =
     c.findings <- Some f;
     f
 
+(* Static send/recv matching, collective congruence and lint. *)
 let verify_pass =
   { p_name = "verify";
-    p_doc = "static send/recv matching, collective congruence and lint";
     p_run = (fun _ -> ());
     p_dump =
       (fun c ->
@@ -608,9 +608,9 @@ let cost_of (c : ctx) : Fd_verify.Cost.t option =
       c.cost <- Some r;
       Some r)
 
+(* Static communication-cost and critical-path prediction. *)
 let cost_pass =
   { p_name = "cost";
-    p_doc = "static communication-cost and critical-path prediction";
     p_run = (fun _ -> ());
     p_dump =
       (fun c ->
