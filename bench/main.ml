@@ -210,7 +210,7 @@ let e8_high_p_measure () =
     (fun nprocs ->
       let opts = { Options.default with Options.nprocs } in
       let t0 = Sys.time () in
-      ignore (Codegen.compile opts cp);
+      ignore (Driver.compile ~opts cp);
       let ms = (Sys.time () -. t0) *. 1e3 in
       let mb =
         float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
@@ -232,7 +232,7 @@ let e8 high_p =
       let iters = 20 in
       let nprocs = ref 0 in
       for _ = 1 to iters do
-        let c = Codegen.compile opts cp in
+        let c = Driver.compile ~opts cp in
         nprocs := List.length c.Codegen.program.Node.n_procs
       done;
       let dt = (Sys.time () -. t0) /. float_of_int iters *. 1e3 in
@@ -298,9 +298,9 @@ let e8b () =
       Test.make ~name:"reaching-decomps" (Staged.stage (fun () ->
           ignore (Reaching_decomps.compute ~sink:(Fd_support.Diag.sink ()) acg)));
       Test.make ~name:"full-compile" (Staged.stage (fun () ->
-          ignore (Codegen.compile Options.default cp)));
+          ignore (Driver.compile cp)));
       Test.make ~name:"simulate" (Staged.stage (fun () ->
-          let c = Codegen.compile Options.default cp in
+          let c = Driver.compile cp in
           ignore (Scheduler.run (Config.ipsc860 ~nprocs:4 ()) c.Codegen.program)));
     ]
   in

@@ -65,7 +65,10 @@ let collectives_arg =
   Arg.(value & flag & info [ "no-collectives" ] ~doc:"Expand broadcasts to sends")
 
 let trace_arg =
-  Arg.(value & flag & info [ "trace" ] ~doc:"Print the communication-event timeline")
+  Arg.(value & flag
+       & info [ "trace" ]
+           ~doc:"Print the event timeline: compiler pass spans, then the \
+                 simulator's messages, collectives and faults")
 
 let no_agg_arg =
   Arg.(value & flag & info [ "no-aggregation" ] ~doc:"Disable message aggregation")
@@ -227,12 +230,11 @@ let run_cmd =
     wrap_code ~strict ~json (fun sink ->
         let opts = opts_of ~no_agg nprocs strategy remap no_coll in
         let tr =
-          match trace_out with
-          | Some _ -> Some (Fd_trace.Trace.create ())
-          | None -> None
+          if trace || trace_out <> None then Some (Fd_trace.Trace.create ())
+          else None
         in
         let machine =
-          Fd_machine.Config.make ~nprocs ~record_trace:trace
+          Fd_machine.Config.make ~nprocs
             ?faults:(faults_of ~seed:fault_seed ~drop ~dup ~delay ())
             ?trace:tr ()
         in
@@ -264,10 +266,14 @@ let run_cmd =
           Fmt.pr "%s@." (Fd_support.Json.to_string j)
         end
         else begin
-          if trace then
-            List.iter
-              (fun ev -> Fmt.pr "%a@." Fd_machine.Stats.pp_event ev)
-              (Fd_machine.Stats.trace r.Fd_core.Driver.stats);
+          (match tr with
+          | Some tr when trace ->
+            if Fd_trace.Trace.dropped tr > 0 then
+              Fmt.pr "(%d earlier events dropped: the trace ring holds the \
+                      newest %d)@."
+                (Fd_trace.Trace.dropped tr) (Fd_trace.Trace.length tr);
+            Fmt.pr "%a" Fd_trace.Trace.pp tr
+          | _ -> ());
           Fmt.pr "%a@." Fd_machine.Stats.pp r.Fd_core.Driver.stats;
           List.iter (Fmt.pr "output: %s@.")
             (Fd_machine.Stats.outputs r.Fd_core.Driver.stats);
@@ -457,25 +463,6 @@ let oracle_cmd =
 
 (* --- fdc check: the static SPMD communication verifier ------------------ *)
 
-(* Back the source lint's "reaching decomposition" query with the
-   interprocedural reaching-decompositions analysis. *)
-let reaching_hook ~sink cp =
-  match
-    let acg = Fd_callgraph.Acg.build cp in
-    Fd_core.Reaching_decomps.compute ~sink acg
-  with
-  | rd ->
-    Some
-      (fun ~uname ~sid array ->
-        match Fd_core.Reaching_decomps.local_of rd uname with
-        | lr ->
-          let fact = Fd_core.Reaching_decomps.fact_before lr sid in
-          let r = Fd_core.Reaching_decomps.get_reaching fact array in
-          not
-            (Fd_core.Decomp.reaching_equal r Fd_core.Decomp.reaching_bottom)
-        | exception _ -> true)
-  | exception _ -> None
-
 (* One JSON envelope for the static-analysis subcommands ([fdc check
    --json], [fdc cost --json]): run identity, then the
    subcommand-specific statistics, the [partial] flag (the analysis did
@@ -500,21 +487,14 @@ let check_cmd =
         let cp = Fd_core.Driver.check_source ~file src in
         let opts = opts_of nprocs strategy remap no_coll in
         let compiled = Fd_core.Driver.compile ~sink ~opts cp in
-        let prog, unapplied =
-          Fd_verify.Break.apply compiled.Fd_core.Codegen.program
-            (Fd_verify.Break.scan src)
+        let vr, unapplied =
+          Fd_core.Driver.check ?budget:(budget_of bsteps bevents bwall) ~src cp
+            compiled
         in
         List.iter
           (Fmt.epr "fdc check: !break directive %S did not apply@.")
           unapplied;
-        let lint = Fd_verify.Lint.run ?reaching:(reaching_hook ~sink cp) cp in
-        let vr =
-          Fd_verify.Verify.check_node
-            ?budget:(budget_of bsteps bevents bwall) ~nprocs prog
-        in
-        let findings =
-          Fd_verify.Finding.sort (lint @ vr.Fd_verify.Verify.findings)
-        in
+        let findings = vr.Fd_verify.Verify.findings in
         if json then
           Fmt.pr "%s@."
             (Fd_support.Json.to_string
@@ -555,14 +535,7 @@ let cost_cmd =
         let cp = Fd_core.Driver.check_source ~file src in
         let opts = opts_of nprocs strategy remap no_coll in
         let compiled = Fd_core.Driver.compile ~sink ~opts cp in
-        let profile =
-          if no_profile then None else Some (Fd_verify.Cost.profile_of_seq cp)
-        in
-        let config = Fd_core.Driver.machine_config opts in
-        let c =
-          Fd_verify.Cost.analyze ?profile ~config
-            compiled.Fd_core.Codegen.program
-        in
+        let c = Fd_core.Driver.cost ~profile:(not no_profile) cp compiled in
         let oracle_failures =
           if not oracle then []
           else begin
@@ -570,7 +543,8 @@ let cost_cmd =
                report the same counters, and the same makespan when the
                prediction is exact *)
             let zcfg =
-              { config with Fd_machine.Config.flop = 0.0; mem_op = 0.0 }
+              { (Fd_core.Driver.machine_config opts) with
+                Fd_machine.Config.flop = 0.0; mem_op = 0.0 }
             in
             let stats, _ =
               Fd_machine.Scheduler.run zcfg compiled.Fd_core.Codegen.program

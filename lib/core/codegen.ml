@@ -2030,8 +2030,7 @@ type compiled = {
 }
 
 (* The analysis phases are exposed individually so the pass manager
-   (Pipeline) can time, dump and verify each one; [compile] composes
-   them for callers wanting the one-call entry point. *)
+   (Pipeline) can time, dump and verify each one. *)
 
 let clone ~sink (opts : Options.t) (cp : Sema.checked_program) : Cloning.result =
   match opts.Options.strategy with
@@ -2093,11 +2092,3 @@ let compile_analyzed ~sink (opts : Options.t)
         n_common_arrays = common_arrays; n_common_scalars = common_scalars };
     clone_result;
     state = st }
-
-let compile ?(sink = Diag.sink ()) (opts : Options.t) (cp : Sema.checked_program) :
-    compiled =
-  let clone_result = clone ~sink opts cp in
-  let acg = build_acg clone_result.Cloning.cp in
-  let rd = Reaching_decomps.compute ~sink acg in
-  let effects = Side_effects.compute acg in
-  compile_analyzed ~sink opts ~clone_result ~acg ~rd ~effects

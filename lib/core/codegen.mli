@@ -56,13 +56,3 @@ val compile_analyzed :
     reverse topological order.
     @raise Fd_support.Diag.Compile_error on forbidden aliasing or
     uninstantiable computation partitions. *)
-
-val compile :
-  ?sink:Fd_support.Diag.sink -> Options.t -> Sema.checked_program -> compiled
-(** Whole-program compilation: cloning (for the optimizing strategies),
-    analyses, aliasing check, then one pass per procedure in reverse
-    topological order.  Equivalent to running the {!Pipeline} passes
-    [cloning] through [codegen] in order.  Warnings go to [sink]
-    (default: a fresh sink the caller does not see).
-    @raise Fd_support.Diag.Compile_error on recursion, forbidden
-    aliasing, or uninstantiable computation partitions. *)

@@ -39,6 +39,49 @@ let machine_config ?(machine : Config.t option) (opts : Options.t) : Config.t =
   | Some m -> { m with Config.nprocs = opts.Options.nprocs }
   | None -> Config.ipsc860 ~nprocs:opts.Options.nprocs ()
 
+(* The source lint's query "does a decomposition reach [array] before
+   statement [sid] of [uname]", answered from the compile's own reaching
+   decompositions.  Every reachable statement's fact maps each declared
+   array, so an array with no entry marks an unreachable statement,
+   which counts as reached.  A procedure the compile does not know
+   (renamed by cloning) is answered the same way. *)
+let reaching_query (compiled : Codegen.compiled) ~uname ~sid array =
+  match Reaching_decomps.local_of compiled.Codegen.state.Codegen.rd uname with
+  | lr -> (
+    match
+      Reaching_decomps.SM.find_opt array (Reaching_decomps.fact_before lr sid)
+    with
+    | None -> true
+    | Some r -> not (Decomp.reaching_equal r Decomp.reaching_bottom))
+  | exception Fd_support.Diag.Compile_error _ -> true
+
+let check ?budget ?src (cp : Sema.checked_program) (compiled : Codegen.compiled)
+    : Fd_verify.Verify.result * string list =
+  let prog, unapplied =
+    match src with
+    | Some src ->
+      Fd_verify.Break.apply compiled.Codegen.program (Fd_verify.Break.scan src)
+    | None -> (compiled.Codegen.program, [])
+  in
+  let lint = Fd_verify.Lint.run ~reaching:(reaching_query compiled) cp in
+  let vr =
+    Fd_verify.Verify.check_node ?budget
+      ~nprocs:compiled.Codegen.state.Codegen.opts.Options.nprocs prog
+  in
+  ( { vr with
+      Fd_verify.Verify.findings =
+        Fd_verify.Finding.sort (lint @ vr.Fd_verify.Verify.findings) },
+    unapplied )
+
+let cost ?(profile = true) (cp : Sema.checked_program)
+    (compiled : Codegen.compiled) : Fd_verify.Cost.t =
+  let profile =
+    if profile then Some (Fd_verify.Cost.profile_of_seq cp) else None
+  in
+  Fd_verify.Cost.analyze ?profile
+    ~config:(machine_config compiled.Codegen.state.Codegen.opts)
+    compiled.Codegen.program
+
 (* Simulate an already-compiled program; verifies final array contents
    and captured output against the sequential interpreter. *)
 let run_compiled ?machine ?budget ~(opts : Options.t) ~(report : Pass.report)

@@ -35,6 +35,23 @@ val compile_source :
 
 val machine_config : ?machine:Config.t -> Options.t -> Config.t
 
+val check :
+  ?budget:Fd_support.Budget.t -> ?src:string -> Sema.checked_program ->
+  Codegen.compiled -> Fd_verify.Verify.result * string list
+(** [fdc check]: the source lint of [cp] (its use-before-placement query
+    answered from [compiled]'s reaching decompositions), then the
+    verifier's abstract walk and skeleton replay of the node program
+    under [budget].  The result's findings are both, merged and sorted.
+    With [src], the source's [!break] directives are applied to the node
+    program first; the second component lists those that did not
+    apply. *)
+
+val cost :
+  ?profile:bool -> Sema.checked_program -> Codegen.compiled -> Fd_verify.Cost.t
+(** [fdc cost]: {!Fd_verify.Cost.analyze} of the node program under
+    {!machine_config}, with the sequential branch profile of [cp] unless
+    [~profile:false]. *)
+
 val run :
   ?sink:Fd_support.Diag.sink -> ?opts:Options.t -> ?machine:Config.t ->
   ?verify:bool -> ?tracer:Fd_trace.Trace.t -> ?budget:Fd_support.Budget.t ->

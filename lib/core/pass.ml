@@ -19,8 +19,6 @@ type ctx = {
   mutable effects : Side_effects.t option;
   mutable summaries : (string * Local_summary.t) list option;
   mutable compiled : Codegen.compiled option;
-  mutable findings : Fd_verify.Finding.t list option;
-  mutable cost : Fd_verify.Cost.t option;
 }
 
 type status = I_not_checked | I_ok | I_violated of string list

@@ -32,12 +32,6 @@ type ctx = {
   mutable summaries : (string * Local_summary.t) list option;
       (** one local summary per (cloned) procedure, in ACG order *)
   mutable compiled : Codegen.compiled option;
-  mutable findings : Fd_verify.Finding.t list option;
-      (** static-verifier findings over the compiled program; computed
-          lazily by the [verify] pass and cached here *)
-  mutable cost : Fd_verify.Cost.t option;
-      (** static communication-cost prediction over the compiled
-          program; computed lazily by the [cost] pass and cached here *)
 }
 
 (** Result of a pass's invariant checker in a {!report}. *)

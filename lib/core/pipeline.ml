@@ -521,122 +521,11 @@ let codegen_pass =
             0 compiled.Codegen.program.Node.n_procs
         | None -> 0) }
 
-(* --- verify: the static SPMD communication verifier --------------------- *)
-
-(* Findings over the compiled node program plus the source-level lint,
-   computed on demand and cached in the context: the ordinary compile
-   stays cheap, while [--verify-passes] and [--dump-after verify] force
-   the analysis. *)
-let verify_findings (c : ctx) : Fd_verify.Finding.t list =
-  match c.findings with
-  | Some f -> f
-  | None ->
-    let f =
-      match c.compiled with
-      | None -> []
-      | Some compiled ->
-        let lint =
-          match c.checked with
-          | None -> []
-          | Some cp ->
-            let reaching =
-              Option.map
-                (fun rd ~uname ~sid array ->
-                  match Reaching_decomps.local_of rd uname with
-                  | lr ->
-                    let fact = Reaching_decomps.fact_before lr sid in
-                    let r = Reaching_decomps.get_reaching fact array in
-                    not (Decomp.reaching_equal r Decomp.reaching_bottom)
-                  | exception _ -> true)
-                c.rd
-            in
-            Fd_verify.Lint.run ?reaching cp
-        in
-        let vr =
-          Fd_verify.Verify.check_node ~nprocs:c.opts.Options.nprocs
-            compiled.Codegen.program
-        in
-        Fd_verify.Finding.sort (lint @ vr.Fd_verify.Verify.findings)
-    in
-    c.findings <- Some f;
-    f
-
-(* Static send/recv matching, collective congruence and lint. *)
-let verify_pass =
-  { p_name = "verify";
-    p_run = (fun _ -> ());
-    p_dump =
-      (fun c ->
-        match c.compiled with
-        | None -> None
-        | Some _ ->
-          Some
-            (Fd_support.Json.to_string
-               (Fd_verify.Finding.report_json (verify_findings c))));
-    p_verify =
-      (fun c ->
-        match c.compiled with
-        | None -> [ "no compiled program" ]
-        | Some _ ->
-          verify_findings c
-          |> List.filter (fun f ->
-                 f.Fd_verify.Finding.severity = Fd_verify.Finding.Error)
-          |> List.map (Fmt.str "%a" Fd_verify.Finding.pp));
-    p_size =
-      (fun c ->
-        match c.findings with Some f -> List.length f | None -> 0) }
-
-(* --- cost: the static communication-cost analyzer ----------------------- *)
-
-(* Like [verify], lazy and cached: predicting message counts, byte
-   volumes and the virtual-time makespan forces an extra abstract walk
-   (with the sequential branch profile) plus the timed replay, so the
-   ordinary compile skips it and [--dump-after cost] or the driver's
-   [fdc cost] forces it. *)
-let cost_of (c : ctx) : Fd_verify.Cost.t option =
-  match c.cost with
-  | Some _ as r -> r
-  | None -> (
-    match c.compiled with
-    | None -> None
-    | Some compiled ->
-      let profile = Option.map Fd_verify.Cost.profile_of_seq c.checked in
-      let config = Fd_machine.Config.ipsc860 ~nprocs:c.opts.Options.nprocs () in
-      let r =
-        Fd_verify.Cost.analyze ?profile ~config compiled.Codegen.program
-      in
-      c.cost <- Some r;
-      Some r)
-
-(* Static communication-cost and critical-path prediction. *)
-let cost_pass =
-  { p_name = "cost";
-    p_run = (fun _ -> ());
-    p_dump =
-      (fun c ->
-        Option.map
-          (fun r -> Fd_support.Json.to_string (Fd_verify.Cost.to_json r))
-          (cost_of c));
-    p_verify =
-      (fun c ->
-        match cost_of c with
-        | None -> [ "no compiled program" ]
-        | Some r ->
-          (* invariant: a complete, assumption-free analysis prices
-             every skeleton event and a nonnegative makespan *)
-          if r.Fd_verify.Cost.exact && r.Fd_verify.Cost.makespan < 0.0 then
-            [ "negative predicted makespan" ]
-          else []);
-    p_size =
-      (fun c ->
-        match c.cost with Some r -> r.Fd_verify.Cost.events | None -> 0) }
-
 (* --- The pipeline ------------------------------------------------------- *)
 
 let passes =
   [ parse_pass; sema_pass; cloning_pass; acg_pass; reaching_pass;
-    side_effects_pass; local_summaries_pass; codegen_pass; verify_pass;
-    cost_pass ]
+    side_effects_pass; local_summaries_pass; codegen_pass ]
 
 let pass_names = List.map (fun p -> p.p_name) passes
 
@@ -644,8 +533,7 @@ let find_pass name = List.find_opt (fun p -> String.equal p.p_name name) passes
 
 let empty_ctx ?(sink = Diag.sink ()) opts file source =
   { opts; sink; file; source; parsed = None; checked = None; clone_result = None;
-    acg = None; rd = None; effects = None; summaries = None; compiled = None;
-    findings = None; cost = None }
+    acg = None; rd = None; effects = None; summaries = None; compiled = None }
 
 let of_source ?sink ?(opts = Options.default) ?file src =
   empty_ctx ?sink opts file (Some src)

@@ -8,8 +8,7 @@
     over a shared {!Pass.ctx}.  Each pass is named, timed, can render
     its artifact ([--dump-after]) and can check invariants over the
     context ([--verify-passes]).  {!Driver} and {!Recompile} are built
-    on this runner; {!Codegen.compile} remains as the equivalent
-    one-call entry point.
+    on this runner; it is the only way to compile.
 
     Note on ordering: the paper presents the phases as ACG -> reaching
     decompositions -> cloning, but operationally cloning rewrites the

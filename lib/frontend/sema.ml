@@ -169,12 +169,14 @@ type env = {
 
 let err env fmt = Diag.error_to env.sink ~loc:env.loc fmt
 
-(* The element type a unit declares for its array [name]. *)
-let formal_elt (u : Ast.punit) name =
+(* The type and rank (0 for a scalar) a unit declares for [name]. *)
+let formal_decl (u : Ast.punit) name =
   List.find_map
     (function
-      | Ast.Dcl_type (ty, ds) when List.exists (fun (n, dims) -> n = name && dims <> []) ds ->
-        Some ty
+      | Ast.Dcl_type (ty, ds) ->
+        List.find_map
+          (fun (n, dims) -> if n = name then Some (ty, List.length dims) else None)
+          ds
       | _ -> None)
     u.Ast.decls
 
@@ -375,17 +377,30 @@ let rec resolve_stmt all_units env (s : Ast.stmt) : Ast.stmt =
             (List.length callee.Ast.formals) (List.length args)
         else
           (* a whole array passes by reference: the callee reads it with
-             the formal's element type *)
+             the formal's rank and element type.  An undeclared formal is
+             reported when the callee is checked. *)
           List.iter2
             (fun a f ->
-              match (a, formal_elt callee f) with
-              | Ast.Var v, Some fty -> (
-                match Symtab.array_info env.symtab v with
-                | Some { elt; _ } when elt <> fty ->
+              let actual =
+                match a with
+                | Ast.Var v -> Option.map (fun i -> (v, i)) (Symtab.array_info env.symtab v)
+                | _ -> None
+              in
+              match (actual, formal_decl callee f) with
+              | _, None -> ()
+              | None, Some (_, rank) ->
+                if rank > 0 then
+                  err env "scalar argument passed to rank-%d array formal %s of %s" rank
+                    f name
+              | Some (v, { elt; dims }), Some (fty, rank) ->
+                if List.length dims <> rank then
+                  err env "rank-%d array %s passed to %s formal %s of %s"
+                    (List.length dims) v
+                    (if rank = 0 then "scalar" else Fmt.str "rank-%d array" rank)
+                    f name
+                else if elt <> fty then
                   err env "%s array %s passed to %s array formal %s of %s"
-                    (Ast_printer.dtype_name elt) v (Ast_printer.dtype_name fty) f name
-                | _ -> ())
-              | _ -> ())
+                    (Ast_printer.dtype_name elt) v (Ast_printer.dtype_name fty) f name)
             args callee.Ast.formals;
         let args' =
           List.map

@@ -58,18 +58,13 @@ let strategies =
 (* Does the static verifier flag anything (Error, or an Info coverage
    note) that makes a dynamic failure unsurprising? *)
 let statically_flagged ~opts cp =
-  let compiled = Driver.compile ~opts cp in
-  let vr =
-    Fd_verify.Verify.check_node ~nprocs:opts.Options.nprocs
-      compiled.Codegen.program
-  in
-  let lint = Fd_verify.Lint.run cp in
+  let vr, _ = Driver.check cp (Driver.compile ~opts cp) in
   List.exists
     (fun (f : Fd_verify.Finding.t) ->
       match f.Fd_verify.Finding.severity with
       | Fd_verify.Finding.Error | Fd_verify.Finding.Info -> true
       | Fd_verify.Finding.Warning -> false)
-    (lint @ vr.Fd_verify.Verify.findings)
+    vr.Fd_verify.Verify.findings
 
 let run_case ?(budget = default_case_budget) ~nprocs ~strategy src : verdict =
   let opts = { Options.default with Options.nprocs; strategy } in

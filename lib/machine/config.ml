@@ -12,7 +12,6 @@ type t = {
   flop : float;         (* per arithmetic-operation cost, seconds *)
   mem_op : float;       (* per load/store cost, seconds *)
   word_bytes : int;     (* bytes per REAL/INTEGER element *)
-  record_trace : bool;      (* record a communication-event timeline *)
   faults : Fault.t option;  (* adversarial-network plan; None = reliable *)
   trace : Fd_trace.Trace.t option;  (* structured event sink; None = off *)
 }
@@ -24,17 +23,16 @@ let ipsc860 ?(nprocs = 4) () = {
   flop = 0.05e-6;
   mem_op = 0.025e-6;
   word_bytes = 8;
-  record_trace = false;
   faults = None;
   trace = None;
 }
 
-let make ?flop ?mem_op ?(record_trace = false) ?faults ?trace ~nprocs () =
+let make ?flop ?mem_op ?faults ?trace ~nprocs () =
   let m = ipsc860 ~nprocs () in
   { m with
     flop = Option.value flop ~default:m.flop;
     mem_op = Option.value mem_op ~default:m.mem_op;
-    record_trace; faults; trace }
+    faults; trace }
 
 let slowdown t p = match t.faults with Some plan -> Fault.slowdown_for plan p | None -> 1.0
 

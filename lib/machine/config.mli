@@ -11,8 +11,6 @@ type t = {
   flop : float;         (** per arithmetic-operation cost *)
   mem_op : float;       (** per load/store cost *)
   word_bytes : int;     (** bytes per REAL/INTEGER element *)
-  record_trace : bool;
-      (** record a communication-event timeline in {!Stats} *)
   faults : Fault.t option;
       (** deterministic adversarial-network plan (drop / duplicate /
           delay / slowdown); [None] models the perfectly reliable iPSC
@@ -25,7 +23,7 @@ type t = {
 val ipsc860 : ?nprocs:int -> unit -> t
 
 val make :
-  ?flop:float -> ?mem_op:float -> ?record_trace:bool -> ?faults:Fault.t ->
+  ?flop:float -> ?mem_op:float -> ?faults:Fault.t ->
   ?trace:Fd_trace.Trace.t -> nprocs:int -> unit -> t
 (** {!ipsc860} with the given overrides. *)
 

@@ -138,9 +138,6 @@ let charge t tick =
 
 let channel t key = Message.channel t.channels key
 
-let record t ev =
-  if t.config.Config.record_trace then t.stats.Stats.trace <- ev :: t.stats.Stats.trace
-
 (* Structured-event sink (Fd_trace).  Producers go through this module
    alias and an inline option match at each site, so a [None] trace costs
    one load + branch and allocates nothing. *)
@@ -162,8 +159,6 @@ let accept_recv t p ~src ~tag (msg, arrival) =
   set_clock t p (Float.max before arrival);
   let waited = Float.max 0.0 (arrival -. before) in
   t.stats.Stats.max_wait <- Float.max t.stats.Stats.max_wait waited;
-  record t
-    (Stats.Ev_recv { at = t.stats.Stats.clocks.(p); src; dest = p; tag; waited });
   (match t.config.Config.trace with
   | Some tr ->
     Tr.emit tr ~kind:Tr.Recv ~at:t.stats.Stats.clocks.(p) ~proc:p ~peer:src ~tag
@@ -189,9 +184,6 @@ let insert_arrival t (msg : Message.t) arrival =
   if msg.Message.seq < ch.deliver_seq || Hashtbl.mem ch.pending msg.Message.seq
   then begin
     t.stats.Stats.duplicates_dropped <- t.stats.Stats.duplicates_dropped + 1;
-    record t
-      (Stats.Ev_fault
-         { at = arrival; src; dest; tag; seq = msg.Message.seq; kind = "duplicate" });
     match t.config.Config.trace with
     | Some tr ->
       Tr.emit tr ~kind:Tr.Dedup ~at:arrival ~proc:dest ~peer:src ~tag
@@ -231,11 +223,6 @@ let transmit t p (msg : Message.t) =
   in
   t.stats.Stats.messages <- t.stats.Stats.messages + 1;
   t.stats.Stats.message_bytes <- t.stats.Stats.message_bytes + msg.Message.bytes;
-  record t
-    (Stats.Ev_send
-       { at = t.stats.Stats.clocks.(p); src = msg.Message.src;
-         dest = msg.Message.dest; tag = msg.Message.tag;
-         bytes = msg.Message.bytes });
   (match t.config.Config.trace with
   | Some tr ->
     Tr.emit tr ~kind:Tr.Send ~at:t.stats.Stats.clocks.(p) ~proc:msg.Message.src
@@ -252,10 +239,6 @@ let transmit t p (msg : Message.t) =
     t.stats.Stats.faults_injected <- t.stats.Stats.faults_injected + d.Fault.injected;
     t.stats.Stats.retransmits <- t.stats.Stats.retransmits + (d.Fault.attempts - 1);
     if d.Fault.attempts > 1 then begin
-      record t
-        (Stats.Ev_fault
-           { at = base_arrival; src = msg.Message.src; dest = msg.Message.dest;
-             tag = msg.Message.tag; seq; kind = "retransmit" });
       match t.config.Config.trace with
       | Some tr ->
         Tr.emit tr ~kind:Tr.Retransmit ~at:base_arrival ~proc:msg.Message.src
@@ -268,10 +251,6 @@ let transmit t p (msg : Message.t) =
         { l_src = msg.Message.src; l_dest = msg.Message.dest;
           l_tag = msg.Message.tag; l_seq = seq; l_attempts = d.Fault.attempts }
         :: t.lost;
-      record t
-        (Stats.Ev_fault
-           { at = base_arrival; src = msg.Message.src; dest = msg.Message.dest;
-             tag = msg.Message.tag; seq; kind = "lost" });
       match t.config.Config.trace with
       | Some tr ->
         Tr.emit tr ~kind:Tr.Lost ~at:base_arrival ~proc:msg.Message.src
@@ -282,10 +261,6 @@ let transmit t p (msg : Message.t) =
       t.stats.Stats.fault_delay <- t.stats.Stats.fault_delay +. d.Fault.added_delay;
       let arrival = base_arrival +. d.Fault.added_delay in
       if d.Fault.added_delay > 0.0 && d.Fault.attempts = 1 then begin
-        record t
-          (Stats.Ev_fault
-             { at = arrival; src = msg.Message.src; dest = msg.Message.dest;
-               tag = msg.Message.tag; seq; kind = "delayed" });
         match t.config.Config.trace with
         | Some tr ->
           Tr.emit tr ~kind:Tr.Delay ~at:arrival ~proc:msg.Message.src
@@ -368,7 +343,6 @@ let perform_bcast t ~site
   in
   t.stats.Stats.bcasts <- t.stats.Stats.bcasts + 1;
   t.stats.Stats.bcast_bytes <- t.stats.Stats.bcast_bytes + bytes;
-  record t (Stats.Ev_bcast { at = tmax +. cost; root; bytes; site = 0 });
   let release = tmax +. cost in
   List.iter
     (fun (p, op, _, _) ->
@@ -428,9 +402,6 @@ let perform_remap t ~site
     t.stats.Stats.remap_bytes <- t.stats.Stats.remap_bytes + rs_total_bytes
   end
   else t.stats.Stats.remap_marks <- t.stats.Stats.remap_marks + 1;
-  record t
-    (Stats.Ev_remap
-       { at = tmax; array; moved_bytes = rs_total_bytes; mark_only = rs_mark_only });
   (match t.config.Config.trace with
   | Some tr ->
     List.iter

@@ -1,14 +1,5 @@
 (* Execution statistics for a simulated run. *)
 
-type event =
-  | Ev_send of { at : float; src : int; dest : int; tag : int; bytes : int }
-  | Ev_recv of { at : float; src : int; dest : int; tag : int; waited : float }
-  | Ev_bcast of { at : float; root : int; bytes : int; site : int }
-  | Ev_remap of { at : float; array : string; moved_bytes : int; mark_only : bool }
-  | Ev_fault of { at : float; src : int; dest : int; tag : int; seq : int;
-                  kind : string }
-      (* kind: "retransmit" | "duplicate" | "delayed" | "lost" *)
-
 type t = {
   nprocs : int;
   mutable messages : int;        (* point-to-point messages *)
@@ -30,7 +21,6 @@ type t = {
   clocks : float array;          (* per-processor virtual time, seconds *)
   busy : float array;            (* per-processor compute time *)
   mutable outputs : (int * string) list;  (* (proc, line), reversed *)
-  mutable trace : event list;              (* reversed; only when enabled *)
 }
 
 let create nprocs =
@@ -39,7 +29,7 @@ let create nprocs =
     max_wait = 0.0; faults_injected = 0; retransmits = 0; duplicates_dropped = 0;
     messages_lost = 0; fault_delay = 0.0; watchdog_fired = false;
     clocks = Array.make nprocs 0.0; busy = Array.make nprocs 0.0;
-    outputs = []; trace = [] }
+    outputs = [] }
 
 let elapsed t = Array.fold_left max 0.0 t.clocks
 
@@ -49,23 +39,6 @@ let total_busy t = Array.fold_left ( +. ) 0.0 t.busy
 let comm_ops t = t.messages + t.bcasts
 
 let outputs t = List.rev_map snd t.outputs
-
-let trace t = List.rev t.trace
-
-let pp_event ppf = function
-  | Ev_send { at; src; dest; tag; bytes } ->
-    Fmt.pf ppf "%10.1f us  send  p%d -> p%d  tag %d  %d bytes" (at *. 1e6) src dest tag bytes
-  | Ev_recv { at; src; dest; tag; waited } ->
-    Fmt.pf ppf "%10.1f us  recv  p%d <- p%d  tag %d  (waited %.1f us)" (at *. 1e6)
-      dest src tag (waited *. 1e6)
-  | Ev_bcast { at; root; bytes; site } ->
-    Fmt.pf ppf "%10.1f us  bcast from p%d  site %d  %d bytes" (at *. 1e6) root site bytes
-  | Ev_remap { at; array; moved_bytes; mark_only } ->
-    Fmt.pf ppf "%10.1f us  remap %s  %s" (at *. 1e6) array
-      (if mark_only then "(mark only)" else Fmt.str "%d bytes moved" moved_bytes)
-  | Ev_fault { at; src; dest; tag; seq; kind } ->
-    Fmt.pf ppf "%10.1f us  fault %-10s p%d -> p%d  tag %d seq %d" (at *. 1e6)
-      kind src dest tag seq
 
 let to_json t : Fd_support.Json.t =
   let farr a = Fd_support.Json.List (Array.to_list (Array.map (fun x -> Fd_support.Json.Float x) a)) in

@@ -1,15 +1,5 @@
 (** Execution statistics for one simulated run. *)
 
-type event =
-  | Ev_send of { at : float; src : int; dest : int; tag : int; bytes : int }
-  | Ev_recv of { at : float; src : int; dest : int; tag : int; waited : float }
-  | Ev_bcast of { at : float; root : int; bytes : int; site : int }
-  | Ev_remap of { at : float; array : string; moved_bytes : int; mark_only : bool }
-  | Ev_fault of { at : float; src : int; dest : int; tag : int; seq : int;
-                  kind : string }
-      (** an injected network fault: ["retransmit"], ["duplicate"],
-          ["delayed"], or ["lost"] *)
-
 type t = {
   nprocs : int;
   mutable messages : int;        (** point-to-point messages *)
@@ -39,8 +29,6 @@ type t = {
   clocks : float array;          (** per-processor virtual time, seconds *)
   busy : float array;            (** per-processor compute time *)
   mutable outputs : (int * string) list;  (** (proc, line), reversed *)
-  mutable trace : event list;
-      (** reversed; recorded only under {!Config.t.record_trace} *)
 }
 
 val create : int -> t
@@ -50,9 +38,6 @@ val elapsed : t -> float
 
 val outputs : t -> string list
 (** Captured PRINT lines, in order. *)
-
-val trace : t -> event list
-(** Communication timeline, in order (empty unless recording). *)
 
 val to_json : t -> Fd_support.Json.t
 (** The full record as JSON: counters, [elapsed], [max_wait], per-proc
@@ -64,7 +49,5 @@ val to_metrics : t -> Fd_trace.Metrics.t
     {!Fd_trace.Metrics} registry (counters for totals, gauges for
     times), so simulator statistics and trace-derived histograms share
     one serialization. *)
-
-val pp_event : Format.formatter -> event -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -239,17 +239,6 @@ let min_elt t =
       else match acc with None -> Some (Triplet.lo tr) | Some m -> Some (min m (Triplet.lo tr)))
     None t
 
-let max_elt t =
-  List.fold_left
-    (fun acc tr -> if Triplet.is_empty tr then acc
-      else match acc with None -> Some (Triplet.hi tr) | Some m -> Some (max m (Triplet.hi tr)))
-    None t
-
-let hull t =
-  match (min_elt t, max_elt t) with
-  | Some lo, Some hi -> Triplet.make ~lo ~hi ~step:1
-  | _ -> Triplet.empty
-
 let pp ppf t =
   if is_empty t then Fmt.string ppf "{}"
   else Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ",") Triplet.pp) t

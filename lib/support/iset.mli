@@ -52,9 +52,5 @@ val fold_intervals : ('a -> int -> int -> 'a) -> 'a -> t -> 'a
 
 val min_elt : t -> int option
 
-val hull : t -> Triplet.t
-(** Smallest contiguous triplet containing the set ({!Triplet.empty} for
-    the empty set). *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -63,12 +63,6 @@ let inter a b =
 
 let disjoint a b = is_empty (inter a b)
 
-let subset a b =
-  (* a is a subset of b *)
-  if is_empty a then true
-  else if is_empty b then false
-  else mem a.lo b && mem a.hi b && (count a <= 1 || a.step mod b.step = 0)
-
 (* Subtraction a \ b.  Exact when b is contiguous (step 1) or when the
    result can be expressed with a few triplets; falls back to element
    enumeration for small sets, and to the (sound, over-approximate for the

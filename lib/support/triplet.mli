@@ -25,8 +25,6 @@ val shift : int -> t -> t
 val inter : t -> t -> t
 (** Exact intersection (CRT over the two strides). *)
 
-val subset : t -> t -> bool
-
 val diff : t -> t -> t list
 (** [diff a b] is the set difference, exact when [b] is contiguous or the
     operands are small; otherwise a sound over-approximation of [a \ b]

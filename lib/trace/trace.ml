@@ -2,10 +2,12 @@
    pipeline.
 
    The design goal is zero cost when tracing is off and no per-event
-   allocation when it is on: a trace is a preallocated ring of mutable
-   event records; [emit] overwrites the oldest slot in place once the
-   ring is full.  Producers (scheduler, interpreter, pipeline) hold a
-   [t option] and emit through one option match.
+   allocation once the ring is full: a trace is a ring of mutable event
+   records; each slot gets its record when it is first written (so a
+   short run pays only for the events it emits), and once the ring is
+   full [emit] overwrites the oldest slot in place.  Producers
+   (scheduler, interpreter, pipeline) hold a [t option] and emit
+   through one option match.
 
    Timestamps are the simulator's virtual clock (seconds) for machine
    events and wall-clock seconds for compiler [Span] events; consumers
@@ -68,7 +70,7 @@ let fresh_ev () =
 
 let create ?(capacity = default_capacity) () =
   let cap = max 1 capacity in
-  { cap; buf = Array.init cap (fun _ -> fresh_ev ()); total = 0 }
+  { cap; buf = Array.make cap (fresh_ev ()); total = 0 }
 
 let total t = t.total
 let length t = min t.total t.cap
@@ -80,7 +82,9 @@ let copy_ev e =
 
 let emit t ~kind ~at ~proc ?(peer = -1) ?(tag = -1) ?(seq = -1) ?(bytes = 0)
     ?(dur = 0.0) ?(label = "") () =
-  let e = t.buf.(t.total mod t.cap) in
+  let i = t.total mod t.cap in
+  if t.total < t.cap then t.buf.(i) <- fresh_ev ();
+  let e = t.buf.(i) in
   e.at <- at;
   e.kind <- kind;
   e.proc <- proc;

@@ -1,10 +1,12 @@
-(** Structured event tracing: a preallocated ring buffer of typed events
-    with virtual (machine) or wall-clock (compiler span) timestamps.
+(** Structured event tracing: a fixed-capacity ring buffer of typed
+    events with virtual (machine) or wall-clock (compiler span)
+    timestamps.
 
     Zero cost when off: producers hold a [t option] and emit through one
-    option match.  Zero allocation when on: [emit] mutates the oldest
-    ring slot in place; once the ring is full the earliest events are
-    overwritten and counted in {!dropped}. *)
+    option match.  Each ring slot allocates its record when first
+    written; after that [emit] mutates the oldest slot in place, and
+    once the ring is full the earliest events are overwritten and
+    counted in {!dropped}. *)
 
 type kind =
   | Send        (** proc=src, peer=dest, tag, seq, bytes *)
@@ -66,5 +68,8 @@ val to_list : t -> ev list
 val fold : t -> 'a -> ('a -> ev -> 'a) -> 'a
 
 val count : t -> kind:kind -> int
+
+val pp_ev : Format.formatter -> ev -> unit
+(** One event as one timeline line (no trailing newline). *)
 
 val pp : Format.formatter -> t -> unit

@@ -267,13 +267,6 @@ let has_punk ~n v =
   match segs_of ~n v with
   | segs -> List.exists (fun (_, _, s) -> s = Sconst Punk) segs
 
-(* Pids whose lane is a known value (not Punk). *)
-let known_pids ~n v =
-  Iset.of_intervals
-    (List.filter_map
-       (fun (l, u, s) -> if s = Sconst Punk then None else Some (l, u))
-       (segs_of ~n v))
-
 (* Pids whose lane is a known integer. *)
 let int_pids ~n v =
   Iset.of_intervals

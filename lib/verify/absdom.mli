@@ -82,9 +82,7 @@ val is_uniform : t -> bool
 (** Some lane is unknown. *)
 val has_punk : n:int -> t -> bool
 
-(** Pids whose lane is a known value / a known integer. *)
-val known_pids : n:int -> t -> Iset.t
-
+(** Pids whose lane is a known integer. *)
 val int_pids : n:int -> t -> Iset.t
 
 (** Clip the run cover to [\[lo, hi\]] (result covers only the clip). *)

@@ -949,26 +949,6 @@ let to_json t =
       ("profile_used", Json.Bool t.profile_used);
     ]
 
-let to_metrics t : Fd_trace.Metrics.t =
-  let m = Fd_trace.Metrics.create () in
-  let c name v =
-    Fd_trace.Metrics.set_counter (Fd_trace.Metrics.counter m name) v
-  in
-  let g name v = Fd_trace.Metrics.set (Fd_trace.Metrics.gauge m name) v in
-  c "nprocs" t.nprocs;
-  c "messages" t.messages;
-  c "message_bytes" t.message_bytes;
-  c "bcasts" t.bcasts;
-  c "bcast_bytes" t.bcast_bytes;
-  c "remaps" t.remaps;
-  c "remap_marks" t.remap_marks;
-  c "remap_bytes" t.remap_bytes;
-  c "comm_ops" (comm_ops t);
-  c "cost_exact" (if t.exact then 1 else 0);
-  c "cost_regions_excluded" t.regions_excluded;
-  g "elapsed_seconds" t.makespan;
-  m
-
 let us s = s *. 1e6
 
 let pp_pieces_int ppf ps =

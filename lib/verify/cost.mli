@@ -106,12 +106,6 @@ val analyze : ?profile:profile -> config:Config.t -> Node.program -> t
 
 val to_json : t -> Json.t
 
-val to_metrics : t -> Fd_trace.Metrics.t
-(** Counter/gauge names match [Stats.to_metrics] where the quantities
-    coincide ([messages], [message_bytes], ..., gauge
-    [elapsed_seconds]), so dashboards can overlay predicted against
-    simulated. *)
-
 val pp : Format.formatter -> t -> unit
 val pp_critical_path : Format.formatter -> t -> unit
 val pp_sites : Format.formatter -> t -> unit

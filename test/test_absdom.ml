@@ -281,7 +281,7 @@ let test_truth =
         (not (Absdom.is_uniform v)) && not (List.for_all lane_bool acts))
 
 let test_restrict_pids =
-  prop "restrict / known_pids / int_pids match the lanes"
+  prop "restrict / int_pids match the lanes"
     QCheck2.Gen.(
       let* n, v = value_gen in
       let* lo = int_range 0 (n - 1) in
@@ -303,8 +303,6 @@ let test_restrict_pids =
           ok)
         segs
       && !covered = hi + 1
-      && Iset.to_list (Absdom.known_pids ~n v)
-         = List.filter (fun p -> d.(p) <> Absdom.Punk) (List.init n Fun.id)
       && Iset.to_list (Absdom.int_pids ~n v)
          = List.filter
              (fun p -> match d.(p) with Absdom.Pint _ -> true | _ -> false)

@@ -236,7 +236,7 @@ let compile_alloc_linear () =
   let words nprocs =
     let opts = { Options.default with Options.nprocs } in
     let before = Gc.minor_words () in
-    ignore (Codegen.compile opts cp);
+    ignore (Driver.compile ~opts cp);
     Gc.minor_words () -. before
   in
   let small = words 2048 and large = words 8192 in

@@ -203,32 +203,6 @@ let test_profile_degradation () =
   let c2 = Cost.analyze ~profile ~config compiled.Codegen.program in
   check Alcotest.bool "with profile: exact" true c2.Cost.exact
 
-(* The metrics export must use the simulator's counter names so
-   dashboards can overlay predicted against simulated. *)
-let test_metrics_names () =
-  let path = Filename.concat examples_dir "jacobi1d.fd" in
-  let cp = Driver.check_source ~file:"jacobi1d.fd" (read_file path) in
-  let c, stats, _ = face_off ~nprocs:4 ~strategy:Options.Interproc cp in
-  let m = Cost.to_metrics c in
-  List.iter
-    (fun (name, expected) ->
-      match Fd_trace.Metrics.find m name with
-      | Some (Fd_trace.Metrics.Counter cr) ->
-        check Alcotest.int (Fmt.str "metric %s" name) expected
-          cr.Fd_trace.Metrics.c_value
-      | _ -> Alcotest.failf "metric %s missing from the cost export" name)
-    [
-      ("messages", stats.Stats.messages);
-      ("message_bytes", stats.Stats.message_bytes);
-      ("bcasts", stats.Stats.bcasts);
-      ("bcast_bytes", stats.Stats.bcast_bytes);
-    ];
-  match Fd_trace.Metrics.find m "elapsed_seconds" with
-  | Some (Fd_trace.Metrics.Gauge g) ->
-    check Alcotest.bool "gauge elapsed_seconds = makespan" true
-      (Float.abs (g.Fd_trace.Metrics.g_value -. c.Cost.makespan) < 1e-12)
-  | _ -> Alcotest.fail "gauge elapsed_seconds missing"
-
 (* Gen sweep: the contract holds on random programs, not just the
    committed corpus.  Cases come from the fuzzer's generator — 1-D and
    2-D programs, most of them mutated, each under its own strategy —
@@ -282,6 +256,5 @@ let suite =
       test_unvectorized_warning;
     Alcotest.test_case "profile-free degradation" `Quick
       test_profile_degradation;
-    Alcotest.test_case "metrics export names" `Quick test_metrics_names;
     Alcotest.test_case "gen sweep: random programs" `Slow test_gen_property;
   ]

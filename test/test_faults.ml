@@ -302,6 +302,48 @@ let same_seed_same_stats () =
     (Json.equal (Stats.to_json r1.Fd_core.Driver.stats)
        (Stats.to_json r2.Fd_core.Driver.stats))
 
+(* --- Fault events in the trace ring -------------------------------------- *)
+
+(* The trace ring is the simulator's only event timeline, so its
+   recovery events must agree with the fault counters. *)
+let ring_counts_faults () =
+  let module Tr = Fd_trace.Trace in
+  let src = Fd_workloads.Stencil.jacobi1d ~n:64 ~t:3 () in
+  List.iter
+    (fun seed ->
+      let tr = Tr.create () in
+      let machine =
+        Config.make ~nprocs:4 ~trace:tr
+          ~faults:(Fault.make ~seed ~drop:0.3 ~dup:0.3 ~delay:2e-4 ())
+          ()
+      in
+      let st = (Fd_core.Driver.run_source ~machine src).Fd_core.Driver.stats in
+      let name what = Fmt.str "seed %d: %s" seed what in
+      check_int (name "ring kept every event") 0 (Tr.dropped tr);
+      check (name "duplicates injected") true (st.Stats.duplicates_dropped > 0);
+      check_int (name "one Dedup per duplicate dropped")
+        st.Stats.duplicates_dropped (Tr.count tr ~kind:Tr.Dedup);
+      check_int (name "one Lost per message lost") st.Stats.messages_lost
+        (Tr.count tr ~kind:Tr.Lost);
+      check (name "retransmits recorded") true
+        (st.Stats.retransmits > 0 && Tr.count tr ~kind:Tr.Retransmit > 0))
+    [ 11; 42 ];
+  (* a message lost for good ends the run in a deadlock naming it; the
+     ring holds one Lost event per lost message *)
+  let tr = Tr.create () in
+  let config =
+    Config.make ~nprocs:2 ~trace:tr
+      ~faults:(Fault.make ~seed:1 ~drop:1.0 ~max_retries:2 ())
+      ()
+  in
+  match Scheduler.run config (pingpong_prog ()) with
+  | _ -> Alcotest.fail "expected Sim_error"
+  | exception Scheduler.Sim_error (Scheduler.Deadlock wf) ->
+    check_int "one Lost per lost message" (List.length wf.Scheduler.lost)
+      (Tr.count tr ~kind:Tr.Lost);
+    check "the lost message was retransmitted" true
+      (Tr.count tr ~kind:Tr.Retransmit > 0)
+
 (* --- Differential oracle over the workloads ----------------------------- *)
 
 let oracle_workloads () =
@@ -343,4 +385,5 @@ let suite =
     Alcotest.test_case "no faults = baseline" `Quick no_faults_is_baseline;
     Alcotest.test_case "same seed same stats" `Quick same_seed_same_stats;
     Alcotest.test_case "oracle over workloads" `Quick oracle_workloads;
+    Alcotest.test_case "trace ring counts fault events" `Quick ring_counts_faults;
   ]

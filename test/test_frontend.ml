@@ -16,6 +16,16 @@ let rejects name src =
       | _ -> Alcotest.fail "expected a compile error"
       | exception (Diag.Compile_error _ | Diag.Compile_errors _) -> ())
 
+(* Sema rejects [src] with one error located on [line]. *)
+let rejects_at name line src =
+  Alcotest.test_case name `Quick (fun () ->
+      match Sema.check_source src with
+      | _ -> Alcotest.fail "expected a compile error"
+      | exception Diag.Compile_errors [ d ] ->
+        check_int "error line" line d.Diag.loc.Loc.line
+      | exception Diag.Compile_errors ds ->
+        Alcotest.failf "expected one error, got %d" (List.length ds))
+
 (* --- Lexer ------------------------------------------------------------- *)
 
 let lex_tokens src =
@@ -210,6 +220,20 @@ let rejections =
     rejects "assign loop index" "program p\n  integer i\n  do i = 1, 3\n    i = 5\n  enddo\nend\n";
     rejects "nonaffine align sub" "program p\n  real y(4)\n  decomposition d(4)\n  align y(i) with d(i*i)\nend\n";
     rejects "whole array in expression" "program p\n  real x(4), s\n  s = x + 1.0\nend\n";
+    (* an actual's rank must match its formal's; otherwise the
+       interpreters fail later without a location *)
+    rejects_at "call passes an element to an array formal" 3
+      "program p\n  real a(16)\n  call s(a(1))\nend\n\
+       subroutine s(x)\n  real x(16)\n  x(1) = 3.0\nend\n";
+    rejects_at "call passes a scalar to an array formal" 3
+      "program p\n  real t\n  call s(t)\nend\n\
+       subroutine s(x)\n  real x(16)\n  x(1) = 3.0\nend\n";
+    rejects_at "call passes an array to a scalar formal" 3
+      "program p\n  real a(16)\n  call r(a)\nend\n\
+       subroutine r(y)\n  real y\n  y = 3.0\nend\n";
+    rejects_at "call passes a rank-2 array to a rank-1 formal" 3
+      "program p\n  real a(4,4)\n  call s(a)\nend\n\
+       subroutine s(x)\n  real x(16)\n  x(1) = 3.0\nend\n";
   ]
 
 let suite =

@@ -287,7 +287,7 @@ let sequential_rerun_canary () =
   let prog = (Fd_core.Driver.compile_source ~opts src).Fd_core.Codegen.program in
   let sim () =
     let tr = Fd_trace.Trace.create () in
-    let config = Config.make ~nprocs:8 ~record_trace:true ~trace:tr () in
+    let config = Config.make ~nprocs:8 ~trace:tr () in
     let r = Scheduler.run_partial config prog in
     ( Json.to_string (Stats.to_json r.Scheduler.p_stats),
       Fd_trace.Trace.to_list tr,

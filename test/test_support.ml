@@ -69,12 +69,6 @@ let t_of_sorted_list () =
     "[1:3]/[7:11:2]/[20:20]"
     (String.concat "/" (List.map Triplet.to_string ts))
 
-let t_subset () =
-  check "strided subset" true
-    (Triplet.subset (Triplet.make ~lo:2 ~hi:10 ~step:4) (Triplet.make ~lo:2 ~hi:14 ~step:2));
-  check "phase mismatch" false
-    (Triplet.subset (Triplet.make ~lo:3 ~hi:11 ~step:4) (Triplet.make ~lo:2 ~hi:14 ~step:2))
-
 (* --- Iset unit tests --------------------------------------------------- *)
 
 let i_union_merges () =
@@ -88,10 +82,6 @@ let i_diff_exact () =
   let b = Iset.of_triplet (Triplet.make ~lo:1 ~hi:99 ~step:2) in
   let d = Iset.diff a b in
   check "evens remain" true (Iset.equal d (Iset.of_triplet (Triplet.make ~lo:2 ~hi:100 ~step:2)))
-
-let i_hull () =
-  let s = Iset.union (Iset.range 3 5) (Iset.singleton 11) in
-  check_str "hull" "[3:11]" (Triplet.to_string (Iset.hull s))
 
 (* --- Property-based tests ---------------------------------------------- *)
 
@@ -274,13 +264,6 @@ let qcheck_tests =
         let must_keep = List.filter (fun x -> not (Triplet.mem x b)) (to_set a) in
         let kept = List.concat_map to_set (Triplet.diff a b) in
         List.for_all (fun x -> List.mem x kept) must_keep);
-    prop "subset agrees with element-wise subset"
-      QCheck2.Gen.(pair triplet_gen triplet_gen)
-      (fun (a, b) ->
-        let elementwise = List.for_all (fun x -> Triplet.mem x b) (to_set a) in
-        (* subset may be conservative (false negatives allowed), never a
-           false positive *)
-        if Triplet.subset a b then elementwise else true);
     prop "Iset union/inter/diff form a boolean algebra on elements"
       QCheck2.Gen.(pair (list_size (int_range 0 4) triplet_gen)
                      (list_size (int_range 0 4) triplet_gen))
@@ -338,9 +321,7 @@ let suite =
     Alcotest.test_case "triplet diff strided minuend" `Quick t_diff_strided_minuend;
     Alcotest.test_case "triplet shift" `Quick t_shift;
     Alcotest.test_case "of_sorted_list grouping" `Quick t_of_sorted_list;
-    Alcotest.test_case "triplet subset" `Quick t_subset;
     Alcotest.test_case "iset union merges" `Quick i_union_merges;
     Alcotest.test_case "iset diff exact" `Quick i_diff_exact;
-    Alcotest.test_case "iset hull" `Quick i_hull;
   ]
   @ qcheck_tests

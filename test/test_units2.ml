@@ -276,23 +276,16 @@ let driver_speedup () =
 (* --- Trace recording ------------------------------------------------------------------- *)
 
 let trace_recording () =
-  let machine = Config.make ~nprocs:4 ~record_trace:true () in
+  let trace = Fd_trace.Trace.create () in
+  let machine = Config.make ~nprocs:4 ~trace () in
   let r = Driver.run_source ~machine (Fd_workloads.Figures.fig1 ~n:100 ()) in
-  let tr = Stats.trace r.Driver.stats in
-  check "trace nonempty" true (tr <> []);
-  let sends = List.filter (function Stats.Ev_send _ -> true | _ -> false) tr in
-  check_int "one event per message" r.Driver.stats.Stats.messages (List.length sends);
+  check "trace nonempty" true (Fd_trace.Trace.length trace > 0);
+  check_int "nothing dropped" 0 (Fd_trace.Trace.dropped trace);
+  check_int "one event per message" r.Driver.stats.Stats.messages
+    (Fd_trace.Trace.count trace ~kind:Fd_trace.Trace.Send);
   (* timeline is per-event plausible: all timestamps nonnegative *)
   check "timestamps nonnegative" true
-    (List.for_all
-       (function
-         | Stats.Ev_send { at; _ } | Stats.Ev_recv { at; _ }
-         | Stats.Ev_bcast { at; _ } | Stats.Ev_remap { at; _ }
-         | Stats.Ev_fault { at; _ } -> at >= 0.0)
-       tr);
-  (* no trace without the flag *)
-  let r2 = Driver.run_source (Fd_workloads.Figures.fig1 ~n:100 ()) in
-  check "no trace by default" true (Stats.trace r2.Driver.stats = [])
+    (Fd_trace.Trace.fold trace true (fun ok e -> ok && e.Fd_trace.Trace.at >= 0.0))
 
 let suite =
   [

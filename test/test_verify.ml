@@ -60,13 +60,12 @@ let face_off ?(nprocs = 4) ~file ~strategy () : outcome =
   let opts = { Options.default with strategy; nprocs } in
   let cp = Driver.check_source ~file src in
   let compiled = Driver.compile ~opts cp in
-  let prog, failed = Break.apply compiled.Codegen.program (Break.scan src) in
+  let vr, failed = Driver.check ~src cp compiled in
   check (Alcotest.list Alcotest.string)
     (file ^ ": every !break: pragma applies")
     [] failed;
-  let lint = Lint.run cp in
-  let vr = Verify.check_node ~nprocs prog in
-  let findings = Finding.sort (lint @ vr.Verify.findings) in
+  let findings = vr.Verify.findings in
+  let prog, _ = Break.apply compiled.Codegen.program (Break.scan src) in
   let config = Driver.machine_config opts in
   let dynamic_error =
     match Scheduler.run config prog with
@@ -280,17 +279,22 @@ let test_payload_sizes () =
             r.Absint.events;
           if r.Absint.complete && !sizable then begin
             compared := file :: !compared;
+            (* adi_static at P=16 emits ~157k events, most of them
+               guard skips: size the ring so no send is overwritten *)
+            let tr = Fd_trace.Trace.create ~capacity:(1 lsl 18) () in
             let config =
-              { (Driver.machine_config opts) with Config.record_trace = true }
+              { (Driver.machine_config opts) with Config.trace = Some tr }
             in
-            let stats, _ = Scheduler.run config prog in
+            ignore (Scheduler.run config prog);
+            check Alcotest.int
+              (Fmt.str "%s [P=%d]: trace ring kept every event" file nprocs)
+              0 (Fd_trace.Trace.dropped tr);
             let sim =
-              List.filter_map
-                (function
-                  | Stats.Ev_send { src; dest; tag; bytes; at = _ } ->
-                    Some (src, dest, tag, bytes)
-                  | _ -> None)
-                (Stats.trace stats)
+              Fd_trace.Trace.fold tr [] (fun acc e ->
+                  match e.Fd_trace.Trace.kind with
+                  | Fd_trace.Trace.Send ->
+                    Fd_trace.Trace.(e.proc, e.peer, e.tag, e.bytes) :: acc
+                  | _ -> acc)
             in
             let show l =
               List.sort compare l
@@ -614,6 +618,29 @@ let test_loop_return_shrinks_mask () =
                      then_ = [ Node.N_return ]; else_ = []; loc } ];
              send (var "i") 2 ] ])
 
+(* A statement after RETURN is unreachable: no decomposition reaches it,
+   and none needs to, so the lint must not call it a use before
+   placement (fdc check --strict would reject a correct program). *)
+let test_lint_skips_unreachable () =
+  let src =
+    "program p\n  real a(16)\n  integer i\n  do i = 1, 16\n    a(i) = 1.0\n\
+    \  enddo\n  call s(a)\n  print *, a(1)\nend\n\n\
+     subroutine s(x)\n  real x(16)\n  decomposition e(16)\n  return\n\
+    \  x(1) = 2.0\n  align x(i) with e(i)\n  distribute e(block)\nend\n"
+  in
+  let cp = Driver.check_source src in
+  List.iter
+    (fun (sname, strategy) ->
+      let compiled =
+        Driver.compile ~opts:{ Options.default with strategy } cp
+      in
+      let vr, _ = Driver.check cp compiled in
+      check (Alcotest.list Alcotest.string)
+        (Fmt.str "code after RETURN [%s]: no findings" sname)
+        []
+        (List.map (Fmt.str "%a" Finding.pp) vr.Verify.findings))
+    strategies
+
 let suite =
   [
     Alcotest.test_case "good examples: sound and strict-clean" `Slow
@@ -648,4 +675,6 @@ let suite =
     Alcotest.test_case "uniform DO: zero step" `Quick test_loop_zero_step;
     Alcotest.test_case "uniform DO: RETURN shrinks the mask" `Quick
       test_loop_return_shrinks_mask;
+    Alcotest.test_case "lint: code after RETURN is not misplaced" `Quick
+      test_lint_skips_unreachable;
   ]
