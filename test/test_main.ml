@@ -26,5 +26,6 @@ let () =
       ("totality", Test_totality.suite);
       ("golden-sim", Test_golden_sim.suite);
       ("golden-chk", Test_golden_verify.suite);
+      ("golden-spmd", Test_golden_spmd.suite);
       ("eval", Test_eval.suite);
     ]
