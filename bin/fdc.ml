@@ -50,8 +50,17 @@ let remap_conv =
 
 let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 
+(* Processor counts below 1 are usage errors (exit 124), not compiles. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Fmt.str "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let nprocs_arg =
-  Arg.(value & opt int 4 & info [ "p"; "nprocs" ] ~doc:"Number of logical processors")
+  Arg.(value & opt positive_int 4 & info [ "p"; "nprocs" ] ~doc:"Number of logical processors")
 
 let strategy_arg =
   Arg.(value & opt strategy_conv Fd_core.Options.Interproc
@@ -291,7 +300,12 @@ let run_cmd =
             List.iteri
               (fun i m ->
                 if i < 10 then Fmt.pr "  %a@." Fd_machine.Gather.pp_mismatch m)
-              r.Fd_core.Driver.mismatches
+              r.Fd_core.Driver.mismatches;
+            if not r.Fd_core.Driver.outputs_match then begin
+              Fmt.pr "  PRINT output differs from the sequential run, which prints:@.";
+              List.iter (Fmt.pr "  output: %s@.")
+                r.Fd_core.Driver.seq.Fd_machine.Seq_interp.outputs
+            end
           end
         end;
         if Fd_core.Driver.verified r then 0 else 1)

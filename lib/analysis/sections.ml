@@ -22,6 +22,20 @@ type ref_info = {
   loops : loop_ctx list;        (* enclosing loops, outermost first *)
 }
 
+(* The loop context of DO statement [s]; a step that is not a constant
+   counts as 1. *)
+let loop_ctx (symtab : Symtab.t) (s : Ast.stmt) (d : Ast.do_stmt) : loop_ctx =
+  let step =
+    match Option.bind d.Ast.step (Affine.of_expr symtab) with
+    | Some a -> Option.value (Affine.const_value a) ~default:1
+    | None -> 1
+  in
+  { lvar = d.Ast.var;
+    llo = Affine.of_expr symtab d.Ast.lo;
+    lhi = Affine.of_expr symtab d.Ast.hi;
+    lstep = step;
+    lsid = s.Ast.sid }
+
 let collect (symtab : Symtab.t) (body : Ast.stmt list) : ref_info list =
   let out = ref [] in
   let rec walk loops (s : Ast.stmt) =
@@ -47,25 +61,10 @@ let collect (symtab : Symtab.t) (body : Ast.stmt list) : ref_info list =
       | _ -> ());
       record_reads rhs
     | Ast.Do d ->
-      let step =
-        match d.step with
-        | None -> 1
-        | Some e -> (
-          match Affine.of_expr symtab e with
-          | Some a -> ( match Affine.const_value a with Some k -> k | None -> 1)
-          | None -> 1)
-      in
       record_reads d.lo;
       record_reads d.hi;
       Option.iter record_reads d.step;
-      let ctx =
-        { lvar = d.var;
-          llo = Affine.of_expr symtab d.lo;
-          lhi = Affine.of_expr symtab d.hi;
-          lstep = step;
-          lsid = s.Ast.sid }
-      in
-      List.iter (walk (ctx :: loops)) d.body
+      List.iter (walk (loop_ctx symtab s d :: loops)) d.body
     | Ast.If i ->
       record_reads i.cond;
       List.iter (walk loops) i.then_;

@@ -21,6 +21,10 @@ type ref_info = {
   loops : loop_ctx list;        (** enclosing loops, outermost first *)
 }
 
+val loop_ctx : Symtab.t -> Ast.stmt -> Ast.do_stmt -> loop_ctx
+(** The loop context of a DO statement; a step that is not a constant
+    counts as 1. *)
+
 val collect : Symtab.t -> Ast.stmt list -> ref_info list
 (** Every array element reference in the statement list, in textual
     order (a store's own subscripts also appear as reads). *)

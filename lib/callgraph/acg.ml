@@ -44,23 +44,7 @@ let collect_calls (cu : Sema.checked_unit) : call_site list =
           cs_loops = List.rev loops;
           cs_loc = s.Ast.loc }
         :: !out
-    | Ast.Do d ->
-      let step =
-        match d.step with
-        | Some e -> (
-          match Option.bind (Affine.of_expr symtab e) Affine.const_value with
-          | Some k -> k
-          | None -> 1)
-        | None -> 1
-      in
-      let ctx =
-        { Sections.lvar = d.var;
-          llo = Affine.of_expr symtab d.lo;
-          lhi = Affine.of_expr symtab d.hi;
-          lstep = step;
-          lsid = s.Ast.sid }
-      in
-      List.iter (walk (ctx :: loops)) d.body
+    | Ast.Do d -> List.iter (walk (Sections.loop_ctx symtab s d :: loops)) d.body
     | Ast.If i ->
       List.iter (walk loops) i.then_;
       List.iter (walk loops) i.else_
@@ -121,13 +105,16 @@ let reverse_topo_order t = List.rev (topo_order t)
 let is_recursive t =
   match topo_order t with _ -> false | exception Recursive _ -> true
 
-(* Formal/actual binding for a call site. *)
-let bindings t (cs : call_site) : (string * Ast.expr) list =
-  let callee = proc t cs.callee in
-  let formals = callee.cu.Sema.unit_.Ast.formals in
-  if List.length formals <> List.length cs.actuals then
-    Diag.error ~loc:cs.cs_loc "arity mismatch calling %s" cs.callee;
-  List.combine formals cs.actuals
+(* The one place a callee's names meet a call's actuals: each formal
+   binds to its actual, each COMMON name to itself (the same storage
+   under the same name in every unit); callee locals stay unbound. *)
+let bindings t callee (actuals : Ast.expr list) : (string * Ast.expr) list =
+  let cu = (proc t callee).cu in
+  let formals = cu.Sema.unit_.Ast.formals in
+  if List.length formals <> List.length actuals then
+    Diag.error "arity mismatch calling %s" callee;
+  List.combine formals actuals
+  @ List.map (fun (name, _) -> (name, Ast.Var name)) (Symtab.commons cu.Sema.symtab)
 
 let pp ppf t =
   List.iter

@@ -48,7 +48,13 @@ val reverse_topo_order : t -> string list
 
 val is_recursive : t -> bool
 
-val bindings : t -> call_site -> (string * Ast.expr) list
-(** Formal/actual pairs of one call site. *)
+val bindings : t -> string -> Ast.expr list -> (string * Ast.expr) list
+(** [bindings acg callee actuals]: the callee's names paired with the
+    caller's expressions at one call — each formal with its actual, in
+    order, then each COMMON name with itself.  Callee locals have no
+    pair.  Every translation of a callee fact into the caller goes
+    through it.
+    @raise Fd_support.Diag.Compile_error on an arity mismatch (Sema
+    rejects those first). *)
 
 val pp : Format.formatter -> t -> unit

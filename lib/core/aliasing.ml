@@ -65,79 +65,46 @@ let redistributes (acg : Acg.t) : (string, SS.t) Hashtbl.t =
           | None -> ()
           | Some callee_redist ->
             List.iter
-              (fun (formal, actual) ->
+              (fun (name, actual) ->
                 match actual with
                 | Ast.Var v
-                  when SS.mem formal callee_redist
+                  when SS.mem name callee_redist
                        && (List.mem v u.Ast.formals || Symtab.is_common symtab v) ->
                   own := SS.add v !own
                 | _ -> ())
-              (Acg.bindings acg cs);
-            (* redistributed commons propagate by identity *)
-            SS.iter
-              (fun n -> if Symtab.is_common symtab n then own := SS.add n !own)
-              callee_redist)
+              (Acg.bindings acg cs.Acg.callee cs.Acg.actuals))
         p.Acg.calls;
       Hashtbl.replace table pname !own)
     (Acg.reverse_topo_order acg);
   table
 
-(* All call sites that bind one caller array to several formals. *)
-let alias_sites (acg : Acg.t) : alias_site list =
-  List.concat_map
-    (fun (p : Acg.proc) ->
-      let symtab = p.Acg.cu.Sema.symtab in
-      List.filter_map
-        (fun (cs : Acg.call_site) ->
-          let bindings = Acg.bindings acg cs in
-          let by_array =
-            List.filter_map
-              (fun (f, a) ->
-                match a with
-                | Ast.Var v when Symtab.is_array symtab v -> Some (v, f)
-                | _ -> None)
-              bindings
-            |> Listx.group_by ~key:fst ~equal_key:String.equal
-          in
-          let aliased =
-            List.filter (fun (_, members) -> List.length members >= 2) by_array
-          in
-          match aliased with
-          | [] -> None
-          | (array, members) :: _ ->
-            Some
-              { al_callee = cs.Acg.callee;
-                al_array = array;
-                al_formals = List.map snd members;
-                al_loc = cs.Acg.cs_loc })
-        p.Acg.calls)
-    (Acg.procs acg)
-
-(* A COMMON array passed as an actual argument to a procedure that also
-   touches it through the COMMON block is an alias too. *)
-let common_alias_sites (acg : Acg.t) (effects : Side_effects.t) : alias_site list =
+(* Every caller array that one call binds to several callee names: two
+   formals, or a formal and the COMMON name of an array the callee also
+   touches through the block. *)
+let alias_sites (acg : Acg.t) (effects : Side_effects.t) : alias_site list =
   List.concat_map
     (fun (p : Acg.proc) ->
       let symtab = p.Acg.cu.Sema.symtab in
       List.concat_map
         (fun (cs : Acg.call_site) ->
-          let callee = Acg.proc acg cs.Acg.callee in
-          List.filter_map
-            (fun (formal, actual) ->
-              match actual with
-              | Ast.Var v
-                when Symtab.is_array symtab v
-                     && Symtab.is_common symtab v
-                     && Symtab.is_common callee.Acg.cu.Sema.symtab v
-                     && Side_effects.S.mem v
-                          (Side_effects.appear effects cs.Acg.callee) ->
-                Some
-                  { al_callee = cs.Acg.callee;
-                    al_array = v;
-                    al_formals = [ formal; v ];
-                    al_loc = cs.Acg.cs_loc }
-              | _ -> None)
-            (Acg.bindings acg cs))
+          let appear = Side_effects.appear effects cs.Acg.callee in
+          Acg.bindings acg cs.Acg.callee cs.Acg.actuals
+          |> List.filter_map (fun (name, a) ->
+                 match a with
+                 | Ast.Var v
+                   when Symtab.is_array symtab v
+                        && ((not (Symtab.is_common symtab name)) || Side_effects.S.mem v appear) ->
+                   Some (v, name)
+                 | _ -> None)
+          |> Listx.group_by ~key:fst ~equal_key:String.equal
+          |> List.filter_map (fun (array, members) ->
+                 if List.length members < 2 then None
+                 else
+                   Some
+                     { al_callee = cs.Acg.callee;
+                       al_array = array;
+                       al_formals = List.map snd members;
+                       al_loc = cs.Acg.cs_loc }))
         p.Acg.calls)
     (Acg.procs acg)
 
@@ -145,7 +112,7 @@ let common_alias_sites (acg : Acg.t) (effects : Side_effects.t) : alias_site lis
    warns on double-modification of aliases. *)
 let check ~sink (acg : Acg.t) (effects : Side_effects.t) : unit =
   let redist = redistributes acg in
-  let sites = alias_sites acg @ common_alias_sites acg effects in
+  let sites = alias_sites acg effects in
   List.iter
     (fun site ->
       let callee_redist =

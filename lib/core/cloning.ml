@@ -23,39 +23,22 @@ type result = {
   clones_made : int;
 }
 
-(* Signature of the decompositions a call site provides to the formals of
-   its callee that appear (are referenced/modified) in the callee or its
-   descendants. *)
+(* Signature of the decompositions a call site provides to the formal and
+   COMMON arrays of its callee that appear (are referenced/modified) in
+   the callee or its descendants. *)
 let call_signature (acg : Acg.t) (rd : Reaching_decomps.t)
     (appear : SS.t) (cs : Acg.call_site) : string =
   let caller = Acg.proc acg cs.Acg.caller in
   let lr = Reaching_decomps.local_of rd cs.Acg.caller in
   let fact = Reaching_decomps.fact_before lr cs.Acg.cs_sid in
-  let callee = Acg.proc acg cs.Acg.callee in
-  let parts =
-    List.filter_map
-      (fun (formal, actual) ->
-        if not (SS.mem formal appear) then None
-        else
-          match actual with
-          | Ast.Var v when Symtab.is_array caller.Acg.cu.Sema.symtab v ->
-            let r = Reaching_decomps.get_reaching fact v in
-            Some (Fmt.str "%s=%a" formal Decomp.pp_reaching r)
-          | _ -> None)
-      (List.combine callee.Acg.cu.Sema.unit_.Ast.formals cs.Acg.actuals)
-  in
-  (* COMMON arrays contribute by identity *)
-  let common_parts =
-    List.filter_map
-      (fun (name, _block) ->
-        if SS.mem name appear && Symtab.is_array callee.Acg.cu.Sema.symtab name then
-          Some
-            (Fmt.str "%s=%a" name Decomp.pp_reaching
-               (Reaching_decomps.get_reaching fact name))
-        else None)
-      (Symtab.commons callee.Acg.cu.Sema.symtab)
-  in
-  String.concat ";" (parts @ common_parts)
+  List.filter_map
+    (fun (name, actual) ->
+      match actual with
+      | Ast.Var v when SS.mem name appear && Symtab.is_array caller.Acg.cu.Sema.symtab v ->
+        Some (Fmt.str "%s=%a" name Decomp.pp_reaching (Reaching_decomps.get_reaching fact v))
+      | _ -> None)
+    (Acg.bindings acg cs.Acg.callee cs.Acg.actuals)
+  |> String.concat ";"
 
 (* Rename the callee of specific call sites (identified by sid) in a
    program, and duplicate a unit under a new name. *)

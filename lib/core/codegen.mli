@@ -24,6 +24,8 @@ type state = {
       (** (procedure, loop-partition decision), in compilation order *)
   pseudo_sids : Dynamic_decomp.sids;
       (** statement ids of this compile's [remap$] pseudo-statements *)
+  mutable printers : string list;
+      (** compiled procedures that print, themselves or through a callee *)
 }
 
 val export_of : state -> string -> Exports.t

@@ -405,62 +405,42 @@ let fully_overwrites (symtab : Symtab.t) (dims : (int * int) list) (x : string)
     exact && Region.subset full written
   end
 
-(* [value_killer callee i] says whether the named procedure fully
-   overwrites its i-th formal (0-based) before reading it. *)
-let array_kills ~(symtab : Symtab.t) ~(value_killer : string -> int -> bool)
-    (body : Ast.stmt list) : Ast.stmt list =
-  let dims_of x =
-    match Symtab.array_info symtab x with Some i -> Some i.Symtab.dims | None -> None
+(* Is the first of [stmts] to touch [x] one that kills its values: a
+   full overwrite before any read, or a call for which
+   [value_killer callee actuals x] holds?  A remap of [x] first, or no
+   touch at all, is not a kill.  Any call passing [x] as an actual
+   touches it. *)
+let first_touch_kills ~(symtab : Symtab.t)
+    ~(value_killer : string -> Ast.expr list -> string -> bool) x stmts =
+  let passes_x _callee args =
+    if List.exists (function Ast.Var v -> String.equal v x | _ -> false) args then
+      SS.singleton x
+    else SS.empty
   in
-  (* scan each block: for a physical remap, look at the following
-     statements in the same block; if the first to touch the array kills
-     its values, convert the remap to mark-only *)
-  let next_touch_kills x rest =
-    let rec first_touch = function
-      | [] -> None
-      | t :: more ->
-        if subtree_remaps_array x t then Some (`Remap t)
-        else if
-          subtree_uses_array
-            ~call_touches:(fun _callee args ->
-              (* any call mentioning x as an actual touches it *)
-              if
-                List.exists
-                  (function Ast.Var v -> String.equal v x | _ -> false)
-                  args
-              then SS.singleton x
-              else SS.empty)
-            x t
-        then Some (`Use t)
-        else first_touch more
-    in
-    match first_touch rest with
-    | Some (`Use t) -> (
-      match t.Ast.kind with
-      | Ast.Call (callee, args) -> (
-        (* resolve the formal position bound to actual x *)
-        match
-          List.find_map
-            (fun (i, a) ->
-              match a with
-              | Ast.Var v when String.equal v x -> Some i
-              | _ -> None)
-            (List.mapi (fun i a -> (i, a)) args)
-        with
-        | Some idx -> value_killer callee idx
-        | None -> false)
-      | _ -> (
-        match dims_of x with
-        | Some dims -> fully_overwrites symtab dims x t
-        | None -> false))
-    | _ -> false
-  in
+  match
+    List.find_opt
+      (fun t -> subtree_remaps_array x t || subtree_uses_array ~call_touches:passes_x x t)
+      stmts
+  with
+  | None -> false
+  | Some t when subtree_remaps_array x t -> false
+  | Some t -> (
+    match t.Ast.kind with
+    | Ast.Call (callee, args) -> value_killer callee args x
+    | _ -> (
+      match Symtab.array_info symtab x with
+      | Some info -> fully_overwrites symtab info.Symtab.dims x t
+      | None -> false))
+
+(* Scan each block: a physical remap whose array's next touch in the
+   same block kills its values becomes mark-only. *)
+let array_kills ~symtab ~value_killer (body : Ast.stmt list) : Ast.stmt list =
   let rec scan_block (stmts : Ast.stmt list) : Ast.stmt list =
     match stmts with
     | [] -> []
     | s :: rest -> (
       match as_remap s with
-      | Some r when r.rm_move && next_touch_kills r.rm_array rest ->
+      | Some r when r.rm_move && first_touch_kills ~symtab ~value_killer r.rm_array rest ->
         encode_remap s.Ast.sid { r with rm_move = false } :: scan_block rest
       | Some _ -> s :: scan_block rest
       | None -> (

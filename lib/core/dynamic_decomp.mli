@@ -57,11 +57,22 @@ val fully_overwrites :
 (** Does the statement subtree overwrite the whole declared region
     without reading it first?  (Exact affine coverage only.) *)
 
+val first_touch_kills :
+  symtab:Symtab.t ->
+  value_killer:(string -> Ast.expr list -> string -> bool) ->
+  string ->
+  Ast.stmt list ->
+  bool
+(** Is the first statement to touch the array one that kills its
+    values: a full overwrite before any read, or a call for which
+    [value_killer callee actuals array] holds?  Any call passing the
+    array as an actual touches it. *)
+
 val optimize :
   Options.remap_level ->
   call_touches:(string -> Ast.expr list -> SS.t) ->
   initial:Decomp.t DM.t ->
   symtab:Symtab.t ->
-  value_killer:(string -> int -> bool) ->
+  value_killer:(string -> Ast.expr list -> string -> bool) ->
   Ast.stmt list ->
   Ast.stmt list

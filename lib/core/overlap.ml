@@ -67,7 +67,7 @@ let local_offsets ?(reads_only = false) ?(dist_dim_of : (string -> int option) o
 
 
 (* Bottom-up interprocedural propagation: translate each callee's offsets
-   on formal arrays into the caller's actual names. *)
+   on formal and COMMON arrays into the caller's names. *)
 let propagate (acg : Acg.t) (local : offsets SM.t SM.t) : offsets SM.t SM.t =
   let table = ref SM.empty in
   List.iter
@@ -82,31 +82,25 @@ let propagate (acg : Acg.t) (local : offsets SM.t SM.t) : offsets SM.t SM.t =
             match SM.find_opt cs.Acg.callee !table with
             | None -> acc
             | Some callee_offsets ->
-              let callee_formals =
-                (Acg.proc acg cs.Acg.callee).Acg.cu.Sema.unit_.Ast.formals
-              in
+              let bindings = Acg.bindings acg cs.Acg.callee cs.Acg.actuals in
               SM.fold
                 (fun key o acc ->
                   match String.rindex_opt key '.' with
                   | None -> acc
                   | Some i -> (
-                    let fname = String.sub key 0 i in
+                    let name = String.sub key 0 i in
                     let dim = String.sub key (i + 1) (String.length key - i - 1) in
-                    match
-                      List.find_opt (String.equal fname) callee_formals
-                    with
-                    | None -> acc (* callee-local array *)
-                    | Some _ -> (
-                      match List.assoc_opt fname (Acg.bindings acg cs) with
-                      | Some (Ast.Var actual) ->
-                        let key' = actual ^ "." ^ dim in
-                        let cur =
-                          match SM.find_opt key' acc with
-                          | Some o' -> o'
-                          | None -> no_offsets
-                        in
-                        SM.add key' (merge cur o) acc
-                      | _ -> acc)))
+                    (* callee-local arrays have no binding *)
+                    match List.assoc_opt name bindings with
+                    | Some (Ast.Var actual) ->
+                      let key' = actual ^ "." ^ dim in
+                      let cur =
+                        match SM.find_opt key' acc with
+                        | Some o' -> o'
+                        | None -> no_offsets
+                      in
+                      SM.add key' (merge cur o) acc
+                    | _ -> acc))
                 callee_offsets acc)
           own p.Acg.calls
       in

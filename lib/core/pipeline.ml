@@ -341,10 +341,10 @@ let reaching_pass =
                           else
                             Some
                               (Fmt.str
-                                 "formal %s of %s has no reaching entry for call from %s"
+                                 "%s of %s has no reaching entry for call from %s"
                                  formal cs.Acg.callee cs.Acg.caller)
                         | _ -> None)
-                      (Acg.bindings acg cs))
+                      (Acg.bindings acg cs.Acg.callee cs.Acg.actuals))
                   p.Acg.calls)
             (Acg.procs acg)
         | _ -> [ "no reaching decompositions" ]);

@@ -189,26 +189,17 @@ let compute ~sink (acg : Acg.t) : t =
       List.iter
         (fun (cs : Acg.call_site) ->
           let fact = fact_before lr cs.Acg.cs_sid in
-          let callee = Acg.proc acg cs.Acg.callee in
+          (* formals take their actuals' sets; COMMON arrays are "simply
+             copied" (paper Sec. 5.2) *)
           let translated =
             List.fold_left
-              (fun acc (formal, actual) ->
+              (fun acc (name, actual) ->
                 match actual with
                 | Ast.Var v when Symtab.is_array p.Acg.cu.Sema.symtab v ->
-                  SM.add formal (get_reaching fact v) acc
+                  SM.add name (get_reaching fact v) acc
                 | _ -> acc)
               SM.empty
-              (List.combine callee.Acg.cu.Sema.unit_.Ast.formals cs.Acg.actuals)
-          in
-          (* COMMON arrays are "simply copied" (paper Sec. 5.2) *)
-          let translated =
-            List.fold_left
-              (fun acc (name, _block) ->
-                if Symtab.is_array callee.Acg.cu.Sema.symtab name then
-                  SM.add name (get_reaching fact name) acc
-                else acc)
-              translated
-              (Symtab.commons callee.Acg.cu.Sema.symtab)
+              (Acg.bindings acg cs.Acg.callee cs.Acg.actuals)
           in
           let existing =
             match Hashtbl.find_opt reaching cs.Acg.callee with

@@ -54,7 +54,7 @@ let a_recursion_detected () =
 let a_bindings () =
   let acg = acg_of program_fig4 in
   let cs = List.hd (Acg.call_sites_to acg "f1") in
-  match Acg.bindings acg cs with
+  match Acg.bindings acg cs.Acg.callee cs.Acg.actuals with
   | [ ("z", Ast.Var _); ("i", Ast.Var _) ] -> ()
   | _ -> Alcotest.fail "unexpected bindings"
 

@@ -506,3 +506,64 @@ let suite =
       Alcotest.test_case "owner constraint composes through chain" `Quick
         chain_owner_composes;
     ]
+
+(* --- PRINT under an owner constraint ----------------------------------- *)
+
+(* [g] reads one element of a block-distributed array and prints it.  As
+   an owner-constrained procedure its call would run on that element's
+   owner only, while the PRINT runs on processor 0: nothing would print.
+   The same holds one level up, through a wrapper that writes the
+   element before calling [g]. *)
+let print_in_callee_src =
+  "program p\n  real x(8)\n  integer i\n  distribute x(block)\n\
+  \  do i = 1, 8\n    x(i) = float(i)\n  enddo\n  call g(x)\nend\n\
+   subroutine g(y)\n  real y(8)\n  print *, y(7)\nend\n"
+
+let print_below_wrapper_src =
+  "program p\n  real x(8)\n  integer i\n  distribute x(block)\n\
+  \  do i = 1, 8\n    x(i) = float(i)\n  enddo\n  call f(x)\nend\n\
+   subroutine f(y)\n  real y(8)\n  y(7) = 70.0\n  call g(y)\nend\n\
+   subroutine g(z)\n  real z(8)\n  print *, z(7)\nend\n"
+
+let prints_survive_owner_constraints () =
+  List.iter
+    (fun (name, src, expected) ->
+      List.iter
+        (fun strategy ->
+          List.iter
+            (fun nprocs ->
+              let r = run ~nprocs ~strategy src in
+              let where =
+                Fmt.str "%s under %s at P=%d" name (Options.strategy_name strategy) nprocs
+              in
+              Alcotest.(check (list string)) where [ expected ] (Stats.outputs r.Driver.stats);
+              check where true (Driver.verified r))
+            [ 2; 4; 7 ])
+        strategies)
+    [ ("print in callee", print_in_callee_src, "7");
+      ("print below a wrapper", print_below_wrapper_src, "70") ]
+
+(* A CALL whose actual reads distributed elements: every processor
+   makes the call, so each element must reach every processor first. *)
+let call_actual_src =
+  "program p\n  real a(8)\n  integer i\n  distribute a(block)\n\
+  \  do i = 1, 8\n    a(i) = float(i)\n  enddo\n  call show(a(5) + a(2))\nend\n\
+   subroutine show(v)\n  real v\n  print *, v\nend\n"
+
+let call_actuals_reach_every_processor () =
+  List.iter
+    (fun strategy ->
+      let r = run ~strategy call_actual_src in
+      let name = Options.strategy_name strategy in
+      Alcotest.(check (list string)) name [ "7" ] (Stats.outputs r.Driver.stats);
+      check name true (Driver.verified r))
+    strategies
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "PRINT survives owner constraints" `Quick
+        prints_survive_owner_constraints;
+      Alcotest.test_case "CALL actuals reach every processor" `Quick
+        call_actuals_reach_every_processor;
+    ]

@@ -213,6 +213,7 @@ let test_cli_exit_codes () =
   let ex name = Filename.concat examples_dir name in
   check Alcotest.int "check clean -> 0" 0 (run_fdc ("check " ^ ex "fig1.fd"));
   check Alcotest.int "spmd -> 0" 0 (run_fdc ("spmd " ^ ex "fig1.fd"));
+  check Alcotest.int "spmd -p 0 -> 124" 124 (run_fdc ("spmd -p 0 " ^ ex "fig1.fd"));
   check Alcotest.int "run clean -> 0" 0 (run_fdc ("run " ^ ex "jacobi1d.fd"));
   check Alcotest.int "check finding -> 1" 1
     (run_fdc ("check --strict " ^ bad "bad_tag.fd"));
