@@ -4,15 +4,12 @@
 
      dune exec bench/main.exe            -- all experiment tables
      dune exec bench/main.exe -- quick   -- smaller sweeps
-     dune exec bench/main.exe -- micro   -- also run Bechamel compile-time
-                                            microbenchmarks (E8b)
 *)
 
 open Fd_core
 open Fd_machine
 
 let quick = Array.exists (String.equal "quick") Sys.argv
-let micro = Array.exists (String.equal "micro") Sys.argv
 
 let header title =
   Fmt.pr "@.=== %s ===@." title
@@ -280,51 +277,6 @@ let e8c () =
       List.iter (fun times -> Fmt.pr " | %10.3f ms" (times pass)) per_strategy;
       Fmt.pr "@.")
     Pipeline.pass_names
-
-(* --- E8b: Bechamel microbenchmarks of the compiler phases --------------------- *)
-
-let e8b () =
-  header "E8b: Bechamel microbenchmarks (compiler phases on dgefa n=32)";
-  let open Bechamel in
-  let src = Fd_workloads.Dgefa.source ~n:32 () in
-  let cp = Fd_frontend.Sema.check_source src in
-  let acg = Fd_callgraph.Acg.build cp in
-  let tests =
-    [ Test.make ~name:"parse+check" (Staged.stage (fun () ->
-          ignore (Fd_frontend.Sema.check_source src)));
-      Test.make ~name:"acg+side-effects" (Staged.stage (fun () ->
-          let acg = Fd_callgraph.Acg.build cp in
-          ignore (Fd_callgraph.Side_effects.compute acg)));
-      Test.make ~name:"reaching-decomps" (Staged.stage (fun () ->
-          ignore (Reaching_decomps.compute ~sink:(Fd_support.Diag.sink ()) acg)));
-      Test.make ~name:"full-compile" (Staged.stage (fun () ->
-          ignore (Driver.compile cp)));
-      Test.make ~name:"simulate" (Staged.stage (fun () ->
-          let c = Driver.compile cp in
-          ignore (Scheduler.run (Config.ipsc860 ~nprocs:4 ()) c.Codegen.program)));
-    ]
-  in
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
-    let raw = Benchmark.all cfg [ instance ] test in
-    let results =
-      Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false
-                     ~predictors:[| Measure.run |]) instance raw
-    in
-    results
-  in
-  List.iter
-    (fun t ->
-      let results = benchmark (Test.make_grouped ~name:"g" [ t ]) in
-      Hashtbl.iter
-        (fun name result ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            Fmt.pr "%-24s %12.1f ns/run@." name est
-          | _ -> Fmt.pr "%-24s (no estimate)@." name)
-        results)
-    tests
 
 (* --- E9: dynamic remapping vs static distribution for ADI ------------------ *)
 
@@ -723,5 +675,4 @@ let () =
   e16 ();
   e18 ();
   e19 ();
-  if micro then e8b ();
   Fmt.pr "@.all experiments verified against sequential execution.@."

@@ -144,9 +144,10 @@ let fit_procset_opt (sets : Iset.t array) : fitted_triplet option =
           steps.(p) <- Triplet.step t
         | _ -> ())
       sets;
-    (* If some processors are empty, making lo > hi there lets us drop the
-       guard when lo/hi fit linearly across *all* processors with that
-       junk; otherwise keep the mask guard and fit on masked procs. *)
+    (* With every processor nonempty there is no guard.  Otherwise the
+       bounds are fitted on the nonempty processors only and the mask
+       guard is always kept: the junk bounds above only make the tables
+       total, they never replace the guard. *)
     let fit_with m =
       ( expr_of_values ~mask:m los,
         expr_of_values ~mask:m his,

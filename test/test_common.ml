@@ -110,17 +110,25 @@ let c_inherited_decomposition () =
        ex.Exports.ex_comms)
 
 let c_scalar_common_state () =
-  (* a common scalar mutated in a callee is visible afterwards *)
-  let src =
+  (* a common scalar mutated in a callee is visible afterwards, also
+     when the callee runs on one owner only (g reads x(7) alone, so
+     it gets an owner constraint and must broadcast c as well as t) *)
+  let bump =
     "program p\n  common /c/ total\n  real total\n  total = 1.0\n  call bump()\n  call bump()\n  print *, total\nend\nsubroutine bump()\n  common /c/ total\n  real total\n  total = total + 2.0\nend\n"
   in
+  let owner =
+    "program p\n  real x(8)\n  real s, c\n  integer i\n  common /blk/ c\n  distribute x(block)\n  do i = 1, 8\n    x(i) = float(i)\n  enddo\n  c = 0.0\n  s = 0.0\n  call g(x, s)\n  print *, s, c\nend\nsubroutine g(y, t)\n  real y(8)\n  real t, c\n  common /blk/ c\n  t = y(7)\n  c = y(7) + 1.0\nend\n"
+  in
   List.iter
-    (fun strategy ->
-      let opts = { Options.default with Options.strategy } in
-      let r = Driver.run_source ~opts src in
-      check (Options.strategy_name strategy) true (Driver.verified r);
-      check "value" true (Stats.outputs r.Driver.stats = [ "5" ]))
-    strategies
+    (fun (src, expected) ->
+      List.iter
+        (fun strategy ->
+          let opts = { Options.default with Options.strategy } in
+          let r = Driver.run_source ~opts src in
+          check (Options.strategy_name strategy) true (Driver.verified r);
+          Alcotest.(check (list string)) "value" [ expected ] (Stats.outputs r.Driver.stats))
+        strategies)
+    [ (bump, "5"); (owner, "7 8") ]
 
 let c_common_alias_rejected () =
   (* a common array passed as an argument to a procedure that
