@@ -54,15 +54,11 @@ let rec const_eval_int symtab (e : Ast.expr) : int option =
       | _ -> None)
     | _ -> None)
   | Ast.Funcall ("max", args) | Ast.Ref ("max", args) ->
-    let vals = List.map (const_eval_int symtab) args in
-    if List.for_all Option.is_some vals then
-      Some (List.fold_left max min_int (List.map Option.get vals))
-    else None
+    Option.map (List.fold_left max min_int)
+      (Listx.all_some (List.map (const_eval_int symtab) args))
   | Ast.Funcall ("min", args) | Ast.Ref ("min", args) ->
-    let vals = List.map (const_eval_int symtab) args in
-    if List.for_all Option.is_some vals then
-      Some (List.fold_left min max_int (List.map Option.get vals))
-    else None
+    Option.map (List.fold_left min max_int)
+      (Listx.all_some (List.map (const_eval_int symtab) args))
   | _ -> None
 
 (* Fallback 1 keeps declared shapes legal (lo=1, hi=1) after an error. *)

@@ -31,6 +31,9 @@ let rec assoc_update ~equal k f = function
   | (k', v) :: rest when equal k k' -> (k', f (Some v)) :: rest
   | kv :: rest -> kv :: assoc_update ~equal k f rest
 
+let all_some xs =
+  if List.for_all Option.is_some xs then Some (List.map Option.get xs) else None
+
 let sum = List.fold_left ( + ) 0
 
 let take n xs =

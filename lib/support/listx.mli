@@ -14,6 +14,9 @@ val assoc_update :
   equal:('k -> 'k -> bool) -> 'k -> ('v option -> 'v) -> ('k * 'v) list -> ('k * 'v) list
 (** Update the binding of [k] (passing its current value), appending if absent. *)
 
+val all_some : 'a option list -> 'a list option
+(** Every value, when none is missing. *)
+
 val sum : int list -> int
 
 val take : int -> 'a list -> 'a list

@@ -478,9 +478,7 @@ let section_at w ~loc ~what p (obj : aobj)
           | _ -> None)
         vsec obj.a_bounds
     in
-    if List.for_all Option.is_some dims then
-      Some (List.map Option.get dims)
-    else None
+    Listx.all_some dims
 
 let owned_at w obj p =
   match obj.a_layout.Layout.dist_dim with
@@ -699,9 +697,7 @@ let emit_send w fr act ~loc dest parts tag =
                       | _ -> None)
                     (List.combine dims obj.a_bounds)
                 in
-                if List.for_all Option.is_some dim_res then
-                  Some (List.map Option.get dim_res)
-                else None
+                Listx.all_some dim_res
               end
             in
             {
