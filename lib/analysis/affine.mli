@@ -11,6 +11,7 @@ val var : ?coeff:int -> string -> t
 
 val add : t -> t -> t
 val sub : t -> t -> t
+val scale : int -> t -> t
 
 val is_const : t -> bool
 val constant : t -> int

@@ -1,22 +1,20 @@
-(* Data-dependence testing over affine subscripts (ZIV and strong-SIV
-   tests, with conservative "star" directions elsewhere), specialized to
-   what Fortran D communication analysis needs: the set of common loop
-   levels at which a *true* (flow) dependence from a write to a read may
-   be carried, plus loop-independent dependences.
+(* Data-dependence testing over affine subscripts (ZIV, strong-SIV and
+   weak-zero SIV tests, conservative elsewhere), specialized to what
+   Fortran D communication analysis needs: the set of common loop levels
+   at which a *true* (flow) dependence from a write to a read may be
+   carried, plus loop-independent dependences.
 
-   Levels are 1-based from the outermost common loop.  The deepest carried
-   level is the message-vectorization level: communication for the read
-   must stay inside that loop; it may be hoisted out of all deeper
-   loops [Hiranandani-Kennedy-Tseng]. *)
-
-type distance =
-  | Dist of int  (* exact dependence distance for a common loop *)
-  | Star         (* unknown / unconstrained *)
-  | No_dep       (* proven independent in some dimension *)
+   Levels are 1-based from the outermost common loop.  A dependence is
+   carried at level L when the loops above L run the same iteration for
+   the write and the read and loop L runs the write first, so each level
+   is tested on its own: the variables of the loops above it are shared
+   symbols, its own variable advances, and the variables of deeper or
+   non-common loops are free.  Distances count iterations, so steps other
+   than 1 (negative ones too) are exact.  Communication for the read must
+   stay inside the deepest carried level; it may be hoisted out of all
+   deeper loops [Hiranandani-Kennedy-Tseng]. *)
 
 type result = { carried : int list; loop_independent : bool }
-
-let no_dependence = { carried = []; loop_independent = false }
 
 let common_loops (w : Sections.loop_ctx list) (r : Sections.loop_ctx list) :
     Sections.loop_ctx list =
@@ -27,139 +25,95 @@ let common_loops (w : Sections.loop_ctx list) (r : Sections.loop_ctx list) :
   in
   loop [] (w, r)
 
-(* Distance in loop variable [v] implied by one subscript dimension:
-   subscript of the write evaluated at iteration [i_w] must equal the
-   subscript of the read at [i_r]; distance = i_r - i_w. *)
-let dim_distance v (sw : Affine.t option) (sr : Affine.t option) : distance =
-  match (sw, sr) with
-  | Some aw, Some ar -> (
-    let cw = Affine.coeff_of v aw and cr = Affine.coeff_of v ar in
-    if cw = 0 && cr = 0 then
-      (* ZIV with respect to this loop; handled by the caller across all
-         loops at once via the pure-constant case *)
-      Star
-    else if cw <> 0 && cw = cr then begin
-      (* strong SIV: cw*i_w + rest_w = cr*i_r + rest_r.  If the residues
-         (terms not in v) are equal as affine forms, distance is exact. *)
-      let rw = Affine.drop_var v aw and rr = Affine.drop_var v ar in
-      if Affine.equal rw rr then Dist 0
-      else
-        match (Affine.const_value (Affine.sub rw rr), cw) with
-        | Some diff, c when diff mod c = 0 -> Dist (diff / c)
-        | Some _, _ -> No_dep  (* non-integer distance *)
-        | None, _ -> Star
-    end
-    else Star)
-  | _ -> Star  (* non-affine subscript *)
+(* What one dimension says about the write and read instances. *)
+type dim =
+  | Indep          (* the subscripts never meet *)
+  | Dist of int    (* they meet only [k] iterations apart in the tested loop *)
+  | Any            (* unknown, or they may meet at any distance *)
 
-(* ZIV test: a dimension where neither subscript mentions any common loop
-   variable proves independence when both are distinct constants. *)
-let ziv_independent (sw : Affine.t option) (sr : Affine.t option) =
-  match (sw, sr) with
-  | Some aw, Some ar -> (
-    match (Affine.const_value aw, Affine.const_value ar) with
-    | Some a, Some b -> a <> b
-    | _ -> false)
-  | _ -> false
+let meet a b =
+  match (a, b) with
+  | Indep, _ | _, Indep -> Indep
+  | Any, d | d, Any -> d
+  | Dist x, Dist y -> if x = y then a else Indep
 
-let trip_count (ctx : Sections.loop_ctx) : int option =
-  match (ctx.llo, ctx.lhi) with
-  | Some lo, Some hi -> (
-    match (Affine.const_value lo, Affine.const_value hi) with
-    | Some l, Some h -> Some (max 0 (((h - l) / max 1 ctx.lstep) + 1))
-    | _ -> None)
+let trip_count (l : Sections.loop_ctx) : int option =
+  match (Option.bind l.llo Affine.const_value, Option.bind l.lhi Affine.const_value) with
+  | Some lo, Some hi when l.lstep <> 0 ->
+    if (hi - lo) * l.lstep < 0 then Some 0 else Some (((hi - lo) / l.lstep) + 1)
   | _ -> None
+
+(* ZIV: subscripts that differ by a nonzero constant never meet. *)
+let ziv aw ar =
+  match Affine.const_value (Affine.sub aw ar) with
+  | Some k when k <> 0 -> Indep
+  | _ -> Any
+
+(* Weak-zero SIV: [a = c*v + rest] over the loop's range never equals
+   [f].  Bounds may be symbolic when they differ from [f] by a
+   constant. *)
+let out_of_range (l : Sections.loop_ctx) c rest f =
+  let vmin, vmax = if l.lstep > 0 then (l.llo, l.lhi) else (l.lhi, l.llo) in
+  let at v = Option.map (fun b -> Affine.add (Affine.scale c b) rest) v in
+  let lower, upper = if c > 0 then (at vmin, at vmax) else (at vmax, at vmin) in
+  let above x y =
+    match Option.map (fun x -> Affine.const_value (Affine.sub x y)) x with
+    | Some (Some k) -> k >= 1
+    | _ -> false
+  in
+  above lower f || match upper with Some u -> above (Some f) u | None -> false
+
+(* One subscript pair at loop [l] (None: the loop-independent test). *)
+let dim_test ~free (l : Sections.loop_ctx option) sw sr =
+  match (sw, sr, l) with
+  | Some aw, Some ar, _
+    when List.exists (fun v -> Affine.coeff_of v aw <> 0 || Affine.coeff_of v ar <> 0) free ->
+    Any
+  | Some aw, Some ar, None -> ziv aw ar
+  | Some aw, Some ar, Some l when l.Sections.lstep <> 0 -> (
+    let v = l.Sections.lvar in
+    let cw = Affine.coeff_of v aw and cr = Affine.coeff_of v ar in
+    let rw = Affine.drop_var v aw and rr = Affine.drop_var v ar in
+    if cw = 0 && cr = 0 then ziv aw ar
+    else if cw = cr then
+      (* strong SIV: cw*i_w + rw = cw*i_r + rr *)
+      match Affine.const_value (Affine.sub rw rr) with
+      | Some diff when diff mod cw <> 0 -> Indep
+      | Some diff -> (
+        (* a distance that is not a whole number of iterations never
+           meets; it is kept as one iteration in its direction, so
+           red-black sweeps keep their run-time resolution *)
+        let d = diff / cw in
+        let k = if d mod l.lstep = 0 then d / l.lstep else compare (d * l.lstep) 0 in
+        match trip_count l with Some n when abs k >= n -> Indep | _ -> Dist k)
+      | None -> Any
+    else if cr = 0 && out_of_range l cw rw ar then Indep
+    else if cw = 0 && out_of_range l cr rr aw then Indep
+    else Any)
+  | _ -> Any
 
 (* True-dependence levels from write [w] to read [r] on the same array.
    [w] and [r] must refer to the same array; statements are ordered by
    sid (textual order). *)
 let true_dep (w : Sections.ref_info) (r : Sections.ref_info) : result =
   assert (String.equal w.Sections.array r.Sections.array);
-  if List.length w.subs <> List.length r.subs then
-    (* reshaping: assume dependence everywhere *)
-    { carried = List.mapi (fun i _ -> i + 1) (common_loops w.loops r.loops);
-      loop_independent = true }
-  else begin
-    let commons = common_loops w.loops r.loops in
-    if List.exists2 (fun sw sr -> ziv_independent sw sr) w.subs r.subs then
-      no_dependence
-    else begin
-      (* Per-common-loop distance: combine over dimensions; conflicting
-         exact distances prove independence. *)
-      let distances =
-        List.map
-          (fun ctx ->
-            let v = ctx.Sections.lvar in
-            List.fold_left2
-              (fun acc sw sr ->
-                match (acc, dim_distance v sw sr) with
-                | No_dep, _ | _, No_dep -> No_dep
-                | Star, d -> d
-                | d, Star -> d
-                | Dist a, Dist b -> if a = b then Dist a else No_dep)
-              Star w.subs r.subs)
-          commons
-      in
-      if List.mem No_dep distances then no_dependence
-      else begin
-        (* Clip exact distances by trip counts. *)
-        let distances =
-          List.map2
-            (fun ctx d ->
-              match d with
-              | Dist k -> (
-                match trip_count ctx with
-                | Some n when abs k >= n -> No_dep
-                | _ -> Dist k)
-              | d -> d)
-            commons distances
-        in
-        if List.mem No_dep distances then no_dependence
-        else begin
-          (* A flow dependence at level L needs distances 0 (or Star) at
-             levels < L and a positive (or Star) distance at L. *)
-          let n = List.length distances in
-          let dist_arr = Array.of_list distances in
-          let carried = ref [] in
-          let prefix_can_be_zero upto =
-            let ok = ref true in
-            for i = 0 to upto - 1 do
-              match dist_arr.(i) with Dist 0 | Star -> () | _ -> ok := false
-            done;
-            !ok
-          in
-          for level = 1 to n do
-            let d = dist_arr.(level - 1) in
-            let positive = match d with Dist k -> k > 0 | Star -> true | No_dep -> false in
-            if positive && prefix_can_be_zero (level - 1) then
-              carried := level :: !carried
-          done;
-          (* Loop-independent: all distances can be zero and the write
-             precedes the read textually. *)
-          let all_zero =
-            Array.for_all (function Dist 0 | Star -> true | _ -> false) dist_arr
-          in
-          let loop_independent = all_zero && w.sid <= r.sid in
-          { carried = List.rev !carried; loop_independent }
-        end
-      end
-    end
-  end
-
-(* Deepest level at which any true dependence onto [read] is carried by a
-   loop enclosing the read, considering all writes in [refs] to the same
-   array.  [None] = no loop-carried true dependence: communication can be
-   vectorized out of the read's whole loop nest. *)
-let deepest_true_dep_level (refs : Sections.ref_info list)
-    (read : Sections.ref_info) : int option =
-  List.fold_left
-    (fun acc w ->
-      if w.Sections.is_write && String.equal w.Sections.array read.Sections.array
-      then begin
-        let { carried; _ } = true_dep w read in
-        List.fold_left
-          (fun acc l -> match acc with Some m when m >= l -> acc | _ -> Some l)
-          acc carried
-      end
-      else acc)
-    None refs
+  let commons = common_loops w.loops r.loops in
+  let vars loops = List.map (fun l -> l.Sections.lvar) loops in
+  let not_common loops = List.filteri (fun i _ -> i >= List.length commons) loops in
+  let outside = vars (not_common w.loops) @ vars (not_common r.loops) in
+  let test ~free l =
+    if List.length w.subs <> List.length r.subs then Any  (* reshaping *)
+    else List.fold_left2 (fun acc sw sr -> meet acc (dim_test ~free l sw sr)) Any w.subs r.subs
+  in
+  let carried =
+    commons
+    |> List.mapi (fun i l ->
+           let deeper = vars (List.filteri (fun j _ -> j > i) commons) in
+           match test ~free:(deeper @ outside) (Some l) with
+           | Any -> Some (i + 1)
+           | Dist k when k > 0 -> Some (i + 1)
+           | _ -> None)
+    |> List.filter_map Fun.id
+  in
+  { carried;
+    loop_independent = test ~free:outside None <> Indep && w.sid <= r.sid }

@@ -1,5 +1,5 @@
-(** Data-dependence testing over affine subscripts (ZIV and strong-SIV,
-    conservative "star" directions elsewhere), specialized to what
+(** Data-dependence testing over affine subscripts (ZIV, strong-SIV and
+    weak-zero SIV, conservative elsewhere), specialized to what
     Fortran D communication analysis needs: the loop levels at which a
     *true* (flow) dependence from a write to a read may be carried.
 
@@ -14,12 +14,10 @@ type result = {
 }
 
 val true_dep : Sections.ref_info -> Sections.ref_info -> result
-(** Flow dependence from a write to a read of the same array.  Exact
-    distances are clipped by trip counts; unknown subscripts yield
-    conservative (possible) dependences. *)
-
-val deepest_true_dep_level :
-  Sections.ref_info list -> Sections.ref_info -> int option
-(** Deepest level at which any write in the list carries a true
-    dependence onto [read]; [None] means communication for the read can
-    be vectorized out of its whole loop nest. *)
+(** Flow dependence from a write to a read of the same array.  Each
+    level is tested with the loops above it at equal iterations; exact
+    distances count iterations of the loop's step and are clipped by
+    trip counts; unknown subscripts yield conservative (possible)
+    dependences.  [loop_independent] holds when the write may reach the
+    read in the same iterations of every common loop and does not follow
+    it textually. *)

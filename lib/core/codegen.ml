@@ -38,6 +38,8 @@ type state = {
          compilation order *)
   pseudo_sids : Dynamic_decomp.sids;  (* ids of this compile's remap$ statements *)
   mutable printers : string list;  (* compiled procedures that print, themselves or below *)
+  remapped : (string, Side_effects.S.t) Hashtbl.t;
+      (* interface names each compiled procedure remaps, itself or below *)
 }
 
 let fresh st =
@@ -58,6 +60,7 @@ type proc_ctx = {
   symtab : Symtab.t;
   interface : string list;  (* formals, then COMMON names: what callers see *)
   refs : Sections.ref_info list;
+  writes : Sections.ref_info list;  (* stores and call effects, for placement *)
   override : Decomp.t SM.t;  (* formals whose Before-remap was exported *)
   (* analysis results filled by pre-passes *)
   mutable partitions : (int * partition) list;      (* loop sid -> decision *)
@@ -439,11 +442,147 @@ let mark_fallback ctx sid =
 
 let add_placement ctx sid rq = ctx.placements <- ctx.placements @ [ (sid, rq) ]
 
-(* The read's other dimensions widened over its enclosing loops: the
+(* --- Placement: message vectorization ------------------------------------ *)
+
+let in_c_owner_mode ctx = ctx.proc_constraint <> Exports.C_none
+
+let remapped_by st callee =
+  Option.value (Hashtbl.find_opt st.remapped callee) ~default:Side_effects.S.empty
+
+(* Does [stmts] remap [array], itself or through a callee? *)
+let remaps ctx array (stmts : Ast.stmt list) =
+  let found = ref false in
+  Ast.iter_stmts
+    (fun s ->
+      match s.Ast.kind with
+      | Ast.Call (callee, actuals)
+        when Dynamic_decomp.is_remap_of array s
+             || Dynamic_decomp.as_remap s = None
+                && List.mem array (bound_arrays ctx callee actuals (remapped_by ctx.st callee)) ->
+        found := true
+      | _ -> ())
+    stmts;
+  !found
+
+(* A callee's subscript as a caller affine form, when it has one. *)
+let odim_affine ctx b (o : Exports.odim) =
+  match o with
+  | Exports.Oc_const c -> Some (Affine.const c)
+  | Exports.Oc_formal a -> Option.bind (subst_affine b a) (Affine.of_expr ctx.symtab)
+  | Exports.Oc_range _ | Exports.Oc_full _ -> None
+
+(* [x] inserted as dimension [dim] among the other dimensions. *)
+let with_dim dim x others =
+  List.filteri (fun i _ -> i < dim) others @ (x :: List.filteri (fun i _ -> i >= dim) others)
+
+(* One write per caller array a call modifies.  Its distributed
+   subscript is the callee's constraint index when the call is
+   partitioned or owner-guarded, its other subscripts those of the
+   callee's delayed shift; anything else is unknown. *)
+let call_writes ctx loops (s : Ast.stmt) callee actuals : Sections.ref_info list =
+  let b = binding_map ctx callee actuals in
+  let constrained =
+    match classify_call ctx loops s.Ast.sid callee actuals with
+    | W_by_loop { wl_array = a; wl_index = e; _ } | W_owner { wo_array = a; wo_index = e; _ } ->
+      Some (a, e)
+    | W_replicated | W_fallback -> None
+  in
+  List.map
+    (fun v ->
+      let rank = Symtab.rank ctx.symtab v in
+      let subs =
+        match dist_info ctx s.Ast.sid v with
+        | None -> List.init rank (fun _ -> None)
+        | Some (dim, _) ->
+          let index =
+            match constrained with
+            | Some (a, e) when String.equal a v -> Affine.of_expr ctx.symtab e
+            | _ -> None
+          in
+          let others =
+            List.find_map
+              (function
+                | Exports.P_shift { ps_array; ps_write_other = Some wo; _ }
+                  when bound_array ctx b ps_array = Some v ->
+                  Some (List.map (odim_affine ctx b) wo)
+                | _ -> None)
+              (export_of ctx.st callee).Exports.ex_comms
+          in
+          with_dim dim index (Option.value others ~default:(List.init (rank - 1) (fun _ -> None)))
+      in
+      { Sections.array = v; sid = s.Ast.sid; is_write = true; subs; loops })
+    (bound_arrays ctx callee actuals (Side_effects.gmod ctx.st.effects callee))
+
+(* The writes placement must respect: the stores, then the calls'. *)
+let collect_writes ctx (body : Ast.stmt list) : Sections.ref_info list =
+  let out = ref [] in
+  let rec walk loops =
+    List.iter (fun (s : Ast.stmt) ->
+        match s.Ast.kind with
+        | Ast.Do d -> walk (loops @ [ loop_ctx_of ctx s d ]) d.Ast.body
+        | Ast.If i ->
+          walk loops i.Ast.then_;
+          walk loops i.Ast.else_
+        | Ast.Call (callee, actuals) when Dynamic_decomp.as_remap s = None ->
+          out := !out @ call_writes ctx loops s callee actuals
+        | _ -> ())
+  in
+  walk [] body;
+  List.filter (fun (r : Sections.ref_info) -> r.Sections.is_write) ctx.refs @ !out
+
+(* Message vectorization (paper Section 5).  Communication for [read]
+   climbs out of its enclosing loops, innermost first, and crosses loop
+   L only when no write inside L has a true dependence onto the read
+   carried at L's level or deeper, no earlier statement inside L writes
+   it loop-independently, nothing inside L remaps the array, and the
+   message's distributed [index] (None: unknown) does not vary in L.
+   Returns the loops crossed, outermost first, and whether the message
+   may also leave the whole body, i.e. go to the callers.  An
+   owner-constrained body runs on one owner, which writes only elements
+   it owns, so there only remaps hold a message back. *)
+let place ctx ~(read : Sections.ref_info) ~index (enclosing : (Ast.stmt * Ast.do_stmt) list) =
+  let writes = if in_c_owner_mode ctx then [] else ctx.writes in
+  let held ~level ~inside =
+    List.exists
+      (fun (w : Sections.ref_info) ->
+        String.equal w.Sections.array read.Sections.array
+        && inside w
+        &&
+        let d = Dependence.true_dep w read in
+        List.exists (fun l -> l >= level) d.Dependence.carried
+        || (d.Dependence.loop_independent && w.Sections.sid < read.Sections.sid))
+      writes
+  in
+  let rec climb crossed level = function
+    | [] ->
+      ( crossed,
+        not
+          (held ~level:1 ~inside:(fun _ -> true)
+          || Side_effects.S.mem read.Sections.array (remapped_by ctx.st ctx.pname)) )
+    | ((s : Ast.stmt), (d : Ast.do_stmt)) :: outer ->
+      let inside (w : Sections.ref_info) =
+        List.exists (fun l -> l.Sections.lsid = s.Ast.sid) w.Sections.loops
+      in
+      if
+        Option.fold index ~none:true ~some:(fun a -> Affine.coeff_of d.Ast.var a <> 0)
+        || held ~level ~inside
+        || remaps ctx read.Sections.array d.Ast.body
+      then (crossed, false)
+      else climb ((s, d) :: crossed) (level - 1) outer
+  in
+  climb [] (List.length enclosing) (List.rev enclosing)
+
+(* The statement a message placed outside [crossed] goes before. *)
+let placed_at sid = function [] -> sid | ((s : Ast.stmt), _) :: _ -> s.Ast.sid
+
+let over_loops ctx crossed = List.map (fun (s, d) -> loop_ctx_of ctx s d) crossed
+
+(* The read's other dimensions widened over the crossed loops: the
    run-time forms, and the forms a subroutine exports to its callers
-   when the read may be exported at all (interprocedural strategy, an
-   array callers see, every dimension translatable). *)
-let widen_others ctx (r : Sections.ref_info) dim :
+   when the read may be exported at all (it leaves the whole body under
+   the interprocedural strategy, callers see the array, every dimension
+   translates). *)
+let widen_others ctx (r : Sections.ref_info) dim crossed ~whole :
     Comm.other_dim list * Exports.odim list option =
   let widened =
     List.combine r.Sections.subs (bounds_of ctx r.Sections.array)
@@ -451,21 +590,47 @@ let widen_others ctx (r : Sections.ref_info) dim :
     |> List.map (fun (sub, (lo, hi)) ->
            match sub with
            | None -> (Comm.Od_full (lo, hi), Some (Exports.Oc_full (lo, hi)))
-           | Some sa -> widen_other_dim ctx r.Sections.loops (Affine.to_expr sa) (lo, hi))
+           | Some sa ->
+             widen_other_dim ctx (over_loops ctx crossed) (Affine.to_expr sa) (lo, hi))
   in
   ( List.map fst widened,
     if
-      ctx.st.opts.Options.strategy = Options.Interproc
+      whole
+      && ctx.st.opts.Options.strategy = Options.Interproc
       && ctx.cu.Sema.unit_.Ast.ukind = Ast.Subroutine
       && inherits ctx r.Sections.array
     then Listx.all_some (List.map snd widened)
     else None )
 
+(* A caller-side other dimension widened over the crossed loops. *)
+let widen_od ctx crossed (od : Comm.other_dim) (lo, hi) =
+  let over = over_loops ctx crossed in
+  let fixed e =
+    over = [] || Option.fold (Affine.of_expr ctx.symtab e) ~none:false ~some:(loop_free over)
+  in
+  match od with
+  | Comm.Od_point e when not (fixed e) -> fst (widen_other_dim ctx over e (lo, hi))
+  | Comm.Od_range (a, b) when not (fixed a && fixed b) -> Comm.Od_full (lo, hi)
+  | od -> od
+
 (* Process one distributed read reference for communication.
-   [stmt_class] is the classification of the statement containing it. *)
-let process_read ctx (r : Sections.ref_info) (stmt_class : wclass)
-    ~(outermost_sid : int option) =
+   [stmt_class] is the classification of the statement containing it,
+   [loops] its enclosing loops. *)
+let process_read ctx (r : Sections.ref_info) (stmt_class : wclass) loops =
   let fallback () = mark_fallback ctx r.Sections.sid in
+  (* Place the message where [place] lets it go, or export it.  Every
+     processor must reach it, so it may not stay in a partitioned loop. *)
+  let deliver dim ~index ~export request =
+    let crossed, whole = place ctx ~read:r ~index loops in
+    let partitioned ((s : Ast.stmt), _) =
+      (not (List.mem_assq s crossed)) && partition_of ctx s.Ast.sid <> Unpart
+    in
+    if List.exists partitioned loops then fallback ()
+    else
+      match (widen_others ctx r dim crossed ~whole, export) with
+      | (_, Some ocs), Some export -> ctx.pending_out <- ctx.pending_out @ [ export ocs ]
+      | (ods, _), _ -> add_placement ctx (placed_at r.Sections.sid crossed) (request ods)
+  in
   match dist_info ctx r.Sections.sid r.Sections.array with
   | None -> ()
   | Some (dim, layout) -> (
@@ -495,22 +660,18 @@ let process_read ctx (r : Sections.ref_info) (stmt_class : wclass)
           | Exports.C_owner { co_index; _ }, Some fa -> Affine.equal fa co_index
           | _ -> false)
       in
-      if not local then begin
-        match (widen_others ctx r dim, formal_affine ctx index_expr) with
-        | (_, Some ocs), Some fa ->
-          ctx.pending_out <-
-            ctx.pending_out
-            @ [ Exports.P_invariant
-                  { pi_array = r.Sections.array; pi_dim = dim; pi_index = fa; pi_other = ocs } ]
-        | (ods, _), _ ->
-          (* place before the outermost enclosing loop: the index has no
-             loop variables, so it is invariant in all of them *)
-          add_placement ctx
-            (Option.value outermost_sid ~default:r.Sections.sid)
-            (Rq_bcast
-               { rb_array = r.Sections.array; rb_layout = layout; rb_dim = dim;
-                 rb_index = index_expr; rb_other = ods })
-      end
+      if not local then
+        deliver dim ~index:(Some a)
+          ~export:
+            (Option.map
+               (fun fa ocs ->
+                 Exports.P_invariant
+                   { pi_array = r.Sections.array; pi_dim = dim; pi_index = fa; pi_other = ocs })
+               (formal_affine ctx index_expr))
+          (fun ods ->
+            Rq_bcast
+              { rb_array = r.Sections.array; rb_layout = layout; rb_dim = dim;
+                rb_index = index_expr; rb_other = ods })
     | Some a -> (
       match unit_stride_in r.Sections.loops a with
       | None -> fallback ()
@@ -522,44 +683,40 @@ let process_read ctx (r : Sections.ref_info) (stmt_class : wclass)
           then fallback ()
           else begin
             let need = Array.map (Iset.shift c) sets in
-            if Array.for_all2 Iset.subset need (owned_of_layout ctx layout) then ()
-            else if Dependence.deepest_true_dep_level ctx.refs r <> None then
-              (* any loop-carried true dependence forces per-iteration
-                 communication: fall back to run-time resolution *)
-              fallback ()
-            else
-              (* widen other dims over all enclosing loops; place before
-                 the outermost loop, or export *)
-              match (widen_others ctx r dim, outermost_sid) with
-              | (_, Some ocs), _ ->
-                (* the partitioned write's other-dim subscripts, for the
-                   caller's disjointness test *)
-                let write_other =
-                  List.find_map
-                    (fun (w : Sections.ref_info) ->
-                      if w.Sections.is_write && String.equal w.Sections.array r.Sections.array
-                      then
-                        List.filteri (fun i _ -> i <> dim) w.Sections.subs
-                        |> List.map (fun sub ->
-                               Option.bind sub (fun sa ->
-                                   Option.map
-                                     (fun fa -> Exports.Oc_formal fa)
-                                     (formal_affine ctx (Affine.to_expr sa))))
-                        |> Listx.all_some
-                      else None)
-                    ctx.refs
-                in
-                ctx.pending_out <-
-                  ctx.pending_out
-                  @ [ Exports.P_shift
-                        { ps_array = r.Sections.array; ps_dim = dim; ps_need = need;
-                          ps_other = ocs; ps_write_other = write_other } ]
-              | (ods, None), Some osid ->
-                add_placement ctx osid
-                  (Rq_shift
-                     { rs_array = r.Sections.array; rs_layout = layout; rs_dim = dim;
-                       rs_need = need; rs_other = ods })
-              | (_, None), None -> fallback ()
+            (* the other-dim subscripts of every write to the array, when
+               they agree, for the caller's dependence test *)
+            let write_other =
+              List.filter_map
+                (fun (w : Sections.ref_info) ->
+                  if not (String.equal w.Sections.array r.Sections.array) then None
+                  else
+                    Some
+                      (List.filteri (fun i _ -> i <> dim) w.Sections.subs
+                      |> List.map (fun sub ->
+                             Option.bind sub (fun sa ->
+                                 Option.map
+                                   (fun fa -> Exports.Oc_formal fa)
+                                   (formal_affine ctx (Affine.to_expr sa))))
+                      |> Listx.all_some))
+                ctx.writes
+            in
+            if not (Array.for_all2 Iset.subset need (owned_of_layout ctx layout)) then
+              (* the message covers every iteration of l: its index is fixed *)
+              deliver dim ~index:(Some (Affine.const 0))
+                ~export:
+                  (Some
+                     (fun ocs ->
+                       Exports.P_shift
+                         { ps_array = r.Sections.array; ps_dim = dim; ps_need = need;
+                           ps_other = ocs;
+                           ps_write_other =
+                             (match List.sort_uniq compare write_other with
+                             | [ o ] -> o
+                             | _ -> None) }))
+                (fun ods ->
+                  Rq_shift
+                    { rs_array = r.Sections.array; rs_layout = layout; rs_dim = dim;
+                      rs_need = need; rs_other = ods })
           end
         | Part_symbolic _ ->
           (* symbolic partitions support owner-aligned reads only *)
@@ -878,100 +1035,10 @@ let partition_pass ctx (body : Ast.stmt list) =
   in
   walk [] body
 
-(* Does hoisting a read of [array] (dist dim [dim], index [idx_aff] over
-   proc-local names) out of partitioned loop [l] interfere with writes
-   performed inside the loop? *)
-let hoist_interferes (l : Sections.loop_ctx) (lp : partition) ~array ~dim
-    ~(idx_aff : Affine.t option) (loop_body_writes : (string * int option) list) : bool =
-  (* loop_body_writes: (array, Some shift) for partition candidates,
-     (array, None) for arbitrary writes *)
-  List.exists
-    (fun (warr, wshift) ->
-      if not (String.equal warr array) then false
-      else
-        match (lp, wshift, idx_aff, l.Sections.llo, l.Sections.lhi) with
-        | Part_concrete _, Some c, Some idx, Some lo, _
-        | Part_symbolic _, Some c, Some idx, Some lo, _ -> (
-          (* candidate writes touch dist indices [lo+c .. hi+c] of [dim];
-             safe when idx provably below lo+c (or above hi+c) *)
-          ignore dim;
-          let below = Affine.sub (Affine.add lo (Affine.const c)) idx in
-          match Affine.const_value below with
-          | Some k when k >= 1 -> false
-          | _ -> (
-            match l.Sections.lhi with
-            | Some hi -> (
-              let above = Affine.sub idx (Affine.add hi (Affine.const c)) in
-              match Affine.const_value above with
-              | Some k when k >= 1 -> false
-              | _ -> true)
-            | None -> true))
-        | _ -> true)
-    loop_body_writes
-
-(* Writes inside a loop subtree: direct stores plus arrays modified by
-   called procedures (candidates annotated with their shift). *)
-let subtree_writes ctx ?(loops0 = []) (stmts : Ast.stmt list) : (string * int option) list =
-  let out = ref [] in
-  let rec walk loops ss =
-    List.iter
-      (fun (s : Ast.stmt) ->
-        match s.Ast.kind with
-        | Ast.Do d -> walk (loops @ [ loop_ctx_of ctx s d ]) d.body
-        | Ast.If i ->
-          walk loops i.then_;
-          walk loops i.else_
-        | Ast.Assign (lhs, _) -> (
-          match lhs with
-          | Ast.Ref (name, _) -> (
-            match classify_store ctx loops s.Ast.sid lhs with
-            | W_by_loop b -> out := (name, Some b.wl_shift) :: !out
-            | _ -> out := (name, None) :: !out)
-          | _ -> ())
-        | Ast.Call (callee, actuals) when Dynamic_decomp.as_remap s = None ->
-          (* every array the call modifies; a partitioned call writes its
-             constraint array at the loop index *)
-          let mods = bound_arrays ctx callee actuals (Side_effects.gmod ctx.st.effects callee) in
-          let mods =
-            match classify_call ctx loops s.Ast.sid callee actuals with
-            | W_by_loop b ->
-              (b.wl_array, Some b.wl_shift)
-              :: List.filter_map
-                   (fun v -> if String.equal v b.wl_array then None else Some (v, None))
-                   mods
-            | _ -> List.map (fun v -> (v, None)) mods
-          in
-          out := mods @ !out
-        | _ -> ())
-      ss
-  in
-  walk loops0 stmts;
-  !out
-
-(* Placement for a broadcast-style request: hoist outward from the
-   reference while safe; returns the sid to place before. *)
-let bcast_placement ctx (enclosing : (Ast.stmt * Ast.do_stmt) list) (* innermost last *)
-    ~array ~dim ~(idx_aff : Affine.t option) ~(stmt_sid : int) : int =
-  let rec climb placed = function
-    | [] -> placed
-    | (s, (d : Ast.do_stmt)) :: outer ->
-      (* [s] is the innermost not-yet-crossed loop; crossing it is safe if
-         its body's writes don't interfere *)
-      let l = loop_ctx_of ctx s d in
-      let lp = partition_of ctx s.Ast.sid in
-      let writes = subtree_writes ctx ~loops0:[ l ] d.Ast.body in
-      if hoist_interferes l lp ~array ~dim ~idx_aff writes then placed
-      else climb s.Ast.sid outer
-  in
-  climb stmt_sid (List.rev enclosing)
-
 (* --- Communication pass -------------------------------------------------- *)
 
-(* A call's identity for the hoisting test: callee and printed actuals. *)
-let call_sig callee actuals =
-  callee ^ "|" ^ String.concat "," (List.map Ast_printer.expr_to_string actuals)
-
-(* Instantiate or re-delay a callee's pending communications at a call. *)
+(* Instantiate a callee's pending communications at a call, as reads at
+   the call placed by the same rule as the caller's own. *)
 let process_call_pendings ctx (loops : (Ast.stmt * Ast.do_stmt) list) sid callee actuals =
   let ex = export_of ctx.st callee in
   if ex.Exports.ex_comms <> [] then begin
@@ -988,112 +1055,47 @@ let process_call_pendings ctx (loops : (Ast.stmt * Ast.do_stmt) list) sid callee
         | Some ea, Some eb -> Some (Comm.Od_range (ea, eb))
         | _ -> None)
     in
-    (* the caller array a request names, when it is distributed in the
-       request's dimension *)
-    let with_array name pdim k =
+    (* Place the request for the callee's read of [name] in dimension
+       [pdim] when the caller array is distributed there.  [index] is a
+       broadcast's subscript; a shift's needed sets are fixed. *)
+    let deliver name pdim ~index others request =
       match bound_array ctx bindings name with
       | None -> fallback ()
       | Some arr -> (
-        match dist_info ctx sid arr with
-        | None -> ()  (* replicated at the call: data available everywhere *)
-        | Some (dim, _) when dim <> pdim -> fallback ()
-        | Some (dim, layout) -> k arr dim layout)
+        match (dist_info ctx sid arr, Listx.all_some (List.map subst_odim others)) with
+        | None, _ -> ()  (* replicated at the call: data available everywhere *)
+        | Some (dim, _), _ when dim <> pdim -> fallback ()
+        | Some _, None -> fallback ()
+        | Some (dim, layout), Some ods ->
+          let sub = Option.bind index (Affine.of_expr ctx.symtab) in
+          let read =
+            { Sections.array = arr; sid; is_write = false;
+              subs = with_dim dim sub (List.map (odim_affine ctx bindings) others);
+              loops = List.map (fun (s, d) -> loop_ctx_of ctx s d) loops }
+          in
+          let index = if index = None then Some (Affine.const 0) else sub in
+          let crossed, _ = place ctx ~read ~index loops in
+          let bounds = List.filteri (fun i _ -> i <> dim) (bounds_of ctx arr) in
+          add_placement ctx (placed_at sid crossed)
+            (request arr layout (List.map2 (widen_od ctx crossed) ods bounds)))
     in
     List.iter
       (fun (p : Exports.pending) ->
         match p with
-        | Exports.P_invariant { pi_array; pi_dim; pi_index; pi_other } ->
-          with_array pi_array pi_dim (fun arr dim layout ->
-              match
-                (subst_affine bindings pi_index, Listx.all_some (List.map subst_odim pi_other))
-              with
-              | Some index_expr, Some others ->
-                let idx_aff = Affine.of_expr ctx.symtab index_expr in
-                add_placement ctx
-                  (bcast_placement ctx loops ~array:arr ~dim ~idx_aff ~stmt_sid:sid)
-                  (Rq_bcast
-                     { rb_array = arr; rb_layout = layout; rb_dim = dim;
-                       rb_index = index_expr; rb_other = others })
-              | _ -> fallback ())
-        | Exports.P_shift { ps_array; ps_dim; ps_need; ps_other; ps_write_other } ->
-          with_array ps_array ps_dim (fun arr dim layout ->
-              (* try to hoist out of the innermost enclosing partitioned
-                 loop when the callee's read and write sections are
-                 indexed identically by that loop in some dimension *)
-              let callee_sig = call_sig callee actuals in
-              (* writes to [arr] in a loop's body are harmless for
-                 hoisting only when they all come from call sites with
-                 this same callee and actuals (their sections are then
-                 indexed identically by the loop variable) *)
-              let rec only_same_call_writes stmts =
-                List.for_all
-                  (fun (t : Ast.stmt) ->
-                    match t.Ast.kind with
-                    | Ast.Do td -> only_same_call_writes td.Ast.body
-                    | Ast.If ti ->
-                      only_same_call_writes ti.Ast.then_ && only_same_call_writes ti.Ast.else_
-                    | Ast.Assign (Ast.Ref (n, _), _) -> not (String.equal n arr)
-                    | Ast.Assign (_, _) -> true
-                    | Ast.Call _ when Dynamic_decomp.as_remap t <> None ->
-                      not (Dynamic_decomp.is_remap_of arr t)
-                    | Ast.Call (tc, targs) ->
-                      String.equal (call_sig tc targs) callee_sig
-                      (* the call must not modify [arr] *)
-                      || not
-                           (List.mem arr
-                              (bound_arrays ctx tc targs (Side_effects.gmod ctx.st.effects tc)))
-                    | _ -> true)
-                  stmts
-              in
-              let hoisted =
-                match List.rev loops with
-                | (ls, ld) :: _ -> (
-                  let lvar = ld.Ast.var in
-                  match (only_same_call_writes ld.Ast.body, ps_write_other) with
-                  | true, Some wother
-                    when List.exists2
-                           (fun (ro : Exports.odim) (wo : Exports.odim) ->
-                             match (ro, wo) with
-                             | Exports.Oc_formal ra, Exports.Oc_formal wa -> (
-                               Affine.equal ra wa
-                               &&
-                               match subst_affine bindings ra with
-                               | Some (Ast.Var v) -> String.equal v lvar
-                               | _ -> false)
-                             | _ -> false)
-                           ps_other wother ->
-                    (* widen the loop-indexed dimensions over the loop
-                       range and place before the loop *)
-                    List.map
-                      (fun (ro : Exports.odim) ->
-                        match ro with
-                        | Exports.Oc_formal ra -> (
-                          match subst_affine bindings ra with
-                          | Some (Ast.Var v) when String.equal v lvar ->
-                            Some (Comm.Od_range (ld.Ast.lo, ld.Ast.hi))
-                          | Some e -> Some (Comm.Od_point e)
-                          | None -> None)
-                        | o -> subst_odim o)
-                      ps_other
-                    |> Listx.all_some
-                    |> Option.map (fun others -> (ls.Ast.sid, others))
-                  | _ -> None)
-                | [] -> None
-              in
-              let placed =
-                match hoisted with
-                | Some _ -> hoisted
-                | None ->
-                  Option.map (fun others -> (sid, others))
-                    (Listx.all_some (List.map subst_odim ps_other))
-              in
-              match placed with
-              | Some (target, others) ->
-                add_placement ctx target
-                  (Rq_shift
-                     { rs_array = arr; rs_layout = layout; rs_dim = dim; rs_need = ps_need;
-                       rs_other = others })
-              | None -> fallback ()))
+        | Exports.P_invariant { pi_array; pi_dim; pi_index; pi_other } -> (
+          match subst_affine bindings pi_index with
+          | None -> fallback ()
+          | Some index_expr ->
+            deliver pi_array pi_dim ~index:(Some index_expr) pi_other
+              (fun arr layout others ->
+                Rq_bcast
+                  { rb_array = arr; rb_layout = layout; rb_dim = pi_dim;
+                    rb_index = index_expr; rb_other = others }))
+        | Exports.P_shift { ps_array; ps_dim; ps_need; ps_other; _ } ->
+          deliver ps_array ps_dim ~index:None ps_other (fun arr layout others ->
+              Rq_shift
+                { rs_array = arr; rs_layout = layout; rs_dim = ps_dim; rs_need = ps_need;
+                  rs_other = others }))
       ex.Exports.ex_comms
   end
 
@@ -1119,13 +1121,10 @@ let comm_pass ctx (body : Ast.stmt list) =
     if not (List.mem s.Ast.sid ctx.fallbacks) then begin
       let loop_ctxs = List.map (fun (ls, ld) -> loop_ctx_of ctx ls ld) loops in
       let stmt_class = classify_stmt ctx loop_ctxs s in
-      let outermost_sid =
-        match loops with (ls, _) :: _ -> Some ls.Ast.sid | [] -> None
-      in
       List.iter
         (fun (r : Sections.ref_info) ->
           if (not r.Sections.is_write) && r.Sections.sid = s.Ast.sid then
-            process_read ctx r stmt_class ~outermost_sid)
+            process_read ctx r stmt_class loops)
         ctx.refs
     end
   in
@@ -1315,8 +1314,6 @@ let emit_remap ctx ~loc (r : Dynamic_decomp.remap) : Node.nstmt list =
       { array = r.Dynamic_decomp.rm_array; new_layout = layout;
         move = r.Dynamic_decomp.rm_move; site = fresh ctx.st; loc } ]
 
-let in_c_owner_mode ctx = ctx.proc_constraint <> Exports.C_none
-
 (* Scalar-result broadcasts for a guarded call. *)
 let call_scalar_bcasts ctx ~loc callee actuals root : Node.nstmt list =
   let ex = export_of ctx.st callee in
@@ -1458,7 +1455,7 @@ let new_ctx st (cu : Sema.checked_unit) : proc_ctx =
   let u = cu.Sema.unit_ in
   { st; cu; pname = u.Ast.uname; symtab = cu.Sema.symtab;
     interface = u.Ast.formals @ List.map fst (Symtab.commons cu.Sema.symtab);
-    refs = []; override = SM.empty; partitions = []; fallbacks = [];
+    refs = []; writes = []; override = SM.empty; partitions = []; fallbacks = [];
     placements = []; pending_out = []; proc_constraint = Exports.C_none;
     mod_scalars = SS.empty }
 
@@ -1527,7 +1524,11 @@ let compile_proc (st : state) (cu : Sema.checked_unit) : Node.nproc =
     else body
   in
   let ctx = { ctx with refs = Sections.collect symtab body } in
+  let ctx = { ctx with writes = collect_writes ctx body } in
   if prints ctx body then st.printers <- pname :: st.printers;
+  Hashtbl.replace st.remapped pname
+    (Side_effects.S.of_list
+       (List.filter (fun x -> Symtab.is_array symtab x && remaps ctx x body) ctx.interface));
   (* computation partitioning, constraint detection, communication *)
   partition_pass ctx body;
   ctx.proc_constraint <- detect_constraint ctx body;
@@ -1668,7 +1669,8 @@ let compile_analyzed ~sink (opts : Options.t)
   let st =
     { opts; sink; acg; rd; effects; counter = 0; exports = Hashtbl.create 16;
       partition_log = [];
-      pseudo_sids = Dynamic_decomp.new_sids (); printers = [] }
+      pseudo_sids = Dynamic_decomp.new_sids (); printers = [];
+      remapped = Hashtbl.create 16 }
   in
   let compile_one name =
     let cu = (Acg.proc acg name).Acg.cu in

@@ -26,6 +26,9 @@ type state = {
       (** statement ids of this compile's [remap$] pseudo-statements *)
   mutable printers : string list;
       (** compiled procedures that print, themselves or through a callee *)
+  remapped : (string, Side_effects.S.t) Hashtbl.t;
+      (** interface names each compiled procedure remaps, itself or
+          through a callee, under either compiling strategy *)
 }
 
 val export_of : state -> string -> Exports.t

@@ -453,6 +453,29 @@ let fuzz_case_196845 () =
       (Fd_fuzz.Harness.kind_detail k)
   | Fd_fuzz.Harness.Accepted | Fd_fuzz.Harness.Rejected -> ()
 
+(* The fuzz cases whose communication was hoisted past a loop-body
+   write (a stale copy, the first six) or past a callee's remap (a
+   dropped copy, the last two).  Each verifies under every strategy. *)
+let placement_seeds = [ 31860; 102525; 151076; 172361; 179298; 181366; 167028; 189043 ]
+
+let fuzz_cases_placement () =
+  List.iter
+    (fun seed ->
+      let src, _ = Fd_fuzz.Harness.gen_case seed in
+      List.iter
+        (fun strategy ->
+          match Fd_fuzz.Harness.run_case ~nprocs:4 ~strategy src with
+          | Fd_fuzz.Harness.Accepted -> ()
+          | Fd_fuzz.Harness.Rejected ->
+            Alcotest.failf "case %d under %s: rejected" seed (Fd_core.Options.strategy_name strategy)
+          | Fd_fuzz.Harness.Failed k ->
+            Alcotest.failf "case %d under %s: %s %s" seed
+              (Fd_core.Options.strategy_name strategy) (Fd_fuzz.Harness.kind_name k)
+              (Fd_fuzz.Harness.kind_detail k))
+        [ Fd_core.Options.Interproc; Fd_core.Options.Immediate;
+          Fd_core.Options.Runtime_resolution ])
+    placement_seeds
+
 (* --- Every scalar write keeps the cell's type ------------------------------- *)
 
 (* An implicitly REAL DO variable holds reals: x / 2 divides as reals. *)
@@ -497,5 +520,6 @@ let suite =
       peer_out_of_range;
     Alcotest.test_case "owner$ bounds-checks its subscript" `Quick owner_bounds_checked;
     Alcotest.test_case "fuzz case 196845 does not crash" `Quick fuzz_case_196845;
+    Alcotest.test_case "fuzz cases hoisted past writes and remaps" `Quick fuzz_cases_placement;
     Alcotest.test_case "a REAL DO variable holds reals" `Quick real_do_variable;
     Alcotest.test_case "a broadcast scalar keeps the cell's type" `Quick broadcast_keeps_type ]

@@ -567,3 +567,115 @@ let suite =
       Alcotest.test_case "CALL actuals reach every processor" `Quick
         call_actuals_reach_every_processor;
     ]
+
+(* --- Message placement: one dependence-driven rule ------------------------ *)
+
+(* A read of an element the same body wrote first: the broadcast may
+   not leave the body for the caller. *)
+let read_after_callee_write_src =
+  "program p\n  real a(16)\n  integer i\n  distribute a(block)\n\
+  \  do i = 1, 16\n    a(i) = float(i)\n  enddo\n  call g(a)\nend\n\
+   subroutine g(a)\n  real a(16)\n  a(13) = 99.0\n  print *, a(13)\nend\n"
+
+(* A shift read after a call that writes the element it reads: the
+   shift may not leave the loop. *)
+let shift_after_call_write_src =
+  "program p\n  real a(16), b(16)\n  integer i\n  distribute a(block)\n\
+  \  distribute b(block)\n  do i = 1, 16\n    a(i) = float(i)\n    b(i) = 0.0\n  enddo\n\
+  \  do i = 2, 16\n    call setc(a, i)\n    b(i) = a(i-1)\n  enddo\n  print *, b(5), b(16)\nend\n\
+   subroutine setc(a, k)\n  real a(16)\n  integer k\n  a(k) = a(k) * 10.0\nend\n"
+
+(* A dependence of distance 12 in a loop of step 2 is 6 iterations,
+   not 12: it is carried. *)
+let strided_dependence_src =
+  "program p\n  real a(32)\n  integer i\n  distribute a(block)\n\
+  \  do i = 1, 32\n    a(i) = float(i)\n  enddo\n\
+  \  do i = 13, 31, 2\n    a(i) = a(i-12) + 100.0\n  enddo\n  print *, a(25), a(31)\nend\n"
+
+(* An owner-constrained body runs on one owner: its broadcast of
+   another owner's a(j) leaves the loop that writes a(k), or the other
+   processors never join it. *)
+let owner_body_broadcast_src =
+  "program p\n  real a(16)\n  integer i\n  distribute a(block)\n\
+  \  do i = 1, 16\n    a(i) = float(i)\n  enddo\n  call f(a, 3, 12)\n  print *, a(3), a(12)\nend\n\
+   subroutine f(a, k, j)\n  real a(16)\n  integer k, j, i\n\
+  \  do i = 1, 4\n    a(k) = a(k) + a(j)\n  enddo\nend\n"
+
+(* Programs that read distributed elements, by PRINT or assignment,
+   inside loops that write those elements directly, through a call, or
+   through a call that remaps the array.  Every placement must agree
+   with the sequential run under every strategy. *)
+let placement_case st =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let n = 16 in
+  let dist = pick [ "block"; "cyclic" ] in
+  let sub () = pick [ "i"; "i - 1"; "i + 1"; string_of_int (1 + Random.State.int st n) ] in
+  let writer =
+    match Random.State.int st 4 with
+    | 0 -> let w = sub () in Fmt.str "a(%s) = a(%s) + 1.0" w w
+    | 1 -> Fmt.str "call setc(a, %s)" (sub ())
+    | 2 -> Fmt.str "call rphase(a, %s)" (sub ())
+    | _ -> Fmt.str "call rmark(a, %s)" (sub ())
+  in
+  let reader =
+    match Random.State.int st 4 with
+    | 0 -> Fmt.str "print *, a(%s)" (sub ())
+    | 1 -> Fmt.str "b(i) = a(%s)" (sub ())
+    | 2 -> Fmt.str "b(i) = a(%s) + a(%s)" (sub ()) (sub ())
+    | _ -> Fmt.str "call show(a, %s)" (sub ())
+  in
+  let body = if Random.State.bool st then [ writer; reader ] else [ reader; writer ] in
+  let loop =
+    Fmt.str "  do i = %d, %d\n%s  enddo\n" (2 + Random.State.int st 3) (n - 1 - Random.State.int st 3)
+      (String.concat "" (List.map (Fmt.str "    %s\n") body))
+  in
+  let loop = if Random.State.bool st then Fmt.str "  do t = 1, 2\n%s  enddo\n" loop else loop in
+  let redistribute = Fmt.str "  distribute a(%s)\n" (if dist = "block" then "cyclic" else "block") in
+  let callee (name, body) =
+    if List.exists (fun l -> String.starts_with ~prefix:("call " ^ name) l) [ writer; reader ] then
+      Fmt.str "subroutine %s(a, k)\n  real a(%d)\n  integer k, j\n%send\n" name n body
+    else ""
+  in
+  Fmt.str
+    "program p\n  real a(%d), b(%d)\n  integer i, t\n  distribute a(%s)\n\
+    \  distribute b(%s)\n  do i = 1, %d\n    a(i) = float(i)\n    b(i) = 0.0\n\
+    \  enddo\n%s  print *, a(1), a(%d), b(2), b(%d)\nend\n%s"
+    n n dist dist n loop n (n - 1)
+    (String.concat ""
+       (List.map callee
+          [ ("setc", "  a(k) = a(k) * 2.0 + 1.0\n");
+            (* the write sits in a loop: an owner-constrained callee may
+               not remap (ROADMAP) *)
+            ("rphase", redistribute ^ "  do j = k, k\n    a(j) = a(j) + 3.0\n  enddo\n");
+            ("rmark", redistribute);  (* remaps, and writes nothing *)
+            ("show", "  print *, a(k)\n") ]))
+
+let placement_property () =
+  let st = Random.State.make [| 0x91ace |] in
+  for case = 1 to 300 do
+    let src = placement_case st in
+    List.iter
+      (fun strategy ->
+        List.iter
+          (fun nprocs ->
+            let fail why =
+              Alcotest.failf "case %d under %s at P=%d: %s\n%s" case
+                (Options.strategy_name strategy) nprocs why src
+            in
+            match run ~nprocs ~strategy src with
+            | r -> if not (Driver.verified r) then fail "differs from the sequential run"
+            | exception Fd_machine.Scheduler.Sim_error e -> fail (Fd_machine.Scheduler.error_to_string e))
+          [ 3; 4; 7 ])
+      strategies
+  done
+
+let suite =
+  suite
+  @ [
+      verified_case "read after a callee's own write" read_after_callee_write_src;
+      verified_case "shift after a call that writes it" shift_after_call_write_src;
+      verified_case "dependence in a strided loop" strided_dependence_src;
+      verified_case "broadcast out of an owner-guarded body" owner_body_broadcast_src;
+      Alcotest.test_case "placement: reads past writes, calls, remaps" `Quick
+        placement_property;
+    ]

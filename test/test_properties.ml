@@ -6,39 +6,43 @@ open Fd_support
 open Fd_frontend
 open Fd_analysis
 
-let prop ?(count = 300) name gen f =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
+let prop ?(count = 300) ?print name gen f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen f)
 
 (* --- Dependence vs brute force ------------------------------------------ *)
 
-(* One loop, one statement: a(i + cw) = ... a(i + cr) ...  Brute-force the
+(* One loop, one statement: a(i + cw) = ... a(i + cr) ... over
+   [do i = lo, hi, step] with steps of either sign.  Brute-force the
    flow dependences and check true_dep covers them (it may be
    conservative, never unsound). *)
 let dep_case_gen =
   QCheck2.Gen.(
-    let* lo = int_range 1 5 in
-    let* trip = int_range 1 20 in
+    let* lo = int_range 30 50 in
+    let* trip = int_range 1 10 in
+    let* step = oneofl [ -3; -2; -1; 1; 2; 3 ] in
+    let* slack = int_range 0 (abs step - 1) in
     let* cw = int_range 0 6 in
     let* cr = int_range 0 6 in
-    return (lo, lo + trip - 1, cw, cr))
+    let hi = lo + (step * (trip - 1)) + (if step > 0 then slack else -slack) in
+    return (lo, hi, step, cw, cr))
 
-let brute_force_flow (lo, hi, cw, cr) =
-  (* is there a write iteration i1 and read iteration i2 with i1 < i2 and
-     i1 + cw = i2 + cr?  (same-iteration read happens before write here,
-     so equality does not create a flow dependence) *)
-  let carried = ref false in
-  for i1 = lo to hi do
-    for i2 = lo to hi do
-      if i1 < i2 && i1 + cw = i2 + cr then carried := true
-    done
-  done;
-  !carried
+let print_case (lo, hi, step, cw, cr) =
+  Fmt.str "do i = %d, %d, %d: a(i+%d) = a(i+%d)" lo hi step cw cr
 
-let make_refs (lo, hi, cw, cr) =
+let brute_force_flow (lo, hi, step, cw, cr) =
+  (* is there a write iteration t1 and a read iteration t2 with t1 < t2
+     and i(t1) + cw = i(t2) + cr?  (same-iteration read happens before
+     write here, so equality does not create a flow dependence) *)
+  let iters = List.init (((hi - lo) / step) + 1) (fun t -> lo + (t * step)) in
+  List.exists
+    (fun (t1, i1) -> List.exists (fun (t2, i2) -> t1 < t2 && i1 + cw = i2 + cr) (List.mapi (fun t i -> (t, i)) iters))
+    (List.mapi (fun t i -> (t, i)) iters)
+
+let make_refs (lo, hi, step, cw, cr) =
   let src =
     Fmt.str
-      "program p\n  real a(100)\n  integer i\n  do i = %d, %d\n    a(i+%d) = a(i+%d)\n  enddo\nend\n"
-      lo hi cw cr
+      "program p\n  real a(100)\n  integer i\n  do i = %d, %d, %d\n    a(i+%d) = a(i+%d)\n  enddo\nend\n"
+      lo hi step cw cr
   in
   let cu = List.hd (Sema.check_source src).Sema.units in
   let refs = Sections.collect cu.Sema.symtab cu.Sema.unit_.Ast.body in
@@ -47,8 +51,8 @@ let make_refs (lo, hi, cw, cr) =
   (w, r)
 
 let dep_brute_force =
-  prop "true_dep covers brute-force flow dependences" dep_case_gen
-    (fun ((_, _, _, _) as case) ->
+  prop "true_dep covers brute-force flow dependences" ~print:print_case dep_case_gen
+    (fun case ->
       let w, r = make_refs case in
       let d = Dependence.true_dep w r in
       let actual = brute_force_flow case in
@@ -57,12 +61,13 @@ let dep_brute_force =
 
 let dep_exactness =
   (* for strong-SIV single-variable cases the test is exact, not just
-     conservative *)
-  prop "true_dep is exact on strong SIV" dep_case_gen
-    (fun ((_, _, _, _) as case) ->
+     conservative, whenever the distance is a whole number of
+     iterations *)
+  prop "true_dep is exact on strong SIV" ~print:print_case dep_case_gen
+    (fun ((_, _, step, cw, cr) as case) ->
       let w, r = make_refs case in
       let d = Dependence.true_dep w r in
-      brute_force_flow case = (d.Dependence.carried <> []))
+      (cw - cr) mod step <> 0 || brute_force_flow case = (d.Dependence.carried <> []))
 
 (* --- Region algebra vs element-wise semantics ----------------------------- *)
 
