@@ -37,7 +37,9 @@ type state = {
       (* (procedure, human-readable loop-partition decision), in
          compilation order *)
   pseudo_sids : Dynamic_decomp.sids;  (* ids of this compile's remap$ statements *)
-  mutable printers : string list;  (* compiled procedures that print, themselves or below *)
+  mutable must_reach : string list;
+      (* compiled procedures an owner guard may not skip: they print or
+         remap, themselves or below *)
   remapped : (string, Side_effects.S.t) Hashtbl.t;
       (* interface names each compiled procedure remaps, itself or below *)
 }
@@ -300,106 +302,6 @@ let owned_of_layout ctx (layout : Layout.t) : Iset.t array =
 
 let loop_ctx_of ctx (s : Ast.stmt) (d : Ast.do_stmt) = Sections.loop_ctx ctx.symtab s d
 
-(* Candidate By_loop classifications attributed to loop [lsid] in subtree. *)
-let rec collect_candidates ctx loops lsid (stmts : Ast.stmt list) : wclass list =
-  List.concat_map
-    (fun (s : Ast.stmt) ->
-      match s.Ast.kind with
-      | Ast.Do d -> collect_candidates ctx (loops @ [ loop_ctx_of ctx s d ]) lsid d.body
-      | Ast.If i ->
-        collect_candidates ctx loops lsid i.then_
-        @ collect_candidates ctx loops lsid i.else_
-      | _ -> (
-        match classify_stmt ctx loops s with
-        | W_by_loop b when b.wl_lsid = lsid -> [ W_by_loop b ]
-        | _ -> []))
-    stmts
-
-(* A loop may only be partitioned when everything effectful in its body
-   is partitioned *by it*: a distributed write partitioned by another
-   loop, a single-owner write, a replicated-array write, a replicated
-   call, a print, a return, or a remap (collective!) all force full
-   iteration on every processor.  Scalar assignments are allowed: they
-   are either per-iteration temporaries or get their distributed reads
-   broadcast before the loop nest. *)
-let rec subtree_safe_for_partition ctx loops lsid (stmts : Ast.stmt list) : bool =
-  List.for_all
-    (fun (s : Ast.stmt) ->
-      match s.Ast.kind with
-      | Ast.Do d ->
-        subtree_safe_for_partition ctx (loops @ [ loop_ctx_of ctx s d ]) lsid d.body
-      | Ast.If i ->
-        subtree_safe_for_partition ctx loops lsid i.then_
-        && subtree_safe_for_partition ctx loops lsid i.else_
-      | Ast.Assign (lhs, _) -> (
-        match lhs with
-        | Ast.Var _ -> true  (* scalar temporary *)
-        | Ast.Ref (name, _) -> (
-          match classify_store ctx loops s.Ast.sid lhs with
-          | W_by_loop b -> b.wl_lsid = lsid
-          | W_owner _ | W_fallback -> false
-          | W_replicated ->
-            (* a replicated array written under a partition would leave
-               stale copies on the other processors *)
-            not (Symtab.is_array ctx.symtab name))
-        | _ -> false)
-      | Ast.Call _ when Dynamic_decomp.as_remap s <> None -> false
-      | Ast.Call (callee, actuals) -> (
-        match classify_call ctx loops s.Ast.sid callee actuals with
-        | W_by_loop b -> b.wl_lsid = lsid
-        | _ -> false)
-      | Ast.Align _ | Ast.Distribute _ -> true
-      | Ast.Return | Ast.Print _ -> false)
-    stmts
-
-let decide_partition ctx (loops_outer : Sections.loop_ctx list)
-    (l : Sections.loop_ctx) (body : Ast.stmt list) : partition =
-  let cands = collect_candidates ctx (loops_outer @ [ l ]) l.Sections.lsid body in
-  if
-    cands <> []
-    && not
-         (subtree_safe_for_partition ctx (loops_outer @ [ l ]) l.Sections.lsid body)
-  then Unpart
-  else
-  match cands with
-  | [] -> Unpart
-  | W_by_loop first :: rest ->
-    let same =
-      List.for_all
-        (function
-          | W_by_loop b ->
-            b.wl_shift = first.wl_shift && Layout.equal b.wl_layout first.wl_layout
-            && b.wl_dim = first.wl_dim
-          | _ -> false)
-        rest
-    in
-    if not same then Unpart
-    else begin
-      let owned = owned_of_layout ctx first.wl_layout in
-      match triplet_of_loop l with
-      | Some range ->
-        let sets =
-          Array.map
-            (fun o -> Iset.inter (Iset.shift (-first.wl_shift) o) (Iset.of_triplet range))
-            owned
-        in
-        Part_concrete
-          { sets;
-            p_guard_info =
-              { g_array = first.wl_array; g_dim = first.wl_dim; g_layout = first.wl_layout } }
-      | None ->
-        (* run-time loop bounds: symbolic partitioning for block/cyclic,
-           unit loop step only *)
-        if l.Sections.lstep <> 1 then Unpart
-        else (
-          match first.wl_layout.Layout.dist with
-          | Layout.Block _ | Layout.Cyclic ->
-            Part_symbolic
-              { layout = first.wl_layout; dim = first.wl_dim; shift = first.wl_shift }
-          | Layout.Block_cyclic _ | Layout.Replicated -> Unpart)
-    end
-  | _ -> Unpart
-
 (* --- Communication pre-pass -------------------------------------------- *)
 
 (* Widen an other-dimension subscript for placement outside the loops in
@@ -437,10 +339,9 @@ let widen_other_dim ctx (widen_over : Sections.loop_ctx list) (sub : Ast.expr)
 let partition_of ctx lsid =
   match List.assoc_opt lsid ctx.partitions with Some p -> p | None -> Unpart
 
-let mark_fallback ctx sid =
-  if not (List.mem sid ctx.fallbacks) then ctx.fallbacks <- sid :: ctx.fallbacks
-
-let add_placement ctx sid rq = ctx.placements <- ctx.placements @ [ (sid, rq) ]
+(* What one read needs: run-time resolution of its statement, a message
+   placed before a statement, or a message exported to the callers. *)
+type outcome = Fallback | Place of int * request | Export of Exports.pending
 
 (* --- Placement: message vectorization ------------------------------------ *)
 
@@ -613,29 +514,33 @@ let widen_od ctx crossed (od : Comm.other_dim) (lo, hi) =
   | Comm.Od_range (a, b) when not (fixed a && fixed b) -> Comm.Od_full (lo, hi)
   | od -> od
 
-(* Process one distributed read reference for communication.
+(* [place], or None when the message would stay inside a loop that
+   [part] partitions: every processor must reach it. *)
+let place_outside ctx ~part ~read ~index loops =
+  let crossed, whole = place ctx ~read ~index loops in
+  let partitioned ((s : Ast.stmt), _) = (not (List.mem_assq s crossed)) && part s.Ast.sid <> Unpart in
+  if List.exists partitioned loops then None else Some (crossed, whole)
+
+(* What one distributed read needs under the loop partitions [part].
    [stmt_class] is the classification of the statement containing it,
    [loops] its enclosing loops. *)
-let process_read ctx (r : Sections.ref_info) (stmt_class : wclass) loops =
-  let fallback () = mark_fallback ctx r.Sections.sid in
+let process_read ctx ~part (r : Sections.ref_info) (stmt_class : wclass) loops =
+  let fallback = Some Fallback in
   (* Place the message where [place] lets it go, or export it.  Every
      processor must reach it, so it may not stay in a partitioned loop. *)
   let deliver dim ~index ~export request =
-    let crossed, whole = place ctx ~read:r ~index loops in
-    let partitioned ((s : Ast.stmt), _) =
-      (not (List.mem_assq s crossed)) && partition_of ctx s.Ast.sid <> Unpart
-    in
-    if List.exists partitioned loops then fallback ()
-    else
+    match place_outside ctx ~part ~read:r ~index loops with
+    | None -> fallback
+    | Some (crossed, whole) -> (
       match (widen_others ctx r dim crossed ~whole, export) with
-      | (_, Some ocs), Some export -> ctx.pending_out <- ctx.pending_out @ [ export ocs ]
-      | (ods, _), _ -> add_placement ctx (placed_at r.Sections.sid crossed) (request ods)
+      | (_, Some ocs), Some export -> Some (Export (export ocs))
+      | (ods, _), _ -> Some (Place (placed_at r.Sections.sid crossed, request ods)))
   in
   match dist_info ctx r.Sections.sid r.Sections.array with
-  | None -> ()
+  | None -> None
   | Some (dim, layout) -> (
     match List.nth r.Sections.subs dim with
-    | None -> fallback ()
+    | None -> fallback
     | Some a when loop_free r.Sections.loops a ->
       (* loop-invariant distributed index: single owner *)
       let index_expr = Affine.to_expr a in
@@ -660,7 +565,8 @@ let process_read ctx (r : Sections.ref_info) (stmt_class : wclass) loops =
           | Exports.C_owner { co_index; _ }, Some fa -> Affine.equal fa co_index
           | _ -> false)
       in
-      if not local then
+      if local then None
+      else
         deliver dim ~index:(Some a)
           ~export:
             (Option.map
@@ -674,13 +580,13 @@ let process_read ctx (r : Sections.ref_info) (stmt_class : wclass) loops =
                 rb_index = index_expr; rb_other = ods })
     | Some a -> (
       match unit_stride_in r.Sections.loops a with
-      | None -> fallback ()
+      | None -> fallback
       | Some (l, c) -> (
         (* shift pattern relative to loop l *)
-        match partition_of ctx l.Sections.lsid with
+        match part l.Sections.lsid with
         | Part_concrete { sets; p_guard_info } ->
           if (not (Layout.equal p_guard_info.g_layout layout)) || p_guard_info.g_dim <> dim
-          then fallback ()
+          then fallback
           else begin
             let need = Array.map (Iset.shift c) sets in
             (* the other-dim subscripts of every write to the array, when
@@ -700,7 +606,8 @@ let process_read ctx (r : Sections.ref_info) (stmt_class : wclass) loops =
                       |> Listx.all_some))
                 ctx.writes
             in
-            if not (Array.for_all2 Iset.subset need (owned_of_layout ctx layout)) then
+            if Array.for_all2 Iset.subset need (owned_of_layout ctx layout) then None
+            else
               (* the message covers every iteration of l: its index is fixed *)
               deliver dim ~index:(Some (Affine.const 0))
                 ~export:
@@ -720,95 +627,322 @@ let process_read ctx (r : Sections.ref_info) (stmt_class : wclass) loops =
           end
         | Part_symbolic _ ->
           (* symbolic partitions support owner-aligned reads only *)
-          if c <> 0 then fallback ()
+          if c <> 0 then fallback else None
         | Unpart ->
           (* read scans a distributed dimension from replicated code *)
-          fallback ())))
+          fallback)))
+
+(* A callee's pending communications instantiated at a call, as reads
+   at the call placed by the same rule as the caller's own. *)
+let process_call_pendings ctx ~part (loops : (Ast.stmt * Ast.do_stmt) list) sid callee actuals =
+  let ex = export_of ctx.st callee in
+  let bindings = binding_map ctx callee actuals in
+  let fallback = Some Fallback in
+  let subst_odim (o : Exports.odim) : Comm.other_dim option =
+    match o with
+    | Exports.Oc_const c -> Some (Comm.Od_point (int_e c))
+    | Exports.Oc_full (lo, hi) -> Some (Comm.Od_full (lo, hi))
+    | Exports.Oc_formal a -> Option.map (fun e -> Comm.Od_point e) (subst_affine bindings a)
+    | Exports.Oc_range (a, b) -> (
+      match (subst_affine bindings a, subst_affine bindings b) with
+      | Some ea, Some eb -> Some (Comm.Od_range (ea, eb))
+      | _ -> None)
+  in
+  (* Place the request for the callee's read of [name] in dimension
+     [pdim] when the caller array is distributed there.  [index] is a
+     broadcast's subscript; a shift's needed sets are fixed. *)
+  let deliver name pdim ~index others request =
+    match bound_array ctx bindings name with
+    | None -> fallback
+    | Some arr -> (
+      match (dist_info ctx sid arr, Listx.all_some (List.map subst_odim others)) with
+      | None, _ -> None  (* replicated at the call: data available everywhere *)
+      | Some (dim, _), _ when dim <> pdim -> fallback
+      | Some _, None -> fallback
+      | Some (dim, layout), Some ods -> (
+        let sub = Option.bind index (Affine.of_expr ctx.symtab) in
+        let read =
+          { Sections.array = arr; sid; is_write = false;
+            subs = with_dim dim sub (List.map (odim_affine ctx bindings) others);
+            loops = List.map (fun (s, d) -> loop_ctx_of ctx s d) loops }
+        in
+        let index = if index = None then Some (Affine.const 0) else sub in
+        match place_outside ctx ~part ~read ~index loops with
+        | None -> fallback
+        | Some (crossed, _) ->
+          let bounds = List.filteri (fun i _ -> i <> dim) (bounds_of ctx arr) in
+          Some
+            (Place
+               ( placed_at sid crossed,
+                 request arr layout (List.map2 (widen_od ctx crossed) ods bounds) ))))
+  in
+  List.filter_map
+    (fun (p : Exports.pending) ->
+      match p with
+      | Exports.P_invariant { pi_array; pi_dim; pi_index; pi_other } -> (
+        match subst_affine bindings pi_index with
+        | None -> fallback
+        | Some index_expr ->
+          deliver pi_array pi_dim ~index:(Some index_expr) pi_other (fun arr layout others ->
+              Rq_bcast
+                { rb_array = arr; rb_layout = layout; rb_dim = pi_dim; rb_index = index_expr;
+                  rb_other = others }))
+      | Exports.P_shift { ps_array; ps_dim; ps_need; ps_other; _ } ->
+        deliver ps_array ps_dim ~index:None ps_other (fun arr layout others ->
+            Rq_shift
+              { rs_array = arr; rs_layout = layout; rs_dim = ps_dim; rs_need = ps_need;
+                rs_other = others }))
+    ex.Exports.ex_comms
+
+(* --- One partition rule (DESIGN §6m) ---------------------------------- *)
+
+(* Every statement once, DO and IF headers included, with its enclosing
+   loops and its class: loop partitions and the owner constraint both
+   read this one walk. *)
+type site = {
+  stmt : Ast.stmt;
+  nest : (Ast.stmt * Ast.do_stmt) list;  (* enclosing loops, outermost first *)
+  encl : Sections.loop_ctx list;  (* the same, as loop contexts *)
+  cls : wclass;
+}
+
+let classify_body ctx (body : Ast.stmt list) : site list =
+  let rec walk nest encl =
+    List.concat_map (fun (s : Ast.stmt) ->
+        let site = { stmt = s; nest; encl; cls = classify_stmt ctx encl s } in
+        match s.Ast.kind with
+        | Ast.Do d -> site :: walk (nest @ [ (s, d) ]) (encl @ [ loop_ctx_of ctx s d ]) d.Ast.body
+        | Ast.If i -> (site :: walk nest encl i.Ast.then_) @ walk nest encl i.Ast.else_
+        | _ -> [ site ])
+  in
+  walk [] [] body
+
+(* What the statement of [site] needs under the loop partitions [part]:
+   its reads' messages, then at a call none of whose reads falls back
+   the callee's pending ones. *)
+let messages ctx ~part site : outcome list =
+  let s = site.stmt in
+  let reads () =
+    List.filter_map
+      (fun (r : Sections.ref_info) ->
+        if r.Sections.is_write || r.Sections.sid <> s.Ast.sid then None
+        else process_read ctx ~part r site.cls site.nest)
+      ctx.refs
+  in
+  match s.Ast.kind with
+  | Ast.Do _ -> []
+  | Ast.Call (callee, actuals) when Dynamic_decomp.as_remap s = None ->
+    let reads = reads () in
+    if List.mem Fallback reads then reads
+    else reads @ process_call_pendings ctx ~part site.nest s.Ast.sid callee actuals
+  | _ -> reads ()
+
+(* May an owner guard not skip [s]: it prints or remaps, itself or below. *)
+let must_reach ctx (s : Ast.stmt) =
+  match s.Ast.kind with
+  | Ast.Print _ | Ast.Distribute _ -> true
+  | Ast.Call (callee, _) ->
+    Dynamic_decomp.as_remap s <> None || List.mem callee ctx.st.must_reach
+  | _ -> false
+
+let expr_vars acc e =
+  let out = ref acc in
+  Ast.iter_exprs_expr (function Ast.Var v -> out := SS.add v !out | _ -> ()) e;
+  !out
+
+(* The scalars [s] may assign: a store, a DO index, or a call's Gmod
+   scalars through its bindings, COMMON included. *)
+let scalar_defs ctx (s : Ast.stmt) : SS.t =
+  match s.Ast.kind with
+  | Ast.Assign (Ast.Var x, _) -> SS.singleton x
+  | Ast.Do d -> SS.singleton d.Ast.var
+  | Ast.Call (callee, actuals) when Dynamic_decomp.as_remap s = None ->
+    let gmod = Side_effects.gmod ctx.st.effects callee in
+    List.fold_left
+      (fun acc (f, a) ->
+        match a with
+        | Ast.Var v when Side_effects.S.mem f gmod && not (Symtab.is_array ctx.symtab v) ->
+          SS.add v acc
+        | _ -> acc)
+      SS.empty (Acg.bindings ctx.st.acg callee actuals)
+  | _ -> SS.empty
+
+module Live = Dataflow.Make (struct
+  type t = SS.t
+
+  let bottom = SS.empty
+  let join = SS.union
+  let equal = SS.equal
+end)
+
+(* Scalar liveness over the procedure's CFG, with every formal and
+   COMMON scalar live at exit: the scalars live where each loop header
+   is left, into its body or past it, by loop sid. *)
+let live_at_loops ctx (body : Ast.stmt list) : int -> SS.t =
+  let uses (s : Ast.stmt) =
+    match s.Ast.kind with
+    | Ast.Assign (Ast.Var _, rhs) -> expr_vars SS.empty rhs
+    | Ast.Call (callee, actuals) when Dynamic_decomp.as_remap s = None ->
+      let gref = Side_effects.gref ctx.st.effects callee in
+      List.fold_left
+        (fun acc (f, a) ->
+          match a with Ast.Var _ when not (Side_effects.S.mem f gref) -> acc | a -> expr_vars acc a)
+        SS.empty (Acg.bindings ctx.st.acg callee actuals)
+    | Ast.Call _ -> SS.empty
+    | _ ->
+      let acc = ref SS.empty in
+      Ast.iter_exprs_stmt (fun e -> acc := expr_vars !acc e) s;
+      !acc
+  in
+  let transfer _ node live =
+    match node with
+    | Cfg.Entry | Cfg.Exit -> live
+    | Cfg.Stmt s ->
+      (* a call's definitions are only possible: they kill nothing *)
+      let kill = match s.Ast.kind with Ast.Call _ -> SS.empty | _ -> scalar_defs ctx s in
+      SS.union (SS.diff live kill) (uses s)
+  in
+  let scalars =
+    List.filter
+      (fun x -> match Symtab.find ctx.symtab x with Some (Symtab.Scalar _) -> true | _ -> false)
+      ctx.interface
+  in
+  let cfg = Cfg.build body in
+  let live = Live.solve ~direction:Dataflow.Backward ~init:(SS.of_list scalars) ~transfer cfg in
+  fun lsid -> Option.fold (Cfg.node_of_sid cfg lsid) ~none:SS.empty ~some:(Array.get live.Live.input)
+
+type scope = Loop_of of wclass * partition | Whole_body
+
+(* The one partition rule, the partitioning twin of [place].  A scope is
+   a loop's body, partitioned by the loop ([Loop_of] its first own
+   candidate and the partition it gives), or a whole subroutine body
+   guarded by one owner.  Every effect in it must be partitioned that
+   way: by the same loop with the same layout, dimension and shift, or
+   by a single owner.  Scalar stores, headers and alignments are no
+   effect, but no scalar a loop body assigns may be upward-exposed in it
+   or live at its exit, and every message the partition needs must
+   leave the loop.  An owner guard may not skip a PRINT or a remap,
+   itself or below. *)
+let legal ctx ~live (scope : scope) (sites : site list) =
+  let fits site =
+    (not (must_reach ctx site.stmt))
+    &&
+    match (site.cls, site.stmt.Ast.kind, scope) with
+    | W_by_loop b, _, Loop_of (W_by_loop k, _) ->
+      b.wl_lsid = k.wl_lsid && b.wl_shift = k.wl_shift && b.wl_dim = k.wl_dim
+      && Layout.equal b.wl_layout k.wl_layout
+    | W_owner _, _, Whole_body -> true
+    | W_replicated, (Ast.Assign (Ast.Var _, _) | Ast.Align _ | Ast.Distribute _ | Ast.Do _ | Ast.If _), _
+      ->
+      true
+    | W_replicated, (Ast.Assign _ | Ast.Return | Ast.Call _), Whole_body -> true
+    | _ -> false
+  in
+  List.for_all fits sites
+  &&
+  match scope with
+  | Loop_of (W_by_loop k, p) ->
+    let assigned = List.fold_left (fun acc site -> SS.union acc (scalar_defs ctx site.stmt)) SS.empty sites in
+    let part lsid = if lsid = k.wl_lsid then p else Unpart in
+    SS.disjoint assigned (live k.wl_lsid)
+    && not (List.exists (fun site -> List.mem Fallback (messages ctx ~part site)) sites)
+  | Loop_of _ -> false
+  | Whole_body -> ctx.pname <> ctx.st.acg.Acg.main
+
+let decide_partition ctx ~live sites (l : Sections.loop_ctx) : partition =
+  let inside =
+    List.filter
+      (fun site -> List.exists (fun (o : Sections.loop_ctx) -> o.Sections.lsid = l.Sections.lsid) site.encl)
+      sites
+  in
+  let own = function W_by_loop b as c when b.wl_lsid = l.Sections.lsid -> Some c | _ -> None in
+  let candidate = function
+    | W_by_loop first -> (
+      match triplet_of_loop l with
+      | Some range ->
+        let sets =
+          Array.map
+            (fun o -> Iset.inter (Iset.shift (-first.wl_shift) o) (Iset.of_triplet range))
+            (owned_of_layout ctx first.wl_layout)
+        in
+        if Fit.fit_procset_opt sets = None then Unpart
+        else
+          Part_concrete
+            { sets;
+              p_guard_info =
+                { g_array = first.wl_array; g_dim = first.wl_dim; g_layout = first.wl_layout } }
+      | None -> (
+        (* run-time loop bounds: symbolic partitioning for block/cyclic,
+           unit loop step only *)
+        match first.wl_layout.Layout.dist with
+        | (Layout.Block _ | Layout.Cyclic) when l.Sections.lstep = 1 ->
+          Part_symbolic { layout = first.wl_layout; dim = first.wl_dim; shift = first.wl_shift }
+        | _ -> Unpart))
+    | _ -> Unpart
+  in
+  match List.find_map (fun site -> own site.cls) inside with
+  | Some key -> (
+    match candidate key with
+    | Unpart -> Unpart
+    | p -> if legal ctx ~live (Loop_of (key, p)) inside then p else Unpart)
+  | None -> Unpart
 
 (* --- Procedure-level constraint detection ------------------------------ *)
 
-(* Collect every statement's classification (flat). *)
-let rec classify_all ctx loops (stmts : Ast.stmt list) : wclass list =
-  List.concat_map
-    (fun (s : Ast.stmt) ->
-      match s.Ast.kind with
-      | Ast.Do d -> classify_all ctx (loops @ [ loop_ctx_of ctx s d ]) d.body
-      | Ast.If i -> classify_all ctx loops i.then_ @ classify_all ctx loops i.else_
-      | _ -> [ classify_stmt ctx loops s ])
-    stmts
-
-(* Does [body] print, itself or through a callee compiled before it? *)
-let prints ctx (body : Ast.stmt list) =
-  let found = ref false in
-  Ast.iter_stmts
-    (fun s ->
-      match s.Ast.kind with
-      | Ast.Print _ -> found := true
-      | Ast.Call (callee, _) when List.mem callee ctx.st.printers -> found := true
-      | _ -> ())
-    body;
-  !found
-
-(* Detect the whole-procedure owner constraint: every distributed write
-   (or, with none, every distributed read) touches a single owner indexed
-   by the same formal-affine expression.  A procedure that prints gets
-   none: its PRINT runs on processor 0, which a guarded call may skip. *)
-let detect_constraint ctx (body : Ast.stmt list) : Exports.constraint_ =
-  if ctx.pname = ctx.st.acg.Acg.main || List.mem ctx.pname ctx.st.printers then Exports.C_none
-  else begin
-    let classes = classify_all ctx [] body in
-    if List.exists (function W_by_loop _ | W_fallback -> true | _ -> false) classes then
-      Exports.C_none
-    else begin
-      let owners =
-        List.filter_map
-          (function
-            | W_owner { wo_array; wo_dim; wo_index; _ } ->
-              Some (Option.map (fun fa -> (wo_array, wo_dim, fa)) (formal_affine ctx wo_index))
-            | _ -> None)
-          classes
-      in
-      (* each distributed read's single owner, when its index is
-         loop-invariant and exportable *)
-      let reads =
-        List.filter_map
-          (fun (r : Sections.ref_info) ->
-            if r.Sections.is_write then None
-            else
-              Option.map
-                (fun (dim, _) ->
-                  match List.nth r.Sections.subs dim with
-                  | Some a when loop_free r.Sections.loops a ->
-                    Option.map
-                      (fun fa -> (r.Sections.array, dim, fa))
-                      (formal_affine ctx (Affine.to_expr a))
-                  | _ -> None)
-                (dist_info ctx r.Sections.sid r.Sections.array))
-          ctx.refs
-      in
-      let merge = function
-        | Some (a0, d0, i0) :: rest
-          when List.for_all
-                 (function
-                   | Some (a, d, i) -> String.equal a a0 && d = d0 && Affine.equal i i0
-                   | None -> false)
-                 rest ->
-          Some (Exports.C_owner { co_array = a0; co_dim = d0; co_index = i0 })
-        | _ -> None
-      in
-      let constraint_ =
-        match owners with
-        | [] ->
-          (* no distributed writes: constrain by the reads, requiring them
-             to be uniform (a procedure that must run on the data's owner) *)
-          merge reads
-        | _ ->
-          (* writes uniform; reads must be uniform-or-broadcastable *)
-          if List.for_all Option.is_some reads then merge owners else None
-      in
-      Option.value constraint_ ~default:Exports.C_none
-    end
-  end
+(* The whole-procedure owner constraint: a legal owner-guarded body
+   whose every distributed write (or, with none, every distributed read)
+   touches a single owner indexed by the same formal-affine expression. *)
+let detect_constraint ctx ~live sites : Exports.constraint_ =
+  let owners =
+    List.filter_map
+      (fun site ->
+        match site.cls with
+        | W_owner { wo_array; wo_dim; wo_index; _ } ->
+          Some (Option.map (fun fa -> (wo_array, wo_dim, fa)) (formal_affine ctx wo_index))
+        | _ -> None)
+      sites
+  in
+  (* each distributed read's single owner, when its index is
+     loop-invariant and exportable *)
+  let reads =
+    List.filter_map
+      (fun (r : Sections.ref_info) ->
+        if r.Sections.is_write then None
+        else
+          Option.map
+            (fun (dim, _) ->
+              match List.nth r.Sections.subs dim with
+              | Some a when loop_free r.Sections.loops a ->
+                Option.map
+                  (fun fa -> (r.Sections.array, dim, fa))
+                  (formal_affine ctx (Affine.to_expr a))
+              | _ -> None)
+            (dist_info ctx r.Sections.sid r.Sections.array))
+      ctx.refs
+  in
+  let merge = function
+    | Some (a0, d0, i0) :: rest
+      when List.for_all
+             (function
+               | Some (a, d, i) -> String.equal a a0 && d = d0 && Affine.equal i i0
+               | None -> false)
+             rest ->
+      Some (Exports.C_owner { co_array = a0; co_dim = d0; co_index = i0 })
+    | _ -> None
+  in
+  let constraint_ =
+    if not (legal ctx ~live Whole_body sites) then None
+    else
+      match owners with
+      | [] ->
+        (* no distributed writes: constrain by the reads, requiring them
+           to be uniform (a procedure that must run on the data's owner) *)
+        merge reads
+      | _ ->
+        (* writes uniform; reads must be uniform-or-broadcastable *)
+        if List.for_all Option.is_some reads then merge owners else None
+  in
+  Option.value constraint_ ~default:Exports.C_none
 
 (* --- Dynamic decomposition: analysis and materialization --------------- *)
 
@@ -997,166 +1131,44 @@ let materialize_remaps ctx (dyn : dyn_info) (body : Ast.stmt list) : Ast.stmt li
 
 (* --- Pass drivers ------------------------------------------------------- *)
 
-let partition_pass ctx (body : Ast.stmt list) =
+let partition_pass ctx ~live sites =
   ctx.partitions <- [];
-  let rec walk loops stmts =
-    List.iter
-      (fun (s : Ast.stmt) ->
-        match s.Ast.kind with
-        | Ast.Do d ->
-          let l = loop_ctx_of ctx s d in
-          let decision = decide_partition ctx loops l d.body in
-          (* validate concrete partitions are emittable *)
-          let decision =
-            match decision with
-            | Part_concrete { sets; _ } when Fit.fit_procset_opt sets = None -> Unpart
-            | d -> d
-          in
-          (let describe =
-             match decision with
-             | Unpart -> "replicated (full bounds on every processor)"
-             | Part_concrete { sets; p_guard_info } ->
-               Fmt.str "partitioned on %s dim %d: %a" p_guard_info.g_array
-                 (p_guard_info.g_dim + 1) pp_sets sets
-             | Part_symbolic { layout; dim; shift } ->
-               Fmt.str "partitioned symbolically on dim %d (%a, shift %d)" (dim + 1)
-                 Layout.pp layout shift
-           in
-           ctx.st.partition_log <-
-             ctx.st.partition_log
-             @ [ (ctx.pname, Fmt.str "do %s (s%d): %s" d.var s.Ast.sid describe) ]);
-          ctx.partitions <- (s.Ast.sid, decision) :: ctx.partitions;
-          walk (loops @ [ l ]) d.body
-        | Ast.If i ->
-          walk loops i.then_;
-          walk loops i.else_
-        | _ -> ())
-      stmts
-  in
-  walk [] body
+  List.iter
+    (fun site ->
+      match site.stmt.Ast.kind with
+      | Ast.Do d ->
+        let s = site.stmt in
+        let decision = decide_partition ctx ~live sites (loop_ctx_of ctx s d) in
+        let describe =
+          match decision with
+          | Unpart -> "replicated (full bounds on every processor)"
+          | Part_concrete { sets; p_guard_info } ->
+            Fmt.str "partitioned on %s dim %d: %a" p_guard_info.g_array
+              (p_guard_info.g_dim + 1) pp_sets sets
+          | Part_symbolic { layout; dim; shift } ->
+            Fmt.str "partitioned symbolically on dim %d (%a, shift %d)" (dim + 1)
+              Layout.pp layout shift
+        in
+        ctx.st.partition_log <-
+          ctx.st.partition_log @ [ (ctx.pname, Fmt.str "do %s (s%d): %s" d.var s.Ast.sid describe) ];
+        ctx.partitions <- (s.Ast.sid, decision) :: ctx.partitions
+      | _ -> ())
+    sites
 
-(* --- Communication pass -------------------------------------------------- *)
-
-(* Instantiate a callee's pending communications at a call, as reads at
-   the call placed by the same rule as the caller's own. *)
-let process_call_pendings ctx (loops : (Ast.stmt * Ast.do_stmt) list) sid callee actuals =
-  let ex = export_of ctx.st callee in
-  if ex.Exports.ex_comms <> [] then begin
-    let bindings = binding_map ctx callee actuals in
-    let fallback () = mark_fallback ctx sid in
-    let subst_odim (o : Exports.odim) : Comm.other_dim option =
-      match o with
-      | Exports.Oc_const c -> Some (Comm.Od_point (int_e c))
-      | Exports.Oc_full (lo, hi) -> Some (Comm.Od_full (lo, hi))
-      | Exports.Oc_formal a ->
-        Option.map (fun e -> Comm.Od_point e) (subst_affine bindings a)
-      | Exports.Oc_range (a, b) -> (
-        match (subst_affine bindings a, subst_affine bindings b) with
-        | Some ea, Some eb -> Some (Comm.Od_range (ea, eb))
-        | _ -> None)
-    in
-    (* Place the request for the callee's read of [name] in dimension
-       [pdim] when the caller array is distributed there.  [index] is a
-       broadcast's subscript; a shift's needed sets are fixed. *)
-    let deliver name pdim ~index others request =
-      match bound_array ctx bindings name with
-      | None -> fallback ()
-      | Some arr -> (
-        match (dist_info ctx sid arr, Listx.all_some (List.map subst_odim others)) with
-        | None, _ -> ()  (* replicated at the call: data available everywhere *)
-        | Some (dim, _), _ when dim <> pdim -> fallback ()
-        | Some _, None -> fallback ()
-        | Some (dim, layout), Some ods ->
-          let sub = Option.bind index (Affine.of_expr ctx.symtab) in
-          let read =
-            { Sections.array = arr; sid; is_write = false;
-              subs = with_dim dim sub (List.map (odim_affine ctx bindings) others);
-              loops = List.map (fun (s, d) -> loop_ctx_of ctx s d) loops }
-          in
-          let index = if index = None then Some (Affine.const 0) else sub in
-          let crossed, _ = place ctx ~read ~index loops in
-          let bounds = List.filteri (fun i _ -> i <> dim) (bounds_of ctx arr) in
-          add_placement ctx (placed_at sid crossed)
-            (request arr layout (List.map2 (widen_od ctx crossed) ods bounds)))
-    in
-    List.iter
-      (fun (p : Exports.pending) ->
-        match p with
-        | Exports.P_invariant { pi_array; pi_dim; pi_index; pi_other } -> (
-          match subst_affine bindings pi_index with
-          | None -> fallback ()
-          | Some index_expr ->
-            deliver pi_array pi_dim ~index:(Some index_expr) pi_other
-              (fun arr layout others ->
-                Rq_bcast
-                  { rb_array = arr; rb_layout = layout; rb_dim = pi_dim;
-                    rb_index = index_expr; rb_other = others }))
-        | Exports.P_shift { ps_array; ps_dim; ps_need; ps_other; _ } ->
-          deliver ps_array ps_dim ~index:None ps_other (fun arr layout others ->
-              Rq_shift
-                { rs_array = arr; rs_layout = layout; rs_dim = ps_dim; rs_need = ps_need;
-                  rs_other = others }))
-      ex.Exports.ex_comms
-  end
-
-let comm_pass ctx (body : Ast.stmt list) =
-  ctx.placements <- [];
-  ctx.pending_out <- [];
-  let rec walk (loops : (Ast.stmt * Ast.do_stmt) list) stmts =
-    List.iter
-      (fun (s : Ast.stmt) ->
-        match s.Ast.kind with
-        | Ast.Do d -> walk (loops @ [ (s, d) ]) d.body
-        | Ast.If i ->
-          process_stmt loops s;
-          walk loops i.then_;
-          walk loops i.else_
-        | Ast.Call (callee, actuals) when Dynamic_decomp.as_remap s = None ->
-          process_stmt loops s;
-          if not (List.mem s.Ast.sid ctx.fallbacks) then
-            process_call_pendings ctx loops s.Ast.sid callee actuals
-        | _ -> process_stmt loops s)
-      stmts
-  and process_stmt loops (s : Ast.stmt) =
-    if not (List.mem s.Ast.sid ctx.fallbacks) then begin
-      let loop_ctxs = List.map (fun (ls, ld) -> loop_ctx_of ctx ls ld) loops in
-      let stmt_class = classify_stmt ctx loop_ctxs s in
+(* Every statement's messages under the decided partitions, once: the
+   partition rule already kept each partitioned loop free of fallbacks. *)
+let comm_pass ctx sites =
+  List.iter
+    (fun site ->
+      let out = messages ctx ~part:(partition_of ctx) site in
+      if List.mem Fallback out then ctx.fallbacks <- site.stmt.Ast.sid :: ctx.fallbacks;
       List.iter
-        (fun (r : Sections.ref_info) ->
-          if (not r.Sections.is_write) && r.Sections.sid = s.Ast.sid then
-            process_read ctx r stmt_class loops)
-        ctx.refs
-    end
-  in
-  walk [] body
-
-(* Loops (sids) whose subtree contains a fallback statement must run their
-   full bounds on every processor. *)
-let demote_loops_with_fallbacks ctx (body : Ast.stmt list) : bool =
-  let changed = ref false in
-  let rec walk (enclosing : int list) stmts =
-    List.iter
-      (fun (s : Ast.stmt) ->
-        (if List.mem s.Ast.sid ctx.fallbacks then
-           List.iter
-             (fun lsid ->
-               match partition_of ctx lsid with
-               | Unpart -> ()
-               | _ ->
-                 ctx.partitions <-
-                   (lsid, Unpart) :: List.remove_assoc lsid ctx.partitions;
-                 changed := true)
-             enclosing);
-        match s.Ast.kind with
-        | Ast.Do d -> walk (s.Ast.sid :: enclosing) d.body
-        | Ast.If i ->
-          walk enclosing i.then_;
-          walk enclosing i.else_
-        | _ -> ())
-      stmts
-  in
-  walk [] body;
-  !changed
+        (function
+          | Fallback -> ()
+          | Place (at, rq) -> ctx.placements <- ctx.placements @ [ (at, rq) ]
+          | Export p -> ctx.pending_out <- ctx.pending_out @ [ p ])
+        out)
+    sites
 
 (* --- Emission ------------------------------------------------------------ *)
 
@@ -1386,14 +1398,6 @@ and emit_stmt ctx loops (s : Ast.stmt) : Node.nstmt list =
                 else_ = [];
                 loc }
             :: call_scalar_bcasts ctx ~loc callee actuals root
-          | W_by_loop _, None ->
-            (* processors run disjoint iterations: scalar results cannot
-               be broadcast here and must not escape the loop *)
-            if not (Exports.SS.is_empty (export_of ctx.st callee).Exports.ex_mod_scalars) then
-              Diag.warn_to ctx.st.sink
-                "scalar results of %s diverge across the partitioned loop in %s" callee
-                ctx.pname;
-            [ Node.N_call (callee, actuals) ]
           | _, None -> [ Node.N_call (callee, actuals) ])
         | Ast.Align _ | Ast.Distribute _ -> []
         | Ast.Return -> [ Node.N_return ]
@@ -1525,23 +1529,17 @@ let compile_proc (st : state) (cu : Sema.checked_unit) : Node.nproc =
   in
   let ctx = { ctx with refs = Sections.collect symtab body } in
   let ctx = { ctx with writes = collect_writes ctx body } in
-  if prints ctx body then st.printers <- pname :: st.printers;
   Hashtbl.replace st.remapped pname
     (Side_effects.S.of_list
        (List.filter (fun x -> Symtab.is_array symtab x && remaps ctx x body) ctx.interface));
   (* computation partitioning, constraint detection, communication *)
-  partition_pass ctx body;
-  ctx.proc_constraint <- detect_constraint ctx body;
-  comm_pass ctx body;
-  let rec fixpoint n =
-    if n > 8 then Diag.error "partition/communication fixpoint diverged in %s" pname;
-    if demote_loops_with_fallbacks ctx body then begin
-      ctx.proc_constraint <- detect_constraint ctx body;
-      comm_pass ctx body;
-      fixpoint (n + 1)
-    end
-  in
-  fixpoint 0;
+  let sites = classify_body ctx body in
+  if List.exists (fun site -> must_reach ctx site.stmt) sites then
+    st.must_reach <- pname :: st.must_reach;
+  let live = live_at_loops ctx body in
+  partition_pass ctx ~live sites;
+  ctx.proc_constraint <- detect_constraint ctx ~live sites;
+  comm_pass ctx sites;
   ctx.mod_scalars <-
     (let gmod = Side_effects.gmod st.effects pname in
      SS.of_list
@@ -1669,7 +1667,7 @@ let compile_analyzed ~sink (opts : Options.t)
   let st =
     { opts; sink; acg; rd; effects; counter = 0; exports = Hashtbl.create 16;
       partition_log = [];
-      pseudo_sids = Dynamic_decomp.new_sids (); printers = [];
+      pseudo_sids = Dynamic_decomp.new_sids (); must_reach = [];
       remapped = Hashtbl.create 16 }
   in
   let compile_one name =

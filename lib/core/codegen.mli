@@ -24,8 +24,9 @@ type state = {
       (** (procedure, loop-partition decision), in compilation order *)
   pseudo_sids : Dynamic_decomp.sids;
       (** statement ids of this compile's [remap$] pseudo-statements *)
-  mutable printers : string list;
-      (** compiled procedures that print, themselves or through a callee *)
+  mutable must_reach : string list;
+      (** compiled procedures an owner guard may not skip: they print or
+          remap, themselves or through a callee *)
   remapped : (string, Side_effects.S.t) Hashtbl.t;
       (** interface names each compiled procedure remaps, itself or
           through a callee, under either compiling strategy *)

@@ -603,8 +603,9 @@ let owner_body_broadcast_src =
 
 (* Programs that read distributed elements, by PRINT or assignment,
    inside loops that write those elements directly, through a call, or
-   through a call that remaps the array.  Every placement must agree
-   with the sequential run under every strategy. *)
+   through a call that remaps the array, beside a scalar the loop
+   assigns.  Every placement and partition must agree with the
+   sequential run under every strategy. *)
 let placement_case st =
   let pick l = List.nth l (Random.State.int st (List.length l)) in
   let n = 16 in
@@ -625,48 +626,66 @@ let placement_case st =
     | _ -> Fmt.str "call show(a, %s)" (sub ())
   in
   let body = if Random.State.bool st then [ writer; reader ] else [ reader; writer ] in
+  (* none, a private temporary, a carried value, a value printed after
+     the loop, a reduction, or a scalar formal a callee assigns *)
+  let scalar, after =
+    match Random.State.int st 6 with
+    | 0 -> ([], "")
+    | 1 -> ([ Fmt.str "x = a(%s) * 2.0" (sub ()); "b(i) = x + 1.0" ], "")
+    | 2 -> ([ "x = x + 1.0"; "b(i) = b(i) + x" ], "")
+    | 3 -> ([ Fmt.str "x = a(%s)" (sub ()) ], "  print *, x\n")
+    | 4 -> ([ Fmt.str "x = x + a(%s)" (sub ()) ], "  print *, x\n")
+    | _ -> ([ Fmt.str "call sets(x, a, %s)" (sub ()) ], "  print *, x\n")
+  in
+  let body =
+    let at = Random.State.int st 3 in
+    List.filteri (fun j _ -> j < at) body @ scalar @ List.filteri (fun j _ -> j >= at) body
+  in
   let loop =
     Fmt.str "  do i = %d, %d\n%s  enddo\n" (2 + Random.State.int st 3) (n - 1 - Random.State.int st 3)
       (String.concat "" (List.map (Fmt.str "    %s\n") body))
   in
   let loop = if Random.State.bool st then Fmt.str "  do t = 1, 2\n%s  enddo\n" loop else loop in
   let redistribute = Fmt.str "  distribute a(%s)\n" (if dist = "block" then "cyclic" else "block") in
-  let callee (name, body) =
-    if List.exists (fun l -> String.starts_with ~prefix:("call " ^ name) l) [ writer; reader ] then
-      Fmt.str "subroutine %s(a, k)\n  real a(%d)\n  integer k, j\n%send\n" name n body
+  let callee (name, formals, code) =
+    if List.exists (fun l -> String.starts_with ~prefix:("call " ^ name) l) body then
+      Fmt.str "subroutine %s(%s)\n  real a(%d)\n  integer k\n%send\n" name formals n code
     else ""
   in
   Fmt.str
-    "program p\n  real a(%d), b(%d)\n  integer i, t\n  distribute a(%s)\n\
+    "program p\n  real a(%d), b(%d), x\n  integer i, t\n  distribute a(%s)\n\
     \  distribute b(%s)\n  do i = 1, %d\n    a(i) = float(i)\n    b(i) = 0.0\n\
-    \  enddo\n%s  print *, a(1), a(%d), b(2), b(%d)\nend\n%s"
-    n n dist dist n loop n (n - 1)
+    \  enddo\n  x = 0.0\n%s%s  print *, a(1), a(%d), b(2), b(%d)\nend\n%s"
+    n n dist dist n loop after n (n - 1)
     (String.concat ""
        (List.map callee
-          [ ("setc", "  a(k) = a(k) * 2.0 + 1.0\n");
-            (* the write sits in a loop: an owner-constrained callee may
-               not remap (ROADMAP) *)
-            ("rphase", redistribute ^ "  do j = k, k\n    a(j) = a(j) + 3.0\n  enddo\n");
-            ("rmark", redistribute);  (* remaps, and writes nothing *)
-            ("show", "  print *, a(k)\n") ]))
+          [ ("setc", "a, k", "  a(k) = a(k) * 2.0 + 1.0\n");
+            ("rphase", "a, k", redistribute ^ "  a(k) = a(k) + 3.0\n");
+            ("rmark", "a, k", redistribute);  (* remaps, and writes nothing *)
+            ("show", "a, k", "  print *, a(k)\n");
+            ("sets", "v, a, k", "  real v\n  v = a(k) * 0.5\n") ]))
+
+(* [src] agrees with the sequential run under every strategy at P in
+   {3, 4, 7}; a failure names [what]. *)
+let check_everywhere what src =
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun nprocs ->
+          let fail why =
+            Alcotest.failf "%s under %s at P=%d: %s\n%s" what (Options.strategy_name strategy)
+              nprocs why src
+          in
+          match run ~nprocs ~strategy src with
+          | r -> if not (Driver.verified r) then fail "differs from the sequential run"
+          | exception Fd_machine.Scheduler.Sim_error e -> fail (Fd_machine.Scheduler.error_to_string e))
+        [ 3; 4; 7 ])
+    strategies
 
 let placement_property () =
   let st = Random.State.make [| 0x91ace |] in
   for case = 1 to 300 do
-    let src = placement_case st in
-    List.iter
-      (fun strategy ->
-        List.iter
-          (fun nprocs ->
-            let fail why =
-              Alcotest.failf "case %d under %s at P=%d: %s\n%s" case
-                (Options.strategy_name strategy) nprocs why src
-            in
-            match run ~nprocs ~strategy src with
-            | r -> if not (Driver.verified r) then fail "differs from the sequential run"
-            | exception Fd_machine.Scheduler.Sim_error e -> fail (Fd_machine.Scheduler.error_to_string e))
-          [ 3; 4; 7 ])
-      strategies
+    check_everywhere (Fmt.str "case %d" case) (placement_case st)
   done
 
 let suite =
@@ -678,4 +697,81 @@ let suite =
       verified_case "broadcast out of an owner-guarded body" owner_body_broadcast_src;
       Alcotest.test_case "placement: reads past writes, calls, remaps" `Quick
         placement_property;
+    ]
+
+(* --- One partition rule: effects and scalars ------------------------------ *)
+
+(* A callee that remaps runs on every processor: neither an owner guard
+   nor a partitioned loop may skip its remap. *)
+let remapping_callee_src =
+  "program p\n  real a(16)\n  integer i\n  distribute a(block)\n\
+  \  do i = 1, 16\n    a(i) = float(i)\n  enddo\n\
+  \  do i = 4, 14\n    call rphase(a, i + 1)\n  enddo\n  print *, a(5), a(15)\nend\n\
+   subroutine rphase(a, k)\n  real a(16)\n  integer k\n  distribute a(cyclic)\n\
+  \  a(k) = a(k) + 3.0\nend\n"
+
+(* The same callee below a wrapper that writes the element after it:
+   an owner guard on the wrapper would skip the remap too. *)
+let remapping_below_src =
+  "program p\n  real a(16)\n  integer i\n  distribute a(block)\n\
+  \  do i = 1, 16\n    a(i) = float(i)\n  enddo\n\
+  \  do i = 4, 14\n    call w(a, i)\n  enddo\n  print *, a(5), a(14)\nend\n\
+   subroutine w(a, k)\n  real a(16)\n  integer k\n  call rphase(a, k)\n  a(k) = a(k) * 2.0\nend\n\
+   subroutine rphase(a, k)\n  real a(16)\n  integer k\n  distribute a(cyclic)\n\
+  \  a(k) = a(k) + 3.0\nend\n"
+
+(* A sum carried across the iterations of a loop whose call is
+   partitioned by it. *)
+let carried_sum_src =
+  "program p\n  real a(16), x\n  integer i\n  distribute a(block)\n\
+  \  do i = 1, 16\n    a(i) = float(i)\n  enddo\n  x = 0.0\n\
+  \  do i = 4, 14\n    x = x + a(i + 1)\n    call setc(a, i)\n  enddo\n  print *, x\nend\n\
+   subroutine setc(a, k)\n  real a(16)\n  integer k\n  a(k) = a(k) * 2.0 + 1.0\nend\n"
+
+(* A temporary assigned every iteration but printed after the loop. *)
+let live_out_src =
+  "program p\n  real a(16), x\n  integer i\n  distribute a(block)\n\
+  \  do i = 1, 16\n    a(i) = float(i)\n  enddo\n  x = 0.0\n\
+  \  do i = 1, 16\n    x = a(i) * 2.0\n    a(i) = x + 1.0\n  enddo\n  print *, x\nend\n"
+
+(* A scalar read before it is assigned in the body. *)
+let carried_scalar_src =
+  "program p\n  real a(16), x\n  integer i\n  distribute a(block)\n  x = 1.0\n\
+  \  do i = 1, 16\n    a(i) = x\n    x = x + 1.0\n  enddo\n  print *, a(12)\nend\n"
+
+(* The same temporary as a formal: its caller prints it. *)
+let live_formal_src =
+  "program p\n  real a(16), t\n  integer i\n  distribute a(block)\n\
+  \  do i = 1, 16\n    a(i) = float(i)\n  enddo\n  t = 0.0\n  call g(a, t)\n  print *, t\nend\n\
+   subroutine g(a, t)\n  real a(16), t\n  integer i\n\
+  \  do i = 1, 16\n    t = a(i)\n    a(i) = t + 1.0\n  enddo\nend\n"
+
+(* The same temporary in COMMON. *)
+let live_common_src =
+  "program p\n  real a(16), s\n  common /c/ s\n  integer i\n  distribute a(block)\n\
+  \  do i = 1, 16\n    a(i) = float(i)\n  enddo\n  s = 0.0\n  call g(a)\n  print *, s\nend\n\
+   subroutine g(a)\n  real a(16), s\n  common /c/ s\n  integer i\n\
+  \  do i = 1, 16\n    s = a(i)\n    a(i) = s + 1.0\n  enddo\nend\n"
+
+(* A scalar a call assigns, printed after the loop. *)
+let call_result_src =
+  "program p\n  real a(16), x\n  integer i\n  distribute a(block)\n\
+  \  do i = 1, 16\n    a(i) = float(i)\n  enddo\n  x = 0.0\n\
+  \  do i = 1, 16\n    call getv(a, i, x)\n    a(i) = x + 1.0\n  enddo\n  print *, x\nend\n\
+   subroutine getv(a, k, v)\n  real a(16), v\n  integer k\n  v = a(k)\nend\n"
+
+let partition_case name src =
+  Alcotest.test_case name `Quick (fun () -> check_everywhere name src)
+
+let suite =
+  suite
+  @ [
+      partition_case "partition: a callee that remaps" remapping_callee_src;
+      partition_case "partition: a wrapper around a callee that remaps" remapping_below_src;
+      partition_case "partition: a sum beside a partitioned call" carried_sum_src;
+      partition_case "partition: a scalar live after the loop" live_out_src;
+      partition_case "partition: a scalar carried across iterations" carried_scalar_src;
+      partition_case "partition: a scalar formal live at exit" live_formal_src;
+      partition_case "partition: a COMMON scalar live at exit" live_common_src;
+      partition_case "partition: a call's scalar result live after the loop" call_result_src;
     ]
