@@ -746,8 +746,8 @@ let partition_cmd =
           Fd_core.Driver.compile_source ~sink ~opts ~file (read_file file)
         in
         List.iter
-          (fun (proc, line) -> Fmt.pr "%-12s %s@." proc line)
-          compiled.Fd_core.Codegen.state.Fd_core.Codegen.partition_log)
+          (fun d -> Fmt.pr "%-12s %a@." d.Fd_core.Codegen.d_proc Fd_core.Codegen.pp_decision d)
+          (Fd_core.Codegen.decisions compiled))
   in
   Cmd.v
     (Cmd.info "partition"

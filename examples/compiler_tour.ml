@@ -36,8 +36,8 @@ let () =
 
   section "computation-partition decisions";
   List.iter
-    (fun (proc, line) -> Fmt.pr "%-8s %s@." proc line)
-    compiled.Fd_core.Codegen.state.Fd_core.Codegen.partition_log;
+    (fun d -> Fmt.pr "%-8s %a@." d.Fd_core.Codegen.d_proc Fd_core.Codegen.pp_decision d)
+    (Fd_core.Codegen.decisions compiled);
 
   section "export records (delayed instantiation)";
   List.iter

@@ -12,6 +12,18 @@ open Fd_frontend
 open Fd_callgraph
 open Fd_machine
 
+type partition
+(** A loop's computation partition: replicated, or partitioned over a
+    layout dimension. *)
+
+type decision = {
+  d_proc : string;
+  d_sid : int;  (** the DO statement *)
+  d_var : string;  (** its index variable *)
+  d_part : partition;
+}
+(** One DO loop's partition decision. *)
+
 type state = {
   opts : Options.t;
   sink : Fd_support.Diag.sink;  (** per-run diagnostics (warnings) *)
@@ -20,8 +32,8 @@ type state = {
   effects : Side_effects.t;
   mutable counter : int;  (** fresh communication tags / sites *)
   exports : (string, Exports.t) Hashtbl.t;
-  mutable partition_log : (string * string) list;
-      (** (procedure, loop-partition decision), in compilation order *)
+  mutable decisions : decision list;
+      (** every loop's partition decision, newest first *)
   pseudo_sids : Dynamic_decomp.sids;
       (** statement ids of this compile's [remap$] pseudo-statements *)
   mutable must_reach : string list;
@@ -39,6 +51,15 @@ type compiled = {
   clone_result : Cloning.result;
   state : state;
 }
+
+val decisions : compiled -> decision list
+(** Every loop's partition decision, in compilation order. *)
+
+val pp_decision : decision Fmt.t
+(** The decision as [fdc partition] prints it, after the procedure
+    name: the loop, then "replicated", the partitioned array and
+    dimension with each processor's iteration set, or the symbolic
+    layout. *)
 
 val clone :
   sink:Fd_support.Diag.sink -> Options.t -> Sema.checked_program -> Cloning.result

@@ -36,6 +36,9 @@ let cur st =
   let _, _, t = st.toks.(st.pos) in
   t
 
+(* Is the current token [tok]? *)
+let at st tok = Token.equal (cur st) tok
+
 let cur_loc st =
   let l, _, _ = st.toks.(st.pos) in
   l
@@ -63,13 +66,13 @@ let error st fmt =
     fmt
 
 let eat st tok =
-  if cur st = tok then advance st
+  if at st tok then advance st
   else error st "expected %s" (Token.to_string tok)
 
 let eat_kw st kw = eat st (Token.KW kw)
 
 let skip_newlines st =
-  while cur st = Token.NEWLINE do
+  while at st Token.NEWLINE do
     advance st
   done
 
@@ -120,20 +123,20 @@ let rec expr st = expr_or st
 
 and expr_or st =
   let lhs = expr_and st in
-  if cur st = Token.OR then (
+  if at st Token.OR then (
     advance st;
     Ast.Bin (Ast.Or, lhs, expr_or st))
   else lhs
 
 and expr_and st =
   let lhs = expr_not st in
-  if cur st = Token.AND then (
+  if at st Token.AND then (
     advance st;
     Ast.Bin (Ast.And, lhs, expr_and st))
   else lhs
 
 and expr_not st =
-  if cur st = Token.NOT then (
+  if at st Token.NOT then (
     advance st;
     Ast.Un (Ast.Not, expr_not st))
   else expr_cmp st
@@ -194,7 +197,7 @@ and expr_unary st =
 
 and expr_pow st =
   let base = expr_primary st in
-  if cur st = Token.POW then (
+  if at st Token.POW then (
     advance st;
     Ast.Bin (Ast.Pow, base, expr_unary st))
   else base
@@ -220,7 +223,7 @@ and expr_primary st =
     e
   | Token.IDENT name ->
     advance st;
-    if cur st = Token.LPAREN then (
+    if at st Token.LPAREN then (
       advance st;
       let args = expr_list st in
       eat st Token.RPAREN;
@@ -230,7 +233,7 @@ and expr_primary st =
 
 and expr_list st =
   let e = expr st in
-  if cur st = Token.COMMA then (
+  if at st Token.COMMA then (
     advance st;
     e :: expr_list st)
   else [ e ]
@@ -239,7 +242,7 @@ and expr_list st =
 
 let dim st =
   let lo_or_hi = expr st in
-  if cur st = Token.COLON then (
+  if at st Token.COLON then (
     advance st;
     let hi = expr st in
     { Ast.dlo = lo_or_hi; dhi = hi })
@@ -247,11 +250,11 @@ let dim st =
 
 let dims st =
   (* parses "( dim, dim, ... )" if present *)
-  if cur st = Token.LPAREN then (
+  if at st Token.LPAREN then (
     advance st;
     let rec loop () =
       let d = dim st in
-      if cur st = Token.COMMA then (
+      if at st Token.COMMA then (
         advance st;
         d :: loop ())
       else [ d ]
@@ -268,7 +271,7 @@ let declarator st =
 let declarator_list st =
   let rec loop () =
     let d = declarator st in
-    if cur st = Token.COMMA then (
+    if at st Token.COMMA then (
       advance st;
       d :: loop ())
     else [ d ]
@@ -295,7 +298,7 @@ let decl st : Ast.decl option =
       let name = ident st in
       eat st Token.EQ;
       let value = expr st in
-      if cur st = Token.COMMA then (
+      if at st Token.COMMA then (
         advance st;
         (name, value) :: loop ())
       else [ (name, value) ]
@@ -316,7 +319,7 @@ let decl st : Ast.decl option =
     eat st Token.SLASH;
     let rec names () =
       let n = ident st in
-      if cur st = Token.COMMA then (
+      if at st Token.COMMA then (
         advance st;
         n :: names ())
       else [ n ]
@@ -387,7 +390,7 @@ and statement_kind st : Ast.stmt_kind =
     eat st Token.COMMA;
     let hi = expr st in
     let step =
-      if cur st = Token.COMMA then (
+      if at st Token.COMMA then (
         advance st;
         Some (expr st))
       else None
@@ -412,7 +415,7 @@ and statement_kind st : Ast.stmt_kind =
     eat st Token.LPAREN;
     let cond = expr st in
     eat st Token.RPAREN;
-    if cur st = Token.KW "then" then (
+    if at st (Token.KW "then") then (
       advance st;
       end_of_stmt st;
       let then_ = block st in
@@ -426,9 +429,9 @@ and statement_kind st : Ast.stmt_kind =
     advance st;
     let name = ident st in
     let args =
-      if cur st = Token.LPAREN then (
+      if at st Token.LPAREN then (
         advance st;
-        if cur st = Token.RPAREN then (
+        if at st Token.RPAREN then (
           advance st;
           [])
         else
@@ -449,7 +452,7 @@ and statement_kind st : Ast.stmt_kind =
     eat st Token.LPAREN;
     let rec placeholder_list () =
       let p = ident st in
-      if cur st = Token.COMMA then (
+      if at st Token.COMMA then (
         advance st;
         p :: placeholder_list ())
       else [ p ]
@@ -470,7 +473,7 @@ and statement_kind st : Ast.stmt_kind =
     eat st Token.LPAREN;
     let rec specs () =
       let d = dist_spec st in
-      if cur st = Token.COMMA then (
+      if at st Token.COMMA then (
         advance st;
         d :: specs ())
       else [ d ]
@@ -482,7 +485,7 @@ and statement_kind st : Ast.stmt_kind =
   | Token.KW "print" ->
     advance st;
     (* accept `print *, args` and `print args` *)
-    if cur st = Token.STAR then (
+    if at st Token.STAR then (
       advance st;
       eat st Token.COMMA);
     let args =
@@ -525,7 +528,7 @@ and if_tail st : Ast.stmt list =
   | Token.KW "else" ->
     advance st;
     (* allow `else if (...) then` *)
-    if cur st = Token.KW "if" then (
+    if at st (Token.KW "if") then (
       let loc = cur_loc st in
       let sid = fresh_sid st in
       advance st;
@@ -577,15 +580,15 @@ and block st : Ast.stmt list =
 (* --- Program units -------------------------------------------------- *)
 
 let formals st =
-  if cur st = Token.LPAREN then (
+  if at st Token.LPAREN then (
     advance st;
-    if cur st = Token.RPAREN then (
+    if at st Token.RPAREN then (
       advance st;
       [])
     else
       let rec loop () =
         let f = ident st in
-        if cur st = Token.COMMA then (
+        if at st Token.COMMA then (
           advance st;
           f :: loop ())
         else [ f ]
@@ -644,7 +647,7 @@ let punit st : Ast.punit =
 let program st : Ast.program =
   let rec loop acc =
     skip_newlines st;
-    if cur st = Token.EOF then List.rev acc
+    if at st Token.EOF then List.rev acc
     else
       match punit st with
       | u -> loop (u :: acc)

@@ -15,13 +15,21 @@ type t =
   | NEWLINE
   | EOF
 
-let keywords =
-  [ "program"; "subroutine"; "end"; "enddo"; "endif"; "if"; "then"; "else";
-    "elseif"; "do"; "call"; "return"; "real"; "integer"; "logical";
-    "parameter"; "decomposition"; "align"; "with"; "distribute"; "common"; "block";
-    "cyclic"; "block_cyclic"; "print" ]
+let is_keyword = function
+  | "program" | "subroutine" | "end" | "enddo" | "endif" | "if" | "then" | "else"
+  | "elseif" | "do" | "call" | "return" | "real" | "integer" | "logical"
+  | "parameter" | "decomposition" | "align" | "with" | "distribute" | "common" | "block"
+  | "cyclic" | "block_cyclic" | "print" ->
+    true
+  | _ -> false
 
-let is_keyword s = List.mem s keywords
+let equal a b =
+  match (a, b) with
+  | INT x, INT y -> Int.equal x y
+  | REAL_LIT x, REAL_LIT y -> Float.equal x y
+  | IDENT x, IDENT y | KW x, KW y -> String.equal x y
+  | (INT _ | REAL_LIT _ | IDENT _ | KW _), _ -> false
+  | _ -> a == b (* [a] is a constant constructor, an immediate *)
 
 let pp ppf = function
   | INT n -> Fmt.pf ppf "INT(%d)" n

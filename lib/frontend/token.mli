@@ -17,4 +17,6 @@ type t =
 
 val is_keyword : string -> bool
 
+val equal : t -> t -> bool
+
 val to_string : t -> string

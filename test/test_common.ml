@@ -89,7 +89,11 @@ let c_inherited_decomposition () =
   (* sweep inherits u's block distribution through the COMMON block and
      partitions its loop accordingly *)
   let compiled = Driver.compile_source common_program in
-  let log = compiled.Codegen.state.Codegen.partition_log in
+  let log =
+    List.map
+      (fun d -> (d.Codegen.d_proc, Fmt.str "%a" Codegen.pp_decision d))
+      (Codegen.decisions compiled)
+  in
   check "sweep partitioned" true
     (List.exists
        (fun (p, l) ->

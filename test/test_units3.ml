@@ -151,7 +151,11 @@ let suite =
 
 let partition_log () =
   let compiled = Driver.compile_source (Fd_workloads.Dgefa.source ~n:16 ()) in
-  let log = compiled.Codegen.state.Codegen.partition_log in
+  let log =
+    List.map
+      (fun d -> (d.Codegen.d_proc, Fmt.str "%a" Codegen.pp_decision d))
+      (Codegen.decisions compiled)
+  in
   let for_proc p = List.filter (fun (q, _) -> String.equal q p) log in
   check "every loop logged" true (List.length log >= 7);
   check "swaprow partitioned" true
