@@ -150,7 +150,7 @@ let rec subtree_remaps_array x (s : Ast.stmt) : bool =
 
 (* --- Pass 1: dead-remap elimination (backward liveness on the CFG) --- *)
 
-let dead_remap_elim ~call_touches (body : Ast.stmt list) : Ast.stmt list * int =
+let dead_remap_elim ~call_touches ~live_out (body : Ast.stmt list) : Ast.stmt list * int =
   let cfg = Cfg.build body in
   (* facts: set of array names whose current decomposition may still be
      used downstream *)
@@ -189,7 +189,7 @@ let dead_remap_elim ~call_touches (body : Ast.stmt list) : Ast.stmt list * int =
         SS.iter check !names;
         !used)
   in
-  let result = Solver.solve ~direction:Dataflow.Backward ~init:SS.empty ~transfer cfg in
+  let result = Solver.solve ~direction:Dataflow.Backward ~init:live_out ~transfer cfg in
   (* live-out of a node in a backward problem is the join of inputs of
      CFG successors = the solver's input at that node minus its own
      transfer...  Simpler: a remap node is dead iff its own array is not
@@ -456,13 +456,13 @@ let array_kills ~symtab ~value_killer (body : Ast.stmt list) : Ast.stmt list =
   scan_block body
 
 (* Run the optimization passes appropriate to the remap level. *)
-let optimize (level : Options.remap_level) ~call_touches ~initial ~symtab
+let optimize (level : Options.remap_level) ~call_touches ~live_out ~initial ~symtab
     ~value_killer (body : Ast.stmt list) : Ast.stmt list =
   match level with
   | Options.Remap_none -> body
   | Options.Remap_live | Options.Remap_hoist | Options.Remap_kill ->
     let live body =
-      fst (redundant_remap_elim ~initial (fst (dead_remap_elim ~call_touches body)))
+      fst (redundant_remap_elim ~initial (fst (dead_remap_elim ~call_touches ~live_out body)))
     in
     let body = live body in
     let body =

@@ -43,9 +43,12 @@ val subtree_uses_array :
 
 val dead_remap_elim :
   call_touches:(string -> Ast.expr list -> SS.t) ->
+  live_out:SS.t ->
   Ast.stmt list ->
   Ast.stmt list * int
-(** Backward liveness over the CFG; returns the count removed. *)
+(** Backward liveness over the CFG from [live_out], the arrays whose
+    decomposition is used after the procedure returns; returns the
+    count removed. *)
 
 val redundant_remap_elim :
   initial:Decomp.t DM.t -> Ast.stmt list -> Ast.stmt list * int
@@ -71,6 +74,7 @@ val first_touch_kills :
 val optimize :
   Options.remap_level ->
   call_touches:(string -> Ast.expr list -> SS.t) ->
+  live_out:SS.t ->
   initial:Decomp.t DM.t ->
   symtab:Symtab.t ->
   value_killer:(string -> Ast.expr list -> string -> bool) ->

@@ -720,6 +720,17 @@ let remapping_below_src =
    subroutine rphase(a, k)\n  real a(16)\n  integer k\n  distribute a(cyclic)\n\
   \  a(k) = a(k) + 3.0\nend\n"
 
+(* The same callee as a wrapper's last statement: the restore remap
+   after the call is the wrapper's last use of [a], and the caller
+   reads [a] in the decomposition it leaves. *)
+let remapping_tail_src =
+  "program p\n  real a(16)\n  integer i\n  distribute a(block)\n\
+  \  do i = 1, 16\n    a(i) = float(i)\n  enddo\n\
+  \  do i = 4, 14\n    call w(a, i)\n  enddo\n  print *, a(5), a(14)\nend\n\
+   subroutine w(a, k)\n  real a(16)\n  integer k\n  call rphase(a, k)\nend\n\
+   subroutine rphase(a, k)\n  real a(16)\n  integer k\n  distribute a(cyclic)\n\
+  \  a(k) = a(k) * 2.0 + 3.0\nend\n"
+
 (* A sum carried across the iterations of a loop whose call is
    partitioned by it. *)
 let carried_sum_src =
@@ -768,6 +779,7 @@ let suite =
   @ [
       partition_case "partition: a callee that remaps" remapping_callee_src;
       partition_case "partition: a wrapper around a callee that remaps" remapping_below_src;
+      partition_case "remap: a wrapper ending in a callee that remaps" remapping_tail_src;
       partition_case "partition: a sum beside a partitioned call" carried_sum_src;
       partition_case "partition: a scalar live after the loop" live_out_src;
       partition_case "partition: a scalar carried across iterations" carried_scalar_src;

@@ -169,9 +169,17 @@ let use_stmt name : Ast.stmt =
 let dd_dead_elim_unit () =
   (* remap; remap (no use between): first is dead *)
   let body = [ remap "x" Ast.Block; remap "x" Ast.Cyclic; use_stmt "x" ] in
-  let body', removed = Dynamic_decomp.dead_remap_elim ~call_touches:no_calls body in
+  let body', removed = Dynamic_decomp.dead_remap_elim ~call_touches:no_calls ~live_out:Dynamic_decomp.SS.empty body in
   check_int "one removed" 1 removed;
-  check_int "two left" 2 (List.length body')
+  check_int "two left" 2 (List.length body');
+  (* a trailing remap is dead in the main program, live in a subroutine
+     whose callers see the array *)
+  let body = [ use_stmt "x"; remap "x" Ast.Block ] in
+  let _, removed = Dynamic_decomp.dead_remap_elim ~call_touches:no_calls ~live_out:Dynamic_decomp.SS.empty body in
+  check_int "trailing remap dead at program exit" 1 removed;
+  let live_out = Dynamic_decomp.SS.singleton "x" in
+  let _, removed = Dynamic_decomp.dead_remap_elim ~call_touches:no_calls ~live_out body in
+  check_int "trailing remap of an interface array kept" 0 removed
 
 let dd_redundant_unit () =
   let initial = Dynamic_decomp.DM.singleton "x" (Decomp.of_kinds [ Ast.Block ]) in
@@ -191,7 +199,7 @@ let dd_liveness_respects_branches () =
             else_ = [] } }
   in
   let body = [ remap "x" Ast.Cyclic; branch_use ] in
-  let _, removed = Dynamic_decomp.dead_remap_elim ~call_touches:no_calls body in
+  let _, removed = Dynamic_decomp.dead_remap_elim ~call_touches:no_calls ~live_out:Dynamic_decomp.SS.empty body in
   check_int "kept (used in a branch)" 0 removed
 
 (* Every compile numbers its remap$ pseudo-statements from the same
