@@ -159,6 +159,19 @@ let elt_type sc name =
   | Formal (_, elt) -> elt
   | Common _ | Local_scalar _ -> None
 
+(* A test oracle's view: the names the unit's frame binds, and the kind
+   of slot a name resolves to, binding it as compiled code would. *)
+let names sc = Hashtbl.fold (fun name _ acc -> name :: acc) sc.unit.u_layout.slots []
+
+let slot_kind sc name =
+  match sc.unit.u_layout.inits.(slot sc name) with
+  | Formal (k, _) -> Printf.sprintf "formal %d" k
+  | Common _ -> "common"
+  | Local_array _ -> "array"
+  | Local_scalar (Value.Vint _) -> "scalar integer"
+  | Local_scalar (Value.Vreal _) -> "scalar real"
+  | Local_scalar (Value.Vbool _) -> "scalar logical"
+
 let not_scalar name = Diag.error "array %s used as a scalar" name
 let not_array name = Diag.error "scalar %s used as an array" name
 let whole_array name = Diag.error "whole array %s used as a value" name

@@ -89,6 +89,12 @@ type scope = {
       (** extra intrinsics, tried first; [expr] charges their flop *)
 }
 
+val names : scope -> string list
+val slot_kind : scope -> string -> string
+(** For tests: the names the unit's frame binds, and the slot a name
+    resolves to (["formal k"], ["common"], ["array"] or ["scalar <type>"]),
+    binding it as compiled code would. *)
+
 (** {1 Compilation} *)
 
 val expr : scope -> Ast.expr -> code

@@ -207,7 +207,7 @@ let rec stmt sc (s : Node.nstmt) : Eval.env -> unit =
 
 and block sc body = Eval.block (List.map (stmt sc) body)
 
-let compile (prog : Node.program) : code =
+let units_of (prog : Node.program) =
   let globals =
     Eval.globals ~arrays:prog.Node.n_common_arrays ~scalars:prog.Node.n_common_scalars
   in
@@ -223,12 +223,23 @@ let compile (prog : Node.program) : code =
         (np, u))
       prog.Node.n_procs
   in
-  List.iter
-    (fun ((np : Node.nproc), (u : Eval.unit_code)) ->
-      let sc = { Eval.unit = u; globals; units; params = (fun _ -> None); hook = intrinsic } in
-      u.Eval.u_body <- block sc np.Node.np_body)
-    procs;
+  let scopes =
+    List.map
+      (fun ((np : Node.nproc), (u : Eval.unit_code)) ->
+        let sc = { Eval.unit = u; globals; units; params = (fun _ -> None); hook = intrinsic } in
+        u.Eval.u_body <- block sc np.Node.np_body;
+        (np, sc))
+      procs
+  in
+  (globals, units, scopes)
+
+let compile (prog : Node.program) : code =
+  let globals, units, _ = units_of prog in
   { globals; main = Hashtbl.find_opt units prog.Node.n_main; main_name = prog.Node.n_main }
+
+let frames prog =
+  let _, _, scopes = units_of prog in
+  List.map (fun ((np : Node.nproc), sc) -> (np.Node.np_name, Eval.names sc, Eval.slot_kind sc)) scopes
 
 (* Run this processor's copy of the main node program; returns the main
    frame so the driver can gather final array contents. *)

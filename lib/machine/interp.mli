@@ -18,6 +18,10 @@ type code
 
 val compile : Node.program -> code
 
+val frames : Node.program -> (string * string list * (string -> string)) list
+(** For tests: per node procedure, its name, the names its frame binds
+    once its body is compiled, and {!Eval.slot_kind}. *)
+
 type t
 
 val create : proc:int -> config:Config.t -> stats:Stats.t -> code -> t

@@ -1345,7 +1345,7 @@ and resolve_callee w name =
   | None ->
     Option.map
       (fun np ->
-        let rp = resolve w ~entry:false np in
+        let rp, _, _ = resolve w ~entry:false np in
         Hashtbl.replace w.procs name rp;
         rp)
       (Node.find_proc w.prog name)
@@ -1355,7 +1355,7 @@ and resolve_callee w name =
    a called procedure the first declaration wins and arrays beat
    scalars; in the entry frame each declaration replaces the last),
    then COMMON, then an implicitly typed scalar of this frame. *)
-and resolve w ~entry (np : Node.nproc) : rproc =
+and resolve w ~entry (np : Node.nproc) : rproc * string list * (string -> string) =
   let names = Hashtbl.create 16 and inits = ref [] in
   let bind name init =
     let i =
@@ -1415,7 +1415,23 @@ and resolve w ~entry (np : Node.nproc) : rproc =
   let r_body = List.map (stmt w { sc_slot; sc_visible }) np.Node.np_body in
   let init = Array.make (Hashtbl.length names) (fun () -> unbound) in
   List.iter (fun (i, f) -> init.(i) <- f) (List.rev !inits);
-  { r_fresh = (fun () -> Array.map (fun f -> f ()) init); r_formals; r_body }
+  let kind name =
+    match sc_slot name with
+    | Common _ -> "common"
+    | Local i -> (
+      let formal = ref None in
+      List.iteri (fun k s -> if s = i then formal := Some k) r_formals;
+      match (!formal, (List.assoc i !inits) ()) with
+      | Some k, _ -> Printf.sprintf "formal %d" k
+      | None, Barray _ -> "array"
+      | None, Bscalar { contents = Absdom.Uni (Absdom.Pint _) } -> "scalar integer"
+      | None, Bscalar { contents = Absdom.Uni (Absdom.Preal _) } -> "scalar real"
+      | None, Bscalar { contents = Absdom.Uni (Absdom.Pbool _) } -> "scalar logical"
+      | None, Bscalar _ -> "scalar ?")
+  in
+  ({ r_fresh = (fun () -> Array.map (fun f -> f ()) init); r_formals; r_body },
+   Hashtbl.fold (fun name _ acc -> name :: acc) names [],
+   kind)
 
 (* --- entry ------------------------------------------------------------ *)
 
@@ -1435,9 +1451,7 @@ let no_program msg =
     regions = [];
   }
 
-let walk_main ?budget ?branch_oracle ~nprocs (prog : Node.program)
-    (main : Node.nproc) : result =
-  let buf = ref [] in
+let state ?budget ?branch_oracle ~nprocs (prog : Node.program) =
   let w =
     {
       n = nprocs;
@@ -1448,7 +1462,7 @@ let walk_main ?budget ?branch_oracle ~nprocs (prog : Node.program)
       procs = Hashtbl.create 8;
       fuel = fuel_budget;
       uncertain = 0;
-      buf;
+      buf = ref [];
       next_id = 0;
       findings = [];
       fuzzy = Hashtbl.create 8;
@@ -1465,7 +1479,20 @@ let walk_main ?budget ?branch_oracle ~nprocs (prog : Node.program)
   List.iter
     (fun (v, ty) -> Hashtbl.replace w.globals v (Bscalar (ref (zero_of ty))))
     prog.Node.n_common_scalars;
-  let main = resolve w ~entry:true main in
+  w
+
+let frames (prog : Node.program) =
+  let w = state ~nprocs:prog.Node.n_nprocs prog in
+  List.map
+    (fun (np : Node.nproc) ->
+      let _, names, kind = resolve w ~entry:(np.Node.np_name = prog.Node.n_main) np in
+      (np.Node.np_name, names, kind))
+    prog.Node.n_procs
+
+let walk_main ?budget ?branch_oracle ~nprocs (prog : Node.program)
+    (main : Node.nproc) : result =
+  let w = state ?budget ?branch_oracle ~nprocs prog in
+  let main, _, _ = resolve w ~entry:true main in
   let act = Iset.range 0 (nprocs - 1) in
   let complete =
     try

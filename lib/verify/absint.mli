@@ -65,3 +65,9 @@ val walk :
   nprocs:int ->
   Node.program ->
   result
+
+val frames : Node.program -> (string * string list * (string -> string)) list
+(** For tests: per node procedure, its name, the names its frame binds
+    once its body is resolved, and the slot a name resolves to
+    (["formal k"], ["common"], ["array"] or ["scalar <type>"]), binding
+    it as resolved code would. *)

@@ -641,6 +641,50 @@ let test_lint_skips_unreachable () =
         (List.map (Fmt.str "%a" Finding.pp) vr.Verify.findings))
     strategies
 
+(* The simulator ({!Eval}, through {!Interp}) and the verifier
+   ({!Absint}) must bind each name a node procedure declares or mentions
+   to the same kind of slot, or the verifier reasons about another
+   variable than the simulator runs.  Over the examples and the first
+   1,000 generated programs the frontend accepts, each under every
+   strategy at P=5. *)
+let same_frames what (prog : Node.program) =
+  List.iter2
+    (fun (pname, enames, ekind) (_, anames, akind) ->
+      List.iter
+        (fun name ->
+          let e = ekind name and a = akind name in
+          if e <> a then
+            Alcotest.failf "%s: %s in %s is %s to the simulator, %s to the verifier"
+              what name pname e a)
+        (List.sort_uniq compare (enames @ anames)))
+    (Interp.frames prog) (Absint.frames prog)
+
+let test_frames_agree () =
+  let compile what cp =
+    List.iter
+      (fun (sname, strategy) ->
+        match Driver.compile ~opts:{ Options.default with strategy; nprocs = 5 } cp with
+        | exception (Fd_support.Diag.Compile_error _ | Fd_support.Diag.Compile_errors _) -> ()
+        | compiled -> same_frames (what ^ " " ^ sname) compiled.Codegen.program)
+      strategies
+  in
+  List.iter
+    (fun file ->
+      compile file
+        (Driver.check_source ~file (read_file (Filename.concat examples_dir file))))
+    good_examples;
+  let rec go seed left =
+    if left > 0 then
+      let src, _ = Fd_fuzz.Harness.gen_case seed in
+      match Driver.check_source src with
+      | exception (Fd_support.Diag.Compile_error _ | Fd_support.Diag.Compile_errors _) ->
+        go (seed + 1) left
+      | cp ->
+        compile (Fmt.str "gen_case %d" seed) cp;
+        go (seed + 1) (left - 1)
+  in
+  go 1 1000
+
 let suite =
   [
     Alcotest.test_case "good examples: sound and strict-clean" `Slow
@@ -669,6 +713,8 @@ let suite =
       test_scalar_keeps_common_array_visible;
     Alcotest.test_case "frame: misused names stop the walk" `Quick
       test_misused_names;
+    Alcotest.test_case "frame: simulator and verifier bind the same slots"
+      `Slow test_frames_agree;
     Alcotest.test_case "uniform DO: negative step" `Quick
       test_loop_negative_step;
     Alcotest.test_case "uniform DO: zero trips" `Quick test_loop_zero_trip;
