@@ -10,6 +10,10 @@ open Fd_support
 
 type dtype = Real | Integer | Logical
 
+(* Fortran's default: a name starting i-n is INTEGER, any other REAL. *)
+let implicit_type name =
+  if String.length name > 0 && name.[0] >= 'i' && name.[0] <= 'n' then Integer else Real
+
 type binop =
   | Add | Sub | Mul | Div | Pow
   | Eq | Ne | Lt | Le | Gt | Ge

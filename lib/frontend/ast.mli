@@ -8,6 +8,11 @@
 
 type dtype = Real | Integer | Logical
 
+val implicit_type : string -> dtype
+(** The type of an undeclared scalar: INTEGER when its name starts with
+    [i]-[n], REAL otherwise (Fortran's default).  The one statement of
+    the rule; sema, the interpreters and the verifier all ask here. *)
+
 type binop =
   | Add | Sub | Mul | Div | Pow
   | Eq | Ne | Lt | Le | Gt | Ge

@@ -193,10 +193,7 @@ let rec resolve_expr env (e : Ast.expr) : Ast.expr * ty =
       | Some (Symtab.Decomposition _) ->
         err env "decomposition %s used as a value" v;
         (e, Tint)
-      | None ->
-        (* implicit typing: integer i-n, real otherwise (Fortran default) *)
-        if String.length v > 0 && v.[0] >= 'i' && v.[0] <= 'n' then (e, Tint)
-        else (e, Treal))
+      | None -> (e, dtype_ty (Ast.implicit_type v)))
   | Ast.Ref (name, args) | Ast.Funcall (name, args) -> (
     match Symtab.find env.symtab name with
     | Some (Symtab.Array { elt; dims }) ->

@@ -58,67 +58,47 @@ let mem env =
   c.pending <- c.pending +. c.mem_cost;
   env.stats.Stats.mem_ops <- env.stats.Stats.mem_ops + 1
 
-(* --- Frame layouts ------------------------------------------------------- *)
+(* --- Frames ---------------------------------------------------------------- *)
 
-type init =
-  | Formal of int * Ast.dtype option  (* the actual's position; a formal array's element type *)
-  | Common of int
-  | Local_array of Node.array_decl
-  | Local_scalar of Value.t
+(* A slot's initial binding, mapped from its {!Frame.kind} once per unit. *)
+type init = Actual of int | Global of int | Zero of Value.t | Alloc of Node.array_decl
 
-(* Slots are numbered in order of declaration; a name keeps its first. *)
-type frame_layout = { slots : (string, int) Hashtbl.t; mutable inits : init array }
+let init = function
+  | Frame.Formal (k, _) -> Actual k
+  | Frame.Common j -> Global j
+  | Frame.Local_scalar ty -> Zero (Value.zero_of ty)
+  | Frame.Local_array ad -> Alloc ad
 
-let declared fl name = Hashtbl.mem fl.slots name
-
-let declare fl name init =
-  if not (declared fl name) then begin
-    Hashtbl.replace fl.slots name (Array.length fl.inits);
-    fl.inits <- Array.append fl.inits [| init |]
-  end
+let inits fr = Array.init (Frame.size fr) (fun i -> init (Frame.kind fr i))
 
 (* A frame; its formals bind [actuals]. *)
-let instantiate env fl actuals =
+let instantiate env inits actuals =
   Array.map
     (function
-      | Formal (k, _) -> actuals.(k)
-      | Common j -> env.globals.(j)
-      | Local_scalar v -> Bscalar (ref v)
-      | Local_array ad ->
+      | Actual k -> actuals.(k)
+      | Global j -> env.globals.(j)
+      | Zero v -> Bscalar (ref v)
+      | Alloc ad ->
         Barray
           (Storage.alloc ~proc:env.proc ~nprocs:env.nprocs ad.Node.ad_name ad.Node.ad_elt
              ad.Node.ad_layout))
-    fl.inits
+    inits
 
-type unit_code = { u_layout : frame_layout; u_arity : int; mutable u_body : env -> unit }
+type unit_code =
+  { u_frame : Frame.t; u_arity : int; mutable u_inits : init array; mutable u_body : env -> unit }
 
-(* A unit's frame binds its formals (a repeated one, its last actual),
-   then its arrays and scalars that are neither formals nor COMMON. *)
 let unit_code ~formals ~arrays ~scalars ~is_common =
-  let fl = { slots = Hashtbl.create 16; inits = [||] } in
-  let elt f =
-    Option.map (fun ad -> ad.Node.ad_elt) (List.find_opt (fun ad -> ad.Node.ad_name = f) arrays)
-  in
-  List.iteri
-    (fun k f ->
-      match Hashtbl.find_opt fl.slots f with
-      | Some i -> fl.inits.(i) <- Formal (k, elt f)
-      | None -> declare fl f (Formal (k, elt f)))
-    formals;
-  let local name = not (declared fl name || is_common name) in
-  List.iter
-    (fun (ad : Node.array_decl) ->
-      if local ad.Node.ad_name then declare fl ad.Node.ad_name (Local_array ad))
-    arrays;
-  List.iter (fun (v, ty) -> if local v then declare fl v (Local_scalar (Value.zero_of ty))) scalars;
-  { u_layout = fl; u_arity = List.length formals; u_body = ignore }
+  { u_frame = Frame.make ~formals ~arrays ~scalars ~is_common; u_arity = List.length formals;
+    u_inits = [||]; u_body = ignore }
 
-let globals ~arrays ~scalars =
-  (unit_code ~formals:[] ~arrays ~scalars ~is_common:(fun _ -> false)).u_layout
+(* The body is compiled, so the frame has all its slots. *)
+let define u body =
+  u.u_inits <- inits u.u_frame;
+  u.u_body <- body
 
 type scope = {
   unit : unit_code;
-  globals : frame_layout;
+  globals : Frame.t;
   units : (string, unit_code) Hashtbl.t;
   params : string -> int option;
   hook : scope -> string -> Ast.expr list -> typed option;
@@ -126,51 +106,38 @@ type scope = {
 
 (* --- Name resolution ----------------------------------------------------- *)
 
-let implicit_zero name =
-  if String.length name > 0 && name.[0] >= 'i' && name.[0] <= 'n' then Value.Vint 0
-  else Value.Vreal 0.0
-
-(* The unit's own names, then COMMON, then a fresh implicitly typed
-   scalar of the frame (Fortran style). *)
-let slot sc name =
-  let fl = sc.unit.u_layout in
-  if not (declared fl name) then
-    declare fl name
-      (match Hashtbl.find_opt sc.globals.slots name with
-      | Some j -> Common j
-      | None -> Local_scalar (implicit_zero name));
-  Hashtbl.find fl.slots name
+let slot sc name = Frame.slot sc.unit.u_frame ~common:sc.globals name
 
 (* Static types.  A local or COMMON scalar keeps its initial type on
    every write path ([store]), so an INTEGER one always holds a [Vint];
    an array's elements have its declared type, and sema makes a whole
    array actual's element type the formal's. *)
-let init_of sc name =
-  match sc.unit.u_layout.inits.(slot sc name) with Common j -> sc.globals.inits.(j) | i -> i
+let kind sc name =
+  match Frame.kind sc.unit.u_frame (slot sc name) with
+  | Frame.Common j -> Frame.kind sc.globals j
+  | k -> k
 
-let scalar_zero sc name =
-  match init_of sc name with Local_scalar ((Value.Vint _ | Value.Vreal _) as z) -> Some z | _ -> None
+let scalar_type sc name = match kind sc name with Frame.Local_scalar ty -> Some ty | _ -> None
 
-let int_scalar sc name = scalar_zero sc name = Some (Value.Vint 0)
+let int_scalar sc name = scalar_type sc name = Some Ast.Integer
 
 let elt_type sc name =
-  match init_of sc name with
-  | Local_array ad -> Some ad.Node.ad_elt
-  | Formal (_, elt) -> elt
-  | Common _ | Local_scalar _ -> None
+  match kind sc name with
+  | Frame.Local_array ad -> Some ad.Node.ad_elt
+  | Frame.Formal (_, elt) -> elt
+  | Frame.Common _ | Frame.Local_scalar _ -> None
 
-(* A test oracle's view: the names the unit's frame binds, and the kind
-   of slot a name resolves to, binding it as compiled code would. *)
-let names sc = Hashtbl.fold (fun name _ acc -> name :: acc) sc.unit.u_layout.slots []
+(* A test oracle's view: the names the unit's frame binds, and what a
+   frame binds for a name, resolving it as compiled code would. *)
+let names sc = Frame.fold (fun name _ acc -> name :: acc) sc.unit.u_frame []
 
 let slot_kind sc name =
-  match sc.unit.u_layout.inits.(slot sc name) with
-  | Formal (k, _) -> Printf.sprintf "formal %d" k
-  | Common _ -> "common"
-  | Local_array _ -> "array"
-  | Local_scalar (Value.Vint _) -> "scalar integer"
-  | Local_scalar (Value.Vreal _) -> "scalar real"
-  | Local_scalar (Value.Vbool _) -> "scalar logical"
+  match init (Frame.kind sc.unit.u_frame (slot sc name)) with
+  | Actual k -> Printf.sprintf "formal %d" k
+  | Global _ -> "common"
+  | Alloc _ -> "array"
+  | Zero v ->
+    "scalar " ^ (match v with Value.Vint _ -> "integer" | Value.Vreal _ -> "real" | _ -> "logical")
 
 let not_scalar name = Diag.error "array %s used as a scalar" name
 let not_array name = Diag.error "scalar %s used as an array" name
@@ -461,7 +428,8 @@ let store c v =
 let assign sc lhs rhs : env -> unit =
   let rhs = typed sc rhs in
   match (lhs, rhs) with
-  | Ast.Var name, (Int _ | Float _) when scalar_zero sc name <> None ->
+  | Ast.Var name, (Int _ | Float _)
+    when List.mem (scalar_type sc name) [ Some Ast.Integer; Some Ast.Real ] ->
     (* an INTEGER or REAL cell: the number is converted unboxed *)
     let cell = scalar_cell sc name in
     if int_scalar sc name then
@@ -522,7 +490,7 @@ let call sc name args : env -> unit =
       Array.of_list (List.map (function Ast.Var v -> binding sc v | e -> by_value e) args)
     in
     fun env ->
-      let frame = instantiate env u.u_layout (Array.map (fun a -> a env) actuals) in
+      let frame = instantiate env u.u_inits (Array.map (fun a -> a env) actuals) in
       let caller = env.frame in
       env.frame <- frame;
       run_body u env;
@@ -531,17 +499,17 @@ let call sc name args : env -> unit =
 (* --- Running ------------------------------------------------------------- *)
 
 let run_main (env : env) ~globals (main : unit_code) =
-  env.globals <- instantiate env globals [||];
-  let frame = instantiate env main.u_layout [||] in
+  env.globals <- instantiate env (inits globals) [||];
+  let frame = instantiate env main.u_inits [||] in
   env.frame <- frame;
   run_body main env;
   let t = Hashtbl.create 16 in
-  Hashtbl.iter (fun name j -> Hashtbl.replace t name env.globals.(j)) globals.slots;
-  Hashtbl.iter (fun name i -> Hashtbl.replace t name frame.(i)) main.u_layout.slots;
+  Frame.fold (fun name j () -> Hashtbl.replace t name env.globals.(j)) globals ();
+  Frame.fold (fun name i () -> Hashtbl.replace t name frame.(i)) main.u_frame ();
   t
 
 let lookup_array sc (env : env) name =
-  match Hashtbl.find_opt sc.unit.u_layout.slots name, Hashtbl.find_opt sc.globals.slots name with
+  match Frame.find sc.unit.u_frame name, Frame.find sc.globals name with
   | Some i, _ -> (match env.frame.(i) with Barray o -> o | Bscalar _ -> not_array name)
   | None, Some j -> (match env.globals.(j) with Barray o -> o | Bscalar _ -> not_array name)
   | None, None -> not_array name

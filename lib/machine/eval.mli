@@ -60,29 +60,26 @@ val env : proc:int -> nprocs:int -> strict:bool -> config:Config.t -> stats:Stat
 val mem : env -> unit
 (** Charge one mem-op. *)
 
-(** {1 Frame layouts} *)
+(** {1 Units} *)
 
-type frame_layout
-
-val declared : frame_layout -> string -> bool
-
-type unit_code = { u_layout : frame_layout; u_arity : int; mutable u_body : env -> unit }
+type unit_code
+(** A compiled program unit: its {!Frame} layout, the initial bindings
+    that layout maps to, and its body. *)
 
 val unit_code :
   formals:string list -> arrays:Node.array_decl list -> scalars:(string * Ast.dtype) list ->
   is_common:(string -> bool) -> unit_code
-(** A program unit whose frame binds its formals, then each array and
-    scalar that is neither a formal nor COMMON; a formal named in
-    [arrays] is read with that element type.  Names first mentioned in
-    its code get slots as they are compiled.  The interpreter sets
-    [u_body] once every unit of the program exists. *)
+(** A unit whose frame is {!Frame.make}'s layout.  Names first mentioned
+    in its code get slots as they are compiled; the interpreter
+    {!define}s each unit once every unit of the program exists. *)
 
-val globals : arrays:Node.array_decl list -> scalars:(string * Ast.dtype) list -> frame_layout
-(** The COMMON storage of a program. *)
+val define : unit_code -> (env -> unit) -> unit
+(** Give the unit its compiled body, once that body has mentioned every
+    name it will; the frame's initial bindings are fixed here. *)
 
 type scope = {
   unit : unit_code;  (** the unit being compiled *)
-  globals : frame_layout;  (** COMMON *)
+  globals : Frame.t;  (** COMMON *)
   units : (string, unit_code) Hashtbl.t;  (** call targets *)
   params : string -> int option;  (** PARAMETER constants *)
   hook : scope -> string -> Ast.expr list -> typed option;
@@ -91,9 +88,9 @@ type scope = {
 
 val names : scope -> string list
 val slot_kind : scope -> string -> string
-(** For tests: the names the unit's frame binds, and the slot a name
-    resolves to (["formal k"], ["common"], ["array"] or ["scalar <type>"]),
-    binding it as compiled code would. *)
+(** For tests: the names the unit's frame binds, and what a frame binds
+    for a name (["formal k"], ["common"], ["array"] or ["scalar <type>"]),
+    resolving it as compiled code would. *)
 
 (** {1 Compilation} *)
 
@@ -129,7 +126,7 @@ val call : scope -> string -> Ast.expr list -> env -> unit
 
 (** {1 Running} *)
 
-val run_main : env -> globals:frame_layout -> unit_code -> (string, binding) Hashtbl.t
+val run_main : env -> globals:Frame.t -> unit_code -> (string, binding) Hashtbl.t
 (** Allocate the processor's COMMON storage, run the unit in a fresh
     frame, and return that frame by name, COMMON included. *)
 

@@ -13,7 +13,7 @@ type binding = Eval.binding = Bscalar of Value.t ref | Barray of Storage.array_o
 
 type frame = (string, binding) Hashtbl.t
 
-type code = { globals : Eval.frame_layout; main : Eval.unit_code option; main_name : string }
+type code = { globals : Frame.t; main : Eval.unit_code option; main_name : string }
 
 type t = { env : Eval.env; code : code }
 
@@ -209,7 +209,7 @@ and block sc body = Eval.block (List.map (stmt sc) body)
 
 let units_of (prog : Node.program) =
   let globals =
-    Eval.globals ~arrays:prog.Node.n_common_arrays ~scalars:prog.Node.n_common_scalars
+    Frame.common ~arrays:prog.Node.n_common_arrays ~scalars:prog.Node.n_common_scalars
   in
   let units = Hashtbl.create 8 in
   let procs =
@@ -217,7 +217,7 @@ let units_of (prog : Node.program) =
       (fun (np : Node.nproc) ->
         let u =
           Eval.unit_code ~formals:np.Node.np_formals ~arrays:np.Node.np_arrays
-            ~scalars:np.Node.np_scalars ~is_common:(Eval.declared globals)
+            ~scalars:np.Node.np_scalars ~is_common:(fun n -> Frame.find globals n <> None)
         in
         if not (Hashtbl.mem units np.Node.np_name) then Hashtbl.replace units np.Node.np_name u;
         (np, u))
@@ -227,7 +227,7 @@ let units_of (prog : Node.program) =
     List.map
       (fun ((np : Node.nproc), (u : Eval.unit_code)) ->
         let sc = { Eval.unit = u; globals; units; params = (fun _ -> None); hook = intrinsic } in
-        u.Eval.u_body <- block sc np.Node.np_body;
+        Eval.define u (block sc np.Node.np_body);
         (np, sc))
       procs
   in

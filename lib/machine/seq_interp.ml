@@ -33,7 +33,7 @@ let compile ~outputs ~on_branch (cp : Sema.checked_program) =
   let main = Sema.find_unit_exn cp cp.Sema.main in
   (* COMMON storage: the blocks the main program declares *)
   let arrays, scalars = decls ~keep:(Symtab.is_common main.Sema.symtab) main.Sema.symtab in
-  let globals = Eval.globals ~arrays ~scalars in
+  let globals = Frame.common ~arrays ~scalars in
   let units = Hashtbl.create 8 in
   let compiled =
     List.map
@@ -77,7 +77,7 @@ let compile ~outputs ~on_branch (cp : Sema.checked_program) =
             let line = String.concat " " (List.map (fun a -> Value.to_string (a env)) args) in
             outputs := line :: !outputs
       and block body = Eval.block (List.map stmt body) in
-      u.Eval.u_body <- block cu.Sema.unit_.Ast.body)
+      Eval.define u (block cu.Sema.unit_.Ast.body))
     compiled;
   (globals, Hashtbl.find units main.Sema.unit_.Ast.uname)
 

@@ -48,12 +48,9 @@ type aobj = {
 
 type binding = Bscalar of Absdom.t ref | Barray of aobj
 
-(* One activation of a resolved procedure: a binding per slot. *)
+(* One activation of a resolved procedure: a binding per slot of its
+   {!Frame} layout. *)
 type frame = binding array
-
-(* A name as one procedure sees it: a slot of its frame, or the
-   walk-wide COMMON binding. *)
-type slot = Local of int | Common of binding
 
 (* Compiled forms: an expression evaluates on a frame; a statement runs
    on a frame under a mask and returns the mask still live (act minus
@@ -63,17 +60,18 @@ type code = frame -> Iset.t -> Iset.t
 
 (* A node procedure resolved once per walk (see [resolve]). *)
 type rproc = {
+  r_layout : Frame.t;
   r_fresh : unit -> frame;  (* a new activation, formals unbound *)
   r_formals : int list;  (* the slot of each formal, in order *)
   r_body : code list;
 }
 
-(* Resolution context: the procedure's name lookup, and the arrays a
-   receive may snapshot, each name with its candidate slots in
-   precedence order (local, then COMMON). *)
+(* Resolution context: the procedure's slot of a name, and the arrays a
+   receive may snapshot: each name's slot, then the COMMON array of that
+   name, if any. *)
 type scope = {
-  sc_slot : string -> slot;
-  sc_visible : (string * slot list) list;
+  sc_slot : string -> int;
+  sc_visible : (string * int * binding option) list;
 }
 
 (* One unverifiable-control-flow region instance, in walk order.  The
@@ -92,7 +90,8 @@ type w = {
   oracle : (Loc.t -> bool option) option;
       (* branch profile consulted before falling back to regions *)
   budget : Budget.state option;
-  globals : (string, binding) Hashtbl.t;  (* COMMON, read by [resolve] *)
+  common : Frame.t;  (* the COMMON layout *)
+  globals : binding array;  (* its bindings, shared by every frame *)
   procs : (string, rproc) Hashtbl.t;  (* callees resolved so far *)
   mutable fuel : int;
   mutable uncertain : int;  (* depth of unverifiable regions *)
@@ -146,22 +145,20 @@ let burn w =
   if w.fuel <= 0 then raise Truncated;
   charge w Budget.tick_step
 
-(* --- environment (mirrors Interp's frames) --------------------------- *)
+(* --- environment (the simulator's frames, {!Frame}) ------------------- *)
 
-let implicit_zero name =
-  if String.length name > 0 && name.[0] >= 'i' && name.[0] <= 'n' then
-    Absdom.Uni (Absdom.Pint 0)
-  else Absdom.Uni (Absdom.Preal 0.0)
+(* A slot's binding in a new activation; a call rebinds the formals. *)
+let fresh globals = function
+  | Frame.Formal _ -> Bscalar (ref Absdom.unknown)
+  | Frame.Common j -> globals.(j)
+  | Frame.Local_scalar Ast.Integer -> Bscalar (ref (Absdom.Uni (Absdom.Pint 0)))
+  | Frame.Local_scalar Ast.Real -> Bscalar (ref (Absdom.Uni (Absdom.Preal 0.0)))
+  | Frame.Local_scalar Ast.Logical -> Bscalar (ref (Absdom.Uni (Absdom.Pbool false)))
+  | Frame.Local_array { Node.ad_name; ad_layout; _ } ->
+    Barray { a_name = ad_name; a_bounds = ad_layout.Layout.bounds; a_layout = ad_layout }
 
-let zero_of = function
-  | Ast.Integer -> Absdom.Uni (Absdom.Pint 0)
-  | Ast.Real -> Absdom.Uni (Absdom.Preal 0.0)
-  | Ast.Logical -> Absdom.Uni (Absdom.Pbool false)
-
-let get (fr : frame) = function Local i -> fr.(i) | Common b -> b
-
-let cell_of fr s name =
-  match get fr s with
+let cell_of (fr : frame) s name =
+  match fr.(s) with
   | Bscalar r -> r
   | Barray _ -> raise (Stuck (Fmt.str "array %s used as a scalar" name))
 
@@ -171,17 +168,10 @@ let scalar_cell sc name =
 
 let array_obj sc name =
   let s = sc.sc_slot name in
-  fun fr ->
-    match get fr s with
+  fun (fr : frame) ->
+    match fr.(s) with
     | Barray o -> o
     | Bscalar _ -> raise (Stuck (Fmt.str "scalar %s used as an array" name))
-
-let alloc_aobj (ad : Node.array_decl) =
-  {
-    a_name = ad.Node.ad_name;
-    a_bounds = ad.Node.ad_layout.Layout.bounds;
-    a_layout = ad.Node.ad_layout;
-  }
 
 (* --- expressions ------------------------------------------------------ *)
 
@@ -213,7 +203,7 @@ let rec eval w sc (e : Ast.expr) : expr =
   | Ast.Var v -> (
     let s = sc.sc_slot v in
     fun fr ->
-      match get fr s with
+      match fr.(s) with
       | Bscalar r -> !r
       | Barray _ -> raise (Stuck (Fmt.str "whole array %s used as a value" v)))
   | Ast.Ref (name, _) ->
@@ -420,7 +410,7 @@ let havoc_scalars w fr act ~divergent slots =
   in
   List.iter
     (fun s ->
-      match get fr s with
+      match fr.(s) with
       | Bscalar cell ->
         cell := Absdom.join ~n:w.n !cell (Absdom.blend ~n:w.n ~act !cell upd)
       | Barray _ -> ())
@@ -768,23 +758,16 @@ let emit_send w fr act ~loc dest parts tag =
 
 (* Arrays in scope at a statement, under their LOCAL names (a formal
    aliases the caller's array but messages refer to the formal). *)
-let emit_recv w fr act ~loc src tag visible =
+let emit_recv w (fr : frame) act ~loc src tag visible =
   let n = w.n in
   let vsrc = src fr in
   let snaps =
     List.filter_map
-      (fun (name, slots) ->
-        List.find_map
-          (fun s ->
-            match get fr s with
-            | Barray obj ->
-              Some
-                {
-                  Skeleton.ra_name = name;
-                  ra_layout = obj.a_layout;
-                }
-            | Bscalar _ -> None)
-          slots)
+      (fun (name, s, common) ->
+        match (fr.(s), common) with
+        | Barray obj, _ | Bscalar _, Some (Barray obj) ->
+          Some { Skeleton.ra_name = name; ra_layout = obj.a_layout }
+        | Bscalar _, _ -> None)
       visible
   in
   Iset.fold_intervals
@@ -957,7 +940,7 @@ and walk_call w fr act name callee args =
     (fun slot actual ->
       frame.(slot) <-
         (match actual with
-        | `Ref s -> get fr s
+        | `Ref s -> fr.(s)
         | `Value e -> Bscalar (ref (e fr))))
     rp.r_formals args;
   ignore (walk_seq w frame act rp.r_body)
@@ -1345,93 +1328,35 @@ and resolve_callee w name =
   | None ->
     Option.map
       (fun np ->
-        let rp, _, _ = resolve w ~entry:false np in
+        let rp = resolve w np in
         Hashtbl.replace w.procs name rp;
         rp)
       (Node.find_proc w.prog name)
 
-(* Give every name [np] mentions a slot, by the precedence the frames
-   have always had: formals, then local arrays, then local scalars (in
-   a called procedure the first declaration wins and arrays beat
-   scalars; in the entry frame each declaration replaces the last),
-   then COMMON, then an implicitly typed scalar of this frame. *)
-and resolve w ~entry (np : Node.nproc) : rproc * string list * (string -> string) =
-  let names = Hashtbl.create 16 and inits = ref [] in
-  let bind name init =
-    let i =
-      match Hashtbl.find_opt names name with
-      | Some i -> i
-      | None ->
-        let i = Hashtbl.length names in
-        Hashtbl.replace names name i;
-        i
-    in
-    inits := (i, init) :: !inits;
-    i
+(* Resolve [np] over its {!Frame} layout, the simulator's.  A receive
+   mentions every COMMON array, so each has a slot. *)
+and resolve w (np : Node.nproc) : rproc =
+  let layout =
+    Frame.make ~formals:np.Node.np_formals ~arrays:np.Node.np_arrays
+      ~scalars:np.Node.np_scalars ~is_common:(fun v -> Frame.find w.common v <> None)
   in
-  let common name = Hashtbl.mem w.globals name in
-  let formals = if entry then [] else np.Node.np_formals in
-  let unbound = Bscalar (ref Absdom.unknown) in
-  let r_formals = List.map (fun f -> bind f (fun () -> unbound)) formals in
-  List.iter
-    (fun (ad : Node.array_decl) ->
-      if not (List.mem ad.Node.ad_name formals || common ad.Node.ad_name) then
-        ignore (bind ad.Node.ad_name (fun () -> Barray (alloc_aobj ad))))
-    np.Node.np_arrays;
-  List.iter
-    (fun (v, ty) ->
-      if not (common v || ((not entry) && Hashtbl.mem names v)) then
-        let z = zero_of ty in
-        ignore (bind v (fun () -> Bscalar (ref z))))
-    np.Node.np_scalars;
+  let sc_slot = Frame.slot layout ~common:w.common in
+  let common_array name =
+    match Option.map (Array.get w.globals) (Frame.find w.common name) with
+    | Some (Barray _ as b) -> Some b
+    | _ -> None
+  in
+  List.iter (fun (ad : Node.array_decl) -> ignore (sc_slot ad.Node.ad_name))
+    w.prog.Node.n_common_arrays;
   let sc_visible =
-    Hashtbl.fold
-      (fun name i acc ->
-        let global =
-          match Hashtbl.find_opt w.globals name with
-          | Some (Barray _ as b) -> [ Common b ]
-          | _ -> []
-        in
-        (name, Local i :: global) :: acc)
-      names
-      (Hashtbl.fold
-         (fun name b acc ->
-           match b with
-           | Barray _ when not (Hashtbl.mem names name) ->
-             (name, [ Common b ]) :: acc
-           | _ -> acc)
-         w.globals [])
-  in
-  let sc_slot name =
-    match Hashtbl.find_opt names name with
-    | Some i -> Local i
-    | None -> (
-      match Hashtbl.find_opt w.globals name with
-      | Some b -> Common b
-      | None ->
-        let z = implicit_zero name in
-        Local (bind name (fun () -> Bscalar (ref z))))
+    Frame.fold (fun name s acc -> (name, s, common_array name) :: acc) layout []
   in
   let r_body = List.map (stmt w { sc_slot; sc_visible }) np.Node.np_body in
-  let init = Array.make (Hashtbl.length names) (fun () -> unbound) in
-  List.iter (fun (i, f) -> init.(i) <- f) (List.rev !inits);
-  let kind name =
-    match sc_slot name with
-    | Common _ -> "common"
-    | Local i -> (
-      let formal = ref None in
-      List.iteri (fun k s -> if s = i then formal := Some k) r_formals;
-      match (!formal, (List.assoc i !inits) ()) with
-      | Some k, _ -> Printf.sprintf "formal %d" k
-      | None, Barray _ -> "array"
-      | None, Bscalar { contents = Absdom.Uni (Absdom.Pint _) } -> "scalar integer"
-      | None, Bscalar { contents = Absdom.Uni (Absdom.Preal _) } -> "scalar real"
-      | None, Bscalar { contents = Absdom.Uni (Absdom.Pbool _) } -> "scalar logical"
-      | None, Bscalar _ -> "scalar ?")
-  in
-  ({ r_fresh = (fun () -> Array.map (fun f -> f ()) init); r_formals; r_body },
-   Hashtbl.fold (fun name _ acc -> name :: acc) names [],
-   kind)
+  let kinds = Array.init (Frame.size layout) (Frame.kind layout) in
+  { r_layout = layout;
+    r_fresh = (fun () -> Array.map (fresh w.globals) kinds);
+    r_formals = List.map sc_slot np.Node.np_formals;
+    r_body }
 
 (* --- entry ------------------------------------------------------------ *)
 
@@ -1452,47 +1377,55 @@ let no_program msg =
   }
 
 let state ?budget ?branch_oracle ~nprocs (prog : Node.program) =
-  let w =
-    {
-      n = nprocs;
-      prog;
-      oracle = branch_oracle;
-      budget = Option.map Budget.start budget;
-      globals = Hashtbl.create 8;
-      procs = Hashtbl.create 8;
-      fuel = fuel_budget;
-      uncertain = 0;
-      buf = ref [];
-      next_id = 0;
-      findings = [];
-      fuzzy = Hashtbl.create 8;
-      send_stats = Hashtbl.create 16;
-      comm_memo = Hashtbl.create 8;
-      finding_seen = Hashtbl.create 16;
-      regions = [];
-    }
+  let common =
+    Frame.common ~arrays:prog.Node.n_common_arrays ~scalars:prog.Node.n_common_scalars
   in
-  List.iter
-    (fun (ad : Node.array_decl) ->
-      Hashtbl.replace w.globals ad.Node.ad_name (Barray (alloc_aobj ad)))
-    prog.Node.n_common_arrays;
-  List.iter
-    (fun (v, ty) -> Hashtbl.replace w.globals v (Bscalar (ref (zero_of ty))))
-    prog.Node.n_common_scalars;
-  w
+  {
+    n = nprocs;
+    prog;
+    oracle = branch_oracle;
+    budget = Option.map Budget.start budget;
+    common;
+    globals = Array.init (Frame.size common) (fun j -> fresh [||] (Frame.kind common j));
+    procs = Hashtbl.create 8;
+    fuel = fuel_budget;
+    uncertain = 0;
+    buf = ref [];
+    next_id = 0;
+    findings = [];
+    fuzzy = Hashtbl.create 8;
+    send_stats = Hashtbl.create 16;
+    comm_memo = Hashtbl.create 8;
+    finding_seen = Hashtbl.create 16;
+    regions = [];
+  }
 
 let frames (prog : Node.program) =
   let w = state ~nprocs:prog.Node.n_nprocs prog in
   List.map
     (fun (np : Node.nproc) ->
-      let _, names, kind = resolve w ~entry:(np.Node.np_name = prog.Node.n_main) np in
-      (np.Node.np_name, names, kind))
+      let rp = resolve w np in
+      let layout = rp.r_layout in
+      let kind name =
+        let s = Frame.slot layout ~common:w.common name in
+        let formal = ref None in
+        List.iteri (fun k f -> if f = s then formal := Some k) rp.r_formals;
+        match (!formal, fresh w.globals (Frame.kind layout s)) with
+        | Some k, _ -> Printf.sprintf "formal %d" k
+        | None, b when Array.exists (( == ) b) w.globals -> "common"
+        | None, Barray _ -> "array"
+        | None, Bscalar { contents = Absdom.Uni (Absdom.Pint _) } -> "scalar integer"
+        | None, Bscalar { contents = Absdom.Uni (Absdom.Preal _) } -> "scalar real"
+        | None, Bscalar { contents = Absdom.Uni (Absdom.Pbool _) } -> "scalar logical"
+        | None, Bscalar _ -> "scalar ?"
+      in
+      (np.Node.np_name, Frame.fold (fun name _ acc -> name :: acc) layout [], kind))
     prog.Node.n_procs
 
 let walk_main ?budget ?branch_oracle ~nprocs (prog : Node.program)
     (main : Node.nproc) : result =
   let w = state ?budget ?branch_oracle ~nprocs prog in
-  let main, _, _ = resolve w ~entry:true main in
+  let main = resolve w main in
   let act = Iset.range 0 (nprocs - 1) in
   let complete =
     try

@@ -68,6 +68,6 @@ val walk :
 
 val frames : Node.program -> (string * string list * (string -> string)) list
 (** For tests: per node procedure, its name, the names its frame binds
-    once its body is resolved, and the slot a name resolves to
-    (["formal k"], ["common"], ["array"] or ["scalar <type>"]), binding
-    it as resolved code would. *)
+    once its body is resolved, and what an activation binds for a name
+    (["formal k"], ["common"], ["array"] or ["scalar <type>"]), resolving
+    it as the walk would. *)

@@ -276,7 +276,7 @@ let evaluate ~f_real c =
     Eval.unit_code ~formals:[] ~arrays:[] ~scalars:[ ("mi", Ast.Integer); ("mx", Ast.Real) ]
       ~is_common:(fun _ -> false)
   in
-  let globals = Eval.globals ~arrays:[] ~scalars:[] in
+  let globals = Frame.common ~arrays:[] ~scalars:[] in
   let units = Hashtbl.create 1 in
   Hashtbl.replace units "s" s;
   let scope u =
@@ -304,7 +304,7 @@ let evaluate ~f_real c =
   let cell = Eval.scalar_cell sc and obj = Eval.array_obj sc in
   let ci = cell "i" and cx = cell "x" and cl = cell "l" in
   let result = ref None in
-  s.Eval.u_body <-
+  Eval.define s
     (fun env ->
       ci env := Value.Vint i0;
       cx env := Value.Vreal x0;
@@ -317,7 +317,7 @@ let evaluate ~f_real c =
   let actual = if f_real then "mx" else "mi" in
   let mi = Eval.scalar_cell scm "mi" and mx = Eval.scalar_cell scm "mx" in
   let call = Eval.call scm "s" [ Ast.Var actual ] in
-  main.Eval.u_body <-
+  Eval.define main
     (fun env ->
       mi env := Value.Vint i0;
       mx env := Value.Vreal x0;
