@@ -77,7 +77,7 @@ type proc_ctx = {
   (* analysis results filled by pre-passes *)
   mutable partitions : (int * partition) list;      (* loop sid -> decision *)
   mutable fallbacks : int list;                     (* stmt sids compiled via run-time resolution *)
-  mutable placements : (int * request) list;        (* emit request before stmt sid *)
+  placements : (int, request) Hashtbl.t;            (* emit requests before stmt sid *)
   mutable pending_out : Exports.pending list;       (* delayed to callers *)
   mutable proc_constraint : Exports.constraint_;
   mutable mod_scalars : SS.t;
@@ -169,9 +169,6 @@ let bound_arrays ctx callee actuals (names : Side_effects.S.t) : string list =
       | Ast.Var v when Side_effects.S.mem f names && Symtab.is_array ctx.symtab v -> Some v
       | _ -> None)
     (Acg.bindings ctx.st.acg callee actuals)
-
-let expr_equal a b =
-  String.equal (Ast_printer.expr_to_string a) (Ast_printer.expr_to_string b)
 
 (* Affine over names -> expression substituting actuals for formals. *)
 let subst_affine (bindings : Ast.expr SM.t) (a : Affine.t) : Ast.expr option =
@@ -554,7 +551,7 @@ let process_read ctx ~part (r : Sections.ref_info) (stmt_class : wclass) loops =
           &&
           match Affine.of_expr ctx.symtab wo_index with
           | Some wo_aff -> Affine.equal wo_aff a
-          | None -> expr_equal wo_index index_expr)
+          | None -> wo_index = index_expr)
         | W_by_loop _ -> false
         | _ -> (
           (* inside a C_owner procedure everything runs on one owner *)
@@ -1146,7 +1143,7 @@ let partition_pass ctx ~live sites =
 (* Every statement's messages under the decided partitions, once: the
    partition rule already kept each partitioned loop free of fallbacks. *)
 let comm_pass ctx sites =
-  let placed = ref [] and pending = ref [] in
+  let pending = ref [] in
   List.iter
     (fun site ->
       let out = messages ctx ~part:(partition_of ctx) site in
@@ -1154,11 +1151,10 @@ let comm_pass ctx sites =
       List.iter
         (function
           | Fallback -> ()
-          | Place (at, rq) -> placed := (at, rq) :: !placed
+          | Place (at, rq) -> Hashtbl.add ctx.placements at rq
           | Export p -> pending := p :: !pending)
         out)
     sites;
-  ctx.placements <- ctx.placements @ List.rev !placed;
   ctx.pending_out <- ctx.pending_out @ List.rev !pending
 
 (* --- Emission ------------------------------------------------------------ *)
@@ -1190,24 +1186,17 @@ let fold_params (symtab : Symtab.t) (body : Node.nstmt list) : Node.nstmt list =
   in
   List.map (Node.map_exprs fold) body
 
-let request_key rq =
-  let others ods =
-    String.concat ";"
-      (List.map
-         (function
-           | Comm.Od_point e -> Ast_printer.expr_to_string e
-           | Comm.Od_range (a, b) ->
-             Ast_printer.expr_to_string a ^ ":" ^ Ast_printer.expr_to_string b
-           | Comm.Od_full (a, b) -> Fmt.str "F%d:%d" a b)
-         ods)
-  in
-  match rq with
-  | Rq_shift { rs_array; rs_dim; rs_other; rs_need; _ } ->
-    Fmt.str "s|%s|%d|%s|%s" rs_array rs_dim (others rs_other)
-      (String.concat "&" (Array.to_list (Array.map Iset.to_string rs_need)))
-  | Rq_bcast { rb_array; rb_dim; rb_index; rb_other; _ } ->
-    Fmt.str "b|%s|%d|%s|%s" rb_array rb_dim
-      (Ast_printer.expr_to_string rb_index) (others rb_other)
+(* Requests that move the same sections of the same array. *)
+let same_request a b =
+  match (a, b) with
+  | Rq_shift x, Rq_shift y ->
+    String.equal x.rs_array y.rs_array && Layout.equal x.rs_layout y.rs_layout
+    && x.rs_dim = y.rs_dim && x.rs_other = y.rs_other
+    && Array.for_all2 Iset.equal x.rs_need y.rs_need
+  | Rq_bcast x, Rq_bcast y ->
+    String.equal x.rb_array y.rb_array && Layout.equal x.rb_layout y.rb_layout
+    && x.rb_dim = y.rb_dim && x.rb_index = y.rb_index && x.rb_other = y.rb_other
+  | _ -> false
 
 let emit_request ctx ~loc (rq : request) : Node.nstmt list =
   let nprocs = ctx.st.opts.Options.nprocs in
@@ -1252,13 +1241,8 @@ let emit_request ctx ~loc (rq : request) : Node.nstmt list =
     end
 
 let emit_placed ctx ~loc sid : Node.nstmt list =
-  let keyed =
-    List.filter_map
-      (fun (s, rq) -> if s = sid then Some (request_key rq, rq) else None)
-      ctx.placements
-  in
   let deduped =
-    Listx.dedup ~equal:(fun (a, _) (b, _) -> String.equal a b) keyed |> List.map snd
+    Listx.dedup ~equal:same_request (List.rev (Hashtbl.find_all ctx.placements sid))
   in
   if not ctx.st.opts.Options.aggregate_messages then
     List.concat_map (emit_request ctx ~loc) deduped
@@ -1266,28 +1250,18 @@ let emit_placed ctx ~loc sid : Node.nstmt list =
     (* aggregation (paper Fig. 11): shift transfers over the same layout
        and dimension at one placement share one message per processor
        pair *)
-    let shift_key = function
-      | Rq_shift { rs_layout; rs_dim; _ } ->
-        Some (Fmt.str "%a|%d" Layout.pp rs_layout rs_dim, rs_layout, rs_dim)
-      | Rq_bcast _ -> None
-    in
     let groups =
       Listx.group_by
-        ~key:(fun rq ->
-          match shift_key rq with Some (k, _, _) -> k | None -> "")
-        ~equal_key:String.equal deduped
+        ~key:(function
+          | Rq_shift { rs_layout; rs_dim; _ } -> Some (rs_layout, rs_dim)
+          | Rq_bcast _ -> None)
+        ~equal_key:(Option.equal (fun (l, d) (l', d') -> Layout.equal l l' && d = d'))
+        deduped
     in
     List.concat_map
       (fun (key, members) ->
-        if String.equal key "" || List.length members < 2 then
-          List.concat_map (emit_request ctx ~loc) members
-        else begin
-          let layout, dim =
-            match members with
-            | Rq_shift { rs_layout; rs_dim; _ } :: _ -> (rs_layout, rs_dim)
-            | _ ->
-              Diag.internal ~pass:"codegen" "coalesced group without a shift request"
-          in
+        match key with
+        | Some (layout, dim) when List.length members >= 2 ->
           let parts =
             List.map
               (function
@@ -1300,7 +1274,7 @@ let emit_placed ctx ~loc sid : Node.nstmt list =
           let nprocs = ctx.st.opts.Options.nprocs in
           Comm.emit_section_comm_multi ~loc ~nprocs ~tag:(fresh ctx.st)
             ~layout ~dim ~parts ()
-        end)
+        | _ -> List.concat_map (emit_request ctx ~loc) members)
       groups
   end
 
@@ -1454,7 +1428,7 @@ let new_ctx st (cu : Sema.checked_unit) : proc_ctx =
   { st; cu; pname = u.Ast.uname; symtab = cu.Sema.symtab;
     interface = u.Ast.formals @ List.map fst (Symtab.commons cu.Sema.symtab);
     refs = []; writes = []; override = SM.empty; partitions = []; fallbacks = [];
-    placements = []; pending_out = []; proc_constraint = Exports.C_none;
+    placements = Hashtbl.create 16; pending_out = []; proc_constraint = Exports.C_none;
     mod_scalars = SS.empty }
 
 (* The decomposition formal [x] has on entry: its exported Before-remap,
