@@ -33,7 +33,11 @@ let make ~formals ~arrays ~scalars ~is_common =
   let elt f =
     Option.map (fun ad -> ad.Node.ad_elt) (List.find_opt (fun ad -> ad.Node.ad_name = f) arrays)
   in
-  List.iteri (fun k f -> let fk = Formal (k, elt f) in t.kinds.(declare t f fk) <- fk) formals;
+  List.iteri
+    (fun k f ->
+      let formal = Formal (k, elt f) in
+      t.kinds.(declare t f formal) <- formal)
+    formals;
   let local name = not (Hashtbl.mem t.slots name || is_common name) in
   let add name kind = if local name then ignore (declare t name kind) in
   List.iter (fun (ad : Node.array_decl) -> add ad.Node.ad_name (Local_array ad)) arrays;
@@ -45,7 +49,9 @@ let common ~arrays ~scalars = make ~formals:[] ~arrays ~scalars ~is_common:(fun 
 (* The unit's own names, then COMMON, then a fresh implicitly typed
    scalar of the frame. *)
 let slot t ~common name =
-  declare t name
-    (match find common name with
-    | Some j -> Common j
-    | None -> Local_scalar (Ast.implicit_type name))
+  try Hashtbl.find t.slots name
+  with Not_found ->
+    declare t name
+      (match find common name with
+      | Some j -> Common j
+      | None -> Local_scalar (Ast.implicit_type name))
