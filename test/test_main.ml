@@ -1,6 +1,11 @@
-(* Alcotest sizes its name column by the longest suite name and cuts
+(* The unit, property and integration suites.  The verifier, trace and
+   golden suites run in test_goldens.exe, so dune runs the two halves
+   side by side.
+
+   Alcotest sizes its name column by the longest suite name and cuts
    test names to fit a fixed line, so a suite name longer than
-   "integration" shortens every printed test name. *)
+   "integration" shortens every printed test name; each runner keeps
+   an 11-character suite name so both print names at the same width. *)
 let () =
   Alcotest.run "fortran-d"
     [
@@ -19,14 +24,8 @@ let () =
       ("properties", Test_properties.suite);
       ("absdom", Test_absdom.suite);
       ("faults", Test_faults.suite);
-      ("verify", Test_verify.suite);
       ("cost", Test_cost.suite);
-      ("trace", Test_trace.suite);
       ("integration", Test_integration.suite);
       ("totality", Test_totality.suite);
-      ("golden-sim", Test_golden_sim.suite);
-      ("golden-chk", Test_golden_verify.suite);
-      ("golden-spmd", Test_golden_spmd.suite);
-      ("golden-part", Test_golden_partition.suite);
       ("eval", Test_eval.suite);
     ]
