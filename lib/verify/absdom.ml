@@ -252,8 +252,6 @@ let at v p = match v with
 
 let to_dense ~n v = Array.init n (at v)
 
-let int_at v p = match at v p with Pint i -> Some i | _ -> None
-
 let uniform_int = function Uni (Pint i) -> Some i | _ -> None
 
 let is_uniform = function Uni _ -> true | Runs _ -> false

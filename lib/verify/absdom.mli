@@ -72,8 +72,6 @@ val segs_of : n:int -> t -> (int * int * seg) list
 (** Lane read. *)
 val at : t -> int -> pv
 
-val int_at : t -> int -> int option
-
 (** [Some i] iff the value is [Uni (Pint i)]. *)
 val uniform_int : t -> int option
 

@@ -50,7 +50,6 @@ type part = {
   p_triplets : (aff * aff * aff) list option;
       (** per-dim (lo, hi, step) of the sent section, affine in the
           SENDER pid; [None]: section not evaluable *)
-  p_dist_dim : int option;
   p_layout : Layout.t;  (** sender's layout at emission *)
 }
 
@@ -64,8 +63,7 @@ type coll_payload =
   | Cp_section of {
       cs_array : string;
       cs_triplets : Triplet.t list option;  (** evaluated at the root *)
-      cs_dist_dim : int option;
-      cs_owned_root : Iset.t;
+      cs_layout : Layout.t;  (** root's layout at emission *)
     }
   | Cp_remap of {
       cr_array : string;
