@@ -149,26 +149,32 @@ let rec stmt sc (s : Node.nstmt) : Eval.env -> unit =
       let part (array, obj, sec) =
         let obj = obj env in
         let triplets = sec env in
-        List.map (fun (idx, v) -> (array, idx, v)) (read_section env obj triplets)
+        (array, read_section env obj triplets)
       in
-      let elems = List.concat_map part parts in
-      let bytes = List.length elems * env.Eval.config.Config.word_bytes in
+      let parts = List.map part parts in
+      let elems = List.fold_left (fun k (_, es) -> k + List.length es) 0 parts in
+      let bytes = elems * env.Eval.config.Config.word_bytes in
       flush_ticks env;
       (* seq 0 is a placeholder: the scheduler's network layer stamps the
          real per-(src, dest, tag) sequence number *)
-      Eff.send { Message.src = env.Eval.proc; dest = d; tag; seq = 0; elems; bytes }
+      Eff.send { Message.src = env.Eval.proc; dest = d; tag; seq = 0; parts; bytes }
   | Node.N_recv { src; tag; loc } ->
     let src = peer sc "receives from" loc src in
     fun env ->
       let s = src env in
       flush_ticks env;
       let msg = Eff.recv ~src:s ~tag ~loc in
-      (* elements arrive by array name *)
+      (* elements arrive by array name, looked up once per part *)
       List.iter
-        (fun (array, idx, v) ->
-          Eval.mem env;
-          Storage.receive (Eval.lookup_array sc env array) idx v)
-        msg.Message.elems
+        (fun (array, elems) ->
+          match elems with
+          | [] -> ()
+          | (idx, v) :: rest ->
+            Eval.mem env;
+            let obj = Eval.lookup_array sc env array in
+            Storage.receive obj idx v;
+            List.iter (fun (idx, v) -> Eval.mem env; Storage.receive obj idx v) rest)
+        msg.Message.parts
   | Node.N_bcast { root; payload = Node.P_section (array, sec); site; loc } ->
     let root = Eval.int_expr sc root and obj = Eval.array_obj sc array and sec = section sc sec in
     fun env ->

@@ -8,9 +8,10 @@ type t = {
       (* monotone per-(src, dest, tag) sequence number, stamped by the
          scheduler's network layer; receivers dedup and reassemble in
          seq order.  Senders construct messages with seq = 0. *)
-  elems : (string * int array * Value.t) list;
-      (* (array, global index vector, value); one message may aggregate
-         sections of several arrays (paper Fig. 11 aggregation) *)
+  parts : (string * (int array * Value.t) list) list;
+      (* per array, its (global index vector, value) elements; one
+         message may aggregate sections of several arrays (paper Fig. 11
+         aggregation) *)
   bytes : int;
 }
 
