@@ -17,11 +17,12 @@
     Output is a stream of {!Skeleton.event}s whose pid intervals cover
     every emitting processor (one event per interval of lanes that
     agree up to an affine form), plus walk-time findings (out-of-bounds
-    sections, divergent broadcast roots, dead sends...).  Where lanes
-    resist the affine forms the emitter falls back to per-pid events
-    for exactly the divergent interval, reproducing the dense verifier
-    event-for-event and finding-for-finding (differentially tested at
-    sampled P in [test/test_verify.ml]). *)
+    sections, divergent broadcast roots, dead sends...).  A section
+    step that depends on the pid is an affine form too: the walk cuts
+    an interval where a step crosses 1, so each event's section is
+    valid on all of its pids or on none, and the replay and the cost
+    analyzer evaluate the step per pid.  [test/test_verify.ml] pins the
+    findings and cost counters of such sends at P = 4, 7 and 64. *)
 
 open Fd_machine
 
