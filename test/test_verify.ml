@@ -827,6 +827,91 @@ let test_pid_bcast_oob () =
                    Node.P_section ("a", [ (myp, int 40 +: myp, myp +: int 1) ]) } ]))
     pid_ps
 
+(* Shift communication the replay matches a whole group at a time.  Each
+   program sets my$p = myproc() and moves single elements of a Block(4)
+   array a(1:4P) between neighbours on tag 1.  Pinned: the walk's and the
+   replay's findings, and that the cost analyzer predicts the simulator's
+   messages, bytes and, under a compute-free cost model, its elapsed
+   time. *)
+
+let ( *: ) a b = Ast.Bin (Ast.Mul, a, b)
+let ( &&: ) a b = Ast.Bin (Ast.And, a, b)
+let ( ||: ) a b = Ast.Bin (Ast.Or, a, b)
+let when_ cond s = Node.N_if { cond; then_ = [ s ]; else_ = []; loc }
+let myp_lt k = Ast.Bin (Ast.Lt, myp, int k)
+let myp_gt k = Ast.Bin (Ast.Gt, myp, int k)
+
+(* a(4*my$p+off) to [dest] *)
+let send_own off dest =
+  let e = (int 4 *: myp) +: int off in
+  send ~parts:[ ("a", [ (e, e, int 1) ]) ] dest 1
+
+let block_prog ~nprocs body =
+  pid_prog ~nprocs
+    ~layout:{ Layout.bounds = [ (1, 4 * nprocs) ]; dist_dim = Some 0;
+              dist = Layout.Block 4 }
+    body
+
+let shift_case what (prog : Node.program) =
+  let nprocs = prog.Node.n_nprocs in
+  let what = Fmt.str "%s at P=%d" what nprocs in
+  let w = Absint.walk ~nprocs prog in
+  expect (what ^ ": walk") [] (show_findings w.Absint.findings);
+  expect (what ^ ": replay") []
+    (show_findings
+       (Skeleton.run ~nprocs ~fuzzy_tags:w.Absint.fuzzy_tags w.Absint.events));
+  let config = { (Config.make ~nprocs ()) with Config.flop = 0.0; mem_op = 0.0 } in
+  let stats, _ = Scheduler.run config prog in
+  let c = Cost.analyze ~config prog in
+  check Alcotest.(pair int int) (what ^ ": cost counts the messages and bytes")
+    (stats.Stats.messages, stats.Stats.message_bytes)
+    (c.Cost.messages, c.Cost.message_bytes);
+  check (Alcotest.float 0.0) (what ^ ": cost predicts the elapsed time")
+    (Stats.elapsed stats) c.Cost.makespan
+
+(* jacobi1d's exchange: every pid but the last sends its last element up,
+   every pid but the first its first element down, all on tag 1; the
+   receives are guarded like the sends. *)
+let test_shift_two_sided () =
+  List.iter
+    (fun nprocs ->
+      shift_case "two-sided shift"
+        (block_prog ~nprocs
+           [ when_ (myp_lt (nprocs - 1)) (send_own 4 (myp +: int 1));
+             when_ (myp_gt 0) (send_own 1 (myp -: int 1));
+             when_ (myp_gt 0) (recv (myp -: int 1) 1);
+             when_ (myp_lt (nprocs - 1)) (recv (myp +: int 1) 1) ]))
+    pid_ps
+
+let test_shift_one_sided () =
+  List.iter
+    (fun nprocs ->
+      shift_case "one-sided shift"
+        (block_prog ~nprocs
+           [ when_ (myp_lt (nprocs - 1)) (send_own 4 (myp +: int 1));
+             when_ (myp_gt 0) (recv (myp -: int 1) 1) ]))
+    pid_ps
+
+(* p2..p(P-4) send before a broadcast, the other senders after the
+   receive; so the first queued message matches p3..p(P-3), the interior
+   of the receiving group p1..p(P-1), while p1, p2, p(P-2) and p(P-1)
+   wait on the chain of later sends. *)
+let test_shift_interior () =
+  List.iter
+    (fun nprocs ->
+      let early = Ast.Bin (Ast.Ge, myp, int 2) &&: Ast.Bin (Ast.Le, myp, int (nprocs - 4)) in
+      let late =
+        (myp_lt 2 ||: Ast.Bin (Ast.Ge, myp, int (nprocs - 3))) &&: myp_lt (nprocs - 1)
+      in
+      shift_case "interior shift"
+        (block_prog ~nprocs
+           [ assign "x" (int 1);
+             when_ early (send_own 4 (myp +: int 1));
+             Node.N_bcast { root = int 0; payload = Node.P_scalar "x"; site = 0; loc };
+             when_ (myp_gt 0) (recv (myp -: int 1) 1);
+             when_ late (send_own 4 (myp +: int 1)) ]))
+    pid_ps
+
 let suite =
   [
     Alcotest.test_case "good examples: sound and strict-clean" `Slow
@@ -873,4 +958,8 @@ let suite =
       test_pid_step_unowned;
     Alcotest.test_case "pid step: broadcast out of bounds" `Quick
       test_pid_bcast_oob;
+    Alcotest.test_case "shift: two-sided on one tag" `Quick test_shift_two_sided;
+    Alcotest.test_case "shift: one-sided" `Quick test_shift_one_sided;
+    Alcotest.test_case "shift: matched set inside the group" `Quick
+      test_shift_interior;
   ]
