@@ -99,7 +99,10 @@ let isum_piece { ip_lo = l; ip_hi = h; ip_a = a; ip_b = b } =
   let tri = if (l + h) mod 2 = 0 then (l + h) / 2 * n else n / 2 * (l + h) in
   (a * tri) + (b * n)
 
-(* Delta sweep: O(k log k) in the number of contributions, flat in P. *)
+(* Delta sweep: O(k log k) in the number of contributions, flat in P.
+   Neighbouring runs with equal coefficients merge, so the result is the
+   canonical piece list of the per-pid function: it does not depend on
+   how finely the replay cut its groups. *)
 let sweep_int (contribs : ipiece list) : ipiece list =
   let deltas = Hashtbl.create 64 in
   let bump pos da db =
@@ -114,11 +117,15 @@ let sweep_int (contribs : ipiece list) : ipiece list =
   let cuts = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) deltas []) in
   let rec go a b = function
     | [] | [ _ ] -> []
-    | x :: (y :: _ as rest) ->
+    | x :: (y :: _ as rest) -> (
       let da, db = Hashtbl.find deltas x in
       let a = a + da and b = b + db in
       if a = 0 && b = 0 then go a b rest
-      else { ip_lo = x; ip_hi = y - 1; ip_a = a; ip_b = b } :: go a b rest
+      else
+        match go a b rest with
+        | next :: more when next.ip_lo = y && next.ip_a = a && next.ip_b = b ->
+          { next with ip_lo = x } :: more
+        | pieces -> { ip_lo = x; ip_hi = y - 1; ip_a = a; ip_b = b } :: pieces)
   in
   go 0 0 cuts
 
@@ -136,11 +143,15 @@ let sweep_float (contribs : fpiece list) : fpiece list =
   let cuts = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) deltas []) in
   let rec go a b = function
     | [] | [ _ ] -> []
-    | x :: (y :: _ as rest) ->
+    | x :: (y :: _ as rest) -> (
       let da, db = Hashtbl.find deltas x in
       let a = a +. da and b = b +. db in
       if a = 0.0 && b = 0.0 then go a b rest
-      else { fp_lo = x; fp_hi = y - 1; fp_a = a; fp_b = b } :: go a b rest
+      else
+        match go a b rest with
+        | next :: more when next.fp_lo = y && next.fp_a = a && next.fp_b = b ->
+          { next with fp_lo = x } :: more
+        | pieces -> { fp_lo = x; fp_hi = y - 1; fp_a = a; fp_b = b } :: pieces)
   in
   go 0.0 0.0 cuts
 
@@ -398,10 +409,6 @@ let process_send st (g : clock Skeleton.group) ~loc ~dest ~tag parts =
       st.message_bytes <- st.message_bytes + total;
       st.c_bytes <- piece :: st.c_bytes;
       sa.sa_bytes <- sa.sa_bytes + total;
-      sa.sa_seconds <-
-        sa.sa_seconds
-        +. (float_of_int (h - l + 1) *. alpha)
-        +. (beta *. float_of_int total);
       sa.sa_max_msg <-
         max sa.sa_max_msg
           (max
@@ -817,9 +824,17 @@ let analyze ?profile:prof ~(config : Config.t) (prog : Node.program) : t =
   let sites =
     Hashtbl.fold
       (fun (loc, what) sa acc ->
+        (* a send site's seconds come from its integer counts, so they
+           do not depend on how the replay cut its groups *)
+        let seconds =
+          if what = "send" then
+            (float_of_int sa.sa_messages *. config.Config.alpha)
+            +. (config.Config.beta *. float_of_int sa.sa_bytes)
+          else sa.sa_seconds
+        in
         { site_loc = loc; site_what = what; site_messages = sa.sa_messages;
           site_bytes = sa.sa_bytes; site_bcasts = sa.sa_bcasts;
-          site_remaps = sa.sa_remaps; site_seconds = sa.sa_seconds }
+          site_remaps = sa.sa_remaps; site_seconds = seconds }
         :: acc)
       st.sites []
     |> List.sort (fun a b -> compare b.site_seconds a.site_seconds)
