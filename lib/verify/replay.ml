@@ -167,19 +167,24 @@ let matched_set t (m : _ msg) ~lo ~hi (s : aff) : mset =
       Known (vis (Iset.inter (Iset.range lo hi) (reflect s.b m.senders)))
     else Unknown
 
-(* One message is the provable first match for the whole interval, or we
-   must fall back to pid-at-a-time matching (dense order), or nobody in
-   the interval can match anything yet. *)
+(* The first message (in emission order) any receiver of the interval
+   could take decides: it is the first match of the whole interval, or
+   of part of it, which is then cut off at the first boundary of the
+   matched set.  The cut is exact: every earlier message matched nobody
+   in the whole interval, consuming senders never makes one match, and
+   each piece keeps its pids, so visibility within the round is
+   unchanged.  A wild message (unknown destination) can be anyone's
+   match: only pid-at-a-time matching in dense order decides it. *)
 let match_group t ~lo ~hi (s : aff) tag =
-  let full = Iset.range lo hi in
   let r =
     find_map t tag (fun m ->
         match matched_set t m ~lo ~hi s with
         | Unknown -> Some `Split
-        | Known ms ->
-          if Iset.is_empty ms then None
-          else if Iset.equal ms full then Some (`All m)
-          else Some `Split)
+        | Known ms -> (
+          match Iset.intervals ms with
+          | [] -> None
+          | [ (l, h) ] when l = lo && h = hi -> Some (`All m)
+          | (l, h) :: _ -> Some (`Cut (if l > lo then l else h + 1))))
   in
   Option.value r ~default:`None
 

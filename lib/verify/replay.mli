@@ -52,11 +52,15 @@ val live : 'a t -> 'a msg list
 val image_of_interval : aff -> lo:int -> hi:int -> Iset.t
 
 val match_group :
-  'a t -> lo:int -> hi:int -> aff -> int -> [ `All of 'a msg | `Split | `None ]
+  'a t -> lo:int -> hi:int -> aff -> int ->
+  [ `All of 'a msg | `Cut of int | `Split | `None ]
 (** For the receivers [\[lo, hi\]] whose source is [s(p)]: one message is
-    the first match of every receiver ([`All]), the receivers must be
-    matched one pid at a time in dense order ([`Split]), or none of them
-    can match yet ([`None]). *)
+    the first match of every receiver ([`All]); the first message any of
+    them can take matches only some, and the interval must be cut below
+    [c], the first boundary of that matched set ([`Cut c]); a wild
+    message comes first, so the receivers must be matched one pid at a
+    time in dense order ([`Split]); or none of them can match yet
+    ([`None]). *)
 
 val match_one : 'a t -> int -> int option -> int -> ('a msg * int) option
 (** [match_one t p src tag]: the message receiver [p] takes, and its

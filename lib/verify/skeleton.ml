@@ -197,6 +197,7 @@ let advance h q (evs : event array) progress g =
           match Replay.match_group q ~lo ~hi s tag with
           | `None -> block ()
           | `Split -> pieces := split_singleton g
+          | `Cut c -> pieces := split_at g [ c ]
           | `All m -> (
             match h.recv_group g ~loc:ev.e_loc ~tag arrays m s with
             | `Advance pay ->
