@@ -639,29 +639,7 @@ let apply_timed_coll st (groups : clock Skeleton.group list) (ev : Skeleton.even
         (float_of_int npairs.(p) *. st.cfg.Config.alpha)
         +. (st.cfg.Config.beta *. float_of_int (sent.(p) + received.(p)))
       in
-      let maxrel = ref tmax in
-      for p = 0 to st.n - 1 do
-        maxrel := Float.max !maxrel (tmax +. cost p)
-      done;
-      let nd =
-        { nd_what = "remap " ^ cr_array; nd_loc = loc; nd_plo = 0;
-          nd_phi = st.n - 1; nd_time = !maxrel; nd_pred = pred }
-      in
-      (* collective wait per p = release(p) - clock(p) *)
-      List.iter
-        (fun (g : clock Skeleton.group) ->
-          for p = g.g_lo to g.g_hi do
-            st.c_coll <-
-              { fp_lo = p; fp_hi = p; fp_a = 0.0;
-                fp_b = tmax +. cost p -. clock_at g.g_pay p }
-              :: st.c_coll
-          done)
-        groups;
-      let sa = site st loc "remap" in
-      sa.sa_remaps <- sa.sa_remaps + 1;
-      sa.sa_bytes <- sa.sa_bytes + total;
-      sa.sa_seconds <- sa.sa_seconds +. (!maxrel -. tmax);
-      (* the groups after: runs of equal post-remap release *)
+      (* runs of equal per-pid cost; each leaves as one group *)
       let rec runs p =
         if p >= st.n then []
         else begin
@@ -670,10 +648,51 @@ let apply_timed_coll st (groups : clock Skeleton.group list) (ev : Skeleton.even
           while !q + 1 < st.n && cost (!q + 1) = c do
             incr q
           done;
-          (p, !q, { ca = 0.0; cb = tmax +. c; last = Some nd }) :: runs (!q + 1)
+          (p, !q, c) :: runs (!q + 1)
         end
       in
-      runs 0)
+      let runs = runs 0 in
+      let maxrel =
+        List.fold_left (fun acc (_, _, c) -> Float.max acc (tmax +. c)) tmax runs
+      in
+      let nd =
+        { nd_what = "remap " ^ cr_array; nd_loc = loc; nd_plo = 0;
+          nd_phi = st.n - 1; nd_time = maxrel; nd_pred = pred }
+      in
+      (* collective wait per p = release(p) - clock(p): one piece where a
+         run meets a group whose clock is uniform, else one per pid;
+         groups and runs are both in pid order *)
+      let wait (g : clock Skeleton.group) c l h =
+        if g.g_pay.ca = 0.0 then
+          st.c_coll <-
+            { fp_lo = l; fp_hi = h; fp_a = 0.0;
+              fp_b = tmax +. c -. clock_at g.g_pay l }
+            :: st.c_coll
+        else
+          for p = l to h do
+            st.c_coll <-
+              { fp_lo = p; fp_hi = p; fp_a = 0.0;
+                fp_b = tmax +. c -. clock_at g.g_pay p }
+              :: st.c_coll
+          done
+      in
+      let rec waits groups runs =
+        match (groups, runs) with
+        | [], _ | _, [] -> ()
+        | (g : clock Skeleton.group) :: gs, (l, h, c) :: rs ->
+          if h < g.g_lo then waits groups rs
+          else if l > g.g_hi then waits gs runs
+          else begin
+            wait g c (max l g.g_lo) (min h g.g_hi);
+            if h <= g.g_hi then waits groups rs else waits gs runs
+          end
+      in
+      waits groups runs;
+      let sa = site st loc "remap" in
+      sa.sa_remaps <- sa.sa_remaps + 1;
+      sa.sa_bytes <- sa.sa_bytes + total;
+      sa.sa_seconds <- sa.sa_seconds +. (maxrel -. tmax);
+      List.map (fun (l, h, c) -> (l, h, { ca = 0.0; cb = tmax +. c; last = Some nd })) runs)
   | _ -> Diag.internal ~pass:"cost" "timed collective on a non-collective event"
 
 (* Quiescence with unfinished processors: the program would deadlock
