@@ -347,51 +347,75 @@ let received_at st array p =
 
 (* --- sends ------------------------------------------------------------- *)
 
-(* Provable whole-interval validity: every pid sends a slice of its own
-   Block(b) — elems(p) = [b*p + lo0 : b*p + hi0] against owned(p) =
-   [L + b*p : min(H, L + b*p + b - 1)].  When this holds no per-pid
-   check can fire, so the O(width) loop is skipped. *)
-let send_valid_parametric part ~plo ~phi =
-  let lay = part.p_layout in
-  match (part.p_triplets, lay.Layout.dist_dim, lay.Layout.dist) with
-  | Some tl, Some d, Layout.Block b when List.length tl > d && b >= 1 -> (
-    match List.nth_opt lay.Layout.bounds d with
-    | None -> false
-    | Some (bl, bh) ->
-      let lo_a, hi_a, st_a = List.nth tl d in
-      st_a.a = 0 && st_a.b >= 1 && lo_a.a = b && hi_a.a = b
-      && (lo_a.b > hi_a.b  (* empty for every pid *)
-         || (lo_a.b >= bl && hi_a.b <= bl + b - 1
-            && (b * phi) + hi_a.b <= bh && (b * plo) + lo_a.b >= bl)))
-  | _ -> false
+(* The pids p of [lo, hi] to which Block layout [lay] gives every element
+   a part sends in the distributed dimension, taken at sender g(p).  For
+   a section affine in the pid with one slope k and a constant step,
+   elems(s) runs from k*s + first to k*s + last, and owned(p) is
+   [L + b*p, min(H, L + b*p + b - 1)]; containment is three linear
+   inequalities in p, so the answer is an interval ([Some None]: no
+   pid).  [None]: the section or the layout is not of that form. *)
+let owned_span part (lay : Layout.t) (g : aff) ~lo ~hi =
+  match (part.p_triplets, part.p_layout.Layout.dist_dim, lay.Layout.dist_dim,
+         lay.Layout.dist) with
+  | Some tl, Some d, Some ld, Layout.Block b when List.length tl > d && b >= 1 -> (
+    let lo_a, hi_a, st_a = List.nth tl d in
+    match List.nth_opt lay.Layout.bounds ld with
+    | Some (bl, bh) when lo_a.a = hi_a.a && st_a.a = 0 ->
+      if st_a.b < 1 || lo_a.b > hi_a.b then Some (Some (lo, hi))  (* sends nothing *)
+      else
+        let last = lo_a.b + ((hi_a.b - lo_a.b) / st_a.b * st_a.b) in
+        let ka = lo_a.a * g.a and kb = lo_a.a * g.b in
+        Some
+          (List.fold_left
+             (fun span (k, c) ->
+               Option.bind span (fun (l, u) -> Replay.halfline_le l u k c))
+             (Some (lo, hi))
+             [ (b - ka, bl - kb - lo_a.b);  (* first >= L + b*p *)
+               (ka, kb + last - bh);  (* last <= H *)
+               (ka - b, kb + last - bl - b + 1) (* last <= L + b*p + b - 1 *) ])
+    | _ -> None)
+  | _ -> None
 
 let send_checks st ~plo ~phi loc tag parts =
+  let check p part =
+    match dist_elems_at part p with
+    | Some elems ->
+      let valid =
+        Iset.union
+          (owned_at part.p_layout ~n:st.n p)
+          (received_at st part.p_array p)
+      in
+      if not (Iset.subset elems valid) then
+        add st ~loc ~proc:p ~tag Finding.Error "send-unowned-data"
+          (Fmt.str
+             "p%d sends %s elements %s in the distributed dimension \
+              that it neither owns nor has received"
+             p part.p_array
+             (Iset.to_string (Iset.diff elems valid)))
+    | None -> ()
+  in
   List.iter
     (fun part ->
       if part.p_triplets = None then Hashtbl.replace st.fuzzy tag ();
-      if part_has_dist part
-         && not (phi - plo > 32 && send_valid_parametric part ~plo ~phi)
-      then
-        for p = plo to phi do
-          match dist_elems_at part p with
-          | Some elems ->
-            let valid =
-              Iset.union
-                (owned_at part.p_layout ~n:st.n p)
-                (received_at st part.p_array p)
-            in
-            if not (Iset.subset elems valid) then
-              add st ~loc ~proc:p ~tag Finding.Error "send-unowned-data"
-                (Fmt.str
-                   "p%d sends %s elements %s in the distributed dimension \
-                    that it neither owns nor has received"
-                   p part.p_array
-                   (Iset.to_string (Iset.diff elems valid)))
-          | None -> ()
-        done)
+      if part_has_dist part then
+        (* pids that own all they send need no check: loop over the rest *)
+        match owned_span part part.p_layout { a = 1; b = 0 } ~lo:plo ~hi:phi with
+        | Some (Some (l, u)) ->
+          for p = plo to l - 1 do check p part done;
+          for p = u + 1 to phi do check p part done
+        | Some None | None ->
+          for p = plo to phi do check p part done)
     parts
 
 (* --- receive application ----------------------------------------------- *)
+
+(* Reported once per receive statement, at the first receiver that
+   owns every element it gets. *)
+let redundant_recv st recv_loc p sdr tag =
+  Hashtbl.replace st.redundant_seen recv_loc ();
+  add st ~loc:recv_loc ~proc:p ~tag Finding.Warning "redundant-recv"
+    (Fmt.str "p%d receives only elements it already owns (message from p%d)"
+       p sdr)
 
 let apply_recv_one st p recv_loc (arrays : recv_array list) (m : sent Replay.msg)
     sdr tag ~update =
@@ -416,17 +440,13 @@ let apply_recv_one st p recv_loc (arrays : recv_array list) (m : sent Replay.msg
     m.payload.parts;
   if !all_known && !has_dist && !all_owned
      && not (Hashtbl.mem st.redundant_seen recv_loc)
-  then begin
-    Hashtbl.replace st.redundant_seen recv_loc ();
-    add st ~loc:recv_loc ~proc:p ~tag Finding.Warning "redundant-recv"
-      (Fmt.str "p%d receives only elements it already owns (message from p%d)"
-         p sdr)
-  end
+  then redundant_recv st recv_loc p sdr tag
 
 (* Whole-interval receive: the received-set update is parametric when
    the sent section is affine with one slope (the overwhelmingly common
-   case: each pid passes along a slice of its own block); the finding
-   checks still walk the pids so diagnostics match the dense replay. *)
+   case: each pid passes along a slice of its own block), and so is the
+   redundant-receive check on Block layouts.  Anything else walks the
+   pids, so diagnostics match the dense replay. *)
 let apply_recv_group st ~lo ~hi recv_loc (arrays : recv_array list)
     (m : sent Replay.msg) (s : aff) tag =
   List.iter
@@ -456,10 +476,41 @@ let apply_recv_group st ~lo ~hi recv_loc (arrays : recv_array list)
             done)
       | _ -> ())
     m.payload.parts;
-  if List.exists part_has_dist m.payload.parts then
+  let parts = m.payload.parts in
+  let per_pid () =
     for p = lo to hi do
       apply_recv_one st p recv_loc arrays m (aff_at s p) tag ~update:false
     done
+  in
+  let visible part = List.exists (fun ra -> ra.ra_name = part.p_array) arrays in
+  if List.exists (fun part -> part_has_dist part && not (visible part)) parts then
+    per_pid ()  (* recv-unknown-array, one per pid *)
+  else if
+    List.exists part_has_dist parts
+    && List.for_all part_has_dist parts
+    && not (Hashtbl.mem st.redundant_seen recv_loc)
+  then begin
+    (* the first receiver owning all it gets from every part *)
+    let spans =
+      List.map
+        (fun part ->
+          let ra = List.find (fun ra -> ra.ra_name = part.p_array) arrays in
+          owned_span part ra.ra_layout s ~lo ~hi)
+        parts
+    in
+    if List.mem None spans then per_pid ()
+    else
+      let first =
+        List.fold_left
+          (fun acc span ->
+            match (acc, span) with
+            | Some (l, u), Some (Some (l', u')) when max l l' <= min u u' ->
+              Some (max l l', min u u')
+            | _ -> None)
+          (Some (lo, hi)) spans
+      in
+      Option.iter (fun (p, _) -> redundant_recv st recv_loc p (aff_at s p) tag) first
+  end
 
 (* --- collectives -------------------------------------------------------- *)
 
