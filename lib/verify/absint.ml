@@ -742,19 +742,27 @@ let emit_coll w ~loc ~site ~label ~root payload =
 
 let do_bcast w fr act ~loc root payload site =
   let vroot = root fr in
-  let root_id = Absdom.uniform_int vroot in
-  (match root_id with
-  | Some _ -> ()
-  | None ->
-    if
-      (not (Absdom.is_uniform vroot)) && not (Absdom.has_punk ~n:w.n vroot)
-    then
-      addf w ~loc ~site Finding.Error "bcast-root-divergence"
-        "processors disagree on the broadcast root"
-    else
-      addf w ~loc ~site Finding.Info "unverified-collective"
-        (Fmt.str "broadcast root at site %d could not be resolved statically"
-           site));
+  (* a root outside the ensemble is reported and then unresolved *)
+  let root_id =
+    match Absdom.uniform_int vroot with
+    | Some r when r >= 0 && r < w.n -> Some r
+    | Some r ->
+      addf w ~loc ~site Finding.Error "bcast-root-out-of-range"
+        (Fmt.str "broadcast root p%d at site %d is not one of p0..p%d" r site
+           (w.n - 1));
+      None
+    | None ->
+      if
+        (not (Absdom.is_uniform vroot)) && not (Absdom.has_punk ~n:w.n vroot)
+      then
+        addf w ~loc ~site Finding.Error "bcast-root-divergence"
+          "processors disagree on the broadcast root"
+      else
+        addf w ~loc ~site Finding.Info "unverified-collective"
+          (Fmt.str "broadcast root at site %d could not be resolved statically"
+             site);
+      None
+  in
   match payload with
   | `Scalar (name, cell) ->
     let cell = cell fr in

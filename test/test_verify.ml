@@ -912,6 +912,20 @@ let test_shift_interior () =
              when_ late (send_own 4 (myp +: int 1)) ]))
     pid_ps
 
+(* A broadcast from root 9 at P=4 has no root participant: the simulator
+   fails, so the walk reports an error and leaves the root unresolved,
+   for a section and for a scalar that differs per pid. *)
+let test_bcast_root_out_of_range () =
+  let bcast payload = Node.N_bcast { root = int 9; payload; site = 0; loc } in
+  let error =
+    [ "error bcast-root-out-of-range: broadcast root p9 at site 0 is not one \
+       of p0..p3" ]
+  in
+  pid_case "broadcast of a(1:2) from p9" ~walk:error ~replay:[] ~runs:false
+    (pid_prog ~nprocs:4 [ bcast (Node.P_section ("a", [ (int 1, int 2, int 1) ])) ]);
+  pid_case "broadcast of x = my$p from p9" ~walk:error ~replay:[] ~runs:false
+    (pid_prog ~nprocs:4 [ assign "x" myp; bcast (Node.P_scalar "x") ])
+
 let suite =
   [
     Alcotest.test_case "good examples: sound and strict-clean" `Slow
@@ -962,4 +976,6 @@ let suite =
     Alcotest.test_case "shift: one-sided" `Quick test_shift_one_sided;
     Alcotest.test_case "shift: matched set inside the group" `Quick
       test_shift_interior;
+    Alcotest.test_case "broadcast root out of range" `Quick
+      test_bcast_root_out_of_range;
   ]
