@@ -3,8 +3,8 @@
    After an "editing session" each procedure's interprocedurally relevant
    facts are summarized so whole-program compilation never has to re-read
    unchanged sources: call sites, formals, local mod/ref, the presence of
-   dynamic decomposition statements, loop skeleton, and content digests
-   used by recompilation analysis. *)
+   dynamic decomposition statements, loop skeleton; content digests for
+   recompilation analysis are computed on demand. *)
 
 open Fd_frontend
 
@@ -19,7 +19,6 @@ type t = {
   local_ref : S.t;
   decomp_stmts : int;  (* number of ALIGN/DISTRIBUTE statements *)
   loop_depth : int;    (* maximum loop nesting depth *)
-  source_digest : string;
 }
 
 let rec max_depth stmts =
@@ -53,8 +52,12 @@ let of_unit (cu : Sema.checked_unit) : t =
     local_ref = effects.Side_effects.gref;
     decomp_stmts = !decomps;
     loop_depth = max_depth u.Ast.body;
-    source_digest = Digest.to_hex (Digest.string (Fmt.str "%a" Ast_printer.pp_punit u));
   }
+
+(* Printing the unit costs more than summarizing it, so only
+   recompilation analysis, which compares sources, pays for it. *)
+let source_digest (cu : Sema.checked_unit) : string =
+  Digest.to_hex (Digest.string (Fmt.str "%a" Ast_printer.pp_punit cu.Sema.unit_))
 
 (* The caller-visible interface: everything a *caller's* compilation can
    depend on through this procedure.  Used by recompilation tests. *)

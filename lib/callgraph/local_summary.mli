@@ -13,10 +13,13 @@ type t = {
   local_ref : Side_effects.S.t;
   decomp_stmts : int;   (** number of ALIGN/DISTRIBUTE statements *)
   loop_depth : int;     (** maximum loop nesting depth *)
-  source_digest : string;
 }
 
 val of_unit : Sema.checked_unit -> t
+
+val source_digest : Sema.checked_unit -> string
+(** Digest of the unit's printed source, for recompilation tests.  Not
+    part of the summary: printing costs more than summarizing. *)
 
 val interface_digest : t -> string
 (** Digest of the caller-visible interface (formals, shapes, call

@@ -53,7 +53,7 @@ let artifacts ?sink (cp : Sema.checked_program) : artifacts =
         | Some s -> s
         | None -> Local_summary.of_unit p.Acg.cu
       in
-      source := add !source name summary.Local_summary.source_digest;
+      source := add !source name (Local_summary.source_digest p.Acg.cu);
       interface := add !interface name (Local_summary.interface_digest summary);
       reaching :=
         add !reaching name
