@@ -246,6 +246,28 @@ let test_gen_property () =
             (simulate config prog))
   done
 
+(* The replay is flat in P: every per-processor series has as many
+   pieces at P = 65,536 as at P = 4,096 (a moving remap adds one piece
+   per run of equal cost, not one per pid). *)
+let test_pieces_flat_in_p () =
+  let lengths file nprocs =
+    let cp = Driver.check_source ~file (read_file (Filename.concat examples_dir file)) in
+    let opts = { Options.default with strategy = Options.Immediate; nprocs } in
+    let c =
+      Cost.analyze ~profile:(Cost.profile_of_seq cp) ~config:(Driver.machine_config opts)
+        (Driver.compile ~opts cp).Codegen.program
+    in
+    [ List.length c.Cost.per_proc_messages; List.length c.Cost.per_proc_bytes;
+      List.length c.Cost.send_seconds; List.length c.Cost.wait_seconds;
+      List.length c.Cost.coll_seconds ]
+  in
+  List.iter
+    (fun file ->
+      check Alcotest.(list int)
+        (file ^ " immediate: pieces per series at P=4096 and P=65536")
+        (lengths file 4096) (lengths file 65536))
+    [ "fig15.fd"; "adi_dynamic.fd"; "jacobi1d.fd" ]
+
 let suite =
   [
     Alcotest.test_case "examples x strategies x P: counters and makespan"
@@ -257,4 +279,6 @@ let suite =
     Alcotest.test_case "profile-free degradation" `Quick
       test_profile_degradation;
     Alcotest.test_case "gen sweep: random programs" `Slow test_gen_property;
+    Alcotest.test_case "per-processor pieces flat in P" `Slow
+      test_pieces_flat_in_p;
   ]
