@@ -13,8 +13,11 @@
      receivers advances in one step when its source form composes with
      a queued message's destination form to the identity (send from
      [l, u] with dest pid+1 matches recv on [l+1, u+1] from pid-1);
-     anything irregular falls back to pid-at-a-time matching in the
-     exact order the dense replay used, so findings are unchanged;
+     when the first message any receiver can take matches only some of
+     them, the interval is cut at the edge of that set and each piece
+     re-matches; only wildcard matches fall back to pid-at-a-time
+     matching in the exact order the dense replay used, so findings are
+     unchanged;
    - collectives barrier on their emission id (the walker emits one
      interval event per dynamic collective instance, covering the full
      ensemble);
