@@ -489,8 +489,7 @@ let apply_recv_group st ~lo ~hi recv_loc (arrays : recv_array list)
   if List.exists (fun part -> part_has_dist part && not (visible part)) parts then
     per_pid ()  (* recv-unknown-array, one per pid *)
   else if
-    List.exists part_has_dist parts
-    && List.for_all part_has_dist parts
+    parts <> [] && List.for_all part_has_dist parts
     && not (Hashtbl.mem st.redundant_seen recv_loc)
   then begin
     (* the first receiver owning all it gets from every part *)
