@@ -893,9 +893,10 @@ let test_shift_one_sided () =
     pid_ps
 
 (* p2..p(P-4) send before a broadcast, the other senders after the
-   receive; so the first queued message matches p3..p(P-3), the interior
-   of the receiving group p1..p(P-1), while p1, p2, p(P-2) and p(P-1)
-   wait on the chain of later sends. *)
+   receive; so from P = 7 on the first queued message matches
+   p3..p(P-3), the interior of the receiving group p1..p(P-1), while p1,
+   p2, p(P-2) and p(P-1) wait on the chain of later sends (at P = 4 all
+   of them do). *)
 let test_shift_interior () =
   List.iter
     (fun nprocs ->
