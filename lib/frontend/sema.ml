@@ -284,6 +284,15 @@ and resolve_intrinsic env name args =
     err env "intrinsic %s applied to logical argument" name;
   (Ast.Funcall (name, args'), result_ty)
 
+(* Every name has its implicit type, as in a unit that declares none. *)
+let expr_type e =
+  let sink = Diag.sink () in
+  let symtab = Symtab.create ~unit_name:"" ~formal_order:[] in
+  let _, ty = resolve_expr { symtab; loop_vars = []; loc = Loc.none; sink } e in
+  match Diag.raise_if_errors sink with
+  | () -> Some (match ty with Tint -> Ast.Integer | Treal -> Ast.Real | Tlogical -> Ast.Logical)
+  | exception Diag.Compile_errors _ -> None
+
 (* --- Statement resolution -------------------------------------------- *)
 
 let rec resolve_stmt all_units env (s : Ast.stmt) : Ast.stmt =

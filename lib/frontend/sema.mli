@@ -28,3 +28,7 @@ val check :
 val check_source : ?file:string -> ?sink:Fd_support.Diag.sink -> string -> checked_program
 (** Parse and check in one step, accumulating parse {e and} sema
     diagnostics into one batch. *)
+
+val expr_type : Ast.expr -> Ast.dtype option
+(** For tests: the type sema gives a scalar expression in a unit that
+    declares nothing, or [None] if it rejects the expression. *)

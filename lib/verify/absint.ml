@@ -1408,3 +1408,11 @@ let walk ?budget ?branch_oracle ~nprocs (prog : Node.program) : result =
   | Some main -> (
     try walk_main ?budget ?branch_oracle ~nprocs prog main
     with Stuck msg -> no_program msg)
+
+let scalar ~nprocs e =
+  let prog =
+    { Node.n_main = ""; n_nprocs = nprocs; n_common_arrays = []; n_common_scalars = [];
+      n_procs = [] }
+  in
+  let sc = { sc_slot = (fun _ -> 0); sc_visible = [] } in
+  eval (state ~nprocs prog) sc e [| Bscalar (ref (Absdom.myproc ~n:nprocs)) |]

@@ -72,3 +72,8 @@ val frames : Node.program -> (string * string list * (string -> string)) list
     once its body is resolved, and what an activation binds for a name
     (["formal k"], ["common"], ["array"] or ["scalar <type>"]), resolving
     it as the walk would. *)
+
+val scalar : nprocs:int -> Fd_frontend.Ast.expr -> Absdom.t
+(** For tests: the lanes of a scalar expression over [nprocs]
+    processors, compiled as the walk compiles it, in a frame where every
+    name is [my$p]. *)

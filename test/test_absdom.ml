@@ -6,6 +6,8 @@
    the same single source of truth the dense implementation used. *)
 
 open Fd_support
+open Fd_frontend
+open Fd_machine
 open Fd_verify
 
 let prop ?(count = 500) name gen f =
@@ -358,6 +360,125 @@ let test_unknown_distinction () =
   | Absdom.Uni (Absdom.Pint 2) -> ()
   | _ -> Alcotest.fail "singleton affine not folded"
 
+(* --- Absint's expression compiler against Eval ---------------------- *)
+
+(* Scalar expressions sema accepts, over my$p, nprocs(), integer, real
+   and logical constants, every operator and every intrinsic. *)
+let intrinsics =
+  [ ("abs", 1); ("max", 2); ("max", 3); ("min", 2); ("min", 3); ("mod", 2);
+    ("sqrt", 1); ("float", 1); ("int", 1); ("sign", 2) ]
+
+let scalar_gen : Ast.expr QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let leaf =
+    frequency
+      [ (2, return (Ast.Var "my$p"));
+        (1, return (Ast.Funcall ("nprocs", [])));
+        (3, map (fun k -> Ast.Int_const k) (int_range (-40) 40));
+        (2, map (fun k -> Ast.Real_const (float_of_int k /. 2.)) (int_range (-6) 6)) ]
+  in
+  let rec num d =
+    if d = 0 then leaf
+    else
+      let s = num (d - 1) in
+      frequency
+        [ (2, leaf);
+          (4, map3 (fun op a b -> Ast.Bin (op, a, b))
+                (oneofl Ast.[ Add; Sub; Mul; Div; Pow ]) s s);
+          (1, map (fun a -> Ast.Un (Ast.Neg, a)) s);
+          (3, let* name, k = oneofl intrinsics in
+              map (fun args -> Ast.Funcall (name, args)) (list_repeat k s)) ]
+  and logical d =
+    let leaf = map (fun b -> Ast.Logical_const b) bool in
+    if d = 0 then leaf
+    else
+      let s = logical (d - 1) and n = num (d - 1) in
+      frequency
+        [ (1, leaf);
+          (3, map3 (fun op a b -> Ast.Bin (op, a, b))
+                (oneofl Ast.[ Eq; Ne; Lt; Le; Gt; Ge ]) n n);
+          (2, map3 (fun op a b -> Ast.Bin (op, a, b)) (oneofl Ast.[ And; Or ]) s s);
+          (1, map (fun a -> Ast.Un (Ast.Not, a)) s) ]
+  in
+  let* d = int_range 0 4 in
+  oneof [ num d; logical d ]
+
+(* Sema sees nprocs() as the implicitly INTEGER variable it names. *)
+let rec as_source (e : Ast.expr) =
+  match e with
+  | Ast.Funcall ("nprocs", []) -> Ast.Var "nprocs"
+  | Ast.Funcall (f, args) -> Ast.Funcall (f, List.map as_source args)
+  | Ast.Bin (op, a, b) -> Ast.Bin (op, as_source a, as_source b)
+  | Ast.Un (op, a) -> Ast.Un (op, as_source a)
+  | e -> e
+
+let rec kleene (e : Ast.expr) =
+  match e with
+  | Ast.Bin ((Ast.And | Ast.Or), _, _) -> true
+  | Ast.Bin (_, a, b) -> kleene a || kleene b
+  | Ast.Un (_, a) -> kleene a
+  | Ast.Funcall (_, args) -> List.exists kleene args
+  | _ -> false
+
+(* [e] at each pid of [nprocs], [None] where it raises. *)
+let eval_lanes ~nprocs e =
+  let u =
+    Eval.unit_code ~formals:[] ~arrays:[] ~scalars:[ ("my$p", Ast.Integer) ]
+      ~is_common:(fun _ -> false)
+  in
+  let hook _ name args =
+    match (name, args) with
+    | "nprocs", [] -> Some (Eval.Int (fun env -> env.Eval.nprocs))
+    | _ -> None
+  in
+  let globals = Frame.common ~arrays:[] ~scalars:[] in
+  let sc =
+    { Eval.unit = u; globals; units = Hashtbl.create 1; params = (fun _ -> None); hook }
+  in
+  let c = Eval.expr sc e and me = Eval.scalar_cell sc "my$p" in
+  let result = ref None in
+  Eval.define u (fun env ->
+      me env := Value.Vint env.Eval.proc;
+      result := try Some (c env) with Diag.Compile_error _ -> None);
+  let config = Config.ipsc860 ~nprocs () in
+  Array.init nprocs (fun proc ->
+      let env = Eval.env ~proc ~nprocs ~strict:false ~config ~stats:(Stats.create 1) in
+      ignore (Eval.run_main env ~globals u);
+      !result)
+
+let same_bits (lane : Absdom.pv) (v : Value.t) =
+  match (lane, v) with
+  | Absdom.Pint i, Value.Vint j -> i = j
+  | Absdom.Preal x, Value.Vreal y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Absdom.Pbool p, Value.Vbool q -> p = q
+  | _ -> false
+
+let has_type ty (v : Value.t) =
+  match (ty, v) with
+  | Ast.Integer, Value.Vint _ | Ast.Real, Value.Vreal _ | Ast.Logical, Value.Vbool _ -> true
+  | _ -> false
+
+let test_scalar_semantics =
+  prop ~count:10_000 "Absint lanes = Eval per pid; Eval's value has sema's type"
+    QCheck2.Gen.(pair (oneofl [ 1; 2; 3; 4; 5; 7; 8 ]) scalar_gen)
+    (fun (n, e) ->
+      let fail fmt = QCheck2.Test.fail_reportf ("%s at P=%d: " ^^ fmt) (Ast_printer.expr_to_string e) n in
+      match Sema.expr_type (as_source e) with
+      | None -> fail "sema rejects it"
+      | Some ty ->
+        let lanes = Absint.scalar ~nprocs:n e and want = eval_lanes ~nprocs:n e in
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun p w ->
+               let lane = Absdom.at lanes p in
+               match w with
+               | Some v when not (has_type ty v) ->
+                 fail "pid %d: Eval gives %s, sema types it %s" p (Value.to_string v)
+                   (Ast_printer.dtype_name ty)
+               | Some v -> same_bits lane v || fail "pid %d: lane %s, Eval %s" p (pp_pv lane) (Value.to_string v)
+               | None -> lane = Absdom.Punk || kleene e || fail "pid %d: lane %s, Eval raises" p (pp_pv lane))
+             want))
+
 let suite =
   [
     test_roundtrip;
@@ -368,6 +489,7 @@ let suite =
     test_truth;
     test_restrict_pids;
     test_align_many;
+    test_scalar_semantics;
     Alcotest.test_case "uniform vs divergent unknown" `Quick
       test_unknown_distinction;
   ]
