@@ -34,7 +34,7 @@ let () =
   for i = 1 to n do
     for j = 1 to n do
       let v = Fd_machine.Storage.read ~strict:false a_seq [| i; j |] in
-      let err = Float.abs (Fd_machine.Value.to_float v -. reference.(i - 1).(j - 1)) in
+      let err = Float.abs (Fd_frontend.Value.to_float v -. reference.(i - 1).(j - 1)) in
       if err > !max_err then max_err := err
     done
   done;

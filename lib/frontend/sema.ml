@@ -12,10 +12,6 @@
 
 open Fd_support
 
-let intrinsics = [ "abs"; "max"; "min"; "mod"; "sqrt"; "float"; "int"; "sign" ]
-
-let is_intrinsic name = List.mem name intrinsics
-
 type checked_unit = { unit_ : Ast.punit; symtab : Symtab.t }
 
 type checked_program = {
@@ -33,33 +29,25 @@ let find_unit_exn cp name =
 
 (* --- Constant folding over PARAMETER bindings ----------------------- *)
 
-let rec const_eval_int symtab (e : Ast.expr) : int option =
-  match e with
-  | Ast.Int_const n -> Some n
-  | Ast.Var v -> Symtab.param_value symtab v
-  | Ast.Un (Ast.Neg, a) -> Option.map (fun n -> -n) (const_eval_int symtab a)
-  | Ast.Bin (op, a, b) -> (
-    match (const_eval_int symtab a, const_eval_int symtab b) with
-    | Some x, Some y -> (
-      match op with
-      | Ast.Add -> Some (x + y)
-      | Ast.Sub -> Some (x - y)
-      | Ast.Mul -> Some (x * y)
-      | Ast.Div -> if y = 0 then None else Some (x / y)
-      | Ast.Pow ->
-        if y < 0 then None
-        else
-          let rec pow acc n = if n = 0 then acc else pow (acc * x) (n - 1) in
-          Some (pow 1 y)
-      | _ -> None)
-    | _ -> None)
-  | Ast.Funcall ("max", args) | Ast.Ref ("max", args) ->
-    Option.map (List.fold_left max min_int)
-      (Listx.all_some (List.map (const_eval_int symtab) args))
-  | Ast.Funcall ("min", args) | Ast.Ref ("min", args) ->
-    Option.map (List.fold_left min max_int)
-      (Listx.all_some (List.map (const_eval_int symtab) args))
-  | _ -> None
+(* Integer arithmetic and max/min over integer constants and PARAMETERs,
+   as the program computes them. *)
+let const_eval_int symtab (e : Ast.expr) : int option =
+  let rec value (e : Ast.expr) =
+    match e with
+    | Ast.Int_const n -> Value.Vint n
+    | Ast.Var v -> (
+      match Symtab.param_value symtab v with Some n -> Value.Vint n | None -> raise Exit)
+    | Ast.Un (Ast.Neg, a) -> Value.neg (value a)
+    | Ast.Bin (((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Pow) as op), a, b) ->
+      let a = value a in
+      Value.arith op a (value b)
+    | Ast.Funcall (f, args) | Ast.Ref (f, args) when f = "max" || f = "min" -> (
+      match Intrinsic.find f with Some row -> row.meaning (List.map value args) | None -> raise Exit)
+    | _ -> raise Exit
+  in
+  match value e with
+  | Value.Vint n -> Some n
+  | _ | (exception (Exit | Diag.Compile_error _)) -> None
 
 (* Fallback 1 keeps declared shapes legal (lo=1, hi=1) after an error. *)
 let const_eval_int_rec sink symtab loc e =
@@ -149,11 +137,7 @@ let build_symtab sink (u : Ast.punit) : Symtab.t =
 
 (* --- Expression resolution and typing ------------------------------- *)
 
-type ty = Tint | Treal | Tlogical
-
-let dtype_ty = function Ast.Real -> Treal | Ast.Integer -> Tint | Ast.Logical -> Tlogical
-
-let ty_name = function Tint -> "integer" | Treal -> "real" | Tlogical -> "logical"
+let ty_name = Ast_printer.dtype_name
 
 (* Loop index variables are implicitly integer if not declared. *)
 type env = {
@@ -176,24 +160,24 @@ let formal_decl (u : Ast.punit) name =
       | _ -> None)
     u.Ast.decls
 
-let rec resolve_expr env (e : Ast.expr) : Ast.expr * ty =
+let rec resolve_expr env (e : Ast.expr) : Ast.expr * Ast.dtype =
   match e with
-  | Ast.Int_const _ -> (e, Tint)
-  | Ast.Real_const _ -> (e, Treal)
-  | Ast.Logical_const _ -> (e, Tlogical)
+  | Ast.Int_const _ -> (e, Ast.Integer)
+  | Ast.Real_const _ -> (e, Ast.Real)
+  | Ast.Logical_const _ -> (e, Ast.Logical)
   | Ast.Var v -> (
-    if List.mem v env.loop_vars then (e, Tint)
+    if List.mem v env.loop_vars then (e, Ast.Integer)
     else
       match Symtab.find env.symtab v with
-      | Some (Symtab.Scalar ty) -> (e, dtype_ty ty)
-      | Some (Symtab.Param _) -> (e, Tint)
+      | Some (Symtab.Scalar ty) -> (e, ty)
+      | Some (Symtab.Param _) -> (e, Ast.Integer)
       | Some (Symtab.Array _) ->
         err env "whole-array reference %s not allowed here" v;
-        (e, Treal)
+        (e, Ast.Real)
       | Some (Symtab.Decomposition _) ->
         err env "decomposition %s used as a value" v;
-        (e, Tint)
-      | None -> (e, dtype_ty (Ast.implicit_type v)))
+        (e, Ast.Integer)
+      | None -> (e, Ast.implicit_type v))
   | Ast.Ref (name, args) | Ast.Funcall (name, args) -> (
     match Symtab.find env.symtab name with
     | Some (Symtab.Array { elt; dims }) ->
@@ -204,85 +188,55 @@ let rec resolve_expr env (e : Ast.expr) : Ast.expr * ty =
         List.map
           (fun a ->
             let a', ty = resolve_expr env a in
-            if ty <> Tint then err env "subscript of %s must be integer" name;
+            if ty <> Ast.Integer then err env "subscript of %s must be integer" name;
             a')
           args
       in
-      (Ast.Ref (name, args), dtype_ty elt)
+      (Ast.Ref (name, args), elt)
     | Some _ ->
       err env "%s is not an array or intrinsic" name;
-      (e, Treal)
+      (e, Ast.Real)
     | None ->
-      if is_intrinsic name then resolve_intrinsic env name args
-      else begin
+      match Intrinsic.find name with
+      | Some row -> resolve_intrinsic env row args
+      | None ->
         err env "unknown array or intrinsic %s" name;
-        (e, Treal)
-      end)
+        (e, Ast.Real))
   | Ast.Bin (op, a, b) -> (
     let a', ta = resolve_expr env a in
     let b', tb = resolve_expr env b in
     match op with
     | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Pow ->
-      if ta = Tlogical || tb = Tlogical then
+      if ta = Ast.Logical || tb = Ast.Logical then
         err env "arithmetic on logical operands";
-      (Ast.Bin (op, a', b'), if ta = Treal || tb = Treal then Treal else Tint)
+      (Ast.Bin (op, a', b'), if ta = Ast.Real || tb = Ast.Real then Ast.Real else Ast.Integer)
     | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
-      if ta = Tlogical || tb = Tlogical then
+      if ta = Ast.Logical || tb = Ast.Logical then
         err env "comparison of logical operands";
-      (Ast.Bin (op, a', b'), Tlogical)
+      (Ast.Bin (op, a', b'), Ast.Logical)
     | Ast.And | Ast.Or ->
-      if ta <> Tlogical || tb <> Tlogical then
+      if ta <> Ast.Logical || tb <> Ast.Logical then
         err env "logical operator on %s/%s operands" (ty_name ta) (ty_name tb);
-      (Ast.Bin (op, a', b'), Tlogical))
+      (Ast.Bin (op, a', b'), Ast.Logical))
   | Ast.Un (Ast.Neg, a) ->
     let a', ta = resolve_expr env a in
-    if ta = Tlogical then err env "negation of logical operand";
+    if ta = Ast.Logical then err env "negation of logical operand";
     (Ast.Un (Ast.Neg, a'), ta)
   | Ast.Un (Ast.Not, a) ->
     let a', ta = resolve_expr env a in
-    if ta <> Tlogical then err env ".not. on %s operand" (ty_name ta);
-    (Ast.Un (Ast.Not, a'), Tlogical)
+    if ta <> Ast.Logical then err env ".not. on %s operand" (ty_name ta);
+    (Ast.Un (Ast.Not, a'), Ast.Logical)
 
-and resolve_intrinsic env name args =
-  let args_typed = List.map (resolve_expr env) args in
-  let args' = List.map fst args_typed in
-  let tys = List.map snd args_typed in
-  let arity n =
-    if List.length args <> n then
-      err env "intrinsic %s expects %d argument(s)" name n
-  in
-  let hd_ty = function t :: _ -> t | [] -> Treal in
-  let result_ty =
-    match name with
-    | "abs" ->
-      arity 1;
-      hd_ty tys
-    | "sqrt" ->
-      arity 1;
-      Treal
-    | "mod" ->
-      arity 2;
-      if tys <> [] && List.for_all (fun t -> t = Tint) tys then Tint else Treal
-    | "max" | "min" ->
-      if List.length args < 2 then
-        err env "intrinsic %s expects >= 2 arguments" name;
-      if List.exists (fun t -> t = Treal) tys then Treal else Tint
-    | "float" ->
-      arity 1;
-      Treal
-    | "int" ->
-      arity 1;
-      Tint
-    | "sign" ->
-      arity 2;
-      hd_ty tys
-    | _ ->
-      err env "unknown intrinsic %s" name;
-      Treal
-  in
-  if List.exists (fun t -> t = Tlogical) tys then
-    err env "intrinsic %s applied to logical argument" name;
-  (Ast.Funcall (name, args'), result_ty)
+and resolve_intrinsic env (row : Intrinsic.t) args =
+  let args', tys = List.split (List.map (resolve_expr env) args) in
+  if not (Intrinsic.accepts row (List.length args)) then begin
+    match row.arity with
+    | Intrinsic.Exactly n -> err env "intrinsic %s expects %d argument(s)" row.name n
+    | Intrinsic.At_least n -> err env "intrinsic %s expects >= %d arguments" row.name n
+  end;
+  if List.mem Ast.Logical tys then
+    err env "intrinsic %s applied to logical argument" row.name;
+  (Ast.Funcall (row.name, args'), row.result tys)
 
 (* Every name has its implicit type, as in a unit that declares none. *)
 let expr_type e =
@@ -290,7 +244,7 @@ let expr_type e =
   let symtab = Symtab.create ~unit_name:"" ~formal_order:[] in
   let _, ty = resolve_expr { symtab; loop_vars = []; loc = Loc.none; sink } e in
   match Diag.raise_if_errors sink with
-  | () -> Some (match ty with Tint -> Ast.Integer | Treal -> Ast.Real | Tlogical -> Ast.Logical)
+  | () -> Some ty
   | exception Diag.Compile_errors _ -> None
 
 (* --- Statement resolution -------------------------------------------- *)
@@ -308,8 +262,8 @@ let rec resolve_stmt all_units env (s : Ast.stmt) : Ast.stmt =
           err env "cannot assign to active loop index %s" v;
         match Symtab.find env.symtab v with
         | Some (Symtab.Scalar ty) ->
-          let lty = dtype_ty ty in
-          if (lty = Tlogical) <> (rty = Tlogical) then
+          let lty = ty in
+          if (lty = Ast.Logical) <> (rty = Ast.Logical) then
             err env "type mismatch assigning %s to %s" (ty_name rty) v;
           Ast.Assign (lhs, rhs')
         | Some (Symtab.Param _) ->
@@ -328,7 +282,7 @@ let rec resolve_stmt all_units env (s : Ast.stmt) : Ast.stmt =
         let lhs', lty = resolve_expr env lhs in
         match lhs' with
         | Ast.Ref _ ->
-          if (lty = Tlogical) <> (rty = Tlogical) then
+          if (lty = Ast.Logical) <> (rty = Ast.Logical) then
             err env "type mismatch in array assignment";
           Ast.Assign (lhs', rhs')
         | _ ->
@@ -344,11 +298,11 @@ let rec resolve_stmt all_units env (s : Ast.stmt) : Ast.stmt =
         Option.map
           (fun e ->
             let e', t = resolve_expr env e in
-            if t <> Tint then err env "DO step must be integer";
+            if t <> Ast.Integer then err env "DO step must be integer";
             e')
           d.step
       in
-      if tlo <> Tint || thi <> Tint then err env "DO bounds must be integer";
+      if tlo <> Ast.Integer || thi <> Ast.Integer then err env "DO bounds must be integer";
       (match Symtab.find env.symtab d.var with
       | None | Some (Symtab.Scalar Ast.Integer) -> ()
       | Some _ -> err env "DO index %s must be an integer scalar" d.var);
@@ -361,7 +315,7 @@ let rec resolve_stmt all_units env (s : Ast.stmt) : Ast.stmt =
       Ast.Do { d with lo = lo'; hi = hi'; step = step'; body }
     | Ast.If i ->
       let cond', tc = resolve_expr env i.cond in
-      if tc <> Tlogical then err env "IF condition must be logical";
+      if tc <> Ast.Logical then err env "IF condition must be logical";
       Ast.If
         { cond = cond';
           then_ = List.map (resolve_stmt all_units env) i.then_;

@@ -4,6 +4,7 @@
    request. *)
 
 open Fd_support
+open Fd_frontend
 
 type coll_op =
   | Coll_bcast of {

@@ -200,19 +200,6 @@ let charged = function
   | Bool c -> Bool (fun env -> flop env; c env)
   | Boxed c -> Boxed (fun env -> flop env; c env)
 
-(* A comparison as a test of a [compare] result, and on boxed values.
-   Both agree with [Value.compare_num], and with [Value.equal] on
-   numbers, since [Float.equal x y] is [Float.compare x y = 0]. *)
-let relation op : (int -> bool) * (Value.t -> Value.t -> bool) =
-  let by test = (test, fun x y -> test (Value.compare_num x y)) in
-  match op with
-  | Ast.Eq -> ((fun c -> c = 0), Value.equal)
-  | Ast.Ne -> ((fun c -> c <> 0), fun x y -> not (Value.equal x y))
-  | Ast.Lt -> by (fun c -> c < 0)
-  | Ast.Le -> by (fun c -> c <= 0)
-  | Ast.Gt -> by (fun c -> c > 0)
-  | _ -> by (fun c -> c >= 0)
-
 (* An int compared with a boxed value: the boxed side decides the
    comparison's type. *)
 let int_vs test vop x (v : Value.t) =
@@ -292,7 +279,7 @@ and float_arith op a b : typed =
   | _ -> Float (fun env -> let x = a env in let y = b env in flop env; Float.pow x y)
 
 and compare_op op a b : typed =
-  let test, vop = relation op in
+  let test = Value.test op and vop = Value.relation op in
   let by a b c = Bool (fun env -> let x = a env in let y = b env in flop env; test (c x y)) in
   match (a, b) with
   | Int a, Int b -> by a b (fun x y -> compare (x : int) y)

@@ -2,6 +2,7 @@
    against the sequential reference execution. *)
 
 open Fd_support
+open Fd_frontend
 
 type mismatch = {
   m_array : string;

@@ -4,8 +4,8 @@
 type mismatch = {
   m_array : string;
   m_index : int array;
-  m_expected : Value.t;
-  m_actual : Value.t;
+  m_expected : Fd_frontend.Value.t;
+  m_actual : Fd_frontend.Value.t;
 }
 
 val gather_array :

@@ -9,7 +9,7 @@ exception Runtime_error of string
     peer outside [0..P-1]; the scheduler reports it as
     [Scheduler.Runtime_error]. *)
 
-type binding = Eval.binding = Bscalar of Value.t ref | Barray of Storage.array_obj
+type binding = Eval.binding = Bscalar of Fd_frontend.Value.t ref | Barray of Storage.array_obj
 
 type frame = (string, binding) Hashtbl.t
 

@@ -8,7 +8,7 @@ type t = {
       (* monotone per-(src, dest, tag) sequence number, stamped by the
          scheduler's network layer; receivers dedup and reassemble in
          seq order.  Senders construct messages with seq = 0. *)
-  parts : (string * (int array * Value.t) list) list;
+  parts : (string * (int array * Fd_frontend.Value.t) list) list;
       (* per array, its (global index vector, value) elements; one
          message may aggregate sections of several arrays (paper Fig. 11
          aggregation) *)

@@ -8,7 +8,7 @@ type t = {
       (** monotone per-(src, dest, tag) sequence number stamped by the
           scheduler's network layer (senders pass 0); receivers dedup
           duplicates and reassemble in seq order *)
-  parts : (string * (int array * Value.t) list) list;
+  parts : (string * (int array * Fd_frontend.Value.t) list) list;
       (** per array, its (global index vector, value) elements; one
           message may aggregate sections of several arrays (paper Fig. 11
           aggregation) *)

@@ -365,8 +365,12 @@ let test_unknown_distinction () =
 (* Scalar expressions sema accepts, over my$p, nprocs(), integer, real
    and logical constants, every operator and every intrinsic. *)
 let intrinsics =
-  [ ("abs", 1); ("max", 2); ("max", 3); ("min", 2); ("min", 3); ("mod", 2);
-    ("sqrt", 1); ("float", 1); ("int", 1); ("sign", 2) ]
+  List.concat_map
+    (fun (r : Intrinsic.t) ->
+      match r.arity with
+      | Intrinsic.Exactly k -> [ (r.name, k) ]
+      | Intrinsic.At_least k -> [ (r.name, k); (r.name, k + 1) ])
+    Intrinsic.table
 
 let scalar_gen : Ast.expr QCheck2.Gen.t =
   let open QCheck2.Gen in

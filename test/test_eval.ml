@@ -189,10 +189,11 @@ let native ~f_real c =
       | Ast.Mul, I m, I n -> I (m * n)
       | Ast.Div, I _, I 0 -> raise Fails
       | Ast.Div, I m, I n -> I (m / n)
-      | Ast.Pow, I m, I n when n >= 0 ->
+      | Ast.Pow, I m, I n ->
         let r = ref 1 in
-        for _ = 1 to n do r := !r * m done;
-        I !r
+        for _ = 1 to abs n do r := !r * m done;
+        (* a negative power is 1 / m ** |n| in integer arithmetic *)
+        if n >= 0 then I !r else if !r = 0 then raise Fails else I (1 / !r)
       | Ast.Add, _, _ -> R (f vx +. f vy)
       | Ast.Sub, _, _ -> R (f vx -. f vy)
       | Ast.Mul, _, _ -> R (f vx *. f vy)

@@ -81,7 +81,7 @@ let q_dgefa_matches_native_lu () =
   let a = List.assoc "a" r.Driver.seq.Seq_interp.arrays in
   for i = 1 to n do
     for j = 1 to n do
-      let v = Value.to_float (Storage.read ~strict:false a [| i; j |]) in
+      let v = Fd_frontend.Value.to_float (Storage.read ~strict:false a [| i; j |]) in
       if Float.abs (v -. reference.(i - 1).(j - 1)) > 1e-9 then
         Alcotest.failf "LU mismatch at (%d,%d): %g vs %g" i j v
           reference.(i - 1).(j - 1)
