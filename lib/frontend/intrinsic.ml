@@ -43,9 +43,9 @@ let table =
     { name = "sqrt"; arity = Exactly 1; result = real;
       meaning = unary (fun a -> Value.Vreal (sqrt (Value.to_float a))) };
     { name = "float"; arity = Exactly 1; result = real;
-      meaning = unary (fun a -> Value.Vreal (Value.to_float a)) };
+      meaning = unary Value.real };
     { name = "int"; arity = Exactly 1; result = (fun _ -> Ast.Integer);
-      meaning = unary (fun a -> Value.Vint (Value.to_int a)) };
+      meaning = unary Value.integer };
     { name = "sign"; arity = Exactly 2; result = first; meaning = binary sign } ]
 
 let find name = List.find_opt (fun r -> r.name = name) table

@@ -93,6 +93,9 @@ let relation = function
 
 (* --- The arithmetic intrinsics -------------------------------------------- *)
 
+let integer v = Vint (to_int v)
+let real v = Vreal (to_float v)
+
 let abs = function
   | Vint i -> Vint (Stdlib.abs i)
   | Vreal f -> Vreal (Float.abs f)

@@ -46,6 +46,12 @@ val relation : Ast.binop -> t -> t -> bool
 
 (* The arithmetic intrinsics, which {!Intrinsic} lists. *)
 
+val integer : t -> t
+(** INT: [Vint (to_int v)]. *)
+
+val real : t -> t
+(** FLOAT: [Vreal (to_float v)]. *)
+
 val abs : t -> t
 val modulo : t -> t -> t
 

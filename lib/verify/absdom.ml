@@ -35,6 +35,7 @@
    uniform rather than spuriously divergent. *)
 
 open Fd_support
+open Fd_frontend
 
 type pv = Pint of int | Preal of float | Pbool of bool | Punk
 
@@ -61,52 +62,31 @@ let unknown = Uni Punk
 let pv_equal a b =
   match (a, b) with
   | Pint x, Pint y -> x = y
-  | Preal x, Preal y -> x = y
+  | Preal x, Preal y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
   | Pbool x, Pbool y -> x = y
   | _ -> false
 
-(* --- pointwise reference semantics, mirroring Value.ml ----------------- *)
+(* --- pointwise semantics: Value's, lifted -------------------------------- *)
 
-let to_f = function
-  | Pint i -> Some (float_of_int i)
-  | Preal f -> Some f
-  | _ -> None
+let to_value = function
+  | Pint i -> Value.Vint i
+  | Preal f -> Value.Vreal f
+  | Pbool b -> Value.Vbool b
+  | Punk -> raise Exit
 
-let num2 fi fr a b =
-  match (a, b) with
-  | Pint x, Pint y -> fi x y
-  | _ -> (
-    match (to_f a, to_f b) with
-    | Some x, Some y -> fr x y
-    | _ -> Punk)
+(* A [Value] operation on known lanes; an unknown operand, or an error
+   the program would stop on, makes the lane unknown. *)
+let point f =
+  match f () with
+  | Value.Vint i -> Pint i
+  | Value.Vreal f -> Preal f
+  | Value.Vbool b -> Pbool b
+  | exception (Exit | Diag.Compile_error _) -> Punk
 
-let add = num2 (fun x y -> Pint (x + y)) (fun x y -> Preal (x +. y))
-let sub = num2 (fun x y -> Pint (x - y)) (fun x y -> Preal (x -. y))
-let mul = num2 (fun x y -> Pint (x * y)) (fun x y -> Preal (x *. y))
-
-let div =
-  num2
-    (fun x y -> if y = 0 then Punk else Pint (x / y))
-    (fun x y -> Preal (x /. y))
-
-let pow =
-  num2
-    (fun x y -> if y < 0 then Punk else Pint (int_of_float (float_of_int x ** float_of_int y)))
-    (fun x y -> Preal (x ** y))
-
-let cmp_to op a b =
-  match (a, b) with
-  | Pint x, Pint y -> Pbool (op (compare x y) 0)
-  | _ -> (
-    match (to_f a, to_f b) with
-    | Some x, Some y -> Pbool (op (compare x y) 0)
-    | _ -> Punk)
-
-let eq a b =
-  match (a, b) with
-  | Pbool x, Pbool y -> Pbool (x = y)
-  | Punk, _ | _, Punk -> Punk
-  | _ -> cmp_to ( = ) a b
+let lift f vs = point (fun () -> f (List.map to_value vs))
+let lift1 f a = point (fun () -> f (to_value a))
+let lift2 f a b = point (fun () -> let a = to_value a in f a (to_value b))
+let rel op = let r = Value.relation op in lift2 (fun a b -> Value.of_bool (r a b))
 
 (* Kleene three-valued logic: unknown only where the outcome genuinely
    depends on the unknown operand. *)
@@ -124,34 +104,6 @@ let or_ a b =
 
 let not_ = function Pbool b -> Pbool (not b) | _ -> Punk
 
-let neg = function
-  | Pint i -> Pint (-i)
-  | Preal f -> Preal (-.f)
-  | _ -> Punk
-
-let modulo =
-  num2
-    (fun x y -> if y = 0 then Punk else Pint (x mod y))
-    (fun x y -> Preal (Float.rem x y))
-
-let abs_ = function
-  | Pint i -> Pint (abs i)
-  | Preal f -> Preal (Float.abs f)
-  | _ -> Punk
-
-let to_int_pv = function
-  | Pint i -> Pint i
-  | Preal f -> Pint (int_of_float f)
-  | _ -> Punk
-
-let to_real_pv = function
-  | Pint i -> Preal (float_of_int i)
-  | Preal f -> Preal f
-  | _ -> Punk
-
-let max2 a b = match cmp_to ( >= ) a b with Pbool true -> a | Pbool false -> b | _ -> Punk
-let min2 a b = match cmp_to ( <= ) a b with Pbool true -> a | Pbool false -> b | _ -> Punk
-
 (* Join of two control-flow branches: keep only what both agree on. *)
 let pv_join a b = if pv_equal a b then a else Punk
 
@@ -165,30 +117,30 @@ type unop = Neg | Not | Abs | ToInt | ToReal
 (* The pointwise meaning of each operator — the single source of truth
    the segment fast paths must agree with (by concretization). *)
 let pv2 = function
-  | Add -> add
-  | Sub -> sub
-  | Mul -> mul
-  | Div -> div
-  | Pow -> pow
-  | Mod -> modulo
-  | Eq -> eq
-  | Ne -> fun a b -> not_ (eq a b)
-  | Lt -> cmp_to ( < )
-  | Le -> cmp_to ( <= )
-  | Gt -> cmp_to ( > )
-  | Ge -> cmp_to ( >= )
+  | Add -> lift2 Value.add
+  | Sub -> lift2 Value.sub
+  | Mul -> lift2 Value.mul
+  | Div -> lift2 Value.div
+  | Pow -> lift2 Value.pow
+  | Mod -> lift2 Value.modulo
+  | Eq -> rel Ast.Eq
+  | Ne -> rel Ast.Ne
+  | Lt -> rel Ast.Lt
+  | Le -> rel Ast.Le
+  | Gt -> rel Ast.Gt
+  | Ge -> rel Ast.Ge
   | And -> and_
   | Or -> or_
-  | Max -> max2
-  | Min -> min2
+  | Max -> lift2 Value.max
+  | Min -> lift2 Value.min
   | Join -> pv_join
 
 let pv1 = function
-  | Neg -> neg
+  | Neg -> lift1 Value.neg
   | Not -> not_
-  | Abs -> abs_
-  | ToInt -> to_int_pv
-  | ToReal -> to_real_pv
+  | Abs -> lift1 Value.abs
+  | ToInt -> lift1 Value.integer
+  | ToReal -> lift1 Value.real
 
 (* --- representation plumbing ------------------------------------------ *)
 
@@ -573,39 +525,21 @@ let app1 ~n op v =
   | Runs segs ->
     norm ~n (List.concat_map (fun (l, u, s) -> seg1 op l u s) segs)
 
-(* Escape hatch for rare intrinsics (sign, sqrt, tab$ selection...):
-   pointwise application with run expansion — the dense cost, but only
-   where the program actually does something exotic.  [Uni]/[Sconst]
-   stay O(1). *)
-let app2_pv ~n f a b =
-  match (a, b) with
-  | Uni x, Uni y -> Uni (f x y)
-  | _ ->
+(* Escape hatch for the rare intrinsics without a segment rule:
+   pointwise application with run expansion -- the dense cost, but only
+   where the program actually does something exotic.  [Uni] operands and
+   [Sconst] chunks stay O(1). *)
+let app_pv ~n f vs =
+  let apply segs p = Sconst (f (List.map (fun s -> seg_at s p) segs)) in
+  if List.for_all is_uniform vs then Uni (f (List.map (fun v -> at v 0) vs))
+  else
     norm ~n
       (List.concat_map
-         (fun (l, u, s1, s2) ->
-           match (s1, s2) with
-           | Sconst x, Sconst y -> [ (l, u, Sconst (f x y)) ]
-           | _ ->
-             List.init (u - l + 1) (fun i ->
-                 let p = l + i in
-                 (p, p, Sconst (f (seg_at s1 p) (seg_at s2 p)))))
-         (align ~n a b))
-
-let app1_pv ~n f v =
-  match v with
-  | Uni x -> Uni (f x)
-  | Runs segs ->
-    norm ~n
-      (List.concat_map
-         (fun (l, u, s) ->
-           match s with
-           | Sconst x -> [ (l, u, Sconst (f x)) ]
-           | _ ->
-             List.init (u - l + 1) (fun i ->
-                 let p = l + i in
-                 (p, p, Sconst (f (seg_at s p)))))
-         segs)
+         (fun (l, u, segs) ->
+           if List.for_all (function Sconst _ -> true | Saff _ -> false) segs then
+             [ (l, u, apply segs l) ]
+           else List.init (u - l + 1) (fun i -> (l + i, l + i, apply segs (l + i))))
+         (align_many ~n vs))
 
 let join ~n a b = app2 ~n Join a b
 

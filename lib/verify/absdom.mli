@@ -42,7 +42,10 @@ type seg = Sconst of pv | Saff of { a : int; b : int }
 
 type t = Uni of pv | Runs of (int * int * seg) list
 
-val to_f : pv -> float option
+val lift : (Fd_frontend.Value.t list -> Fd_frontend.Value.t) -> pv list -> pv
+(** A {!Fd_frontend.Value} operation on known lanes: [Punk] if an
+    operand is, or if the operation raises where the program would stop
+    (a division by zero). *)
 
 (** Uniform-unknown: same (unknown) value on every processor. *)
 val unknown : t
@@ -108,11 +111,9 @@ val app2 : n:int -> binop -> t -> t -> t
 
 val app1 : n:int -> unop -> t -> t
 
-(** Escape hatches: apply an arbitrary pointwise function (expands
-    affine runs lane-by-lane where needed). *)
-val app2_pv : n:int -> (pv -> pv -> pv) -> t -> t -> t
-
-val app1_pv : n:int -> (pv -> pv) -> t -> t
+(** Escape hatch: apply a pointwise function to any number of
+    operands (expands affine runs lane-by-lane where needed). *)
+val app_pv : n:int -> (pv list -> pv) -> t list -> t
 
 (** Lattice join ([pv_join] pointwise). *)
 val join : n:int -> t -> t -> t

@@ -264,43 +264,20 @@ and intrinsic w sc name args : expr =
                      in
                      (p, p, Absdom.Sconst v)))
              (Absdom.segs_of ~n idx)))
-  | "abs", [ a ] -> app1 w sc Absdom.Abs a
-  | "sqrt", [ a ] ->
-    let a = eval w sc a in
-    fun fr ->
-      Absdom.app1_pv ~n
-        (fun v ->
-          match Absdom.to_f v with
-          | Some f -> Absdom.Preal (sqrt f)
-          | None -> Absdom.Punk)
-        (a fr)
-  | "mod", [ a; b ] ->
-    let a = eval w sc a and b = eval w sc b in
-    fun fr -> Absdom.app2 ~n Absdom.Mod (a fr) (b fr)
-  | ("max" | "min"), _ :: _ :: _ -> (
-    let op = if name = "max" then Absdom.Max else Absdom.Min in
-    let args = List.map (eval w sc) args in
-    fun fr ->
-      match List.map (fun a -> a fr) args with
-      | v :: rest -> List.fold_left (Absdom.app2 ~n op) v rest
-      | [] ->
-        Diag.internal ~pass:"verify" "intrinsic %s with no arguments" name)
-  | "float", [ a ] -> app1 w sc Absdom.ToReal a
-  | "int", [ a ] -> app1 w sc Absdom.ToInt a
-  | "sign", [ a; b ] ->
-    let a = eval w sc a and b = eval w sc b in
-    fun fr ->
-      Absdom.app2_pv ~n
-        (fun m s ->
-          match (Absdom.to_f m, Absdom.to_f s) with
-          | Some m', Some s' ->
-            let r = if s' >= 0.0 then Float.abs m' else -.Float.abs m' in
-            (match m with
-            | Absdom.Pint _ -> Absdom.Pint (int_of_float r)
-            | _ -> Absdom.Preal r)
-          | _ -> Absdom.Punk)
-        (a fr) (b fr)
-  | _ -> const Absdom.unknown
+  | _ -> (
+    let k = List.length args in
+    match (Intrinsic.lookup name k, name, args) with
+    | None, _, _ -> fun _ -> raise (Stuck (Fmt.str "unknown intrinsic %s/%d" name k))
+    | Some _, "abs", [ a ] -> app1 w sc Absdom.Abs a
+    | Some _, "float", [ a ] -> app1 w sc Absdom.ToReal a
+    | Some _, "int", [ a ] -> app1 w sc Absdom.ToInt a
+    | Some _, ("mod" | "max" | "min"), a :: rest ->
+      let op = match name with "mod" -> Absdom.Mod | "max" -> Absdom.Max | _ -> Absdom.Min in
+      let a = eval w sc a and rest = List.map (eval w sc) rest in
+      fun fr -> List.fold_left (fun v b -> Absdom.app2 ~n op v (b fr)) (a fr) rest
+    | Some row, _, _ ->
+      let args = List.map (eval w sc) args in
+      fun fr -> Absdom.app_pv ~n (Absdom.lift row.meaning) (List.map (fun a -> a fr) args))
 
 (* --- syntactic helpers ------------------------------------------------ *)
 
