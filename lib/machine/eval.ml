@@ -208,6 +208,15 @@ let int_vs test vop x (v : Value.t) =
   | Value.Vreal f -> test (Float.compare (float_of_int x) f)
   | Value.Vbool _ -> vop (Value.Vint x) v
 
+(* max/min of one type, which compares as it goes: a comparison cannot
+   fail, and the first argument wins a tie. *)
+let extremum name cmp cs =
+  let better = if name = "max" then fun c -> c > 0 else fun c -> c < 0 in
+  match cs with
+  | c :: cs ->
+    fun env -> List.fold_left (fun acc c -> let v = c env in if better (cmp v acc) then v else acc) (c env) cs
+  | [] -> Diag.internal ~pass:"simulate" "intrinsic %s with no arguments" name
+
 (* --- Expressions --------------------------------------------------------- *)
 
 let rec typed sc (e : Ast.expr) : typed =
@@ -235,8 +244,8 @@ let rec typed sc (e : Ast.expr) : typed =
     | Int c -> Int (fun env -> flop env; 0 - c env)
     | Float c -> Float (fun env -> flop env; 0.0 -. c env)
     | t ->
-      let c = boxed t and zero = Value.Vint 0 in
-      Boxed (fun env -> flop env; Value.sub zero (c env)))
+      let c = boxed t in
+      Boxed (fun env -> flop env; Value.neg (c env)))
   | Ast.Un (Ast.Not, a) ->
     let a = bool_expr sc a in
     Bool (fun env -> flop env; not (a env))
@@ -255,19 +264,13 @@ and arith op a b : typed =
   | Ast.Div, Int a, Int b ->
     Int (fun env -> let x = a env in let y = b env in flop env;
           if y = 0 then Diag.error "integer division by zero" else x / y)
+  | Ast.Pow, Int a, Int b ->
+    Int (fun env -> let x = a env in let y = b env in flop env; Value.ipow x y)
   | _, (Float _ as a), ((Int _ | Float _) as b) | _, (Int _ as a), (Float _ as b) ->
     float_arith op (as_float a) (as_float b)
   | _ ->
-    (* the type is known only at run time, as is [**] of two ints *)
-    let f =
-      match op with
-      | Ast.Add -> Value.add
-      | Ast.Sub -> Value.sub
-      | Ast.Mul -> Value.mul
-      | Ast.Div -> Value.div
-      | _ -> Value.pow
-    in
-    let a = boxed a and b = boxed b in
+    (* the type is known only at run time *)
+    let f = Value.arith op and a = boxed a and b = boxed b in
     Boxed (fun env -> let x = a env in let y = b env in flop env; f x y)
 
 and float_arith op a b : typed =
@@ -318,75 +321,33 @@ and element sc name subs : typed =
     Float (fun env -> let o = obj env in Storage.read_float ~strict:env.strict o (at env o))
   | _ -> Boxed (fun env -> let o = obj env in Storage.read_flat ~strict:env.strict o (at env o))
 
-(* An intrinsic's body; [typed] charges the call's flop first. *)
+(* An intrinsic's body; [typed] charges the call's flop first.  Where
+   the arguments' types are static, a typed closure computes what the
+   table's meaning computes; otherwise the meaning is applied to the
+   arguments, evaluated left to right. *)
 and intrinsic sc name args : typed =
   match sc.hook sc name args with
   | Some c -> c
   | None -> (
-    match (name, List.map (typed sc) args) with
-    | "abs", [ Int a ] -> Int (fun env -> abs (a env))
-    | "abs", [ Float a ] -> Float (fun env -> Float.abs (a env))
-    | "abs", [ a ] -> (
-      let a = boxed a in
-      Boxed
-        (fun env ->
-          match a env with
-          | Value.Vint i -> Value.Vint (abs i)
-          | Value.Vreal f -> Value.Vreal (Float.abs f)
-          | Value.Vbool _ -> Diag.error "abs of logical"))
-    | "sqrt", [ a ] -> let a = as_float a in Float (fun env -> sqrt (a env))
-    | "mod", [ Int a; Int b ] ->
+    let ts = List.map (typed sc) args and k = List.length args in
+    let all p = List.for_all p ts in
+    match (Intrinsic.lookup name k, name, ts) with
+    | None, _, _ -> Boxed (fun _ -> Diag.error "unknown intrinsic %s/%d" name k)
+    | Some _, "abs", [ Int a ] -> Int (fun env -> abs (a env))
+    | Some _, "abs", [ Float a ] -> Float (fun env -> Float.abs (a env))
+    | Some _, "sqrt", [ a ] -> let a = as_float a in Float (fun env -> sqrt (a env))
+    | Some _, "mod", [ Int a; Int b ] ->
       Int (fun env -> let x = a env in let y = b env in
             if y = 0 then Diag.error "mod by zero" else x mod y)
-    | "mod", [ a; b ] -> (
-      let a = boxed a and b = boxed b in
-      Boxed
-        (fun env ->
-          let x = a env in
-          let y = b env in
-          match (x, y) with
-          | Value.Vint x, Value.Vint y ->
-            if y = 0 then Diag.error "mod by zero" else Value.Vint (x mod y)
-          | x, y -> Value.Vreal (Float.rem (Value.to_float x) (Value.to_float y))))
-    | "max", (_ :: _ :: _ as ts) -> extremum ts (fun c -> c > 0)
-    | "min", (_ :: _ :: _ as ts) -> extremum ts (fun c -> c < 0)
-    | "float", [ a ] -> Float (as_float a)
-    | "int", [ a ] -> Int (as_int a)
-    | "sign", [ a; b ] -> (
-      let a = boxed a and b = boxed b in
-      Boxed
-        (fun env ->
-          let m = Value.to_float (a env) in
-          let s = Value.to_float (b env) in
-          let r = if s >= 0.0 then Float.abs m else -.Float.abs m in
-          (* the first argument is evaluated again, costs included, for
-             its type *)
-          match a env with Value.Vint _ -> Value.Vint (int_of_float r) | _ -> Value.Vreal r))
-    | _ ->
-      let n = List.length args in
-      Boxed (fun _ -> Diag.error "unknown intrinsic %s/%d" name n))
-
-(* max/min: every argument is evaluated before any is compared; over
-   ints or over floats a comparison cannot fail, so those compare as
-   they go. *)
-and extremum ts better : typed =
-  let fold cmp cs env =
-    List.fold_left
-      (fun acc c -> let v = c env in if better (cmp v acc) then v else acc)
-      ((List.hd cs) env) (List.tl cs)
-  in
-  let ints = List.filter_map (function Int c -> Some c | _ -> None) ts
-  and floats = List.filter_map (function Float c -> Some c | _ -> None) ts in
-  if List.compare_lengths ints ts = 0 then Int (fold compare ints)
-  else if List.compare_lengths floats ts = 0 then Float (fold Float.compare floats)
-  else
-    let cs = List.map boxed ts in
-    Boxed
-      (fun env ->
-        let vs = List.map (fun c -> c env) cs in
-        List.fold_left
-          (fun acc v -> if better (Value.compare_num v acc) then v else acc)
-          (List.hd vs) (List.tl vs))
+    | Some _, ("max" | "min"), _ when all (function Int _ -> true | _ -> false) ->
+      Int (extremum name compare (List.map as_int ts))
+    | Some _, ("max" | "min"), _ when all (function Int _ | Float _ -> true | _ -> false) ->
+      Float (extremum name Float.compare (List.map as_float ts))
+    | Some _, "float", [ a ] -> Float (as_float a)
+    | Some _, "int", [ a ] -> Int (as_int a)
+    | Some row, _, _ ->
+      let cs = List.map boxed ts in
+      Boxed (fun env -> row.meaning (List.map (fun c -> c env) cs)))
 
 (* --- Statements shared by both interpreters ------------------------------ *)
 

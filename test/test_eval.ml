@@ -227,18 +227,23 @@ let native ~f_real c =
         | I _, I 0 -> raise Fails
         | I m, I n -> I (m mod n)
         | _ -> R (Float.rem (f vx) (f vy)))
-      | "sign", [ x; y ] ->
-        let m = f (ev x) in
-        let s = f (ev y) in
-        let r = if s >= 0.0 then Float.abs m else -.Float.abs m in
-        (* the first argument is evaluated a second time for its type *)
-        (match ev x with I _ -> I (int_of_float r) | _ -> R r)
+      | "sign", [ x; y ] -> (
+        (* the first argument's type is the result's *)
+        let vx = ev x in
+        let nonneg = f (ev y) >= 0.0 in
+        match vx with
+        | I m -> I (if nonneg then abs m else -abs m)
+        | v -> R (if nonneg then Float.abs (f v) else -.Float.abs (f v)))
       | ("max" | "min"), _ ->
-        (* all arguments first, then the first strict improvement wins *)
+        (* all arguments first, then the first strict improvement wins;
+           REAL if any argument is *)
         let vs = List.map ev args in
         let better c = if name = "max" then c > 0 else c < 0 in
-        List.fold_left (fun acc v -> if better (cmp v acc) then v else acc) (List.hd vs)
-          (List.tl vs)
+        let r =
+          List.fold_left (fun acc v -> if better (cmp v acc) then v else acc) (List.hd vs)
+            (List.tl vs)
+        in
+        if List.exists (function R _ -> true | _ -> false) vs then R (f r) else r
       | _ -> raise Fails)
     | _ -> raise Fails
   in
