@@ -393,8 +393,17 @@ let eq_point_split l u a b ~t ~f =
     List.filter (fun (x, y, _) -> x <= y) [ (l, p - 1, f); (p, p, t); (p + 1, u, f) ]
   | _ -> [ (l, u, f) ]
 
+(* a*p + b stays within max_int/2 for every pid p <= u, so the
+   difference of two such forms cannot wrap either. *)
+let bounded u (a, b) =
+  let m = max_int / 4 in
+  -m <= b && b <= m && -m <= a && a <= m && abs a <= m / max 1 u
+
 (* Both operands int-affine on the chunk: exact class-preserving rules.
-   Returns None to fall back to pointwise expansion. *)
+   Returns None to fall back to pointwise expansion.  Sums and scalings
+   are exact in wrapping arithmetic; divisions, comparisons and the rest
+   split runs by solving a*p + b against 0, which needs forms that do
+   not wrap. *)
 let lin2 op l u (a1, b1) (a2, b2) =
   let const v = Some [ (l, u, Sconst v) ] in
   match op with
@@ -404,6 +413,7 @@ let lin2 op l u (a1, b1) (a2, b2) =
     if a1 = 0 then Some [ (l, u, saff (b1 * a2) (b1 * b2)) ]
     else if a2 = 0 then Some [ (l, u, saff (a1 * b2) (b1 * b2)) ]
     else None
+  | _ when not (bounded u (a1, b1) && bounded u (a2, b2)) -> None
   | Div ->
     if a2 <> 0 then None
     else if b2 = 0 then const Punk
@@ -511,10 +521,10 @@ let seg1 op l u s =
     | Neg -> [ (l, u, saff (-a) (-b)) ]
     | ToInt -> [ (l, u, s) ]
     | Not -> [ (l, u, Sconst Punk) ]
-    | Abs ->
+    | Abs when bounded u (a, b) ->
       (* split at the sign change: |a*p + b| is -(a*p+b) where negative *)
       halfline_split l u (rel_halfline a b `Lt) ~t:(saff (-a) (-b)) ~f:s
-    | ToReal ->
+    | Abs | ToReal ->
       List.init (u - l + 1) (fun i ->
           let p = l + i in
           (p, p, Sconst (pv1 op (seg_at s p)))))
