@@ -105,6 +105,33 @@ let test_examples () =
         strategies)
     good_examples
 
+(* A branch on an integer power above 2^53: the verifier's walk must
+   compute 3**35 exactly, as the simulator does, to take the branch
+   that broadcasts a(8). *)
+let pk_source =
+  {|program pk
+  real a(8)
+  integer i, k
+  distribute a(block)
+  k = 3**35
+  do i = 1, 8
+    a(i) = float(i)
+  enddo
+  if (k .eq. 50031545098999707) then
+    a(1) = a(8)
+  endif
+  print *, a(1)
+end
+|}
+
+let test_power_branch () =
+  let cp = Driver.check_source ~file:"pk.fd" pk_source in
+  let what = "pk [interproc P=4]" in
+  let c, stats, full_elapsed = face_off ~nprocs:4 ~strategy:Options.Interproc cp in
+  check Alcotest.bool (what ^ ": prediction is exact") true c.Cost.exact;
+  assert_counters ~what c stats;
+  assert_makespan ~what c stats ~full_elapsed
+
 (* The per-processor piecewise forms must agree with the simulator's
    per-processor view: summing the pieces reproduces the totals, and
    evaluating them at each pid is nonnegative. *)
@@ -274,6 +301,8 @@ let suite =
       `Slow test_examples;
     Alcotest.test_case "per-processor piecewise forms" `Slow
       test_per_proc_pieces;
+    Alcotest.test_case "a branch on 3**35: counters and makespan" `Quick
+      test_power_branch;
     Alcotest.test_case "unvectorized-send warning" `Quick
       test_unvectorized_warning;
     Alcotest.test_case "profile-free degradation" `Quick
