@@ -23,11 +23,14 @@
    representation as the worst case rather than the only case.
 
    Every operation has a single source of truth: the pointwise [pv2] /
-   [pv1] semantics carried over unchanged from the dense domain.  The
-   segment-level fast paths (exact affine algebra, threshold splits for
-   comparisons, truncated-division run enumeration) are each equivalent
-   to pointwise application by concretization — property-tested in
-   test_absdom.ml.
+   [pv1] semantics, which are {!Value}'s operations lifted to lanes (an
+   unknown operand or a run-time error gives [Punk]); only the Kleene
+   logic and [Join] are Absdom's own.  The segment-level fast paths
+   (exact affine algebra, threshold splits for comparisons,
+   truncated-division run enumeration) are each equivalent to pointwise
+   application by concretization — property-tested in test_absdom.ml,
+   which also checks the expression compiler built on them against the
+   simulator's evaluator.
 
    Array element reads abstract to [Uni Punk]: distributed data is
    assumed processor-consistent (the "uniform data" assumption, see

@@ -27,10 +27,11 @@
       deliberately distinct from uniform-unknown ([Uni Punk]), and only
       uniform inputs may produce the latter.
 
-    Semantics are defined pointwise (the [pv2]/[pv1] tables carried
-    over from the dense domain); the compressed fast paths are
-    equivalent by concretization — property-tested in
-    [test/test_absdom.ml] against {!to_dense}/{!of_dense}. *)
+    Semantics are defined pointwise: {!Fd_frontend.Value}'s operations
+    lifted to lanes ({!lift}), plus Kleene logic and the join.  The
+    compressed fast paths are equivalent by concretization —
+    property-tested in [test/test_absdom.ml] against
+    {!to_dense}/{!of_dense}. *)
 
 open Fd_support
 

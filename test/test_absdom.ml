@@ -1,9 +1,10 @@
 (* Property tests for the compressed ensemble value domain: every
    segment-level fast path in Absdom must be equivalent, by
    concretization, to applying the pointwise semantics lane-by-lane.
-   The pointwise reference is Absdom itself at n = 1 (a [Uni] value has
-   no fast path to take), so the compressed algebra is tested against
-   the same single source of truth the dense implementation used. *)
+   The pointwise reference is Absdom at n = 1 (a [Uni] value has no fast
+   path to take), whose operators are Value's, lifted.  A last property
+   closes the loop: Absint's expression compiler over n lanes against
+   Eval, the simulator's evaluator, at each pid. *)
 
 open Fd_support
 open Fd_frontend
