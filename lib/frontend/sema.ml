@@ -137,8 +137,6 @@ let build_symtab sink (u : Ast.punit) : Symtab.t =
 
 (* --- Expression resolution and typing ------------------------------- *)
 
-let ty_name = Ast_printer.dtype_name
-
 (* Loop index variables are implicitly integer if not declared. *)
 type env = {
   symtab : Symtab.t;
@@ -216,7 +214,8 @@ let rec resolve_expr env (e : Ast.expr) : Ast.expr * Ast.dtype =
       (Ast.Bin (op, a', b'), Ast.Logical)
     | Ast.And | Ast.Or ->
       if ta <> Ast.Logical || tb <> Ast.Logical then
-        err env "logical operator on %s/%s operands" (ty_name ta) (ty_name tb);
+        err env "logical operator on %s/%s operands" (Ast_printer.dtype_name ta)
+          (Ast_printer.dtype_name tb);
       (Ast.Bin (op, a', b'), Ast.Logical))
   | Ast.Un (Ast.Neg, a) ->
     let a', ta = resolve_expr env a in
@@ -224,7 +223,7 @@ let rec resolve_expr env (e : Ast.expr) : Ast.expr * Ast.dtype =
     (Ast.Un (Ast.Neg, a'), ta)
   | Ast.Un (Ast.Not, a) ->
     let a', ta = resolve_expr env a in
-    if ta <> Ast.Logical then err env ".not. on %s operand" (ty_name ta);
+    if ta <> Ast.Logical then err env ".not. on %s operand" (Ast_printer.dtype_name ta);
     (Ast.Un (Ast.Not, a'), Ast.Logical)
 
 and resolve_intrinsic env (row : Intrinsic.t) args =
@@ -262,9 +261,8 @@ let rec resolve_stmt all_units env (s : Ast.stmt) : Ast.stmt =
           err env "cannot assign to active loop index %s" v;
         match Symtab.find env.symtab v with
         | Some (Symtab.Scalar ty) ->
-          let lty = ty in
-          if (lty = Ast.Logical) <> (rty = Ast.Logical) then
-            err env "type mismatch assigning %s to %s" (ty_name rty) v;
+          if (ty = Ast.Logical) <> (rty = Ast.Logical) then
+            err env "type mismatch assigning %s to %s" (Ast_printer.dtype_name rty) v;
           Ast.Assign (lhs, rhs')
         | Some (Symtab.Param _) ->
           err env "cannot assign to parameter %s" v;
