@@ -86,10 +86,11 @@ let test = function
 
 (* [Float.equal x y] is [Float.compare x y = 0], so on numbers [equal]
    agrees with [test Eq]. *)
-let relation = function
-  | Ast.Eq -> equal
-  | Ast.Ne -> fun a b -> not (equal a b)
-  | op -> let t = test op in fun a b -> t (compare_num a b)
+let relation op a b =
+  match op with
+  | Ast.Eq -> equal a b
+  | Ast.Ne -> not (equal a b)
+  | _ -> test op (compare_num a b)
 
 (* --- The arithmetic intrinsics -------------------------------------------- *)
 

@@ -65,7 +65,7 @@ let unknown = Uni Punk
 let pv_equal a b =
   match (a, b) with
   | Pint x, Pint y -> x = y
-  | Preal x, Preal y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Preal x, Preal y -> Int64.bits_of_float x = Int64.bits_of_float y
   | Pbool x, Pbool y -> x = y
   | _ -> false
 
@@ -77,19 +77,30 @@ let to_value = function
   | Pbool b -> Value.Vbool b
   | Punk -> raise Exit
 
-(* A [Value] operation on known lanes; an unknown operand, or an error
-   the program would stop on, makes the lane unknown. *)
-let point f =
-  match f () with
+let of_value = function
   | Value.Vint i -> Pint i
   | Value.Vreal f -> Preal f
   | Value.Vbool b -> Pbool b
+
+(* A [Value] operation on known lanes; an unknown operand, or an error
+   the program would stop on, makes the lane unknown. *)
+let lift f vs =
+  match f (List.map to_value vs) with
+  | v -> of_value v
   | exception (Exit | Diag.Compile_error _) -> Punk
 
-let lift f vs = point (fun () -> f (List.map to_value vs))
-let lift1 f a = point (fun () -> f (to_value a))
-let lift2 f a b = point (fun () -> let a = to_value a in f a (to_value b))
-let rel op = let r = Value.relation op in lift2 (fun a b -> Value.of_bool (r a b))
+let lift1 f a =
+  match a with
+  | Punk -> Punk
+  | _ -> ( match f (to_value a) with v -> of_value v | exception Diag.Compile_error _ -> Punk)
+
+let lift2 f a b =
+  match (a, b) with
+  | Punk, _ | _, Punk -> Punk
+  | _ -> (
+    match f (to_value a) (to_value b) with
+    | v -> of_value v
+    | exception Diag.Compile_error _ -> Punk)
 
 (* Kleene three-valued logic: unknown only where the outcome genuinely
    depends on the unknown operand. *)
@@ -119,31 +130,35 @@ type unop = Neg | Not | Abs | ToInt | ToReal
 
 (* The pointwise meaning of each operator — the single source of truth
    the segment fast paths must agree with (by concretization). *)
-let pv2 = function
-  | Add -> lift2 Value.add
-  | Sub -> lift2 Value.sub
-  | Mul -> lift2 Value.mul
-  | Div -> lift2 Value.div
-  | Pow -> lift2 Value.pow
-  | Mod -> lift2 Value.modulo
-  | Eq -> rel Ast.Eq
-  | Ne -> rel Ast.Ne
-  | Lt -> rel Ast.Lt
-  | Le -> rel Ast.Le
-  | Gt -> rel Ast.Gt
-  | Ge -> rel Ast.Ge
-  | And -> and_
-  | Or -> or_
-  | Max -> lift2 Value.max
-  | Min -> lift2 Value.min
-  | Join -> pv_join
+let rel op a b = lift2 (fun x y -> Value.of_bool (Value.relation op x y)) a b
 
-let pv1 = function
-  | Neg -> lift1 Value.neg
-  | Not -> not_
-  | Abs -> lift1 Value.abs
-  | ToInt -> lift1 Value.integer
-  | ToReal -> lift1 Value.real
+let pv2 op a b =
+  match op with
+  | Add -> lift2 Value.add a b
+  | Sub -> lift2 Value.sub a b
+  | Mul -> lift2 Value.mul a b
+  | Div -> lift2 Value.div a b
+  | Pow -> lift2 Value.pow a b
+  | Mod -> lift2 Value.modulo a b
+  | Eq -> rel Ast.Eq a b
+  | Ne -> rel Ast.Ne a b
+  | Lt -> rel Ast.Lt a b
+  | Le -> rel Ast.Le a b
+  | Gt -> rel Ast.Gt a b
+  | Ge -> rel Ast.Ge a b
+  | And -> and_ a b
+  | Or -> or_ a b
+  | Max -> lift2 Value.max a b
+  | Min -> lift2 Value.min a b
+  | Join -> pv_join a b
+
+let pv1 op a =
+  match op with
+  | Neg -> lift1 Value.neg a
+  | Not -> not_ a
+  | Abs -> lift1 Value.abs a
+  | ToInt -> lift1 Value.integer a
+  | ToReal -> lift1 Value.real a
 
 (* --- representation plumbing ------------------------------------------ *)
 
