@@ -14,7 +14,8 @@
    evaluation where the name-table interpreters this replaced charged
    it, so the counters and the sequence of additions to [pending] are
    unchanged.  A typed closure computes exactly what the boxed [Value]
-   operation computes on the same operands, errors included. *)
+   operation or {!Intrinsic} meaning computes on the same operands,
+   errors included. *)
 
 open Fd_support
 open Fd_frontend
