@@ -1,9 +1,11 @@
 (* Remap planning for the scheduler's collective sites.
 
    [plan_remap] performs the global data movement of a dynamic
-   redistribution — planning element moves from the old layout, switching
-   layouts everywhere, applying the copies — and returns the
-   [remap_summary] the scheduler's time/stats accounting consumes. *)
+   redistribution — switching layouts everywhere, then copying each moved
+   element from its old owner — and returns the [remap_summary] the
+   scheduler's time/stats accounting consumes.  Owners come from layout
+   arithmetic on the distributed coordinates, so a remap costs
+   O(elements + P) besides the copies themselves. *)
 
 open Fd_support
 
@@ -17,83 +19,105 @@ type remap_summary = {
   rs_mark_only : bool;
 }
 
+(* [f a b r] for every processor [r] that holds an element under the new
+   layout but not under the old one.  [h] and [n] are its holders under
+   the old and the new layout in [Layout.exact_owner]'s encoding: -1 for
+   nobody, [nprocs] for everyone. *)
+let each_receiver ~nprocs h n f a b =
+  if h < nprocs then
+    if n = nprocs then
+      for r = 0 to nprocs - 1 do
+        if r <> h then f a b r
+      done
+    else if n >= 0 && n <> h then f a b n
+
+let tally tbl key c =
+  Hashtbl.replace tbl key (c + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+
 let plan_remap ~nprocs ~word_bytes ~(objs : Storage.array_obj option array)
     ~(obj0 : Storage.array_obj) ~(new_layout : Layout.t) ~(move : bool) :
     remap_summary =
   let old_layout = obj0.Storage.layout in
-  let old_owned = Layout.owned old_layout ~nprocs in
-  let new_owned = Layout.owned new_layout ~nprocs in
-  let sent = Array.make nprocs 0 and received = Array.make nprocs 0 in
-  let partners = Hashtbl.create 16 in
-  let moves = ref [] in
-  (* plan the data movement before touching layouts *)
-  if move then
-    Storage.iter_elements obj0 (fun idx _flat ->
-        let dim_index d = idx.(d) in
-        let old_owner =
-          match old_layout.Layout.dist_dim with
-          | None -> 0  (* replicated: processor 0 is as authoritative as any *)
-          | Some d -> Layout.owner_of old_layout ~nprocs (dim_index d)
-        in
-        for r = 0 to nprocs - 1 do
-          let needs =
-            match new_layout.Layout.dist_dim with
-            | None -> true
-            | Some d -> Iset.mem (dim_index d) new_owned.(r)
-          in
-          let had =
-            match old_layout.Layout.dist_dim with
-            | None -> true
-            | Some d -> Iset.mem (dim_index d) old_owned.(r)
-          in
-          if needs && not had then begin
-            let src_obj =
-              match objs.(old_owner) with
-              | Some o -> o
-              | None ->
-                Diag.internal ~pass:"simulate"
-                  "remap: old owner p%d has no storage object" old_owner
-            in
-            let v =
-              Storage.get_raw src_obj (Storage.flat_index src_obj idx)
-            in
-            moves := (r, Array.copy idx, v) :: !moves;
-            sent.(old_owner) <- sent.(old_owner) + word_bytes;
-            received.(r) <- received.(r) + word_bytes;
-            let prev =
-              Option.value ~default:0 (Hashtbl.find_opt partners (old_owner, r))
-            in
-            Hashtbl.replace partners (old_owner, r) (prev + word_bytes)
-          end
-        done);
   (* switch layouts everywhere (resets validity to new ownership) *)
-  Array.iter
-    (function
-      | Some obj -> Storage.set_layout ~nprocs obj new_layout
-      | None ->
-        Diag.internal ~pass:"simulate" "remap: a processor has no storage object")
-    objs;
-  (* apply the planned copies *)
-  List.iter
-    (fun (r, idx, v) ->
-      match objs.(r) with
-      | Some obj -> Storage.receive obj idx v
-      | None ->
-        Diag.internal ~pass:"simulate" "remap: receiver p%d has no storage object"
-          r)
-    !moves;
+  let objs =
+    Array.map
+      (function
+        | Some obj ->
+          Storage.set_layout ~nprocs obj new_layout;
+          obj
+        | None ->
+          Diag.internal ~pass:"simulate" "remap: a processor has no storage object")
+      objs
+  in
+  let sent = Array.make nprocs 0 and received = Array.make nprocs 0 in
+  (* bytes per partner pair, keyed [q * nprocs + r] *)
+  let partners = Hashtbl.create 16 in
+  let bump q bytes r =
+    sent.(q) <- sent.(q) + bytes;
+    received.(r) <- received.(r) + bytes;
+    let k = (q * nprocs) + r in
+    match Hashtbl.find partners k with
+    | b -> b := !b + bytes
+    | exception Not_found -> Hashtbl.add partners k (ref bytes)
+  in
+  if move && obj0.Storage.size > 0 then begin
+    (* per coordinate of each layout's distributed dimension (dimension 0
+       when it has none): the old owner, and the holders before and after;
+       a layout without a distributed dimension is held by everyone *)
+    let dim (l : Layout.t) = Option.value ~default:0 l.Layout.dist_dim in
+    let d_old = dim old_layout and d_new = dim new_layout in
+    let per_coord d f =
+      let lo, hi = obj0.Storage.bounds.(d) in
+      Array.init (hi - lo + 1) (fun i -> f (lo + i))
+    in
+    let holder (l : Layout.t) g =
+      match l.Layout.dist_dim with
+      | None -> nprocs
+      | Some _ -> Layout.exact_owner l ~nprocs g
+    in
+    let owner = per_coord d_old (Layout.owner_of old_layout ~nprocs) in
+    let had = per_coord d_old (holder old_layout) in
+    let needs = per_coord d_new (holder new_layout) in
+    (* the traffic: each coordinate's elements move together *)
+    let ext_old = Array.length owner and ext_new = Array.length needs in
+    if d_old = d_new then begin
+      let bytes = obj0.Storage.size / ext_old * word_bytes in
+      Array.iteri (fun i q -> each_receiver ~nprocs had.(i) needs.(i) bump q bytes) owner
+    end
+    else begin
+      (* the two coordinates vary independently: pair up their classes *)
+      let olds = Hashtbl.create 16 and news = Hashtbl.create 16 in
+      Array.iteri (fun i q -> tally olds (q, had.(i)) 1) owner;
+      Array.iter (fun n -> tally news n 1) needs;
+      let bytes = obj0.Storage.size / (ext_old * ext_new) * word_bytes in
+      Hashtbl.iter
+        (fun (q, h) ci ->
+          Hashtbl.iter (fun n cj -> each_receiver ~nprocs h n bump q (ci * cj * bytes)) news)
+        olds
+    end;
+    (* the data, in one pass over the elements *)
+    let copy src flat r = Storage.copy_flat ~src ~dst:objs.(r) flat in
+    let lo_old = fst obj0.Storage.bounds.(d_old)
+    and lo_new = fst obj0.Storage.bounds.(d_new) in
+    Storage.iter_elements obj0 (fun idx flat ->
+        let i = idx.(d_old) - lo_old in
+        each_receiver ~nprocs had.(i) needs.(idx.(d_new) - lo_new) copy
+          objs.(owner.(i)) flat)
+  end;
   let npairs = Array.make nprocs 0 in
-  Hashtbl.iter
-    (fun (q, r) _bytes ->
-      npairs.(q) <- npairs.(q) + 1;
-      npairs.(r) <- npairs.(r) + 1)
-    partners;
+  let pairs =
+    Hashtbl.fold
+      (fun k b acc ->
+        let q = k / nprocs and r = k mod nprocs in
+        npairs.(q) <- npairs.(q) + 1;
+        npairs.(r) <- npairs.(r) + 1;
+        ((q, r), !b) :: acc)
+      partners []
+  in
   let total_bytes = Array.fold_left ( + ) 0 sent in
   (* Hashtbl iteration order is unspecified: sort the partner pairs so
      traces are deterministic run-to-run. *)
-  let pairs =
-    List.sort compare (Hashtbl.fold (fun k b acc -> (k, b) :: acc) partners [])
-  in
+  let pairs = List.sort compare pairs in
   { rs_array = obj0.Storage.name; rs_total_bytes = total_bytes;
     rs_sent = sent; rs_received = received; rs_npairs = npairs;
     rs_pairs = pairs; rs_mark_only = not move }

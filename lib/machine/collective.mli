@@ -17,7 +17,9 @@ val plan_remap :
   objs:Storage.array_obj option array ->
   obj0:Storage.array_obj ->
   new_layout:Layout.t -> move:bool -> remap_summary
-(** Perform a redistribution's global data movement (plan element moves
-    under the old layout, switch every processor's layout, apply the
-    copies) and return the summary the scheduler's accounting consumes.
-    [objs] must hold every processor's copy; [obj0] is processor 0's. *)
+(** Perform a redistribution's global data movement (switch every
+    processor's layout, then copy each element from its old owner to the
+    processors that hold it only under the new layout) and return the
+    summary the scheduler's accounting consumes.  Owners come from layout
+    arithmetic: O(elements + P) besides the copies.  [objs] must hold
+    every processor's copy; [obj0] is processor 0's. *)

@@ -1,5 +1,5 @@
-(* Reassembly of distributed arrays after a simulated run, and comparison
-   against the sequential reference execution. *)
+(* Comparison of a simulated run's distributed arrays, read from each
+   element's owner, against the sequential reference execution. *)
 
 open Fd_support
 open Fd_frontend
@@ -11,65 +11,74 @@ type mismatch = {
   m_actual : Value.t;
 }
 
-(* Read the authoritative (owner's) value of every element of [name] from
-   the per-processor main frames; returns a replicated array object. *)
-let gather_array ~nprocs (frames : Interp.frame array) (name : string) :
-    Storage.array_obj option =
-  let obj_of p =
-    match Hashtbl.find_opt frames.(p) name with
-    | Some (Interp.Barray o) -> Some o
-    | _ -> None
-  in
-  match obj_of 0 with
-  | None -> None
-  | Some obj0 ->
-    let layout = obj0.Storage.layout in
-    let out =
-      Storage.alloc ~proc:0 ~nprocs:1 name obj0.Storage.elt
-        (Layout.replicated obj0.Storage.layout.Layout.bounds)
-    in
-    Storage.iter_elements obj0 (fun idx _ ->
-        let owner =
-          match layout.Layout.dist_dim with
-          | None -> 0
-          | Some d -> Layout.owner_of layout ~nprocs idx.(d)
-        in
-        match obj_of owner with
-        | Some o -> Storage.write out idx (Storage.get_raw o (Storage.flat_index o idx))
-        | None -> Diag.error "gather: processor %d lacks array %s" owner name);
-    Some out
-
 (* Relative tolerance on REAL elements. *)
 let tol = 1e-9
 
-let values_match a b =
-  match (a, b) with
-  | Value.Vreal x, Value.Vreal y ->
-    let scale = Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
-    Float.abs (x -. y) <= tol *. scale
-  | _ -> Value.equal a b
+(* Whether the elements at [flat] of two arrays of one shape agree: REALs
+   to [tol] relative to the larger magnitude (at least 1), anything else
+   exactly, unboxed when both arrays hold one type. *)
+let elements_match (a : Storage.array_obj) (b : Storage.array_obj) flat =
+  match (a.Storage.data, b.Storage.data) with
+  | Storage.Fdata x, Storage.Fdata y ->
+    let x = x.(flat) and y = y.(flat) in
+    let ax = Float.abs x and ay = Float.abs y in
+    let scale = if ax > ay then ax else ay in
+    Float.abs (x -. y) <= tol *. (if scale > 1.0 then scale else 1.0)
+  | Storage.Idata x, Storage.Idata y -> x.(flat) = y.(flat)
+  | Storage.Bdata x, Storage.Bdata y -> x.(flat) = y.(flat)
+  | _ -> Value.equal (Storage.get_raw a flat) (Storage.get_raw b flat)
 
 (* Compare a simulated run's main-program arrays against the sequential
-   result.  Returns the list of mismatches (empty = verified). *)
+   result: each element against its owner's copy, flat index by flat
+   index.  Returns the mismatches in row-major order per array (empty =
+   verified). *)
 let compare_results ~nprocs (seq : Seq_interp.result)
     (frames : Interp.frame array) : mismatch list =
   let mismatches = ref [] in
   List.iter
     (fun (name, (seq_obj : Storage.array_obj)) ->
-      match gather_array ~nprocs frames name with
+      let obj_of p =
+        match Hashtbl.find_opt frames.(p) name with
+        | Some (Interp.Barray o) -> Some o
+        | _ -> None
+      in
+      match obj_of 0 with
       | None ->
         mismatches :=
           { m_array = name; m_index = [||];
             m_expected = Value.Vint 0; m_actual = Value.Vint 0 }
           :: !mismatches
-      | Some sim_obj ->
+      | Some obj0 ->
+        let layout = obj0.Storage.layout in
+        (* each processor's copy, looked up the first time it owns an
+           element *)
+        let copies = Array.make nprocs None in
+        let copy_of p =
+          match copies.(p) with
+          | Some o -> o
+          | None -> (
+            match obj_of p with
+            | Some o when o.Storage.bounds = seq_obj.Storage.bounds ->
+              copies.(p) <- Some o;
+              o
+            | Some _ -> Diag.error "gather: processor %d holds %s with other bounds" p name
+            | None -> Diag.error "gather: processor %d lacks array %s" p name)
+        in
+        let owner_at =
+          match layout.Layout.dist_dim with
+          | None -> fun _ -> 0
+          | Some d ->
+            let lo, hi = seq_obj.Storage.bounds.(d) in
+            let owners = Array.init (hi - lo + 1) (fun i -> Layout.owner_of layout ~nprocs (lo + i)) in
+            fun idx -> owners.(idx.(d) - lo)
+        in
         Storage.iter_elements seq_obj (fun idx flat ->
-            let expected = Storage.get_raw seq_obj flat in
-            let actual = Storage.get_raw sim_obj (Storage.flat_index sim_obj idx) in
-            if not (values_match expected actual) then
+            let sim_obj = copy_of (owner_at idx) in
+            if not (elements_match seq_obj sim_obj flat) then
               mismatches :=
-                { m_array = name; m_index = idx; m_expected = expected;
-                  m_actual = actual }
+                { m_array = name; m_index = Array.copy idx;
+                  m_expected = Storage.get_raw seq_obj flat;
+                  m_actual = Storage.get_raw sim_obj flat }
                 :: !mismatches))
     seq.Seq_interp.arrays;
   List.rev !mismatches

@@ -1,5 +1,5 @@
-(** Reassembly of distributed arrays after a simulated run, and
-    comparison against the sequential reference execution. *)
+(** Comparison of a simulated run's distributed arrays, read from each
+    element's owner, against the sequential reference execution. *)
 
 type mismatch = {
   m_array : string;
@@ -8,16 +8,13 @@ type mismatch = {
   m_actual : Fd_frontend.Value.t;
 }
 
-val gather_array :
-  nprocs:int -> Interp.frame array -> string -> Storage.array_obj option
-(** Authoritative (owner's) value of every element, as a replicated
-    array. *)
-
 val compare_results :
   nprocs:int ->
   Seq_interp.result ->
   Interp.frame array ->
   mismatch list
-(** Empty list = verified; REAL elements agree to a relative 1e-9. *)
+(** Empty list = verified; REAL elements agree to a relative 1e-9.  One
+    pass over each array's elements in row-major order, comparing the
+    typed arrays unboxed. *)
 
 val pp_mismatch : Format.formatter -> mismatch -> unit

@@ -77,6 +77,24 @@ let owner_of t ~nprocs g =
     let lo, _ = dim_bounds t d in
     (g - lo) / b mod nprocs
 
+(* The processor whose [owned_one] set holds [g], by arithmetic and
+   without building a set: [-1] when none does (outside the bounds, or
+   past the last block of an under-sized Block), [nprocs] when every
+   processor does (replicated). *)
+let exact_owner t ~nprocs g =
+  let lo, hi =
+    match t.dist_dim with None -> List.nth t.bounds 0 | Some d -> dim_bounds t d
+  in
+  if g < lo || g > hi then -1
+  else
+    match (t.dist_dim, t.dist) with
+    | None, _ | _, Replicated -> nprocs
+    | Some _, Block b ->
+      let p = (g - lo) / b in
+      if p < nprocs then p else -1
+    | Some _, Cyclic -> (g - lo) mod nprocs
+    | Some _, Block_cyclic b -> (g - lo) / b mod nprocs
+
 (* Processors owning at least one index of [lo, hi] in the distributed
    dimension, by owner arithmetic rather than by intersecting all P owned
    sets: a contiguous range for block layouts, at most two wrapped ranges

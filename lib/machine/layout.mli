@@ -36,6 +36,13 @@ val owned_one : t -> nprocs:int -> int -> Iset.t
 val owner_of : t -> nprocs:int -> int -> int
 (** Owner of a global index in the distributed dimension. *)
 
+val exact_owner : t -> nprocs:int -> int -> int
+(** [exact_owner t ~nprocs g] is the processor [p] with
+    [Iset.mem g (owned_one t ~nprocs p)], [-1] when there is none (outside
+    the bounds, or past the last block of an under-sized Block) and
+    [nprocs] when every processor qualifies (replicated).  Unlike
+    {!owner_of} it does not clamp, and it allocates nothing. *)
+
 val owners_of_interval : t -> nprocs:int -> int -> int -> Iset.t
 (** [owners_of_interval t ~nprocs lo hi] is exactly the set of processors
     [q] whose {!owned_one} set meets [lo, hi], computed in O(1) set

@@ -171,21 +171,35 @@ let write obj idx v = write_flat obj (flat_index obj idx) v
 (* Store a received element (validates it). *)
 let receive obj idx v = write obj idx v
 
+let copy_flat ~src ~dst flat =
+  (match (src.data, dst.data) with
+  | Fdata a, Fdata b -> b.(flat) <- a.(flat)
+  | Idata a, Idata b -> b.(flat) <- a.(flat)
+  | Bdata a, Bdata b -> b.(flat) <- a.(flat)
+  | _ -> elt_mismatch dst);
+  Bytes.set dst.valid flat '\001'
+
 (* Change layout; validity is reset to ownership under the new layout
-   (stale non-owned copies are invalidated; the scheduler copies data to
-   new owners before calling this). *)
+   (stale non-owned copies are invalidated; a moving remap then copies
+   each moved element in with [copy_flat]). *)
 let set_layout ~nprocs obj (layout : Layout.t) =
   obj.layout <- layout;
   obj.owned <- Layout.owned_one layout ~nprocs obj.owner_proc;
   Bytes.fill obj.valid 0 obj.size '\000';
   mark_initial_validity obj
 
+(* Row-major, so the flat index is a counter.  [idx] is one array
+   updated in place: a callee that keeps it must copy it. *)
 let iter_elements obj f =
   let r = rank obj in
   if obj.size > 0 then begin
     let idx = Array.map fst obj.bounds in
+    let flat = ref 0 in
     let rec walk d =
-      if d = r then f (Array.copy idx) (flat_index obj idx)
+      if d = r then begin
+        f idx !flat;
+        incr flat
+      end
       else
         let lo, hi = obj.bounds.(d) in
         for x = lo to hi do

@@ -78,9 +78,14 @@ val write : array_obj -> int array -> Value.t -> unit
 val receive : array_obj -> int array -> Value.t -> unit
 (** Store an incoming message element (validates it). *)
 
+val copy_flat : src:array_obj -> dst:array_obj -> int -> unit
+(** Copy one element between two processors' copies of an array, at the
+    same flat index, unboxed; validates it in [dst]. *)
+
 val set_layout : nprocs:int -> array_obj -> Layout.t -> unit
 (** Switch layouts; validity resets to ownership under the new layout
-    (the scheduler copies data to new owners around this). *)
+    (a moving remap then copies the moved elements in). *)
 
 val iter_elements : array_obj -> (int array -> int -> unit) -> unit
-(** Visit every (index vector, flat index) pair. *)
+(** Visit every (index vector, flat index) pair in row-major order.  The
+    index vector is one array updated in place: copy it to keep it. *)

@@ -102,6 +102,14 @@ val analyze : ?profile:profile -> config:Config.t -> Node.program -> t
     branches through [?profile]) and price the resulting skeleton under
     [config]'s cost model.  Total: never raises on checked programs. *)
 
+val remap_traffic :
+  nprocs:int -> word:int -> Layout.t -> Layout.t ->
+  int array * int array * int array * int
+(** [remap_traffic ~nprocs ~word old_layout new_layout] is a moving
+    remap's per-processor bytes sent, bytes received and partner-pair
+    counts, and its total bytes, from owner arithmetic on the distributed
+    extents, for layouts of the kind [Decomp] builds. *)
+
 (** {1 Export} *)
 
 val to_json : t -> Json.t

@@ -224,7 +224,24 @@ let owners_exact =
           (fun q -> not (Iset.is_empty (Iset.inter (Layout.owned_one layout ~nprocs q) (Iset.range lo hi))))
           (List.init nprocs Fun.id)
       in
-      Iset.to_list (Layout.owners_of_interval layout ~nprocs lo hi) = brute)
+      (* and the point query, decoded, at every index in and around the
+         bounds: -1 is nobody, nprocs everyone *)
+      let dlo, dhi =
+        match layout.Layout.dist_dim with
+        | None -> List.nth layout.Layout.bounds 0
+        | Some d -> Layout.dim_bounds layout d
+      in
+      let point_ok g =
+        let got =
+          match Layout.exact_owner layout ~nprocs g with
+          | -1 -> Iset.empty
+          | p when p = nprocs -> Iset.range 0 (nprocs - 1)
+          | p -> Iset.singleton p
+        in
+        Iset.equal got (Layout.owners_of_interval layout ~nprocs g g)
+      in
+      Iset.to_list (Layout.owners_of_interval layout ~nprocs lo hi) = brute
+      && List.for_all point_ok (List.init (dhi - dlo + 17) (fun k -> dlo - 8 + k)))
 
 (* --- scaling guard ------------------------------------------------------------ *)
 

@@ -244,14 +244,18 @@ let sched_remap_moves_data () =
   let stats, frames = run (node_prog ~nprocs:4 ~arrays body) 4 in
   check_int "one physical remap" 1 stats.Stats.remaps;
   check "bytes moved" true (stats.Stats.remap_bytes > 0);
-  (* check authoritative gather *)
-  match Gather.gather_array ~nprocs:4 frames "x" with
-  | Some g ->
-    for i = 1 to 8 do
-      check "gathered value" true
-        (Value.to_float (Storage.get_raw g (Storage.flat_index g [| i |])) = float_of_int i)
-    done
-  | None -> Alcotest.fail "gather failed"
+  (* each element's owner under the frame's layout holds it, valid *)
+  let x_on p =
+    match Hashtbl.find_opt frames.(p) "x" with
+    | Some (Interp.Barray o) -> o
+    | _ -> Alcotest.fail "x missing"
+  in
+  check "layout switched" true (Layout.equal (x_on 0).Storage.layout cyc);
+  for i = 1 to 8 do
+    let owner = Layout.owner_of (x_on 0).Storage.layout ~nprocs:4 i in
+    check "owner's value" true
+      (Value.to_float (Storage.read ~strict:true (x_on owner) [| i |]) = float_of_int i)
+  done
 
 let sched_mark_only_remap_moves_nothing () =
   let block = { Layout.bounds = [ (1, 8) ]; dist_dim = Some 0; dist = Layout.Block 2 } in
@@ -300,6 +304,114 @@ let sequential_rerun_canary () =
   check "trace events bit-identical" true (events_a = events_b);
   Alcotest.(check (list string)) "skeleton" skel_a skel_b;
   check "both completed" true (done_a && done_b)
+
+(* --- Remap planning ---------------------------------------------------------- *)
+
+(* An array of rank 1-3 remapped between two layouts of the kind [Decomp]
+   builds (Block of ceil(N/P), Cyclic, Block_cyclic k, or nothing
+   distributed): within one dimension, across dimensions (within one at
+   rank 1), to replicated or from replicated. *)
+let remap_case_gen =
+  QCheck2.Gen.(
+    let* rank = int_range 1 3 in
+    let* nprocs = oneofl [ 1; 2; 3; 4; 7; 16 ] in
+    let* bounds =
+      list_repeat rank
+        (let* lo = int_range (-2) 3 in
+         let* n = int_range 1 9 in
+         return (lo, lo + n - 1))
+    in
+    let kind =
+      oneof
+        [ return Ast.Block; return Ast.Cyclic;
+          map (fun k -> Ast.Block_cyclic k) (int_range 1 5) ]
+    in
+    let layout = function
+      | None -> Fd_core.Decomp.layout_of (Fd_core.Decomp.replicated rank) ~bounds ~nprocs
+      | Some (d, k) ->
+        Fd_core.Decomp.layout_of
+          (Fd_core.Decomp.of_kinds (List.init rank (fun i -> if i = d then k else Ast.Star)))
+          ~bounds ~nprocs
+    in
+    let* d = int_range 0 (rank - 1) in
+    let* shift = int_range 1 (max 1 (rank - 1)) in
+    let* k_old = kind in
+    let* k_new = kind in
+    let* from_, to_ =
+      oneofl
+        [ (Some (d, k_old), Some (d, k_new));
+          (Some (d, k_old), Some ((d + shift) mod rank, k_new));
+          (Some (d, k_old), None);
+          (None, Some (d, k_new)) ]
+    in
+    let* elt = oneofl [ Ast.Real; Ast.Integer; Ast.Logical ] in
+    let* seed = int in
+    return (layout from_, layout to_, nprocs, elt, seed))
+
+let print_remap_case (old_l, new_l, nprocs, elt, _) =
+  Fmt.str "%a -> %a over %a, P = %d, %s" Layout.pp old_l Layout.pp new_l
+    Fmt.(list ~sep:comma (pair ~sep:(any ":") int int)) old_l.Layout.bounds nprocs
+    (Ast_printer.dtype_name elt)
+
+(* Every element's true value [n]; a processor that does not own it
+   holds its own garbage instead (the negation, for LOGICAL). *)
+let remap_value elt ?garbage_of n =
+  let n = n + (1000 * match garbage_of with Some p -> p + 1 | None -> 0) in
+  match elt with
+  | Ast.Real -> Value.Vreal (float_of_int n)
+  | Ast.Integer -> Value.Vint n
+  | Ast.Logical -> Value.Vbool (n mod 2 = 0 = Option.is_none garbage_of)
+
+(* Traffic: the summary's per-processor bytes and partner counts are
+   [Cost.remap_traffic]'s, and its pairs add up to the total without
+   self-pairs.  Data: afterwards each processor's valid elements are
+   exactly its new owned set, each holding the true value. *)
+let remap_traffic_and_data =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:400 ~print:print_remap_case
+       ~name:"remap: traffic is Cost's, data lands on the new owners" remap_case_gen
+       (fun (old_l, new_l, nprocs, elt, seed) ->
+         let st = Random.State.make [| seed |] in
+         let objs = Array.init nprocs (fun p -> Storage.alloc ~proc:p ~nprocs "a" elt old_l) in
+         let truth = Array.init objs.(0).Storage.size (fun _ -> Random.State.int st 1000) in
+         Array.iteri
+           (fun p obj ->
+             Storage.iter_elements obj (fun _ flat ->
+                 let owned = Bytes.get obj.Storage.valid flat = '\001' in
+                 Storage.write_flat obj flat
+                   (if owned then remap_value elt truth.(flat)
+                    else remap_value elt ~garbage_of:p truth.(flat)));
+             Storage.set_layout ~nprocs obj old_l)
+           objs;
+         let rs =
+           Collective.plan_remap ~nprocs ~word_bytes:8 ~objs:(Array.map Option.some objs)
+             ~obj0:objs.(0) ~new_layout:new_l ~move:true
+         in
+         let sent, received, npairs, total =
+           Fd_verify.Cost.remap_traffic ~nprocs ~word:8 old_l new_l
+         in
+         let traffic_ok =
+           rs.Collective.rs_sent = sent && rs.Collective.rs_received = received
+           && rs.Collective.rs_npairs = npairs && rs.Collective.rs_total_bytes = total
+           && List.fold_left (fun acc (_, b) -> acc + b) 0 rs.Collective.rs_pairs = total
+           && List.for_all (fun ((q, r), _) -> q <> r) rs.Collective.rs_pairs
+         in
+         let data_ok = ref true in
+         Array.iteri
+           (fun p obj ->
+             let owned = Layout.owned_one new_l ~nprocs p in
+             Storage.iter_elements obj (fun idx flat ->
+                 let owns =
+                   match new_l.Layout.dist_dim with
+                   | None -> true
+                   | Some d -> Iset.mem idx.(d) owned
+                 in
+                 let valid = Bytes.get obj.Storage.valid flat = '\001' in
+                 if valid <> owns
+                    || (valid && Storage.get_raw obj flat <> remap_value elt truth.(flat))
+                 then data_ok := false))
+           objs;
+         traffic_ok && !data_ok))
 
 (* --- Cost model ------------------------------------------------------------ *)
 
@@ -368,6 +480,7 @@ let suite =
     Alcotest.test_case "scheduler site mismatch" `Quick sched_collective_site_mismatch;
     Alcotest.test_case "scheduler remap moves data" `Quick sched_remap_moves_data;
     Alcotest.test_case "scheduler mark-only remap" `Quick sched_mark_only_remap_moves_nothing;
+    remap_traffic_and_data;
     Alcotest.test_case "scheduler determinism" `Quick sched_determinism;
     Alcotest.test_case "sequential rerun canary" `Quick sequential_rerun_canary;
     Alcotest.test_case "cost model messages" `Quick cost_message;

@@ -152,6 +152,61 @@ let gather_detects_mismatch () =
     check "index" true (m.Gather.m_index = [| 20 |])
   | _ -> ()
 
+(* REAL, INTEGER and LOGICAL arrays, and a REAL one moved from rows to
+   columns by a remap: corrupting owned copies on p2 and p3 must report
+   each mismatch, array by array in the sequential result's order and
+   row-major within one, with its index and both values; a REAL within the relative tolerance and a corrupted copy on a
+   processor that does not own the element are not mismatches. *)
+let gather_mismatch_kinds () =
+  let src =
+    "program g\n  real x(8,4)\n  integer k(8)\n  logical b(6)\n  integer i, j\n\
+    \  distribute x(block,:)\n  distribute k(cyclic)\n  distribute b(block)\n\
+    \  do j = 1, 4\n    do i = 1, 8\n      x(i,j) = float(i + 10*j)\n    enddo\n  enddo\n\
+    \  do i = 1, 8\n    k(i) = i*i\n  enddo\n\
+    \  do i = 1, 6\n    b(i) = i .gt. 3\n  enddo\n\
+    \  distribute x(:,block)\n  print *, x(1,1), k(3)\nend\n"
+  in
+  let cp = Driver.check_source src in
+  let compiled = Driver.compile cp in
+  let config = Config.ipsc860 ~nprocs:4 () in
+  let stats, frames = Scheduler.run config compiled.Codegen.program in
+  let seq = Seq_interp.run ~config cp in
+  check_int "x moved" 1 stats.Stats.remaps;
+  check "verified before corruption" true (Gather.compare_results ~nprocs:4 seq frames = []);
+  let set p name idx v =
+    match Hashtbl.find frames.(p) name with
+    | Interp.Barray obj -> Storage.write obj idx v
+    | _ -> Alcotest.fail (name ^ " missing")
+  in
+  let near x rel = Value.Vreal (x *. (1.0 +. (rel *. 1e-9))) in
+  (* after the remap p(j-1) owns column j of x *)
+  set 2 "x" [| 2; 3 |] (near 32.0 1.1);
+  set 3 "x" [| 1; 4 |] (near 41.0 (-1.1));
+  set 1 "x" [| 1; 2 |] (near 21.0 0.9);
+  set 0 "x" [| 8; 4 |] (Value.Vreal 0.0);
+  (* k is cyclic: k(4) lives on p3; b is block(2): b(5) on p2 *)
+  set 3 "k" [| 4 |] (Value.Vint 17);
+  set 2 "b" [| 5 |] (Value.Vbool false);
+  let got =
+    List.map
+      (fun m -> (m.Gather.m_array, Array.to_list m.Gather.m_index, m.Gather.m_expected, m.Gather.m_actual))
+      (Gather.compare_results ~nprocs:4 seq frames)
+  in
+  let expected =
+    [ ("b", [ 5 ], Value.Vbool true, Value.Vbool false);
+      ("k", [ 4 ], Value.Vint 16, Value.Vint 17);
+      ("x", [ 1; 4 ], Value.Vreal 41.0, near 41.0 (-1.1));
+      ("x", [ 2; 3 ], Value.Vreal 32.0, near 32.0 1.1) ]
+  in
+  check_int "four mismatches" (List.length expected) (List.length got);
+  List.iter2
+    (fun (a, i, e, v) (a', i', e', v') ->
+      check_str "array" a a';
+      check "index" true (i = i');
+      check "expected" true (e = e');
+      check "actual" true (v = v'))
+    expected got
+
 (* --- Dynamic decomposition passes in isolation ----------------------------------- *)
 
 let no_calls _callee _args = Dynamic_decomp.SS.empty
@@ -310,6 +365,7 @@ let suite =
     Alcotest.test_case "interp short circuit" `Quick i_short_circuit;
     Alcotest.test_case "scheduler channel fifo" `Quick sched_fifo;
     Alcotest.test_case "gather detects mismatch" `Quick gather_detects_mismatch;
+    Alcotest.test_case "gather: mismatch kinds and owners" `Quick gather_mismatch_kinds;
     Alcotest.test_case "dead remap elim (unit)" `Quick dd_dead_elim_unit;
     Alcotest.test_case "redundant remap elim (unit)" `Quick dd_redundant_unit;
     Alcotest.test_case "remap liveness across branches" `Quick dd_liveness_respects_branches;
