@@ -10,9 +10,11 @@
    is tested on its own: the variables of the loops above it are shared
    symbols, its own variable advances, and the variables of deeper or
    non-common loops are free.  Distances count iterations, so steps other
-   than 1 (negative ones too) are exact.  Communication for the read must
-   stay inside the deepest carried level; it may be hoisted out of all
-   deeper loops [Hiranandani-Kennedy-Tseng]. *)
+   than 1 (negative ones too) are exact, and a distance that is not a
+   whole number of iterations (a red-black sweep's neighbours) is no
+   dependence at all.  Communication for the read must stay inside the
+   deepest carried level; it may be hoisted out of all deeper loops
+   [Hiranandani-Kennedy-Tseng]. *)
 
 type result = { carried : int list; loop_independent : bool }
 
@@ -76,15 +78,12 @@ let dim_test ~free (l : Sections.loop_ctx option) sw sr =
     let rw = Affine.drop_var v aw and rr = Affine.drop_var v ar in
     if cw = 0 && cr = 0 then ziv aw ar
     else if cw = cr then
-      (* strong SIV: cw*i_w + rw = cw*i_r + rr *)
+      (* strong SIV: cw*i_w + rw = cw*i_r + rr, and i_r - i_w is a
+         multiple of the step whatever the lower bound *)
       match Affine.const_value (Affine.sub rw rr) with
-      | Some diff when diff mod cw <> 0 -> Indep
+      | Some diff when diff mod (cw * l.lstep) <> 0 -> Indep
       | Some diff -> (
-        (* a distance that is not a whole number of iterations never
-           meets; it is kept as one iteration in its direction, so
-           red-black sweeps keep their run-time resolution *)
-        let d = diff / cw in
-        let k = if d mod l.lstep = 0 then d / l.lstep else compare (d * l.lstep) 0 in
+        let k = diff / (cw * l.lstep) in
         match trip_count l with Some n when abs k >= n -> Indep | _ -> Dist k)
       | None -> Any
     else if cr = 0 && out_of_range l cw rw ar then Indep

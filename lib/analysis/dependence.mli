@@ -17,7 +17,8 @@ val true_dep : Sections.ref_info -> Sections.ref_info -> result
 (** Flow dependence from a write to a read of the same array.  Each
     level is tested with the loops above it at equal iterations; exact
     distances count iterations of the loop's step and are clipped by
-    trip counts; unknown subscripts yield conservative (possible)
+    trip counts, and one that is not a whole number of iterations is
+    independent; unknown subscripts yield conservative (possible)
     dependences.  [loop_independent] holds when the write may reach the
     read in the same iterations of every common loop and does not follow
     it textually. *)

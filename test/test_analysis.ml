@@ -250,6 +250,42 @@ let d_distance_exceeds_trip () =
   in
   check "clipped by trip count" true (d.Dependence.carried = [])
 
+(* Every read of [a] against its one write. *)
+let deps_of_reads src =
+  let refs = refs_of src in
+  let w = List.find (fun r -> r.Sections.is_write) refs in
+  List.filter_map
+    (fun r -> if r.Sections.is_write then None else Some (Dependence.true_dep w r))
+    refs
+
+let red_sweep lo hi step =
+  Fmt.str
+    "program p\n  real a(100)\n  integer i\n  do i = %d, %d, %d\n    a(i) = 0.5 * (a(i-1) + a(i+1))\n  enddo\nend\n"
+    lo hi step
+
+let d_red_sweep_independent () =
+  (* a red sweep reads only the other colour: i-1 and i+1 are one
+     element, half an iteration, away from any write, in both
+     directions *)
+  List.iter
+    (fun (lo, hi, step) ->
+      let ds = deps_of_reads (red_sweep lo hi step) in
+      check_int "two reads" 2 (List.length ds);
+      List.iter
+        (fun d ->
+          check "not carried" true (d.Dependence.carried = []);
+          check "not loop independent" false d.Dependence.loop_independent)
+        ds)
+    [ (3, 99, 2); (99, 3, -2) ]
+
+let d_whole_stride_carried () =
+  (* control: distance 3 at step 3 is one whole iteration *)
+  let d =
+    dep_between
+      "program p\n  real a(100)\n  integer i\n  do i = 4, 99, 3\n    a(i) = a(i-3)\n  enddo\nend\n"
+  in
+  check "carried at level 1" true (d.Dependence.carried = [ 1 ])
+
 let d_deepest_level () =
   (* a(i,j) = a(i-1,j+1): carried by the outer loop only, so the read's
      message may leave the inner loop *)
@@ -281,4 +317,6 @@ let suite =
     Alcotest.test_case "dep loop independent" `Quick d_loop_independent;
     Alcotest.test_case "dep clipped by trip count" `Quick d_distance_exceeds_trip;
     Alcotest.test_case "dep deepest level" `Quick d_deepest_level;
+    Alcotest.test_case "dep red sweep independent" `Quick d_red_sweep_independent;
+    Alcotest.test_case "dep whole stride carried" `Quick d_whole_stride_carried;
   ]

@@ -787,3 +787,76 @@ let suite =
       partition_case "partition: a COMMON scalar live at exit" live_common_src;
       partition_case "partition: a call's scalar result live after the loop" call_result_src;
     ]
+
+(* --- Red-black sweeps: fractional distances are independent ------------- *)
+
+(* A red sweep with step 2 and a black sweep with step [black] (2 or -2),
+   over [n] elements of a [dist]-distributed array.  Neither sweep reads
+   its own colour, so both loops may be partitioned. *)
+let redblack_src ~n ~dist ~black =
+  let hi = if (n - 1) mod 2 = 0 then n - 1 else n - 2 in
+  let lo, hi = if black > 0 then (2, hi) else (hi, 2) in
+  Fmt.str
+    "program rb\n  real u(%d)\n  integer i, it\n  distribute u(%s)\n\
+    \  do i = 1, %d\n    u(i) = float(mod(i*11, 23))\n  enddo\n\
+    \  do it = 1, 2\n    call relax_red(u)\n    call relax_black(u)\n  enddo\n\
+    \  print *, u(1), u(%d), u(%d)\nend\n\
+     subroutine relax_red(u)\n  real u(%d)\n  integer i\n\
+    \  do i = 3, %d, 2\n    u(i) = 0.5 * (u(i-1) + u(i+1))\n  enddo\nend\n\
+     subroutine relax_black(u)\n  real u(%d)\n  integer i\n\
+    \  do i = %d, %d, %d\n    u(i) = 0.5 * (u(i-1) + u(i+1))\n  enddo\nend\n"
+    n dist n (n / 2) n n (n - 1) n lo hi black
+
+(* Each cell runs verified, the cost analyzer's counters and makespan
+   equal a compute-free simulated run's, and the verifier finds no
+   error. *)
+let redblack_variants () =
+  List.iter
+    (fun (n, dist, black) ->
+      let cp = Driver.check_source (redblack_src ~n ~dist ~black) in
+      List.iter
+        (fun strategy ->
+          List.iter
+            (fun nprocs ->
+              let what =
+                Fmt.str "n=%d %s black step %d, %s P=%d" n dist black
+                  (Options.strategy_name strategy) nprocs
+              in
+              let r = Driver.run ~opts:{ Options.default with nprocs; strategy } cp in
+              if not (Driver.verified r) then Alcotest.failf "%s: differs from the sequential run" what;
+              let c, stats, full_elapsed = Test_cost.face_off ~nprocs ~strategy cp in
+              check (what ^ ": prediction is exact") true c.Fd_verify.Cost.exact;
+              Test_cost.assert_counters ~what c stats;
+              Test_cost.assert_makespan ~what c stats ~full_elapsed;
+              let v, _ = Driver.check cp r.Driver.compiled in
+              List.iter
+                (fun (f : Fd_verify.Finding.t) ->
+                  if f.Fd_verify.Finding.severity = Fd_verify.Finding.Error then
+                    Alcotest.failf "%s: %a" what Fd_verify.Finding.pp f)
+                v.Fd_verify.Verify.findings)
+            [ 1; 2; 3; 4; 7; 16 ])
+        strategies)
+    (List.concat_map
+       (fun n -> List.concat_map (fun dist -> [ (n, dist, 2); (n, dist, -2) ]) [ "block"; "cyclic" ])
+       [ 9; 10; 127; 128; 130; 131 ])
+
+(* The red sweep's distances (one element, half an iteration) are not
+   carried, so interproc partitions its loop. *)
+let redblack_red_partitioned () =
+  let compiled =
+    Driver.compile_source ~opts:{ Options.default with nprocs = 4 } (Fd_workloads.Stencil.redblack ())
+  in
+  let red = List.filter (fun d -> d.Codegen.d_proc = "relax_red") (Codegen.decisions compiled) in
+  check_int "one loop in relax_red" 1 (List.length red);
+  let text = Fmt.str "%a" Codegen.pp_decision (List.hd red) in
+  if not (Str.string_match (Str.regexp ".*partitioned on u dim 1") text 0) then
+    Alcotest.failf "relax_red's loop is not partitioned: %s" text
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "red-black variants: verified, cost exact, no errors" `Quick
+        redblack_variants;
+      Alcotest.test_case "red-black: relax_red partitioned under interproc" `Quick
+        redblack_red_partitioned;
+    ]
