@@ -4,6 +4,7 @@
 
      dune exec bench/main.exe            -- all experiment tables
      dune exec bench/main.exe -- quick   -- smaller sweeps
+     dune exec bench/main.exe -- e20     -- E20 alone (with [quick]: P <= 1024)
 *)
 
 open Fd_core
@@ -653,7 +654,73 @@ let e19 () =
     \ allocates; every row's final arrays are compared with the@.\
     \ sequential run)@."
 
+(* --- E20: simulator storage, paged ----------------------------------------- *)
+
+(* The cells of the perfbench run-comm workload, then jacobi1d and
+   multi_array across P: (label, source, strategy, P). *)
+let e20_cells =
+  let j1 = Fd_workloads.Stencil.jacobi1d ~n:2048 ()
+  and ma = Fd_workloads.Stencil.multi_array ~n:1024 () in
+  [ ("dgefa n=24", Fd_workloads.Dgefa.source ~n:24 (), Options.Runtime_resolution, 16);
+    ("dgefa n=24", Fd_workloads.Dgefa.source ~n:24 (), Options.Immediate, 16);
+    ("jacobi2d n=24", Fd_workloads.Stencil.jacobi2d ~n:24 (), Options.Runtime_resolution, 16);
+    ("jacobi2d n=24", Fd_workloads.Stencil.jacobi2d ~n:24 (), Options.Immediate, 16);
+    ("fig4", Fd_workloads.Figures.fig4 (), Options.Immediate, 4);
+    ("jacobi1d n=2048", j1, Options.Interproc, 256);
+    ("multi_array n=1024", ma, Options.Interproc, 256) ]
+  @ List.concat_map
+      (fun p ->
+        [ ("jacobi1d n=2048", j1, Options.Interproc, p);
+          ("multi_array n=1024", ma, Options.Interproc, p) ])
+      (if quick then [ 64; 1024 ] else [ 64; 1024; 4096 ])
+
+(* One cell in this process, which runs nothing else: compile, simulate
+   and verify, then print the top heap (words), the bytes of the pages
+   the processors materialized, the bytes of every main-program array at
+   full extent, and the CPU milliseconds. *)
+let e20_cell k =
+  let _, src, strategy, nprocs = List.nth e20_cells k in
+  let t0 = Sys.time () in
+  let r = run ~nprocs ~strategy src in
+  let full =
+    List.fold_left
+      (fun acc (_, (o : Storage.array_obj)) -> acc + (o.Storage.size * ((Sys.word_size / 8) + 1)))
+      0 r.Driver.seq.Seq_interp.arrays
+  in
+  Printf.printf "%d %d %d %.2f\n" (Gc.quick_stat ()).Gc.top_heap_words
+    r.Driver.stats.Stats.storage_bytes full ((Sys.time () -. t0) *. 1e3)
+
+(* Each cell in a fresh process of this executable, so the top heap is
+   that cell's alone. *)
+let e20 () =
+  header "E20: simulator storage in pages (one cell per process)";
+  Fmt.pr "%-18s | %-18s | %4s | %9s | %13s | %7s | %8s@." "program" "strategy" "P"
+    "heap (MB)" "storage bytes" "pages" "cpu (ms)";
+  Fmt.pr "-------------------+--------------------+------+-----------+---------------+---------+---------@.";
+  List.iteri
+    (fun k (label, _, strategy, nprocs) ->
+      let args = [| Sys.executable_name; "e20-cell"; string_of_int k |] in
+      let ic = Unix.open_process_args_in Sys.executable_name args in
+      let line = input_line ic in
+      if Unix.close_process_in ic <> Unix.WEXITED 0 then failwith "E20: a cell failed";
+      Scanf.sscanf line "%d %d %d %f" (fun top used full cpu ->
+          Fmt.pr "%-18s | %-18s | %4d | %9.2f | %13d | %6.1f%% | %8.1f@." label
+            (Options.strategy_name strategy) nprocs
+            (float_of_int (top * (Sys.word_size / 8)) /. 1048576.0)
+            used
+            (100.0 *. float_of_int used /. float_of_int (nprocs * full))
+            cpu))
+    e20_cells;
+  Fmt.pr
+    "(heap = the process's top heap; pages = storage bytes over P copies@.\
+    \ of every main-program array at full extent, values and validity@.\
+    \ bytes; each cell verified against the sequential run)@."
+
 let () =
+  match Array.to_list Sys.argv with
+  | _ :: "e20-cell" :: k :: _ -> e20_cell (int_of_string k)
+  | argv when List.mem "e20" argv -> e20 ()
+  | _ ->
   let high_p = e8_high_p_measure () in
   Fmt.pr "Fortran D interprocedural compilation - experiment tables@.";
   Fmt.pr "(machine model: %a)@." Config.pp (Config.ipsc860 ~nprocs:4 ());
@@ -675,4 +742,5 @@ let () =
   e16 ();
   e18 ();
   e19 ();
+  e20 ();
   Fmt.pr "@.all experiments verified against sequential execution.@."

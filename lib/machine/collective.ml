@@ -43,7 +43,7 @@ let plan_remap ~nprocs ~word_bytes ~(objs : Storage.array_obj option array)
     Array.map
       (function
         | Some obj ->
-          Storage.set_layout ~nprocs obj new_layout;
+          Storage.set_layout obj new_layout;
           obj
         | None ->
           Diag.internal ~pass:"simulate" "remap: a processor has no storage object")
@@ -95,14 +95,35 @@ let plan_remap ~nprocs ~word_bytes ~(objs : Storage.array_obj option array)
           Hashtbl.iter (fun n cj -> each_receiver ~nprocs h n bump q (ci * cj * bytes)) news)
         olds
     end;
-    (* the data, in one pass over the elements *)
-    let copy src flat r = Storage.copy_flat ~src ~dst:objs.(r) flat in
-    let lo_old = fst obj0.Storage.bounds.(d_old)
-    and lo_new = fst obj0.Storage.bounds.(d_new) in
-    Storage.iter_elements obj0 (fun idx flat ->
-        let i = idx.(d_old) - lo_old in
-        each_receiver ~nprocs had.(i) needs.(idx.(d_new) - lo_new) copy
-          objs.(owner.(i)) flat)
+    (* the data, in one pass over the flat indices, whose coordinates
+       [i] and [j] in the two dimensions are counted along: each run of
+       elements with one old owner and the same holders before and after
+       is one range copy per receiver *)
+    let s_old = obj0.Storage.strides.(d_old) and s_new = obj0.Storage.strides.(d_new) in
+    let i = ref 0 and i_run = ref 0 and j = ref 0 and j_run = ref 0 in
+    let start = ref 0 and q = ref owner.(0) and h = ref had.(0) and n = ref needs.(0) in
+    let copy a len r = Storage.copy_range ~src:objs.(!q) ~dst:objs.(r) a len in
+    let flush stop = each_receiver ~nprocs !h !n copy !start (stop - !start) in
+    for flat = 0 to obj0.Storage.size - 1 do
+      if owner.(!i) <> !q || had.(!i) <> !h || needs.(!j) <> !n then begin
+        flush flat;
+        start := flat;
+        q := owner.(!i);
+        h := had.(!i);
+        n := needs.(!j)
+      end;
+      incr i_run;
+      if !i_run = s_old then begin
+        i_run := 0;
+        i := if !i + 1 = ext_old then 0 else !i + 1
+      end;
+      incr j_run;
+      if !j_run = s_new then begin
+        j_run := 0;
+        j := if !j + 1 = ext_new then 0 else !j + 1
+      end
+    done;
+    flush obj0.Storage.size
   end;
   let npairs = Array.make nprocs 0 in
   let pairs =

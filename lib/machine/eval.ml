@@ -81,8 +81,8 @@ let instantiate env inits actuals =
       | Zero v -> Bscalar (ref v)
       | Alloc ad ->
         Barray
-          (Storage.alloc ~proc:env.proc ~nprocs:env.nprocs ad.Node.ad_name ad.Node.ad_elt
-             ad.Node.ad_layout))
+          (Storage.alloc ~stats:env.stats ~proc:env.proc ~nprocs:env.nprocs ad.Node.ad_name
+             ad.Node.ad_elt ad.Node.ad_layout))
     inits
 
 type unit_code =

@@ -16,16 +16,17 @@ let tol = 1e-9
 
 (* Whether the elements at [flat] of two arrays of one shape agree: REALs
    to [tol] relative to the larger magnitude (at least 1), anything else
-   exactly, unboxed when both arrays hold one type. *)
+   exactly, unboxed when both arrays hold INTEGERs or REALs. *)
 let elements_match (a : Storage.array_obj) (b : Storage.array_obj) flat =
-  match (a.Storage.data, b.Storage.data) with
-  | Storage.Fdata x, Storage.Fdata y ->
-    let x = x.(flat) and y = y.(flat) in
+  match (a.Storage.elt, b.Storage.elt) with
+  | Ast.Real, Ast.Real ->
+    let x = Storage.read_float ~strict:false a flat
+    and y = Storage.read_float ~strict:false b flat in
     let ax = Float.abs x and ay = Float.abs y in
     let scale = if ax > ay then ax else ay in
     Float.abs (x -. y) <= tol *. (if scale > 1.0 then scale else 1.0)
-  | Storage.Idata x, Storage.Idata y -> x.(flat) = y.(flat)
-  | Storage.Bdata x, Storage.Bdata y -> x.(flat) = y.(flat)
+  | Ast.Integer, Ast.Integer ->
+    Storage.read_int ~strict:false a flat = Storage.read_int ~strict:false b flat
   | _ -> Value.equal (Storage.get_raw a flat) (Storage.get_raw b flat)
 
 (* Compare a simulated run's main-program arrays against the sequential

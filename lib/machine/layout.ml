@@ -60,6 +60,21 @@ let owned_one t ~nprocs p =
       done;
       !sets)
 
+(* Processor [p]'s owned coordinates of the distributed dimension as
+   [(first, block, period)]: the offsets [first + k * period + j] from the
+   lower bound, for k >= 0 and 0 <= j < block, that fall inside the
+   extent.  Replicated data (or no distributed dimension) is everything. *)
+let owned_pattern t ~nprocs p =
+  let ext =
+    extent (match t.dist_dim with None -> List.nth t.bounds 0 | Some d -> dim_bounds t d)
+  in
+  let ext = max 1 ext in
+  match (t.dist_dim, t.dist) with
+  | None, _ | _, Replicated -> (0, ext, ext)
+  | Some _, Block b -> (p * b, b, max ext (p * b + b))
+  | Some _, Cyclic -> (p, 1, nprocs)
+  | Some _, Block_cyclic b -> (p * b, b, nprocs * b)
+
 let owned t ~nprocs : Iset.t array = Array.init nprocs (owned_one t ~nprocs)
 
 (* Owner of global index [g] in the distributed dimension; 0 when the

@@ -33,6 +33,13 @@ val owned_one : t -> nprocs:int -> int -> Iset.t
 (** One processor's owned set: [owned_one t ~nprocs p = (owned t ~nprocs).(p)]
     without the O(P) array. *)
 
+val owned_pattern : t -> nprocs:int -> int -> int * int * int
+(** [owned_pattern t ~nprocs p = (first, block, period)]: [p]'s owned
+    indices in the distributed dimension are [lo + first + k * period + j]
+    for [k >= 0] and [0 <= j < block], up to the upper bound — the set
+    {!owned_one} builds, as arithmetic ([period] is at least the extent
+    when there is one block). *)
+
 val owner_of : t -> nprocs:int -> int -> int
 (** Owner of a global index in the distributed dimension. *)
 

@@ -99,15 +99,20 @@ type outcome =
   | O_blocked_coll of { site : int; op : Eff.coll_op; loc : Loc.t;
                         k : (unit, outcome) continuation }
 
+(* The processors that have arrived at one collective site, newest
+   first, and how many they are. *)
+type coll_site = {
+  mutable members : (int * Eff.coll_op * Loc.t * (unit, outcome) continuation) list;
+  mutable arrived : int;
+}
+
 type t = {
   config : Config.t;
   stats : Stats.t;
   channels : (int * int * int, Message.chan) Hashtbl.t;  (* (src, dest, tag) *)
   parked : (int, int * int * Loc.t * (Message.t, outcome) continuation) Hashtbl.t;
   (* blocked receivers: proc -> (src, tag, source loc, continuation) *)
-  colls :
-    (int, (int * Eff.coll_op * Loc.t * (unit, outcome) continuation) list ref)
-      Hashtbl.t;
+  colls : (int, coll_site) Hashtbl.t;
   runq : (int * (unit -> outcome)) Queue.t;
   final_frames : Interp.frame option array;
   mutable lost : lost_msg list;  (* permanently undeliverable, reversed *)
@@ -436,8 +441,8 @@ let perform_remap t ~site
 let perform_collective t site =
   match Hashtbl.find_opt t.colls site with
   | None -> ()
-  | Some parts_ref ->
-    let parts = List.rev !parts_ref in
+  | Some c ->
+    let parts = List.rev c.members in
     Hashtbl.remove t.colls site;
     (match parts with
     | (_, Eff.Coll_bcast _, _, _) :: _ -> perform_bcast t ~site parts
@@ -468,8 +473,8 @@ let wait_for_graph t : wait_for =
         :: !waiting)
     t.parked;
   Hashtbl.iter
-    (fun site members ->
-      let present = List.map (fun (p, _, _, _) -> p) !members in
+    (fun site { members; _ } ->
+      let present = List.map (fun (p, _, _, _) -> p) members in
       let absent =
         List.filter (fun q -> not (List.mem q present))
           (List.init nprocs (fun q -> q))
@@ -483,7 +488,7 @@ let wait_for_graph t : wait_for =
               w_on = On_collective { site; label = coll_label op; loc };
               w_clock = t.stats.Stats.clocks.(p) }
             :: !waiting)
-        !members)
+        members)
     t.colls;
   (* cycle extraction: DFS over the wait-for edges; [path] holds the
      gray stack with the current node at its head *)
@@ -559,16 +564,17 @@ let run_partial ?budget (config : Config.t) (prog : Node.program) : partial =
            Hashtbl.replace t.parked p (src, tag, loc, k)
          end
        | O_blocked_coll { site; op; loc; k } ->
-         let members =
+         let c =
            match Hashtbl.find_opt t.colls site with
-           | Some r -> r
+           | Some c -> c
            | None ->
-             let r = ref [] in
-             Hashtbl.replace t.colls site r;
-             r
+             let c = { members = []; arrived = 0 } in
+             Hashtbl.replace t.colls site c;
+             c
          in
-         members := (p, op, loc, k) :: !members;
-         if List.length !members = nprocs then perform_collective t site
+         c.members <- (p, op, loc, k) :: c.members;
+         c.arrived <- c.arrived + 1;
+         if c.arrived = nprocs then perform_collective t site
      done
    with
    | Storage.Invalid_read { array; index; proc } ->

@@ -11,6 +11,7 @@ type t = {
   mutable remap_bytes : int;
   mutable flops : int;
   mutable mem_ops : int;
+  mutable storage_bytes : int;   (* bytes of the pages processors materialized *)
   mutable max_wait : float;      (* longest single receive wait, seconds *)
   mutable faults_injected : int; (* fault events the plan applied *)
   mutable retransmits : int;     (* recovery retransmissions performed *)
@@ -26,8 +27,8 @@ type t = {
 let create nprocs =
   { nprocs; messages = 0; message_bytes = 0; bcasts = 0; bcast_bytes = 0;
     remaps = 0; remap_marks = 0; remap_bytes = 0; flops = 0; mem_ops = 0;
-    max_wait = 0.0; faults_injected = 0; retransmits = 0; duplicates_dropped = 0;
-    messages_lost = 0; fault_delay = 0.0; watchdog_fired = false;
+    storage_bytes = 0; max_wait = 0.0; faults_injected = 0; retransmits = 0;
+    duplicates_dropped = 0; messages_lost = 0; fault_delay = 0.0; watchdog_fired = false;
     clocks = Array.make nprocs 0.0; busy = Array.make nprocs 0.0;
     outputs = [] }
 
@@ -53,6 +54,7 @@ let to_json t : Fd_support.Json.t =
       ("remap_bytes", Int t.remap_bytes);
       ("flops", Int t.flops);
       ("mem_ops", Int t.mem_ops);
+      ("storage_bytes", Int t.storage_bytes);
       ("elapsed", Float (elapsed t));
       ("total_busy", Float (total_busy t));
       ("max_wait", Float t.max_wait);
@@ -85,6 +87,7 @@ let to_metrics t : Fd_trace.Metrics.t =
   c "remap_bytes" t.remap_bytes;
   c "flops" t.flops;
   c "mem_ops" t.mem_ops;
+  c "storage_bytes" t.storage_bytes;
   c "comm_ops" (comm_ops t);
   c "faults_injected" t.faults_injected;
   c "retransmits" t.retransmits;
@@ -99,9 +102,9 @@ let to_metrics t : Fd_trace.Metrics.t =
 
 let pp ppf t =
   Fmt.pf ppf
-    "@[<v>elapsed %.3f ms on %d procs@ messages: %d (%d bytes), broadcasts: %d (%d bytes)@ remaps: %d physical (%d bytes) + %d mark-only@ flops: %d, memory ops: %d"
+    "@[<v>elapsed %.3f ms on %d procs@ messages: %d (%d bytes), broadcasts: %d (%d bytes)@ remaps: %d physical (%d bytes) + %d mark-only@ flops: %d, memory ops: %d@ storage: %d bytes in materialized pages"
     (elapsed t *. 1e3) t.nprocs t.messages t.message_bytes t.bcasts t.bcast_bytes
-    t.remaps t.remap_bytes t.remap_marks t.flops t.mem_ops;
+    t.remaps t.remap_bytes t.remap_marks t.flops t.mem_ops t.storage_bytes;
   (* printed only under an active fault plan, so fault-free output is
      byte-identical to the reliable-network simulator's *)
   if

@@ -11,6 +11,9 @@ type t = {
   mutable remap_bytes : int;
   mutable flops : int;
   mutable mem_ops : int;
+  mutable storage_bytes : int;
+      (** element and validity bytes of the {!Storage} pages processors
+          materialized, summed over processors *)
   mutable max_wait : float;
       (** longest single receive wait (seconds), over all processors *)
   mutable faults_injected : int;

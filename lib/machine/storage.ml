@@ -1,19 +1,47 @@
-(* Per-processor array storage.
+(* Per-processor array storage, in pages.
 
-   Every processor allocates the full global extent of each array (memory
-   is cheap in simulation) but tracks per-element *validity*: an element
-   is valid on a processor iff the processor owns it under the current
-   layout, has written it, or has received it in a message.  In strict
-   mode a read of an invalid element aborts the run — this catches
-   compiler communication bugs even when stale values happen to agree. *)
+   An array's row-major elements are cut into fixed pages of [page_len]
+   elements, the last one ending with the array.  A page costs nothing
+   until the processor first writes, receives or is copied an element of
+   it: an untouched page reads zero, and its elements are valid exactly
+   where the processor owns them.  A materialized page holds the values
+   and one validity byte per element; an element is valid on a processor
+   iff the processor owns it under the current layout, has written it, or
+   has received it in a message.  In strict mode a read of an invalid
+   element aborts the run — this catches compiler communication bugs
+   even when stale values happen to agree.
+
+   Ownership is [Layout.owned_pattern] arithmetic on the distributed
+   coordinate, whose stride and extent are kept per array: no owned set
+   is built or probed.  A processor holds the pages it owns or was sent,
+   not a copy of every array's full extent. *)
 
 open Fd_support
 open Fd_frontend
+
+(* [min] and [max] on ints without the polymorphic compare *)
+let imin (a : int) b = if a < b then a else b
+let imax (a : int) b = if a > b then a else b
+
+let page_bits = 6
+let page_len = 1 lsl page_bits
+let page_mask = page_len - 1
 
 type data =
   | Fdata of float array
   | Idata of int array
   | Bdata of bool array
+
+type pages =
+  | Fpages of float array array
+  | Ipages of int array array
+  | Bpages of bool array array
+
+(* Which flat indices the processor owns, by [Layout.owned_pattern]
+   arithmetic: the distributed dimension's stride (0 when every element
+   is owned) and extent, and the owned coordinates [first + k * period +
+   j], [0 <= j < block], counted from its lower bound. *)
+type ownership = { stride : int; ext : int; first : int; block : int; period : int }
 
 type array_obj = {
   name : string;
@@ -21,43 +49,65 @@ type array_obj = {
   bounds : (int * int) array;
   strides : int array;
   size : int;
-  data : data;
-  valid : Bytes.t;
+  pages : pages;              (* [[||]] where untouched *)
+  valid_pages : Bytes.t array;  (* [Bytes.empty] where untouched *)
   mutable layout : Layout.t;
-  mutable owned : Iset.t;  (* this processor's owned set in the dist dim *)
-  owner_proc : int;        (* which processor's memory this lives in *)
+  mutable own : ownership;
+  owner_proc : int;           (* which processor's memory this lives in *)
+  nprocs : int;
+  stats : Stats.t;            (* where materialized page bytes are counted *)
 }
 
 exception Invalid_read of { array : string; index : int array; proc : int }
 
-let make_data elt size =
-  match elt with
-  | Ast.Real -> Fdata (Array.make size 0.0)
-  | Ast.Integer -> Idata (Array.make size 0)
-  | Ast.Logical -> Bdata (Array.make size false)
-
 let rank obj = Array.length obj.bounds
 
-(* Owned elements valid: each owned interval [a, b] of the distributed
-   dimension d is one run of bytes per combination of the dimensions
-   outside d. *)
-let mark_initial_validity obj =
-  match obj.layout.Layout.dist_dim with
-  | None -> Bytes.fill obj.valid 0 obj.size '\001'
-  | Some d when obj.size > 0 ->
-    let (lo, hi), run = (obj.bounds.(d), obj.strides.(d)) in
-    let span = if d = 0 then obj.size else obj.strides.(d - 1) in
-    Iset.fold_intervals
-      (fun () a b ->
-        let a = max lo a and b = min hi b in
-        if a <= b then
-          for o = 0 to (obj.size / span) - 1 do
-            Bytes.fill obj.valid ((o * span) + ((a - lo) * run)) ((b - a + 1) * run) '\001'
-          done)
-      () obj.owned
-  | Some _ -> ()
+let npages size = (size + page_mask) lsr page_bits
 
-let alloc ~proc ~nprocs name elt (layout : Layout.t) : array_obj =
+(* Elements of page [pg]: [page_len], or fewer for the last page. *)
+let page_size obj pg = imin page_len (obj.size - (pg lsl page_bits))
+
+let all_owned = { stride = 0; ext = 1; first = 0; block = 1; period = 1 }
+
+let ownership ~proc ~nprocs bounds strides (layout : Layout.t) =
+  match (layout.Layout.dist_dim, layout.Layout.dist) with
+  | None, _ | _, Layout.Replicated -> all_owned
+  | Some d, _ ->
+    let lo, hi = bounds.(d) in
+    let first, block, period = Layout.owned_pattern layout ~nprocs proc in
+    { stride = strides.(d); ext = imax 1 (hi - lo + 1); first; block; period }
+
+let owns obj flat =
+  let o = obj.own in
+  o.stride = 0
+  ||
+  let c = flat / o.stride mod o.ext in
+  c >= o.first && (c - o.first) mod o.period < o.block
+
+(* [f a e] for each run [a, e) of flat indices in [lo, hi) that the
+   processor owns, in increasing order: one run per owned block of
+   coordinates and combination of the outer dimensions' indices. *)
+let iter_owned obj ~lo ~hi f =
+  let o = obj.own in
+  if o.stride = 0 then (if lo < hi then f lo hi)
+  else if lo < hi then begin
+    let s = o.stride in
+    let span = o.ext * s in
+    let base = ref (lo / span * span) in
+    while !base < hi do
+      let b = !base in
+      let c = if b >= lo then 0 else (lo - b) / s in
+      let blk = ref (if c <= o.first then o.first else c - ((c - o.first) mod o.period)) in
+      while !blk < o.ext && b + (!blk * s) < hi do
+        let a = imax lo (b + (!blk * s)) and e = imin hi (b + (imin o.ext (!blk + o.block) * s)) in
+        if a < e then f a e;
+        blk := !blk + o.period
+      done;
+      base := b + span
+    done
+  end
+
+let alloc ~stats ~proc ~nprocs name elt (layout : Layout.t) : array_obj =
   let bounds = Array.of_list layout.Layout.bounds in
   let rank = Array.length bounds in
   let extents = Array.map (fun (lo, hi) -> max 0 (hi - lo + 1)) bounds in
@@ -66,13 +116,34 @@ let alloc ~proc ~nprocs name elt (layout : Layout.t) : array_obj =
     strides.(d) <- strides.(d + 1) * extents.(d + 1)
   done;
   let size = if rank = 0 then 1 else strides.(0) * extents.(0) in
-  let obj =
-    { name; elt; bounds; strides; size; data = make_data elt size;
-      valid = Bytes.make size '\000'; layout;
-      owned = Layout.owned_one layout ~nprocs proc; owner_proc = proc }
+  let n = npages size in
+  let pages =
+    match elt with
+    | Ast.Real -> Fpages (Array.make n [||])
+    | Ast.Integer -> Ipages (Array.make n [||])
+    | Ast.Logical -> Bpages (Array.make n [||])
   in
-  mark_initial_validity obj;
-  obj
+  { name; elt; bounds; strides; size; pages; valid_pages = Array.make n Bytes.empty;
+    layout; own = ownership ~proc ~nprocs bounds strides layout; owner_proc = proc; nprocs; stats }
+
+(* Page [pg]'s validity bytes, materializing the page (zero values,
+   validity from ownership) if it was untouched. *)
+let materialize obj pg =
+  let n = page_size obj pg and base = pg lsl page_bits in
+  let v = Bytes.make n '\000' in
+  iter_owned obj ~lo:base ~hi:(base + n) (fun a e -> Bytes.fill v (a - base) (e - a) '\001');
+  (match obj.pages with
+  | Fpages a -> a.(pg) <- Array.make n 0.0
+  | Ipages a -> a.(pg) <- Array.make n 0
+  | Bpages a -> a.(pg) <- Array.make n false);
+  obj.valid_pages.(pg) <- v;
+  let st = obj.stats in
+  st.Stats.storage_bytes <- st.Stats.storage_bytes + (n * ((Sys.word_size / 8) + 1));
+  v
+
+let[@inline] valid_page obj pg =
+  let v = obj.valid_pages.(pg) in
+  if Bytes.length v = 0 then materialize obj pg else v
 
 let rank_error obj n =
   Diag.error "array %s: rank %d referenced with %d subscripts" obj.name (rank obj) n
@@ -110,25 +181,26 @@ let index3 obj i j k =
   let f = f + dim_offset obj 1 j in
   f + dim_offset obj 2 k
 
-let get_raw obj flat =
-  match obj.data with
-  | Fdata a -> Value.Vreal a.(flat)
-  | Idata a -> Value.Vint a.(flat)
-  | Bdata a -> Value.Vbool a.(flat)
-
-let set_raw obj flat (v : Value.t) =
-  match obj.data with
-  | Fdata a -> a.(flat) <- Value.to_float v
-  | Idata a -> a.(flat) <- Value.to_int v
-  | Bdata a -> a.(flat) <- Value.to_bool v
-
 (* The subscripts of an in-bounds flat index. *)
 let index_of obj flat =
   Array.mapi (fun d (lo, hi) -> lo + (flat / obj.strides.(d) mod (hi - lo + 1))) obj.bounds
 
+let invalid obj flat =
+  raise (Invalid_read { array = obj.name; index = index_of obj flat; proc = obj.owner_proc })
+
 let check_valid ~strict obj flat =
-  if strict && Bytes.get obj.valid flat = '\000' then
-    raise (Invalid_read { array = obj.name; index = index_of obj flat; proc = obj.owner_proc })
+  if strict then begin
+    let v = obj.valid_pages.(flat lsr page_bits) in
+    if Bytes.length v = 0 then (if not (owns obj flat) then invalid obj flat)
+    else if Bytes.get v (flat land page_mask) = '\000' then invalid obj flat
+  end
+
+let get_raw obj flat =
+  let pg = flat lsr page_bits and off = flat land page_mask in
+  match obj.pages with
+  | Fpages a -> let p = a.(pg) in Value.Vreal (if Array.length p = 0 then 0.0 else p.(off))
+  | Ipages a -> let p = a.(pg) in Value.Vint (if Array.length p = 0 then 0 else p.(off))
+  | Bpages a -> let p = a.(pg) in Value.Vbool (Array.length p > 0 && p.(off))
 
 let read_flat ~strict obj flat =
   check_valid ~strict obj flat;
@@ -137,56 +209,146 @@ let read_flat ~strict obj flat =
 let elt_mismatch obj =
   Diag.internal ~pass:"simulate" "array %s read with a type it does not hold" obj.name
 
+(* The typed reads look the page up once: an untouched page reads zero
+   and is valid where owned. *)
 let read_int ~strict obj flat =
-  check_valid ~strict obj flat;
-  match obj.data with Idata a -> a.(flat) | _ -> elt_mismatch obj
+  match obj.pages with
+  | Ipages a ->
+    let pg = flat lsr page_bits in
+    let p = a.(pg) in
+    if Array.length p = 0 then begin
+      if strict && not (owns obj flat) then invalid obj flat;
+      0
+    end
+    else
+      let off = flat land page_mask in
+      let n = p.(off) in
+      if strict && Bytes.unsafe_get (Array.unsafe_get obj.valid_pages pg) off = '\000' then
+        invalid obj flat;
+      n
+  | _ -> check_valid ~strict obj flat; elt_mismatch obj
 
 let read_float ~strict obj flat =
-  check_valid ~strict obj flat;
-  match obj.data with Fdata a -> a.(flat) | _ -> elt_mismatch obj
+  match obj.pages with
+  | Fpages a ->
+    let pg = flat lsr page_bits in
+    let p = a.(pg) in
+    if Array.length p = 0 then begin
+      if strict && not (owns obj flat) then invalid obj flat;
+      0.0
+    end
+    else
+      let off = flat land page_mask in
+      let x = p.(off) in
+      if strict && Bytes.unsafe_get (Array.unsafe_get obj.valid_pages pg) off = '\000' then
+        invalid obj flat;
+      x
+  | _ -> check_valid ~strict obj flat; elt_mismatch obj
 
 let read ~strict obj idx = read_flat ~strict obj (flat_index obj idx)
 
-let write_flat obj flat v =
-  set_raw obj flat v;
-  Bytes.set obj.valid flat '\001'
+(* Each write materializes its page, stores, then validates; the store
+   bounds-checks the offset the validity byte then uses. *)
+let write_flat obj flat (v : Value.t) =
+  let pg = flat lsr page_bits and off = flat land page_mask in
+  let valid = valid_page obj pg in
+  (match obj.pages with
+  | Fpages a -> (Array.unsafe_get a pg).(off) <- Value.to_float v
+  | Ipages a -> (Array.unsafe_get a pg).(off) <- Value.to_int v
+  | Bpages a -> (Array.unsafe_get a pg).(off) <- Value.to_bool v);
+  Bytes.unsafe_set valid off '\001'
 
 (* [write_flat] of a [Vint n] or a [Vreal x], unboxed. *)
 let write_int obj flat n =
-  (match obj.data with
-  | Idata a -> a.(flat) <- n
-  | Fdata a -> a.(flat) <- float_of_int n
-  | Bdata _ -> set_raw obj flat (Value.Vint n));
-  Bytes.set obj.valid flat '\001'
+  let pg = flat lsr page_bits and off = flat land page_mask in
+  let valid = valid_page obj pg in
+  (match obj.pages with
+  | Ipages a -> (Array.unsafe_get a pg).(off) <- n
+  | Fpages a -> (Array.unsafe_get a pg).(off) <- float_of_int n
+  | Bpages a -> (Array.unsafe_get a pg).(off) <- Value.to_bool (Value.Vint n));
+  Bytes.unsafe_set valid off '\001'
 
 let write_float obj flat x =
-  (match obj.data with
-  | Fdata a -> a.(flat) <- x
-  | Idata a -> a.(flat) <- int_of_float x
-  | Bdata _ -> set_raw obj flat (Value.Vreal x));
-  Bytes.set obj.valid flat '\001'
+  let pg = flat lsr page_bits and off = flat land page_mask in
+  let valid = valid_page obj pg in
+  (match obj.pages with
+  | Fpages a -> (Array.unsafe_get a pg).(off) <- x
+  | Ipages a -> (Array.unsafe_get a pg).(off) <- int_of_float x
+  | Bpages a -> (Array.unsafe_get a pg).(off) <- Value.to_bool (Value.Vreal x));
+  Bytes.unsafe_set valid off '\001'
 
 let write obj idx v = write_flat obj (flat_index obj idx) v
 
 (* Store a received element (validates it). *)
 let receive obj idx v = write obj idx v
 
-let copy_flat ~src ~dst flat =
-  (match (src.data, dst.data) with
-  | Fdata a, Fdata b -> b.(flat) <- a.(flat)
-  | Idata a, Idata b -> b.(flat) <- a.(flat)
-  | Bdata a, Bdata b -> b.(flat) <- a.(flat)
-  | _ -> elt_mismatch dst);
-  Bytes.set dst.valid flat '\001'
+(* The elements [flat .. flat + len - 1] of [src] into [dst], page piece
+   by page piece: one check that the range is in both arrays (of one
+   size, so of one page structure), then unchecked typed accesses. *)
+let copy_range ~src ~dst flat len =
+  if flat < 0 || len < 0 || flat + len > dst.size || src.size <> dst.size then
+    invalid_arg "Storage.copy_range";
+  let at = ref flat and stop = flat + len in
+  while !at < stop do
+    let pg = !at lsr page_bits and off = !at land page_mask in
+    let n = imin (stop - !at) (page_len - off) in
+    let valid = valid_page dst pg in
+    (match (src.pages, dst.pages) with
+    | Fpages a, Fpages b ->
+      let s = Array.unsafe_get a pg and d = Array.unsafe_get b pg in
+      if Array.length s = 0 then Array.fill d off n 0.0
+      else for k = off to off + n - 1 do Array.unsafe_set d k (Array.unsafe_get s k) done
+    | Ipages a, Ipages b ->
+      let s = Array.unsafe_get a pg and d = Array.unsafe_get b pg in
+      if Array.length s = 0 then Array.fill d off n 0
+      else for k = off to off + n - 1 do Array.unsafe_set d k (Array.unsafe_get s k) done
+    | Bpages a, Bpages b ->
+      let s = Array.unsafe_get a pg and d = Array.unsafe_get b pg in
+      if Array.length s = 0 then Array.fill d off n false
+      else for k = off to off + n - 1 do Array.unsafe_set d k (Array.unsafe_get s k) done
+    | _ -> elt_mismatch dst);
+    Bytes.fill valid off n '\001';
+    at := !at + n
+  done
 
 (* Change layout; validity is reset to ownership under the new layout
    (stale non-owned copies are invalidated; a moving remap then copies
-   each moved element in with [copy_flat]). *)
-let set_layout ~nprocs obj (layout : Layout.t) =
+   each moved element in with [copy_range]).  Values stay; untouched pages
+   stay untouched. *)
+let set_layout obj (layout : Layout.t) =
   obj.layout <- layout;
-  obj.owned <- Layout.owned_one layout ~nprocs obj.owner_proc;
-  Bytes.fill obj.valid 0 obj.size '\000';
-  mark_initial_validity obj
+  obj.own <- ownership ~proc:obj.owner_proc ~nprocs:obj.nprocs obj.bounds obj.strides layout;
+  Array.iter (fun v -> Bytes.fill v 0 (Bytes.length v) '\000') obj.valid_pages;
+  iter_owned obj ~lo:0 ~hi:obj.size (fun a e ->
+      let a = ref a in
+      while !a < e do
+        let pg = !a lsr page_bits in
+        let stop = imin e ((pg + 1) lsl page_bits) in
+        let v = obj.valid_pages.(pg) in
+        if Bytes.length v > 0 then Bytes.fill v (!a land page_mask) (stop - !a) '\001';
+        a := stop
+      done)
+
+(* The full-extent views: untouched pages read as zeros and as
+   ownership. *)
+let data obj =
+  let dense zero pages =
+    Array.concat
+      (Array.to_list
+         (Array.mapi
+            (fun pg p -> if Array.length p = 0 then Array.make (page_size obj pg) zero else p)
+            pages))
+  in
+  match obj.pages with
+  | Fpages a -> Fdata (dense 0.0 a)
+  | Ipages a -> Idata (dense 0 a)
+  | Bpages a -> Bdata (dense false a)
+
+let valid obj =
+  let all = Bytes.make obj.size '\000' in
+  iter_owned obj ~lo:0 ~hi:obj.size (fun a e -> Bytes.fill all a (e - a) '\001');
+  Array.iteri (fun pg v -> Bytes.blit v 0 all (pg lsl page_bits) (Bytes.length v)) obj.valid_pages;
+  all
 
 (* Row-major, so the flat index is a counter.  [idx] is one array
    updated in place: a callee that keeps it must copy it. *)

@@ -1,35 +1,54 @@
-(** Per-processor array storage.
+(** Per-processor array storage, in pages.
 
-    Every processor allocates the full global extent of each array
-    (memory is cheap in simulation) but tracks per-element *validity*:
-    an element is valid on a processor iff the processor owns it under
-    the current layout, has written it, or has received it in a message.
-    In strict mode a read of an invalid element aborts the run — this
-    catches compiler communication bugs even when stale values agree. *)
+    An array's row-major elements are cut into pages of 64 elements
+    (the last one ends with the array).  A processor
+    materializes a page on its first write, receive or remap copy into
+    it; an untouched page reads zero, and is valid exactly where the
+    processor owns the element, so a processor holds its own section and
+    what it was sent, as a node program does, rather than the full
+    extent.  Validity is tracked per element: an element is valid on a
+    processor iff the processor owns it under the current layout, has
+    written it, or has received it in a message.  In strict mode a read
+    of an invalid element aborts the run — this catches compiler
+    communication bugs even when stale values agree. *)
 
-open Fd_support
 open Fd_frontend
 
 type data = Fdata of float array | Idata of int array | Bdata of bool array
+(** A full-extent copy of an array's values ({!data}). *)
 
-type array_obj = {
+type pages =
+  | Fpages of float array array
+  | Ipages of int array array
+  | Bpages of bool array array
+(** Page tables: an untouched page is [[||]]. *)
+
+type ownership
+(** Which elements the processor owns, by {!Layout.owned_pattern}
+    arithmetic on the distributed dimension. *)
+
+type array_obj = private {
   name : string;
   elt : Ast.dtype;
   bounds : (int * int) array;
   strides : int array;
   size : int;
-  data : data;
-  valid : Bytes.t;
+  pages : pages;
+  valid_pages : Bytes.t array;  (** [Bytes.empty] where untouched *)
   mutable layout : Layout.t;
-  mutable owned : Iset.t;  (** this processor's owned set, dist dim *)
-  owner_proc : int;        (** which processor's memory this lives in *)
+  mutable own : ownership;
+  owner_proc : int;  (** which processor's memory this lives in *)
+  nprocs : int;
+  stats : Stats.t;  (** counts materialized page bytes *)
 }
 
 exception Invalid_read of { array : string; index : int array; proc : int }
 
 val alloc :
-  proc:int -> nprocs:int -> string -> Ast.dtype -> Layout.t -> array_obj
-(** Zero-filled storage whose owned elements are valid. *)
+  stats:Stats.t -> proc:int -> nprocs:int -> string -> Ast.dtype -> Layout.t -> array_obj
+(** Storage with no page materialized: it reads zero, and its owned
+    elements are valid.  Each page materialized later adds its element
+    and validity bytes to [stats]' [storage_bytes]. *)
 
 val rank : array_obj -> int
 
@@ -45,10 +64,6 @@ val index3 : array_obj -> int -> int -> int -> int
 val check_subscript : array_obj -> int -> int -> unit
 (** [check_subscript obj d x] bounds-checks subscript [x] of 0-based
     dimension [d], with {!flat_index}'s message. *)
-
-val mark_initial_validity : array_obj -> unit
-(** Mark the owned elements valid; one [Bytes.fill] per owned interval
-    and combination of the other dimensions' indices. *)
 
 val get_raw : array_obj -> int -> Value.t
 
@@ -78,13 +93,22 @@ val write : array_obj -> int array -> Value.t -> unit
 val receive : array_obj -> int array -> Value.t -> unit
 (** Store an incoming message element (validates it). *)
 
-val copy_flat : src:array_obj -> dst:array_obj -> int -> unit
-(** Copy one element between two processors' copies of an array, at the
-    same flat index, unboxed; validates it in [dst]. *)
+val copy_range : src:array_obj -> dst:array_obj -> int -> int -> unit
+(** [copy_range ~src ~dst flat len] copies the elements at flat indices
+    [flat .. flat + len - 1] between two processors' copies of an array,
+    typed and page by page, and validates them in [dst].
+    @raise Invalid_argument when the range is outside either array. *)
 
-val set_layout : nprocs:int -> array_obj -> Layout.t -> unit
+val set_layout : array_obj -> Layout.t -> unit
 (** Switch layouts; validity resets to ownership under the new layout
-    (a moving remap then copies the moved elements in). *)
+    (a moving remap then copies the moved elements in).  Values stay, and
+    only materialized pages are touched. *)
+
+val data : array_obj -> data
+(** The values at full extent, zeros where no page was materialized. *)
+
+val valid : array_obj -> Bytes.t
+(** The validity bytes at full extent (['\001'] valid, ['\000'] not). *)
 
 val iter_elements : array_obj -> (int array -> int -> unit) -> unit
 (** Visit every (index vector, flat index) pair in row-major order.  The

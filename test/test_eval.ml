@@ -381,22 +381,23 @@ let gen_layout =
 (* valid(idx) iff idx's subscript in the distributed dimension is in the
    processor's owned set; every element when there is none *)
 let validity_is_ownership (layout, nprocs, proc) =
-  let obj = Storage.alloc ~proc ~nprocs "v" Ast.Real layout in
+  let obj = Storage.alloc ~stats:(Stats.create nprocs) ~proc ~nprocs "v" Ast.Real layout in
   let ok = ref true in
   let check () =
     let owned = Layout.owned_one obj.Storage.layout ~nprocs proc in
+    let valid = Storage.valid obj in
     Storage.iter_elements obj (fun idx flat ->
         let expected =
           match obj.Storage.layout.Layout.dist_dim with
           | None -> true
           | Some d -> Iset.mem idx.(d) owned
         in
-        if expected <> (Bytes.get obj.Storage.valid flat = '\001') then ok := false)
+        if expected <> (Bytes.get valid flat = '\001') then ok := false)
   in
   check ();
   (* and again after a switch to a cyclic layout of the same bounds *)
   let d = Option.value ~default:0 layout.Layout.dist_dim in
-  Storage.set_layout ~nprocs obj
+  Storage.set_layout obj
     { Layout.bounds = layout.Layout.bounds; dist_dim = Some d; dist = Layout.Cyclic };
   check ();
   !ok

@@ -49,11 +49,11 @@ let arrays_digest (arrays : (string * Storage.array_obj) list) =
       Buffer.add_string b name;
       Buffer.add_string b (Fmt.str "%a" Layout.pp o.Storage.layout);
       Array.iter (fun (lo, hi) -> Printf.bprintf b "[%d:%d]" lo hi) o.Storage.bounds;
-      (match o.Storage.data with
+      (match Storage.data o with
       | Storage.Fdata a -> Array.iter (Printf.bprintf b "%h,") a
       | Storage.Idata a -> Array.iter (Printf.bprintf b "%d,") a
       | Storage.Bdata a -> Array.iter (fun x -> Buffer.add_char b (if x then 'T' else 'F')) a);
-      Buffer.add_bytes b o.Storage.valid)
+      Buffer.add_bytes b (Storage.valid o))
     (List.sort (fun (a, _) (b, _) -> compare a b) arrays);
   Digest.to_hex (Digest.string (Buffer.contents b))
 

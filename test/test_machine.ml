@@ -72,8 +72,7 @@ let l_partition_property =
 
 let st_validity () =
   let l = { Layout.bounds = [ (1, 10) ]; dist_dim = Some 0; dist = Layout.Block 3 } in
-  let obj = Storage.alloc ~proc:1 ~nprocs:4 "x" Ast.Real l in
-  Storage.mark_initial_validity obj;
+  let obj = Storage.alloc ~stats:(Stats.create 4) ~proc:1 ~nprocs:4 "x" Ast.Real l in
   (* p1 owns 4..6 *)
   check "owned readable" true
     (match Storage.read ~strict:true obj [| 5 |] with _ -> true);
@@ -88,8 +87,7 @@ let st_validity () =
 
 let st_bounds_check () =
   let l = Layout.replicated [ (1, 4); (1, 4) ] in
-  let obj = Storage.alloc ~proc:0 ~nprocs:1 "a" Ast.Integer l in
-  Storage.mark_initial_validity obj;
+  let obj = Storage.alloc ~stats:(Stats.create 1) ~proc:0 ~nprocs:1 "a" Ast.Integer l in
   check "oob raises" true
     (match Storage.read ~strict:false obj [| 5; 1 |] with
     | _ -> false
@@ -97,11 +95,10 @@ let st_bounds_check () =
 
 let st_set_layout_resets () =
   let l1 = { Layout.bounds = [ (1, 8) ]; dist_dim = Some 0; dist = Layout.Block 2 } in
-  let obj = Storage.alloc ~proc:0 ~nprocs:4 "x" Ast.Real l1 in
-  Storage.mark_initial_validity obj;
+  let obj = Storage.alloc ~stats:(Stats.create 4) ~proc:0 ~nprocs:4 "x" Ast.Real l1 in
   Storage.receive obj [| 5 |] (Value.Vreal 1.0);
   let l2 = { Layout.bounds = [ (1, 8) ]; dist_dim = Some 0; dist = Layout.Cyclic } in
-  Storage.set_layout ~nprocs:4 obj l2;
+  Storage.set_layout obj l2;
   (* p0 now owns {1,5}: 5 valid again by ownership, old received 3 is not *)
   check "newly owned valid" true
     (match Storage.read ~strict:true obj [| 5 |] with _ -> true);
@@ -109,6 +106,224 @@ let st_set_layout_resets () =
     (match Storage.read ~strict:true obj [| 3 |] with
     | _ -> false
     | exception Storage.Invalid_read _ -> true)
+
+(* Paged storage against a dense reference: full arrays of values and
+   validity flags, ownership probed with [Layout.owned_one], and a full
+   validity reset on a layout change — the storage semantics before
+   pages.  Two processors' copies of one array take random writes,
+   receives, copies from each other, layout switches and reads; after
+   every step both sides agree on what each read returns (or which
+   [Invalid_read] it raises) and on [Storage.data] and [Storage.valid]. *)
+type dense = {
+  vals : Value.t array;
+  ok : bool array;
+  mutable lay : Layout.t;
+  d_proc : int;
+}
+
+type st_op =
+  | Write_flat of int * int * Value.t
+  | Write_int of int * int * int
+  | Write_float of int * int * float
+  | Receive of int * int * Value.t
+  | Copy of int * int * int  (* into copy k from the other, a flat range *)
+  | Relayout of int * Layout.t
+  | Read of int * bool * int  (* copy, strict, flat *)
+  | Read_typed of int * bool * int
+
+let dense_owns ~nprocs (o : Storage.array_obj) m flat =
+  match m.lay.Layout.dist_dim with
+  | None -> true
+  | Some d ->
+    let lo, hi = o.Storage.bounds.(d) in
+    let g = lo + (flat / o.Storage.strides.(d) mod (hi - lo + 1)) in
+    Iset.mem g (Layout.owned_one m.lay ~nprocs m.d_proc)
+
+let dense_reset ~nprocs o m =
+  Array.iteri (fun flat _ -> m.ok.(flat) <- dense_owns ~nprocs o m flat) m.ok
+
+let store_as elt (v : Value.t) =
+  match elt with
+  | Ast.Real -> Value.Vreal (Value.to_float v)
+  | Ast.Integer -> Value.Vint (Value.to_int v)
+  | Ast.Logical -> Value.Vbool (Value.to_bool v)
+
+let subscripts_of (o : Storage.array_obj) flat =
+  Array.mapi (fun d (lo, hi) -> lo + (flat / o.Storage.strides.(d) mod (hi - lo + 1))) o.Storage.bounds
+
+(* What a read returns: the value, or the index it reports invalid. *)
+let dense_read ~strict (o : Storage.array_obj) m flat =
+  if strict && not m.ok.(flat) then Error (subscripts_of o flat, m.d_proc) else Ok m.vals.(flat)
+
+let paged_read ~typed ~strict (o : Storage.array_obj) flat =
+  match
+    if not typed then Storage.read_flat ~strict o flat
+    else
+      match o.Storage.elt with
+      | Ast.Real -> Value.Vreal (Storage.read_float ~strict o flat)
+      | Ast.Integer -> Value.Vint (Storage.read_int ~strict o flat)
+      | Ast.Logical -> Storage.read_flat ~strict o flat
+  with
+  | v -> Ok v
+  | exception Storage.Invalid_read { array = "a"; index; proc } -> Error (index, proc)
+
+let dense_view elt (m : dense) : Storage.data =
+  match elt with
+  | Ast.Real -> Storage.Fdata (Array.map Value.to_float m.vals)
+  | Ast.Integer -> Storage.Idata (Array.map Value.to_int m.vals)
+  | Ast.Logical -> Storage.Bdata (Array.map Value.to_bool m.vals)
+
+let storage_gen =
+  QCheck2.Gen.(
+    let* rank = int_range 1 3 in
+    let* bounds =
+      list_repeat rank
+        (let* lo = int_range (-3) 3 in
+         let* n = match rank with 1 -> int_range 1 200 | 2 -> int_range 1 24 | _ -> int_range 1 9 in
+         return (lo, lo + n - 1))
+    in
+    let* nprocs = int_range 1 9 in
+    let* procs = pair (int_range 0 (nprocs - 1)) (int_range 0 (nprocs - 1)) in
+    let layout =
+      let* d = int_range 0 (rank - 1) in
+      let lo, hi = List.nth bounds d in
+      let* dist =
+        oneof
+          [ map (fun b -> Layout.Block b)
+              (int_range 1 (Layout.block_size_for ~nprocs (lo, hi) + 2));
+            return Layout.Cyclic;
+            map (fun b -> Layout.Block_cyclic b) (int_range 1 5);
+            return Layout.Replicated ]
+      in
+      oneof
+        [ return { Layout.bounds; dist_dim = Some d; dist };
+          map (fun () -> Layout.replicated bounds) unit ]
+    in
+    let* l0 = layout in
+    let* elt = oneofl [ Ast.Real; Ast.Integer; Ast.Logical ] in
+    let size = List.fold_left (fun a (lo, hi) -> a * (hi - lo + 1)) 1 bounds in
+    let value =
+      match elt with
+      | Ast.Real -> map (fun n -> Value.Vreal (float_of_int n /. 4.0)) (int_range (-99) 99)
+      | Ast.Integer -> map (fun n -> Value.Vint n) (int_range (-99) 99)
+      | Ast.Logical -> map (fun b -> Value.Vbool b) bool
+    in
+    let numeric = elt <> Ast.Logical in
+    let op =
+      let* k = int_range 0 1 in
+      let* flat = int_range 0 (size - 1) in
+      let* strict = bool in
+      let* v = value in
+      let* n = int_range (-99) 99 in
+      let* l = layout in
+      let* len = oneof [ return 1; int_range 0 (min 150 (size - flat)) ] in
+      let* which = int_range 0 8 in
+      return
+        (match which with
+        | 0 -> Write_flat (k, flat, v)
+        | 1 when numeric -> Write_int (k, flat, n)
+        | 2 when numeric -> Write_float (k, flat, float_of_int n /. 8.0)
+        | 1 | 2 | 3 -> Receive (k, flat, v)
+        | 4 -> Copy (k, flat, len)
+        | 5 -> Relayout (k, l)
+        | 6 -> Read_typed (k, strict, flat)
+        | _ -> Read (k, strict, flat))
+    in
+    let* ops = list_size (int_range 1 80) op in
+    return (l0, nprocs, procs, elt, ops))
+
+let print_storage_case (l0, nprocs, (p, q), elt, ops) =
+  Fmt.str "%a over %a, P = %d, p%d/p%d, %s, %d ops" Layout.pp l0
+    Fmt.(list ~sep:comma (pair ~sep:(any ":") int int)) l0.Layout.bounds nprocs p q
+    (Ast_printer.dtype_name elt) (List.length ops)
+
+let paged_storage_is_dense =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:400 ~print:print_storage_case
+       ~name:"paged storage = dense storage (ops, layouts, ranks 1-3)" storage_gen
+       (fun (l0, nprocs, (p, q), elt, ops) ->
+         let stats = Stats.create nprocs in
+         let objs = Array.map (fun proc -> Storage.alloc ~stats ~proc ~nprocs "a" elt l0) [| p; q |] in
+         let zero = store_as elt (if elt = Ast.Logical then Value.Vbool false else Value.Vint 0) in
+         let models =
+           Array.map
+             (fun (o : Storage.array_obj) ->
+               let m =
+                 { vals = Array.make o.Storage.size zero; ok = Array.make o.Storage.size false;
+                   lay = l0; d_proc = o.Storage.owner_proc }
+               in
+               dense_reset ~nprocs o m;
+               m)
+             objs
+         in
+         let write k flat v =
+           models.(k).vals.(flat) <- store_as elt v;
+           models.(k).ok.(flat) <- true
+         in
+         let agree () =
+           Array.for_all2
+             (fun o m ->
+               Storage.data o = dense_view elt m
+               && Bytes.to_string (Storage.valid o)
+                  = String.init (Array.length m.ok) (fun i -> if m.ok.(i) then '\001' else '\000'))
+             objs models
+         in
+         agree ()
+         && List.for_all
+              (fun op ->
+                let reads_agree =
+                  match op with
+                  | Write_flat (k, flat, v) -> Storage.write_flat objs.(k) flat v; write k flat v; true
+                  | Write_int (k, flat, n) ->
+                    Storage.write_int objs.(k) flat n; write k flat (Value.Vint n); true
+                  | Write_float (k, flat, x) ->
+                    Storage.write_float objs.(k) flat x; write k flat (Value.Vreal x); true
+                  | Receive (k, flat, v) ->
+                    Storage.receive objs.(k) (subscripts_of objs.(k) flat) v; write k flat v; true
+                  | Copy (k, flat, len) ->
+                    Storage.copy_range ~src:objs.(1 - k) ~dst:objs.(k) flat len;
+                    for f = flat to flat + len - 1 do
+                      write k f models.(1 - k).vals.(f)
+                    done;
+                    true
+                  | Relayout (k, l) ->
+                    Storage.set_layout objs.(k) l;
+                    models.(k).lay <- l;
+                    dense_reset ~nprocs objs.(k) models.(k);
+                    true
+                  | Read (k, strict, flat) ->
+                    paged_read ~typed:false ~strict objs.(k) flat
+                    = dense_read ~strict objs.(k) models.(k) flat
+                  | Read_typed (k, strict, flat) ->
+                    paged_read ~typed:true ~strict objs.(k) flat
+                    = dense_read ~strict objs.(k) models.(k) flat
+                in
+                reads_agree && agree ())
+              ops))
+
+(* A processor materializes the pages it owns or is sent, not the whole
+   array: under interproc, jacobi1d (n = 2048) leaves each processor, on
+   average, under a quarter of its arrays' pages at P = 64 and at
+   P = 1024, where storage of every array's full extent held them all. *)
+let storage_footprint_flat_in_p () =
+  let src = Fd_workloads.Stencil.jacobi1d ~n:2048 () in
+  List.iter
+    (fun nprocs ->
+      let opts = { Fd_core.Options.default with Fd_core.Options.nprocs } in
+      let r = Fd_core.Driver.run_source ~opts src in
+      check (Printf.sprintf "P=%d verified" nprocs) true (Fd_core.Driver.verified r);
+      let full =
+        List.fold_left
+          (fun acc (_, (o : Storage.array_obj)) -> acc + (o.Storage.size * ((Sys.word_size / 8) + 1)))
+          0 r.Fd_core.Driver.seq.Seq_interp.arrays
+      in
+      let used = r.Fd_core.Driver.stats.Stats.storage_bytes in
+      check
+        (Printf.sprintf "P=%d: %d bytes materialized, under a quarter of %d x %d" nprocs used
+           nprocs full)
+        true
+        (used > 0 && 4 * used < nprocs * full))
+    [ 64; 1024 ]
 
 (* --- Scheduler ------------------------------------------------------------- *)
 
@@ -372,16 +587,18 @@ let remap_traffic_and_data =
        ~name:"remap: traffic is Cost's, data lands on the new owners" remap_case_gen
        (fun (old_l, new_l, nprocs, elt, seed) ->
          let st = Random.State.make [| seed |] in
-         let objs = Array.init nprocs (fun p -> Storage.alloc ~proc:p ~nprocs "a" elt old_l) in
+         let stats = Stats.create nprocs in
+         let objs = Array.init nprocs (fun p -> Storage.alloc ~stats ~proc:p ~nprocs "a" elt old_l) in
          let truth = Array.init objs.(0).Storage.size (fun _ -> Random.State.int st 1000) in
          Array.iteri
            (fun p obj ->
+             let valid = Storage.valid obj in
              Storage.iter_elements obj (fun _ flat ->
-                 let owned = Bytes.get obj.Storage.valid flat = '\001' in
+                 let owned = Bytes.get valid flat = '\001' in
                  Storage.write_flat obj flat
                    (if owned then remap_value elt truth.(flat)
                     else remap_value elt ~garbage_of:p truth.(flat)));
-             Storage.set_layout ~nprocs obj old_l)
+             Storage.set_layout obj old_l)
            objs;
          let rs =
            Collective.plan_remap ~nprocs ~word_bytes:8 ~objs:(Array.map Option.some objs)
@@ -400,13 +617,14 @@ let remap_traffic_and_data =
          Array.iteri
            (fun p obj ->
              let owned = Layout.owned_one new_l ~nprocs p in
+             let valid = Storage.valid obj in
              Storage.iter_elements obj (fun idx flat ->
                  let owns =
                    match new_l.Layout.dist_dim with
                    | None -> true
                    | Some d -> Iset.mem idx.(d) owned
                  in
-                 let valid = Bytes.get obj.Storage.valid flat = '\001' in
+                 let valid = Bytes.get valid flat = '\001' in
                  if valid <> owns
                     || (valid && Storage.get_raw obj flat <> remap_value elt truth.(flat))
                  then data_ok := false))
@@ -473,6 +691,8 @@ let suite =
     Alcotest.test_case "storage validity" `Quick st_validity;
     Alcotest.test_case "storage bounds check" `Quick st_bounds_check;
     Alcotest.test_case "storage layout reset" `Quick st_set_layout_resets;
+    paged_storage_is_dense;
+    Alcotest.test_case "storage footprint flat in P" `Quick storage_footprint_flat_in_p;
     Alcotest.test_case "scheduler ping-pong" `Quick sched_pingpong;
     Alcotest.test_case "scheduler recv-before-send" `Quick sched_recv_before_send;
     Alcotest.test_case "scheduler deadlock" `Quick sched_deadlock;
