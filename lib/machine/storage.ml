@@ -32,11 +32,6 @@ type data =
   | Idata of int array
   | Bdata of bool array
 
-type pages =
-  | Fpages of float array array
-  | Ipages of int array array
-  | Bpages of bool array array
-
 (* Which flat indices the processor owns, by [Layout.owned_pattern]
    arithmetic: the distributed dimension's stride (0 when every element
    is owned) and extent, and the owned coordinates [first + k * period +
@@ -49,7 +44,9 @@ type array_obj = {
   bounds : (int * int) array;
   strides : int array;
   size : int;
-  pages : pages;              (* [[||]] where untouched *)
+  fpages : float array array;  (* the page table of a REAL array, else [||] *)
+  ipages : int array array;   (* of an INTEGER array *)
+  bpages : bool array array;  (* of a LOGICAL array *)
   valid_pages : Bytes.t array;  (* [Bytes.empty] where untouched *)
   mutable layout : Layout.t;
   mutable own : ownership;
@@ -117,13 +114,10 @@ let alloc ~stats ~proc ~nprocs name elt (layout : Layout.t) : array_obj =
   done;
   let size = if rank = 0 then 1 else strides.(0) * extents.(0) in
   let n = npages size in
-  let pages =
-    match elt with
-    | Ast.Real -> Fpages (Array.make n [||])
-    | Ast.Integer -> Ipages (Array.make n [||])
-    | Ast.Logical -> Bpages (Array.make n [||])
-  in
-  { name; elt; bounds; strides; size; pages; valid_pages = Array.make n Bytes.empty;
+  let table t = if elt = t then n else 0 in
+  { name; elt; bounds; strides; size; fpages = Array.make (table Ast.Real) [||];
+    ipages = Array.make (table Ast.Integer) [||]; bpages = Array.make (table Ast.Logical) [||];
+    valid_pages = Array.make n Bytes.empty;
     layout; own = ownership ~proc ~nprocs bounds strides layout; owner_proc = proc; nprocs; stats }
 
 (* Page [pg]'s validity bytes, materializing the page (zero values,
@@ -132,10 +126,10 @@ let materialize obj pg =
   let n = page_size obj pg and base = pg lsl page_bits in
   let v = Bytes.make n '\000' in
   iter_owned obj ~lo:base ~hi:(base + n) (fun a e -> Bytes.fill v (a - base) (e - a) '\001');
-  (match obj.pages with
-  | Fpages a -> a.(pg) <- Array.make n 0.0
-  | Ipages a -> a.(pg) <- Array.make n 0
-  | Bpages a -> a.(pg) <- Array.make n false);
+  (match obj.elt with
+  | Ast.Real -> obj.fpages.(pg) <- Array.make n 0.0
+  | Ast.Integer -> obj.ipages.(pg) <- Array.make n 0
+  | Ast.Logical -> obj.bpages.(pg) <- Array.make n false);
   obj.valid_pages.(pg) <- v;
   let st = obj.stats in
   st.Stats.storage_bytes <- st.Stats.storage_bytes + (n * ((Sys.word_size / 8) + 1));
@@ -197,10 +191,10 @@ let check_valid ~strict obj flat =
 
 let get_raw obj flat =
   let pg = flat lsr page_bits and off = flat land page_mask in
-  match obj.pages with
-  | Fpages a -> let p = a.(pg) in Value.Vreal (if Array.length p = 0 then 0.0 else p.(off))
-  | Ipages a -> let p = a.(pg) in Value.Vint (if Array.length p = 0 then 0 else p.(off))
-  | Bpages a -> let p = a.(pg) in Value.Vbool (Array.length p > 0 && p.(off))
+  match obj.elt with
+  | Ast.Real -> let p = obj.fpages.(pg) in Value.Vreal (if Array.length p = 0 then 0.0 else p.(off))
+  | Ast.Integer -> let p = obj.ipages.(pg) in Value.Vint (if Array.length p = 0 then 0 else p.(off))
+  | Ast.Logical -> let p = obj.bpages.(pg) in Value.Vbool (Array.length p > 0 && p.(off))
 
 let read_flat ~strict obj flat =
   check_valid ~strict obj flat;
@@ -210,12 +204,13 @@ let elt_mismatch obj =
   Diag.internal ~pass:"simulate" "array %s read with a type it does not hold" obj.name
 
 (* The typed reads look the page up once: an untouched page reads zero
-   and is valid where owned. *)
+   and is valid where owned.  A page index outside the table means an
+   array of another type (its table is empty) or a flat index out of
+   range. *)
 let read_int ~strict obj flat =
-  match obj.pages with
-  | Ipages a ->
-    let pg = flat lsr page_bits in
-    let p = a.(pg) in
+  let a = obj.ipages and pg = flat lsr page_bits in
+  if pg < Array.length a then begin
+    let p = Array.unsafe_get a pg in
     if Array.length p = 0 then begin
       if strict && not (owns obj flat) then invalid obj flat;
       0
@@ -226,13 +221,14 @@ let read_int ~strict obj flat =
       if strict && Bytes.unsafe_get (Array.unsafe_get obj.valid_pages pg) off = '\000' then
         invalid obj flat;
       n
-  | _ -> check_valid ~strict obj flat; elt_mismatch obj
+  end
+  else if obj.elt = Ast.Integer then invalid_arg "index out of bounds"
+  else (check_valid ~strict obj flat; elt_mismatch obj)
 
 let read_float ~strict obj flat =
-  match obj.pages with
-  | Fpages a ->
-    let pg = flat lsr page_bits in
-    let p = a.(pg) in
+  let a = obj.fpages and pg = flat lsr page_bits in
+  if pg < Array.length a then begin
+    let p = Array.unsafe_get a pg in
     if Array.length p = 0 then begin
       if strict && not (owns obj flat) then invalid obj flat;
       0.0
@@ -243,7 +239,9 @@ let read_float ~strict obj flat =
       if strict && Bytes.unsafe_get (Array.unsafe_get obj.valid_pages pg) off = '\000' then
         invalid obj flat;
       x
-  | _ -> check_valid ~strict obj flat; elt_mismatch obj
+  end
+  else if obj.elt = Ast.Real then invalid_arg "index out of bounds"
+  else (check_valid ~strict obj flat; elt_mismatch obj)
 
 let read ~strict obj idx = read_flat ~strict obj (flat_index obj idx)
 
@@ -255,10 +253,10 @@ let write_flat obj flat (x : Value.t) =
   let pg = flat lsr page_bits and off = flat land page_mask in
   let v = obj.valid_pages.(pg) in
   let valid = if Bytes.length v = 0 then materialize obj pg else v in
-  (match obj.pages with
-  | Fpages a -> (Array.unsafe_get a pg).(off) <- Value.to_float x
-  | Ipages a -> (Array.unsafe_get a pg).(off) <- Value.to_int x
-  | Bpages a -> (Array.unsafe_get a pg).(off) <- Value.to_bool x);
+  (match obj.elt with
+  | Ast.Real -> (Array.unsafe_get obj.fpages pg).(off) <- Value.to_float x
+  | Ast.Integer -> (Array.unsafe_get obj.ipages pg).(off) <- Value.to_int x
+  | Ast.Logical -> (Array.unsafe_get obj.bpages pg).(off) <- Value.to_bool x);
   Bytes.unsafe_set valid off '\001'
 
 (* [write_flat] of a [Vint n] or a [Vreal x], unboxed. *)
@@ -266,20 +264,20 @@ let write_int obj flat n =
   let pg = flat lsr page_bits and off = flat land page_mask in
   let v = obj.valid_pages.(pg) in
   let valid = if Bytes.length v = 0 then materialize obj pg else v in
-  (match obj.pages with
-  | Ipages a -> (Array.unsafe_get a pg).(off) <- n
-  | Fpages a -> (Array.unsafe_get a pg).(off) <- float_of_int n
-  | Bpages a -> (Array.unsafe_get a pg).(off) <- Value.to_bool (Value.Vint n));
+  (match obj.elt with
+  | Ast.Integer -> (Array.unsafe_get obj.ipages pg).(off) <- n
+  | Ast.Real -> (Array.unsafe_get obj.fpages pg).(off) <- float_of_int n
+  | Ast.Logical -> (Array.unsafe_get obj.bpages pg).(off) <- Value.to_bool (Value.Vint n));
   Bytes.unsafe_set valid off '\001'
 
 let write_float obj flat x =
   let pg = flat lsr page_bits and off = flat land page_mask in
   let v = obj.valid_pages.(pg) in
   let valid = if Bytes.length v = 0 then materialize obj pg else v in
-  (match obj.pages with
-  | Fpages a -> (Array.unsafe_get a pg).(off) <- x
-  | Ipages a -> (Array.unsafe_get a pg).(off) <- int_of_float x
-  | Bpages a -> (Array.unsafe_get a pg).(off) <- Value.to_bool (Value.Vreal x));
+  (match obj.elt with
+  | Ast.Real -> (Array.unsafe_get obj.fpages pg).(off) <- x
+  | Ast.Integer -> (Array.unsafe_get obj.ipages pg).(off) <- int_of_float x
+  | Ast.Logical -> (Array.unsafe_get obj.bpages pg).(off) <- Value.to_bool (Value.Vreal x));
   Bytes.unsafe_set valid off '\001'
 
 let write obj idx v = write_flat obj (flat_index obj idx) v
@@ -298,17 +296,17 @@ let copy_range ~src ~dst flat len =
     let pg = !at lsr page_bits and off = !at land page_mask in
     let n = imin (stop - !at) (page_len - off) in
     let valid = valid_page dst pg in
-    (match (src.pages, dst.pages) with
-    | Fpages a, Fpages b ->
-      let s = Array.unsafe_get a pg and d = Array.unsafe_get b pg in
+    (match (src.elt, dst.elt) with
+    | Ast.Real, Ast.Real ->
+      let s = Array.unsafe_get src.fpages pg and d = Array.unsafe_get dst.fpages pg in
       if Array.length s = 0 then Array.fill d off n 0.0
       else for k = off to off + n - 1 do Array.unsafe_set d k (Array.unsafe_get s k) done
-    | Ipages a, Ipages b ->
-      let s = Array.unsafe_get a pg and d = Array.unsafe_get b pg in
+    | Ast.Integer, Ast.Integer ->
+      let s = Array.unsafe_get src.ipages pg and d = Array.unsafe_get dst.ipages pg in
       if Array.length s = 0 then Array.fill d off n 0
       else for k = off to off + n - 1 do Array.unsafe_set d k (Array.unsafe_get s k) done
-    | Bpages a, Bpages b ->
-      let s = Array.unsafe_get a pg and d = Array.unsafe_get b pg in
+    | Ast.Logical, Ast.Logical ->
+      let s = Array.unsafe_get src.bpages pg and d = Array.unsafe_get dst.bpages pg in
       if Array.length s = 0 then Array.fill d off n false
       else for k = off to off + n - 1 do Array.unsafe_set d k (Array.unsafe_get s k) done
     | _ -> elt_mismatch dst);
@@ -344,10 +342,10 @@ let data obj =
             (fun pg p -> if Array.length p = 0 then Array.make (page_size obj pg) zero else p)
             pages))
   in
-  match obj.pages with
-  | Fpages a -> Fdata (dense 0.0 a)
-  | Ipages a -> Idata (dense 0 a)
-  | Bpages a -> Bdata (dense false a)
+  match obj.elt with
+  | Ast.Real -> Fdata (dense 0.0 obj.fpages)
+  | Ast.Integer -> Idata (dense 0 obj.ipages)
+  | Ast.Logical -> Bdata (dense false obj.bpages)
 
 let valid obj =
   let all = Bytes.make obj.size '\000' in

@@ -17,12 +17,6 @@ open Fd_frontend
 type data = Fdata of float array | Idata of int array | Bdata of bool array
 (** A full-extent copy of an array's values ({!data}). *)
 
-type pages =
-  | Fpages of float array array
-  | Ipages of int array array
-  | Bpages of bool array array
-(** Page tables: an untouched page is [[||]]. *)
-
 type ownership
 (** Which elements the processor owns, by {!Layout.owned_pattern}
     arithmetic on the distributed dimension. *)
@@ -33,7 +27,11 @@ type array_obj = private {
   bounds : (int * int) array;
   strides : int array;
   size : int;
-  pages : pages;
+  fpages : float array array;
+      (** the page table of a REAL array ([[||]] where untouched); empty
+          for other types *)
+  ipages : int array array;  (** of an INTEGER array *)
+  bpages : bool array array;  (** of a LOGICAL array *)
   valid_pages : Bytes.t array;  (** [Bytes.empty] where untouched *)
   mutable layout : Layout.t;
   mutable own : ownership;
