@@ -120,8 +120,8 @@ let alloc ~stats ~proc ~nprocs name elt (layout : Layout.t) : array_obj =
     valid_pages = Array.make n Bytes.empty;
     layout; own = ownership ~proc ~nprocs bounds strides layout; owner_proc = proc; nprocs; stats }
 
-(* Page [pg]'s validity bytes, materializing the page (zero values,
-   validity from ownership) if it was untouched. *)
+(* Materialize the untouched page [pg] (zero values, validity from
+   ownership) and return its validity bytes. *)
 let materialize obj pg =
   let n = page_size obj pg and base = pg lsl page_bits in
   let v = Bytes.make n '\000' in
@@ -134,10 +134,6 @@ let materialize obj pg =
   let st = obj.stats in
   st.Stats.storage_bytes <- st.Stats.storage_bytes + (n * ((Sys.word_size / 8) + 1));
   v
-
-let valid_page obj pg =
-  let v = obj.valid_pages.(pg) in
-  if Bytes.length v = 0 then materialize obj pg else v
 
 let rank_error obj n =
   Diag.error "array %s: rank %d referenced with %d subscripts" obj.name (rank obj) n
@@ -246,9 +242,9 @@ let read_float ~strict obj flat =
 let read ~strict obj idx = read_flat ~strict obj (flat_index obj idx)
 
 (* Each write materializes its page, stores, then validates; the store
-   bounds-checks the offset the validity byte then uses.  The writes
-   test for an untouched page themselves rather than call [valid_page]:
-   the call cost about a quarter of a write. *)
+   bounds-checks the offset the validity byte then uses.  Each tests for
+   an untouched page itself: a helper call cost about a quarter of a
+   write. *)
 let write_flat obj flat (x : Value.t) =
   let pg = flat lsr page_bits and off = flat land page_mask in
   let v = obj.valid_pages.(pg) in
@@ -295,7 +291,8 @@ let copy_range ~src ~dst flat len =
   while !at < stop do
     let pg = !at lsr page_bits and off = !at land page_mask in
     let n = imin (stop - !at) (page_len - off) in
-    let valid = valid_page dst pg in
+    let v = dst.valid_pages.(pg) in
+    let valid = if Bytes.length v = 0 then materialize dst pg else v in
     (match (src.elt, dst.elt) with
     | Ast.Real, Ast.Real ->
       let s = Array.unsafe_get src.fpages pg and d = Array.unsafe_get dst.fpages pg in
