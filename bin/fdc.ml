@@ -83,8 +83,7 @@ let no_agg_arg =
   Arg.(value & flag & info [ "no-aggregation" ] ~doc:"Disable message aggregation")
 
 let opts_of ?(no_agg = false) nprocs strategy remap no_coll =
-  { Fd_core.Options.default with
-    Fd_core.Options.nprocs; strategy; remap_level = remap;
+  { Fd_core.Options.nprocs; strategy; remap_level = remap;
     use_collectives = not no_coll; aggregate_messages = not no_agg }
 
 let strict_arg =

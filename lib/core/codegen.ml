@@ -1637,23 +1637,8 @@ let pp_decision ppf d =
     Fmt.pf ppf "partitioned symbolically on dim %d (%a, shift %d)" (dim + 1)
       Layout.pp layout shift
 
-(* The analysis phases are exposed individually so the pass manager
-   (Pipeline) can time, dump and verify each one. *)
-
-let clone ~sink (opts : Options.t) (cp : Sema.checked_program) : Cloning.result =
-  match opts.Options.strategy with
-  | Options.Runtime_resolution -> { Cloning.cp; origin = Cloning.SM.empty; clones_made = 0 }
-  | Options.Interproc | Options.Immediate -> Cloning.apply ~sink opts cp
-
-let build_acg (cp : Sema.checked_program) : Acg.t =
-  let acg = Acg.build cp in
-  if Acg.is_recursive acg then Diag.error "recursive programs are not supported";
-  acg
-
-let compile_analyzed ~sink (opts : Options.t)
-    ~(clone_result : Cloning.result) ~(acg : Acg.t) ~(rd : Reaching_decomps.t)
-    ~(effects : Side_effects.t) : compiled =
-  let cp = clone_result.Cloning.cp in
+let compile_analyzed ~sink (opts : Options.t) (clone_result : Cloning.result) : compiled =
+  let { Cloning.cp; acg; rd; effects; _ } = clone_result in
   (* Fortran D forbids dynamic decomposition of aliased variables
      (Section 6.4); reject such programs before generating code. *)
   Aliasing.check ~sink acg effects;

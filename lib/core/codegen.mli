@@ -8,7 +8,6 @@
     module; statements outside the recognized patterns fall back to
     run-time resolution locally, which is always sound. *)
 
-open Fd_frontend
 open Fd_callgraph
 open Fd_machine
 
@@ -61,25 +60,9 @@ val pp_decision : decision Fmt.t
     dimension with each processor's iteration set, or the symbolic
     layout. *)
 
-val clone :
-  sink:Fd_support.Diag.sink -> Options.t -> Sema.checked_program -> Cloning.result
-(** The cloning phase: {!Cloning.apply} for the optimizing strategies, a
-    trivial (identity) result under [Runtime_resolution]. *)
-
-val build_acg : Sema.checked_program -> Acg.t
-(** Build the augmented call graph of the (cloned) program.
-    @raise Fd_support.Diag.Compile_error on recursion. *)
-
-val compile_analyzed :
-  sink:Fd_support.Diag.sink ->
-  Options.t ->
-  clone_result:Cloning.result ->
-  acg:Acg.t ->
-  rd:Reaching_decomps.t ->
-  effects:Side_effects.t ->
-  compiled
-(** Per-procedure code generation over already-computed analyses (the
-    final pipeline pass): aliasing check, then one pass per procedure in
-    reverse topological order.
+val compile_analyzed : sink:Fd_support.Diag.sink -> Options.t -> Cloning.result -> compiled
+(** Per-procedure code generation over the cloned program and its
+    analyses (the final pipeline pass): aliasing check, then one pass
+    per procedure in reverse topological order.
     @raise Fd_support.Diag.Compile_error on forbidden aliasing or
     uninstantiable computation partitions. *)

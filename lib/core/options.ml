@@ -19,7 +19,6 @@ type t = {
   remap_level : remap_level;
   use_collectives : bool;  (* recognize one-owner/all-consumers broadcasts *)
   aggregate_messages : bool;  (* merge same-destination transfers into one message *)
-  clone_limit : int;       (* max clones per procedure before falling back *)
 }
 
 let default = {
@@ -28,7 +27,6 @@ let default = {
   remap_level = Remap_kill;
   use_collectives = true;
   aggregate_messages = true;
-  clone_limit = 16;
 }
 
 let strategy_name = function

@@ -26,8 +26,6 @@ type t = {
   aggregate_messages : bool;
       (** merge same-destination transfers of different arrays into one
           message (paper Fig. 11 aggregation) *)
-  clone_limit : int;
-      (** max clones per procedure before cloning is abandoned *)
 }
 
 val default : t

@@ -3,10 +3,11 @@
     description of one pass (name, run function, artifact
     pretty-printer, invariant checker, size metric).
 
-    The compiler's phases — parse, semantic checking, procedure cloning,
+    The compiler's phases — parse, semantic checking,
     augmented-call-graph construction, reaching decompositions, side
-    effects, local summaries, code generation — each populate one field
-    of {!ctx}.  A pass's [p_run] is idempotent: it does nothing when its
+    effects, procedure cloning, local summaries, code generation — each
+    populate one field of {!ctx}; cloning replaces the three analyses
+    with those of the cloned program when it splits a procedure.  A pass's [p_run] is idempotent: it does nothing when its
     artifact is already present, which is how contexts seeded from a
     {!Fd_frontend.Sema.checked_program} skip the frontend passes.
 

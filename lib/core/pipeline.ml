@@ -31,6 +31,13 @@ let dup_names names =
     names
   |> List.sort_uniq compare
 
+let dup_sids (units : Ast.punit list) =
+  let sids = ref [] in
+  List.iter
+    (fun (u : Ast.punit) -> Ast.iter_stmts (fun s -> sids := s.Ast.sid :: !sids) u.Ast.body)
+    units;
+  dup_names (List.map string_of_int !sids)
+
 let iter_exprs_arrays f e =
   Ast.iter_exprs_expr
     (fun e' -> match e' with Ast.Ref (a, _) -> f a | _ -> ())
@@ -107,15 +114,9 @@ let parse_pass =
         let dup_units =
           dup_names (List.map (fun (u : Ast.punit) -> u.Ast.uname) units)
         in
-        let sids = ref [] in
-        List.iter
-          (fun (u : Ast.punit) ->
-            Ast.iter_stmts (fun s -> sids := s.Ast.sid :: !sids) u.Ast.body)
-          units;
-        let dup_sids = dup_names (List.map string_of_int !sids) in
         (if units = [] then [ "program has no units" ] else [])
         @ List.map (Fmt.str "duplicate unit name %s") dup_units
-        @ List.map (Fmt.str "duplicate statement id %s") dup_sids
+        @ List.map (Fmt.str "duplicate statement id %s") (dup_sids units)
         @
         match
           List.filter (fun (u : Ast.punit) -> u.Ast.ukind = Ast.Main) units
@@ -194,56 +195,6 @@ let sema_pass =
     p_size =
       (fun c -> match c.checked with Some cp -> List.length cp.Sema.units | None -> 0) }
 
-(* --- cloning ------------------------------------------------------------ *)
-
-(* Procedure cloning for unique reaching decompositions. *)
-let cloning_pass =
-  { p_name = "cloning";
-    p_run =
-      (fun c ->
-        match c.clone_result with
-        | Some _ -> ()
-        | None ->
-          c.clone_result <- Some (Codegen.clone ~sink:c.sink c.opts (get_checked c)));
-    p_dump =
-      (fun c ->
-        match c.clone_result with
-        | None -> None
-        | Some r ->
-          let origins =
-            Cloning.SM.bindings r.Cloning.origin
-            |> List.map (fun (clone, orig) -> Fmt.str "  %s <- %s" clone orig)
-          in
-          Some
-            (Fmt.str "clones made: %d\nprocedures: %s%s" r.Cloning.clones_made
-               (String.concat ", "
-                  (List.map
-                     (fun (cu : Sema.checked_unit) -> cu.Sema.unit_.Ast.uname)
-                     r.Cloning.cp.Sema.units))
-               (if origins = [] then ""
-                else "\n" ^ String.concat "\n" origins)));
-    p_verify =
-      (fun c ->
-        match c.clone_result with
-        | None -> [ "no cloning result" ]
-        | Some r ->
-          let names =
-            List.map
-              (fun (cu : Sema.checked_unit) -> cu.Sema.unit_.Ast.uname)
-              r.Cloning.cp.Sema.units
-          in
-          List.map (Fmt.str "cloned procedure name %s is not unique") (dup_names names)
-          @ Cloning.SM.fold
-              (fun clone _orig acc ->
-                if List.mem clone names then acc
-                else Fmt.str "clone %s missing from the cloned program" clone :: acc)
-              r.Cloning.origin []);
-    p_size =
-      (fun c ->
-        match c.clone_result with
-        | Some r -> List.length r.Cloning.cp.Sema.units
-        | None -> 0) }
-
 (* --- acg ---------------------------------------------------------------- *)
 
 (* Augmented call graph with interprocedural loop context. *)
@@ -254,7 +205,9 @@ let acg_pass =
         match c.acg with
         | Some _ -> ()
         | None ->
-          c.acg <- Some (Codegen.build_acg (get_clone_result c).Cloning.cp));
+          let acg = Acg.build (get_checked c) in
+          if Acg.is_recursive acg then Diag.error "recursive programs are not supported";
+          c.acg <- Some acg);
     p_dump =
       (fun c ->
         match c.acg with
@@ -415,6 +368,77 @@ let side_effects_pass =
             0 (Acg.procs acg)
         | _ -> 0) }
 
+(* --- cloning ------------------------------------------------------------ *)
+
+(* Procedure cloning for unique reaching decompositions, under the
+   optimizing strategies (run-time resolution needs none). *)
+let cloning_pass =
+  { p_name = "cloning";
+    p_run =
+      (fun c ->
+        match c.clone_result with
+        | Some _ -> ()
+        | None ->
+          let cp = get_checked c and acg = get_acg c in
+          let rd = get_rd c and effects = get_effects c in
+          let r =
+            match c.opts.Options.strategy with
+            | Options.Runtime_resolution ->
+              { Cloning.cp; origin = Cloning.SM.empty; clones_made = 0; acg; rd; effects }
+            | Options.Interproc | Options.Immediate ->
+              Cloning.apply ~sink:c.sink cp ~acg ~rd ~effects
+          in
+          (* the later passes read the analyses of the cloned program *)
+          c.clone_result <- Some r;
+          c.acg <- Some r.Cloning.acg;
+          c.rd <- Some r.Cloning.rd;
+          c.effects <- Some r.Cloning.effects);
+    p_dump =
+      (fun c ->
+        match c.clone_result with
+        | None -> None
+        | Some r ->
+          let origins =
+            Cloning.SM.bindings r.Cloning.origin
+            |> List.map (fun (clone, orig) -> Fmt.str "  %s <- %s" clone orig)
+          in
+          Some
+            (Fmt.str "clones made: %d\nprocedures: %s%s" r.Cloning.clones_made
+               (String.concat ", "
+                  (List.map
+                     (fun (cu : Sema.checked_unit) -> cu.Sema.unit_.Ast.uname)
+                     r.Cloning.cp.Sema.units))
+               (if origins = [] then ""
+                else "\n" ^ String.concat "\n" origins)));
+    p_verify =
+      (fun c ->
+        match c.clone_result with
+        | None -> [ "no cloning result" ]
+        | Some r ->
+          let names =
+            List.map
+              (fun (cu : Sema.checked_unit) -> cu.Sema.unit_.Ast.uname)
+              r.Cloning.cp.Sema.units
+          in
+          List.map (Fmt.str "cloned procedure name %s is not unique") (dup_names names)
+          @ List.map (Fmt.str "duplicate statement id %s in the cloned program")
+              (dup_sids (List.map (fun cu -> cu.Sema.unit_) r.Cloning.cp.Sema.units))
+          @ Cloning.SM.fold
+              (fun clone _orig acc ->
+                if List.mem clone names then acc
+                else Fmt.str "clone %s missing from the cloned program" clone :: acc)
+              r.Cloning.origin []
+          (* a split replaced the three analyses *)
+          @
+          if r.Cloning.clones_made = 0 then []
+          else
+            List.concat_map (fun p -> p.p_verify c) [ acg_pass; reaching_pass; side_effects_pass ]);
+    p_size =
+      (fun c ->
+        match c.clone_result with
+        | Some r -> List.length r.Cloning.cp.Sema.units
+        | None -> 0) }
+
 (* --- local_summaries ---------------------------------------------------- *)
 
 (* Edit-time local summaries and interface digests. *)
@@ -468,10 +492,7 @@ let codegen_pass =
         | Some _ -> ()
         | None ->
           c.compiled <-
-            Some
-              (Codegen.compile_analyzed ~sink:c.sink c.opts
-                 ~clone_result:(get_clone_result c)
-                 ~acg:(get_acg c) ~rd:(get_rd c) ~effects:(get_effects c)));
+            Some (Codegen.compile_analyzed ~sink:c.sink c.opts (get_clone_result c)));
     p_dump =
       (fun c ->
         match c.compiled with
@@ -524,8 +545,8 @@ let codegen_pass =
 (* --- The pipeline ------------------------------------------------------- *)
 
 let passes =
-  [ parse_pass; sema_pass; cloning_pass; acg_pass; reaching_pass;
-    side_effects_pass; local_summaries_pass; codegen_pass ]
+  [ parse_pass; sema_pass; acg_pass; reaching_pass; side_effects_pass;
+    cloning_pass; local_summaries_pass; codegen_pass ]
 
 let pass_names = List.map (fun p -> p.p_name) passes
 

@@ -2,19 +2,19 @@
 
     The whole compile is modeled as the pass list
 
-    {v parse -> sema -> cloning -> acg -> reaching_decomps
-       -> side_effects -> local_summaries -> codegen v}
+    {v parse -> sema -> acg -> reaching_decomps -> side_effects
+       -> cloning -> local_summaries -> codegen v}
 
     over a shared {!Pass.ctx}.  Each pass is named, timed, can render
     its artifact ([--dump-after]) and can check invariants over the
     context ([--verify-passes]).  {!Driver} and {!Recompile} are built
     on this runner; it is the only way to compile.
 
-    Note on ordering: the paper presents the phases as ACG -> reaching
-    decompositions -> cloning, but operationally cloning rewrites the
-    program source-to-source and the ACG used for compilation is built
-    from the {e cloned} program (cloning iterates its own internal
-    ACGs), so the pipeline orders [cloning] before [acg]. *)
+    The order is the paper's (ACG -> reaching decompositions ->
+    cloning).  Cloning works on the checked program and, when it splits
+    a procedure, replaces the context's ACG, reaching decompositions
+    and side effects with those of the cloned program, which the later
+    passes read. *)
 
 val passes : Pass.t list
 (** The standard pipeline, in execution order. *)

@@ -125,10 +125,9 @@ type local_result = {
   aligns : (string * Ast.align_sub list) SM.t;
 }
 
-let solve_local ~sink ?(seed : fact option) (cu : Sema.checked_unit) : local_result =
+let solve_local ~sink ~(init : fact) (cu : Sema.checked_unit) : local_result =
   let cfg = Cfg.build cu.Sema.unit_.Ast.body in
   let aligns = align_map ~sink cu in
-  let init = match seed with Some f -> f | None -> initial_fact cu in
   let facts =
     Solver.solve ~direction:Dataflow.Forward ~init
       ~transfer:(fun _ node fact -> transfer cu aligns node fact)
@@ -167,11 +166,8 @@ let expand_tops (reaching_p : fact) (fact : fact) : fact =
 let compute ~sink (acg : Acg.t) : t =
   let reaching : (string, fact) Hashtbl.t = Hashtbl.create 16 in
   let local : (string, local_result) Hashtbl.t = Hashtbl.create 16 in
-  (* First pass: local solutions with unexpanded tops. *)
-  List.iter
-    (fun (p : Acg.proc) -> Hashtbl.replace local p.Acg.pname (solve_local ~sink p.Acg.cu))
-    (Acg.procs acg);
-  (* Top-down propagation in topological order. *)
+  (* Top-down propagation in topological order, which lists every
+     procedure: each is solved once, after all its callers. *)
   List.iter
     (fun pname ->
       let reaching_p =
@@ -179,11 +175,11 @@ let compute ~sink (acg : Acg.t) : t =
         | Some f -> f
         | None -> SM.empty  (* main or unreachable: nothing inherited *)
       in
-      (* Re-solve the local problem with inherited decompositions seeded,
+      (* Solve the local problem with inherited decompositions seeded,
          so call-site facts have tops expanded. *)
       let p = Acg.proc acg pname in
-      let seed = expand_tops reaching_p (initial_fact p.Acg.cu) in
-      let lr = solve_local ~sink ~seed p.Acg.cu in
+      let init = expand_tops reaching_p (initial_fact p.Acg.cu) in
+      let lr = solve_local ~sink ~init p.Acg.cu in
       Hashtbl.replace local pname lr;
       (* Push translated facts into each callee's Reaching. *)
       List.iter

@@ -72,9 +72,38 @@ let rd_dynamic_scoping () =
 
 (* --- Cloning (paper Figure 8) --------------------------------------------- *)
 
+let clone cp =
+  let acg = Acg.build cp in
+  let sink = Diag.sink () in
+  Cloning.apply ~sink cp ~acg ~rd:(Reaching_decomps.compute ~sink acg)
+    ~effects:(Side_effects.compute acg)
+
+(* Each procedure is solved once per compile, and a clone's re-solve
+   does not repeat its original's ALIGN warning. *)
+let cl_one_align_warning () =
+  let src =
+    "program p\n  real x(8), y(8)\n  distribute x(block)\n  distribute y(cyclic)\n  call f(x)\n  call f(y)\nend\nsubroutine f(z)\n  real z(8), w(8)\n  integer i\n  decomposition d(8)\n  align w(i) with d(i)\n  align w(i) with d(i+1)\n  distribute d(block)\n  do i = 1, 7\n    w(i) = 1.0\n    z(i) = z(i+1) + w(i)\n  enddo\nend\n"
+  in
+  List.iter
+    (fun strategy ->
+      let sink = Diag.sink () in
+      let compiled =
+        Driver.compile_source ~sink ~opts:{ Options.default with Options.strategy } src
+      in
+      let name = Options.strategy_name strategy in
+      check_int (name ^ ": clones") (if strategy = Options.Runtime_resolution then 0 else 1)
+        compiled.Codegen.clone_result.Cloning.clones_made;
+      check_int (name ^ ": one ALIGN warning") 1
+        (List.length
+           (List.filter
+              (fun (d : Diag.t) ->
+                d.Diag.message = "multiple differing ALIGNs for w; using the last")
+              (Diag.take_warnings_of sink))))
+    [ Options.Interproc; Options.Immediate; Options.Runtime_resolution ]
+
 let cl_fig4 () =
   let cp = Sema.check_source (Fd_workloads.Figures.fig4 ()) in
-  let r = Cloning.apply ~sink:(Diag.sink ()) Options.default cp in
+  let r = clone cp in
   check_int "one clone made" 1 r.Cloning.clones_made;
   check_int "three units now" 3 (List.length r.Cloning.cp.Sema.units);
   (* the clone's origin maps back to f1 *)
@@ -90,7 +119,7 @@ let cl_no_clone_when_uniform () =
   let src =
     "program p\n  real x(8), y(8)\n  distribute x(block)\n  distribute y(block)\n  call f(x)\n  call f(y)\nend\nsubroutine f(z)\n  real z(8)\n  integer i\n  do i = 1, 8\n    z(i) = 0.0\n  enddo\nend\n"
   in
-  let r = Cloning.apply ~sink:(Diag.sink ()) Options.default (Sema.check_source src) in
+  let r = clone (Sema.check_source src) in
   check_int "no clones" 0 r.Cloning.clones_made
 
 let cl_filter_by_appear () =
@@ -100,7 +129,7 @@ let cl_filter_by_appear () =
   in
   (* b unreferenced: call signatures differ on a (block vs cyclic), so we
      still get a clone for a, but not an extra one for b *)
-  let r = Cloning.apply ~sink:(Diag.sink ()) Options.default (Sema.check_source src) in
+  let r = clone (Sema.check_source src) in
   check_int "one clone (for a only)" 1 r.Cloning.clones_made
 
 (* --- Closed-form fitting ---------------------------------------------------- *)
@@ -308,6 +337,7 @@ let suite =
     Alcotest.test_case "reaching decomps fig7" `Quick rd_fig7;
     Alcotest.test_case "reaching align permutation" `Quick rd_align_permutation;
     Alcotest.test_case "reaching dynamic scoping" `Quick rd_dynamic_scoping;
+    Alcotest.test_case "one ALIGN warning per compile" `Quick cl_one_align_warning;
     Alcotest.test_case "cloning fig4" `Quick cl_fig4;
     Alcotest.test_case "no clone when uniform" `Quick cl_no_clone_when_uniform;
     Alcotest.test_case "clone filtered by Appear" `Quick cl_filter_by_appear;

@@ -295,6 +295,34 @@ let test_pieces_flat_in_p () =
         (lengths file 4096) (lengths file 65536))
     [ "fig15.fd"; "adi_dynamic.fd"; "jacobi1d.fd" ]
 
+(* A cloned program keeps its source locations: every located site,
+   critical-path step and finding of fig4 names the file, and the send
+   sits at the loop its communication was placed before, the caller's
+   [do i] under delayed instantiation and f1's [do k] under immediate
+   instantiation (as in the uncloned source). *)
+let test_cloned_locations () =
+  let file = Filename.concat examples_dir "fig4.fd" in
+  let cp = Driver.check_source ~file (read_file file) in
+  List.iter
+    (fun (strategy, send_line) ->
+      let what = Options.strategy_name strategy in
+      let compiled = Driver.compile ~opts:{ Options.default with strategy; nprocs = 4 } cp in
+      check Alcotest.int (what ^ ": one clone") 1
+        compiled.Codegen.clone_result.Cloning.clones_made;
+      let vr, _ = Driver.check cp compiled in
+      let c = Driver.cost cp compiled in
+      List.iter
+        (fun (l : Fd_support.Loc.t) ->
+          if l <> Fd_support.Loc.none then
+            check Alcotest.string (what ^ ": location names the file") file l.Fd_support.Loc.file)
+        (List.map (fun (f : Finding.t) -> f.Finding.loc) (vr.Verify.findings @ c.Cost.findings)
+        @ List.map (fun s -> s.Cost.site_loc) c.Cost.sites
+        @ List.map (fun s -> s.Cost.st_loc) c.Cost.critical_path);
+      match List.filter (fun s -> s.Cost.site_what = "send") c.Cost.sites with
+      | [ s ] -> check Alcotest.int (what ^ ": send line") send_line s.Cost.site_loc.Fd_support.Loc.line
+      | sites -> Alcotest.failf "%s: %d send sites" what (List.length sites))
+    [ (Options.Interproc, 20); (Options.Immediate, 33) ]
+
 let suite =
   [
     Alcotest.test_case "examples x strategies x P: counters and makespan"
@@ -308,6 +336,8 @@ let suite =
     Alcotest.test_case "profile-free degradation" `Quick
       test_profile_degradation;
     Alcotest.test_case "gen sweep: random programs" `Slow test_gen_property;
+    Alcotest.test_case "cloned program keeps source locations" `Quick
+      test_cloned_locations;
     Alcotest.test_case "per-processor pieces flat in P" `Slow
       test_pieces_flat_in_p;
   ]

@@ -24,11 +24,11 @@ let find_pass_exn name =
 let ordering () =
   Alcotest.(check (list string))
     "pipeline order"
-    [ "parse"; "sema"; "cloning"; "acg"; "reaching_decomps"; "side_effects";
+    [ "parse"; "sema"; "acg"; "reaching_decomps"; "side_effects"; "cloning";
       "local_summaries"; "codegen" ]
     Pipeline.pass_names;
-  (* cloning must run before the ACG is built: the compile-time call
-     graph is over the cloned program *)
+  (* the paper's order (Section 5.2, Figure 8): cloning reads the call
+     graph, the reaching decompositions and the side effects *)
   let pos name =
     let rec go i = function
       | [] -> -1
@@ -37,8 +37,9 @@ let ordering () =
     in
     go 0 Pipeline.pass_names
   in
-  check "cloning before acg" true (pos "cloning" < pos "acg");
-  check "acg before reaching" true (pos "acg" < pos "reaching_decomps")
+  check "acg before reaching" true (pos "acg" < pos "reaching_decomps");
+  check "reaching before side effects" true (pos "reaching_decomps" < pos "side_effects");
+  check "side effects before cloning" true (pos "side_effects" < pos "cloning")
 
 (* --- Dump rendering ------------------------------------------------------ *)
 
@@ -146,7 +147,37 @@ let corrupt_cloning () =
   let r2 = Pass.get_clone_result ctx2 in
   ctx2.Pass.clone_result <-
     Some { r2 with Cloning.origin = Cloning.SM.add "ghost$1" "ghost" r2.Cloning.origin };
-  check "dangling origin entry caught" true (p.Pass.p_verify ctx2 <> [])
+  check "dangling origin entry caught" true (p.Pass.p_verify ctx2 <> []);
+  (* and a clone whose statement ids repeat its original's *)
+  let ctx3 = Pipeline.of_source (Fd_workloads.Figures.fig4 ()) in
+  ignore (Pipeline.run ctx3);
+  let r3 = Pass.get_clone_result ctx3 in
+  let cp3 = r3.Cloning.cp in
+  let f1 = Sema.find_unit_exn cp3 "f1" in
+  let units =
+    List.map
+      (fun (cu : Sema.checked_unit) ->
+        if cu.Sema.unit_.Ast.uname = "f1$1" then
+          { f1 with Sema.unit_ = { f1.Sema.unit_ with Ast.uname = "f1$1" } }
+        else cu)
+      cp3.Sema.units
+  in
+  ctx3.Pass.clone_result <- Some { r3 with Cloning.cp = { cp3 with Sema.units } };
+  check "duplicate statement id caught" true
+    (List.exists (fun m -> contains m "duplicate statement id") (p.Pass.p_verify ctx3))
+
+(* Cloning hands the analyses of the cloned program back to the context. *)
+let cloned_analyses () =
+  let ctx = Pipeline.of_source (Fd_workloads.Figures.fig4 ()) in
+  ignore (Pipeline.run ctx);
+  let acg = Pass.get_acg ctx in
+  check "f1$1 is an ACG node" true
+    (List.exists (fun (p : Fd_callgraph.Acg.proc) -> p.Fd_callgraph.Acg.pname = "f1$1")
+       (Fd_callgraph.Acg.procs acg));
+  check "f1$1 has a reaching solution" true
+    (match Reaching_decomps.local_of (Pass.get_rd ctx) "f1$1" with
+    | _ -> true
+    | exception Fd_support.Diag.Compile_error _ -> false)
 
 let report_in_run_result () =
   let r = Driver.run_source ~verify:true (Fd_workloads.Figures.fig1 ()) in
@@ -176,5 +207,6 @@ let suite =
     Alcotest.test_case "invariants hold on all workloads" `Quick verify_workloads;
     Alcotest.test_case "corrupted codegen artifact caught" `Quick corrupt_codegen;
     Alcotest.test_case "corrupted cloning artifact caught" `Quick corrupt_cloning;
+    Alcotest.test_case "cloning hands back the cloned analyses" `Quick cloned_analyses;
     Alcotest.test_case "driver threads pass report" `Quick report_in_run_result;
     Alcotest.test_case "report JSON rendering" `Quick json_report ]

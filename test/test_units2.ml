@@ -317,20 +317,35 @@ let exports_fig15 () =
 
 (* --- Cloning limit ------------------------------------------------------------------ *)
 
+let clone ?(sink = Diag.sink ()) src =
+  let cp = Sema.check_source src in
+  let acg = Fd_callgraph.Acg.build cp in
+  Cloning.apply ~sink cp ~acg ~rd:(Reaching_decomps.compute ~sink acg)
+    ~effects:(Fd_callgraph.Side_effects.compute acg)
+
+(* [f] called once on each array, the arrays distributed by [dists]. *)
+let calls_per_distribution dists =
+  let arrays = List.mapi (fun k _ -> Fmt.str "a%d" k) dists in
+  Fmt.str "program p\n  real %s\n%s%send\n%s"
+    (String.concat ", " (List.map (fun a -> a ^ "(64)") arrays))
+    (String.concat "" (List.map2 (Fmt.str "  distribute %s(%s)\n") arrays dists))
+    (String.concat "" (List.map (Fmt.str "  call f(%s)\n") arrays))
+    "subroutine f(z)\n  real z(64)\n  integer i\n  do i = 1, 64\n    z(i) = 0.0\n  enddo\nend\n"
+
 let cloning_limit () =
-  (* four call sites with four distinct distributions; limit 2 disables *)
-  let src =
-    "program p\n  real a(8), b(8), c(8), d(8)\n  integer i\n  distribute a(block)\n  distribute b(cyclic)\n  distribute c(block_cyclic(2))\n  distribute d(:)\n  call f(a)\n  call f(b)\n  call f(c)\n  call f(d)\nend\nsubroutine f(z)\n  real z(8)\n  integer i\n  do i = 1, 8\n    z(i) = 0.0\n  enddo\nend\n"
+  (* one more distinct distribution than the limit allows disables it *)
+  let dists =
+    "block" :: "cyclic"
+    :: List.init (Cloning.clone_limit - 1) (fun k -> Fmt.str "block_cyclic(%d)" (k + 2))
   in
   let sink = Diag.sink () in
-  let r =
-    Cloning.apply ~sink
-      { Options.default with Options.clone_limit = 2 }
-      (Sema.check_source src)
-  in
+  let r = clone ~sink (calls_per_distribution dists) in
   check_int "cloning abandoned" 0 r.Cloning.clones_made;
-  check "warned" true (Diag.take_warnings_of sink <> []);
-  let r' = Cloning.apply ~sink:(Diag.sink ()) Options.default (Sema.check_source src) in
+  Alcotest.(check (list string)) "warned"
+    [ Fmt.str "procedure f needs %d clones (limit %d); cloning disabled for it"
+        (Cloning.clone_limit + 1) Cloning.clone_limit ]
+    (List.map (fun (d : Diag.t) -> d.Diag.message) (Diag.take_warnings_of sink));
+  let r' = clone (calls_per_distribution [ "block"; "cyclic"; "block_cyclic(2)"; ":" ]) in
   check_int "full cloning makes 3" 3 r'.Cloning.clones_made
 
 (* --- Driver speedup accessor ---------------------------------------------------------- *)
