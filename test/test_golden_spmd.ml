@@ -1,9 +1,10 @@
 (* Bit-identity golden for the code generator.
 
    [spmd.golden] pins, for every committed example x {interproc,
-   immediate, runtime} x P in {1, 3, 4, 7, 16}, the node program as
-   [fdc spmd] prints it and every procedure's export record (its
-   summary and its digest over all fields), sorted by procedure.  It
+   immediate, runtime} x P in {1, 3, 4, 7, 16, 64, 1024}, the node
+   program as [fdc spmd] prints it and every procedure's export record
+   (its summary and its digest over all fields), sorted by procedure.
+   The P = 64 and 1024 cells pin the high-P closed forms.  It
    also pins one digest line per cell for two sets of generated
    programs:
 
@@ -63,7 +64,7 @@ let render_example b file =
         (fun nprocs ->
           Printf.bprintf b "=== %s %s P=%d\n%s" file sname nprocs
             (compile_text ~strategy ~nprocs cp))
-        [ 1; 3; 4; 7; 16 ])
+        [ 1; 3; 4; 7; 16; 64; 1024 ])
     strategies
 
 let digest_line b name ~sname ~strategy cp =
