@@ -42,9 +42,11 @@ open Fd_frontend
 
 type pv = Pint of int | Preal of float | Pbool of bool | Punk
 
-(* One run of lanes.  Invariant: [Saff] never has [a = 0] and never
-   spans a single pid (both collapse to [Sconst]). *)
-type seg = Sconst of pv | Saff of { a : int; b : int }
+(* One run of lanes, the shared pid-piecewise segment.  Invariant:
+   [Saff] never has [a = 0] and never spans a single pid (both collapse
+   to [Sconst]). *)
+type 'c lane_seg = 'c Lanes.seg = Sconst of 'c | Saff of { a : int; b : int }
+type seg = pv lane_seg
 
 (* Invariants (established by [norm], assumed everywhere):
    - [Runs segs]: segs are sorted, contiguous, and cover [0, n-1];
@@ -54,7 +56,7 @@ type seg = Sconst of pv | Saff of { a : int; b : int }
      — so [Runs] always means "not provably uniform".  A full-range
      [Sconst Punk] run stays [Runs]: it is the divergent-unknown ("each
      processor holds its own unknown"), distinct from [Uni Punk]. *)
-type t = Uni of pv | Runs of (int * int * seg) list
+type t = Uni of pv | Runs of pv Lanes.t
 
 let unknown = Uni Punk
 
@@ -162,11 +164,13 @@ let pv1 op a =
 
 (* --- representation plumbing ------------------------------------------ *)
 
+let pint i = Pint i
+
 (* Smart constructor: zero slope is a constant; used everywhere so the
    [Saff] a<>0 invariant holds by construction. *)
-let saff a b = if a = 0 then Sconst (Pint b) else Saff { a; b }
+let saff a b = Lanes.saff ~const:pint a b
 
-let seg_at s p = match s with Sconst v -> v | Saff { a; b } -> Pint ((a * p) + b)
+let seg_at s p = Lanes.seg_at ~const:pint s p
 
 (* Int-affine view: a constant int is slope 0. *)
 let lin_of = function
@@ -178,29 +182,11 @@ let segs_of ~n = function
   | Uni v -> [ (0, n - 1, Sconst v) ]
   | Runs rs -> rs
 
-let mergeable s1 s2 =
-  match (s1, s2) with
-  | Sconst x, Sconst y -> pv_equal x y || (x = Punk && y = Punk)
-  | Saff x, Saff y -> x.a = y.a && x.b = y.b
-  | _ -> false
-
-(* Canonicalize a sorted contiguous cover of [0, n-1] in one pass:
-   empty runs drop, singleton affine runs become constants, mergeable
-   neighbors merge (each run into its left neighbour, so a merged run
-   keeps its first segment), and a uniform known cover collapses to
-   [Uni]. *)
+(* Canonicalize a sorted contiguous cover of [0, n-1] ([Lanes.norm]:
+   equal constants and two unknowns merge), and collapse a uniform known
+   cover to [Uni]. *)
 let norm ~n segs =
-  let rec go = function
-    | (l, u, _) :: rest when l > u -> go rest
-    | (l, u, Saff { a; b }) :: rest when l = u ->
-      go ((l, u, Sconst (Pint ((a * l) + b))) :: rest)
-    | ((l1, _, s1) as sg) :: rest -> (
-      match go rest with
-      | (_, u2, s2) :: rest when mergeable s1 s2 -> (l1, u2, s1) :: rest
-      | rest -> sg :: rest)
-    | [] -> []
-  in
-  match go segs with
+  match Lanes.norm ~const:pint ~merge:(fun x y -> pv_equal x y || (x = Punk && y = Punk)) segs with
   | [ (0, u, Sconst v) ] when u = n - 1 && v <> Punk -> Uni v
   | segs -> Runs segs
 
@@ -213,12 +199,7 @@ let of_dense (vs : pv array) : t =
 
 let at v p = match v with
   | Uni x -> x
-  | Runs segs ->
-    let rec find = function
-      | (l, u, s) :: rest -> if p <= u then (assert (p >= l); seg_at s p) else find rest
-      | [] -> Diag.internal ~pass:"verify" "Absdom.at: pid out of range"
-    in
-    find segs
+  | Runs segs -> Lanes.at ~const:pint segs p
 
 let to_dense ~n v = Array.init n (at v)
 
@@ -249,67 +230,15 @@ let int_pids ~n v =
 
 (* Common refinement of two covers: chunks on which both operands are a
    single segment. *)
-let align ~n a b =
-  let rec go sa sb acc =
-    match (sa, sb) with
-    | [], [] -> List.rev acc
-    | (l1, u1, s1) :: ra, (l2, u2, s2) :: rb ->
-      assert (l1 = l2);
-      let u = min u1 u2 in
-      let acc = (l1, u, s1, s2) :: acc in
-      let ra = if u1 > u then (u + 1, u1, s1) :: ra else ra in
-      let rb = if u2 > u then (u + 1, u2, s2) :: rb else rb in
-      go ra rb acc
-    | _ -> Diag.internal ~pass:"verify" "lane covers misaligned in refinement"
-  in
-  go (segs_of ~n a) (segs_of ~n b) []
+let align ~n a b = Lanes.align (segs_of ~n a) (segs_of ~n b)
 
 (* Common refinement of any number of covers, as (lo, hi, one segment
    per operand in order).  Used by the emitter to chunk message
    endpoints and section bounds together. *)
-let align_many ~n (vs : t list) : (int * int * seg list) list =
-  let all = List.map (segs_of ~n) vs in
-  let rec go covers acc =
-    match covers with
-    | [] :: _ -> List.rev acc
-    | _ ->
-      let l =
-        match List.hd covers with
-        | (l, _, _) :: _ -> l
-        | [] -> Diag.internal ~pass:"verify" "empty cover in refinement"
-      in
-      let u =
-        List.fold_left
-          (fun u c -> match c with (_, u1, _) :: _ -> min u u1 | [] -> u)
-          max_int covers
-      in
-      let here =
-        List.map
-          (fun c ->
-            match c with
-            | (_, _, s) :: _ -> s
-            | [] -> Diag.internal ~pass:"verify" "empty cover in refinement")
-          covers
-      in
-      let rest =
-        List.map
-          (fun c ->
-            match c with
-            | (_, u1, s) :: r -> if u1 > u then (u + 1, u1, s) :: r else r
-            | [] -> Diag.internal ~pass:"verify" "empty cover in refinement")
-          covers
-      in
-      go rest ((l, u, here) :: acc)
-  in
-  match vs with [] -> [] | _ -> go all []
+let align_many ~n (vs : t list) = Lanes.align_many (List.map (segs_of ~n) vs)
 
 (* Segments of [v] clipped to [lo, hi]. *)
-let restrict ~n v (lo, hi) =
-  List.filter_map
-    (fun (l, u, s) ->
-      let l = max l lo and u = min u hi in
-      if l > u then None else Some (l, u, s))
-    (segs_of ~n v)
+let restrict ~n v (lo, hi) = Lanes.restrict (segs_of ~n v) (lo, hi)
 
 (* tab$-style lookup: lane p of the result is lane p of [vs.(i)] when
    [sel]'s lane p is [Pint i] in range, else Punk.  Mirrors the dense
@@ -335,7 +264,7 @@ let select ~n sel (vs : t array) : t =
 
 (* --- affine machinery -------------------------------------------------- *)
 
-let fdiv = Replay.fdiv
+let fdiv = Lanes.fdiv
 
 (* The pids where a*p + b REL 0, as a half-line; requires a <> 0. *)
 let rec rel_halfline a b rel =

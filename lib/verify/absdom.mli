@@ -38,10 +38,13 @@ open Fd_support
 (** A single lane's value: known scalar or unknown. *)
 type pv = Pint of int | Preal of float | Pbool of bool | Punk
 
-(** One run of lanes: a constant, or [a*pid + b] per lane. *)
-type seg = Sconst of pv | Saff of { a : int; b : int }
+(** One run of lanes ({!Fd_support.Lanes}): a constant, or [a*pid + b]
+    per lane. *)
+type 'c lane_seg = 'c Lanes.seg = Sconst of 'c | Saff of { a : int; b : int }
 
-type t = Uni of pv | Runs of (int * int * seg) list
+type seg = pv lane_seg
+
+type t = Uni of pv | Runs of pv Lanes.t
 
 val lift : (Fd_frontend.Value.t list -> Fd_frontend.Value.t) -> pv list -> pv
 (** A {!Fd_frontend.Value} operation on known lanes: [Punk] if an
