@@ -77,7 +77,7 @@ let trace_arg =
   Arg.(value & flag
        & info [ "trace" ]
            ~doc:"Print the event timeline: compiler pass spans, then the \
-                 simulator's messages, collectives and faults")
+                 simulator's messages and collectives")
 
 let no_agg_arg =
   Arg.(value & flag & info [ "no-aggregation" ] ~doc:"Disable message aggregation")
@@ -186,36 +186,6 @@ let spmd_cmd =
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit machine-readable JSON")
 
-(* --- fault-injection flags (fdc run / fdc oracle) ----------------------- *)
-
-let fault_seed_arg =
-  Arg.(value & opt (some int) None
-       & info [ "fault-seed" ] ~docv:"SEED"
-           ~doc:"Enable deterministic fault injection with this seed")
-
-let drop_arg =
-  Arg.(value & opt float 0.0
-       & info [ "drop" ] ~docv:"P" ~doc:"Per-transmission drop probability")
-
-let dup_arg =
-  Arg.(value & opt float 0.0
-       & info [ "dup" ] ~docv:"P" ~doc:"Per-message duplication probability")
-
-let delay_arg =
-  Arg.(value & opt float 0.0
-       & info [ "delay" ] ~docv:"US"
-           ~doc:"Max extra delivery jitter in microseconds")
-
-(* A fault plan if any knob was turned; intensities without a seed use
-   seed 1 so `--drop 0.1` alone works. *)
-let faults_of ?(seed = None) ~drop ~dup ~delay () =
-  if seed = None && drop = 0.0 && dup = 0.0 && delay = 0.0 then None
-  else
-    Some
-      (Fd_machine.Fault.make
-         ~seed:(Option.value ~default:1 seed)
-         ~drop ~dup ~delay:(delay *. 1e-6) ())
-
 (* Serialize a structured trace as Chrome trace_event JSON. *)
 let write_chrome_trace ~nprocs tr path =
   let oc = open_out path in
@@ -234,7 +204,7 @@ let trace_out_arg =
 
 let run_cmd =
   let run file nprocs strategy remap no_coll trace no_agg
-      json trace_out fault_seed drop dup delay bsteps bevents bwall strict =
+      json trace_out bsteps bevents bwall strict =
     wrap_code ~strict ~json (fun sink ->
         let opts = opts_of ~no_agg nprocs strategy remap no_coll in
         let tr =
@@ -242,9 +212,7 @@ let run_cmd =
           else None
         in
         let machine =
-          Fd_machine.Config.make ~nprocs
-            ?faults:(faults_of ~seed:fault_seed ~drop ~dup ~delay ())
-            ?trace:tr ()
+          Fd_machine.Config.make ~nprocs ?trace:tr ()
         in
         let r =
           Fd_core.Driver.run_source ~sink ~opts ~machine ?tracer:tr
@@ -312,8 +280,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Compile, simulate and verify")
     Term.(const run $ file_arg $ nprocs_arg $ strategy_arg $ remap_arg
           $ collectives_arg $ trace_arg $ no_agg_arg $ json_arg $ trace_out_arg
-          $ fault_seed_arg $ drop_arg $ dup_arg $ delay_arg $ budget_steps_arg
-          $ budget_events_arg $ budget_wall_arg $ strict_arg)
+          $ budget_steps_arg $ budget_events_arg $ budget_wall_arg $ strict_arg)
 
 (* --- fdc trace: ensemble tracing & metrics ------------------------------ *)
 
@@ -396,83 +363,6 @@ let trace_cmd =
     Term.(const run $ file_arg $ nprocs_arg $ strategy_arg $ remap_arg
           $ collectives_arg $ cap_arg $ out_arg $ matrix_arg $ summary_arg
           $ skeleton_arg $ metrics_arg $ strict_arg)
-
-(* --- fdc oracle: the differential fault oracle -------------------------- *)
-
-(* Every program must produce final arrays and PRINT output identical to
-   the sequential reference under an adversarial network, and the same
-   seed must reproduce identical statistics. *)
-let oracle_cmd =
-  let intensities =
-    [ ("low", Fd_machine.Fault.make ~seed:0 ~drop:0.05 ~dup:0.05 ~delay:200e-6 ());
-      ("high", Fd_machine.Fault.make ~seed:0 ~drop:0.3 ~dup:0.2 ~delay:1e-3 ()) ]
-  in
-  let run files nprocs seeds =
-    wrap_code (fun sink ->
-        let failures = ref 0 in
-        let opts = { Fd_core.Options.default with Fd_core.Options.nprocs } in
-        List.iter
-          (fun file ->
-            let src = read_file file in
-            let cp = Fd_core.Driver.check_source ~file src in
-            List.iter
-              (fun seed ->
-                List.iter
-                  (fun (level, plan) ->
-                    let faults = { plan with Fd_machine.Fault.seed } in
-                    let machine = Fd_machine.Config.make ~nprocs ~faults () in
-                    let outcome =
-                      match Fd_core.Driver.run ~sink ~opts ~machine cp with
-                      | r ->
-                        let j1 = Fd_machine.Stats.to_json r.Fd_core.Driver.stats in
-                        let r2 = Fd_core.Driver.run ~sink ~opts ~machine cp in
-                        let j2 = Fd_machine.Stats.to_json r2.Fd_core.Driver.stats in
-                        if not (Fd_core.Driver.verified r) then
-                          Error
-                            (Fmt.str "MISMATCH (%d array diffs)"
-                               (List.length r.Fd_core.Driver.mismatches))
-                        else if not (Fd_support.Json.equal j1 j2) then
-                          Error "NONDETERMINISTIC (stats differ across reruns)"
-                        else
-                          Ok
-                            (Fmt.str
-                               "ok  %4d faults %4d retransmits %4d dups dropped"
-                               r.Fd_core.Driver.stats.Fd_machine.Stats.faults_injected
-                               r.Fd_core.Driver.stats.Fd_machine.Stats.retransmits
-                               r.Fd_core.Driver.stats
-                                 .Fd_machine.Stats.duplicates_dropped)
-                      | exception Fd_machine.Scheduler.Sim_error e ->
-                        Error (Fd_machine.Scheduler.error_to_string e)
-                    in
-                    match outcome with
-                    | Ok line ->
-                      Fmt.pr "%-24s seed %-3d %-4s %s@." (Filename.basename file)
-                        seed level line
-                    | Error msg ->
-                      incr failures;
-                      Fmt.pr "%-24s seed %-3d %-4s FAIL: %s@."
-                        (Filename.basename file) seed level msg)
-                  intensities)
-              seeds)
-          files;
-        Fmt.pr "oracle: %d programs x %d seeds x %d intensities, %d failures@."
-          (List.length files) (List.length seeds) (List.length intensities)
-          !failures;
-        if !failures > 0 then 1 else 0)
-  in
-  let files_arg =
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE")
-  in
-  let seeds_arg =
-    Arg.(value & opt (list int) [ 11; 42 ]
-         & info [ "seeds" ] ~docv:"S1,S2" ~doc:"Fault seeds to test")
-  in
-  Cmd.v
-    (Cmd.info "oracle"
-       ~doc:"Differential fault oracle: simulate each program under injected \
-             drop/dup/delay faults and verify results against sequential \
-             execution and seed-reproducibility of statistics")
-    Term.(const run $ files_arg $ nprocs_arg $ seeds_arg)
 
 (* --- fdc check: the static SPMD communication verifier ------------------ *)
 
@@ -839,4 +729,4 @@ let () =
        (Cmd.group (Cmd.info "fdc" ~doc)
           [ ast_cmd; acg_cmd; spmd_cmd; run_cmd; trace_cmd; check_cmd; cost_cmd;
             passes_cmd; exports_cmd; overlap_cmd; recompile_cmd; seq_cmd;
-            partition_cmd; fuzz_cmd; oracle_cmd ]))
+            partition_cmd; fuzz_cmd ]))

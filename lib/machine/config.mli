@@ -11,10 +11,6 @@ type t = {
   flop : float;         (** per arithmetic-operation cost *)
   mem_op : float;       (** per load/store cost *)
   word_bytes : int;     (** bytes per REAL/INTEGER element *)
-  faults : Fault.t option;
-      (** deterministic adversarial-network plan (drop / duplicate /
-          delay / slowdown); [None] models the perfectly reliable iPSC
-          network and is byte-identical to the pre-fault simulator *)
   trace : Fd_trace.Trace.t option;
       (** structured event sink ({!Fd_trace.Trace}); [None] disables
           tracing at zero cost (producers emit through one option match) *)
@@ -23,13 +19,8 @@ type t = {
 val ipsc860 : ?nprocs:int -> unit -> t
 
 val make :
-  ?flop:float -> ?mem_op:float -> ?faults:Fault.t ->
-  ?trace:Fd_trace.Trace.t -> nprocs:int -> unit -> t
+  ?flop:float -> ?mem_op:float -> ?trace:Fd_trace.Trace.t -> nprocs:int -> unit -> t
 (** {!ipsc860} with the given overrides. *)
-
-val slowdown : t -> int -> float
-(** Processor [p]'s compute-time multiplier under the fault plan (1 on a
-    reliable machine). *)
 
 val message_cost : t -> int -> float
 (** [alpha + beta * bytes]. *)

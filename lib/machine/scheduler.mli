@@ -8,15 +8,8 @@
     Collectives synchronize all P processors at a site.  Scheduling is
     deterministic.
 
-    Resilient protocol: the network layer stamps every message with a
-    monotone per-(src, dest, tag) sequence number.  Under a {!Fault}
-    plan, dropped transmissions are recovered by an ack/retransmit loop
-    with virtual-time timeouts and exponential backoff (the latency is
-    charged to the arrival time), duplicates are deduped on the sequence
-    number, and receivers reassemble in seq order.  A message still
-    undeliverable after [max_retries] retransmissions terminates the run
-    with a structured {!Deadlock} carrying the wait-for graph — never an
-    infinite loop. *)
+    The network is the iPSC/860's: reliable and in order, one FIFO
+    queue per (src, dest, tag) channel. *)
 
 open Fd_support
 
@@ -29,22 +22,15 @@ type blocked_on =
 type waiter = { w_proc : int; w_on : blocked_on; w_clock : float }
 (** One blocked processor: what it waits on and its virtual time. *)
 
-type lost_msg = { l_src : int; l_dest : int; l_tag : int; l_seq : int;
-                  l_attempts : int }
-(** A message declared undeliverable after exhausting retransmissions. *)
-
 type wait_for = {
   waiting : waiter list;   (** every blocked processor, sorted by id *)
   cycle : int list;        (** processors forming a wait cycle, if any *)
-  lost : lost_msg list;    (** permanently lost messages, in send order *)
 }
 
 type error =
   | Deadlock of wait_for
       (** blocked processors at quiescence, including mismatched
-          collective sites and receives starved by lost messages *)
-  | Watchdog of { proc : int; clock : float; limit : float }
-      (** a processor exceeded the fault plan's virtual-time limit *)
+          collective sites *)
   | Invalid_read of { proc : int; array : string; index : int array;
                       clock : float }
       (** strict-validity violation: a read of a non-owned,
@@ -57,9 +43,8 @@ val error_to_string : error -> string
 
 val run : Config.t -> Node.program -> Stats.t * Interp.frame array
 (** Simulate to completion.
-    @raise Sim_error on deadlock (including mismatched collective sites
-    and unrecoverable message loss), watchdog expiry, or runtime faults
-    (including strict-validity violations). *)
+    @raise Sim_error on deadlock (including mismatched collective
+    sites) or runtime faults (including strict-validity violations). *)
 
 type partial = {
   p_stats : Stats.t;  (** statistics accumulated so far *)

@@ -13,12 +13,6 @@ type t = {
   mutable mem_ops : int;
   mutable storage_bytes : int;   (* bytes of the pages processors materialized *)
   mutable max_wait : float;      (* longest single receive wait, seconds *)
-  mutable faults_injected : int; (* fault events the plan applied *)
-  mutable retransmits : int;     (* recovery retransmissions performed *)
-  mutable duplicates_dropped : int;  (* copies deduped on sequence number *)
-  mutable messages_lost : int;   (* messages lost after max retries *)
-  mutable fault_delay : float;   (* total added arrival latency, seconds *)
-  mutable watchdog_fired : bool; (* virtual-time watchdog aborted the run *)
   clocks : float array;          (* per-processor virtual time, seconds *)
   busy : float array;            (* per-processor compute time *)
   mutable outputs : (int * string) list;  (* (proc, line), reversed *)
@@ -27,10 +21,8 @@ type t = {
 let create nprocs =
   { nprocs; messages = 0; message_bytes = 0; bcasts = 0; bcast_bytes = 0;
     remaps = 0; remap_marks = 0; remap_bytes = 0; flops = 0; mem_ops = 0;
-    storage_bytes = 0; max_wait = 0.0; faults_injected = 0; retransmits = 0;
-    duplicates_dropped = 0; messages_lost = 0; fault_delay = 0.0; watchdog_fired = false;
-    clocks = Array.make nprocs 0.0; busy = Array.make nprocs 0.0;
-    outputs = [] }
+    storage_bytes = 0; max_wait = 0.0; clocks = Array.make nprocs 0.0;
+    busy = Array.make nprocs 0.0; outputs = [] }
 
 let elapsed t = Array.fold_left max 0.0 t.clocks
 
@@ -58,12 +50,6 @@ let to_json t : Fd_support.Json.t =
       ("elapsed", Float (elapsed t));
       ("total_busy", Float (total_busy t));
       ("max_wait", Float t.max_wait);
-      ("faults_injected", Int t.faults_injected);
-      ("retransmits", Int t.retransmits);
-      ("duplicates_dropped", Int t.duplicates_dropped);
-      ("messages_lost", Int t.messages_lost);
-      ("fault_delay", Float t.fault_delay);
-      ("watchdog_fired", Int (if t.watchdog_fired then 1 else 0));
       ("comm_ops", Int (comm_ops t));
       ("clocks", farr t.clocks);
       ("busy", farr t.busy);
@@ -89,30 +75,13 @@ let to_metrics t : Fd_trace.Metrics.t =
   c "mem_ops" t.mem_ops;
   c "storage_bytes" t.storage_bytes;
   c "comm_ops" (comm_ops t);
-  c "faults_injected" t.faults_injected;
-  c "retransmits" t.retransmits;
-  c "duplicates_dropped" t.duplicates_dropped;
-  c "messages_lost" t.messages_lost;
-  c "watchdog_fired" (if t.watchdog_fired then 1 else 0);
   g "elapsed_seconds" (elapsed t);
   g "busy_seconds" (total_busy t);
   g "max_wait_seconds" t.max_wait;
-  g "fault_delay_seconds" t.fault_delay;
   m
 
 let pp ppf t =
   Fmt.pf ppf
-    "@[<v>elapsed %.3f ms on %d procs@ messages: %d (%d bytes), broadcasts: %d (%d bytes)@ remaps: %d physical (%d bytes) + %d mark-only@ flops: %d, memory ops: %d@ storage: %d bytes in materialized pages"
+    "@[<v>elapsed %.3f ms on %d procs@ messages: %d (%d bytes), broadcasts: %d (%d bytes)@ remaps: %d physical (%d bytes) + %d mark-only@ flops: %d, memory ops: %d@ storage: %d bytes in materialized pages@]"
     (elapsed t *. 1e3) t.nprocs t.messages t.message_bytes t.bcasts t.bcast_bytes
-    t.remaps t.remap_bytes t.remap_marks t.flops t.mem_ops t.storage_bytes;
-  (* printed only under an active fault plan, so fault-free output is
-     byte-identical to the reliable-network simulator's *)
-  if
-    t.faults_injected > 0 || t.retransmits > 0 || t.duplicates_dropped > 0
-    || t.messages_lost > 0 || t.watchdog_fired
-  then
-    Fmt.pf ppf
-      "@ faults: %d injected, %d retransmits, %d duplicates dropped, %d lost, +%.1f us delay"
-      t.faults_injected t.retransmits t.duplicates_dropped t.messages_lost
-      (t.fault_delay *. 1e6);
-  Fmt.pf ppf "@]"
+    t.remaps t.remap_bytes t.remap_marks t.flops t.mem_ops t.storage_bytes

@@ -16,19 +16,6 @@ type t = {
           materialized, summed over processors *)
   mutable max_wait : float;
       (** longest single receive wait (seconds), over all processors *)
-  mutable faults_injected : int;
-      (** fault events applied by the {!Fault} plan (drops, duplicates,
-          jitter, reorders); 0 on a reliable network *)
-  mutable retransmits : int;
-      (** recovery retransmissions performed by the ack/retransmit layer *)
-  mutable duplicates_dropped : int;
-      (** duplicate copies discarded by sequence-number dedup *)
-  mutable messages_lost : int;
-      (** messages undeliverable after [max_retries] retransmissions *)
-  mutable fault_delay : float;
-      (** total extra arrival latency injected (timeouts + jitter), s *)
-  mutable watchdog_fired : bool;
-      (** the virtual-time watchdog aborted the run *)
   clocks : float array;          (** per-processor virtual time, seconds *)
   busy : float array;            (** per-processor compute time *)
   mutable outputs : (int * string) list;  (** (proc, line), reversed *)

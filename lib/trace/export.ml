@@ -71,13 +71,6 @@ let chrome_event (e : Trace.ev) : Json.t option =
     Some
       (instant ~name:"wake" ~cat:"sched" ~tid:e.Trace.proc ~ts:(us e.Trace.at)
          [ ("by", Json.Int e.Trace.peer); ("tag", Json.Int e.Trace.tag) ])
-  | Trace.Retransmit | Trace.Dedup | Trace.Delay | Trace.Lost ->
-    Some
-      (instant
-         ~name:(Trace.kind_name e.Trace.kind)
-         ~cat:"fault" ~tid:e.Trace.proc ~ts:(us e.Trace.at)
-         [ ("peer", Json.Int e.Trace.peer); ("tag", Json.Int e.Trace.tag);
-           ("seq", Json.Int e.Trace.seq) ])
   | Trace.Coll_enter ->
     Some
       (complete
@@ -240,7 +233,7 @@ let pp_summary ppf (rows : proc_summary list) =
 
 (* Communication-shaped events only, timestamps and payload sizes
    stripped: the stable fingerprint of where messages happen.  Scheduler
-   bookkeeping (block/wake), fault recovery and guard skips are excluded
+   bookkeeping (block/wake) and guard skips are excluded
    so goldens stay readable and survive cost-model changes. *)
 let skeleton (t : Trace.t) : string list =
   let out = ref [] in

@@ -19,10 +19,6 @@ type kind =
   | Recv        (* proc=receiver, peer=src, tag; dur = blocked wait *)
   | Block       (* proc parks on (peer, tag); at = park time *)
   | Wake        (* a parked proc is released by an arrival *)
-  | Retransmit  (* recovery retransmission on (proc=src -> peer) *)
-  | Dedup       (* duplicate copy dropped at proc=receiver *)
-  | Delay       (* injected delivery jitter on (proc=src -> peer) *)
-  | Lost        (* message declared undeliverable *)
   | Coll_enter  (* proc arrives at collective site=tag; dur = wait to release *)
   | Coll_exit   (* proc released from collective site=tag; bytes = payload share *)
   | Guard_skip  (* an owner guard evaluated false on proc; body skipped *)
@@ -34,10 +30,6 @@ let kind_name = function
   | Recv -> "recv"
   | Block -> "block"
   | Wake -> "wake"
-  | Retransmit -> "retransmit"
-  | Dedup -> "dedup"
-  | Delay -> "delay"
-  | Lost -> "lost"
   | Coll_enter -> "coll-enter"
   | Coll_exit -> "coll-exit"
   | Guard_skip -> "guard-skip"
@@ -128,18 +120,6 @@ let pp_ev ppf e =
   | Block ->
     Fmt.pf ppf "%10.1f us  block       p%d on p%d tag %d" us e.proc e.peer e.tag
   | Wake -> Fmt.pf ppf "%10.1f us  wake        p%d by p%d tag %d" us e.proc e.peer e.tag
-  | Retransmit ->
-    Fmt.pf ppf "%10.1f us  retransmit  p%d -> p%d  tag %d seq %d" us e.proc e.peer
-      e.tag e.seq
-  | Dedup ->
-    Fmt.pf ppf "%10.1f us  dedup       p%d <- p%d  tag %d seq %d" us e.proc e.peer
-      e.tag e.seq
-  | Delay ->
-    Fmt.pf ppf "%10.1f us  delay       p%d -> p%d  tag %d seq %d" us e.proc e.peer
-      e.tag e.seq
-  | Lost ->
-    Fmt.pf ppf "%10.1f us  lost        p%d -> p%d  tag %d seq %d" us e.proc e.peer
-      e.tag e.seq
   | Coll_enter ->
     Fmt.pf ppf "%10.1f us  coll-enter  p%d site %d (%s)  waits %.1f us" us e.proc
       e.tag e.label (e.dur *. 1e6)

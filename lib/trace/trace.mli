@@ -13,10 +13,6 @@ type kind =
   | Recv        (** proc=receiver, peer=src, tag; [dur] = blocked wait *)
   | Block       (** proc parks on (peer, tag) *)
   | Wake        (** a parked proc is released by an arrival *)
-  | Retransmit  (** recovery retransmission on (proc=src -> peer) *)
-  | Dedup       (** duplicate copy dropped at proc=receiver *)
-  | Delay       (** injected delivery jitter on (proc=src -> peer) *)
-  | Lost        (** message declared undeliverable *)
   | Coll_enter  (** proc arrives at collective site=[tag]; [dur] = wait *)
   | Coll_exit   (** proc released from site=[tag]; [bytes] = payload share *)
   | Guard_skip  (** an owner guard evaluated false; body skipped *)

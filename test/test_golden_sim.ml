@@ -69,14 +69,11 @@ let render_cell b ~example ~sname ~strategy ~nprocs src =
   Printf.bprintf b "%s %s P=%d\n" example sname nprocs;
   Printf.bprintf b
     "  messages=%d message_bytes=%d bcasts=%d bcast_bytes=%d remaps=%d \
-     remap_marks=%d remap_bytes=%d flops=%d mem_ops=%d faults=%d \
-     retransmits=%d duplicates=%d lost=%d watchdog=%b\n"
+     remap_marks=%d remap_bytes=%d flops=%d mem_ops=%d\n"
     st.Stats.messages st.Stats.message_bytes st.Stats.bcasts st.Stats.bcast_bytes
     st.Stats.remaps st.Stats.remap_marks st.Stats.remap_bytes st.Stats.flops
-    st.Stats.mem_ops st.Stats.faults_injected st.Stats.retransmits
-    st.Stats.duplicates_dropped st.Stats.messages_lost st.Stats.watchdog_fired;
-  Printf.bprintf b "  makespan=%h max_wait=%h fault_delay=%h\n" (Stats.elapsed st)
-    st.Stats.max_wait st.Stats.fault_delay;
+    st.Stats.mem_ops;
+  Printf.bprintf b "  makespan=%h max_wait=%h\n" (Stats.elapsed st) st.Stats.max_wait;
   Printf.bprintf b "  clocks %s\n" (hexs st.Stats.clocks);
   Printf.bprintf b "  busy %s\n" (hexs st.Stats.busy);
   List.iter (Printf.bprintf b "  print %s\n") (Stats.outputs st);

@@ -230,8 +230,25 @@ let test_cli_exit_codes () =
   Out_channel.with_open_bin arity (fun oc -> output_string oc arity_source);
   check Alcotest.int "run on an arity mismatch -> 2" 2 (run_fdc ("run " ^ arity));
   Sys.remove arity;
+  (* the network is reliable and compiled programs receive what they
+     read, so no committed source fails in the simulator: a node program
+     that deadlocks goes through the classification [fdc] exits by *)
+  let module Ast = Fd_frontend.Ast in
+  let recv src = Node.N_recv { src = Ast.Int_const src; tag = 1; loc = Loc.none } in
+  let deadlock =
+    { Node.n_main = "m"; n_nprocs = 2; n_common_arrays = []; n_common_scalars = [];
+      n_procs =
+        [ { Node.np_name = "m"; np_formals = []; np_arrays = []; np_scalars = [];
+            np_body =
+              [ Node.N_if
+                  { cond = Ast.Bin (Ast.Eq, Ast.Funcall ("myproc", []), Ast.Int_const 0);
+                    then_ = [ recv 1 ]; else_ = [ recv 0 ]; loc = Loc.none } ] } ] }
+  in
   check Alcotest.int "simulation failure -> 3" 3
-    (run_fdc ("run --drop 1.0 " ^ ex "fig1.fd"));
+    (Totality.code
+       (Totality.protect (fun () ->
+            ignore (Scheduler.run (Config.ipsc860 ~nprocs:2 ()) deadlock);
+            0)));
   check Alcotest.int "budgeted run stays 0 (partial, not abort)" 0
     (run_fdc ("run --budget-steps 50 " ^ ex "jacobi1d.fd"));
   check Alcotest.int "fuzz clean campaign -> 0" 0
