@@ -47,21 +47,29 @@ let intrinsic sc name args : Eval.typed option =
   | "owner$", Ast.Var arr :: subs ->
     (* run-time resolution: owner of an element under the array's current
        layout; replicated arrays are owned locally.  Only the distributed
-       dimension's subscript is evaluated, bounds-checked as a read is. *)
+       dimension's subscript is evaluated, bounds-checked as a read is,
+       and its owner is [Layout.owner_of]'s arithmetic, inline. *)
     let obj = Eval.array_obj sc arr and subs = Array.of_list (List.map (Eval.int_expr sc) subs) in
     Some
       (Eval.Int
          (fun env ->
            let o = obj env in
-           match o.Storage.layout.Layout.dist_dim with
+           let layout = o.Storage.layout in
+           match layout.Layout.dist_dim with
            | None -> env.Eval.proc
            | Some d ->
              if d >= Array.length subs then
                Diag.error "array %s: rank %d referenced with %d subscripts" arr (Storage.rank o)
                  (Array.length subs);
              let x = subs.(d) env in
-             Storage.check_subscript o d x;
-             Layout.owner_of o.Storage.layout ~nprocs:env.Eval.nprocs x))
+             let lo, hi = o.Storage.bounds.(d) in
+             if x < lo || x > hi then Storage.check_subscript o d x;
+             let nprocs = env.Eval.nprocs in
+             (match layout.Layout.dist with
+             | Layout.Block b -> let q = (x - lo) / b in if q < nprocs then q else nprocs - 1
+             | Layout.Cyclic -> (x - lo) mod nprocs
+             | Layout.Block_cyclic b -> (x - lo) / b mod nprocs
+             | Layout.Replicated -> 0)))
   | _ -> None
 
 (* --- Sections ------------------------------------------------------------- *)

@@ -67,17 +67,3 @@ let to_string t =
   let b = Buffer.create 256 in
   write b t;
   Buffer.contents b
-
-let rec equal a b =
-  match (a, b) with
-  | Null, Null -> true
-  | Bool x, Bool y -> x = y
-  | Int x, Int y -> x = y
-  | Float x, Float y -> Float.equal x y  (* NaN-safe, unlike (=) intent *)
-  | Str x, Str y -> String.equal x y
-  | List xs, List ys ->
-    List.length xs = List.length ys && List.for_all2 equal xs ys
-  | Obj xs, Obj ys ->
-    List.length xs = List.length ys
-    && List.for_all2 (fun (k, v) (k', v') -> String.equal k k' && equal v v') xs ys
-  | _ -> false
