@@ -94,6 +94,14 @@ let relation op a b =
 
 (* --- The arithmetic intrinsics -------------------------------------------- *)
 
+(* A scalar store keeps the cell's type: an INTEGER or REAL cell
+   converts the stored value, a LOGICAL one takes it as it is. *)
+let stored ~into v =
+  match (into, v) with
+  | Vint _, Vint _ | Vreal _, Vreal _ | Vbool _, _ -> v
+  | Vint _, _ -> Vint (to_int v)
+  | Vreal _, _ -> Vreal (to_float v)
+
 let integer v = Vint (to_int v)
 let real v = Vreal (to_float v)
 

@@ -44,6 +44,11 @@ val test : Ast.binop -> int -> bool
 val relation : Ast.binop -> t -> t -> bool
 (** A relational operator; [.eq.] and [.ne.] also compare logicals. *)
 
+val stored : into:t -> t -> t
+(** [stored ~into v]: what a scalar cell holding [into] holds once [v]
+    is stored in it.  An INTEGER or REAL cell converts [v] to its type; a
+    LOGICAL one takes [v] as it is. *)
+
 (* The arithmetic intrinsics, which {!Intrinsic} lists. *)
 
 val integer : t -> t

@@ -363,14 +363,8 @@ let block stmts : env -> unit =
         (Array.unsafe_get stmts i) env
       done
 
-(* A scalar store keeps the cell's type: an INTEGER or REAL cell
-   converts, a LOGICAL one takes the value as it is. *)
-let store c v =
-  c :=
-    match (!c, v) with
-    | Value.Vint _, Value.Vint _ | Value.Vreal _, Value.Vreal _ | Value.Vbool _, _ -> v
-    | Value.Vint _, _ -> Value.Vint (Value.to_int v)
-    | Value.Vreal _, _ -> Value.Vreal (Value.to_float v)
+(* A scalar store keeps the cell's type ({!Value.stored}). *)
+let store c v = c := Value.stored ~into:!c v
 
 (* The right-hand side is evaluated first, then the target's
    subscripts; an array store converts to the element type. *)

@@ -122,6 +122,11 @@ val app_pv : n:int -> (pv list -> pv) -> t list -> t
 (** Lattice join ([pv_join] pointwise). *)
 val join : n:int -> t -> t -> t
 
+(** [store ~n ~into v]: the lanes of a scalar cell holding [into] once
+    [v] is stored in it, each as {!Fd_frontend.Value.stored} converts; a
+    lane where [into] is unknown keeps [v]'s. *)
+val store : n:int -> into:t -> t -> t
+
 (** Masked update: lanes in [act] take the new value, others keep the
     old one. *)
 val blend : n:int -> act:Iset.t -> t -> t -> t

@@ -185,6 +185,42 @@ let test_app1 =
              opname p n (pp_pv dr.(p)) (pp_pv want) [@warning "-20"]))
         (Array.init n Fun.id))
 
+(* A store into a cell converts each lane as Value.stored does; a lane
+   whose cell is unknown keeps the stored lane. *)
+let test_store =
+  prop ~count:1000 "store == pointwise Value.stored"
+    pair_gen
+    (fun (n, into, v) ->
+      let r = Absdom.store ~n ~into v in
+      well_formed ~n r
+      &&
+      let value = function
+        | Absdom.Pint i -> Value.Vint i
+        | Absdom.Preal x -> Value.Vreal x
+        | Absdom.Pbool b -> Value.Vbool b
+        | Absdom.Punk -> invalid_arg "value"
+      in
+      let want c x =
+        match (c, x) with
+        | Absdom.Punk, _ -> x
+        | _, Absdom.Punk -> Absdom.Punk
+        | _ -> (
+          match Value.stored ~into:(value c) (value x) with
+          | Value.Vint i -> Absdom.Pint i
+          | Value.Vreal f -> Absdom.Preal f
+          | Value.Vbool b -> Absdom.Pbool b
+          | exception Fd_support.Diag.Compile_error _ -> Absdom.Punk)
+      in
+      let di = Absdom.to_dense ~n into and dv = Absdom.to_dense ~n v in
+      let dr = Absdom.to_dense ~n r in
+      Array.for_all
+        (fun p ->
+          let w = want di.(p) dv.(p) in
+          pv_eq dr.(p) w
+          || (QCheck2.Test.fail_reportf "lane %d/%d: into %s, stored %s: compressed %s, pointwise %s"
+                p n (pp_pv di.(p)) (pp_pv dv.(p)) (pp_pv dr.(p)) (pp_pv w) [@warning "-20"]))
+        (Array.init n Fun.id))
+
 let test_blend =
   prop "blend masks lanes exactly"
     QCheck2.Gen.(
@@ -497,6 +533,7 @@ let suite =
     test_roundtrip;
     test_app2;
     test_app1;
+    test_store;
     test_blend;
     test_select;
     test_truth;

@@ -132,6 +132,36 @@ let test_power_branch () =
   assert_counters ~what c stats;
   assert_makespan ~what c stats ~full_elapsed
 
+(* A REAL stored into an INTEGER scalar: the walk must convert 2.5 to
+   2, as the simulator's store does, to take the branch that moves
+   a(8). *)
+let mix_source =
+  {|program mix
+  real a(16)
+  integer i, k
+  distribute a(block)
+  do i = 1, 16
+    a(i) = float(i)
+  enddo
+  k = 2.5
+  if (k .eq. 2) then
+    a(1) = a(8)
+  endif
+  print *, a(1)
+end
+|}
+
+let test_store_conversion () =
+  let cp = Driver.check_source ~file:"mix.fd" mix_source in
+  List.iter
+    (fun nprocs ->
+      let what = Fmt.str "mix [interproc P=%d]" nprocs in
+      let c, stats, full_elapsed = face_off ~nprocs ~strategy:Options.Interproc cp in
+      check Alcotest.bool (what ^ ": prediction is exact") true c.Cost.exact;
+      assert_counters ~what c stats;
+      assert_makespan ~what c stats ~full_elapsed)
+    [ 1; 3; 4; 16 ]
+
 (* The per-processor piecewise forms must agree with the simulator's
    per-processor view: summing the pieces reproduces the totals, and
    evaluating them at each pid is nonnegative. *)
@@ -331,6 +361,7 @@ let suite =
       test_per_proc_pieces;
     Alcotest.test_case "a branch on 3**35: counters and makespan" `Quick
       test_power_branch;
+    Alcotest.test_case "an INTEGER store converts a REAL" `Quick test_store_conversion;
     Alcotest.test_case "unvectorized-send warning" `Quick
       test_unvectorized_warning;
     Alcotest.test_case "profile-free degradation" `Quick
