@@ -34,6 +34,14 @@ let each_receiver ~nprocs h n f a b =
 let tally tbl key c =
   Hashtbl.replace tbl key (c + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
+(* Partner pairs by their key [q * nprocs + r], which spreads the keys
+   over the buckets by itself. *)
+module Pairs = Hashtbl.Make (struct
+  type t = int
+  let equal (a : int) b = a = b
+  let hash (k : int) = k land max_int
+end)
+
 let plan_remap ~nprocs ~word_bytes ~(objs : Storage.array_obj option array)
     ~(obj0 : Storage.array_obj) ~(new_layout : Layout.t) ~(move : bool) :
     remap_summary =
@@ -51,14 +59,14 @@ let plan_remap ~nprocs ~word_bytes ~(objs : Storage.array_obj option array)
   in
   let sent = Array.make nprocs 0 and received = Array.make nprocs 0 in
   (* bytes per partner pair, keyed [q * nprocs + r] *)
-  let partners = Hashtbl.create 16 in
+  let partners = Pairs.create 16 in
   let bump q bytes r =
     sent.(q) <- sent.(q) + bytes;
     received.(r) <- received.(r) + bytes;
     let k = (q * nprocs) + r in
-    match Hashtbl.find partners k with
+    match Pairs.find partners k with
     | b -> b := !b + bytes
-    | exception Not_found -> Hashtbl.add partners k (ref bytes)
+    | exception Not_found -> Pairs.add partners k (ref bytes)
   in
   if move && obj0.Storage.size > 0 then begin
     (* per coordinate of each layout's distributed dimension (dimension 0
@@ -81,8 +89,17 @@ let plan_remap ~nprocs ~word_bytes ~(objs : Storage.array_obj option array)
     (* the traffic: each coordinate's elements move together *)
     let ext_old = Array.length owner and ext_new = Array.length needs in
     if d_old = d_new then begin
+      (* one partner bump per run of coordinates with one owner and the
+         same holders before and after *)
       let bytes = obj0.Storage.size / ext_old * word_bytes in
-      Array.iteri (fun i q -> each_receiver ~nprocs had.(i) needs.(i) bump q bytes) owner
+      let i = ref 0 in
+      while !i < ext_old do
+        let q = owner.(!i) and h = had.(!i) and n = needs.(!i) in
+        let j = ref (!i + 1) in
+        while !j < ext_old && owner.(!j) = q && had.(!j) = h && needs.(!j) = n do incr j done;
+        each_receiver ~nprocs h n bump q (bytes * (!j - !i));
+        i := !j
+      done
     end
     else begin
       (* the two coordinates vary independently: pair up their classes *)
@@ -127,7 +144,7 @@ let plan_remap ~nprocs ~word_bytes ~(objs : Storage.array_obj option array)
   end;
   let npairs = Array.make nprocs 0 in
   let pairs =
-    Hashtbl.fold
+    Pairs.fold
       (fun k b acc ->
         let q = k / nprocs and r = k mod nprocs in
         npairs.(q) <- npairs.(q) + 1;

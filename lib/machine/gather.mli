@@ -13,8 +13,9 @@ val compare_results :
   Seq_interp.result ->
   Interp.frame array ->
   mismatch list
-(** Empty list = verified; REAL elements agree to a relative 1e-9.  One
-    pass over each array's elements in row-major order, comparing the
-    typed arrays unboxed. *)
+(** Empty list = verified; REAL elements agree to a relative 1e-9.  Each
+    element is compared against its owner's copy, page by page in
+    row-major order, in one typed loop per run of one owner within a
+    page; an untouched page reads zeros. *)
 
 val pp_mismatch : Format.formatter -> mismatch -> unit

@@ -21,6 +21,11 @@ type ownership
 (** Which elements the processor owns, by {!Layout.owned_pattern}
     arithmetic on the distributed dimension. *)
 
+val page_bits : int
+val page_len : int
+(** Pages hold [page_len = 2^page_bits] elements: flat index [i] is at
+    offset [i land (page_len - 1)] of page [i lsr page_bits]. *)
+
 type array_obj = private {
   name : string;
   elt : Ast.dtype;
@@ -62,6 +67,9 @@ val index3 : array_obj -> int -> int -> int -> int
 val check_subscript : array_obj -> int -> int -> unit
 (** [check_subscript obj d x] bounds-checks subscript [x] of 0-based
     dimension [d], with {!flat_index}'s message. *)
+
+val index_of : array_obj -> int -> int array
+(** The subscripts of an in-bounds flat index. *)
 
 val get_raw : array_obj -> int -> Value.t
 

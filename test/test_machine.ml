@@ -637,6 +637,104 @@ let remap_traffic_and_data =
            objs;
          traffic_ok && !data_ok))
 
+(* --- Gather ------------------------------------------------------------------ *)
+
+(* The element-by-element comparison [Gather.compare_results] replaced,
+   kept as its oracle: every element against its owner's copy, read
+   through [Storage.read_*]. *)
+let gather_by_element ~nprocs (seq : Seq_interp.result) (frames : Interp.frame array) =
+  List.concat_map
+    (fun (name, (seq_obj : Storage.array_obj)) ->
+      let copy p =
+        match Hashtbl.find frames.(p) name with
+        | Interp.Barray o -> o
+        | _ -> Alcotest.fail "not an array"
+      in
+      let layout = (copy 0).Storage.layout in
+      let out = ref [] in
+      Storage.iter_elements seq_obj (fun idx flat ->
+          let p = match layout.Layout.dist_dim with None -> 0 | Some d -> Layout.owner_of layout ~nprocs idx.(d) in
+          let sim = copy p in
+          let same =
+            match seq_obj.Storage.elt with
+            | Ast.Real ->
+              let x = Storage.read_float ~strict:false seq_obj flat
+              and y = Storage.read_float ~strict:false sim flat in
+              Float.abs (x -. y) <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs x) (Float.abs y))
+            | Ast.Integer ->
+              Storage.read_int ~strict:false seq_obj flat = Storage.read_int ~strict:false sim flat
+            | Ast.Logical -> Storage.get_raw seq_obj flat = Storage.get_raw sim flat
+          in
+          if not same then
+            out :=
+              { Gather.m_array = name; m_index = Array.copy idx;
+                m_expected = Storage.get_raw seq_obj flat; m_actual = Storage.get_raw sim flat }
+              :: !out);
+      List.rev !out)
+    seq.Seq_interp.arrays
+
+(* Random arrays in which each page is left untouched (reading zeros)
+   or written, on the sequential side and on each owner independently,
+   non-owners holding garbage, and one owned element corrupted: the
+   page-wise comparison reports what the element-wise one does, that
+   one element. *)
+let gather_pagewise =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~print:print_remap_case
+       ~name:"gather: page-wise = element-wise, one corrupted element" remap_case_gen
+       (fun (layout, _, nprocs, elt, seed) ->
+         let st = Random.State.make [| seed |] in
+         let stats = Stats.create nprocs in
+         let seq_obj =
+           Storage.alloc ~stats ~proc:0 ~nprocs:1 "a" elt (Layout.replicated layout.Layout.bounds)
+         in
+         let size = seq_obj.Storage.size in
+         let npages = (size + Storage.page_len - 1) / Storage.page_len in
+         let written = Array.init npages (fun _ -> Random.State.bool st) in
+         let truth =
+           Array.init size (fun flat ->
+               if written.(flat / Storage.page_len) then 1 + Random.State.int st 999 else 0)
+         in
+         (* 0 stands for the zero an untouched page reads *)
+         let value n = if n = 0 then Value.zero_of elt else remap_value elt n in
+         Array.iteri (fun flat n -> if n <> 0 then Storage.write_flat seq_obj flat (value n)) truth;
+         let owner flat =
+           match layout.Layout.dist_dim with
+           | None -> 0
+           | Some d -> Layout.owner_of layout ~nprocs (Storage.index_of seq_obj flat).(d)
+         in
+         let objs = Array.init nprocs (fun p -> Storage.alloc ~stats ~proc:p ~nprocs "a" elt layout) in
+         Array.iteri
+           (fun p obj ->
+             let touched = Array.init npages (fun pg -> written.(pg) || Random.State.bool st) in
+             for flat = 0 to size - 1 do
+               if touched.(flat / Storage.page_len) then
+                 Storage.write_flat obj flat
+                   (if owner flat = p then value truth.(flat)
+                    else remap_value elt ~garbage_of:p truth.(flat))
+             done)
+           objs;
+         let bad = Random.State.int st size in
+         Storage.write_flat objs.(owner bad) bad
+           (match value truth.(bad) with
+           | Value.Vbool b -> Value.Vbool (not b)
+           | v -> Value.add v (Value.Vint 1));
+         let frames =
+           Array.map
+             (fun obj ->
+               let fr = Hashtbl.create 1 in
+               Hashtbl.replace fr "a" (Interp.Barray obj);
+               fr)
+             objs
+         in
+         let seq =
+           { Seq_interp.arrays = [ ("a", seq_obj) ]; outputs = []; flops = 0; mem_ops = 0;
+             seq_time = 0.0 }
+         in
+         let pagewise = Gather.compare_results ~nprocs seq frames in
+         pagewise = gather_by_element ~nprocs seq frames
+         && List.map (fun m -> m.Gather.m_index) pagewise = [ Storage.index_of seq_obj bad ]))
+
 (* --- Cost model ------------------------------------------------------------ *)
 
 let cost_message () =
@@ -707,6 +805,7 @@ let suite =
     Alcotest.test_case "scheduler remap moves data" `Quick sched_remap_moves_data;
     Alcotest.test_case "scheduler mark-only remap" `Quick sched_mark_only_remap_moves_nothing;
     remap_traffic_and_data;
+    gather_pagewise;
     Alcotest.test_case "scheduler determinism" `Quick sched_determinism;
     Alcotest.test_case "sequential rerun canary" `Quick sequential_rerun_canary;
     Alcotest.test_case "cost model messages" `Quick cost_message;
