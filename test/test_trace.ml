@@ -1,8 +1,7 @@
 (* The ensemble tracing & metrics layer: ring-buffer semantics, the
    metrics registry, exporter shapes, and the cross-layer properties —
    trace totals agree with Stats, the dynamic trace refines the static
-   verifier's skeleton, and fault-free traces are bit-identical across
-   runs. *)
+   verifier's skeleton, and traces are bit-identical across runs. *)
 
 open Fd_core
 open Fd_machine
@@ -266,9 +265,9 @@ let trace_within_skeleton seed =
              | _ -> true))
     strategies
 
-(* Fault-free simulation is deterministic: two runs of the same program
-   produce traces identical in every field. *)
-let deterministic_without_faults seed =
+(* Simulation is deterministic: two runs of the same program produce
+   traces identical in every field. *)
+let deterministic_reruns seed =
   let src = src_of_seed seed in
   let tr1, r1 = run_traced src in
   let tr2, r2 = run_traced src in
@@ -315,7 +314,7 @@ let suite =
     prop ~count:15 "generated: trace within static skeleton" seed_gen
       trace_within_skeleton;
     prop ~count:20 "generated: fault-free traces bit-identical across reruns"
-      seed_gen deterministic_without_faults;
+      seed_gen deterministic_reruns;
     prop ~count:10 "generated 2-D: traces bit-identical across reruns" seed_gen
       deterministic_2d;
   ]
