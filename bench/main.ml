@@ -184,7 +184,7 @@ let e7 () =
   let cp =
     Fd_frontend.Sema.check_source (Fd_workloads.Stencil.shifts ~n:256 ~widths ())
   in
-  let rows = Overlap.analyze ~sink:(Fd_support.Diag.sink ()) Options.default cp in
+  let rows = Overlap.analyze (Driver.clone cp) in
   Fmt.pr "%-10s %-6s %-5s | %-16s | %-16s@." "procedure" "array" "dim"
     "estimated" "actual";
   Fmt.pr "--------------------------+------------------+-----------------@.";
@@ -674,10 +674,63 @@ let e20 () =
     \ of every main-program array at full extent, values and validity@.\
     \ bytes; each cell verified against the sequential run)@."
 
+(* --- E22: the abstract walk per cell -------------------------------------------- *)
+
+(* check-cost's runtime cells, and its two P = 1024 cells with the most
+   walk visits: the walk alone (median of 15, no profile), its visits
+   and minor words, and the cost replay with the sequential profile. *)
+let e22 () =
+  header "E22: the abstract walk per cell";
+  let examples =
+    Fd_workloads.
+      [ ("fig1", Figures.fig1 ()); ("fig4", Figures.fig4 ()); ("fig15", Figures.fig15 ());
+        ("jacobi1d", Stencil.jacobi1d ()); ("jacobi2d", Stencil.jacobi2d ());
+        ("redblack", Stencil.redblack ()); ("multi_array", Stencil.multi_array ());
+        ("dgefa", Dgefa.source ~n:8 ()); ("adi_dynamic", Adi.dynamic ());
+        ("adi_static", Adi.static_ ()) ]
+  in
+  let cells =
+    List.map (fun (e, src) -> (e, src, Options.Runtime_resolution, 8)) examples
+    @ List.filter_map
+        (fun (e, src) ->
+          if e = "adi_static" || e = "redblack" then Some (e, src, Options.Interproc, 1024)
+          else None)
+        examples
+  in
+  let median_ms f =
+    let ts =
+      List.init 15 (fun _ ->
+          let t = Unix.gettimeofday () in
+          ignore (f ());
+          Unix.gettimeofday () -. t)
+    in
+    List.nth (List.sort compare ts) 7 *. 1e3
+  in
+  Fmt.pr "%-12s | %-18s | %4s | %9s | %7s | %8s | %12s@." "program" "strategy" "P"
+    "walk (ms)" "visits" "words (M)" "cost (ms)";
+  Fmt.pr "-------------+--------------------+------+-----------+---------+----------+-------------@.";
+  List.iter
+    (fun (e, src, strategy, nprocs) ->
+      let opts = { Options.default with Options.nprocs; strategy } in
+      let cp = Driver.check_source src in
+      let prog = (Driver.compile ~opts cp).Codegen.program in
+      let w0 = Gc.minor_words () in
+      let r = Fd_verify.Absint.walk ~nprocs prog in
+      let words = Gc.minor_words () -. w0 in
+      let walk_ms = median_ms (fun () -> Fd_verify.Absint.walk ~nprocs prog) in
+      let profile = Fd_verify.Cost.profile_of_seq cp in
+      let config = Driver.machine_config opts in
+      let cost_ms = median_ms (fun () -> Fd_verify.Cost.analyze ~profile ~config prog) in
+      Fmt.pr "%-12s | %-18s | %4d | %9.2f | %7d | %8.2f | %12.2f@." e
+        (Options.strategy_name strategy) nprocs walk_ms r.Fd_verify.Absint.visits
+        (words /. 1e6) cost_ms)
+    cells
+
 let () =
   match Array.to_list Sys.argv with
   | _ :: "e20-cell" :: k :: _ -> e20_cell (int_of_string k)
   | argv when List.mem "e20" argv -> e20 ()
+  | argv when List.mem "e22" argv -> e22 ()
   | _ ->
   let high_p = e8_high_p_measure () in
   Fmt.pr "Fortran D interprocedural compilation - experiment tables@.";

@@ -34,6 +34,17 @@ let compile ?sink ?(opts = Options.default) (cp : Sema.checked_program) :
 let compile_source ?sink ?(opts = Options.default) ?file src =
   fst (compile_ctx (Pipeline.of_source ?sink ~opts ?file src))
 
+let clone ?sink ?(opts = Options.default) (cp : Sema.checked_program) =
+  let ctx = Pipeline.of_checked ?sink ~opts cp in
+  let rec upto = function
+    | (p : Pass.t) :: rest ->
+      ignore (Pipeline.run_pass p ctx);
+      if p.Pass.p_name <> "cloning" then upto rest
+    | [] -> ()
+  in
+  upto Pipeline.passes;
+  Pass.get_clone_result ctx
+
 let machine_config ?(machine : Config.t option) (opts : Options.t) : Config.t =
   match machine with
   | Some m -> { m with Config.nprocs = opts.Options.nprocs }

@@ -33,6 +33,12 @@ val compile_source :
   ?sink:Fd_support.Diag.sink -> ?opts:Options.t -> ?file:string -> string ->
   Codegen.compiled
 
+val clone :
+  ?sink:Fd_support.Diag.sink -> ?opts:Options.t -> Sema.checked_program ->
+  Cloning.result
+(** The passes up to cloning, without compiling: the cloned program and
+    its analyses. *)
+
 val machine_config : ?machine:Config.t -> Options.t -> Config.t
 
 val check :

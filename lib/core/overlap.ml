@@ -119,11 +119,10 @@ type row = {
 }
 
 (* Full overlap report: estimated (all constant offsets, all dims,
-   propagated) vs actual (read offsets on the distributed dimension). *)
-let analyze ~sink (opts : Options.t) (cp : Sema.checked_program) : row list =
-  ignore opts;
-  let acg = Acg.build cp in
-  let rd = Reaching_decomps.compute ~sink acg in
+   propagated) vs actual (read offsets on the distributed dimension),
+   over the cloned program, where each array has one reaching
+   decomposition per procedure. *)
+let analyze ({ Cloning.acg; rd; _ } : Cloning.result) : row list =
   let locals_est =
     List.fold_left
       (fun acc (p : Acg.proc) -> SM.add p.Acg.pname (local_offsets p.Acg.cu) acc)

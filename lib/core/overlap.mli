@@ -5,8 +5,6 @@
     distributed dimension.  The estimate is a superset of the actual
     (property-tested); experiment E7 reports both. *)
 
-open Fd_frontend
-
 type offsets = { neg : int; pos : int }
 (** widths below / above the local block *)
 
@@ -18,6 +16,8 @@ type row = {
   ov_actual : offsets;
 }
 
-val analyze : sink:Fd_support.Diag.sink -> Options.t -> Sema.checked_program -> row list
+val analyze : Cloning.result -> row list
+(** The rows of the cloned program, from its own ACG and reaching
+    decompositions. *)
 
 val pp_row : Format.formatter -> row -> unit

@@ -447,14 +447,34 @@ let seg2 op l u s1 s2 =
       | _, Sconst v when absorbing v -> [ (l, u, Sconst (pv2 op (Pint 0) v)) ]
       | _ -> expand2 op l u s1 s2))
 
+(* my$p = k (or /=) for a uniform int k, the shape of every owner
+   guard: false everywhere but at pid k, built directly instead of run
+   by run; [seg2]'s [eq_point_split] gives the same runs. *)
+let guard_eq ~n op k =
+  let t, f = if op = Eq then (Pbool true, Pbool false) else (Pbool false, Pbool true) in
+  if k < 0 || k > n - 1 then Uni f
+  else
+    let fs l u rest = if l <= u then (l, u, Sconst f) :: rest else rest in
+    Runs (fs 0 (k - 1) ((k, k, Sconst t) :: fs (k + 1) (n - 1) []))
+
 let app2 ~n op a b =
-  match (a, b) with
-  | Uni x, Uni y -> Uni (pv2 op x y)
-  | Uni x, Runs rs ->
+  match (op, a, b) with
+  | (Eq | Ne), Runs [ (0, _, Saff { a = 1; b = 0 }) ], Uni (Pint k)
+  | (Eq | Ne), Uni (Pint k), Runs [ (0, _, Saff { a = 1; b = 0 }) ] ->
+    guard_eq ~n op k
+  (* Kleene: a uniform false decides .and., a uniform true .or., on
+     every lane whatever the other operand holds *)
+  | And, (Uni (Pbool false) as v), _
+  | And, _, (Uni (Pbool false) as v)
+  | Or, (Uni (Pbool true) as v), _
+  | Or, _, (Uni (Pbool true) as v) ->
+    v
+  | _, Uni x, Uni y -> Uni (pv2 op x y)
+  | _, Uni x, Runs rs ->
     norm ~n (List.concat_map (fun (l, u, s) -> seg2 op l u (Sconst x) s) rs)
-  | Runs rs, Uni y ->
+  | _, Runs rs, Uni y ->
     norm ~n (List.concat_map (fun (l, u, s) -> seg2 op l u s (Sconst y)) rs)
-  | Runs _, Runs _ ->
+  | _, Runs _, Runs _ ->
     norm ~n
       (List.concat_map
          (fun (l, u, s1, s2) -> seg2 op l u s1 s2)

@@ -260,23 +260,30 @@ and intrinsic w sc name args : expr =
           try Absdom.Pint (Layout.owner_of obj.a_layout ~nprocs:n i)
           with _ -> Absdom.Punk
         in
-        Absdom.of_segs ~n
-          (List.concat_map
-             (fun (l, u, s) ->
-               match s with
-               | Absdom.Sconst (Absdom.Pint i) ->
-                 [ (l, u, Absdom.Sconst (owner i)) ]
-               | Absdom.Sconst _ -> [ (l, u, Absdom.Sconst Absdom.Punk) ]
-               | Absdom.Saff _ ->
-                 List.init (u - l + 1) (fun k ->
-                     let p = l + k in
-                     let v =
-                       match Absdom.seg_at s p with
-                       | Absdom.Pint i -> owner i
-                       | _ -> Absdom.Punk
-                     in
-                     (p, p, Absdom.Sconst v)))
-             (Absdom.segs_of ~n idx)))
+        let per_run () =
+          Absdom.of_segs ~n
+            (List.concat_map
+               (fun (l, u, s) ->
+                 match s with
+                 | Absdom.Sconst (Absdom.Pint i) ->
+                   [ (l, u, Absdom.Sconst (owner i)) ]
+                 | Absdom.Sconst _ -> [ (l, u, Absdom.Sconst Absdom.Punk) ]
+                 | Absdom.Saff _ ->
+                   List.init (u - l + 1) (fun k ->
+                       let p = l + k in
+                       let v =
+                         match Absdom.seg_at s p with
+                         | Absdom.Pint i -> owner i
+                         | _ -> Absdom.Punk
+                       in
+                       (p, p, Absdom.Sconst v)))
+               (Absdom.segs_of ~n idx))
+        in
+        (* a known uniform index: one owner for every processor *)
+        match idx with
+        | Absdom.Uni (Absdom.Pint i) -> (
+          match owner i with Absdom.Punk -> per_run () | o -> Absdom.Uni o)
+        | _ -> per_run ())
   | _ -> (
     let k = List.length args in
     match (Intrinsic.lookup name k, name, args) with
@@ -1169,7 +1176,49 @@ and walk_do w fr act ~var ~slot ~havoc ~mention ~comm (lo, hi, step) body
 
 (* --- resolution ------------------------------------------------------- *)
 
-let rec stmt w sc (s : Node.nstmt) : code =
+(* Whether evaluating [e] can never stop the walk: no name is a formal
+   (whose binding is known only per call), every other name is used as
+   its slot's kind says, and every call is one [intrinsic] knows at that
+   arity.  Asked after [eval] resolved [e], so it gives no name a slot
+   that [eval] did not. *)
+let rec total_expr w sc (e : Ast.expr) =
+  let kind v =
+    match sc.sc_kind (sc.sc_slot v) with
+    | Frame.Common j -> Frame.kind w.common j
+    | k -> k
+  in
+  match e with
+  | Ast.Int_const _ | Ast.Real_const _ | Ast.Logical_const _ -> true
+  | Ast.Var v -> ( match kind v with Frame.Local_scalar _ -> true | _ -> false)
+  | Ast.Ref (name, _) -> (
+    match kind name with Frame.Local_array _ -> true | _ -> false)
+  | Ast.Bin (_, a, b) -> total_expr w sc a && total_expr w sc b
+  | Ast.Un (_, a) -> total_expr w sc a
+  | Ast.Funcall (("myproc" | "nprocs"), []) -> true
+  | Ast.Funcall ("tab$", (_ :: _ as args)) -> List.for_all (total_expr w sc) args
+  | Ast.Funcall ("owner$", Ast.Var arr :: subs) -> (
+    (* a remap keeps the rank, so the subscript of any distributed
+       dimension is there *)
+    let nsubs = List.length subs in
+    match kind arr with
+    | Frame.Local_array { Node.ad_layout = l; _ } ->
+      List.length l.Layout.bounds <= nsubs
+      && (match l.Layout.dist_dim with Some d -> d < nsubs | None -> true)
+      && List.for_all (total_expr w sc) subs
+    | _ -> false)
+  | Ast.Funcall (name, args) ->
+    Intrinsic.lookup name (List.length args) <> None
+    && List.for_all (total_expr w sc) args
+
+(* The code of an inert statement, which [stmts] drops: an array store
+   or a PRINT, or an IF over inert branches whose condition is
+   [total_expr].  None carries abstract information or communication,
+   the reason [walk_do] skips a comm-free loop. *)
+let inert : code = fun _ act -> act
+
+let rec stmts w sc body = List.filter (fun c -> c != inert) (List.map (stmt w sc) body)
+
+and stmt w sc (s : Node.nstmt) : code =
   match s with
   | Node.N_assign (Ast.Var name, rhs) ->
     let rhs = eval w sc rhs and cell = scalar_cell sc name in
@@ -1178,9 +1227,7 @@ let rec stmt w sc (s : Node.nstmt) : code =
       let v = rhs fr in
       do_assign w act ?into (cell fr) v;
       act
-  | Node.N_assign (Ast.Ref _, _) | Node.N_print _ ->
-    (* array stores carry no abstract information *)
-    fun _ act -> act
+  | Node.N_assign (Ast.Ref _, _) | Node.N_print _ -> inert
   | Node.N_assign _ ->
     fun _ _ -> raise (Stuck "bad assignment target in node program")
   | Node.N_return -> fun _ _ -> Iset.empty
@@ -1226,11 +1273,13 @@ let rec stmt w sc (s : Node.nstmt) : code =
     fun fr act ->
       walk_call w fr act name (Lazy.force callee) args;
       act
-  | Node.N_if { cond; then_; else_; loc } ->
-    let cond = eval w sc cond in
-    let then_ = List.map (stmt w sc) then_ in
-    let else_ = List.map (stmt w sc) else_ in
-    fun fr act -> walk_if w fr act ~loc (cond fr) then_ else_
+  | Node.N_if { cond; then_; else_; loc } -> (
+    let code = eval w sc cond in
+    let then_ = stmts w sc then_ in
+    let else_ = stmts w sc else_ in
+    match (then_, else_) with
+    | [], [] when total_expr w sc cond -> inert
+    | _ -> fun fr act -> walk_if w fr act ~loc (code fr) then_ else_)
   | Node.N_do { var; lo; hi; step; body } ->
     let slot = sc.sc_slot var in
     let havoc = slot :: List.map sc.sc_slot (assigned_scalars w body) in
@@ -1243,7 +1292,7 @@ let rec stmt w sc (s : Node.nstmt) : code =
         | None -> const (Absdom.Uni (Absdom.Pint 1))
         | Some e -> eval w sc e )
     in
-    let body = List.map (stmt w sc) body in
+    let body = stmts w sc body in
     fun fr act -> walk_do w fr act ~var ~slot ~havoc ~mention ~comm bounds body
 
 and resolve_callee w name =
@@ -1276,7 +1325,7 @@ and resolve w (np : Node.nproc) : rproc =
     Frame.fold (fun name s acc -> (name, s, common_array name) :: acc) layout []
   in
   let sc = { sc_slot; sc_kind = Frame.kind layout; sc_visible } in
-  let r_body = List.map (stmt w sc) np.Node.np_body in
+  let r_body = stmts w sc np.Node.np_body in
   let kinds = Array.init (Frame.size layout) (Frame.kind layout) in
   { r_layout = layout;
     r_fresh = (fun () -> Array.map (fresh w.globals) kinds);

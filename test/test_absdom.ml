@@ -164,6 +164,47 @@ let test_app2 =
              (pp_pv dr.(p)) (pp_pv want) [@warning "-20"]))
         (Array.init n Fun.id))
 
+(* [app2]'s shortcuts against the pointwise lanes: my$p = k and
+   my$p /= k, on either side, for n in 1..97 and k from below pid 0 to
+   past pid n-1 (an owner guard; [pair_gen] reaches my$p against an int
+   only with k in -9..9), and a uniform false under .and. or true under
+   .or. against runs that hold unknown and affine lanes. *)
+let test_app2_shortcuts =
+  prop ~count:1000 "app2 shortcuts == pointwise (owner guard, Kleene)"
+    QCheck2.Gen.(
+      let* n = int_range 1 97 in
+      let* k = int_range (-2) (n + 1) in
+      let* d = dense_gen n in
+      let* other =
+        oneofl [ Absdom.of_dense d; Absdom.myproc ~n; Absdom.divergent_unknown ~n ]
+      in
+      return (n, k, other))
+    (fun (n, k, other) ->
+      let myp = Absdom.myproc ~n in
+      let cases =
+        Absdom.
+          [ ("my$p = k", Eq, myp, Uni (Pint k)); ("k = my$p", Eq, Uni (Pint k), myp);
+            ("my$p /= k", Ne, myp, Uni (Pint k)); ("k /= my$p", Ne, Uni (Pint k), myp);
+            ("false .and. v", And, Uni (Pbool false), other);
+            ("v .and. false", And, other, Uni (Pbool false));
+            ("true .or. v", Or, Uni (Pbool true), other);
+            ("v .or. true", Or, other, Uni (Pbool true)) ]
+      in
+      List.for_all
+        (fun (what, op, a, b) ->
+          let r = Absdom.app2 ~n op a b in
+          let da = Absdom.to_dense ~n a and db = Absdom.to_dense ~n b in
+          let dr = Absdom.to_dense ~n r in
+          well_formed ~n r
+          && Array.for_all
+               (fun p ->
+                 let want = ref2 op da.(p) db.(p) in
+                 pv_eq dr.(p) want
+                 || (QCheck2.Test.fail_reportf "%s (k = %d) lane %d/%d: compressed %s, pointwise %s"
+                       what k p n (pp_pv dr.(p)) (pp_pv want) [@warning "-20"]))
+               (Array.init n Fun.id))
+        cases)
+
 let test_app1 =
   prop ~count:1000 "app1 == pointwise (all unops)"
     QCheck2.Gen.(
@@ -532,6 +573,7 @@ let suite =
   [
     test_roundtrip;
     test_app2;
+    test_app2_shortcuts;
     test_app1;
     test_store;
     test_blend;

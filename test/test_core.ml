@@ -261,7 +261,7 @@ let dd_results_equal_across_levels () =
 
 let ov_estimate_vs_actual () =
   let cp = Sema.check_source (Fd_workloads.Stencil.shifts ~n:64 ~widths:[ 2; 4 ] ()) in
-  let rows = Overlap.analyze ~sink:(Diag.sink ()) Options.default cp in
+  let rows = Overlap.analyze (Driver.clone cp) in
   let top = List.find (fun r -> r.Overlap.ov_proc = "shifts" && r.Overlap.ov_array = "x") rows in
   check_int "estimate pos" 4 top.Overlap.ov_estimated.Overlap.pos;
   check_int "actual pos" 4 top.Overlap.ov_actual.Overlap.pos;
@@ -270,12 +270,25 @@ let ov_estimate_vs_actual () =
 let ov_estimate_superset () =
   (* estimated >= actual everywhere (the paper's imprecision direction) *)
   let cp = Sema.check_source (Fd_workloads.Figures.fig4 ()) in
-  let rows = Overlap.analyze ~sink:(Diag.sink ()) Options.default cp in
+  let rows = Overlap.analyze (Driver.clone cp) in
   List.iter
     (fun r ->
       check "pos" true (r.Overlap.ov_estimated.Overlap.pos >= r.Overlap.ov_actual.Overlap.pos);
       check "neg" true (r.Overlap.ov_estimated.Overlap.neg >= r.Overlap.ov_actual.Overlap.neg))
     rows
+
+(* fig4 calls f1 on x, distributed on dim 1, and on y, on dim 2;
+   cloning gives the y calls their own f1$1, whose reads of z(k+5, i)
+   stay on the processor.  Only the x side needs overlap. *)
+let ov_follows_cloning () =
+  let cp = Sema.check_source (Fd_workloads.Figures.fig4 ()) in
+  Alcotest.(check (list string))
+    "rows"
+    [ "f1         z      dim 1   estimated [-0,+5]   actual [-0,+5]";
+      "f1$1       z      dim 1   estimated [-0,+5]   actual [-0,+0]";
+      "p1         x      dim 1   estimated [-0,+5]   actual [-0,+5]";
+      "p1         y      dim 1   estimated [-0,+5]   actual [-0,+0]" ]
+    (List.map (Fmt.str "%a" Overlap.pp_row) (Overlap.analyze (Driver.clone cp)))
 
 (* --- Recompilation analysis ------------------------------------------------------ *)
 
@@ -351,6 +364,7 @@ let suite =
     Alcotest.test_case "dynamic decomp levels all verify" `Quick dd_results_equal_across_levels;
     Alcotest.test_case "overlap estimate vs actual" `Quick ov_estimate_vs_actual;
     Alcotest.test_case "overlap estimate is superset" `Quick ov_estimate_superset;
+    Alcotest.test_case "overlap follows cloning" `Quick ov_follows_cloning;
     Alcotest.test_case "recompile no-op" `Quick rc_noop;
     Alcotest.test_case "recompile body edit local" `Quick rc_body_edit_local;
     Alcotest.test_case "recompile distribution global" `Quick rc_distribution_edit_global;

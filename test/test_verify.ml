@@ -390,16 +390,18 @@ let test_walk_flat_in_p () =
 (* The walk stays within an allocation budget on fig4 under run-time
    resolution at P=8: 21.1 M minor words when every name went through
    a string-keyed frame lookup and every DO trip re-evaluated its
-   uniform bounds, 14.2 M with procedures resolved once per walk.  The
-   bound fails if either comes back; minor words hold on any host. *)
+   uniform bounds, 14.2 M with procedures resolved once per walk, 16.6 M
+   before owner guards were built as three runs and guarded stores
+   compiled away, 7.4 M since.  The bound fails if any of those comes
+   back; minor words hold on any host. *)
 let test_walk_alloc_budget () =
   let _, compile = fig4_runtime () in
   let _, prog = compile 8 in
   let w8 = words (fun () -> Absint.walk ~nprocs:8 prog) in
   check Alcotest.bool
-    (Fmt.str "Absint.walk allocates %.1f M words at P=8 (bound 18 M)"
+    (Fmt.str "Absint.walk allocates %.1f M words at P=8 (bound 9 M)"
        (w8 /. 1e6))
-    true (w8 <= 18e6)
+    true (w8 <= 9e6)
 
 (* --- hand-written node programs ----------------------------------------- *)
 
@@ -425,6 +427,8 @@ let send_elt a i dest tag = send ~parts:[ (a, [ (i, i, int 1) ]) ] dest tag
 let recv src tag = Node.N_recv { src; tag; loc }
 
 let ndo ?step v lo hi body = Node.N_do { var = v; lo; hi; step; body }
+let nif cond then_ = Node.N_if { cond; then_; else_ = []; loc }
+let store a i = Node.N_assign (Ast.Ref (a, [ i ]), Ast.Real_const 1.0)
 
 let nproc ?(formals = []) ?(arrays = []) ?(scalars = []) name body =
   { Node.np_name = name; np_formals = formals; np_arrays = arrays;
@@ -562,7 +566,25 @@ let test_misused_names () =
     (walk_nodes [ nproc "m" ~arrays:[ arr "b" cyc ] [ assign "x" (var "b") ] ]);
   expect "array as scalar"
     [ "visits 1"; stuck "array b used as a scalar" ]
-    (walk_nodes [ nproc "m" ~arrays:[ arr "b" cyc ] [ assign "b" (int 1) ] ])
+    (walk_nodes [ nproc "m" ~arrays:[ arr "b" cyc ] [ assign "b" (int 1) ] ]);
+  (* the same misuse in the condition of an IF over an array store
+     keeps the IF, and the walk stops on it as before *)
+  let guarded cond = nif cond [ store "b" (int 1) ] in
+  expect "array as value, guarding a store"
+    [ "visits 1"; stuck "whole array b used as a value" ]
+    (walk_nodes
+       [ nproc "m" ~arrays:[ arr "b" cyc ] [ guarded (Ast.Bin (Ast.Eq, var "b", int 1)) ] ]);
+  expect "scalar as array, guarding a store"
+    [ "visits 2"; stuck "scalar k used as an array" ]
+    (walk_nodes
+       [ nproc "m" ~arrays:[ arr "b" cyc ] ~scalars:[ ("k", Ast.Integer) ]
+           [ assign "k" (int 1);
+             guarded (Ast.Bin (Ast.Eq, Ast.Ref ("k", [ int 1 ]), int 1)) ] ]);
+  expect "unknown intrinsic, guarding a store"
+    [ "visits 1"; stuck "unknown intrinsic foo/1" ]
+    (walk_nodes
+       [ nproc "m" ~arrays:[ arr "b" cyc ]
+           [ guarded (Ast.Bin (Ast.Eq, Ast.Funcall ("foo", [ int 1 ]), int 1)) ] ])
 
 (* DO loops with uniform bounds and communication in the body: one
    visit per trip on top of the statement visits; the loop variable
@@ -617,6 +639,52 @@ let test_loop_return_shrinks_mask () =
                    { cond = Ast.Bin (Ast.Eq, myp, var "i");
                      then_ = [ Node.N_return ]; else_ = []; loc } ];
              send (var "i") 2 ] ])
+
+(* Array stores, PRINTs and IFs over nothing else compile away: a loop
+   of owner-guarded stores and PRINTs walks to the events of the same
+   loop without them, in its 11 visits (26 when the walk visited each
+   guard, store and PRINT). *)
+let test_inert_compiled_away () =
+  let myp = var "my$p" in
+  let prog ~inert =
+    walk_nodes
+      [ nproc "m" ~arrays:[ arr "a" blk ]
+          [ assign "my$p" (Ast.Funcall ("myproc", []));
+            ndo "i" (int 1) (int 3)
+              ([ assign "o" (Ast.Funcall ("owner$", [ var "a"; var "i" ])) ]
+              @ (if inert then
+                   [ nif (Ast.Bin (Ast.Eq, myp, var "o"))
+                       [ store "a" (var "i"); Node.N_print [ var "i" ] ] ]
+                 else [])
+              @ [ send_elt "a" (var "i") (int 0) 1 ]
+              @ if inert then [ nif (Ast.Bin (Ast.Eq, myp, int 0)) [ Node.N_print [ var "o" ] ] ]
+                else []) ] ]
+  in
+  let without = prog ~inert:false in
+  expect "owner-guarded stores and PRINTs"
+    [ "visits 11";
+      "p0-3 send 1 to 0 a(1:1)[dim 1 block(3)]";
+      "p0-3 send 1 to 0 a(2:2)[dim 1 block(3)]";
+      "p0-3 send 1 to 0 a(3:3)[dim 1 block(3)]" ]
+    without;
+  expect "the same walk without them" without (prog ~inert:true)
+
+(* An IF whose condition names a formal is still walked, for the
+   formal's binding is known only per call: bound to a scalar, its IF
+   costs a visit; bound to an array, it stops the walk. *)
+let test_inert_if_names_formal () =
+  let callee = nproc "s" ~formals:[ "x" ] ~arrays:[ arr "a" blk ]
+      [ nif (Ast.Bin (Ast.Eq, var "x", int 1)) [ store "a" (int 1) ] ]
+  in
+  expect "formal bound to a scalar" [ "visits 2" ]
+    (walk_nodes [ nproc "m" [ Node.N_call ("s", [ int 1 ]) ]; callee ]);
+  expect "formal bound to an array"
+    [ "visits 2";
+      "error invalid-node-program: the node program is not executable: \
+       whole array x used as a value" ]
+    (walk_nodes
+       [ nproc "m" ~arrays:[ arr "b" cyc ] [ Node.N_call ("s", [ var "b" ]) ];
+         callee ])
 
 (* A statement after RETURN is unreachable: no decomposition reaches it,
    and none needs to, so the lint must not call it a use before
@@ -963,6 +1031,10 @@ let suite =
     Alcotest.test_case "uniform DO: zero step" `Quick test_loop_zero_step;
     Alcotest.test_case "uniform DO: RETURN shrinks the mask" `Quick
       test_loop_return_shrinks_mask;
+    Alcotest.test_case "inert: guarded stores and PRINTs compile away" `Quick
+      test_inert_compiled_away;
+    Alcotest.test_case "inert: an IF naming a formal is walked" `Quick
+      test_inert_if_names_formal;
     Alcotest.test_case "lint: code after RETURN is not misplaced" `Quick
       test_lint_skips_unreachable;
     Alcotest.test_case "pid step: a(1:40:my$p+1)" `Quick test_pid_step;
