@@ -161,9 +161,9 @@ let ast_cmd =
 
 let acg_cmd =
   let run file =
-    wrap (fun _sink ->
+    wrap (fun sink ->
         let cp = Fd_core.Driver.check_source ~file (read_file file) in
-        let acg = Fd_callgraph.Acg.build cp in
+        let acg = (Fd_core.Driver.clone ~sink cp).Fd_core.Cloning.acg in
         Fmt.pr "%a@." Fd_callgraph.Acg.pp acg;
         Fmt.pr "topological order: %s@."
           (String.concat " -> " (Fd_callgraph.Acg.topo_order acg)))

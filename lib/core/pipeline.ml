@@ -263,9 +263,13 @@ let reaching_pass =
         | Some rd, Some acg ->
           Some
             (String.concat "\n"
-               (List.map
+               (List.concat_map
                   (fun (p : Acg.proc) ->
-                    Fmt.str "%a" Reaching_decomps.pp_proc_reaching (rd, p.Acg.pname))
+                    (p.Acg.pname ^ ":")
+                    :: List.map
+                         (fun (v, r) -> Fmt.str "  %s: %a" v Decomp.pp_reaching r)
+                         (Reaching_decomps.SM.bindings
+                            (Reaching_decomps.reaching_of rd p.Acg.pname)))
                   (Acg.procs acg)))
         | _ -> None);
     p_verify =
@@ -370,6 +374,13 @@ let side_effects_pass =
 
 (* --- cloning ------------------------------------------------------------ *)
 
+(* The analyses a split rebuilt, dumped and checked by their own passes. *)
+let replaced_by_split (r : Cloning.result) =
+  if r.Cloning.clones_made = 0 then [] else [ acg_pass; reaching_pass; side_effects_pass ]
+
+let unit_names (cp : Sema.checked_program) =
+  List.map (fun (cu : Sema.checked_unit) -> cu.Sema.unit_.Ast.uname) cp.Sema.units
+
 (* Procedure cloning for unique reaching decompositions, under the
    optimizing strategies (run-time resolution needs none). *)
 let cloning_pass =
@@ -402,24 +413,25 @@ let cloning_pass =
             Cloning.SM.bindings r.Cloning.origin
             |> List.map (fun (clone, orig) -> Fmt.str "  %s <- %s" clone orig)
           in
+          let replaced =
+            List.filter_map
+              (fun p ->
+                Option.map (Fmt.str "--- %s of the cloned program ---\n%s" p.p_name)
+                  (p.p_dump c))
+              (replaced_by_split r)
+          in
           Some
-            (Fmt.str "clones made: %d\nprocedures: %s%s" r.Cloning.clones_made
-               (String.concat ", "
-                  (List.map
-                     (fun (cu : Sema.checked_unit) -> cu.Sema.unit_.Ast.uname)
-                     r.Cloning.cp.Sema.units))
-               (if origins = [] then ""
-                else "\n" ^ String.concat "\n" origins)));
+            (String.concat "\n"
+               ((Fmt.str "clones made: %d" r.Cloning.clones_made
+                :: ("procedures: " ^ String.concat ", " (unit_names r.Cloning.cp))
+                :: origins)
+               @ replaced)));
     p_verify =
       (fun c ->
         match c.clone_result with
         | None -> [ "no cloning result" ]
         | Some r ->
-          let names =
-            List.map
-              (fun (cu : Sema.checked_unit) -> cu.Sema.unit_.Ast.uname)
-              r.Cloning.cp.Sema.units
-          in
+          let names = unit_names r.Cloning.cp in
           List.map (Fmt.str "cloned procedure name %s is not unique") (dup_names names)
           @ List.map (Fmt.str "duplicate statement id %s in the cloned program")
               (dup_sids (List.map (fun cu -> cu.Sema.unit_) r.Cloning.cp.Sema.units))
@@ -428,11 +440,7 @@ let cloning_pass =
                 if List.mem clone names then acc
                 else Fmt.str "clone %s missing from the cloned program" clone :: acc)
               r.Cloning.origin []
-          (* a split replaced the three analyses *)
-          @
-          if r.Cloning.clones_made = 0 then []
-          else
-            List.concat_map (fun p -> p.p_verify c) [ acg_pass; reaching_pass; side_effects_pass ]);
+          @ List.concat_map (fun p -> p.p_verify c) (replaced_by_split r));
     p_size =
       (fun c ->
         match c.clone_result with

@@ -7,7 +7,7 @@
    The walk produces:
    - a stream of Skeleton.events (sends, recvs, collectives), each
      covering a contiguous *interval* of processors whose communication
-     differs only affinely in the pid, replayed by Skeleton.run;
+     differs only affinely in the pid, for the skeleton replay;
    - walk-time findings: collectives reached by only part of the
      ensemble (the static form of the scheduler's collective-mismatch
      deadlock), out-of-bounds or malformed sections, empty sends;
@@ -17,8 +17,8 @@
 
    Control flow the domain cannot decide is walked once as an
    *unverifiable region*: scalar updates become weak (joins), the
-   region's communication is matched in isolation (degraded to Info)
-   and its tags are excluded from hard deadlock verdicts.  A branch
+   region is reported (one Info per site), not matched, and its tags
+   are excluded from deadlock and unmatched-send verdicts.  A branch
    that is unknown-but-uniform stays congruence-safe; only
    processor-divergent unknowns demote collective verification.
 
@@ -911,7 +911,7 @@ and walk_branches_as_regions w fr act ~loc ~divergent then_ else_ =
   let evs_t = walk_region w fr act then_ in
   let evs_e = walk_region w fr act else_ in
   record_region w ~if_loc:loc ~then_:evs_t ~else_:evs_e;
-  finish_regions w ~divergent [ evs_t; evs_e ]
+  finish_regions w ~divergent (evs_t @ evs_e)
 
 (* Every region instance is recorded, even when both branches are
    comm-free, so per-IF-site profile decisions stay aligned with the
@@ -938,21 +938,20 @@ and walk_region w fr act body : Skeleton.event list =
     (fun () -> ignore (walk_seq w fr act body));
   List.rev !buf
 
-(* Post-process regions: their p2p tags become unverifiable (excluded
-   from hard deadlock verdicts), each region is matched in isolation at
-   Info severity, a divergent region containing collectives is the
-   "divergent-branch collective" warning, and any data the region may
-   have delivered is assumed received so later sends are not falsely
-   flagged. *)
-and finish_regions w ~divergent (regions : Skeleton.event list list) =
-  let all = List.concat regions in
+(* Post-process a region's events (both branches): its p2p tags become
+   unverifiable (excluded from deadlock and unmatched-send verdicts), a
+   divergent region containing collectives is the "divergent-branch
+   collective" warning, any data the region may have delivered is
+   assumed received so later sends are not falsely flagged, and the
+   site is reported once as an Info region.  The region's events are
+   not matched: with no deliveries before it and its owner lanes
+   joined, what a replay of them alone could report is not evidence. *)
+and finish_regions w ~divergent (all : Skeleton.event list) =
   if all <> [] then begin
-    let p2p = ref false in
     List.iter
       (fun (ev : Skeleton.event) ->
         match ev.Skeleton.e_kind with
         | Skeleton.Ev_send { tag; _ } | Skeleton.Ev_recv { tag; _ } ->
-          p2p := true;
           Hashtbl.replace w.fuzzy tag ()
         | _ -> ())
       all;
@@ -992,13 +991,6 @@ and finish_regions w ~divergent (regions : Skeleton.event list list) =
               congruence cannot be verified"
              (String.concat ", " (List.sort compare listed)))
     end;
-    (* self-check each branch in isolation, degraded to Info *)
-    List.iter
-      (fun evs ->
-        if evs <> [] && !p2p then
-          w.findings <-
-            Skeleton.run ~nprocs:w.n ~degrade:true evs @ w.findings)
-      regions;
     (* assume the region's deliveries happened: the union of the
        distributed-dimension elements over the event's pid interval
        (exact up to 4096 senders, a contiguous hull beyond — the
@@ -1058,8 +1050,9 @@ and finish_regions w ~divergent (regions : Skeleton.event list list) =
         all
     in
     addf w ?loc Finding.Info "unverified-region"
-      "communication under statically-unresolved control flow was matched \
-       in isolation only"
+      "communication under statically-unresolved control flow is not \
+       verified; its tags are excluded from deadlock and unmatched-send \
+       verdicts"
   end
 
 (* [slot] is the loop variable's, [havoc] the slots a skipped body may
@@ -1170,7 +1163,7 @@ and walk_do w fr act ~var ~slot ~havoc ~mention ~comm (lo, hi, step) body
         havoc_scalars w fr act ~divergent:divergent_bounds [ slot ];
         let evs = walk_region w fr act body in
         record_region w ~if_loc:Loc.none ~then_:evs ~else_:[];
-        finish_regions w ~divergent:divergent_bounds [ evs ];
+        finish_regions w ~divergent:divergent_bounds evs;
         act
       end
 

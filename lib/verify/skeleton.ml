@@ -295,7 +295,6 @@ type sent = { parts : part list; sent_loc : Loc.t }
 
 type st = {
   n : int;
-  degrade : bool;  (* region self-check: cap every severity at Info *)
   fuzzy : (int, unit) Hashtbl.t;  (* tags with unverifiable endpoints *)
   received : (string, received) Hashtbl.t;
   q : sent Replay.t;
@@ -304,7 +303,6 @@ type st = {
 }
 
 let add st ?loc ?proc ?tag ?site sev kind msg =
-  let sev = if st.degrade then Finding.Info else sev in
   st.findings <- Finding.make ?loc ?proc ?tag ?site sev kind msg :: st.findings
 
 let received_of st array =
@@ -685,12 +683,11 @@ let report_quiescence st (evs : event array) (blocked_groups : unit group list) 
 
 (* ---------------------------------------------------------------------- *)
 
-let run ~nprocs ?(degrade = false) ?fuzzy_tags (events : event list) :
+let run ~nprocs ?fuzzy_tags (events : event list) :
     Finding.t list =
   let st =
     {
       n = nprocs;
-      degrade;
       fuzzy =
         (match fuzzy_tags with
         | Some t -> Hashtbl.copy t

@@ -142,12 +142,9 @@ val replay :
     payload; returns the final groups. *)
 
 (** Replay the skeleton for [nprocs] processors and report findings.
-    [degrade] marks the stream as partial (deadlock verdicts soften to
-    quiescence info); [fuzzy_tags] are tags whose matching the walker
-    could not verify. *)
+    [fuzzy_tags] are tags whose matching the walker could not verify. *)
 val run :
   nprocs:int ->
-  ?degrade:bool ->
   ?fuzzy_tags:(int, unit) Hashtbl.t ->
   event list ->
   Finding.t list

@@ -17,11 +17,7 @@
    A change to [Absint], [Skeleton] or [Cost] that is meant to keep
    their results must leave this file byte-identical.  On a mismatch
    the rendering is written to [verify.golden.actual] next to the test
-   binary.
-
-   One cell is priced but not walked for [fdc check]: dgefa under
-   run-time resolution at P=1024, whose abstract walk (without the
-   branch profile) is superlinear in P and takes minutes. *)
+   binary. *)
 
 open Fd_support
 open Fd_core
@@ -54,8 +50,6 @@ let bad_examples () =
 let strategies =
   [ ("interproc", Options.Interproc); ("immediate", Options.Immediate);
     ("runtime", Options.Runtime_resolution) ]
-
-let unwalked = [ ("dgefa.fd", "runtime", 1024) ]
 
 (* A list prints one item a line while it is short; a long one prints
    its length, the digest of all its items and its first few items. *)
@@ -130,18 +124,14 @@ let render_cell b ~file ~cp ~profile ~src ~sname ~strategy ~nprocs =
     Printf.bprintf b "  compile error\n"
   | compiled ->
     let prog, _ = Break.apply compiled.Codegen.program (Break.scan src) in
-    if List.mem (file, sname, nprocs) unwalked then
-      Printf.bprintf b "  check not run\n"
-    else begin
-      let w = Absint.walk ~nprocs prog in
-      Printf.bprintf b "  walk events=%d visits=%d complete=%b\n"
-        (List.length w.Absint.events) w.Absint.visits w.Absint.complete;
-      section b "walk" (List.map finding w.Absint.findings);
-      if w.Absint.complete then
-        section b "skeleton"
-          (List.map finding
-             (Skeleton.run ~nprocs ~fuzzy_tags:w.Absint.fuzzy_tags w.Absint.events))
-    end;
+    let w = Absint.walk ~nprocs prog in
+    Printf.bprintf b "  walk events=%d visits=%d complete=%b\n"
+      (List.length w.Absint.events) w.Absint.visits w.Absint.complete;
+    section b "walk" (List.map finding w.Absint.findings);
+    if w.Absint.complete then
+      section b "skeleton"
+        (List.map finding
+           (Skeleton.run ~nprocs ~fuzzy_tags:w.Absint.fuzzy_tags w.Absint.events));
     render_cost b (Cost.analyze ~profile ~config:(Driver.machine_config opts) prog)
 
 let render_file b ~file ~procs =

@@ -179,6 +179,53 @@ let cloned_analyses () =
     | _ -> true
     | exception Fd_support.Diag.Compile_error _ -> false)
 
+(* After a split the cloning dump prints the analyses the later passes
+   read, those of the cloned program; without a split it prints only
+   the clone summary. *)
+let cloning_dump_after_split () =
+  let cloning_dump src =
+    let text = ref "" in
+    ignore
+      (Pipeline.run ~dump_after:[ "cloning" ] ~dump:(fun ~pass:_ t -> text := t)
+         (Pipeline.of_source src));
+    !text
+  in
+  Alcotest.(check string)
+    "fig4 cloning dump"
+    (String.concat "\n"
+       [ "clones made: 1";
+         "procedures: p1, f1, f1$1";
+         "  f1$1 <- f1";
+         "--- acg of the cloned program ---";
+         "p1:";
+         "  s10: call f1 [loops i]";
+         "  s12: call f1$1 [loops j]";
+         "f1:";
+         "f1$1:";
+         "";
+         "topological order: p1 -> f1$1 -> f1";
+         "--- reaching_decomps of the cloned program ---";
+         "p1:";
+         "f1:";
+         "  z: {(block,:)}";
+         "f1$1:";
+         "  z: {(:,block)}";
+         "--- side_effects of the cloned program ---";
+         "p1: gmod {i,j,x,y} gref {i,j,n,x,y}";
+         "f1: gmod {k,z} gref {i,k,n,z}";
+         "f1$1: gmod {k,z} gref {i,k,n,z}" ])
+    (cloning_dump (Fd_workloads.Figures.fig4 ()));
+  Alcotest.(check string)
+    "fig1 cloning dump" "clones made: 0\nprocedures: p1, f1"
+    (cloning_dump (Fd_workloads.Figures.fig1 ()));
+  (* fdc acg prints Driver.clone's graph *)
+  let cp = Driver.check_source (Fd_workloads.Figures.fig4 ()) in
+  Alcotest.(check (list string))
+    "fig4 ACG nodes after cloning" [ "p1"; "f1"; "f1$1" ]
+    (List.map
+       (fun (p : Fd_callgraph.Acg.proc) -> p.Fd_callgraph.Acg.pname)
+       (Fd_callgraph.Acg.procs (Driver.clone cp).Cloning.acg))
+
 let report_in_run_result () =
   let r = Driver.run_source ~verify:true (Fd_workloads.Figures.fig1 ()) in
   check "run verified" true (Driver.verified r);
@@ -208,5 +255,7 @@ let suite =
     Alcotest.test_case "corrupted codegen artifact caught" `Quick corrupt_codegen;
     Alcotest.test_case "corrupted cloning artifact caught" `Quick corrupt_cloning;
     Alcotest.test_case "cloning hands back the cloned analyses" `Quick cloned_analyses;
+    Alcotest.test_case "cloning dumps the analyses a split replaced" `Quick
+      cloning_dump_after_split;
     Alcotest.test_case "driver threads pass report" `Quick report_in_run_result;
     Alcotest.test_case "report JSON rendering" `Quick json_report ]

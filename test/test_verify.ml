@@ -387,6 +387,63 @@ let test_walk_flat_in_p () =
     true
     (w256 <= 1.5 *. w16)
 
+let dgefa_runtime nprocs =
+  let src = read_file (Filename.concat examples_dir "dgefa.fd") in
+  let cp = Driver.check_source ~file:"dgefa.fd" src in
+  let opts =
+    { Options.default with strategy = Options.Runtime_resolution; nprocs }
+  in
+  (cp, Driver.compile ~opts cp)
+
+(* dgefa under run-time resolution has data-dependent pivot IFs, which
+   the walk (without a branch profile) leaves as unverified regions:
+   about 1,000 region instances at every P.  When each instance was
+   also matched in isolation by its own skeleton replay, the walk
+   allocated 419x as much at P=1024 as at P=8; the regions themselves
+   (visits, events, their count) do not grow with P. *)
+let test_walk_flat_under_regions () =
+  let walk nprocs =
+    let _, compiled = dgefa_runtime nprocs in
+    let prog = compiled.Codegen.program in
+    words (fun () -> Absint.walk ~nprocs prog)
+  in
+  let w8 = walk 8 and w1024 = walk 1024 in
+  check Alcotest.bool
+    (Fmt.str "Absint.walk allocates %.0f words at P=8 and %.0f at P=1024 \
+              (%.2fx, bound 1.5x)" w8 w1024 (w1024 /. w8))
+    true
+    (w1024 <= 1.5 *. w8)
+
+(* An unresolved region is one Info finding at its site, nothing more:
+   its events are not matched on their own, so neither the false
+   "p0 waits on recv from p0" deadlock of a replay that starts with the
+   owner lanes joined nor its send-unowned-data lines come back. *)
+let test_region_reported_once () =
+  let cp, compiled = dgefa_runtime 3 in
+  let vr, _ = Driver.check cp compiled in
+  let show (f : Finding.t) =
+    Fmt.str "%s %s %d:%d"
+      (Finding.severity_name f.Finding.severity)
+      f.Finding.kind f.Finding.loc.Fd_support.Loc.line
+      f.Finding.loc.Fd_support.Loc.col
+  in
+  let at l c = Fmt.str "info unverified-region %d:%d" l c in
+  let regions =
+    List.filter
+      (fun (f : Finding.t) -> f.Finding.kind = "unverified-region")
+      vr.Verify.findings
+  in
+  check (Alcotest.list Alcotest.string) "one unverified-region per site"
+    [ at 50 7; at 63 7; at 64 7; at 84 5; at 93 5 ]
+    (List.sort compare (List.map show regions));
+  check (Alcotest.list Alcotest.string) "nothing else but one collective"
+    [ "unverified-collective" ]
+    (List.filter_map
+       (fun (f : Finding.t) ->
+         if f.Finding.kind = "unverified-region" then None
+         else Some f.Finding.kind)
+       vr.Verify.findings)
+
 (* The walk stays within an allocation budget on fig4 under run-time
    resolution at P=8: 21.1 M minor words when every name went through
    a string-keyed frame lookup and every DO trip re-evaluated its
@@ -1009,6 +1066,10 @@ let suite =
     Alcotest.test_case "replay allocation linear in the skeleton" `Slow
       test_replay_alloc;
     Alcotest.test_case "walk allocation flat in P" `Slow test_walk_flat_in_p;
+    Alcotest.test_case "walk allocation flat in P under regions" `Slow
+      test_walk_flat_under_regions;
+    Alcotest.test_case "a region is reported once" `Quick
+      test_region_reported_once;
     Alcotest.test_case "walk allocation within budget" `Slow
       test_walk_alloc_budget;
     Alcotest.test_case "frame: formal shadows COMMON" `Quick
