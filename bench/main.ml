@@ -184,7 +184,7 @@ let e7 () =
   let cp =
     Fd_frontend.Sema.check_source (Fd_workloads.Stencil.shifts ~n:256 ~widths ())
   in
-  let rows = Overlap.analyze (Driver.clone cp) in
+  let rows = Overlap.analyze (Driver.compile cp) in
   Fmt.pr "%-10s %-6s %-5s | %-16s | %-16s@." "procedure" "array" "dim"
     "estimated" "actual";
   Fmt.pr "--------------------------+------------------+-----------------@.";

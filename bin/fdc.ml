@@ -592,7 +592,7 @@ let overlap_cmd =
     wrap (fun sink ->
         let cp = Fd_core.Driver.check_source ~file (read_file file) in
         let opts = { Fd_core.Options.default with Fd_core.Options.nprocs } in
-        let rows = Fd_core.Overlap.analyze (Fd_core.Driver.clone ~sink ~opts cp) in
+        let rows = Fd_core.Overlap.analyze (Fd_core.Driver.compile ~sink ~opts cp) in
         List.iter (fun r -> Fmt.pr "%a@." Fd_core.Overlap.pp_row r) rows)
   in
   Cmd.v (Cmd.info "overlap" ~doc:"Overlap regions: estimated vs actual")

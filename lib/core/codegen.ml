@@ -38,6 +38,10 @@ and guard_info = { g_array : string; g_dim : int; g_layout : Layout.t }
 (* One DO loop's partition decision, as the partition pass made it. *)
 type decision = { d_proc : string; d_sid : int; d_var : string; d_part : partition }
 
+(* One shift read A(v+c) on A's distributed dimension that needs
+   nonlocal data under its loop's owner-computes partition. *)
+type shift = { sh_proc : string; sh_array : string; sh_dim : int; sh_offset : int }
+
 type state = {
   opts : Options.t;
   sink : Diag.sink;  (* per-run diagnostic sink for codegen warnings *)
@@ -47,6 +51,7 @@ type state = {
   mutable counter : int;  (* fresh tags / sites / temporaries *)
   exports : (string, Exports.t) Hashtbl.t;
   mutable decisions : decision list;  (* every loop's partition, newest first *)
+  mutable shifts : shift list;  (* every shift read that needs nonlocal data *)
   pseudo_sids : Dynamic_decomp.sids;  (* ids of this compile's remap$ statements *)
   mutable must_reach : string list;
       (* compiled procedures an owner guard may not skip: they print or
@@ -520,7 +525,9 @@ let place_outside ctx ~part ~read ~index loops =
 
 (* What one distributed read needs under the loop partitions [part].
    [stmt_class] is the classification of the statement containing it,
-   [loops] its enclosing loops. *)
+   [loops] its enclosing loops.  A shift that needs nonlocal data joins
+   [ctx.st.shifts], whether its message is placed, exported or left to
+   run-time resolution, which fetches the same elements. *)
 let process_read ctx ~part (r : Sections.ref_info) (stmt_class : wclass) loops =
   let fallback = Some Fallback in
   (* Place the message where [place] lets it go, or export it.  Every
@@ -605,7 +612,10 @@ let process_read ctx ~part (r : Sections.ref_info) (stmt_class : wclass) loops =
             in
             let nprocs = ctx.st.opts.Options.nprocs in
             if (Layout.nonlocal layout ~nprocs need).Lanes.runs = [] then None
-            else
+            else begin
+              ctx.st.shifts <-
+                { sh_proc = ctx.pname; sh_array = r.Sections.array; sh_dim = dim; sh_offset = c }
+                :: ctx.st.shifts;
               (* the message covers every iteration of l: its index is fixed *)
               deliver dim ~index:(Some (Affine.const 0))
                 ~export:
@@ -622,6 +632,7 @@ let process_read ctx ~part (r : Sections.ref_info) (stmt_class : wclass) loops =
                   Rq_shift
                     { rs_array = r.Sections.array; rs_layout = layout; rs_dim = dim;
                       rs_need = need; rs_other = ods })
+            end
           end
         | Part_symbolic _ ->
           (* symbolic partitions support owner-aligned reads only *)
@@ -1684,7 +1695,7 @@ let compile_analyzed ~sink (opts : Options.t) (clone_result : Cloning.result) : 
   Aliasing.check ~sink acg effects;
   let st =
     { opts; sink; acg; rd; effects; counter = 0; exports = Hashtbl.create 16;
-      decisions = [];
+      decisions = []; shifts = [];
       pseudo_sids = Dynamic_decomp.new_sids (); must_reach = [];
       remapped = Hashtbl.create 16 }
   in

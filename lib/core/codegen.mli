@@ -23,6 +23,13 @@ type decision = {
 }
 (** One DO loop's partition decision. *)
 
+type shift = { sh_proc : string; sh_array : string; sh_dim : int; sh_offset : int }
+(** A shift read [A(v+c)] in [sh_proc] on [A]'s distributed dimension
+    [sh_dim] (0-based) that needs nonlocal data under its loop's
+    owner-computes partition.  Its message is placed, exported to the
+    callers, or left to run-time resolution, which fetches the same
+    elements.  Recording one consumes no tag or site number. *)
+
 type state = {
   opts : Options.t;
   sink : Fd_support.Diag.sink;  (** per-run diagnostics (warnings) *)
@@ -33,6 +40,8 @@ type state = {
   exports : (string, Exports.t) Hashtbl.t;
   mutable decisions : decision list;
       (** every loop's partition decision, newest first *)
+  mutable shifts : shift list;
+      (** every such shift, newest first, possibly repeated *)
   pseudo_sids : Dynamic_decomp.sids;
       (** statement ids of this compile's [remap$] pseudo-statements *)
   mutable must_reach : string list;

@@ -4,9 +4,10 @@
    (A(v+c) contributes offset c).  Interprocedural propagation merges
    offsets bottom-up through formal/actual bindings to *estimate* the
    maximal overlap regions.  Code generation then determines the overlap
-   *actually* needed: read offsets on the distributed dimension of
-   partitioned references.  The paper expects the estimate to be a
-   superset of the actual need; the experiment table (E7) reports both. *)
+   *actually* needed: the shift reads it sent messages for
+   ([Codegen.shift]), propagated the same way.  The paper expects the
+   estimate to be a superset of the actual need; the experiment table
+   (E7) reports both. *)
 
 open Fd_frontend
 open Fd_analysis
@@ -22,49 +23,34 @@ let merge a b = { neg = max a.neg b.neg; pos = max a.pos b.pos }
 
 let add_offset o c = if c >= 0 then { o with pos = max o.pos c } else { o with neg = max o.neg (-c) }
 
-(* (array, dim) -> offsets for one procedure, from local references.
-   [reads_only] restricts to read references (the "actual" side);
-   [dist_dim_of] restricts to a known distributed dimension when given. *)
-let local_offsets ?(reads_only = false) ?(dist_dim_of : (string -> int option) option)
-    (cu : Sema.checked_unit) : offsets SM.t =
+let add_key key c acc =
+  let cur = match SM.find_opt key acc with Some o -> o | None -> no_offsets in
+  SM.add key (add_offset cur c) acc
+
+let key array dim = array ^ "." ^ string_of_int dim
+
+(* (array, dim) -> offsets for one procedure, from local references. *)
+let local_offsets (cu : Sema.checked_unit) : offsets SM.t =
   let refs = Sections.collect cu.Sema.symtab cu.Sema.unit_.Ast.body in
   List.fold_left
     (fun acc (r : Sections.ref_info) ->
-      if reads_only && r.Sections.is_write then acc
-      else
-        List.fold_left
-          (fun acc (dim, sub) ->
-            match sub with
-            | None -> acc
-            | Some a -> (
-              let relevant =
-                match dist_dim_of with
-                | None -> true
-                | Some f -> f r.Sections.array = Some dim
-              in
-              if not relevant then acc
-              else
-                (* offset relative to an enclosing loop variable *)
-                match
-                  List.find_opt
-                    (fun l -> Affine.coeff_of l.Sections.lvar a = 1)
-                    r.Sections.loops
-                with
-                | Some l ->
-                  let rest = Affine.drop_var l.Sections.lvar a in
-                  (match Affine.const_value rest with
-                  | Some c when c <> 0 ->
-                    let key = r.Sections.array ^ "." ^ string_of_int dim in
-                    let cur =
-                      match SM.find_opt key acc with Some o -> o | None -> no_offsets
-                    in
-                    SM.add key (add_offset cur c) acc
-                  | _ -> acc)
-                | None -> acc))
-          acc
-          (List.mapi (fun i s -> (i, s)) r.Sections.subs))
+      List.fold_left
+        (fun acc (dim, sub) ->
+          match sub with
+          | None -> acc
+          | Some a -> (
+            (* offset relative to an enclosing loop variable *)
+            match
+              List.find_opt (fun l -> Affine.coeff_of l.Sections.lvar a = 1) r.Sections.loops
+            with
+            | Some l -> (
+              match Affine.const_value (Affine.drop_var l.Sections.lvar a) with
+              | Some c when c <> 0 -> add_key (key r.Sections.array dim) c acc
+              | _ -> acc)
+            | None -> acc))
+        acc
+        (List.mapi (fun i s -> (i, s)) r.Sections.subs))
     SM.empty refs
-
 
 (* Bottom-up interprocedural propagation: translate each callee's offsets
    on formal and COMMON arrays into the caller's names. *)
@@ -118,43 +104,25 @@ type row = {
   ov_actual : offsets;
 }
 
-(* Full overlap report: estimated (all constant offsets, all dims,
-   propagated) vs actual (read offsets on the distributed dimension),
-   over the cloned program, where each array has one reaching
-   decomposition per procedure. *)
-let analyze ({ Cloning.acg; rd; _ } : Cloning.result) : row list =
+(* Full overlap report over the compiled program: estimated (all
+   constant offsets, all dims, propagated through the cloned program's
+   ACG) vs actual (the shifts codegen sent for, propagated the same
+   way). *)
+let analyze (c : Codegen.compiled) : row list =
+  let acg = c.Codegen.clone_result.Cloning.acg in
   let locals_est =
     List.fold_left
       (fun acc (p : Acg.proc) -> SM.add p.Acg.pname (local_offsets p.Acg.cu) acc)
       SM.empty (Acg.procs acg)
   in
-  let dist_dim_of pname name =
-    (* distributed dimension from the procedure's inherited/initial view *)
-    let fact = Reaching_decomps.reaching_of rd pname in
-    match Reaching_decomps.SM.find_opt name fact with
-    | Some r -> (
-      match Decomp.Set.choose_opt r.Decomp.decomps with
-      | Some d -> Option.map fst (Decomp.dist_dim d)
-      | None -> None)
-    | None -> (
-      (* local array: use the local reaching solution at procedure exit *)
-      let lr = Reaching_decomps.local_of rd pname in
-      let f = Reaching_decomps.fact_at_exit lr in
-      match Reaching_decomps.SM.find_opt name f with
-      | Some r -> (
-        match Decomp.Set.choose_opt r.Decomp.decomps with
-        | Some d -> Option.map fst (Decomp.dist_dim d)
-        | None -> None)
-      | None -> None)
-  in
   let locals_act =
     List.fold_left
-      (fun acc (p : Acg.proc) ->
-        SM.add p.Acg.pname
-          (local_offsets ~reads_only:true
-             ~dist_dim_of:(dist_dim_of p.Acg.pname) p.Acg.cu)
+      (fun acc (sh : Codegen.shift) ->
+        let own = Option.value (SM.find_opt sh.Codegen.sh_proc acc) ~default:SM.empty in
+        SM.add sh.Codegen.sh_proc
+          (add_key (key sh.Codegen.sh_array sh.Codegen.sh_dim) sh.Codegen.sh_offset own)
           acc)
-      SM.empty (Acg.procs acg)
+      SM.empty c.Codegen.state.Codegen.shifts
   in
   let est = propagate acg locals_est in
   let act = propagate acg locals_act in

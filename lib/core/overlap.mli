@@ -1,9 +1,10 @@
 (** Overlap analysis (paper Section 5.6, Figure 13): constant subscript
     offsets per array dimension, propagated bottom-up through
     formal/actual bindings, *estimate* the maximal overlap regions; the
-    *actual* need is what communication analysis finds on the
-    distributed dimension.  The estimate is a superset of the actual
-    (property-tested); experiment E7 reports both. *)
+    *actual* need is the shifts codegen sent messages for
+    ({!Codegen.shift}), propagated the same way.  The estimate is a
+    superset of the actual (property-tested); experiment E7 reports
+    both. *)
 
 type offsets = { neg : int; pos : int }
 (** widths below / above the local block *)
@@ -16,8 +17,8 @@ type row = {
   ov_actual : offsets;
 }
 
-val analyze : Cloning.result -> row list
-(** The rows of the cloned program, from its own ACG and reaching
-    decompositions. *)
+val analyze : Codegen.compiled -> row list
+(** The rows of the compiled program: every procedure of its cloned
+    ACG, with the actual need at the compiled P. *)
 
 val pp_row : Format.formatter -> row -> unit

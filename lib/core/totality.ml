@@ -50,6 +50,9 @@ let protect (f : unit -> int) : outcome =
   | exception Diag.Internal_error d ->
     Crash (crash_of_diag d (Printexc.get_backtrace ()))
   | exception Scheduler.Sim_error e -> Sim_failed (Scheduler.error_to_string e)
+  | exception Storage.Runtime_error msg ->
+    (* a fault of the sequential run: the program itself is at fault *)
+    Sim_failed (Scheduler.error_to_string (Scheduler.Runtime_error msg))
   | exception exn ->
     (* residual escape hatch: an unconverted raise still becomes a
        structured report *)

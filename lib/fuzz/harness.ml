@@ -8,8 +8,9 @@
    - a rejected program must carry a located diagnostic when the
      frontend rejected it;
    - an accepted program must either verify against the sequential
-     reference, or fail simulation only when the static verifier also
-     flags the program (soundness of `fdc check` vs. the simulator).
+     reference, or fail simulation only when its sequential run faults
+     too or the static verifier flags it (soundness of `fdc check` vs.
+     the simulator).
 
    Failing cases are shrunk line-by-line while the same failure kind
    reproduces, and each failure prints its case seed for `--repro`. *)
@@ -26,7 +27,7 @@ type failure_kind =
 
 type verdict =
   | Accepted  (* compiled and verified (or stopped on budget, partial) *)
-  | Rejected  (* located diagnostics, or a backend fail-fast error *)
+  | Rejected  (* located diagnostics, a backend fail-fast error, or a sequential fault *)
   | Failed of failure_kind
 
 let kind_name = function
@@ -85,12 +86,18 @@ let run_case ?(budget = default_case_budget) ~nprocs ~strategy src : verdict =
       Rejected
     | exception Diag.Compile_errors _ -> Rejected
     | exception Diag.Internal_error d -> Failed (Crash (Diag.to_string d))
+    | exception Storage.Runtime_error _ ->
+      (* the simulation ran and the sequential reference faulted *)
+      Rejected
     | exception Scheduler.Sim_error e -> (
       let msg = Scheduler.error_to_string e in
-      match statically_flagged ~opts cp with
-      | true -> Rejected  (* the static check predicted dynamic trouble *)
-      | false -> Failed (Unsound msg)
-      | exception _ -> Failed (Crash ("static check crashed after: " ^ msg)))
+      match Seq_interp.run cp with
+      | exception Storage.Runtime_error _ -> Rejected  (* the program faults sequentially too *)
+      | _ | (exception _) -> (
+        match statically_flagged ~opts cp with
+        | true -> Rejected  (* the static check predicted dynamic trouble *)
+        | false -> Failed (Unsound msg)
+        | exception _ -> Failed (Crash ("static check crashed after: " ^ msg))))
     | exception exn -> Failed (Crash (Printexc.to_string exn)))
 
 (* --- case generation ---------------------------------------------------- *)

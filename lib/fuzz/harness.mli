@@ -8,8 +8,8 @@
     The property under test is totality with honest answers: no
     uncaught exceptions ever; frontend rejections carry a source
     location; accepted programs verify against the sequential
-    reference, or fail simulation only when the static verifier also
-    flags the program. *)
+    reference, or fail simulation only when their sequential run faults
+    too or the static verifier flags them. *)
 
 open Fd_support
 open Fd_core
@@ -26,7 +26,9 @@ type failure_kind =
 
 type verdict =
   | Accepted  (** compiled and verified (or budget-partial) *)
-  | Rejected  (** located diagnostics, or a backend fail-fast error *)
+  | Rejected
+      (** located diagnostics, a backend fail-fast error, or a run-time
+          fault of the sequential run *)
   | Failed of failure_kind
 
 val kind_name : failure_kind -> string

@@ -264,7 +264,7 @@ and arith op a b : typed =
   | Ast.Mul, Int a, Int b -> Int (fun env -> let x = a env in let y = b env in flop env; x * y)
   | Ast.Div, Int a, Int b ->
     Int (fun env -> let x = a env in let y = b env in flop env;
-          if y = 0 then Diag.error "integer division by zero" else x / y)
+          if y = 0 then Storage.runtime_error "integer division by zero" else x / y)
   | Ast.Pow, Int a, Int b ->
     Int (fun env -> let x = a env in let y = b env in flop env; Value.ipow x y)
   | _, (Float _ as a), ((Int _ | Float _) as b) | _, (Int _ as a), (Float _ as b) ->
@@ -339,7 +339,7 @@ and intrinsic sc name args : typed =
     | Some _, "sqrt", [ a ] -> let a = as_float a in Float (fun env -> sqrt (a env))
     | Some _, "mod", [ Int a; Int b ] ->
       Int (fun env -> let x = a env in let y = b env in
-            if y = 0 then Diag.error "mod by zero" else x mod y)
+            if y = 0 then Storage.runtime_error "mod by zero" else x mod y)
     | Some _, ("max" | "min"), _ when all (function Int _ -> true | _ -> false) ->
       Int (extremum name compare (List.map as_int ts))
     | Some _, ("max" | "min"), _ when all (function Int _ | Float _ -> true | _ -> false) ->
@@ -407,7 +407,7 @@ let do_loop sc ~var ~lo ~hi ~step body : env -> unit =
     let l = lo env in
     let h = hi env in
     let st = match step with None -> 1 | Some s -> s env in
-    if st = 0 then Diag.error "zero DO step";
+    if st = 0 then Storage.runtime_error "zero DO step";
     let cell = cell env in
     let x = ref l in
     while if st > 0 then !x <= h else !x >= h do

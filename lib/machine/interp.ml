@@ -7,8 +7,6 @@
 open Fd_support
 open Fd_frontend
 
-exception Runtime_error of string
-
 type binding = Eval.binding = Bscalar of Value.t ref | Barray of Storage.array_obj
 
 type frame = (string, binding) Hashtbl.t
@@ -42,7 +40,7 @@ let intrinsic sc name args : Eval.typed option =
       (Eval.Boxed
          (fun env ->
            let i = sel env in
-           if i < 0 || i >= Array.length consts then Diag.error "tab$ index %d out of range" i
+           if i < 0 || i >= Array.length consts then Storage.runtime_error "tab$ index %d out of range" i
            else consts.(i) env))
   | "owner$", Ast.Var arr :: subs ->
     (* run-time resolution: owner of an element under the array's current
@@ -58,9 +56,7 @@ let intrinsic sc name args : Eval.typed option =
            match layout.Layout.dist_dim with
            | None -> env.Eval.proc
            | Some d ->
-             if d >= Array.length subs then
-               Diag.error "array %s: rank %d referenced with %d subscripts" arr (Storage.rank o)
-                 (Array.length subs);
+             if d >= Array.length subs then Storage.rank_error o (Array.length subs);
              let x = subs.(d) env in
              let lo, hi = o.Storage.bounds.(d) in
              if x < lo || x > hi then Storage.check_subscript o d x;
@@ -83,7 +79,7 @@ let section sc (section : Node.section) : Eval.env -> Triplet.t list =
         let l = lo env in
         let h = hi env in
         let s = step env in
-        if s < 1 then Diag.error "section step must be positive";
+        if s < 1 then Storage.runtime_error "section step must be positive";
         Triplet.make ~lo:l ~hi:h ~step:s)
       dims
 
@@ -122,10 +118,8 @@ let peer sc what (loc : Loc.t) e : Eval.env -> int =
   fun env ->
     let p = e env in
     if p < 0 || p >= env.Eval.nprocs then
-      raise
-        (Runtime_error
-           (Fmt.str "%a: p%d %s processor %d, outside 0..%d" Loc.pp loc env.Eval.proc what p
-              (env.Eval.nprocs - 1)));
+      Storage.runtime_error "%a: p%d %s processor %d, outside 0..%d" Loc.pp loc env.Eval.proc
+        what p (env.Eval.nprocs - 1);
     p
 
 let rec stmt sc (s : Node.nstmt) : Eval.env -> unit =

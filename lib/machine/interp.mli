@@ -4,11 +4,6 @@
     performing {!Eff} effects for time, messages, collectives, and
     output; the {!Scheduler} coordinates the ensemble. *)
 
-exception Runtime_error of string
-(** A located run-time fault of the node program, such as a message
-    peer outside [0..P-1]; the scheduler reports it as
-    [Scheduler.Runtime_error]. *)
-
 type binding = Eval.binding = Bscalar of Fd_frontend.Value.t ref | Barray of Storage.array_obj
 
 type frame = (string, binding) Hashtbl.t

@@ -489,7 +489,7 @@ let run_partial ?budget (config : Config.t) (prog : Node.program) : partial =
        (Sim_error
           (Invalid_read
              { proc; array; index; clock = t.stats.Stats.clocks.(proc) }))
-   | Interp.Runtime_error msg -> raise (Sim_error (Runtime_error msg)))
+   | Storage.Runtime_error msg -> raise (Sim_error (Runtime_error msg)))
   with
   | () ->
     if !finished < nprocs then raise (Sim_error (Deadlock (wait_for_graph t)));

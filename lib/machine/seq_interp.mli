@@ -21,4 +21,4 @@ val run :
 (** [on_branch] observes every source-IF decision as [(loc, taken)],
     keyed by the IF statement's location.  The static cost analyzer uses
     the aggregated profile to assign execution multiplicities to
-    unverifiable regions ({!Fd_verify.Absint.region}). *)
+    unverifiable regions (see [Fd_verify.Absint.walk]). *)

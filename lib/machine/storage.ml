@@ -57,6 +57,10 @@ type array_obj = {
 
 exception Invalid_read of { array : string; index : int array; proc : int }
 
+exception Runtime_error of string
+
+let runtime_error fmt = Format.kasprintf (fun m -> raise (Runtime_error m)) fmt
+
 let rank obj = Array.length obj.bounds
 
 let npages size = (size + page_mask) lsr page_bits
@@ -136,13 +140,13 @@ let materialize obj pg =
   v
 
 let rank_error obj n =
-  Diag.error "array %s: rank %d referenced with %d subscripts" obj.name (rank obj) n
+  runtime_error "array %s: rank %d referenced with %d subscripts" obj.name (rank obj) n
 
 (* Offset of subscript [x] in 0-based dimension [d], bounds-checked. *)
 let dim_offset obj d x =
   let lo, hi = obj.bounds.(d) in
   if x < lo || x > hi then
-    Diag.error "array %s: subscript %d out of bounds %d:%d in dimension %d" obj.name x lo hi
+    runtime_error "array %s: subscript %d out of bounds %d:%d in dimension %d" obj.name x lo hi
       (d + 1);
   (x - lo) * obj.strides.(d)
 

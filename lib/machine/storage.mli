@@ -47,6 +47,17 @@ type array_obj = private {
 
 exception Invalid_read of { array : string; index : int array; proc : int }
 
+exception Runtime_error of string
+(** The machine layer's one run-time fault of a running program: a
+    subscript out of bounds or of the wrong rank, integer division or
+    [mod] by zero, a zero DO step, a bad section step or [tab$] index,
+    a message peer outside [0..P-1].  The scheduler reports it as
+    [Scheduler.Runtime_error]; escaping the sequential interpreter, it
+    exits 3 like a simulation failure. *)
+
+val runtime_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
+(** Raise {!Runtime_error} with a formatted message. *)
+
 val alloc :
   stats:Stats.t -> proc:int -> nprocs:int -> string -> Ast.dtype -> Layout.t -> array_obj
 (** Storage with no page materialized: it reads zero, and its owned
@@ -56,7 +67,7 @@ val alloc :
 val rank : array_obj -> int
 
 val flat_index : array_obj -> int array -> int
-(** @raise Fd_support.Diag.Compile_error on rank or bounds violations. *)
+(** @raise Runtime_error on rank or bounds violations. *)
 
 val index1 : array_obj -> int -> int
 val index2 : array_obj -> int -> int -> int
@@ -67,6 +78,10 @@ val index3 : array_obj -> int -> int -> int -> int
 val check_subscript : array_obj -> int -> int -> unit
 (** [check_subscript obj d x] bounds-checks subscript [x] of 0-based
     dimension [d], with {!flat_index}'s message. *)
+
+val rank_error : array_obj -> int -> 'a
+(** [rank_error obj n] raises {!flat_index}'s error for [n]
+    subscripts. *)
 
 val index_of : array_obj -> int -> int array
 (** The subscripts of an in-bounds flat index. *)

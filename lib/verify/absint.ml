@@ -76,16 +76,6 @@ type scope = {
   sc_visible : (string * int * binding option) list;
 }
 
-(* One unverifiable-control-flow region instance, in walk order.  The
-   buffered branch events never reach the main stream (only Ev_assume
-   does); the cost analyzer counts the regions that communicate. *)
-type region = {
-  rg_if_loc : Loc.t;
-      (* source IF statement; Loc.none for symbolic loop regions *)
-  rg_then : Skeleton.event list;
-  rg_else : Skeleton.event list;
-}
-
 type w = {
   n : int;
   prog : Node.program;
@@ -105,7 +95,7 @@ type w = {
       (* per (site, tag): nonempty, empty *)
   comm_memo : (string, bool) Hashtbl.t;
   finding_seen : (string * string * int * int, unit) Hashtbl.t;
-  mutable regions : region list;  (* reversed; see [region] *)
+  mutable comm_regions : Loc.t list;  (* reversed; see [result] *)
 }
 
 type result = {
@@ -116,7 +106,10 @@ type result = {
       (* the event stream covers the whole program, so the skeleton
          replay's deadlock verdicts are meaningful *)
   visits : int;  (* statements visited, for the bench *)
-  regions : region list;  (* unverified regions, in walk order *)
+  comm_regions : Loc.t list;
+      (* the IF of each unverified region instance that sends, receives
+         or runs a collective, in walk order; Loc.none for a symbolic
+         loop region *)
 }
 
 (* One finding per (kind, site) — the walk revisits statements (loop
@@ -910,20 +903,7 @@ and walk_if w fr act ~loc vc then_ else_ : Iset.t =
 and walk_branches_as_regions w fr act ~loc ~divergent then_ else_ =
   let evs_t = walk_region w fr act then_ in
   let evs_e = walk_region w fr act else_ in
-  record_region w ~if_loc:loc ~then_:evs_t ~else_:evs_e;
-  finish_regions w ~divergent (evs_t @ evs_e)
-
-(* Every region instance is recorded, even when both branches are
-   comm-free, so per-IF-site profile decisions stay aligned with the
-   walk order. *)
-and record_region w ~if_loc ~then_ ~else_ =
-  w.regions <-
-    {
-      rg_if_loc = if_loc;
-      rg_then = then_;
-      rg_else = else_;
-    }
-    :: w.regions
+  finish_regions w ~if_loc:loc ~divergent (evs_t @ evs_e)
 
 (* Walk [stmts] once with weak scalar updates, capturing its events. *)
 and walk_region w fr act body : Skeleton.event list =
@@ -945,9 +925,18 @@ and walk_region w fr act body : Skeleton.event list =
    assumed received so later sends are not falsely flagged, and the
    site is reported once as an Info region.  The region's events are
    not matched: with no deliveries before it and its owner lanes
-   joined, what a replay of them alone could report is not evidence. *)
-and finish_regions w ~divergent (all : Skeleton.event list) =
+   joined, what a replay of them alone could report is not evidence.
+   A region that communicates joins [comm_regions] under [if_loc]. *)
+and finish_regions w ~if_loc ~divergent (all : Skeleton.event list) =
   if all <> [] then begin
+    if
+      List.exists
+        (fun (ev : Skeleton.event) ->
+          match ev.Skeleton.e_kind with
+          | Skeleton.Ev_send _ | Skeleton.Ev_recv _ | Skeleton.Ev_coll _ -> true
+          | Skeleton.Ev_assume _ -> false)
+        all
+    then w.comm_regions <- if_loc :: w.comm_regions;
     List.iter
       (fun (ev : Skeleton.event) ->
         match ev.Skeleton.e_kind with
@@ -1162,8 +1151,7 @@ and walk_do w fr act ~var ~slot ~havoc ~mention ~comm (lo, hi, step) body
            iteration as a region *)
         havoc_scalars w fr act ~divergent:divergent_bounds [ slot ];
         let evs = walk_region w fr act body in
-        record_region w ~if_loc:Loc.none ~then_:evs ~else_:[];
-        finish_regions w ~divergent:divergent_bounds evs;
+        finish_regions w ~if_loc:Loc.none ~divergent:divergent_bounds evs;
         act
       end
 
@@ -1340,7 +1328,7 @@ let no_program msg =
     fuzzy_tags = Hashtbl.create 1;
     complete = false;
     visits = 0;
-    regions = [];
+    comm_regions = [];
   }
 
 let state ?budget ?branch_oracle ~nprocs (prog : Node.program) =
@@ -1364,7 +1352,7 @@ let state ?budget ?branch_oracle ~nprocs (prog : Node.program) =
     send_stats = Hashtbl.create 16;
     comm_memo = Hashtbl.create 8;
     finding_seen = Hashtbl.create 16;
-    regions = [];
+    comm_regions = [];
   }
 
 let frames (prog : Node.program) =
@@ -1437,7 +1425,7 @@ let walk_main ?budget ?branch_oracle ~nprocs (prog : Node.program)
     fuzzy_tags = w.fuzzy;
     complete;
     visits = fuel_budget - w.fuel;
-    regions = List.rev w.regions;
+    comm_regions = List.rev w.comm_regions;
   }
 
 let walk ?budget ?branch_oracle ~nprocs (prog : Node.program) : result =

@@ -26,18 +26,6 @@
 
 open Fd_machine
 
-(** One unverifiable-control-flow region instance, in walk order.  Its
-    buffered branch events never reach the main event stream (only
-    [Ev_assume] does); {!module:Cost} counts regions that contain
-    communication to flag its prediction approximate, after first
-    resolving what it can through [?branch_oracle]. *)
-type region = {
-  rg_if_loc : Fd_support.Loc.t;
-      (** source IF statement; [Loc.none] for symbolic loop regions *)
-  rg_then : Skeleton.event list;
-  rg_else : Skeleton.event list;
-}
-
 type result = {
   events : Skeleton.event list;
   findings : Finding.t list;
@@ -46,7 +34,13 @@ type result = {
       (** the event stream covers the whole program, so the skeleton
           replay's deadlock verdicts are meaningful *)
   visits : int;  (** statements visited, for the bench *)
-  regions : region list;  (** unverified regions, in walk order *)
+  comm_regions : Fd_support.Loc.t list;
+      (** the IF of each unverified region instance that sends, receives
+          or runs a collective, in walk order ([Loc.none] for a symbolic
+          loop region).  A region's events never reach [events] (only
+          [Ev_assume] does); {!module:Cost} counts these instances to
+          flag its prediction approximate, after first resolving what it
+          can through [?branch_oracle]. *)
 }
 
 (** Walk the program's main entry for [nprocs] processors.  Under a

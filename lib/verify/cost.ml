@@ -765,14 +765,6 @@ type t = {
 
 let comm_ops t = t.messages + t.bcasts + t.remaps + t.remap_marks
 
-let region_has_comm (rg : Absint.region) =
-  List.exists
-    (fun (ev : Skeleton.event) ->
-      match ev.Skeleton.e_kind with
-      | Skeleton.Ev_send _ | Skeleton.Ev_recv _ | Skeleton.Ev_coll _ -> true
-      | Skeleton.Ev_assume _ -> false)
-    (rg.Absint.rg_then @ rg.Absint.rg_else)
-
 let analyze ?profile:prof ~(config : Config.t) (prog : Node.program) : t =
   let nprocs = config.Config.nprocs in
   let branch_oracle = Option.map oracle prof in
@@ -788,9 +780,7 @@ let analyze ?profile:prof ~(config : Config.t) (prog : Node.program) : t =
     note st
       "the abstract walk did not cover the whole program (budget or \
        invalid node program); totals cover the analysed prefix only";
-  let comm_regions =
-    List.filter region_has_comm r.Absint.regions |> List.length
-  in
+  let comm_regions = List.length r.Absint.comm_regions in
   if comm_regions > 0 then
     note st
       (Fmt.str
@@ -800,15 +790,9 @@ let analyze ?profile:prof ~(config : Config.t) (prog : Node.program) : t =
          (if comm_regions = 1 then "" else "s"));
   (match prof with
   | Some p ->
-    let comm_locs =
-      List.filter_map
-        (fun rg ->
-          if region_has_comm rg then Some rg.Absint.rg_if_loc else None)
-        r.Absint.regions
-    in
     List.iter
       (fun (loc, tcnt, fcnt) ->
-        if List.mem loc comm_locs then
+        if List.mem loc r.Absint.comm_regions then
           note st
             (Fmt.str
                "IF at %a took both branches sequentially (%d true, %d \

@@ -524,7 +524,7 @@ let eval_lanes ~nprocs e =
   let result = ref None in
   Eval.define u (fun env ->
       me env := Value.Vint env.Eval.proc;
-      result := try Some (c env) with Diag.Compile_error _ -> None);
+      result := try Some (c env) with Diag.Compile_error _ | Storage.Runtime_error _ -> None);
   let config = Config.ipsc860 ~nprocs () in
   Array.init nprocs (fun proc ->
       let env = Eval.env ~proc ~nprocs ~strict:false ~config ~stats:(Stats.create 1) in

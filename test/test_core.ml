@@ -261,21 +261,70 @@ let dd_results_equal_across_levels () =
 
 let ov_estimate_vs_actual () =
   let cp = Sema.check_source (Fd_workloads.Stencil.shifts ~n:64 ~widths:[ 2; 4 ] ()) in
-  let rows = Overlap.analyze (Driver.clone cp) in
+  let rows = Overlap.analyze (Driver.compile cp) in
   let top = List.find (fun r -> r.Overlap.ov_proc = "shifts" && r.Overlap.ov_array = "x") rows in
   check_int "estimate pos" 4 top.Overlap.ov_estimated.Overlap.pos;
   check_int "actual pos" 4 top.Overlap.ov_actual.Overlap.pos;
   check_int "no negative overlap" 0 top.Overlap.ov_estimated.Overlap.neg
 
+let examples_dir = if Sys.file_exists "../examples" then "../examples" else "examples"
+
+let example name =
+  let file = Filename.concat examples_dir name in
+  Driver.check_source ~file (In_channel.with_open_bin file In_channel.input_all)
+
+let overlap_at nprocs cp =
+  Overlap.analyze (Driver.compile ~opts:{ Options.default with Options.nprocs } cp)
+
 let ov_estimate_superset () =
-  (* estimated >= actual everywhere (the paper's imprecision direction) *)
-  let cp = Sema.check_source (Fd_workloads.Figures.fig4 ()) in
-  let rows = Overlap.analyze (Driver.clone cp) in
+  (* estimated >= actual everywhere (the paper's imprecision direction),
+     on every example at every P *)
+  let names =
+    Sys.readdir examples_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".fd")
+    |> List.sort compare
+  in
+  check_int "ten examples" 10 (List.length names);
   List.iter
-    (fun r ->
-      check "pos" true (r.Overlap.ov_estimated.Overlap.pos >= r.Overlap.ov_actual.Overlap.pos);
-      check "neg" true (r.Overlap.ov_estimated.Overlap.neg >= r.Overlap.ov_actual.Overlap.neg))
-    rows
+    (fun name ->
+      let cp = example name in
+      List.iter
+        (fun nprocs ->
+          List.iter
+            (fun r ->
+              let what = Fmt.str "%s P=%d %a" name nprocs Overlap.pp_row r in
+              check what true
+                (r.Overlap.ov_estimated.Overlap.pos >= r.Overlap.ov_actual.Overlap.pos
+                && r.Overlap.ov_estimated.Overlap.neg >= r.Overlap.ov_actual.Overlap.neg))
+            (overlap_at nprocs cp))
+        [ 1; 3; 4; 7; 64 ])
+    names
+
+(* The actual column is what codegen sent for at the compiled P: no
+   processor reads nonlocal data at P = 1, and at P = 4 the red sweep
+   reads only its left neighbour off-processor, the black sweep only its
+   right one.  At P = 3 both sweeps need both sides. *)
+let ov_is_codegens () =
+  let cp = example "redblack.fd" in
+  let rows nprocs = List.map (Fmt.str "%a" Overlap.pp_row) (overlap_at nprocs cp) in
+  Alcotest.(check (list string))
+    "P=1"
+    [ "redblack   u      dim 1   estimated [-1,+1]   actual [-0,+0]";
+      "relax_black u      dim 1   estimated [-1,+1]   actual [-0,+0]";
+      "relax_red  u      dim 1   estimated [-1,+1]   actual [-0,+0]" ]
+    (rows 1);
+  Alcotest.(check (list string))
+    "P=3"
+    [ "redblack   u      dim 1   estimated [-1,+1]   actual [-1,+1]";
+      "relax_black u      dim 1   estimated [-1,+1]   actual [-1,+1]";
+      "relax_red  u      dim 1   estimated [-1,+1]   actual [-1,+1]" ]
+    (rows 3);
+  Alcotest.(check (list string))
+    "P=4"
+    [ "redblack   u      dim 1   estimated [-1,+1]   actual [-1,+1]";
+      "relax_black u      dim 1   estimated [-1,+1]   actual [-0,+1]";
+      "relax_red  u      dim 1   estimated [-1,+1]   actual [-1,+0]" ]
+    (rows 4)
 
 (* fig4 calls f1 on x, distributed on dim 1, and on y, on dim 2;
    cloning gives the y calls their own f1$1, whose reads of z(k+5, i)
@@ -288,7 +337,7 @@ let ov_follows_cloning () =
       "f1$1       z      dim 1   estimated [-0,+5]   actual [-0,+0]";
       "p1         x      dim 1   estimated [-0,+5]   actual [-0,+5]";
       "p1         y      dim 1   estimated [-0,+5]   actual [-0,+0]" ]
-    (List.map (Fmt.str "%a" Overlap.pp_row) (Overlap.analyze (Driver.clone cp)))
+    (List.map (Fmt.str "%a" Overlap.pp_row) (Overlap.analyze (Driver.compile cp)))
 
 (* --- Recompilation analysis ------------------------------------------------------ *)
 
@@ -365,6 +414,7 @@ let suite =
     Alcotest.test_case "overlap estimate vs actual" `Quick ov_estimate_vs_actual;
     Alcotest.test_case "overlap estimate is superset" `Quick ov_estimate_superset;
     Alcotest.test_case "overlap follows cloning" `Quick ov_follows_cloning;
+    Alcotest.test_case "overlap is what codegen placed" `Quick ov_is_codegens;
     Alcotest.test_case "recompile no-op" `Quick rc_noop;
     Alcotest.test_case "recompile body edit local" `Quick rc_body_edit_local;
     Alcotest.test_case "recompile distribution global" `Quick rc_distribution_edit_global;

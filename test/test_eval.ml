@@ -319,7 +319,10 @@ let evaluate ~f_real c =
       fill "a" (fun x -> Value.Vreal x) avals;
       fill "ka" (fun n -> Value.Vint n) kvals;
       fill "la" Value.of_bool lvals;
-      result := match pre env; run env with r -> Some r | exception Diag.Compile_error _ -> None);
+      result :=
+        match pre env; run env with
+        | r -> Some r
+        | exception (Diag.Compile_error _ | Storage.Runtime_error _) -> None);
   let actual = if f_real then "mx" else "mi" in
   let mi = Eval.scalar_cell scm "mi" and mx = Eval.scalar_cell scm "mx" in
   let call = Eval.call scm "s" [ Ast.Var actual ] in
@@ -446,9 +449,10 @@ let owner_bounds_checked () =
   let owner = Ast.Funcall ("owner$", [ Ast.Var "a"; Ast.Int_const 0 ]) in
   match Scheduler.run (Config.make ~nprocs:2 ()) (prog ~arrays [ Node.N_assign (Ast.Var "k", owner) ]) with
   | _ -> Alcotest.fail "owner$(a, 0) must be a bounds error"
-  | exception Diag.Compile_error d ->
-    Alcotest.(check string) "message" "array a: subscript 0 out of bounds 1:8 in dimension 1"
-      d.Diag.message
+  | exception Scheduler.Sim_error e ->
+    Alcotest.(check string) "message"
+      "runtime error: array a: subscript 0 out of bounds 1:8 in dimension 1"
+      (Scheduler.error_to_string e)
 
 (* The fuzz case whose owner$(a, 0) made a receive from processor -1
    index the wait-for graph out of bounds. *)

@@ -91,7 +91,7 @@ let st_bounds_check () =
   check "oob raises" true
     (match Storage.read ~strict:false obj [| 5; 1 |] with
     | _ -> false
-    | exception Diag.Compile_error _ -> true)
+    | exception Storage.Runtime_error _ -> true)
 
 let st_set_layout_resets () =
   let l1 = { Layout.bounds = [ (1, 8) ]; dist_dim = Some 0; dist = Layout.Block 2 } in

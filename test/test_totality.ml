@@ -90,6 +90,11 @@ let test_protect_table () =
     check Alcotest.int "all batched diagnostics survive protect" 3
       (List.length ds)
   | _ -> Alcotest.fail "expected Diagnostics");
+  (match Totality.protect (fun () -> raise (Storage.Runtime_error "mod by zero")) with
+  | Totality.Sim_failed msg as o ->
+    check Alcotest.string "sequential fault message" "runtime error: mod by zero" msg;
+    check Alcotest.int "sequential fault -> exit 3" Totality.sim_failed (Totality.code o)
+  | _ -> Alcotest.fail "expected Sim_failed");
   match
     Totality.protect (fun () ->
         raise (Scheduler.Sim_error (Scheduler.Runtime_error "blew up")))
@@ -209,6 +214,19 @@ let arity_source =
   "program p\n  integer k\n  k = 4\n  call half(k, 3)\nend\n\
    subroutine half(n)\n  integer n\n  n = n / 2\nend\n"
 
+(* Programs that compile and fault when run: a store past the end of an
+   array, and an integer division by zero. *)
+let oob_source =
+  "program oob\n  real a(10)\n  integer i\n  do i = 1, 11\n    a(i) = 1.0\n  enddo\n\
+   \  print *, a(1)\nend\n"
+
+let div0_source = "program div0\n  integer i, j\n  j = 0\n  i = 5 / j\n  print *, i\nend\n"
+
+let with_temp_source src f =
+  let file = Filename.temp_file "fault" ".fd" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc src);
+  Fun.protect ~finally:(fun () -> Sys.remove file) (fun () -> f file)
+
 let test_cli_exit_codes () =
   let ex name = Filename.concat examples_dir name in
   check Alcotest.int "check clean -> 0" 0 (run_fdc ("check " ^ ex "fig1.fd"));
@@ -230,6 +248,16 @@ let test_cli_exit_codes () =
   Out_channel.with_open_bin arity (fun oc -> output_string oc arity_source);
   check Alcotest.int "run on an arity mismatch -> 2" 2 (run_fdc ("run " ^ arity));
   Sys.remove arity;
+  (* a run-time fault is a simulation failure, not a compile diagnostic *)
+  List.iter
+    (fun (what, src) ->
+      with_temp_source src (fun file ->
+          List.iter
+            (fun cmd ->
+              check Alcotest.int (Fmt.str "%s on %s -> 3" cmd what) 3
+                (run_fdc (cmd ^ " " ^ file)))
+            [ "run"; "seq" ]))
+    [ ("an out-of-bounds store", oob_source); ("a division by zero", div0_source) ];
   (* the network is reliable and compiled programs receive what they
      read, so no committed source fails in the simulator: a node program
      that deadlocks goes through the classification [fdc] exits by *)
@@ -281,6 +309,17 @@ let test_gen_case_deterministic () =
   check Alcotest.string "seed fully determines the program" s1 s2;
   check Alcotest.bool "seed fully determines the strategy" true (g1 = g2)
 
+(* A program whose sequential run faults too is rejected, not unsound. *)
+let test_runtime_fault_rejected () =
+  List.iter
+    (fun strategy ->
+      match Fd_fuzz.Harness.run_case ~nprocs:4 ~strategy oob_source with
+      | Fd_fuzz.Harness.Rejected -> ()
+      | Fd_fuzz.Harness.Accepted -> Alcotest.fail "an out-of-bounds store was accepted"
+      | Fd_fuzz.Harness.Failed k ->
+        Alcotest.failf "%s: %s" (Fd_fuzz.Harness.kind_name k) (Fd_fuzz.Harness.kind_detail k))
+    [ Options.Interproc; Options.Immediate; Options.Runtime_resolution ]
+
 let test_mini_campaign () =
   let r = Fd_fuzz.Harness.campaign ~iters:25 ~seed:101 () in
   check Alcotest.int "all cases executed" 25 r.Fd_fuzz.Harness.iters;
@@ -318,4 +357,5 @@ let suite =
     Alcotest.test_case "gen_case is seed-deterministic" `Quick
       test_gen_case_deterministic;
     Alcotest.test_case "mini fuzz campaign is clean" `Slow test_mini_campaign;
+    Alcotest.test_case "a run-time fault is rejected" `Quick test_runtime_fault_rejected;
   ]

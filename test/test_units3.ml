@@ -46,7 +46,7 @@ let overlap_negative () =
   let src =
     "program p\n  parameter (n = 32)\n  real u(32)\n  integer i\n  distribute u(block)\n  do i = 3, n\n    u(i) = u(i-2)\n  enddo\n  print *, u(n)\nend\n"
   in
-  let rows = Overlap.analyze (Driver.clone (Sema.check_source src)) in
+  let rows = Overlap.analyze (Driver.compile (Sema.check_source src)) in
   let r = List.find (fun r -> r.Overlap.ov_array = "u") rows in
   check_int "neg estimate" 2 r.Overlap.ov_estimated.Overlap.neg;
   check_int "no pos" 0 r.Overlap.ov_estimated.Overlap.pos
