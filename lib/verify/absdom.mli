@@ -57,6 +57,11 @@ val unknown : t
 (** Divergent-unknown: each processor may hold a different value. *)
 val divergent_unknown : n:int -> t
 
+(** The same representation, lane for lane, reals compared bit for bit
+    (unlike {!join}'s provable equality, [Punk] is identical to
+    [Punk]). *)
+val identical : t -> t -> bool
+
 (** The pid vector itself: lane p holds [Pint p]. *)
 val myproc : n:int -> t
 

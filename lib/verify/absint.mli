@@ -46,7 +46,10 @@ type result = {
 (** Walk the program's main entry for [nprocs] processors.  Under a
     [?budget], exhaustion stops the walk gracefully with an Info
     ["budget-exhausted"] finding and [complete = false] — the analysed
-    prefix is still reported.
+    prefix is still reported.  A walk under a budget also walks every
+    call's body afresh; without one, a call whose callee was already
+    walked in the same context replays that walk, to the same result
+    (DESIGN.md 6e "Call summaries").
 
     [?branch_oracle] resolves processor-uniform but statically-unknown
     IF conditions (keyed by the source statement's location): [Some
