@@ -459,7 +459,10 @@ let e16 () =
   Fmt.pr "-------+-----------+--------------+--------------+-------+-------------@.";
   let src = Fd_workloads.Dgefa.source ~n () in
   let cp = Driver.check_source src in
+  (* the sequential run is on demand: run it here, outside the timed
+     analyses *)
   let profile = Fd_verify.Cost.profile_of_seq cp in
+  Fd_verify.Cost.force_profile profile;
   List.iter
     (fun p ->
       let opts = { Options.default with Options.nprocs = p } in
@@ -530,6 +533,7 @@ let e18 () =
     (fun (name, src) ->
       let cp = Driver.check_source src in
       let profile = Fd_verify.Cost.profile_of_seq cp in
+      Fd_verify.Cost.force_profile profile;
       List.iter
         (fun p ->
           let opts =
@@ -719,6 +723,7 @@ let e22 () =
       let words = Gc.minor_words () -. w0 in
       let walk_ms = median_ms (fun () -> Fd_verify.Absint.walk ~nprocs prog) in
       let profile = Fd_verify.Cost.profile_of_seq cp in
+      Fd_verify.Cost.force_profile profile;
       let config = Driver.machine_config opts in
       let cost_ms = median_ms (fun () -> Fd_verify.Cost.analyze ~profile ~config prog) in
       Fmt.pr "%-12s | %-18s | %4d | %9.2f | %7d | %8.2f | %12.2f@." e

@@ -32,7 +32,11 @@
    profile is uniform are walked as decided.  Mixed or unprofiled sites
    stay regions, their communication is excluded from the totals, and
    the result is flagged approximate with an Info finding per
-   assumption.
+   assumption.  The profile is lazy: the sequential run happens at most
+   once, the first time the walk meets an unresolved uniform IF (or the
+   mixed-site note has a region to explain), so a program the walk
+   resolves statically never pays for it.  Forcing one profile from two
+   domains at once is a race (Lazy.Undefined).
 
    The timed replay is the timing lens on Skeleton's group engine, the
    same one [fdc check] replays with: each pid-interval group carries an
@@ -47,10 +51,13 @@ open Fd_machine
 
 (* --- sequential branch profile ---------------------------------------- *)
 
-type profile = (Loc.t, (int * int) ref) Hashtbl.t
+(* Per-site (taken, not taken) counts, computed the first time a
+   consumer asks: most programs leave no IF unresolved, and then the
+   sequential run would buy nothing. *)
+type profile = (Loc.t, (int * int) ref) Hashtbl.t Lazy.t
 
-let profile_of_seq (cp : Fd_frontend.Sema.checked_program) : profile =
-  let tbl : profile = Hashtbl.create 16 in
+let run_profile (cp : Fd_frontend.Sema.checked_program) =
+  let tbl = Hashtbl.create 16 in
   let on_branch loc taken =
     if loc <> Loc.none then begin
       let r =
@@ -70,10 +77,14 @@ let profile_of_seq (cp : Fd_frontend.Sema.checked_program) : profile =
   (try ignore (Seq_interp.run ~on_branch cp) with _ -> ());
   tbl
 
+let profile_of_seq cp : profile = lazy (run_profile cp)
+let force_profile (p : profile) = ignore (Lazy.force p)
+let profile_ran (p : profile) = Lazy.is_val p
+
 let oracle (p : profile) (loc : Loc.t) : bool option =
   if loc = Loc.none then None
   else
-    match Hashtbl.find_opt p loc with
+    match Hashtbl.find_opt (Lazy.force p) loc with
     | Some { contents = t, 0 } when t > 0 -> Some true
     | Some { contents = 0, f } when f > 0 -> Some false
     | _ -> None
@@ -82,7 +93,7 @@ let mixed_sites (p : profile) : (Loc.t * int * int) list =
   Hashtbl.fold
     (fun loc { contents = t, f } acc ->
       if t > 0 && f > 0 then (loc, t, f) :: acc else acc)
-    p []
+    (Lazy.force p) []
   |> List.sort compare
 
 (* --- piecewise-affine per-processor accumulators ------------------------ *)
@@ -770,7 +781,7 @@ let analyze ?profile:prof ~(config : Config.t) (prog : Node.program) : t =
   let branch_oracle = Option.map oracle prof in
   let r = Absint.walk ?branch_oracle ~nprocs prog in
   let st =
-    { n = nprocs; cfg = config; q = Replay.create (); messages = 0; message_bytes = 0;
+    { n = nprocs; cfg = config; q = Replay.create ~nprocs; messages = 0; message_bytes = 0;
       bcasts = 0; bcast_bytes = 0; remaps = 0; remap_marks = 0;
       remap_bytes = 0; c_msgs = []; c_bytes = []; c_send = []; c_wait = [];
       c_coll = []; sites = Hashtbl.create 16; notes = [];
@@ -788,8 +799,10 @@ let analyze ?profile:prof ~(config : Config.t) (prog : Node.program) : t =
           excluded from the totals"
          comm_regions
          (if comm_regions = 1 then "" else "s"));
+  (* only a region's IF can be a mixed site worth a note, so a walk
+     that left none never runs the profile *)
   (match prof with
-  | Some p ->
+  | Some p when r.Absint.comm_regions <> [] ->
     List.iter
       (fun (loc, tcnt, fcnt) ->
         if List.mem loc r.Absint.comm_regions then
@@ -799,7 +812,7 @@ let analyze ?profile:prof ~(config : Config.t) (prog : Node.program) : t =
                 false); its communication is excluded"
                Loc.pp loc tcnt fcnt))
       (mixed_sites p)
-  | None -> ());
+  | _ -> ());
   let evs = Array.of_list r.Absint.events in
   let groups =
     Skeleton.replay

@@ -21,15 +21,27 @@ open Fd_machine
     resolved by observing one sequential reference execution.  Sites
     whose profile is uniform (always taken or never taken) are walked as
     decided; mixed or unprofiled sites stay excluded regions and flag
-    the result approximate. *)
+    the result approximate.
+
+    The sequential run happens on demand, at most once per profile: the
+    first time the walk meets such an IF, or {!force_profile} asks.  A
+    program without one never runs it.  A profile is a lazy value, so
+    it must not be forced from two domains at once. *)
 
 type profile
 (** Per-source-IF decision counts from a sequential run. *)
 
 val profile_of_seq : Fd_frontend.Sema.checked_program -> profile
-(** Run the sequential reference interpreter once, recording each IF
-    decision.  A sequential runtime failure yields a partial profile
-    (the analysis then degrades to regions, it does not raise). *)
+(** A profile of the program that, once forced, runs the sequential
+    reference interpreter, recording each IF decision.  A sequential
+    runtime failure yields a partial profile (the analysis then degrades
+    to regions, it does not raise). *)
+
+val force_profile : profile -> unit
+(** Run the sequential interpreter now, if it has not run yet. *)
+
+val profile_ran : profile -> bool
+(** The sequential interpreter has run for this profile. *)
 
 val oracle : profile -> Loc.t -> bool option
 (** [Some taken] iff the profile for that statement is uniform. *)
@@ -94,7 +106,7 @@ type t = {
           statements; Info "cost-assumption" per assumption *)
   events : int;  (** skeleton events priced *)
   regions_excluded : int;  (** unresolved regions containing communication *)
-  profile_used : bool;
+  profile_used : bool;  (** a profile was supplied, whether or not it ran *)
 }
 
 val analyze : ?profile:profile -> config:Config.t -> Node.program -> t

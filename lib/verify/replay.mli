@@ -2,11 +2,13 @@
     ([fdc check]) and {!Cost} ([fdc cost]).
 
     Messages wait in one queue per tag, in emission order; a receive
-    scans only its tag's queue, and a message leaves its queue once
-    every sender's copy is consumed (it could match nothing again, so
-    dropping it changes no result).  Replay is therefore linear in the
-    number of live messages per receive, not in every message ever
-    sent. *)
+    scans only its tag's queue, from the first message with an
+    unconsumed copy, and a message leaves its queue once every sender's
+    copy is consumed (it could match nothing again, so dropping it
+    changes no result).  A known-source receive resumes at its
+    (tag, source, destination) channel's last match, since no earlier
+    message can match that channel again, so a receiver that lags
+    behind its sender does not re-read the messages it already took. *)
 
 open Fd_support
 
@@ -34,12 +36,17 @@ type 'a msg = private {
 
 type 'a t
 
-val create : unit -> 'a t
+val create : nprocs:int -> 'a t
+(** A replay of [nprocs] processors: every sender and receiver is a pid
+    in [\[0, nprocs)]. *)
 
 val next_round : 'a t -> unit
 (** Start a replay round: messages pushed before it are visible to
     every receiver, later ones only to receivers at or above their
     sender. *)
+
+val scanned : 'a t -> int
+(** Queue slots the searches of this replay have inspected so far. *)
 
 val push : 'a t -> tag:int -> dest:aff option -> senders:Iset.t -> 'a -> unit
 

@@ -693,7 +693,7 @@ let run ~nprocs ?fuzzy_tags (events : event list) :
         | Some t -> Hashtbl.copy t
         | None -> Hashtbl.create 8);
       received = Hashtbl.create 16;
-      q = Replay.create ();
+      q = Replay.create ~nprocs;
       findings = [];
       redundant_seen = Hashtbl.create 8;
     }

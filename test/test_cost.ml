@@ -260,6 +260,54 @@ let test_profile_degradation () =
   let c2 = Cost.analyze ~profile ~config compiled.Codegen.program in
   check Alcotest.bool "with profile: exact" true c2.Cost.exact
 
+(* The branch profile is on demand: as [Driver.cost] builds it, the
+   sequential run happens only for a program whose walk meets an IF it
+   cannot resolve statically — dgefa's pivot test, under every
+   strategy; the stencils and figures never run it. *)
+let test_profile_on_demand () =
+  List.iter
+    (fun (file, runs) ->
+      let cp = Driver.check_source ~file (read_file (Filename.concat examples_dir file)) in
+      List.iter
+        (fun (sname, strategy) ->
+          let opts = { Options.default with strategy; nprocs = 8 } in
+          let compiled = Driver.compile ~opts cp in
+          let profile = Cost.profile_of_seq cp in
+          let c =
+            Cost.analyze ~profile ~config:(Driver.machine_config opts) compiled.Codegen.program
+          in
+          check Alcotest.bool (Fmt.str "%s %s: sequential run" file sname) runs
+            (Cost.profile_ran profile);
+          check Alcotest.bool (Fmt.str "%s %s: profile used" file sname) true
+            c.Cost.profile_used)
+        strategies)
+    [ ("fig1.fd", false); ("fig4.fd", false); ("jacobi2d.fd", false);
+      ("redblack.fd", false); ("dgefa.fd", true) ]
+
+(* Running the profile on demand changes no answer: the result equals
+   the one with the profile run before the analysis. *)
+let test_profile_forced_same () =
+  List.iter
+    (fun file ->
+      let cp = Driver.check_source ~file (read_file (Filename.concat examples_dir file)) in
+      List.iter
+        (fun (sname, strategy) ->
+          List.iter
+            (fun nprocs ->
+              let opts = { Options.default with strategy; nprocs } in
+              let prog = (Driver.compile ~opts cp).Codegen.program in
+              let config = Driver.machine_config opts in
+              let json profile =
+                Fd_support.Json.to_string (Cost.to_json (Cost.analyze ~profile ~config prog))
+              in
+              let forced = Cost.profile_of_seq cp in
+              Cost.force_profile forced;
+              check Alcotest.string (Fmt.str "%s %s P=%d" file sname nprocs) (json forced)
+                (json (Cost.profile_of_seq cp)))
+            [ 3; 8; 64 ])
+        strategies)
+    good_examples
+
 (* Gen sweep: the contract holds on random programs, not just the
    committed corpus.  Cases come from the fuzzer's generator — 1-D and
    2-D programs, most of them mutated, each under its own strategy —
@@ -366,6 +414,9 @@ let suite =
       test_unvectorized_warning;
     Alcotest.test_case "profile-free degradation" `Quick
       test_profile_degradation;
+    Alcotest.test_case "profile runs on demand" `Quick test_profile_on_demand;
+    Alcotest.test_case "on-demand profile = forced profile" `Slow
+      test_profile_forced_same;
     Alcotest.test_case "gen sweep: random programs" `Slow test_gen_property;
     Alcotest.test_case "cloned program keeps source locations" `Quick
       test_cloned_locations;

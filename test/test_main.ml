@@ -26,6 +26,7 @@ let () =
       ("network", Test_network.suite);
       ("faults", Test_faults.suite);
       ("cost", Test_cost.suite);
+      ("replay", Test_replay.suite);
       ("integration", Test_integration.suite);
       ("totality", Test_totality.suite);
       ("eval", Test_eval.suite);
