@@ -148,6 +148,86 @@ let d_genkill_liveness () =
   check "x not live out of its def (backward output)" false
     (IS.mem 0 r.Live.output.(!def_x))
 
+(* --- Dataflow: the engine against a naive reference ------------------------ *)
+
+(* Facts are bitsets in an int: join is [lor], bottom is 0. *)
+module Bits = Dataflow.Make (struct
+  type t = int
+
+  let bottom = 0
+  let join = ( lor )
+  let equal = Int.equal
+end)
+
+(* The reference: sweep every node in index order until a whole sweep
+   changes nothing.  From all-bottom facts this reaches the least fixed
+   point, whatever the engine's worklist does. *)
+let naive_solve ~direction ~init ~transfer cfg =
+  let n = Cfg.length cfg in
+  let flow_in, start =
+    match direction with
+    | Dataflow.Forward -> (Cfg.preds cfg, Cfg.entry)
+    | Dataflow.Backward -> (Cfg.succs cfg, Cfg.exit_)
+  in
+  let input = Array.make n 0 and output = Array.make n 0 in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to n - 1 do
+      let base = if i = start then init else 0 in
+      let fact = List.fold_left (fun acc p -> acc lor output.(p)) base (flow_in i) in
+      let out = transfer i fact in
+      if fact <> input.(i) || out <> output.(i) then begin
+        input.(i) <- fact;
+        output.(i) <- out;
+        changed := true
+      end
+    done
+  done;
+  (input, output)
+
+(* Hand-written bodies the generator does not make: statements after a
+   RETURN (no predecessors), RETURN inside loops and branches, empty
+   THEN and ELSE branches, and nested loops around them. *)
+let oracle_sources =
+  [ "program p\n  real x\n  return\n  x = 1.0\nend\n";
+    "program p\n  real x\n  integer i\n  if (x > 0.0) then\n  else\n    x = 1.0\n  endif\n  do i = 1, 3\n    if (x > 1.0) then\n      return\n    endif\n    x = x + 1.0\n  enddo\n  x = 2.0\nend\n";
+    "program p\n  real x\n  integer i, j\n  do i = 1, 3\n    do j = 1, 3\n      if (x > 0.0) then\n        x = 0.0\n      else\n      endif\n    enddo\n    return\n    x = 3.0\n  enddo\n  if (x > 0.0) then\n  endif\nend\n";
+    "program p\n  real x\n  integer i\n  do i = 1, 3\n  enddo\n  if (x > 0.0) then\n    return\n  else\n    return\n  endif\n  x = 1.0\n  do i = 1, 2\n    x = x + 1.0\n  enddo\nend\n" ]
+
+(* Every unit body of a generated program or of a hand-written one. *)
+let oracle_bodies seed =
+  let st = Random.State.make [| seed |] in
+  let src =
+    if seed mod 3 = 0 then List.nth oracle_sources (seed / 3 mod List.length oracle_sources)
+    else if seed mod 3 = 1 then Fd_workloads.Gen.random_source st
+    else Fd_workloads.Gen.random_source2d st
+  in
+  List.map (fun cu -> cu.Sema.unit_.Ast.body) (Sema.check_source src).Sema.units
+
+let d_engine_matches_naive =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"dataflow solve == naive sweep (random gen/kill)"
+       QCheck2.Gen.(pair (int_bound 100_000) bool)
+       (fun (seed, forward) ->
+         let direction = if forward then Dataflow.Forward else Dataflow.Backward in
+         let st = Random.State.make [| seed; 7 |] in
+         List.for_all
+           (fun body ->
+             let cfg = Cfg.build body in
+             let n = Cfg.length cfg in
+             let bits () = Random.State.bits st land 0xfffff in
+             let gen = Array.init n (fun _ -> bits () land bits ()) in
+             let kill = Array.init n (fun _ -> bits () land bits ()) in
+             let init = bits () in
+             let transfer i fact = fact land lnot kill.(i) lor gen.(i) in
+             let r = Bits.solve ~direction ~init ~transfer:(fun i _ f -> transfer i f) cfg in
+             let input, output = naive_solve ~direction ~init ~transfer cfg in
+             r.Bits.input = input && r.Bits.output = output
+             || QCheck2.Test.fail_reportf "seed %d %s: %d nodes differ from the reference"
+                  seed (if forward then "forward" else "backward") n)
+           (oracle_bodies seed)))
+
 (* --- Sections --------------------------------------------------------------- *)
 
 let refs_of src =
@@ -307,6 +387,7 @@ let suite =
     Alcotest.test_case "cfg if join" `Quick c_if_join;
     Alcotest.test_case "cfg return to exit" `Quick c_return_to_exit;
     Alcotest.test_case "dataflow liveness" `Quick d_genkill_liveness;
+    d_engine_matches_naive;
     Alcotest.test_case "sections collect" `Quick s_collect;
     Alcotest.test_case "sections strided region" `Quick s_region_of_ref;
     Alcotest.test_case "sections triangular widening" `Quick s_triangular_widening;

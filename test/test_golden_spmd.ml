@@ -12,6 +12,11 @@
      strategy at P=5 (the cells [verify.golden] uses);
    - 25 COMMON-block programs x the three strategies at P=5.
 
+   The example cells compile at the default remap level (kills); fig15
+   and adi_dynamic are also pinned under interproc at P = 4 at the
+   three lower levels, so each of [Dynamic_decomp]'s passes is pinned
+   on its own.
+
    A refactor of [Codegen] or of the call-graph translations it uses
    must leave this file byte-identical.  On a mismatch the rendering is
    written to [spmd.golden.actual] next to the test binary. *)
@@ -42,8 +47,8 @@ let strategies =
 
 (* The node program and the sorted export records of one compile, or
    the compile error. *)
-let compile_text ~strategy ~nprocs cp =
-  let opts = { Options.default with Options.nprocs; strategy } in
+let compile_text ?(remap_level = Options.default.Options.remap_level) ~strategy ~nprocs cp =
+  let opts = { Options.default with Options.nprocs; strategy; remap_level } in
   match Driver.compile ~opts cp with
   | exception (Diag.Compile_error _ | Diag.Compile_errors _) -> "compile error\n"
   | compiled ->
@@ -66,6 +71,18 @@ let render_example b file =
             (compile_text ~strategy ~nprocs cp))
         [ 1; 3; 4; 7; 16; 64; 1024 ])
     strategies
+
+let render_remap_levels b =
+  List.iter
+    (fun file ->
+      let cp = Driver.check_source ~file (read_file (Filename.concat examples_dir file)) in
+      List.iter
+        (fun remap_level ->
+          Printf.bprintf b "=== %s interproc P=4 remap=%s\n%s" file
+            (Options.remap_level_name remap_level)
+            (compile_text ~remap_level ~strategy:Options.Interproc ~nprocs:4 cp))
+        [ Options.Remap_none; Options.Remap_live; Options.Remap_hoist ])
+    [ "fig15.fd"; "adi_dynamic.fd" ]
 
 let digest_line b name ~sname ~strategy cp =
   Printf.bprintf b "%s %s P=5 %s\n" name sname
@@ -99,6 +116,7 @@ let render_commons b n =
 let render () =
   let b = Buffer.create 65536 in
   List.iter (render_example b) examples;
+  render_remap_levels b;
   render_generated b 100;
   render_commons b 25;
   Buffer.contents b
