@@ -53,6 +53,7 @@ type state = {
   mutable decisions : decision list;  (* every loop's partition, newest first *)
   mutable shifts : shift list;  (* every shift read that needs nonlocal data *)
   pseudo_sids : Dynamic_decomp.sids;  (* ids of this compile's remap$ statements *)
+  flow : Dataflow.work;  (* this compile's remap and liveness solves *)
   mutable must_reach : string list;
       (* compiled procedures an owner guard may not skip: they print or
          remap, themselves or below *)
@@ -803,21 +804,27 @@ let live_at_loops ctx (body : Ast.stmt list) : int -> SS.t =
       Ast.iter_exprs_stmt (fun e -> acc := expr_vars !acc e) s;
       !acc
   in
-  let transfer _ node live =
-    match node with
-    | Cfg.Entry | Cfg.Exit -> live
-    | Cfg.Stmt s ->
-      (* a call's definitions are only possible: they kill nothing *)
-      let kill = match s.Ast.kind with Ast.Call _ -> SS.empty | _ -> scalar_defs ctx s in
-      SS.union (SS.diff live kill) (uses s)
+  let cfg = Cfg.build body in
+  (* each node's (kill, uses), computed once; a call's definitions are
+     only possible: they kill nothing *)
+  let facts =
+    Array.init (Cfg.length cfg) (fun i ->
+      match Cfg.node cfg i with
+      | Cfg.Entry | Cfg.Exit -> (SS.empty, SS.empty)
+      | Cfg.Stmt s ->
+        ((match s.Ast.kind with Ast.Call _ -> SS.empty | _ -> scalar_defs ctx s), uses s))
+  in
+  let transfer i _ live =
+    let kill, gen = facts.(i) in
+    SS.fold SS.add gen (SS.fold SS.remove kill live)
   in
   let scalars =
     List.filter
       (fun x -> match Symtab.find ctx.symtab x with Some (Symtab.Scalar _) -> true | _ -> false)
       ctx.interface
   in
-  let cfg = Cfg.build body in
   let live = Live.solve ~direction:Dataflow.Backward ~init:(SS.of_list scalars) ~transfer cfg in
+  Live.count ctx.st.flow live;
   fun lsid -> Option.fold (Cfg.node_of_sid cfg lsid) ~none:SS.empty ~some:(Array.get live.Live.input)
 
 type scope = Loop_of of wclass * partition | Whole_body
@@ -1550,7 +1557,7 @@ let compile_proc (st : state) (cu : Sema.checked_unit) : Node.nproc =
   in
   let body =
     if interproc then
-      Dynamic_decomp.optimize st.opts.Options.remap_level ~call_touches ~live_out
+      Dynamic_decomp.optimize st.opts.Options.remap_level ~work:st.flow ~call_touches ~live_out
         ~initial:initial_decomps ~symtab ~value_killer body
     else body
   in
@@ -1696,8 +1703,8 @@ let compile_analyzed ~sink (opts : Options.t) (clone_result : Cloning.result) : 
   let st =
     { opts; sink; acg; rd; effects; counter = 0; exports = Hashtbl.create 16;
       decisions = []; shifts = [];
-      pseudo_sids = Dynamic_decomp.new_sids (); must_reach = [];
-      remapped = Hashtbl.create 16 }
+      pseudo_sids = Dynamic_decomp.new_sids (); flow = Dataflow.new_work ();
+      must_reach = []; remapped = Hashtbl.create 16 }
   in
   let compile_one name =
     let cu = (Acg.proc acg name).Acg.cu in

@@ -44,6 +44,9 @@ type state = {
       (** every such shift, newest first, possibly repeated *)
   pseudo_sids : Dynamic_decomp.sids;
       (** statement ids of this compile's [remap$] pseudo-statements *)
+  flow : Fd_analysis.Dataflow.work;
+      (** nodes and visits of this compile's dataflow solves: dead and
+          redundant remaps, and scalar liveness *)
   mutable must_reach : string list;
       (** compiled procedures an owner guard may not skip: they print or
           remap, themselves or through a callee *)

@@ -22,6 +22,7 @@ open Fd_frontend
 open Fd_analysis
 
 module SS = Set.Make (String)
+module IS = Set.Make (Int)
 
 (* Each compile numbers its pseudo-statements pseudo_sid_base + 1,
    + 2, ...: above every parsed statement id and distinct within the
@@ -148,74 +149,13 @@ let rec subtree_remaps_array x (s : Ast.stmt) : bool =
     || List.exists (subtree_remaps_array x) i.else_
   | _ -> false
 
-(* --- Pass 1: dead-remap elimination (backward liveness on the CFG) --- *)
-
-let dead_remap_elim ~call_touches ~live_out (body : Ast.stmt list) : Ast.stmt list * int =
-  let cfg = Cfg.build body in
-  (* facts: set of array names whose current decomposition may still be
-     used downstream *)
-  let module L = struct
-    type t = SS.t
-
-    let bottom = SS.empty
-    let join = SS.union
-    let equal = SS.equal
-  end in
-  let module Solver = Dataflow.Make (L) in
-  let transfer _ node fact =
-    match node with
-    | Cfg.Entry | Cfg.Exit -> fact
-    | Cfg.Stmt s -> (
-      match as_remap s with
-      | Some r -> SS.remove r.rm_array fact
-      | None ->
-        (* add arrays used by this statement *)
-        let used = ref fact in
-        let check x = if stmt_uses_array ~call_touches x s then used := SS.add x !used in
-        (* compute over all arrays mentioned; collect names from the stmt *)
-        let names = ref SS.empty in
-        Ast.iter_exprs_stmt
-          (fun e ->
-            Ast.iter_exprs_expr
-              (fun e' ->
-                match e' with
-                | Ast.Ref (a, _) | Ast.Var a -> names := SS.add a !names
-                | _ -> ())
-              e)
-          s;
-        (match s.Ast.kind with
-        | Ast.Call (callee, args) -> names := SS.union !names (call_touches callee args)
-        | _ -> ());
-        SS.iter check !names;
-        !used)
-  in
-  let result = Solver.solve ~direction:Dataflow.Backward ~init:live_out ~transfer cfg in
-  (* live-out of a node in a backward problem is the join of inputs of
-     CFG successors = the solver's input at that node minus its own
-     transfer...  Simpler: a remap node is dead iff its own array is not
-     in the join of its successors' output facts. *)
-  let removed = ref 0 in
-  let live_after i =
-    List.fold_left (fun acc s -> SS.union acc result.Solver.output.(s)) SS.empty
-      (Cfg.succs cfg i)
-  in
-  let dead_sids = ref [] in
-  for i = 0 to Cfg.length cfg - 1 do
-    match Cfg.node cfg i with
-    | Cfg.Stmt s -> (
-      match as_remap s with
-      | Some r ->
-        if not (SS.mem r.rm_array (live_after i)) then begin
-          dead_sids := s.Ast.sid :: !dead_sids;
-          incr removed
-        end
-      | None -> ())
-    | _ -> ()
-  done;
+(* Drop the statements whose ids are in [sids], at any depth; the body
+   as it is when there are none. *)
+let drop_sids (sids : IS.t) (body : Ast.stmt list) : Ast.stmt list =
   let rec filter stmts =
     List.filter_map
       (fun (s : Ast.stmt) ->
-        if List.mem s.Ast.sid !dead_sids then None
+        if IS.mem s.Ast.sid sids then None
         else
           match s.Ast.kind with
           | Ast.Do d -> Some { s with kind = Ast.Do { d with body = filter d.body } }
@@ -226,87 +166,120 @@ let dead_remap_elim ~call_touches ~live_out (body : Ast.stmt list) : Ast.stmt li
           | _ -> Some s)
       stmts
   in
-  (filter body, !removed)
+  if IS.is_empty sids then body else filter body
+
+(* Each CFG node's remap, decoded once. *)
+let remaps_of cfg =
+  Array.init (Cfg.length cfg) (fun i ->
+    match Cfg.node cfg i with Cfg.Stmt s -> as_remap s | Cfg.Entry | Cfg.Exit -> None)
+
+(* --- Pass 1: dead-remap elimination (backward liveness on the CFG) --- *)
+
+module Live = Dataflow.Make (struct
+  type t = SS.t
+
+  let bottom = SS.empty
+  let join = SS.union
+  let equal = SS.equal
+end)
+
+(* Facts: the arrays whose current decomposition may still be used
+   downstream.  Only arrays some remap names are tracked, since only
+   their liveness decides a removal. *)
+let dead_remap_elim ~work ~call_touches ~live_out (body : Ast.stmt list) :
+    Ast.stmt list * int =
+  let cfg = Cfg.build body in
+  let remaps = remaps_of cfg in
+  let tracked =
+    Array.fold_left
+      (fun acc r -> match r with Some r -> SS.add r.rm_array acc | None -> acc)
+      SS.empty remaps
+  in
+  if SS.is_empty tracked then (body, 0)
+  else begin
+    (* the tracked arrays each statement uses *)
+    let uses =
+      Array.init (Cfg.length cfg) (fun i ->
+        match Cfg.node cfg i with
+        | Cfg.Stmt s when remaps.(i) = None ->
+          SS.filter (fun x -> stmt_uses_array ~call_touches x s) tracked
+        | _ -> SS.empty)
+    in
+    let transfer i _ live =
+      match remaps.(i) with
+      | Some r -> SS.remove r.rm_array live
+      | None -> SS.fold SS.add uses.(i) live
+    in
+    let result =
+      Live.solve ~direction:Dataflow.Backward ~init:(SS.inter live_out tracked) ~transfer cfg
+    in
+    Live.count work result;
+    (* a remap is dead when its array is not live after it: the join of
+       its successors' facts, the solver's input at the node *)
+    let dead = ref IS.empty in
+    Array.iteri
+      (fun i r ->
+        match (r, Cfg.node cfg i) with
+        | Some r, Cfg.Stmt s when not (SS.mem r.rm_array result.Live.input.(i)) ->
+          dead := IS.add s.Ast.sid !dead
+        | _ -> ())
+      remaps;
+    (drop_sids !dead body, IS.cardinal !dead)
+  end
 
 (* --- Pass 2: redundant-remap removal (forward decomposition tracking) - *)
 
 module DM = Map.Make (String)
 
-let redundant_remap_elim ~(initial : Decomp.t DM.t) (body : Ast.stmt list) :
+(* fact: array -> current decomposition; absence = unknown/conflict.
+   The lattice join keeps only agreeing entries. *)
+module Layouts = Dataflow.Make (struct
+  type t = Decomp.t DM.t option  (* None = unreachable (bottom) *)
+
+  let bottom = None
+
+  let join a b =
+    match (a, b) with
+    | None, x | x, None -> x
+    | Some m1, Some m2 ->
+      Some
+        (DM.merge
+           (fun _ d1 d2 ->
+             match (d1, d2) with
+             | Some x, Some y when Decomp.equal x y -> Some x
+             | _ -> None)
+           m1 m2)
+
+  let equal a b =
+    match (a, b) with
+    | None, None -> true
+    | Some m1, Some m2 -> DM.equal Decomp.equal m1 m2
+    | _ -> false
+end)
+
+let redundant_remap_elim ~work ~(initial : Decomp.t DM.t) (body : Ast.stmt list) :
     Ast.stmt list * int =
   let cfg = Cfg.build body in
-  (* fact: array -> current decomposition; absence = unknown/conflict.
-     The lattice join keeps only agreeing entries. *)
-  let module L = struct
-    type t = Decomp.t DM.t option  (* None = unreachable (bottom) *)
-
-    let bottom = None
-
-    let join a b =
-      match (a, b) with
-      | None, x | x, None -> x
-      | Some m1, Some m2 ->
-        Some
-          (DM.merge
-             (fun _ d1 d2 ->
-               match (d1, d2) with
-               | Some x, Some y when Decomp.equal x y -> Some x
-               | _ -> None)
-             m1 m2)
-
-    let equal a b =
-      match (a, b) with
-      | None, None -> true
-      | Some m1, Some m2 -> DM.equal Decomp.equal m1 m2
-      | _ -> false
-  end in
-  let module Solver = Dataflow.Make (L) in
-  let transfer _ node fact =
-    match (node, fact) with
-    | _, None -> (
-      match node with
-      | Cfg.Entry -> Some initial
-      | _ -> None)
-    | Cfg.Stmt s, Some m -> (
-      match as_remap s with
-      | Some r -> Some (DM.add r.rm_array r.rm_decomp m)
-      | None -> Some m)
-    | (Cfg.Entry | Cfg.Exit), Some m -> Some m
+  let remaps = remaps_of cfg in
+  let transfer i node fact =
+    match (node, fact, remaps.(i)) with
+    | Cfg.Entry, None, _ -> Some initial
+    | Cfg.Stmt _, Some m, Some r -> Some (DM.add r.rm_array r.rm_decomp m)
+    | _ -> fact
   in
-  let result =
-    Solver.solve ~direction:Dataflow.Forward ~init:(Some initial) ~transfer cfg
-  in
-  let redundant = ref [] in
-  for i = 0 to Cfg.length cfg - 1 do
-    match Cfg.node cfg i with
-    | Cfg.Stmt s -> (
-      match as_remap s with
-      | Some r -> (
-        match result.Solver.input.(i) with
-        | Some m -> (
-          match DM.find_opt r.rm_array m with
-          | Some d when Decomp.equal d r.rm_decomp ->
-            redundant := s.Ast.sid :: !redundant
-          | _ -> ())
-        | None -> ())
-      | None -> ())
-    | _ -> ()
-  done;
-  let rec filter stmts =
-    List.filter_map
-      (fun (s : Ast.stmt) ->
-        if List.mem s.Ast.sid !redundant then None
-        else
-          match s.Ast.kind with
-          | Ast.Do d -> Some { s with kind = Ast.Do { d with body = filter d.body } }
-          | Ast.If i ->
-            Some
-              { s with
-                kind = Ast.If { i with then_ = filter i.then_; else_ = filter i.else_ } }
-          | _ -> Some s)
-      stmts
-  in
-  (filter body, List.length !redundant)
+  let result = Layouts.solve ~direction:Dataflow.Forward ~init:(Some initial) ~transfer cfg in
+  Layouts.count work result;
+  let redundant = ref IS.empty in
+  Array.iteri
+    (fun i r ->
+      match (r, Cfg.node cfg i, result.Layouts.input.(i)) with
+      | Some r, Cfg.Stmt s, Some m -> (
+        match DM.find_opt r.rm_array m with
+        | Some d when Decomp.equal d r.rm_decomp -> redundant := IS.add s.Ast.sid !redundant
+        | _ -> ())
+      | _ -> ())
+    remaps;
+  (drop_sids !redundant body, IS.cardinal !redundant)
 
 (* --- Pass 3: loop-invariant hoisting --------------------------------- *)
 
@@ -455,14 +428,26 @@ let array_kills ~symtab ~value_killer (body : Ast.stmt list) : Ast.stmt list =
   in
   scan_block body
 
-(* Run the optimization passes appropriate to the remap level. *)
-let optimize (level : Options.remap_level) ~call_touches ~live_out ~initial ~symtab
+let rec holds_remap (s : Ast.stmt) =
+  match s.Ast.kind with
+  | Ast.Call ("remap$", _) -> true
+  | Ast.Do d -> List.exists holds_remap d.body
+  | Ast.If i -> List.exists holds_remap i.then_ || List.exists holds_remap i.else_
+  | _ -> false
+
+(* Run the optimization passes appropriate to the remap level.  Every
+   pass only removes or rewrites remaps, so a body without one is
+   returned as it is. *)
+let optimize (level : Options.remap_level) ~work ~call_touches ~live_out ~initial ~symtab
     ~value_killer (body : Ast.stmt list) : Ast.stmt list =
   match level with
   | Options.Remap_none -> body
+  | _ when not (List.exists holds_remap body) -> body
   | Options.Remap_live | Options.Remap_hoist | Options.Remap_kill ->
     let live body =
-      fst (redundant_remap_elim ~initial (fst (dead_remap_elim ~call_touches ~live_out body)))
+      fst
+        (redundant_remap_elim ~work ~initial
+           (fst (dead_remap_elim ~work ~call_touches ~live_out body)))
     in
     let body = live body in
     let body =

@@ -42,18 +42,20 @@ val subtree_uses_array :
   call_touches:(string -> Ast.expr list -> SS.t) -> string -> Ast.stmt -> bool
 
 val dead_remap_elim :
+  work:Fd_analysis.Dataflow.work ->
   call_touches:(string -> Ast.expr list -> SS.t) ->
   live_out:SS.t ->
   Ast.stmt list ->
   Ast.stmt list * int
 (** Backward liveness over the CFG from [live_out], the arrays whose
-    decomposition is used after the procedure returns; returns the
-    count removed. *)
+    decomposition is used after the procedure returns, of the arrays
+    some remap names; returns the count removed.  The solve is counted
+    in [work]. *)
 
 val redundant_remap_elim :
-  initial:Decomp.t DM.t -> Ast.stmt list -> Ast.stmt list * int
+  work:Fd_analysis.Dataflow.work -> initial:Decomp.t DM.t -> Ast.stmt list -> Ast.stmt list * int
 (** Forward decomposition tracking; removes remaps to the current
-    layout. *)
+    layout.  The solve is counted in [work]. *)
 
 val fully_overwrites :
   Symtab.t -> (int * int) list -> string -> Ast.stmt -> bool
@@ -73,6 +75,7 @@ val first_touch_kills :
 
 val optimize :
   Options.remap_level ->
+  work:Fd_analysis.Dataflow.work ->
   call_touches:(string -> Ast.expr list -> SS.t) ->
   live_out:SS.t ->
   initial:Decomp.t DM.t ->
@@ -80,3 +83,5 @@ val optimize :
   value_killer:(string -> Ast.expr list -> string -> bool) ->
   Ast.stmt list ->
   Ast.stmt list
+(** The passes of the level, in order.  A body without a remap is
+    returned as it is (physically), at every level. *)

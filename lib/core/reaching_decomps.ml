@@ -207,6 +207,11 @@ let compute ~sink (acg : Acg.t) : t =
     (Acg.topo_order acg);
   { reaching; local }
 
+let work t =
+  let w = Dataflow.new_work () in
+  Hashtbl.iter (fun _ lr -> Solver.count w lr.facts) t.local;
+  w
+
 let reaching_of t pname : fact =
   match Hashtbl.find_opt t.reaching pname with Some f -> f | None -> SM.empty
 

@@ -31,6 +31,9 @@ type t
 
 val compute : sink:Fd_support.Diag.sink -> Acg.t -> t
 
+val work : t -> Fd_analysis.Dataflow.work
+(** Nodes and visits of the local solves, one per procedure. *)
+
 val reaching_of : t -> string -> fact
 (** Reaching(P): decompositions inherited by each formal array. *)
 
