@@ -343,40 +343,52 @@ let rec hoist_loops ~call_touches (stmts : Ast.stmt list) : Ast.stmt list =
 
 (* --- Pass 4: array kills (remap in place) ----------------------------- *)
 
-(* Does this statement subtree fully overwrite [x] (declared bounds
-   [dims]) without reading it first?  Detected for rectangular loop nests
-   with affine stores covering the whole declared region. *)
+(* Does every execution of statement subtree [s] store every element of
+   [x] (declared bounds [dims]), reading none first?  Only stores that
+   always run count: reached through DO loops over a constant range
+   lo..hi, lo <= hi, step 1, and no IF.  Their subscripts must each be
+   a constant or one such loop's variable, scaled and shifted, so that
+   each store's region is exact.  A RETURN could cut the stores short
+   and a call could read [x], so [s] may hold neither. *)
 let fully_overwrites (symtab : Symtab.t) (dims : (int * int) list) (x : string)
     (s : Ast.stmt) : bool =
-  let refs = Sections.collect symtab [ s ] in
-  let reads = List.filter (fun r -> (not r.Sections.is_write) && String.equal r.Sections.array x) refs in
-  if reads <> [] then false
-  else begin
-    let written = Sections.written_region ~declared:dims ~array:x refs in
-    let full =
-      Region.of_triplets (List.map (fun (lo, hi) -> Triplet.make ~lo ~hi ~step:1) dims)
-    in
-    (* written is an over-approximation in general, but for exact affine
-       single-loop-var subscripts it is exact; require subscripts to be
-       exact before trusting coverage *)
-    let writes = List.filter (fun r -> r.Sections.is_write && String.equal r.Sections.array x) refs in
-    let exact =
+  let const e = Option.bind (Affine.of_expr symtab e) Affine.const_value in
+  let rec stores swept (t : Ast.stmt) =
+    match t.Ast.kind with
+    | Ast.Assign _ -> [ (t.Ast.sid, swept) ]
+    | Ast.Do d -> (
+      match (const d.Ast.lo, const d.Ast.hi, Option.fold ~none:(Some 1) ~some:const d.Ast.step) with
+      | Some lo, Some hi, Some 1 when lo <= hi ->
+        List.concat_map (stores (d.Ast.var :: swept)) d.Ast.body
+      | _ -> [])
+    | _ -> []
+  in
+  let stores = stores [] s in
+  let exact (r : Sections.ref_info) =
+    match List.assoc_opt r.Sections.sid stores with
+    | Some swept ->
       List.for_all
-        (fun (r : Sections.ref_info) ->
-          List.for_all
-            (fun sub ->
-              match sub with
-              | Some a -> (
-                match Affine.vars a with
-                | [] -> true
-                | [ _ ] -> true
-                | _ -> false)
-              | None -> false)
-            r.Sections.subs)
-        writes
-    in
-    exact && Region.subset full written
-  end
+        (function
+          | Some a -> (
+            match Affine.vars a with [] -> true | [ v ] -> List.mem v swept | _ -> false)
+          | None -> false)
+        r.Sections.subs
+    | None -> false
+  in
+  let escapes = ref false in
+  Ast.iter_stmts
+    (fun t ->
+      match t.Ast.kind with
+      | Ast.Return -> escapes := true
+      | Ast.Call _ when as_remap t = None -> escapes := true
+      | _ -> ())
+    [ s ];
+  let refs = List.filter (fun r -> String.equal r.Sections.array x) (Sections.collect symtab [ s ]) in
+  (not !escapes)
+  && List.for_all (fun r -> r.Sections.is_write) refs
+  &&
+  let full = Region.of_triplets (List.map (fun (lo, hi) -> Triplet.make ~lo ~hi ~step:1) dims) in
+  Region.subset full (Sections.written_region ~declared:dims ~array:x (List.filter exact refs))
 
 (* Is the first of [stmts] to touch [x] one that kills its values: a
    full overwrite before any read, or a call for which

@@ -665,9 +665,9 @@ let placement_case st =
             ("show", "a, k", "  print *, a(k)\n");
             ("sets", "v, a, k", "  real v\n  v = a(k) * 0.5\n") ]))
 
-(* [src] agrees with the sequential run under every strategy at P in
-   {3, 4, 7}; a failure names [what]. *)
-let check_everywhere what src =
+(* [src] agrees with the sequential run under every strategy at each P
+   of [procs]; a failure names [what]. *)
+let check_everywhere ?(procs = [ 3; 4; 7 ]) what src =
   List.iter
     (fun strategy ->
       List.iter
@@ -679,7 +679,7 @@ let check_everywhere what src =
           match run ~nprocs ~strategy src with
           | r -> if not (Driver.verified r) then fail "differs from the sequential run"
           | exception Fd_machine.Scheduler.Sim_error e -> fail (Fd_machine.Scheduler.error_to_string e))
-        [ 3; 4; 7 ])
+        procs)
     strategies
 
 let placement_property () =
@@ -787,6 +787,47 @@ let suite =
       partition_case "partition: a COMMON scalar live at exit" live_common_src;
       partition_case "partition: a call's scalar result live after the loop" call_result_src;
     ]
+
+(* --- Array kills: only a store that always covers the array kills it ------ *)
+
+(* [a] is remapped to cyclic by [rphase] and back after the call; [next]
+   is the first statement to touch [a] after that restore remap.  None
+   of these stores every element of [a] on every run, so the restore
+   must move the callee's values, not just mark the new layout. *)
+let partial_overwrite_src next =
+  Fmt.str
+    "program k\n  real a(48), b(48)\n  integer j, n\n\
+    \  do i = 1, 48\n    a(i) = i\n    b(i) = 2 * i\n  enddo\n  j = 7\n  n = 0\n\
+    \  call rphase(a, b)\n%s  print *, a(1), a(2), a(7), a(48), b(1), b(48)\nend\n\
+     subroutine rphase(a, b)\n  real a(48), b(48)\n  distribute a(cyclic)\n\
+    \  do i = 1, 48\n    a(i) = a(i) + b(i)\n  enddo\nend\n\
+     subroutine peek(a, b, i)\n  real a(48), b(48)\n  integer i\n  b(i) = a(48)\nend\n\
+     subroutine early(a, b, j)\n  real a(48), b(48)\n  integer j\n  call rphase(a, b)\n\
+    \  do i = 1, 48\n    a(i) = 0\n    if (i .ge. j) then\n      return\n    endif\n  enddo\nend\n"
+    next
+
+let partial_overwrites =
+  [ ("a scalar subscript", "  a(j) = b(j)\n");
+    ("a store under an IF", "  if (j .gt. 100) then\n    do i = 1, 48\n      a(i) = 0\n    enddo\n  endif\n");
+    ("an IF in the loop", "  do i = 1, 48\n    if (i .gt. 2) then\n      a(i) = 0\n    endif\n  enddo\n");
+    ("step 2", "  do i = 1, 48, 2\n    a(i) = 0\n  enddo\n");
+    ("a run-time step", "  do i = 1, 48, j\n    a(i) = 0\n  enddo\n");
+    ("run-time zero trips", "  do i = 1, n\n    a(i) = 0\n  enddo\n");
+    ("zero trips", "  do i = 10, 1\n    a(i) = 0\n  enddo\n");
+    ("an inner loop over one element", "  do i = 1, 48, 47\n    do m = i, i\n      a(m) = 0\n    enddo\n  enddo\n");
+    ("a call that reads it", "  do i = 1, 48\n    a(i) = 0\n    call peek(a, b, i)\n  enddo\n");
+    ("a RETURN in the loop", "  call early(a, b, j)\n") ]
+
+let partial_overwrite_kills () =
+  List.iter
+    (fun (what, next) ->
+      check_everywhere ~procs:[ 1; 3; 4; 7 ] ("array kill past " ^ what) (partial_overwrite_src next))
+    partial_overwrites
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "array kills: partial overwrites keep the callee's values" `Quick
+        partial_overwrite_kills ]
 
 (* --- Red-black sweeps: fractional distances are independent ------------- *)
 
