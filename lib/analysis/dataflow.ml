@@ -28,6 +28,25 @@ module type LATTICE = sig
   val equal : t -> t -> bool
 end
 
+module Agree (M : Map.S) (V : sig
+  type t
+
+  val equal : t -> t -> bool
+end) =
+struct
+  type t = V.t M.t option
+
+  let bottom = None
+
+  let join a b =
+    match (a, b) with
+    | None, x | x, None -> x
+    | Some m1, Some m2 ->
+      Some (M.merge (fun _ x y -> match (x, y) with Some v, Some w when V.equal v w -> x | _ -> None) m1 m2)
+
+  let equal = Option.equal (M.equal V.equal)
+end
+
 module Make (L : LATTICE) = struct
   type result = { input : L.t array; output : L.t array; visits : int }
 

@@ -25,6 +25,15 @@ module type LATTICE = sig
   val equal : t -> t -> bool
 end
 
+module Agree (M : Map.S) (V : sig
+  type t
+
+  val equal : t -> t -> bool
+end) : LATTICE with type t = V.t M.t option
+(** Bindings every path agrees on: [join] drops a key the two sides bind
+    differently (or one side leaves unbound), and bottom, [None], is a
+    node no path reaches. *)
+
 module Make (L : LATTICE) : sig
   type result = {
     input : L.t array;

@@ -786,9 +786,10 @@ module Live = Dataflow.Make (struct
 end)
 
 (* Scalar liveness over the procedure's CFG, with every formal and
-   COMMON scalar live at exit: the scalars live where each loop header
-   is left, into its body or past it, by loop sid. *)
-let live_at_loops ctx (body : Ast.stmt list) : int -> SS.t =
+   COMMON scalar live at exit.  By loop sid: the scalars live where the
+   loop header is left, into its body or past it, and those live past
+   it alone. *)
+let live_at_loops ctx (body : Ast.stmt list) : int -> SS.t * SS.t =
   let uses (s : Ast.stmt) =
     match s.Ast.kind with
     | Ast.Assign (Ast.Var _, rhs) -> expr_vars SS.empty rhs
@@ -825,7 +826,22 @@ let live_at_loops ctx (body : Ast.stmt list) : int -> SS.t =
   in
   let live = Live.solve ~direction:Dataflow.Backward ~init:(SS.of_list scalars) ~transfer cfg in
   Live.count ctx.st.flow live;
-  fun lsid -> Option.fold (Cfg.node_of_sid cfg lsid) ~none:SS.empty ~some:(Array.get live.Live.input)
+  fun lsid ->
+    match Cfg.node_of_sid cfg lsid with
+    | Some h ->
+      let into_body =
+        match Cfg.node cfg h with
+        | Cfg.Stmt { Ast.kind = Ast.Do { Ast.body = first :: _; _ }; _ } ->
+          Cfg.node_of_sid cfg first.Ast.sid
+        | _ -> Some h
+      in
+      let past =
+        List.fold_left
+          (fun acc n -> if Some n = into_body then acc else SS.union acc live.Live.output.(n))
+          SS.empty (Cfg.succs cfg h)
+      in
+      (live.Live.input.(h), past)
+    | None -> (SS.empty, SS.empty)
 
 type scope = Loop_of of wclass * partition | Whole_body
 
@@ -860,7 +876,7 @@ let legal ctx ~live (scope : scope) (sites : site list) =
   | Loop_of (W_by_loop k, p) ->
     let assigned = List.fold_left (fun acc site -> SS.union acc (scalar_defs ctx site.stmt)) SS.empty sites in
     let part lsid = if lsid = k.wl_lsid then p else Unpart in
-    SS.disjoint assigned (live k.wl_lsid)
+    SS.disjoint assigned (fst (live k.wl_lsid))
     && not (List.exists (fun site -> List.mem Fallback (messages ctx ~part site)) sites)
   | Loop_of _ -> false
   | Whole_body -> ctx.pname <> ctx.st.acg.Acg.main
@@ -895,12 +911,14 @@ let decide_partition ctx ~live sites (l : Sections.loop_ctx) : partition =
         | _ -> Unpart))
     | _ -> Unpart
   in
+  (* each processor leaves its part of a partitioned loop with its own
+     index: an index live past the loop keeps it replicated *)
   match List.find_map (fun site -> own site.cls) inside with
-  | Some key -> (
+  | Some key when not (SS.mem l.Sections.lvar (snd (live l.Sections.lsid))) -> (
     match candidate key with
     | Unpart -> Unpart
     | p -> if legal ctx ~live (Loop_of (key, p)) inside then p else Unpart)
-  | None -> Unpart
+  | _ -> Unpart
 
 (* --- Procedure-level constraint detection ------------------------------ *)
 

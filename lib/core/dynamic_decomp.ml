@@ -231,31 +231,9 @@ let dead_remap_elim ~work ~call_touches ~live_out (body : Ast.stmt list) :
 
 module DM = Map.Make (String)
 
-(* fact: array -> current decomposition; absence = unknown/conflict.
-   The lattice join keeps only agreeing entries. *)
-module Layouts = Dataflow.Make (struct
-  type t = Decomp.t DM.t option  (* None = unreachable (bottom) *)
-
-  let bottom = None
-
-  let join a b =
-    match (a, b) with
-    | None, x | x, None -> x
-    | Some m1, Some m2 ->
-      Some
-        (DM.merge
-           (fun _ d1 d2 ->
-             match (d1, d2) with
-             | Some x, Some y when Decomp.equal x y -> Some x
-             | _ -> None)
-           m1 m2)
-
-  let equal a b =
-    match (a, b) with
-    | None, None -> true
-    | Some m1, Some m2 -> DM.equal Decomp.equal m1 m2
-    | _ -> false
-end)
+(* fact: array -> current decomposition; absence = unknown/conflict,
+   None = unreached. *)
+module Layouts = Dataflow.Make (Dataflow.Agree (DM) (Decomp))
 
 let redundant_remap_elim ~work ~(initial : Decomp.t DM.t) (body : Ast.stmt list) :
     Ast.stmt list * int =

@@ -389,91 +389,6 @@ let rec resolve_stmt all_units env (s : Ast.stmt) : Ast.stmt =
   in
   { s with kind }
 
-(* --- Dangling loop indices ------------------------------------------- *)
-
-(* After a DO loop the index variable holds its exit value; under SPMD
-   partitioning each processor's localized loop exits at its own local
-   bound, so that value is processor-dependent.  Reading a loop index
-   after its loop (before reassigning it) is therefore forbidden: the
-   sequential reference and the node programs would legitimately
-   disagree.  The walk is structural (the language has no GOTO): the set
-   of dangling indices flows along each statement list, grown at every
-   loop exit and cleared by assignment.  Loop bodies get one silent
-   pre-pass so indices left dangling by a previous iteration (an inner
-   loop's exit value read at the top of the next outer iteration) are
-   caught too. *)
-
-module Sset = Set.Make (String)
-
-let rec expr_reads acc (e : Ast.expr) =
-  match e with
-  | Ast.Var v -> Sset.add v acc
-  | Ast.Int_const _ | Ast.Real_const _ | Ast.Logical_const _ -> acc
-  | Ast.Ref (_, args) | Ast.Funcall (_, args) ->
-    List.fold_left expr_reads acc args
-  | Ast.Bin (_, a, b) -> expr_reads (expr_reads acc a) b
-  | Ast.Un (_, a) -> expr_reads acc a
-
-let check_dangling sink (body : Ast.stmt list) =
-  let reported = ref Sset.empty in
-  (* one diagnostic per index: the first bad read is the actionable one *)
-  let use ~report loc dangling e =
-    if report then
-      Sset.iter
-        (fun v ->
-          if not (Sset.mem v !reported) then begin
-            reported := Sset.add v !reported;
-            Diag.error_to sink ~loc
-              "loop index %s is processor-dependent after its loop ends; \
-               assign it before reading it"
-              v
-          end)
-        (Sset.inter (expr_reads Sset.empty e) dangling)
-  in
-  let rec walk ~report dangling stmts =
-    List.fold_left (stmt ~report) dangling stmts
-  and stmt ~report dangling (s : Ast.stmt) =
-    match s.Ast.kind with
-    | Ast.Assign (lhs, rhs) ->
-      (match lhs with
-      | Ast.Ref (_, subs) -> List.iter (use ~report s.Ast.loc dangling) subs
-      | _ -> ());
-      use ~report s.Ast.loc dangling rhs;
-      (match lhs with
-      | Ast.Var v -> Sset.remove v dangling
-      | _ -> dangling)
-    | Ast.Do d ->
-      use ~report s.Ast.loc dangling d.Ast.lo;
-      use ~report s.Ast.loc dangling d.Ast.hi;
-      Option.iter (use ~report s.Ast.loc dangling) d.Ast.step;
-      let inside = Sset.remove d.Ast.var dangling in
-      let carried = walk ~report:false inside d.Ast.body in
-      let out =
-        walk ~report
-          (Sset.remove d.Ast.var (Sset.union inside carried))
-          d.Ast.body
-      in
-      Sset.add d.Ast.var out
-    | Ast.If i ->
-      use ~report s.Ast.loc dangling i.Ast.cond;
-      let t = walk ~report dangling i.Ast.then_ in
-      let e = walk ~report dangling i.Ast.else_ in
-      Sset.union t e
-    | Ast.Call (_, args) ->
-      List.iter (use ~report s.Ast.loc dangling) args;
-      (* scalar actuals are passed by reference: the callee may redefine
-         them, so a call also clears *)
-      List.fold_left
-        (fun acc a ->
-          match a with Ast.Var v -> Sset.remove v acc | _ -> acc)
-        dangling args
-    | Ast.Print args ->
-      List.iter (use ~report s.Ast.loc dangling) args;
-      dangling
-    | Ast.Align _ | Ast.Distribute _ | Ast.Return -> dangling
-  in
-  ignore (walk ~report:true Sset.empty body)
-
 let check_unit sink all_units (u : Ast.punit) : checked_unit =
   let symtab = build_symtab sink u in
   (* every formal must be declared *)
@@ -488,7 +403,6 @@ let check_unit sink all_units (u : Ast.punit) : checked_unit =
         Diag.error_to sink ~loc:u.uloc "formal %s of %s is not declared" f u.uname)
     u.formals;
   let env = { symtab; loop_vars = []; loc = u.uloc; sink } in
-  check_dangling sink u.body;
   let body = List.map (resolve_stmt all_units env) u.body in
   { unit_ = { u with body }; symtab }
 

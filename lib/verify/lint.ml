@@ -16,18 +16,36 @@
    - a REALIGN/REDISTRIBUTE provably identical to the placement already
      reaching it ("no-op remap") — the executable statement triggers a
      barrier and a remap event at run time but moves no data.  Found by
-     a small intra-unit dataflow walk over placement statements; joins
-     (IF branches, DO back edges) forget any placement the paths
-     disagree on, so the lint never flags a remap that could be live on
-     some path, and a unit entry is always unknown (caller-dependent),
-     so fig15-style cross-procedure redistributes are never flagged. *)
+     a forward {!Dataflow} solve over the unit's CFG; joins (IF
+     branches, DO back edges) forget any placement the paths disagree
+     on, so the lint never flags a remap that could be live on some
+     path, and a unit entry is always unknown (caller-dependent), so
+     fig15-style cross-procedure redistributes are never flagged. *)
 
 open Fd_frontend
+open Fd_analysis
 
 (* [reaching ~uname ~sid array] answers whether any decomposition
    reaches [array] at the program point before statement [sid] of unit
    [uname]; absent callback = analysis unavailable, lint skipped. *)
 type reaching_hook = uname:string -> sid:int -> string -> bool
+
+(* The last DISTRIBUTE of each name and ALIGN of each array, keyed by
+   the keyword and the name. *)
+module Keyed = Map.Make (struct
+  type t = string * string
+
+  let compare = compare
+end)
+
+module Placed =
+  Dataflow.Make
+    (Dataflow.Agree (Keyed)
+       (struct
+         type t = Ast.stmt_kind
+
+         let equal = ( = )
+       end))
 
 let unit_findings ?reaching (cu : Sema.checked_unit) : Finding.t list =
   let u = cu.Sema.unit_ in
@@ -103,66 +121,47 @@ let unit_findings ?reaching (cu : Sema.checked_unit) : Finding.t list =
               to it"
              d u.Ast.uname))
     distributed;
-  (* 4. REALIGN/REDISTRIBUTE identical to the reaching placement.
-     Forward walk with two environments — decomposition/array name ->
-     reaching DISTRIBUTE spec, and array name -> reaching ALIGN spec.
-     Absence from a map means "unknown"; a join keeps a binding only
-     when both sides agree, and a DO body is iterated to a fixpoint
-     before warnings are emitted so a placement changed later in the
-     loop body invalidates the loop-entry view. *)
-  let module M = Map.Make (String) in
+  (* 4. REALIGN/REDISTRIBUTE identical to the placement reaching it: a
+     forward solve over the unit's CFG, keeping what every path agrees
+     on.  The unit entry knows nothing (the caller decides), so
+     fig15-style cross-procedure redistributes are never flagged. *)
   let pp_dist = function
     | Ast.Block -> "block"
     | Ast.Cyclic -> "cyclic"
     | Ast.Block_cyclic k -> Fmt.str "cyclic(%d)" k
     | Ast.Star -> ":"
   in
-  let merge a b =
-    M.merge
-      (fun _ x y ->
-        match (x, y) with Some v, Some w when v = w -> Some v | _ -> None)
-      a b
+  let cfg = Cfg.build u.Ast.body in
+  (* each placement's key, and how a no-op one reads *)
+  let placed =
+    Array.init (Cfg.length cfg) (fun i ->
+        match Cfg.node cfg i with
+        | Cfg.Stmt { Ast.kind = Ast.Distribute { decomp; dists }; _ } ->
+          Some
+            ( ("DISTRIBUTE", decomp),
+              Fmt.str "DISTRIBUTE %s(%s) in %s matches the distribution" decomp
+                (String.concat ", " (List.map pp_dist dists))
+                u.Ast.uname )
+        | Cfg.Stmt { Ast.kind = Ast.Align { array; target; _ }; _ } ->
+          Some
+            ( ("ALIGN", array),
+              Fmt.str "ALIGN %s with %s in %s matches the alignment" array target u.Ast.uname )
+        | _ -> None)
   in
-  let merge2 (d1, a1) (d2, a2) = (merge d1 d2, merge a1 a2) in
-  let equal2 (d1, a1) (d2, a2) = M.equal ( = ) d1 d2 && M.equal ( = ) a1 a2 in
-  let rec walk_stmts ~emit st stmts =
-    List.fold_left (walk ~emit) st stmts
-  and walk ~emit ((denv, aenv) as st) s =
-    match s.Ast.kind with
-    | Ast.Distribute { decomp; dists } ->
-      (match M.find_opt decomp denv with
-      | Some prev when prev = dists && emit ->
-        add ~loc:s.Ast.loc Finding.Warning "noop-remap"
-          (Fmt.str
-             "DISTRIBUTE %s(%s) in %s matches the distribution already \
-              reaching it — the remap moves no data"
-             decomp
-             (String.concat ", " (List.map pp_dist dists))
-             u.Ast.uname)
-      | _ -> ());
-      (M.add decomp dists denv, aenv)
-    | Ast.Align { array; target; subs } ->
-      (match M.find_opt array aenv with
-      | Some prev when prev = (target, subs) && emit ->
-        add ~loc:s.Ast.loc Finding.Warning "noop-remap"
-          (Fmt.str
-             "ALIGN %s with %s in %s matches the alignment already \
-              reaching it — the remap moves no data"
-             array target u.Ast.uname)
-      | _ -> ());
-      (denv, M.add array (target, subs) aenv)
-    | Ast.Do { body; _ } ->
-      let rec fix entry =
-        let entry' = merge2 entry (walk_stmts ~emit:false entry body) in
-        if equal2 entry' entry then entry else fix entry'
-      in
-      let entry = fix st in
-      merge2 entry (walk_stmts ~emit entry body)
-    | Ast.If { then_; else_; _ } ->
-      merge2 (walk_stmts ~emit st then_) (walk_stmts ~emit st else_)
-    | Ast.Assign _ | Ast.Call _ | Ast.Return | Ast.Print _ -> st
+  let transfer i node fact =
+    match (node, fact, placed.(i)) with
+    | Cfg.Stmt s, Some m, Some (k, _) -> Some (Keyed.add k s.Ast.kind m)
+    | _ -> fact
   in
-  ignore (walk_stmts ~emit:true (M.empty, M.empty) u.Ast.body);
+  let reach = Placed.solve ~direction:Dataflow.Forward ~init:(Some Keyed.empty) ~transfer cfg in
+  Array.iteri
+    (fun i p ->
+      match (Cfg.node cfg i, reach.Placed.input.(i), p) with
+      | Cfg.Stmt s, Some m, Some (k, text) when Keyed.find_opt k m = Some s.Ast.kind ->
+        add ~loc:s.Ast.loc Finding.Warning "noop-remap"
+          (text ^ " already reaching it — the remap moves no data")
+      | _ -> ())
+    placed;
   (* 3. use before placement (needs the reaching-decompositions hook) *)
   (match reaching with
   | None -> ()

@@ -788,6 +788,41 @@ let suite =
       partition_case "partition: a call's scalar result live after the loop" call_result_src;
     ]
 
+(* --- A DO index read after its loop ------------------------------------- *)
+
+(* Each index below is read after its loop, except k's, which is
+   assigned first: j by a PRINT, m at the top of the next t iteration,
+   n by g's caller.  A partitioned loop would leave each processor with
+   its own index, so only k's loop may be partitioned. *)
+let index_after_loop_src =
+  "program p\n  real a(16), b(16)\n  integer i, j, k, m, t\n\
+  \  distribute a(block)\n  distribute b(block)\n\
+  \  do i = 1, 16\n    a(i) = float(i)\n  enddo\n\
+  \  do j = 1, 16\n    b(j) = a(j) * 2.0\n  enddo\n  print *, j, b(j)\n\
+  \  do k = 2, 15\n    b(k) = a(k) + 1.0\n  enddo\n  k = 5\n  print *, k, b(k)\n\
+  \  m = 0\n  do t = 1, 2\n    a(1) = float(m)\n    do m = 1, 16\n      a(m) = a(m) + 1.0\n\
+  \    enddo\n  enddo\n  call g(b, i)\n  print *, i, a(1), b(16)\nend\n\
+   subroutine g(b, n)\n  real b(16)\n  integer n\n\
+  \  do n = 1, 16\n    b(n) = b(n) * 3.0\n  enddo\nend\n"
+
+let index_after_loop () =
+  check_everywhere ~procs:[ 1; 3; 4; 7 ] "a DO index read after its loop" index_after_loop_src;
+  let partitioned =
+    List.map
+      (fun d ->
+        ( d.Codegen.d_var,
+          Str.string_match (Str.regexp ".*partitioned") (Fmt.str "%a" Codegen.pp_decision d) 0 ))
+      (Codegen.decisions (Driver.compile_source index_after_loop_src))
+  in
+  List.iter
+    (fun (var, expected) ->
+      check (Fmt.str "do %s partitioned" var) expected (List.assoc var partitioned))
+    [ ("j", false); ("k", true); ("m", false); ("n", false) ]
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "partition: a DO index read after its loop" `Quick index_after_loop ]
+
 (* --- Array kills: only a store that always covers the array kills it ------ *)
 
 (* [a] is remapped to cyclic by [rphase] and back after the call; [next]

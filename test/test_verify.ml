@@ -771,6 +771,24 @@ let test_lint_skips_unreachable () =
         (List.map (Fmt.str "%a" Finding.pp) vr.Verify.findings))
     strategies
 
+(* The no-op-remap lint follows the CFG: a RETURN ends its branch, so
+   the second DISTRIBUTE x(block) is reached only from the first, past
+   a branch that redistributes x cyclic and returns. *)
+let test_lint_noop_past_return () =
+  let src =
+    "program p\n  real x(16)\n  integer i\n  do i = 1, 16\n    x(i) = float(i)\n\
+    \  enddo\n  call s(x, 3)\n  print *, x(1), x(16)\nend\n\n\
+     subroutine s(x, k)\n  real x(16)\n  integer k, i\n  distribute x(block)\n\
+    \  if (k .gt. 5) then\n    distribute x(cyclic)\n    x(1) = 0.0\n    return\n  endif\n\
+    \  distribute x(block)\n  do i = 1, 16\n    x(i) = x(i) + 1.0\n  enddo\nend\n"
+  in
+  check (Alcotest.list Alcotest.string) "one noop-remap at line 20"
+    [ "noop-remap 20" ]
+    (List.map
+       (fun (f : Finding.t) ->
+         Fmt.str "%s %d" f.Finding.kind f.Finding.loc.Fd_support.Loc.line)
+       (Lint.run (Driver.check_source src)))
+
 (* The simulator ({!Eval}, through {!Interp}) and the verifier
    ({!Absint}) must bind each name a node procedure declares or mentions
    to the same kind of slot, or the verifier reasons about another
@@ -1330,6 +1348,8 @@ let suite =
       test_inert_if_names_formal;
     Alcotest.test_case "lint: code after RETURN is not misplaced" `Quick
       test_lint_skips_unreachable;
+    Alcotest.test_case "lint: a no-op remap past a branch that returns" `Quick
+      test_lint_noop_past_return;
     Alcotest.test_case "pid step: a(1:40:my$p+1)" `Quick test_pid_step;
     Alcotest.test_case "pid step: bad on p0 and p1" `Quick test_pid_step_bad;
     Alcotest.test_case "pid step: out of bounds from p3" `Quick
