@@ -479,23 +479,9 @@ let e16 () =
          exists to show the prediction column staying flat *)
       if p <= 64 then begin
         let t1 = Unix.gettimeofday () in
-        let stats, _ = Scheduler.run config compiled.Codegen.program in
+        let failures = Driver.cost_oracle compiled c in
         let t_sim = (Unix.gettimeofday () -. t1) *. 1e3 in
-        let counters_ok =
-          c.Fd_verify.Cost.messages = stats.Stats.messages
-          && c.Fd_verify.Cost.message_bytes = stats.Stats.message_bytes
-          && c.Fd_verify.Cost.bcasts = stats.Stats.bcasts
-          && c.Fd_verify.Cost.bcast_bytes = stats.Stats.bcast_bytes
-          && c.Fd_verify.Cost.remaps = stats.Stats.remaps
-          && c.Fd_verify.Cost.remap_bytes = stats.Stats.remap_bytes
-        in
-        let sim = Stats.elapsed stats in
-        if not counters_ok then failwith "E16: predicted counters diverge";
-        if
-          c.Fd_verify.Cost.exact
-          && Float.abs (c.Fd_verify.Cost.makespan -. sim)
-             > 1e-9 *. Float.max 1.0 sim
-        then failwith "E16: predicted makespan diverges";
+        (match failures with f :: _ -> failwith ("E16: " ^ f) | [] -> ());
         Fmt.pr "%6d | %9.3f | %12.1f | %12.3f | %5b | %12s@." p t_cost
           (c.Fd_verify.Cost.makespan *. 1e6)
           t_sim c.Fd_verify.Cost.exact "identical"

@@ -439,46 +439,8 @@ let cost_cmd =
         let opts = opts_of nprocs strategy remap no_coll in
         let compiled = Fd_core.Driver.compile ~sink ~opts cp in
         let c = Fd_core.Driver.cost ~profile:(not no_profile) cp compiled in
-        let oracle_failures =
-          if not oracle then []
-          else begin
-            (* differential self-check: a compute-free simulated run must
-               report the same counters, and the same makespan when the
-               prediction is exact *)
-            let zcfg =
-              { (Fd_core.Driver.machine_config opts) with
-                Fd_machine.Config.flop = 0.0; mem_op = 0.0 }
-            in
-            let stats, _ =
-              Fd_machine.Scheduler.run zcfg compiled.Fd_core.Codegen.program
-            in
-            let cmp what pred sim =
-              if pred = sim then []
-              else [ Fmt.str "%s: predicted %d, simulated %d" what pred sim ]
-            in
-            let mk = Fd_machine.Stats.elapsed stats in
-            cmp "messages" c.Fd_verify.Cost.messages stats.Fd_machine.Stats.messages
-            @ cmp "message_bytes" c.Fd_verify.Cost.message_bytes
-                stats.Fd_machine.Stats.message_bytes
-            @ cmp "bcasts" c.Fd_verify.Cost.bcasts stats.Fd_machine.Stats.bcasts
-            @ cmp "bcast_bytes" c.Fd_verify.Cost.bcast_bytes
-                stats.Fd_machine.Stats.bcast_bytes
-            @ cmp "remaps" c.Fd_verify.Cost.remaps stats.Fd_machine.Stats.remaps
-            @ cmp "remap_marks" c.Fd_verify.Cost.remap_marks
-                stats.Fd_machine.Stats.remap_marks
-            @ cmp "remap_bytes" c.Fd_verify.Cost.remap_bytes
-                stats.Fd_machine.Stats.remap_bytes
-            @
-            if
-              c.Fd_verify.Cost.exact
-              && Float.abs (c.Fd_verify.Cost.makespan -. mk)
-                 > 1e-9 *. Float.max 1.0 mk
-            then
-              [ Fmt.str "makespan: predicted %.9fs, simulated %.9fs"
-                  c.Fd_verify.Cost.makespan mk ]
-            else []
-          end
-        in
+        (* differential self-check against a compute-free simulation *)
+        let oracle_failures = if oracle then Fd_core.Driver.cost_oracle compiled c else [] in
         if json then
           Fmt.pr "%s@."
             (Fd_support.Json.to_string

@@ -93,6 +93,30 @@ let cost ?(profile = true) (cp : Sema.checked_program)
     ~config:(machine_config compiled.Codegen.state.Codegen.opts)
     compiled.Codegen.program
 
+let cost_disagreements (c : Fd_verify.Cost.t) (stats : Stats.t) : string list =
+  let cmp what pred sim =
+    if pred = sim then [] else [ Fmt.str "%s: predicted %d, simulated %d" what pred sim ]
+  in
+  let mk = Stats.elapsed stats in
+  cmp "messages" c.Fd_verify.Cost.messages stats.Stats.messages
+  @ cmp "message_bytes" c.Fd_verify.Cost.message_bytes stats.Stats.message_bytes
+  @ cmp "bcasts" c.Fd_verify.Cost.bcasts stats.Stats.bcasts
+  @ cmp "bcast_bytes" c.Fd_verify.Cost.bcast_bytes stats.Stats.bcast_bytes
+  @ cmp "remaps" c.Fd_verify.Cost.remaps stats.Stats.remaps
+  @ cmp "remap_marks" c.Fd_verify.Cost.remap_marks stats.Stats.remap_marks
+  @ cmp "remap_bytes" c.Fd_verify.Cost.remap_bytes stats.Stats.remap_bytes
+  @
+  if c.Fd_verify.Cost.exact && Float.abs (c.Fd_verify.Cost.makespan -. mk) > 1e-9 *. Float.max 1.0 mk
+  then [ Fmt.str "makespan: predicted %.9fs, simulated %.9fs" c.Fd_verify.Cost.makespan mk ]
+  else []
+
+let cost_oracle (compiled : Codegen.compiled) (c : Fd_verify.Cost.t) : string list =
+  let config = machine_config compiled.Codegen.state.Codegen.opts in
+  let stats, _ =
+    Scheduler.run { config with Config.flop = 0.0; mem_op = 0.0 } compiled.Codegen.program
+  in
+  cost_disagreements c stats
+
 (* Simulate an already-compiled program; verifies final array contents
    and captured output against the sequential interpreter. *)
 let run_compiled ?machine ?budget ~(opts : Options.t) ~(report : Pass.report)

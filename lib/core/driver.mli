@@ -58,6 +58,16 @@ val cost :
     {!machine_config}, with the sequential branch profile of [cp] unless
     [~profile:false]. *)
 
+val cost_oracle : Codegen.compiled -> Fd_verify.Cost.t -> string list
+(** [fdc cost --oracle]: simulates the node program with flop and
+    memory costs at 0 and returns {!cost_disagreements} with the
+    prediction [c]. *)
+
+val cost_disagreements : Fd_verify.Cost.t -> Stats.t -> string list
+(** Where a compute-free simulation's [stats] disagree with the
+    prediction [c], one line each: the seven counters, and the makespan
+    when [c] is exact.  [] when they agree. *)
+
 val run :
   ?sink:Fd_support.Diag.sink -> ?opts:Options.t -> ?machine:Config.t ->
   ?verify:bool -> ?tracer:Fd_trace.Trace.t -> ?budget:Fd_support.Budget.t ->
