@@ -38,9 +38,6 @@ val remap_stmt : sids -> remap -> Ast.stmt
 val as_remap : Ast.stmt -> remap option
 val is_remap_of : string -> Ast.stmt -> bool
 
-val subtree_uses_array :
-  call_touches:(string -> Ast.expr list -> SS.t) -> string -> Ast.stmt -> bool
-
 val dead_remap_elim :
   work:Fd_analysis.Dataflow.work ->
   call_touches:(string -> Ast.expr list -> SS.t) ->
@@ -57,11 +54,6 @@ val redundant_remap_elim :
 (** Forward decomposition tracking; removes remaps to the current
     layout.  The solve is counted in [work]. *)
 
-val fully_overwrites :
-  Symtab.t -> (int * int) list -> string -> Ast.stmt -> bool
-(** Does the statement subtree overwrite the whole declared region
-    without reading it first?  (Exact affine coverage only.) *)
-
 val first_touch_kills :
   symtab:Symtab.t ->
   value_killer:(string -> Ast.expr list -> string -> bool) ->
@@ -69,7 +61,9 @@ val first_touch_kills :
   Ast.stmt list ->
   bool
 (** Is the first statement to touch the array one that kills its
-    values: a full overwrite before any read, or a call for which
+    values: one that, run at all, stores every element and reads none
+    (counting only stores no IF, RETURN or partial loop can skip), or
+    a call for which
     [value_killer callee actuals array] holds?  Any call passing the
     array as an actual touches it. *)
 

@@ -141,8 +141,6 @@ let fact_before (lr : local_result) sid : fact =
   | Some n -> lr.facts.Solver.input.(n)
   | None -> SM.empty
 
-let fact_at_exit (lr : local_result) : fact = lr.facts.Solver.input.(Cfg.exit_)
-
 let aligns_of (lr : local_result) = lr.aligns
 
 (* --- Interprocedural phase ------------------------------------------- *)

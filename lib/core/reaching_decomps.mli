@@ -25,8 +25,6 @@ val aligns_of : local_result -> (string * Ast.align_sub list) SM.t
 val fact_before : local_result -> int -> fact
 (** Fact at the program point before the statement with the given id. *)
 
-val fact_at_exit : local_result -> fact
-
 type t
 
 val compute : sink:Fd_support.Diag.sink -> Acg.t -> t

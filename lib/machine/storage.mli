@@ -64,8 +64,6 @@ val alloc :
     elements are valid.  Each page materialized later adds its element
     and validity bytes to [stats]' [storage_bytes]. *)
 
-val rank : array_obj -> int
-
 val flat_index : array_obj -> int array -> int
 (** @raise Runtime_error on rank or bounds violations. *)
 

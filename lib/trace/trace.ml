@@ -25,17 +25,6 @@ type kind =
   | Remap       (* remap traffic proc=sender -> peer, bytes; label = array *)
   | Span        (* compiler pass span: label = pass, at/dur wall-clock *)
 
-let kind_name = function
-  | Send -> "send"
-  | Recv -> "recv"
-  | Block -> "block"
-  | Wake -> "wake"
-  | Coll_enter -> "coll-enter"
-  | Coll_exit -> "coll-exit"
-  | Guard_skip -> "guard-skip"
-  | Remap -> "remap"
-  | Span -> "span"
-
 type ev = {
   mutable at : float;     (* seconds *)
   mutable kind : kind;

@@ -19,8 +19,6 @@ type kind =
   | Remap       (** remap traffic proc -> peer; [label] = array *)
   | Span        (** compiler pass span: [label] = pass, wall-clock times *)
 
-val kind_name : kind -> string
-
 type ev = {
   mutable at : float;
   mutable kind : kind;

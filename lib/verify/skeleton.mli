@@ -42,7 +42,6 @@ open Fd_machine
 type aff = Replay.aff = { a : int; b : int }
 
 val aff_at : aff -> int -> int
-val aff_const : int -> aff
 
 (** One array section of a send payload. *)
 type part = {
