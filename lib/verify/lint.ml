@@ -121,10 +121,8 @@ let unit_findings ?reaching (cu : Sema.checked_unit) : Finding.t list =
               to it"
              d u.Ast.uname))
     distributed;
-  (* 4. REALIGN/REDISTRIBUTE identical to the placement reaching it: a
-     forward solve over the unit's CFG, keeping what every path agrees
-     on.  The unit entry knows nothing (the caller decides), so
-     fig15-style cross-procedure redistributes are never flagged. *)
+  (* 4. REALIGN/REDISTRIBUTE identical to the placement reaching it;
+     the unit entry knows nothing (the caller decides). *)
   let pp_dist = function
     | Ast.Block -> "block"
     | Ast.Cyclic -> "cyclic"
