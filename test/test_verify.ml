@@ -1348,8 +1348,6 @@ let suite =
       test_inert_if_names_formal;
     Alcotest.test_case "lint: code after RETURN is not misplaced" `Quick
       test_lint_skips_unreachable;
-    Alcotest.test_case "lint: a no-op remap past a branch that returns" `Quick
-      test_lint_noop_past_return;
     Alcotest.test_case "pid step: a(1:40:my$p+1)" `Quick test_pid_step;
     Alcotest.test_case "pid step: bad on p0 and p1" `Quick test_pid_step_bad;
     Alcotest.test_case "pid step: out of bounds from p3" `Quick
@@ -1381,4 +1379,6 @@ let suite =
       test_summary_fuel;
     Alcotest.test_case "summaries: none recorded past the bound" `Quick
       test_summary_bound;
+    Alcotest.test_case "lint: a no-op remap past a branch that returns" `Quick
+      test_lint_noop_past_return;
   ]
