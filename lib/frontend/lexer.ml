@@ -7,6 +7,11 @@
 
 open Fd_support
 
+(* A cursor over the source: [tok] is the current token, which starts
+   at [tok_line]:[tok_col] and ends (exclusive column) at
+   [end_line]:[end_col].  The positions are plain ints; a [Loc.t] is
+   built only when asked for ([start_loc]/[end_loc]), so stepping over
+   a token allocates nothing beyond the token itself. *)
 type t = {
   src : string;
   file : string;
@@ -15,10 +20,12 @@ type t = {
   mutable bol : int; (* offset of beginning of current line *)
   sink : Diag.sink option; (* when set: record lexical errors and recover *)
   mutable err_line : int; (* last line already diagnosed (cascade damping) *)
+  mutable tok : Token.t;
+  mutable tok_line : int;
+  mutable tok_col : int;
+  mutable end_line : int;
+  mutable end_col : int;
 }
-
-let make ?(file = "<string>") ?sink src =
-  { src; file; pos = 0; line = 1; bol = 0; sink; err_line = 0 }
 
 let loc lx = Loc.make ~file:lx.file ~line:lx.line ~col:(lx.pos - lx.bol + 1)
 
@@ -189,22 +196,35 @@ let lex_dotted lx =
   | "false" -> Token.FALSE
   | w -> error lx "unknown dotted operator .%s." w
 
-let rec next lx : Loc.t * Token.t =
+(* Lex the next token into the cursor fields. *)
+let rec lex lx =
   let pos0 = lx.pos in
-  match next_raw lx with
-  | tok -> tok
+  match lex_raw lx with
+  | tok ->
+    lx.tok <- tok;
+    (* NEWLINE/EOF get a synthetic one-column span so a diagnostic at
+       end-of-statement underlines a single position instead of
+       spilling onto the next line. *)
+    (match tok with
+    | Token.NEWLINE | Token.EOF ->
+      lx.end_line <- lx.tok_line;
+      lx.end_col <- lx.tok_col + 1
+    | _ ->
+      lx.end_line <- lx.line;
+      lx.end_col <- lx.pos - lx.bol + 1)
   | exception Reject ->
     (* resynchronize: guarantee progress, then retry.  If the failed
        attempt consumed input (dotted-operator backtrack, continuation
        junk) we retry in place; otherwise skip the offending char. *)
     if lx.pos = pos0 && not (at_end lx) then advance lx;
-    next lx
+    lex lx
 
-and next_raw lx : Loc.t * Token.t =
+and lex_raw lx : Token.t =
   skip_blanks_and_comments lx;
-  let l = loc lx in
+  lx.tok_line <- lx.line;
+  lx.tok_col <- lx.pos - lx.bol + 1;
   match peek_char lx with
-  | _ when at_end lx -> (l, Token.EOF)
+  | _ when at_end lx -> Token.EOF
   | '\n' | ';' ->
     (* collapse consecutive newlines/semicolons into one NEWLINE *)
     let rec swallow () =
@@ -216,89 +236,96 @@ and next_raw lx : Loc.t * Token.t =
       | _ -> ()
     in
     swallow ();
-    (l, Token.NEWLINE)
-  | c when is_digit c -> (l, lex_number lx)
+    Token.NEWLINE
+  | c when is_digit c -> lex_number lx
   | '.' -> (
     match peek_char2 lx with
-    | c when is_digit c -> (l, lex_number lx)
-    | _ -> (l, lex_dotted lx))
+    | c when is_digit c -> lex_number lx
+    | _ -> lex_dotted lx)
   | c when is_ident_start c ->
     let start = lx.pos in
     while is_ident_char (peek_char lx) do
       advance lx
     done;
     let word = lower_sub lx.src start (lx.pos - start) in
-    if Token.is_keyword word then (l, Token.KW word) else (l, Token.IDENT word)
+    if Token.is_keyword word then Token.KW word else Token.IDENT word
   | '+' ->
     advance lx;
-    (l, Token.PLUS)
+    Token.PLUS
   | '-' ->
     advance lx;
-    (l, Token.MINUS)
+    Token.MINUS
   | '*' ->
     advance lx;
     if peek_char lx = '*' then (
       advance lx;
-      (l, Token.POW))
-    else (l, Token.STAR)
+      Token.POW)
+    else Token.STAR
   | '/' ->
     advance lx;
     if peek_char lx = '=' then (
       advance lx;
-      (l, Token.NE))
-    else (l, Token.SLASH)
+      Token.NE)
+    else Token.SLASH
   | '=' ->
     advance lx;
     if peek_char lx = '=' then (
       advance lx;
-      (l, Token.EQEQ))
-    else (l, Token.EQ)
+      Token.EQEQ)
+    else Token.EQ
   | '<' ->
     advance lx;
     if peek_char lx = '=' then (
       advance lx;
-      (l, Token.LE))
+      Token.LE)
     else if peek_char lx = '>' then (
       advance lx;
-      (l, Token.NE))
-    else (l, Token.LT)
+      Token.NE)
+    else Token.LT
   | '>' ->
     advance lx;
     if peek_char lx = '=' then (
       advance lx;
-      (l, Token.GE))
-    else (l, Token.GT)
+      Token.GE)
+    else Token.GT
   | '(' ->
     advance lx;
-    (l, Token.LPAREN)
+    Token.LPAREN
   | ')' ->
     advance lx;
-    (l, Token.RPAREN)
+    Token.RPAREN
   | ',' ->
     advance lx;
-    (l, Token.COMMA)
+    Token.COMMA
   | ':' ->
     advance lx;
-    (l, Token.COLON)
+    Token.COLON
   | c -> error lx "unexpected character %C" c
 
-(* Token with its source span: start location and (exclusive-column)
-   end location.  NEWLINE/EOF get a synthetic one-column span so a
-   diagnostic at end-of-statement underlines a single position instead
-   of spilling onto the next line. *)
-let next_sp lx : Loc.t * Loc.t * Token.t =
-  let l, t = next lx in
-  let e =
-    match t with
-    | Token.NEWLINE | Token.EOF -> { l with Loc.col = l.Loc.col + 1 }
-    | _ -> loc lx
+let make ?(file = "<string>") ?sink src =
+  let lx =
+    { src; file; pos = 0; line = 1; bol = 0; sink; err_line = 0;
+      tok = Token.EOF; tok_line = 1; tok_col = 1; end_line = 1; end_col = 1 }
   in
-  (l, e, t)
+  lex lx;
+  lx
+
+let token lx = lx.tok
+
+let step lx = match lx.tok with Token.EOF -> () | _ -> lex lx
+
+let start_loc lx = Loc.make ~file:lx.file ~line:lx.tok_line ~col:lx.tok_col
+
+let end_loc lx = Loc.make ~file:lx.file ~line:lx.end_line ~col:lx.end_col
 
 let tokenize_sp ?file ?sink src =
   let lx = make ?file ?sink src in
   let rec loop acc =
-    let ((_, _, t) as tok) = next_sp lx in
-    match t with Token.EOF -> List.rev (tok :: acc) | _ -> loop (tok :: acc)
+    let acc = (start_loc lx, end_loc lx, lx.tok) :: acc in
+    match lx.tok with
+    | Token.EOF -> List.rev acc
+    | _ ->
+      step lx;
+      loop acc
   in
   loop []

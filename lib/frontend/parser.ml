@@ -7,50 +7,46 @@
    - `elseif` chains desugar to nested IFs;
    - `end do` / `end if` two-word forms are accepted.
 
-   Error recovery: when the state carries a {!Diag.sink}, a syntax
-   error records a spanned diagnostic and raises the local {!Recover},
-   which is caught at the nearest synchronization point — statement
-   level ([block]/[decls] skip to just past the next NEWLINE) or unit
-   level ([program] skips to the next PROGRAM/SUBROUTINE header) — so
-   one parse reports every syntax error it can reach.  Without a sink
-   the first error raises {!Diag.Compile_error} as before. *)
+   Error recovery: a syntax error records a spanned diagnostic in the
+   state's {!Diag.sink} and raises the local {!Recover}, which is
+   caught at the nearest synchronization point — statement level
+   ([block]/[decls] skip to just past the next NEWLINE) or unit level
+   ([program] skips to the next PROGRAM/SUBROUTINE header) — so one
+   parse reports every syntax error it can reach.  The lexer records
+   its errors in the same sink as the parser pulls the tokens. *)
 
 open Fd_support
 
+(* The parser pulls its tokens from the lexer one at a time; it never
+   backtracks, so the current token is all the state it reads. *)
 type state = {
-  toks : (Loc.t * Loc.t * Token.t) array;
-  mutable pos : int;
+  lx : Lexer.t;
   mutable next_sid : int;
-  sink : Diag.sink option;
+  sink : Diag.sink;
 }
 
-let make_state ?sink toks =
-  { toks = Array.of_list toks; pos = 0; next_sid = 0; sink }
+let make_state ?file ~sink src =
+  { lx = Lexer.make ?file ~sink src; next_sid = 0; sink }
 
 let fresh_sid st =
   let id = st.next_sid in
   st.next_sid <- id + 1;
   id
 
-let cur st =
-  let _, _, t = st.toks.(st.pos) in
-  t
+let cur st = Lexer.token st.lx
 
 (* Is the current token [tok]? *)
 let at st tok = Token.equal (cur st) tok
 
-let cur_loc st =
-  let l, _, _ = st.toks.(st.pos) in
-  l
+let cur_loc st = Lexer.start_loc st.lx
 
-let cur_end st =
-  let _, e, _ = st.toks.(st.pos) in
-  e
+let cur_end st = Lexer.end_loc st.lx
 
-let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
+(* Stops at EOF. *)
+let advance st = Lexer.step st.lx
 
-(* Raised after a recorded syntax error when a sink is present; caught
-   at statement/unit synchronization points. *)
+(* Raised after a recorded syntax error; caught at statement/unit
+   synchronization points. *)
 exception Recover
 
 let error st fmt =
@@ -58,11 +54,8 @@ let error st fmt =
     (fun msg ->
       let msg = Fmt.str "%s (found %s)" msg (Token.to_string (cur st)) in
       let d = Diag.make ~end_:(cur_end st) Diag.Error (cur_loc st) msg in
-      match st.sink with
-      | None -> raise (Diag.Compile_error d)
-      | Some sink ->
-        Diag.report sink d;
-        raise Recover)
+      Diag.report st.sink d;
+      raise Recover)
     fmt
 
 let eat st tok =
@@ -659,14 +652,11 @@ let program st : Ast.program =
 
 let parse ?file ?sink src =
   match sink with
-  | Some sink ->
-    let toks = Lexer.tokenize_sp ?file ~sink src in
-    program (make_state ~sink toks)
+  | Some sink -> program (make_state ?file ~sink src)
   | None ->
     (* No caller sink: still parse with recovery so one invocation
        reports every reachable error, then raise the whole batch. *)
     let sink = Diag.sink () in
-    let toks = Lexer.tokenize_sp ?file ~sink src in
-    let p = program (make_state ~sink toks) in
+    let p = program (make_state ?file ~sink src) in
     Diag.raise_if_errors sink;
     p

@@ -1608,3 +1608,22 @@ let scalar ~nprocs e =
     { sc_slot = (fun _ -> 0); sc_kind = (fun _ -> Frame.Formal (0, None)); sc_visible = [] }
   in
   eval (state ~nprocs prog) sc e [| Bscalar (ref (Absdom.myproc ~n:nprocs)) |]
+
+let stores ~nprocs decls body =
+  let np =
+    { Node.np_name = "main"; np_formals = []; np_arrays = [];
+      np_scalars = ("my$p", Ast.Integer) :: decls;
+      np_body =
+        List.map
+          (fun (x, e) -> Node.N_assign (Ast.Var x, e))
+          (("my$p", Ast.Funcall ("myproc", [])) :: body) }
+  in
+  let prog =
+    { Node.n_main = "main"; n_nprocs = nprocs; n_common_arrays = []; n_common_scalars = [];
+      n_procs = [ np ] }
+  in
+  let w = state ~nprocs prog in
+  let rp = resolve w np in
+  let fr = rp.r_fresh () in
+  ignore (walk_seq w fr (Iset.range 0 (nprocs - 1)) rp.r_body);
+  List.map (fun (x, _) -> !(cell_of fr (Frame.slot rp.r_layout ~common:w.common x) x)) decls

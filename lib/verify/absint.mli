@@ -74,3 +74,12 @@ val scalar : nprocs:int -> Fd_frontend.Ast.expr -> Absdom.t
 (** For tests: the lanes of a scalar expression over [nprocs]
     processors, compiled as the walk compiles it, in a frame where every
     name is [my$p]. *)
+
+val stores :
+  nprocs:int ->
+  (string * Fd_frontend.Ast.dtype) list ->
+  (string * Fd_frontend.Ast.expr) list ->
+  Absdom.t list
+(** For tests: walk the scalar stores [x = e], in order, in a main
+    program that declares [my$p] and the typed scalars [decls], and
+    return each of [decls]' lanes at the end, in order. *)

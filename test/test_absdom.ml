@@ -450,14 +450,17 @@ let intrinsics =
       | Intrinsic.At_least k -> [ (r.name, k); (r.name, k + 1) ])
     Intrinsic.table
 
-let scalar_gen : Ast.expr QCheck2.Gen.t =
+(* [num_vars] and [bool_vars] are further numeric and logical leaves. *)
+let typed_gen ~num_vars ~bool_vars =
   let open QCheck2.Gen in
+  let vars names = if names = [] then [] else [ (3, map (fun v -> Ast.Var v) (oneofl names)) ] in
   let leaf =
     frequency
-      [ (2, return (Ast.Var "my$p"));
-        (1, return (Ast.Funcall ("nprocs", [])));
-        (3, map (fun k -> Ast.Int_const k) (int_range (-40) 40));
-        (2, map (fun k -> Ast.Real_const (float_of_int k /. 2.)) (int_range (-6) 6)) ]
+      ([ (2, return (Ast.Var "my$p"));
+         (1, return (Ast.Funcall ("nprocs", [])));
+         (3, map (fun k -> Ast.Int_const k) (int_range (-40) 40));
+         (2, map (fun k -> Ast.Real_const (float_of_int k /. 2.)) (int_range (-6) 6)) ]
+      @ vars num_vars)
   in
   let rec num d =
     if d = 0 then leaf
@@ -471,7 +474,7 @@ let scalar_gen : Ast.expr QCheck2.Gen.t =
           (3, let* name, k = oneofl intrinsics in
               map (fun args -> Ast.Funcall (name, args)) (list_repeat k s)) ]
   and logical d =
-    let leaf = map (fun b -> Ast.Logical_const b) bool in
+    let leaf = frequency ((1, map (fun b -> Ast.Logical_const b) bool) :: vars bool_vars) in
     if d = 0 then leaf
     else
       let s = logical (d - 1) and n = num (d - 1) in
@@ -482,6 +485,11 @@ let scalar_gen : Ast.expr QCheck2.Gen.t =
           (2, map3 (fun op a b -> Ast.Bin (op, a, b)) (oneofl Ast.[ And; Or ]) s s);
           (1, map (fun a -> Ast.Un (Ast.Not, a)) s) ]
   in
+  (num, logical)
+
+let scalar_gen : Ast.expr QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let num, logical = typed_gen ~num_vars:[] ~bool_vars:[] in
   let* d = int_range 0 4 in
   oneof [ num d; logical d ]
 
@@ -505,16 +513,17 @@ let rec kleene (e : Ast.expr) =
   | Ast.Funcall (_, args) -> List.exists kleene args
   | _ -> false
 
+(* Eval's intrinsic for nprocs(), which the interpreter supplies. *)
+let hook _ name args =
+  match (name, args) with
+  | "nprocs", [] -> Some (Eval.Int (fun env -> env.Eval.nprocs))
+  | _ -> None
+
 (* [e] at each pid of [nprocs], [None] where it raises. *)
 let eval_lanes ~nprocs e =
   let u =
     Eval.unit_code ~formals:[] ~arrays:[] ~scalars:[ ("my$p", Ast.Integer) ]
       ~is_common:(fun _ -> false)
-  in
-  let hook _ name args =
-    match (name, args) with
-    | "nprocs", [] -> Some (Eval.Int (fun env -> env.Eval.nprocs))
-    | _ -> None
   in
   let globals = Frame.common ~arrays:[] ~scalars:[] in
   let sc =
@@ -569,6 +578,101 @@ let test_scalar_semantics =
         in
         Array.for_all Fun.id (Array.mapi lane_ok (eval_lanes ~nprocs:n e)))
 
+(* --- store sequences ---------------------------------------------------- *)
+
+(* Typed scalars; integers and reals are implicitly typed by name, so
+   sema types an expression over them as the walk and Eval do. *)
+let seq_decls =
+  [ ("i1", Ast.Integer); ("i2", Ast.Integer); ("x1", Ast.Real); ("x2", Ast.Real);
+    ("l1", Ast.Logical); ("l2", Ast.Logical) ]
+
+let names_of ty = List.filter_map (fun (v, t) -> if t = ty then Some v else None) seq_decls
+
+(* Stores sema accepts: a numeric value into an INTEGER or REAL scalar
+   (converting as Value.stored does), a logical one into a LOGICAL. *)
+let stores_gen : (string * Ast.expr) list QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let num, logical =
+    typed_gen ~num_vars:(names_of Ast.Integer @ names_of Ast.Real)
+      ~bool_vars:(names_of Ast.Logical)
+  in
+  let store =
+    let* x, ty = oneofl seq_decls in
+    let* d = int_range 0 3 in
+    map (fun e -> (x, e)) (if ty = Ast.Logical then logical d else num d)
+  in
+  list_size (int_range 1 6) store
+
+(* The final value of each of [seq_decls] at each pid of [nprocs], or
+   [None] at a pid where a store raises. *)
+let eval_stores ~nprocs body =
+  let u =
+    Eval.unit_code ~formals:[] ~arrays:[] ~scalars:(("my$p", Ast.Integer) :: seq_decls)
+      ~is_common:(fun _ -> false)
+  in
+  let globals = Frame.common ~arrays:[] ~scalars:[] in
+  let sc = { Eval.unit = u; globals; units = Hashtbl.create 1; params = (fun _ -> None); hook } in
+  let codes = List.map (fun (x, e) -> Eval.assign sc (Ast.Var x) e) body in
+  let me = Eval.scalar_cell sc "my$p" and ok = ref false in
+  Eval.define u (fun env ->
+      me env := Value.Vint env.Eval.proc;
+      ok :=
+        try List.iter (fun c -> c env) codes; true
+        with Diag.Compile_error _ | Storage.Runtime_error _ -> false);
+  let config = Config.ipsc860 ~nprocs () in
+  Array.init nprocs (fun proc ->
+      let env = Eval.env ~proc ~nprocs ~strict:false ~config ~stats:(Stats.create 1) in
+      let frame = Eval.run_main env ~globals u in
+      if not !ok then None
+      else
+        Some
+          (List.map
+             (fun (x, _) ->
+               match Hashtbl.find frame x with
+               | Eval.Bscalar r -> !r
+               | Eval.Barray _ -> Alcotest.failf "%s is an array" x)
+             seq_decls))
+
+let test_store_sequences =
+  prop ~count:2_000 "Absint lanes = Eval per pid after a store sequence"
+    QCheck2.Gen.(pair (oneofl [ 1; 2; 3; 4; 5; 7; 8 ]) stores_gen)
+    (fun (n, body) ->
+      let shown =
+        String.concat "; "
+          (List.map (fun (x, e) -> x ^ " = " ^ Ast_printer.expr_to_string e) body)
+      in
+      let fail fmt = QCheck2.Test.fail_reportf ("%s at P=%d: " ^^ fmt) shown n in
+      (* sema types a logical scalar as the logical it holds *)
+      let rec typed (e : Ast.expr) =
+        match e with
+        | Ast.Var v when List.mem v (names_of Ast.Logical) -> Ast.Logical_const false
+        | Ast.Bin (op, a, b) -> Ast.Bin (op, typed a, typed b)
+        | Ast.Un (op, a) -> Ast.Un (op, typed a)
+        | Ast.Funcall (f, args) -> Ast.Funcall (f, List.map typed args)
+        | e -> e
+      in
+      List.iter
+        (fun (x, e) ->
+          match Sema.expr_type (as_source (typed e)) with
+          | None -> ignore (fail "sema rejects %s's value" x)
+          | Some _ -> ())
+        body;
+      let lanes = Absint.stores ~nprocs:n seq_decls body in
+      let pid_ok p = function
+        | None -> true
+        | Some vs ->
+          List.for_all2
+            (fun ((x, ty), v) l ->
+              let lane = Absdom.at l p in
+              (has_type ty v
+               || fail "pid %d: Eval leaves %s = %s, declared %s" p x (Value.to_string v)
+                    (Ast_printer.dtype_name ty))
+              && (same_bits lane v
+                 || fail "pid %d: %s lane %s, Eval %s" p x (pp_pv lane) (Value.to_string v)))
+            (List.combine seq_decls vs) lanes
+      in
+      Array.for_all Fun.id (Array.mapi pid_ok (eval_stores ~nprocs:n body)))
+
 let suite =
   [
     test_roundtrip;
@@ -584,4 +688,5 @@ let suite =
     test_scalar_semantics;
     Alcotest.test_case "uniform vs divergent unknown" `Quick
       test_unknown_distinction;
+    test_store_sequences;
   ]

@@ -236,6 +236,88 @@ let rejections =
        subroutine s(x)\n  real x(16)\n  x(1) = 3.0\nend\n";
   ]
 
+(* --- Streaming parse: diagnostics and allocation ------------------------ *)
+
+(* The diagnostics a sink holds once [f] has run, sorted. *)
+let diags_of f =
+  let sink = Diag.sink () in
+  f sink;
+  match Diag.raise_if_errors sink with
+  | () -> []
+  | exception Diag.Compile_errors ds -> ds
+
+let lex_diags src = diags_of (fun sink -> ignore (Lexer.tokenize_sp ~sink src))
+let parse_diags src = diags_of (fun sink -> ignore (Parser.parse ~sink src))
+
+(* The parser pulls tokens from the lexer as it goes; every lexical error
+   the whole-source lexer finds is still reported, on the mostly
+   ill-formed fuzz cases. *)
+let f_stream_diags () =
+  let with_lex_errors = ref 0 in
+  for seed = 1 to 2_000 do
+    let src, _ = Fd_fuzz.Harness.gen_case seed in
+    let lexical = lex_diags src and parsed = parse_diags src in
+    if lexical <> [] then incr with_lex_errors;
+    List.iter
+      (fun d ->
+        if not (List.mem d parsed) then
+          Alcotest.failf "case %d: the parse drops the lexical error %s" seed
+            (Diag.to_string d))
+      lexical
+  done;
+  (* 153 of these cases have one *)
+  check "cases with lexical errors" true (!with_lex_errors >= 100)
+
+let span (d : Diag.t) =
+  match d.Diag.end_ with
+  | Some e -> Fmt.str "%d:%d-%d:%d %s" d.loc.Loc.line d.loc.Loc.col e.Loc.line e.Loc.col d.message
+  | None -> Fmt.str "%d:%d %s" d.loc.Loc.line d.loc.Loc.col d.message
+
+(* A lexical error after a syntax error on the same line (the statement
+   is skipped to its end), and one inside a unit whose header fails (the
+   unit is skipped to the next PROGRAM): both are reported, with spans. *)
+let f_stream_skipped_errors () =
+  let src =
+    "program p\n  integer x\n  x = = 1 #\nend\n\
+     subroutine 5\n  y = 1 @ 2\nend\n\
+     program q\nend\n"
+  in
+  Alcotest.(check (list string))
+    "diagnostics"
+    [ "3:7-3:8 expected expression (found =)";
+      "3:11-3:12 unexpected character '#'";
+      "5:12-5:13 expected identifier (found INT(5))";
+      "6:9-6:10 unexpected character '@'" ]
+    (List.map span (parse_diags src))
+
+(* A generated source of [n] statements: DO loops, IFs and assignments
+   over arrays and scalars. *)
+let big_source n =
+  let b = Buffer.create (n * 40) in
+  Buffer.add_string b
+    "program big\n  parameter (n = 64)\n  real a(n), c(n)\n  integer i, k\n  real s\n";
+  for j = 1 to n / 4 do
+    Printf.bprintf b "  do i = 2, n - 1\n    a(i) = (c(i-1) + c(i+1)) * %d.5 - s / 2.0\n" j;
+    Printf.bprintf b "    if (a(i) .gt. %d.0 .and. k <= n) then\n      s = s + mod(i, %d) ** 2\n" j (j + 1);
+    Printf.bprintf b "    endif\n  enddo\n"
+  done;
+  Buffer.add_string b "end\n";
+  Buffer.contents b
+
+(* The parse allocates per token no more than the token's own value, the
+   AST built from it and the locations of statement starts; a token list
+   or array (28.5 words per token) does not fit under the bound. *)
+let f_stream_alloc () =
+  let src = big_source 2_000 in
+  let tokens = List.length (Lexer.tokenize_sp src) in
+  let before = Gc.minor_words () in
+  let p = Parser.parse src in
+  let words = Gc.minor_words () -. before in
+  check "parsed" true (List.length p = 1);
+  let per_token = words /. float_of_int tokens in
+  if per_token > 12.0 then
+    Alcotest.failf "%.1f minor words per token over %d tokens (bound 12)" per_token tokens
+
 let suite =
   [
     Alcotest.test_case "lex numbers" `Quick l_numbers;
@@ -259,3 +341,7 @@ let suite =
   @ List.map (fun (name, src) -> Alcotest.test_case name `Quick (roundtrip src))
       roundtrip_cases
   @ rejections
+  @ [ Alcotest.test_case "stream: lexical errors all reported" `Quick f_stream_diags;
+      Alcotest.test_case "stream: errors in skipped text reported" `Quick
+        f_stream_skipped_errors;
+      Alcotest.test_case "stream: parse allocation per token" `Quick f_stream_alloc ]
