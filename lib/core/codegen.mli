@@ -28,7 +28,26 @@ type shift = { sh_proc : string; sh_array : string; sh_dim : int; sh_offset : in
     [sh_dim] (0-based) that needs nonlocal data under its loop's
     owner-computes partition.  Its message is placed, exported to the
     callers, or left to run-time resolution, which fetches the same
-    elements.  Recording one consumes no tag or site number. *)
+    elements.  It is recorded when its statement's messages are first
+    computed under a key ({!msg_key}), whether a legality trial or the
+    communication pass asked: a trial that rejects its loop's partition
+    still records the shifts the replicated loop's run-time resolution
+    fetches.  Recording one consumes no tag or site number. *)
+
+type msg_key = {
+  mk_proc : string;
+  mk_sid : int;  (** the statement *)
+  mk_parts : partition list;
+      (** the partitions of its enclosing loops, outermost first *)
+  mk_constraint : Exports.constraint_;  (** the procedure's owner constraint *)
+}
+(** What a statement's messages are computed under.  Each key's
+    messages are computed once per compile. *)
+
+type msg_work = { mutable evaluated : msg_key list; mutable reused : msg_key list }
+(** The keys whose messages were computed, and those whose messages
+    were reused, both newest first: partition legality's trials and the
+    communication pass share one computation per key. *)
 
 type state = {
   opts : Options.t;
@@ -41,12 +60,14 @@ type state = {
   mutable decisions : decision list;
       (** every loop's partition decision, newest first *)
   mutable shifts : shift list;
-      (** every such shift, newest first, possibly repeated *)
+      (** every such shift, newest first, possibly repeated when
+          statements or keys differ *)
   pseudo_sids : Dynamic_decomp.sids;
       (** statement ids of this compile's [remap$] pseudo-statements *)
   flow : Fd_analysis.Dataflow.work;
       (** nodes and visits of this compile's dataflow solves: dead and
           redundant remaps, and scalar liveness *)
+  msgs : msg_work;  (** this compile's message computations and reuses *)
   mutable must_reach : string list;
       (** compiled procedures an owner guard may not skip: they print or
           remap, themselves or through a callee *)

@@ -314,6 +314,106 @@ let df_visits_per_node () =
   Printf.printf "dataflow: %d visits over %d nodes (%.3f per node)\n" !visits !nodes ratio;
   check (Printf.sprintf "%.3f visits per node < 1.6" ratio) true (ratio < 1.6)
 
+(* --- Codegen's cost per compile ----------------------------------------------- *)
+
+(* The 10 examples and 200 generated programs (3:1 1-D and 2-D), as the
+   compile-mix workload draws them. *)
+let codegen_corpus () =
+  let st = Random.State.make [| 46 |] in
+  let generated =
+    List.init 200 (fun i ->
+      Sema.check_source
+        (if i mod 4 = 3 then Fd_workloads.Gen.random_source2d st
+         else Fd_workloads.Gen.random_source st))
+  in
+  let examples =
+    Sys.readdir examples_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".fd")
+    |> List.sort compare |> List.map example
+  in
+  examples @ generated
+
+(* Codegen's minor words per compile over the corpus under the three
+   strategies at P in {4, 64}, the analyses up to cloning excluded.
+   Each statement's messages are computed once per key and its facts
+   (reads, distribution, loop context, class) once per procedure: 27,099
+   words per compile, against 31,371 when legality and the
+   communication pass each computed their own. *)
+let cg_alloc_per_compile () =
+  let words = ref 0.0 and compiles = ref 0 in
+  List.iter
+    (fun cp ->
+      List.iter
+        (fun strategy ->
+          List.iter
+            (fun nprocs ->
+              let opts = { Options.default with Options.strategy; nprocs } in
+              let cloned = Driver.clone ~opts cp in
+              let before = Gc.minor_words () in
+              ignore (Codegen.compile_analyzed ~sink:(Diag.sink ()) opts cloned);
+              words := !words +. (Gc.minor_words () -. before);
+              incr compiles)
+            [ 4; 64 ])
+        [ Options.Interproc; Options.Immediate; Options.Runtime_resolution ])
+    (codegen_corpus ());
+  let per_compile = !words /. float_of_int !compiles in
+  Printf.printf "codegen: %.0f minor words per compile over %d compiles\n" per_compile !compiles;
+  if per_compile > 28_500.0 then
+    Alcotest.failf "%.0f minor words per compile (bound 28,500)" per_compile
+
+(* Partition legality and the communication pass ask for the same
+   statement's messages under the same loop partitions: each (procedure,
+   statement, nest partitions, constraint) key is computed once and then
+   reused.  jacobi1d's sweep loop keeps its candidate partition, so the
+   communication pass reuses what legality computed for its body. *)
+let cg_messages_once () =
+  let opts = { Options.default with Options.strategy = Options.Interproc; nprocs = 4 } in
+  let evaluated = ref 0 and reused = ref 0 in
+  Sys.readdir examples_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".fd")
+  |> List.sort compare
+  |> List.iter (fun name ->
+         let compiled = Driver.compile ~opts (example name) in
+         let w = compiled.Codegen.state.Codegen.msgs in
+         let keys = w.Codegen.evaluated in
+         check_int (name ^ ": no key computed twice") (List.length keys)
+           (List.length (List.sort_uniq compare keys));
+         evaluated := !evaluated + List.length keys;
+         reused := !reused + List.length w.Codegen.reused;
+         if name = "jacobi1d.fd" then begin
+           let d =
+             List.find
+               (fun (d : Codegen.decision) -> d.Codegen.d_proc = "sweep")
+               (Codegen.decisions compiled)
+           in
+           check "sweep's loop is partitioned" true
+             (contains (Fmt.str "%a" Codegen.pp_decision d) "partitioned on v");
+           let body =
+             let u = Sema.find_unit_exn compiled.Codegen.clone_result.Cloning.cp "sweep" in
+             let out = ref [] in
+             Ast.iter_stmts
+               (fun s ->
+                 match s.Ast.kind with
+                 | Ast.Do dd when s.Ast.sid = d.Codegen.d_sid ->
+                   out := List.map (fun (b : Ast.stmt) -> b.Ast.sid) dd.Ast.body
+                 | _ -> ())
+               u.Sema.unit_.Ast.body;
+             !out
+           in
+           check "the loop has a body" true (body <> []);
+           List.iter
+             (fun sid ->
+               check (Fmt.str "s%d reused under the decided partition" sid) true
+                 (List.exists
+                    (fun (k : Codegen.msg_key) ->
+                      k.Codegen.mk_proc = "sweep" && k.Codegen.mk_sid = sid
+                      && k.Codegen.mk_parts = [ d.Codegen.d_part ])
+                    w.Codegen.reused))
+             body
+         end);
+  Printf.printf "messages: %d computed, %d reused\n" !evaluated !reused;
+  check "some reuse" true (!reused > 0)
+
 let overlap_at nprocs cp =
   Overlap.analyze (Driver.compile ~opts:{ Options.default with Options.nprocs } cp)
 
@@ -366,6 +466,21 @@ let ov_is_codegens () =
       "relax_black u      dim 1   estimated [-1,+1]   actual [-0,+1]";
       "relax_red  u      dim 1   estimated [-1,+1]   actual [-1,+0]" ]
     (rows 4)
+
+(* A legality trial that rejects its loop's partition still records
+   the shifts the loop's reads need: colsweep's i loop stays replicated
+   (its index runs along the distributed dimension of u(i-1,j) with a
+   carried dependence), and run-time resolution fetches exactly
+   u(i-1,j), so adi and colsweep read [-1,+0] on dim 1. *)
+let ov_rejected_trial_shifts () =
+  let rows = List.map (Fmt.str "%a" Overlap.pp_row) (overlap_at 4 (example "adi_static.fd")) in
+  Alcotest.(check (list string))
+    "P=4"
+    [ "adi        u      dim 1   estimated [-1,+0]   actual [-1,+0]";
+      "adi        u      dim 2   estimated [-1,+0]   actual [-0,+0]";
+      "colsweep   u      dim 1   estimated [-1,+0]   actual [-1,+0]";
+      "rowsweep   u      dim 2   estimated [-1,+0]   actual [-0,+0]" ]
+    rows
 
 (* fig4 calls f1 on x, distributed on dim 1, and on y, on dim 2;
    cloning gives the y calls their own f1$1, whose reads of z(k+5, i)
@@ -453,10 +568,13 @@ let suite =
     Alcotest.test_case "dynamic decomp ladder" `Quick dd_ladder;
     Alcotest.test_case "dynamic decomp levels all verify" `Quick dd_results_equal_across_levels;
     Alcotest.test_case "dataflow visits per node under 1.6" `Quick df_visits_per_node;
+    Alcotest.test_case "codegen: minor words per compile" `Quick cg_alloc_per_compile;
+    Alcotest.test_case "codegen: each message key computed once" `Quick cg_messages_once;
     Alcotest.test_case "overlap estimate vs actual" `Quick ov_estimate_vs_actual;
     Alcotest.test_case "overlap estimate is superset" `Quick ov_estimate_superset;
     Alcotest.test_case "overlap follows cloning" `Quick ov_follows_cloning;
     Alcotest.test_case "overlap is what codegen placed" `Quick ov_is_codegens;
+    Alcotest.test_case "overlap keeps rejected trials' shifts" `Quick ov_rejected_trial_shifts;
     Alcotest.test_case "recompile no-op" `Quick rc_noop;
     Alcotest.test_case "recompile body edit local" `Quick rc_body_edit_local;
     Alcotest.test_case "recompile distribution global" `Quick rc_distribution_edit_global;
