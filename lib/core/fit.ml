@@ -116,8 +116,24 @@ let expr_of_lanes ?mask (runs : lanes) : Ast.expr =
       | Some e -> e
       | None -> tab_expr (values runs))
 
+(* [Some (k, first, last)] when [mask] is two or more single pids at
+   the constant stride k >= 2, from [first] to [last]. *)
+let periodic (mask : (int * int) list) =
+  match mask with
+  | (first, u0) :: (l1, u1) :: rest when first = u0 && l1 = u1 && l1 - first >= 2 ->
+    let k = l1 - first in
+    let rec last prev = function
+      | [] -> Some (k, first, prev)
+      | (l, u) :: rest -> if l = u && l - prev = k then last l rest else None
+    in
+    last l1 rest
+  | _ -> None
+
 (* Guard true exactly on the pids of [mask] (sorted disjoint
-   intervals); [None] when that is every pid. *)
+   intervals); [None] when that is every pid.  Pids at a constant stride
+   k print as mod(my$p, k) == r with the bounds the progression needs
+   inside [0, nprocs - 1]; any other mask as a tab$ table of every pid's
+   membership. *)
 let guard_of_mask ~nprocs (mask : (int * int) list) : Ast.expr option =
   match mask with
   | [ (0, hi) ] when hi = nprocs - 1 -> None
@@ -127,13 +143,21 @@ let guard_of_mask ~nprocs (mask : (int * int) list) : Ast.expr option =
     else if hi = nprocs - 1 then Some (Ast.Bin (Ast.Ge, myp, int_e lo))
     else if lo = hi then Some (Ast.Bin (Ast.Eq, myp, int_e lo))
     else Some (Ast.Bin (Ast.And, Ast.Bin (Ast.Ge, myp, int_e lo), Ast.Bin (Ast.Le, myp, int_e hi)))
-  | _ ->
-    let rec bits next = function
-      | [] -> [ (next, nprocs - 1, Lanes.Sconst 0) ]
-      | (lo, hi) :: rest -> (next, lo - 1, Lanes.Sconst 0) :: (lo, hi, Lanes.Sconst 1) :: bits (hi + 1) rest
-    in
-    let bits = List.filter (fun (l, u, _) -> l <= u) (bits 0 mask) in
-    Some (Ast.Bin (Ast.Eq, tab_expr (values bits), int_e 1))
+  | _ -> (
+    match periodic mask with
+    | Some (k, first, last) ->
+      let bound keep op v g = if keep then Ast.Bin (Ast.And, g, Ast.Bin (op, myp, int_e v)) else g in
+      Some
+        (Ast.Bin (Ast.Eq, Ast.Funcall ("mod", [ myp; int_e k ]), int_e (first mod k))
+        |> bound (first >= k) Ast.Ge first
+        |> bound (last + k <= nprocs - 1) Ast.Le last)
+    | None ->
+      let rec bits next = function
+        | [] -> [ (next, nprocs - 1, Lanes.Sconst 0) ]
+        | (lo, hi) :: rest -> (next, lo - 1, Lanes.Sconst 0) :: (lo, hi, Lanes.Sconst 1) :: bits (hi + 1) rest
+      in
+      let bits = List.filter (fun (l, u, _) -> l <= u) (bits 0 mask) in
+      Some (Ast.Bin (Ast.Eq, tab_expr (values bits), int_e 1)))
 
 type fitted_triplet = {
   f_lo : Ast.expr;

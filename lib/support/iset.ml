@@ -220,6 +220,20 @@ let diff a b =
       | [ x ], [ y ] when Triplet.step y = 1 -> of_triplets (Triplet.diff x y)
       | _ -> group (ivs_diff (intervals a) (intervals b)))
 
+(* [split a t]: the members of [a] in [t] and those not in it, each
+   built by [of_intervals] from the maximal intervals.  Two intervals,
+   an owner guard's usual operands, skip the interval lists. *)
+let split a t =
+  match (a, t) with
+  | [ x ], [ y ] when tr_flat x && tr_flat y && not (Triplet.is_empty x || Triplet.is_empty y) ->
+    let xl = Triplet.lo x and xh = Triplet.hi x and yl = Triplet.lo y and yh = Triplet.hi y in
+    let l = max xl yl and h = min xh yh in
+    if l > h then ([], [ Triplet.range xl xh ])
+    else ([ Triplet.range l h ], of_intervals [ (xl, yl - 1); (yh + 1, xh) ])
+  | _ ->
+    let ia = intervals a and it = intervals t in
+    (of_intervals (ivs_inter ia it), of_intervals (ivs_diff ia it))
+
 let equal a b = intervals a = intervals b
 
 let subset a b =

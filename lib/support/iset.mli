@@ -32,6 +32,10 @@ val shift : int -> t -> t
 val complement : lo:int -> hi:int -> t -> t
 (** [complement ~lo ~hi t] is the members of [lo, hi] not in [t]. *)
 
+val split : t -> t -> t * t
+(** [split a t] is [(inter a t, diff a t)], each in the form
+    {!of_intervals} gives. *)
+
 val triplets : t -> Triplet.t list
 (** The canonical triplet decomposition. *)
 

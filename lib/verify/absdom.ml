@@ -155,25 +155,54 @@ type unop = Neg | Not | Abs | ToInt | ToReal
    the segment fast paths must agree with (by concretization). *)
 let rel op a b = lift2 (fun x y -> Value.of_bool (Value.relation op x y)) a b
 
-let pv2 op a b =
+let ptrue = Pbool true
+let pfalse = Pbool false
+let pbool b = if b then ptrue else pfalse
+
+(* Two integer lanes skip the [Value] round trip and its handler: each
+   case is [Value]'s integer case, an error the program would stop on
+   giving [Punk] as [lift2] does. *)
+let int2 op a b x y =
   match op with
-  | Add -> lift2 Value.add a b
-  | Sub -> lift2 Value.sub a b
-  | Mul -> lift2 Value.mul a b
-  | Div -> lift2 Value.div a b
-  | Pow -> lift2 Value.pow a b
-  | Mod -> lift2 Value.modulo a b
-  | Eq -> rel Ast.Eq a b
-  | Ne -> rel Ast.Ne a b
-  | Lt -> rel Ast.Lt a b
-  | Le -> rel Ast.Le a b
-  | Gt -> rel Ast.Gt a b
-  | Ge -> rel Ast.Ge a b
-  | And -> and_ a b
-  | Or -> or_ a b
-  | Max -> lift2 Value.max a b
-  | Min -> lift2 Value.min a b
-  | Join -> pv_join a b
+  | Add -> Pint (x + y)
+  | Sub -> Pint (x - y)
+  | Mul -> Pint (x * y)
+  | Div -> if y = 0 then Punk else Pint (x / y)
+  | Pow -> if y < 0 && x = 0 then Punk else Pint (Value.ipow x y)
+  | Mod -> if y = 0 then Punk else Pint (x mod y)
+  | Eq -> pbool (x = y)
+  | Ne -> pbool (x <> y)
+  | Lt -> pbool (x < y)
+  | Le -> pbool (x <= y)
+  | Gt -> pbool (x > y)
+  | Ge -> pbool (x >= y)
+  | And | Or -> Punk
+  | Max -> if y > x then b else a
+  | Min -> if y < x then b else a
+  | Join -> if x = y then a else Punk
+
+let pv2 op a b =
+  match (a, b) with
+  | Pint x, Pint y -> int2 op a b x y
+  | _ -> (
+    match op with
+    | Add -> lift2 Value.add a b
+    | Sub -> lift2 Value.sub a b
+    | Mul -> lift2 Value.mul a b
+    | Div -> lift2 Value.div a b
+    | Pow -> lift2 Value.pow a b
+    | Mod -> lift2 Value.modulo a b
+    | Eq -> rel Ast.Eq a b
+    | Ne -> rel Ast.Ne a b
+    | Lt -> rel Ast.Lt a b
+    | Le -> rel Ast.Le a b
+    | Gt -> rel Ast.Gt a b
+    | Ge -> rel Ast.Ge a b
+    | And -> and_ a b
+    | Or -> or_ a b
+    | Max -> lift2 Value.max a b
+    | Min -> lift2 Value.min a b
+    | Join -> pv_join a b)
 
 let pv1 op a =
   match op with
@@ -627,3 +656,16 @@ let truth ~n:_ ~act v =
           | _ -> T_divergent)
     in
     sweep [] [] segs (Iset.intervals act)
+
+(* The truth of a condition whose every lane is a known boolean, true
+   exactly on the pids of [t], a subset of [0, n-1].  Such lanes are
+   [Uni] exactly when [t] is empty or every pid, so this is what [truth]
+   makes of them, its sets built by [of_intervals] as [truth] builds
+   them. *)
+let truth_of_pids ~n ~act t =
+  let c = Iset.count t in
+  if c = n then T_true
+  else if c = 0 then T_false
+  else
+    let ts, fs = Iset.split act t in
+    T_split (ts, fs)

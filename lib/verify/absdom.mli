@@ -118,6 +118,9 @@ type unop = Neg | Not | Abs | ToInt | ToReal
     run enumeration for integer division). *)
 val app2 : n:int -> binop -> t -> t -> t
 
+val pv2 : binop -> pv -> pv -> pv
+(** The pointwise meaning of a binary operator on one lane. *)
+
 val app1 : n:int -> unop -> t -> t
 
 (** Escape hatch: apply a pointwise function to any number of
@@ -146,3 +149,8 @@ type truth =
   | T_divergent  (** some active lane's truth is unknown *)
 
 val truth : n:int -> act:Iset.t -> t -> truth
+
+val truth_of_pids : n:int -> act:Iset.t -> Iset.t -> truth
+(** [truth_of_pids ~n ~act t] is [truth ~n ~act v] for every [v] whose
+    lanes are known booleans, true exactly on the pids of [t] (a subset
+    of [\[0, n-1\]]). *)

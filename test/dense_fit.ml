@@ -102,12 +102,26 @@ let guard_of_mask (mask : bool array) : Ast.expr option =
           (Ast.Bin
              (Ast.And, Ast.Bin (Ast.Ge, myp, int_e lo), Ast.Bin (Ast.Le, myp, int_e hi)))
     end
-    else
-      Some
-        (Ast.Bin
-           ( Ast.Eq,
-             tab_expr (Array.map (fun m -> if m then 1 else 0) mask),
-             int_e 1 ))
+    else begin
+      (* single pids at one stride k >= 2 print as a parity guard,
+         bounded only where the progression goes on inside 0..n-1 *)
+      let pids = List.filter (fun p -> mask.(p)) (List.init n Fun.id) in
+      let lo = !first and hi = !last in
+      let k = List.nth pids 1 - lo in
+      if k >= 2 && List.length pids = ((hi - lo) / k) + 1 && List.for_all (fun p -> (p - lo) mod k = 0) pids
+      then
+        let conj keep op v g = if keep then Ast.Bin (Ast.And, g, Ast.Bin (op, myp, int_e v)) else g in
+        Some
+          (Ast.Bin (Ast.Eq, Ast.Funcall ("mod", [ myp; int_e k ]), int_e (lo mod k))
+          |> conj (lo - k >= 0) Ast.Ge lo
+          |> conj (hi + k <= n - 1) Ast.Le hi)
+      else
+        Some
+          (Ast.Bin
+             ( Ast.Eq,
+               tab_expr (Array.map (fun m -> if m then 1 else 0) mask),
+               int_e 1 ))
+    end
   end
 
 (* Fit a per-processor family of (at most single-triplet) sets into

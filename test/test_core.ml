@@ -164,10 +164,18 @@ let fit_table_fallback () =
   let e = Fit.expr_of_lanes values in
   check_str "tab fallback" "tab$(my$p, 3, 1, 4, 1)" (Ast_printer.expr_to_string e)
 
+(* A mask with no closed form is a table; single pids at a constant
+   stride are a parity guard with the bounds the progression needs. *)
 let fit_guard_noncontiguous () =
-  match Fit.guard_of_mask ~nprocs:4 [ (0, 0); (2, 2) ] with
-  | Some g -> check_str "table guard" "tab$(my$p, 1, 0, 1, 0) == 1" (Ast_printer.expr_to_string g)
-  | None -> Alcotest.fail "expected guard"
+  let guard nprocs mask =
+    match Fit.guard_of_mask ~nprocs mask with
+    | Some g -> Ast_printer.expr_to_string g
+    | None -> Alcotest.fail "expected guard"
+  in
+  check_str "table guard" "tab$(my$p, 1, 0, 1, 1, 0) == 1" (guard 5 [ (0, 0); (2, 3) ]);
+  check_str "parity guard" "mod(my$p, 2) == 0" (guard 4 [ (0, 0); (2, 2) ]);
+  check_str "bounded parity guard" "mod(my$p, 3) == 1 .and. my$p >= 4 .and. my$p <= 7"
+    (guard 11 [ (4, 4); (7, 7) ])
 
 let fit_cyclic_family () =
   let sets =
