@@ -341,7 +341,6 @@ type site_acc = {
   mutable sa_bcasts : int;
   mutable sa_remaps : int;
   mutable sa_seconds : float;
-  sa_insts : (int, unit) Hashtbl.t;  (* distinct event indexes *)
   mutable sa_max_msg : int;  (* largest single message, bytes *)
 }
 
@@ -383,7 +382,7 @@ let site st loc what =
   | None ->
     let s =
       { sa_messages = 0; sa_bytes = 0; sa_bcasts = 0; sa_remaps = 0;
-        sa_seconds = 0.0; sa_insts = Hashtbl.create 4; sa_max_msg = 0 }
+        sa_seconds = 0.0; sa_max_msg = 0 }
     in
     Hashtbl.replace st.sites (loc, what) s;
     s
@@ -411,7 +410,6 @@ let process_send st (g : clock Skeleton.group) ~loc ~dest ~tag parts =
       (Fmt.str "send%s: destination not statically evaluable; matched first-fit"
          (at loc));
   let sa = site st loc "send" in
-  Hashtbl.replace sa.sa_insts g.g_cur ();
   sa.sa_messages <- sa.sa_messages + n;
   List.fold_left
     (fun c piece ->
@@ -860,23 +858,24 @@ let analyze ?profile:prof ~(config : Config.t) (prog : Node.program) : t =
       st.sites []
     |> List.sort (fun a b -> compare b.site_seconds a.site_seconds)
   in
-  (* findings: provably-unvectorized per-element sends, plus one Info
-     per cost-model assumption *)
+  (* findings: provably-unvectorized per-element sends, decided from the
+     site's message count and largest message so that they do not depend
+     on how the walk cuts a statement into events, plus one Info per
+     cost-model assumption *)
   let findings = ref [] in
   Hashtbl.iter
     (fun (loc, what) sa ->
       if
         what = "send"
-        && Hashtbl.length sa.sa_insts >= 4
+        && sa.sa_messages >= 4
         && sa.sa_max_msg <= config.Config.word_bytes
-        && sa.sa_messages > 0
       then
         findings :=
           Finding.make ~loc Finding.Warning "unvectorized-comm"
             (Fmt.str
                "%d per-element messages (each <= 1 element) sent from this \
                 statement: message vectorization did not apply"
-               (Hashtbl.length sa.sa_insts))
+               sa.sa_messages)
           :: !findings)
     st.sites;
   List.iter

@@ -102,8 +102,11 @@ type t = {
   critical_path : step list;
   sites : site_cost list;  (** most expensive first *)
   findings : Finding.t list;
-      (** Warning "unvectorized-comm" on provably per-element send
-          statements; Info "cost-assumption" per assumption *)
+      (** Warning "unvectorized-comm" on a send statement whose
+          messages number at least 4 and each carry at most one element
+          (its site's message count and largest message, however the
+          walk cuts it into events); Info "cost-assumption" per
+          assumption *)
   events : int;  (** skeleton events priced *)
   regions_excluded : int;  (** unresolved regions containing communication *)
   profile_used : bool;  (** a profile was supplied, whether or not it ran *)
