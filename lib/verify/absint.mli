@@ -75,6 +75,19 @@ val scalar : nprocs:int -> Fd_frontend.Ast.expr -> Absdom.t
     processors, compiled as the walk compiles it, in a frame where every
     name is [my$p]. *)
 
+val guard :
+  nprocs:int ->
+  (string * Absdom.t) list ->
+  act:Fd_support.Iset.t ->
+  Fd_frontend.Ast.expr ->
+  Absdom.truth option * Absdom.truth
+(** For tests: an IF condition on [act] over [nprocs] processors, in a
+    frame binding each named scalar to its lanes ([my$p] to the pid
+    vector unless named): the truth its guard path decides, [None] where
+    the condition is no processor guard or the path leaves it to the
+    lanes, and [Absdom.truth] of its lanes, which the walk reads
+    otherwise. *)
+
 val stores :
   nprocs:int ->
   (string * Fd_frontend.Ast.dtype) list ->

@@ -11,8 +11,8 @@ open Fd_frontend
 open Fd_machine
 open Fd_verify
 
-let prop ?(count = 500) name gen f =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
+let prop ?(count = 500) ?print name gen f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen f)
 
 (* Structural equality with NaN-tolerant floats (compare, not =). *)
 let pv_eq (a : Absdom.pv) (b : Absdom.pv) = compare a b = 0
@@ -513,10 +513,14 @@ let rec kleene (e : Ast.expr) =
   | Ast.Funcall (_, args) -> List.exists kleene args
   | _ -> false
 
-(* Eval's intrinsic for nprocs(), which the interpreter supplies. *)
-let hook _ name args =
+(* Eval's intrinsics for nprocs() and tab$, which the interpreter
+   supplies. *)
+let hook sc name args =
   match (name, args) with
   | "nprocs", [] -> Some (Eval.Int (fun env -> env.Eval.nprocs))
+  | "tab$", sel :: consts ->
+    let sel = Eval.int_expr sc sel and consts = Array.of_list (List.map (Eval.expr sc) consts) in
+    Some (Eval.Boxed (fun env -> consts.(sel env) env))
   | _ -> None
 
 (* [e] at each pid of [nprocs], [None] where it raises. *)
@@ -673,6 +677,213 @@ let test_store_sequences =
       in
       Array.for_all Fun.id (Array.mapi pid_ok (eval_stores ~nprocs:n body)))
 
+(* --- the walk's guard path ------------------------------------------------ *)
+
+(* Integers in and out of [0, P-1], with the ends of int among them. *)
+let int_around n =
+  QCheck2.Gen.(
+    frequency
+      [ (6, int_range (-3) (n + 2));
+        (1, oneofl [ min_int; min_int + 1; max_int - 1; max_int ]);
+        (1, int_range (-1000) 2000) ])
+
+(* A guard over the scalars of [guard_bindings], with whether the path
+   must decide it (every leaf it reads decided, [my$p] the pid vector)
+   and whether it holds an atom at all. *)
+let guard_gen n ~pid_ok ~u2 =
+  let open QCheck2.Gen in
+  let pid = Ast.Var "my$p" in
+  (* an integer operand: (expression, uniform and known) *)
+  let operand =
+    frequency
+      [ (3, map (fun c -> (Ast.Int_const c, true)) (int_around n));
+        (2, return (Ast.Var "u1", true));
+        (1, return (Ast.Var "u2", true));
+        (1, map (fun c -> (Ast.Bin (Ast.Add, Ast.Var "u1", Ast.Int_const c), true)) (int_range (-2) 2));
+        (1, return (Ast.Var "d1", false));
+        (1, return (Ast.Var "uk", false)) ]
+  in
+  let rel =
+    let* op = oneofl Ast.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+    let* e, ok = operand in
+    let* flip = bool in
+    return ((if flip then Ast.Bin (op, e, pid) else Ast.Bin (op, pid, e)), ok)
+  in
+  let modulo =
+    let* k, kok =
+      frequency
+        [ (6, map (fun k -> (Ast.Int_const k, true)) (int_range 1 6));
+          (1, map (fun k -> (Ast.Int_const k, false)) (int_range (-3) 0));
+          (1, return (Ast.Var "u2", u2 >= 1)) ]
+    in
+    let* r, rok =
+      frequency
+        [ (5, map (fun r -> (Ast.Int_const r, true)) (int_range (-2) 8)); (1, operand) ]
+    in
+    let* flip = bool in
+    let m = Ast.Funcall ("mod", [ pid; k ]) in
+    return ((if flip then Ast.Bin (Ast.Eq, r, m) else Ast.Bin (Ast.Eq, m, r)), kok && rok)
+  in
+  let term =
+    frequency
+      [ (2, return (Ast.Bin (Ast.Ne, Ast.Var "u1", Ast.Var "u2"), true));
+        (1, return (Ast.Bin (Ast.Eq, Ast.Var "u1", Ast.Var "u2"), true));
+        (1, return (Ast.Var "b1", true));
+        (1, map (fun b -> (Ast.Logical_const b, true)) bool);
+        (1, return (Ast.Bin (Ast.Eq, Ast.Var "uk", Ast.Int_const 1), false));
+        (1, return (Ast.Bin (Ast.Lt, Ast.Var "d1", Ast.Int_const 3), false)) ]
+  in
+  let rec tree d =
+    let leaf =
+      frequency
+        [ (4, map (fun (e, ok) -> (e, ok && pid_ok, true)) rel);
+          (3, map (fun (e, ok) -> (e, ok && pid_ok, true)) modulo);
+          (1, map (fun (e, ok) -> (e, ok, false)) term) ]
+    in
+    if d = 0 then leaf
+    else
+      frequency
+        [ (2, leaf);
+          ( 3,
+            let* op = oneofl Ast.[ And; Or ] in
+            let* a, oka, ha = tree (d - 1) in
+            let* b, okb, hb = tree (d - 1) in
+            return (Ast.Bin (op, a, b), oka && okb, ha || hb) );
+          (1, map (fun (a, ok, h) -> (Ast.Un (Ast.Not, a), ok, h)) (tree (d - 1))) ]
+  in
+  let* d = int_range 0 3 in
+  tree d
+
+(* The scalars a guard reads: uniform integers u1 and u2, a uniform
+   logical b1, a uniform unknown uk and per-pid integers d1; now and
+   then [my$p] holds something other than the pid vector. *)
+let guard_case_gen =
+  let open QCheck2.Gen in
+  let* n = oneofl [ 1; 2; 7; 64; 1024 ] in
+  let* u1 = int_around n and* u2 = int_around n and* b1 = bool and* c = int_range (-3) 3 in
+  let* me =
+    frequency
+      [ (8, return None);
+        (1, return (Some (Absdom.Uni (Absdom.Pint 0))));
+        (1, return (Some (Absdom.app2 ~n Absdom.Add (Absdom.myproc ~n) (Absdom.Uni (Absdom.Pint 1)))));
+        (1, return (Some (Absdom.divergent_unknown ~n))) ]
+  in
+  let pid_ok = match me with None -> true | Some v -> Absdom.identical v (Absdom.myproc ~n) in
+  let bindings =
+    (match me with Some v -> [ ("my$p", v) ] | None -> [])
+    @ [ ("u1", Absdom.Uni (Absdom.Pint u1)); ("u2", Absdom.Uni (Absdom.Pint u2));
+        ("b1", Absdom.Uni (Absdom.Pbool b1)); ("uk", Absdom.unknown);
+        ("d1", Absdom.app2 ~n Absdom.Add (Absdom.myproc ~n) (Absdom.Uni (Absdom.Pint c))) ]
+  in
+  let* act =
+    frequency
+      [ (2, return (Iset.range 0 (n - 1)));
+        ( 2,
+          map
+            (fun ivs -> Iset.of_intervals (List.map (fun (a, b) -> (min a b, max a b)) ivs))
+            (list_size (int_range 0 4) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))) );
+        ( 1,
+          let* lo = int_range 0 (n - 1) in
+          let* hi = int_range lo (n - 1) in
+          let* step = int_range 1 5 in
+          return (Iset.of_triplet (Triplet.make ~lo ~hi ~step)) ) ]
+  in
+  let* cond, decided, atom = guard_gen n ~pid_ok ~u2 in
+  return (n, bindings, act, cond, decided && atom)
+
+let pp_truth = function
+  | Absdom.T_true -> "true"
+  | Absdom.T_false -> "false"
+  | Absdom.T_unknown_uniform -> "unknown-uniform"
+  | Absdom.T_divergent -> "divergent"
+  | Absdom.T_split (t, f) -> Fmt.str "split %a / %a" Iset.pp t Iset.pp f
+
+(* The walk decides a processor guard's IF as a pid set; that must be
+   what [Absdom.truth] makes of the condition's lanes, sets built alike,
+   and the path must decide every guard whose leaves are decided. *)
+let test_guard_path =
+  prop ~count:3_000 "guard path = Absdom.truth of the condition's lanes"
+    ~print:(fun (n, bindings, act, cond, decided) ->
+      Fmt.str "P=%d act=%a %s [%s] decided=%b" n Iset.pp act (Ast_printer.expr_to_string cond)
+        (String.concat "; "
+           (List.map
+              (fun (x, v) -> x ^ "=" ^ if Absdom.is_uniform v then pp_pv (Absdom.at v 0) else "per-pid")
+              bindings))
+        decided)
+    guard_case_gen
+    (fun (n, bindings, act, cond, decided) ->
+      match Absint.guard ~nprocs:n bindings ~act cond with
+      | Some t, lanes ->
+        t = lanes || QCheck2.Test.fail_reportf "path %s, lanes %s" (pp_truth t) (pp_truth lanes)
+      | None, lanes -> (not decided) || QCheck2.Test.fail_reportf "not decided (lanes %s)" (pp_truth lanes))
+
+(* Where the path must leave the guard to the lanes. *)
+let test_guard_fallback () =
+  let n = 8 in
+  let pid = Ast.Var "my$p" and int i = Ast.Int_const i in
+  let bindings =
+    [ ("u", Absdom.Uni (Absdom.Pint 3)); ("uk", Absdom.unknown);
+      ("d", Absdom.myproc ~n) ]
+  in
+  let path ?(bindings = bindings) cond =
+    fst (Absint.guard ~nprocs:n bindings ~act:(Iset.range 0 (n - 1)) cond)
+  in
+  let modp k = Ast.Funcall ("mod", [ pid; int k ]) in
+  List.iter
+    (fun (what, cond) -> Alcotest.check Alcotest.bool what true (path cond = None))
+    [ ("mod by 0", Ast.Bin (Ast.Eq, modp 0, int 0));
+      ("mod by -2", Ast.Bin (Ast.Eq, modp (-2), int 0));
+      ("uniform unknown operand", Ast.Bin (Ast.Eq, pid, Ast.Var "uk"));
+      ("per-pid operand", Ast.Bin (Ast.Le, pid, Ast.Var "d"));
+      ("uniform unknown term", Ast.Bin (Ast.And, Ast.Bin (Ast.Eq, pid, Ast.Var "u"), Ast.Bin (Ast.Eq, Ast.Var "uk", int 1)));
+      ("no atom", Ast.Bin (Ast.Eq, Ast.Var "u", int 3)) ];
+  Alcotest.check Alcotest.bool "my$p not the pid vector" true
+    (path ~bindings:(("my$p", Absdom.Uni (Absdom.Pint 0)) :: bindings) (Ast.Bin (Ast.Eq, pid, int 0)) = None);
+  Alcotest.check Alcotest.bool "a parity guard is decided" true
+    (path (Ast.Bin (Ast.And, Ast.Bin (Ast.Eq, modp 2, int 1), Ast.Bin (Ast.Le, pid, int 5)))
+     = Some (Absdom.T_split (Iset.of_list [ 1; 3; 5 ], Iset.of_list [ 0; 2; 4; 6; 7 ])))
+
+(* Two integer lanes skip the Value round trip; each operator must give
+   what lifting Value's operation gives, bit for bit. *)
+let test_pv2_ints =
+  let ops =
+    Absdom.[ Add; Sub; Mul; Div; Pow; Mod; Eq; Ne; Lt; Le; Gt; Ge; And; Or; Max; Min; Join ]
+  in
+  let int_gen =
+    QCheck2.Gen.(
+      frequency
+        [ (4, int_range (-9) 9);
+          (2, oneofl [ min_int; min_int + 1; -1; 0; 1; max_int - 1; max_int ]);
+          (2, int) ])
+  in
+  prop ~count:5_000 "pv2 on two integers = lift2 through Value"
+    QCheck2.Gen.(triple (oneofl ops) int_gen int_gen)
+    (fun (op, x, y) ->
+      let a = Absdom.Pint x and b = Absdom.Pint y in
+      let via f = Absdom.lift (function [ a; b ] -> f a b | _ -> assert false) [ a; b ] in
+      let rel r = via (fun a b -> Value.of_bool (Value.relation r a b)) in
+      let want =
+        match op with
+        | Absdom.Add -> via Value.add
+        | Absdom.Sub -> via Value.sub
+        | Absdom.Mul -> via Value.mul
+        | Absdom.Div -> via Value.div
+        | Absdom.Pow -> via Value.pow
+        | Absdom.Mod -> via Value.modulo
+        | Absdom.Eq -> rel Ast.Eq
+        | Absdom.Ne -> rel Ast.Ne
+        | Absdom.Lt -> rel Ast.Lt
+        | Absdom.Le -> rel Ast.Le
+        | Absdom.Gt -> rel Ast.Gt
+        | Absdom.Ge -> rel Ast.Ge
+        | Absdom.Max -> via Value.max
+        | Absdom.Min -> via Value.min
+        | Absdom.And | Absdom.Or -> Absdom.Punk  (* Kleene logic of two integers *)
+        | Absdom.Join -> if x = y then a else Absdom.Punk
+      in
+      let got = Absdom.pv2 op a b in
+      pv_eq got want || QCheck2.Test.fail_reportf "%d, %d: %s, want %s" x y (pp_pv got) (pp_pv want))
+
 let suite =
   [
     test_roundtrip;
@@ -689,4 +900,7 @@ let suite =
     Alcotest.test_case "uniform vs divergent unknown" `Quick
       test_unknown_distinction;
     test_store_sequences;
+    test_guard_path;
+    Alcotest.test_case "guard path: where the lanes decide" `Quick test_guard_fallback;
+    test_pv2_ints;
   ]

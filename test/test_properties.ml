@@ -128,6 +128,7 @@ let eval_expr_at_p (e : Ast.expr) (p : int) : int =
     | Ast.Funcall ("min", args) -> List.fold_left min max_int (List.map go args)
     | Ast.Funcall ("max", args) -> List.fold_left max min_int (List.map go args)
     | Ast.Funcall ("tab$", sel :: consts) -> go (List.nth consts (go sel))
+    | Ast.Funcall ("mod", [ a; b ]) -> go a mod go b
     | Ast.Un (Ast.Neg, a) -> -go a
     | _ -> failwith "unexpected expr"
   in
@@ -261,7 +262,53 @@ let closed_form_matches_dense =
       && printed_new = printed_dense
       && same_sets (Lanes.to_list (L.nonlocal layout ~nprocs need)) dense_nonlocal)
 
+(* The guard [Fit] prints for a mask of pids, run at each pid by the
+   simulator's evaluator, holds on exactly the mask's pids: masks of
+   random intervals, and single pids at a stride of 2 to 5 that start
+   and end anywhere (bounds needed or not), also with one pid added or
+   dropped, at P up to 70 and at 1024. *)
+let printed_guard_means_mask =
+  prop ~count:400 "printed guards hold on exactly their mask's pids"
+    ~print:(fun (nprocs, mask) ->
+      Fmt.str "P=%d mask=%s" nprocs
+        (String.concat "," (List.map (fun (l, u) -> Fmt.str "%d-%d" l u) mask)))
+    QCheck2.Gen.(
+      let* nprocs = frequency [ (9, int_range 1 70); (1, return 1024) ] in
+      let pid = int_range 0 (nprocs - 1) in
+      let random =
+        list_size (int_range 0 5) (pair pid pid)
+        |> map (List.map (fun (a, b) -> (min a b, max a b)))
+      in
+      let strided =
+        let* k = int_range 2 5 in
+        let* first = frequency [ (1, int_range 0 (min (k - 1) (nprocs - 1))); (1, pid) ] in
+        let* last = frequency [ (1, return (nprocs - 1)); (1, int_range first (nprocs - 1)) ] in
+        let pids = List.filter (fun p -> (p - first) mod k = 0) (List.init (max 0 (last - first + 1)) (( + ) first)) in
+        let* nudge = frequency [ (3, return None); (1, map Option.some pid) ] in
+        let pids =
+          match nudge with
+          | Some p when List.mem p pids -> List.filter (( <> ) p) pids
+          | Some p -> p :: pids
+          | None -> pids
+        in
+        return (List.map (fun p -> (p, p)) pids)
+      in
+      let* ivs = frequency [ (1, random); (2, strided) ] in
+      return (nprocs, Iset.intervals (Iset.of_intervals ivs)))
+    (fun (nprocs, mask) ->
+      let inside p = List.exists (fun (l, u) -> l <= p && p <= u) mask in
+      match Fd_core.Fit.guard_of_mask ~nprocs mask with
+      | None -> List.for_all inside (List.init nprocs Fun.id)
+      | Some g ->
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun p v ->
+               v = Some (Value.of_bool (inside p))
+               || QCheck2.Test.fail_reportf "%s at pid %d" (Ast_printer.expr_to_string g) p)
+             (Test_absdom.eval_lanes ~nprocs g)))
+
 let suite =
   [ dep_brute_force; dep_exactness; fit_roundtrip; fit_procset_roundtrip;
     closed_form_matches_dense ]
   @ region_props
+  @ [ printed_guard_means_mask ]

@@ -387,6 +387,26 @@ let test_walk_flat_in_p () =
     true
     (w256 <= 1.5 *. w16)
 
+(* redblack's parity guards are mod(my$p, 2) == r with bounds, which the
+   walk decides as strided pid sets, so its walk does not grow with P
+   either: it allocates the same words at both P below.  As tab$
+   tables of P entries, it allocated 56x as much at P=262,144 as at
+   P=4,096. *)
+let test_walk_flat_redblack () =
+  let src = read_file (Filename.concat examples_dir "redblack.fd") in
+  let cp = Driver.check_source ~file:"redblack.fd" src in
+  let walk nprocs =
+    let opts = { Options.default with nprocs } in
+    let prog = (Driver.compile ~opts cp).Codegen.program in
+    words (fun () -> Absint.walk ~nprocs prog)
+  in
+  let w4k = walk 4096 and w256k = walk 262144 in
+  check Alcotest.bool
+    (Fmt.str "Absint.walk allocates %.0f words at P=4096 and %.0f at P=262144 \
+              (%.2fx, bound 1.5x)" w4k w256k (w256k /. w4k))
+    true
+    (w256k <= 1.5 *. w4k)
+
 let dgefa_runtime nprocs =
   let src = read_file (Filename.concat examples_dir "dgefa.fd") in
   let cp = Driver.check_source ~file:"dgefa.fd" src in
@@ -1381,4 +1401,6 @@ let suite =
       test_summary_bound;
     Alcotest.test_case "lint: a no-op remap past a branch that returns" `Quick
       test_lint_noop_past_return;
+    Alcotest.test_case "walk allocation flat in P on redblack" `Slow
+      test_walk_flat_redblack;
   ]
